@@ -3,7 +3,6 @@ package exec
 import (
 	"sort"
 
-	"ml4db/internal/mlmath"
 	"ml4db/internal/sqlkit/plan"
 )
 
@@ -16,65 +15,49 @@ type aggCell struct {
 // hashAgg groups the single child's rows by GroupCol and emits one row per
 // group — [group, COUNT(*), SUM(col)...] — in ascending group order. Each
 // input row charges AggInput; each emitted group charges OutputTuple and one
-// materialized row. With Partitions > 1 the accumulation phase runs over
-// contiguous input shards whose partial maps merge order-insensitively
-// (counts and sums are commutative), so the sorted emission is bit-identical
-// to the serial run.
+// materialized row. The accumulation phase runs over contiguous input shards
+// into one partial map per shard; partials merge order-insensitively (counts
+// and sums are commutative), so the sorted emission is the same for every
+// Partitions.
 func (s *execState) hashAgg(n *plan.Node) ([][]int64, error) {
 	in, err := s.run(n.Children[0])
 	if err != nil {
 		return nil, err
 	}
-	groups := make(map[int64]*aggCell)
-	accumulate := func(cells map[int64]*aggCell, row []int64) {
-		cell := cells[row[n.GroupCol]]
-		if cell == nil {
-			cell = &aggCell{sums: make([]int64, len(n.SumCols))}
-			cells[row[n.GroupCol]] = cell
-		}
-		cell.count++
-		for i, c := range n.SumCols {
-			cell.sums[i] += row[c]
-		}
-	}
-	if n.Partitions > 1 {
-		// Shards accumulate private partial maps and log their AggInput
-		// charges; the coordinator replays the logs in shard order (so a
-		// budget abort lands exactly where the serial input loop would have
-		// aborted) and merges the partials.
-		parts := n.Partitions
-		partials := make([]map[int64]*aggCell, parts)
-		if _, err := s.runPartitioned(parts, func(k int, lg *shardLog) {
-			lo, hi := mlmath.ShardRange(len(in), parts, k)
-			partials[k] = make(map[int64]*aggCell)
-			for _, row := range in[lo:hi] {
-				if !lg.charge(kAggInput, 1) {
-					return
-				}
-				accumulate(partials[k], row)
-			}
-		}); err != nil {
-			return nil, err
-		}
-		for _, part := range partials {
-			for k, cell := range part {
-				dst := groups[k]
-				if dst == nil {
-					groups[k] = cell
-					continue
-				}
-				dst.count += cell.count
-				for i, v := range cell.sums {
-					dst.sums[i] += v
-				}
-			}
-		}
-	} else {
-		for _, row := range in {
-			if err := s.charge(&s.ctr.AggInput, 1); err != nil {
+	partials := make([]map[int64]*aggCell, max(n.Partitions, 1))
+	if _, err := s.ranged(len(in), n.Partitions, func(a *acct, shard, lo, hi int) ([][]int64, error) {
+		cells := make(map[int64]*aggCell)
+		partials[shard] = cells
+		for _, row := range in[lo:hi] {
+			if err := a.charge(&a.ctr.AggInput, 1); err != nil {
 				return nil, err
 			}
-			accumulate(groups, row)
+			cell := cells[row[n.GroupCol]]
+			if cell == nil {
+				cell = &aggCell{sums: make([]int64, len(n.SumCols))}
+				cells[row[n.GroupCol]] = cell
+			}
+			cell.count++
+			for i, c := range n.SumCols {
+				cell.sums[i] += row[c]
+			}
+		}
+		return nil, nil
+	}); err != nil {
+		return nil, err
+	}
+	groups := partials[0]
+	for _, part := range partials[1:] {
+		for k, cell := range part {
+			dst := groups[k]
+			if dst == nil {
+				groups[k] = cell
+				continue
+			}
+			dst.count += cell.count
+			for i, v := range cell.sums {
+				dst.sums[i] += v
+			}
 		}
 	}
 	keys := make([]int64, 0, len(groups))

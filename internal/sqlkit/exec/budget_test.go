@@ -45,27 +45,6 @@ func TestBudgetWorkLimitCarriesDetail(t *testing.T) {
 	}
 }
 
-func TestBudgetStricterWorkLimitWins(t *testing.T) {
-	cat := tinyCatalog(t)
-	e := New(cat)
-	for _, tc := range []struct {
-		name string
-		opts Options
-	}{
-		{"budget stricter", Options{MaxWork: 1000, Budget: &Budget{MaxWork: 3}}},
-		{"legacy stricter", Options{MaxWork: 3, Budget: &Budget{MaxWork: 1000}}},
-	} {
-		_, err := e.Execute(joinPlanOver(plan.OpNLJoin), tc.opts)
-		var be *BudgetExceededError
-		if !errors.As(err, &be) {
-			t.Fatalf("%s: err = %v, want *BudgetExceededError", tc.name, err)
-		}
-		if be.Limit != 3 {
-			t.Errorf("%s: Limit = %d, want 3 (the stricter of the two)", tc.name, be.Limit)
-		}
-	}
-}
-
 func TestBudgetAbortIsDeterministic(t *testing.T) {
 	cat := tinyCatalog(t)
 	e := New(cat)

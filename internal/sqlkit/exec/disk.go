@@ -1,7 +1,6 @@
 package exec
 
 import (
-	"ml4db/internal/mlmath"
 	"ml4db/internal/sqlkit/catalog"
 	"ml4db/internal/sqlkit/expr"
 	"ml4db/internal/sqlkit/plan"
@@ -15,35 +14,51 @@ import (
 // every path, including budget aborts, by scoping each page's work in a
 // function with a deferred Unpin.
 
-// seqScanDisk scans a disk-backed table page by page through its pool.
+// seqScanDisk scans a disk-backed table page by page, sharded by contiguous
+// page ranges. A serial scan fetches through the pool proper; a partitioned
+// one uses storage.Pool.FetchScan — the bypass path that pins resident pages
+// without touching replacement state and reads non-resident pages privately
+// without inserting them — so the pool's contents, tick, and eviction
+// decisions are independent of shard interleaving, and a re-run shard sees
+// the misses its first run saw. Miss charges equal the serial scan's whenever
+// the pool's resident set at scan start matches (always true for a cold
+// table; see docs/EXECUTOR.md for the warm-pool caveat).
 func (s *execState) seqScanDisk(n *plan.Node, t *catalog.Table) ([][]int64, error) {
 	tf := t.Disk
-	row := make([]int64, t.NumCols())
-	var out [][]int64
-	var misses int64
-	for pageNo := 0; pageNo < tf.NumPages(); pageNo++ {
-		if err := s.scanDiskPage(n, tf, pageNo, row, &out, &misses); err != nil {
-			n.ActualPageMisses = float64(misses)
-			return nil, err
+	missBefore := s.ctr.PageMiss
+	out, err := s.ranged(tf.NumPages(), n.Partitions, func(a *acct, _, lo, hi int) ([][]int64, error) {
+		row := make([]int64, t.NumCols())
+		var out [][]int64
+		for pageNo := lo; pageNo < hi; pageNo++ {
+			if err := scanDiskPage(a, n, tf, pageNo, row, &out); err != nil {
+				return nil, err
+			}
 		}
+		return out, nil
+	})
+	n.ActualPageMisses = float64(s.ctr.PageMiss - missBefore)
+	if err != nil {
+		return nil, err
 	}
 	n.ActualRows = float64(len(out))
-	n.ActualPageMisses = float64(misses)
 	return out, nil
 }
 
 // scanDiskPage pins one page, emits its matching rows, and unpins on every
 // path — including budget aborts — via defer (the pin discipline the
 // spanend analyzer enforces).
-func (s *execState) scanDiskPage(n *plan.Node, tf *storage.TableFile, pageNo int, row []int64, out *[][]int64, misses *int64) error {
-	h, err := tf.FetchPage(pageNo)
+func scanDiskPage(a *acct, n *plan.Node, tf *storage.TableFile, pageNo int, row []int64, out *[][]int64) error {
+	fetch := tf.FetchPage
+	if n.Partitions > 1 {
+		fetch = tf.FetchPageForScan
+	}
+	h, err := fetch(pageNo)
 	if err != nil {
 		return err
 	}
 	defer h.Unpin()
 	if h.Missed() {
-		*misses++
-		if err := s.charge(&s.ctr.PageMiss, 1); err != nil {
+		if err := a.charge(&a.ctr.PageMiss, 1); err != nil {
 			return err
 		}
 	}
@@ -52,7 +67,7 @@ func (s *execState) scanDiskPage(n *plan.Node, tf *storage.TableFile, pageNo int
 		if !p.ReadTuple(slot, row) {
 			continue
 		}
-		if err := s.charge(&s.ctr.ScanTuples, 1); err != nil {
+		if err := a.charge(&a.ctr.ScanTuples, 1); err != nil {
 			return err
 		}
 		ok := true
@@ -65,7 +80,7 @@ func (s *execState) scanDiskPage(n *plan.Node, tf *storage.TableFile, pageNo int
 		if !ok {
 			continue
 		}
-		if err := s.chargeRows(1); err != nil {
+		if err := a.chargeRows(1); err != nil {
 			return err
 		}
 		cp := make([]int64, len(row))
@@ -73,82 +88,6 @@ func (s *execState) scanDiskPage(n *plan.Node, tf *storage.TableFile, pageNo int
 		*out = append(*out, cp)
 	}
 	return nil
-}
-
-// seqScanDiskPartitioned scans contiguous page ranges in parallel. Shards
-// fetch pages through storage.Pool.FetchScan — the bypass path that pins
-// resident pages without mutating replacement state and reads non-resident
-// pages privately without inserting them — so the pool's contents, tick, and
-// eviction decisions are independent of shard interleaving and the scan stays
-// replay-deterministic. Miss charges equal the serial scan's whenever the
-// pool's resident set at scan start matches (always true for a cold table;
-// see docs/EXECUTOR.md for the warm-pool caveat).
-func (s *execState) seqScanDiskPartitioned(n *plan.Node, t *catalog.Table) ([][]int64, error) {
-	tf := t.Disk
-	numPages, parts := tf.NumPages(), n.Partitions
-	missBefore := s.ctr.PageMiss
-	out, err := s.runPartitioned(parts, func(k int, lg *shardLog) {
-		row := make([]int64, t.NumCols())
-		lo, hi := mlmath.ShardRange(numPages, parts, k)
-		for pageNo := lo; pageNo < hi; pageNo++ {
-			ok, err := s.scanDiskPageShard(n, tf, pageNo, row, lg)
-			if err != nil {
-				lg.err = err
-				return
-			}
-			if !ok {
-				return
-			}
-		}
-	})
-	n.ActualPageMisses = float64(s.ctr.PageMiss - missBefore)
-	if err != nil {
-		return nil, err
-	}
-	n.ActualRows = float64(len(out))
-	return out, nil
-}
-
-// scanDiskPageShard is scanDiskPage for a shard: identical charge order
-// (PageMiss, then per live tuple ScanTuples and the materialized row), logged
-// instead of applied, with the same deferred-Unpin pin discipline. ok is
-// false when the shard should stop early (budget early-stop).
-func (s *execState) scanDiskPageShard(n *plan.Node, tf *storage.TableFile, pageNo int, row []int64, lg *shardLog) (ok bool, err error) {
-	h, err := tf.FetchPageForScan(pageNo)
-	if err != nil {
-		return false, err
-	}
-	defer h.Unpin()
-	if h.Missed() {
-		if !lg.charge(kPageMiss, 1) {
-			return false, nil
-		}
-	}
-	p := h.Page()
-	for slot := 0; slot < p.NumSlots(); slot++ {
-		if !p.ReadTuple(slot, row) {
-			continue
-		}
-		live := true
-		for _, f := range n.Filters {
-			if !f.Eval(row[f.Col]) {
-				live = false
-				break
-			}
-		}
-		if !live {
-			if !lg.charge(kScanTuples, 1) {
-				return false, nil
-			}
-			continue
-		}
-		cp := make([]int64, len(row))
-		copy(cp, row)
-		if !lg.emit(kScanTuples, 1, cp) {
-			return false, nil
-		}
-	}
-	return true, nil
 }
 
 // indexScanDisk fetches the index's matching heap rows through the pool —

@@ -55,6 +55,17 @@ func diskFixture(t *testing.T, pool *storage.Pool, nrows int) (mem, disk *catalo
 	return mem, disk
 }
 
+// spill moves tbl behind a fresh buffer pool of the given capacity, in a
+// heap file under the test's temp dir, and returns the pool.
+func spill(t *testing.T, tbl *catalog.Table, capacity int) *storage.Pool {
+	t.Helper()
+	pool := storage.NewPool(storage.PoolOptions{Capacity: capacity})
+	if err := tbl.SpillToDisk(filepath.Join(t.TempDir(), tbl.Name+".tbl"), pool); err != nil {
+		t.Fatal(err)
+	}
+	return pool
+}
+
 func scanNode(tid int, filters ...expr.Pred) *plan.Node {
 	return plan.NewScan(0, tid, filters)
 }

@@ -7,13 +7,14 @@
 // ordering of plan quality. A work budget implements the execution timeouts
 // that Balsa (§3.3) relies on to avoid unpredictable stalls.
 //
-// Operators whose plan node carries a Partitions annotation run as
-// exchange operators: the input splits into contiguous ranges
-// (mlmath.ShardRange), shards run on the mlmath.Pool passed in
-// Options.Pool, and the coordinator merges shard outputs in shard order.
-// Shards log counter charges privately instead of applying them; the
-// coordinator replays the logs with the serial budget arithmetic, so
-// parallel execution is bit-identical to serial — same rows, same
+// Every partitionable operator has one loop body, written over a contiguous
+// range of its input. A plan node with Partitions ≤ 1 runs the body once
+// over the whole input: the serial executor. With Partitions > 1 the input
+// splits into contiguous ranges (mlmath.ShardRange), shards run on the
+// mlmath.Pool passed in Options.Pool, each charging a private budget
+// account, and the coordinator folds accounts and rows in shard order,
+// re-running inline the one shard whose charges would cross a budget limit.
+// Parallel execution is therefore bit-identical to serial — same rows, same
 // counters, same typed budget aborts, same explain trees — regardless of
 // worker count. See docs/EXECUTOR.md for the full contract and the
 // determinism argument.

@@ -54,23 +54,153 @@ func bruteForceCard(cat *catalog.Catalog, q *plan.Query) int {
 	return count
 }
 
+// refEval evaluates a plan node by definition — filters, nested loops and a
+// group map straight over the in-memory catalog's columns, sharing no loop
+// with the executor — and returns the node's output rows. Into want it adds
+// the counters the plan must charge that follow from the data alone:
+// ScanTuples = |table|, HashBuild = |left|, HashProbe = |right|,
+// NLPairs = |left|·|right|, MergeSort = the shared sort formula,
+// OutputTuple = |join or agg output|, AggInput = |agg input|. (IndexProbe,
+// IndexFetch, MergeScan and PageMiss depend on index, order and pool state
+// and stay out of the closed form.)
+func refEval(cat *catalog.Catalog, n *plan.Node, want *Counters) [][]int64 {
+	switch n.Op {
+	case plan.OpSeqScan, plan.OpIndexScan:
+		t := cat.Table(n.TableID)
+		if n.Op == plan.OpSeqScan {
+			want.ScanTuples += int64(t.NumRows())
+		}
+		var out [][]int64
+	next:
+		for r := 0; r < t.NumRows(); r++ {
+			for _, f := range n.Filters {
+				if !f.Eval(t.Data[f.Col][r]) {
+					continue next
+				}
+			}
+			row := make([]int64, t.NumCols())
+			for c := range row {
+				row[c] = t.Data[c][r]
+			}
+			out = append(out, row)
+		}
+		return out
+	case plan.OpHashAgg:
+		in := refEval(cat, n.Children[0], want)
+		groups := map[int64][]int64{}
+		for _, row := range in {
+			g := groups[row[n.GroupCol]]
+			if g == nil {
+				g = make([]int64, 2+len(n.SumCols))
+				g[0] = row[n.GroupCol]
+				groups[g[0]] = g
+			}
+			g[1]++
+			for i, c := range n.SumCols {
+				g[2+i] += row[c]
+			}
+		}
+		var out [][]int64
+		for _, g := range groups {
+			out = append(out, g)
+		}
+		want.AggInput += int64(len(in))
+		want.OutputTuple += int64(len(out))
+		return out
+	}
+	left := refEval(cat, n.Children[0], want)
+	right := refEval(cat, n.Children[1], want)
+	var out [][]int64
+	for _, l := range left {
+		for _, r := range right {
+			if l[n.LeftCol] == r[n.RightCol] {
+				out = append(out, append(append([]int64{}, l...), r...))
+			}
+		}
+	}
+	nl, nr, nout := int64(len(left)), int64(len(right)), int64(len(out))
+	switch n.Op {
+	case plan.OpHashJoin:
+		want.HashBuild += nl
+		want.HashProbe += nr
+		want.OutputTuple += nout
+	case plan.OpNLJoin:
+		want.NLPairs += nl * nr
+	case plan.OpMergeJoin:
+		want.MergeSort += int64(plan.SortUnits(len(left)) + plan.SortUnits(len(right)))
+		want.OutputTuple += nout
+	}
+	return out
+}
+
+// closedForm keeps the counters refEval derives and zeroes the rest, so a
+// run's Counters compare against refEval's with ==.
+func closedForm(c Counters) Counters {
+	c.IndexProbe, c.IndexFetch, c.MergeScan, c.PageMiss = 0, 0, 0, 0
+	return c
+}
+
+// partitionSweep is the Partitions values every reference check runs under:
+// serial (0 and 1), even and odd splits, and more shards than most inputs
+// have pages or rows per shard.
+var partitionSweep = []int{0, 1, 2, 3, 8}
+
+// checkAgainstReference executes p under every partitionSweep value on each
+// executor (the in-memory catalog and its spilled twin) and fails unless
+// every run returns refEval's row multiset and closed-form counters.
+func checkAgainstReference(t *testing.T, label string, mem *catalog.Catalog, p *plan.Node, execs map[string]*Executor, pool *mlmath.Pool) bool {
+	t.Helper()
+	var want Counters
+	wantRows := canonical(refEval(mem, p, &want))
+	ok := true
+	for storageName, ex := range execs {
+		for _, parts := range partitionSweep {
+			res, err := ex.Execute(forcePartitions(p, parts), Options{Pool: pool})
+			if err != nil {
+				t.Errorf("%s/%s/P=%d: %v", label, storageName, parts, err)
+				return false
+			}
+			if !sameRows(canonical(res.Rows), wantRows) {
+				t.Errorf("%s/%s/P=%d: %d rows, reference %d\nplan:\n%s", label, storageName, parts, len(res.Rows), len(wantRows), p)
+				ok = false
+			}
+			if got := closedForm(res.Counters); got != want {
+				t.Errorf("%s/%s/P=%d: counters\ngot  %+v\nwant %+v", label, storageName, parts, got, want)
+				ok = false
+			}
+		}
+	}
+	return ok
+}
+
 // TestOptimizedPlansMatchReferenceSemantics is the end-to-end property: for
 // random star queries, every hint set's optimized plan — including plans
-// using secondary indexes — returns exactly the reference cardinality.
+// using secondary indexes — returns exactly the reference cardinality, and
+// under every partition count, over the in-memory fact table and a spilled
+// copy of it, the reference rows and closed-form counters.
 func TestOptimizedPlansMatchReferenceSemantics(t *testing.T) {
 	rng := mlmath.NewRNG(99)
-	sch, err := datagen.NewStarSchema(rng, 400, 60, 3)
-	if err != nil {
-		t.Fatal(err)
+	build := func(rng *mlmath.RNG) *datagen.StarSchema {
+		sch, err := datagen.NewStarSchema(rng, 400, 60, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Index two fact attributes so index-scan paths participate.
+		fact := sch.Cat.Table(sch.FactID)
+		fact.AddIndex(catalog.BuildSecondaryIndex(fact, sch.AttrCols[0]))
+		fact.AddIndex(catalog.BuildSecondaryIndex(fact, sch.AttrCols[2]))
+		return sch
 	}
-	// Index two fact attributes so index-scan paths participate.
-	fact := sch.Cat.Table(sch.FactID)
-	fact.AddIndex(catalog.BuildSecondaryIndex(fact, sch.AttrCols[0]))
-	fact.AddIndex(catalog.BuildSecondaryIndex(fact, sch.AttrCols[2]))
+	// The twin holds the same data (same seed) with its fact table spilled.
+	sch, twin := build(rng), build(mlmath.NewRNG(99))
+	spill(t, twin.Cat.Table(twin.FactID), 2)
 	gen := workload.NewStarGen(sch, rng)
 	opt := optimizer.New(sch.Cat)
 	opt.Cost = optimizer.TrueCostParams()
 	ex := New(sch.Cat)
+	execs := map[string]*Executor{"mem": ex, "spilled": New(twin.Cat)}
+	pool := mlmath.NewPool(3)
+	defer pool.Close()
 
 	f := func(seed uint64) bool {
 		q := gen.Query()
@@ -90,6 +220,9 @@ func TestOptimizedPlansMatchReferenceSemantics(t *testing.T) {
 			if len(res.Rows) != want {
 				t.Logf("hint %s: got %d rows, reference %d\nquery %s\nplan:\n%s",
 					h.Name, len(res.Rows), want, q.Signature(), p)
+				return false
+			}
+			if !checkAgainstReference(t, h.Name, sch.Cat, p, execs, pool) {
 				return false
 			}
 		}

@@ -1,324 +1,85 @@
 package exec
 
-import (
-	"ml4db/internal/mlmath"
-	"ml4db/internal/sqlkit/catalog"
-	"ml4db/internal/sqlkit/plan"
-)
+import "ml4db/internal/mlmath"
 
-// This file implements exchange-style partitioned parallelism. The design
-// goal is exact serial equivalence: for any plan, any pool, and any worker
-// count, a partitioned execution must produce bit-identical rows, Counters,
-// budget-abort points, and EXPLAIN ANALYZE trees to the serial execution of
-// the same plan. Three mechanisms deliver that:
+// This file is the whole of exchange-style partitioned parallelism. Every
+// partitionable operator writes its loop once, as a rangeBody over a
+// contiguous slice of its input, and ranged decides how the ranges run. The
+// contract is exact serial equivalence: for any plan, pool and worker count
+// a partitioned execution produces the rows, Counters, budget-abort point and
+// EXPLAIN ANALYZE tree of the serial execution, bit for bit, because
 //
-//   - Range partitioning. Every parallel operator splits its input into
-//     Partitions contiguous shards via mlmath.ShardRange (scan row or page
-//     ranges, hash-probe ranges, nested-loop outer ranges, aggregation input
-//     ranges), so concatenating shard outputs in shard order reproduces the
-//     serial row order exactly. Hash partitioning of rows would reorder
-//     output; contiguous ranges never do.
+//   - ranges are contiguous (mlmath.ShardRange), so concatenating shard
+//     outputs in shard order is the serial row order;
+//   - a shard charges a private acct, and the coordinator folds the accounts
+//     into the live one in shard order, re-running inline — against the live
+//     account — the one shard whose charges would cross a limit;
+//   - the pool hands out whole shards, so the worker count changes timing
+//     only.
 //
-//   - Charge-log replay. Shards never touch the coordinator's budget or
-//     counters. Each shard appends compact charge events — runs of "n
-//     charges of (counter, unit), each optionally followed by one
-//     materialized row" — to a private log, in the exact order the serial
-//     code would issue them. After the pool joins, the coordinator replays
-//     the logs in shard order through the real charge/chargeRows
-//     accounting, using closed-form arithmetic to land a budget abort on
-//     exactly the charge the serial execution would have aborted on.
-//
-//   - Worker-count independence. The pool distributes whole shards
-//     (ForEachShard over the partition count, each worker looping its
-//     contiguous shard sub-range), so which worker ran a shard — and how
-//     many workers exist — affects only timing, never content.
-//
-// Shards may stop early once their private work or row total alone
-// guarantees a global abort (the replay trips at or before the truncation
-// point, because earlier shards only add to the totals), so a tight budget
-// does not force a full parallel scan.
+// docs/EXECUTOR.md carries the argument and the cost of the re-run.
 
-// counterKind names a Counters field a shard can charge. Only categories
-// reachable from partitioned operator shards appear here; build phases,
-// sorts, and index probes stay on the coordinator.
-type counterKind uint8
+// rangeBody runs one operator loop over input positions [lo, hi), charging a
+// and returning the rows it materialized. shard indexes per-shard operator
+// state (HashAgg's partial maps). A body must be a deterministic function of
+// its range: the same charges in the same order on every call.
+type rangeBody func(a *acct, shard, lo, hi int) ([][]int64, error)
 
-const (
-	kScanTuples counterKind = iota
-	kHashProbe
-	kNLPairs
-	kOutputTuple
-	kAggInput
-	kPageMiss
-)
-
-// counterFor maps a kind to the live counter it charges.
-func (s *execState) counterFor(k counterKind) *int64 {
-	switch k {
-	case kScanTuples:
-		return &s.ctr.ScanTuples
-	case kHashProbe:
-		return &s.ctr.HashProbe
-	case kNLPairs:
-		return &s.ctr.NLPairs
-	case kOutputTuple:
-		return &s.ctr.OutputTuple
-	case kAggInput:
-		return &s.ctr.AggInput
-	default:
-		return &s.ctr.PageMiss
+// ranged runs body over [0, n) split into parts contiguous shards. With
+// parts ≤ 1 that is one call against the live account: the serial loop.
+func (s *execState) ranged(n, parts int, body rangeBody) ([][]int64, error) {
+	if parts <= 1 {
+		return body(&s.acct, 0, 0, n)
 	}
-}
-
-// chargeEvent is one run of a shard's charge log: n consecutive charges of
-// unit work units against kind. With rowEvery set, each of the n charges is
-// followed by one chargeRows(1) — the charge pattern of a tuple that passed
-// its filters and was materialized.
-type chargeEvent struct {
-	kind     counterKind
-	unit     int64
-	n        int64
-	rowEvery bool
-}
-
-// shardLog is one shard's private execution record: the charge log, the
-// materialized rows (in charge order: the i-th row belongs to the i-th
-// rowEvery charge), and a non-budget error if the shard hit one (e.g. a disk
-// read failure). Shards mirror the budget locally only to stop early; the
-// authoritative budget decision happens at replay.
-type shardLog struct {
-	events []chargeEvent
-	rows   [][]int64
-	err    error
-
-	localWork, localRows int64
-	maxWork, maxRows     int64
-	stopped              bool
-}
-
-// add appends a charge run, coalescing into the previous event when the
-// shape matches (the common case: long runs of identical per-tuple charges).
-func (l *shardLog) add(k counterKind, unit int64, rowEvery bool) {
-	if m := len(l.events); m > 0 {
-		ev := &l.events[m-1]
-		if ev.kind == k && ev.unit == unit && ev.rowEvery == rowEvery {
-			ev.n++
-			return
-		}
+	// Each shard's account starts at the coordinator's totals with no
+	// counters, so a shard stops as soon as its own charges alone guarantee
+	// the execution aborts, and its counters are exactly its deltas.
+	type shardRun struct {
+		acct
+		out [][]int64
+		err error
 	}
-	l.events = append(l.events, chargeEvent{kind: k, unit: unit, n: 1, rowEvery: rowEvery})
-}
-
-// charge logs one work charge. It returns false once the shard's private
-// totals alone guarantee a global budget abort — the shard should stop; the
-// replay will abort at or before this event no matter what other shards did.
-func (l *shardLog) charge(k counterKind, unit int64) bool {
-	l.add(k, unit, false)
-	l.localWork += unit
-	if l.maxWork > 0 && l.localWork > l.maxWork {
-		l.stopped = true
-	}
-	return !l.stopped
-}
-
-// emit logs one work charge followed by one materialized row (the row is
-// buffered at the position its rowEvery charge holds in the log). Like
-// charge, it returns false when the shard should stop.
-func (l *shardLog) emit(k counterKind, unit int64, row []int64) bool {
-	l.add(k, unit, true)
-	l.rows = append(l.rows, row)
-	l.localWork += unit
-	l.localRows++
-	if (l.maxWork > 0 && l.localWork > l.maxWork) || (l.maxRows > 0 && l.localRows > l.maxRows) {
-		l.stopped = true
-	}
-	return !l.stopped
-}
-
-// replayEvents replays one shard's charge log through the coordinator's
-// budget accounting, in log order, and returns how many rowEvery charges
-// were admitted before any abort. The arithmetic reproduces charge/
-// chargeRows exactly: a work charge adds its unit then trips on
-// work > maxWork, a row charge adds one then trips on rows > maxRows — so
-// the abort lands on the same charge, with the same Used value, as the
-// serial execution.
-func (s *execState) replayEvents(events []chargeEvent) (admitted int64, err error) {
-	for _, ev := range events {
-		ctr := s.counterFor(ev.kind)
-		// Charges (1-indexed) until each limit trips within this event;
-		// values beyond ev.n mean "no trip here".
-		iW := ev.n + 1
-		if s.maxWork > 0 && ev.unit > 0 {
-			if i := (s.maxWork-s.work)/ev.unit + 1; i <= ev.n {
-				iW = i
-			}
-		}
-		if !ev.rowEvery {
-			if iW <= ev.n {
-				*ctr += iW * ev.unit
-				s.work += iW * ev.unit
-				return admitted, &BudgetExceededError{Kind: "work", Limit: s.maxWork, Used: s.work}
-			}
-			*ctr += ev.n * ev.unit
-			s.work += ev.n * ev.unit
-			continue
-		}
-		iR := ev.n + 1
-		if s.maxRows > 0 {
-			if i := s.maxRows - s.rows + 1; i <= ev.n {
-				iR = i
-			}
-		}
-		if iW <= ev.n && iW <= iR {
-			// The iW-th work charge trips before its row charge; the iW-1
-			// earlier iterations completed their row charges.
-			*ctr += iW * ev.unit
-			s.work += iW * ev.unit
-			s.rows += iW - 1
-			admitted += iW - 1
-			return admitted, &BudgetExceededError{Kind: "work", Limit: s.maxWork, Used: s.work}
-		}
-		if iR <= ev.n {
-			// The iR-th row charge trips; its work charge already landed,
-			// and the row itself is not materialized.
-			*ctr += iR * ev.unit
-			s.work += iR * ev.unit
-			s.rows += iR
-			admitted += iR - 1
-			return admitted, &BudgetExceededError{Kind: "rows", Limit: s.maxRows, Used: s.rows}
-		}
-		*ctr += ev.n * ev.unit
-		s.work += ev.n * ev.unit
-		s.rows += ev.n
-		admitted += ev.n
-	}
-	return admitted, nil
-}
-
-// runPartitioned executes parts shards through the pool and merges them in
-// shard order: runShard(k, lg) fills shard k's log, the coordinator then
-// replays every log (emitting one deterministic exec.exchange.shard span per
-// shard) and concatenates the admitted rows. A nil pool, a one-worker pool,
-// and an N-worker pool all produce identical results; only the wall clock
-// differs.
-func (s *execState) runPartitioned(parts int, runShard func(shard int, lg *shardLog)) ([][]int64, error) {
-	logs := make([]shardLog, parts)
-	for k := range logs {
-		logs[k].maxWork, logs[k].maxRows = s.maxWork, s.maxRows
-	}
-	s.pool.ForEachShard(parts, func(_, lo, hi int) {
-		for k := lo; k < hi; k++ {
-			runShard(k, &logs[k])
+	seed := acct{work: s.work, rows: s.rows, maxWork: s.maxWork, maxRows: s.maxRows}
+	runs := make([]shardRun, parts)
+	s.pool.ForEachShard(parts, func(_, first, end int) {
+		for k := first; k < end; k++ {
+			r := &runs[k]
+			r.acct = seed
+			lo, hi := mlmath.ShardRange(n, parts, k)
+			r.out, r.err = body(&r.acct, k, lo, hi)
 		}
 	})
-	var out [][]int64
-	for k := range logs {
-		lg := &logs[k]
+	total := 0
+	for k := range runs {
+		total += len(runs[k].out)
+	}
+	out := make([][]int64, 0, total)
+	for k := range runs {
+		r := &runs[k]
 		workBefore := s.work
 		sp := s.tr.StartSpan("exec.exchange.shard", s.cur)
-		admitted, err := s.replayEvents(lg.events)
-		sp.SetInt("shard", int64(k)).SetInt("work", s.work-workBefore).SetInt("rows", admitted)
-		sp.End()
-		if err == nil && lg.err != nil {
-			// The shard stopped on a non-budget error after these charges;
-			// surface it exactly where the serial execution would have.
-			err = lg.err
+		// Fold by charging the shard's totals to a copy of the live account,
+		// so charge and chargeRows stay the only code that tests a limit.
+		var sink int64
+		var err error
+		next := s.acct
+		next.ctr = addCounters(next.ctr, r.ctr)
+		if r.err == nil && next.charge(&sink, r.work-seed.work) == nil && next.chargeRows(r.rows-seed.rows) == nil {
+			s.acct = next
+		} else {
+			// The shard failed, or its charges cross a limit somewhere inside
+			// it. The same loop over the same range from the live budget
+			// position stops on exactly the charge the serial execution stops
+			// on (or on the shard's own error, if that comes first).
+			lo, hi := mlmath.ShardRange(n, parts, k)
+			r.out, err = body(&s.acct, k, lo, hi)
 		}
+		sp.SetInt("shard", int64(k)).SetInt("work", s.work-workBefore).SetInt("rows", int64(len(r.out)))
+		sp.End()
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, lg.rows[:admitted]...)
+		out = append(out, r.out...)
 	}
-	return out, nil
-}
-
-// seqScanPartitioned is the exchange-parallel in-memory table scan: shard k
-// scans the contiguous row range ShardRange(nRows, parts, k), so the merged
-// output is the serial scan's row order exactly.
-func (s *execState) seqScanPartitioned(n *plan.Node, t *catalog.Table) ([][]int64, error) {
-	nRows, nCols, parts := t.NumRows(), t.NumCols(), n.Partitions
-	out, err := s.runPartitioned(parts, func(k int, lg *shardLog) {
-		lo, hi := mlmath.ShardRange(nRows, parts, k)
-		for r := lo; r < hi; r++ {
-			ok := true
-			for _, f := range n.Filters {
-				if !f.Eval(t.Data[f.Col][r]) {
-					ok = false
-					break
-				}
-			}
-			if !ok {
-				if !lg.charge(kScanTuples, 1) {
-					return
-				}
-				continue
-			}
-			row := make([]int64, nCols)
-			for c := 0; c < nCols; c++ {
-				row[c] = t.Data[c][r]
-			}
-			if !lg.emit(kScanTuples, 1, row) {
-				return
-			}
-		}
-	})
-	if err != nil {
-		return nil, err
-	}
-	n.ActualRows = float64(len(out))
-	return out, nil
-}
-
-// hashProbePartitioned runs the probe phase of a hash join over contiguous
-// probe-side shards. The hash table was built serially by the coordinator
-// and is only read here — concurrent map reads are safe — and shard k
-// probing right[lo:hi] in order reproduces the serial probe/output charge
-// sequence under concatenation.
-func (s *execState) hashProbePartitioned(n *plan.Node, ht map[int64][]int, left, right [][]int64) ([][]int64, error) {
-	parts := n.Partitions
-	out, err := s.runPartitioned(parts, func(k int, lg *shardLog) {
-		lo, hi := mlmath.ShardRange(len(right), parts, k)
-		for _, rrow := range right[lo:hi] {
-			if !lg.charge(kHashProbe, 1) {
-				return
-			}
-			for _, li := range ht[rrow[n.RightCol]] {
-				if !lg.emit(kOutputTuple, 1, joinRows(left[li], rrow)) {
-					return
-				}
-			}
-		}
-	})
-	if err != nil {
-		return nil, err
-	}
-	n.ActualRows = float64(len(out))
-	return out, nil
-}
-
-// nlJoinPartitioned shards the nested-loop join by contiguous outer (left)
-// ranges; each shard scans the full inner side, preserving the serial
-// left-major pair order within and across shards.
-func (s *execState) nlJoinPartitioned(n *plan.Node, left, right [][]int64) ([][]int64, error) {
-	parts := n.Partitions
-	out, err := s.runPartitioned(parts, func(k int, lg *shardLog) {
-		lo, hi := mlmath.ShardRange(len(left), parts, k)
-		for _, lrow := range left[lo:hi] {
-			lk := lrow[n.LeftCol]
-			for _, rrow := range right {
-				if lk == rrow[n.RightCol] {
-					if !lg.emit(kNLPairs, 1, joinRows(lrow, rrow)) {
-						return
-					}
-				} else if !lg.charge(kNLPairs, 1) {
-					return
-				}
-			}
-		}
-	})
-	if err != nil {
-		return nil, err
-	}
-	n.ActualRows = float64(len(out))
 	return out, nil
 }

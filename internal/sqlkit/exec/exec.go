@@ -53,10 +53,6 @@ func (e *BudgetExceededError) Is(target error) bool { return target == ErrWorkBu
 
 // Options configures execution.
 type Options struct {
-	// MaxWork aborts execution once this many work units are consumed.
-	// Zero means unlimited. Deprecated in favor of Budget; when both are
-	// set the stricter work limit wins.
-	MaxWork int64
 	// Budget, when non-nil, bounds the execution's work units and
 	// materialized rows (see Budget). Aborts surface as
 	// *BudgetExceededError.
@@ -70,22 +66,9 @@ type Options struct {
 	// Pool runs partitioned operators' shards in parallel. A nil pool (or a
 	// one-worker pool) runs every shard inline on the calling goroutine.
 	// The results are bit-identical for any pool: partitioning is a pure
-	// function of the plan's Partitions knob, and shard outputs and charge
-	// logs are merged in fixed shard order (see exchange.go).
+	// function of the plan's Partitions knob, and shard outputs and accounts
+	// are folded in fixed shard order (see exchange.go).
 	Pool *mlmath.Pool
-}
-
-// effectiveBudget folds the legacy MaxWork field and the Budget struct into
-// one (maxWork, maxRows) pair, taking the stricter work limit.
-func (o Options) effectiveBudget() (maxWork, maxRows int64) {
-	maxWork = o.MaxWork
-	if o.Budget != nil {
-		if o.Budget.MaxWork > 0 && (maxWork == 0 || o.Budget.MaxWork < maxWork) {
-			maxWork = o.Budget.MaxWork
-		}
-		maxRows = o.Budget.MaxRows
-	}
-	return maxWork, maxRows
 }
 
 // workBuckets are the histogram bounds for the exec.work metric, shared so
@@ -159,8 +142,10 @@ func New(cat *catalog.Catalog) *Executor { return &Executor{Cat: cat} }
 // Execute runs the plan and returns the result. Node.ActualRows annotations
 // are filled in along the way.
 func (e *Executor) Execute(root *plan.Node, opts Options) (*Result, error) {
-	maxWork, maxRows := opts.effectiveBudget()
-	st := &execState{cat: e.Cat, maxWork: maxWork, maxRows: maxRows, pool: opts.Pool}
+	st := &execState{cat: e.Cat, pool: opts.Pool}
+	if b := opts.Budget; b != nil {
+		st.maxWork, st.maxRows = b.MaxWork, b.MaxRows
+	}
 	observed := opts.Analyze || e.Trace != nil
 	if observed {
 		st.tr = e.Trace
@@ -197,16 +182,23 @@ func (e *Executor) ExecuteCount(root *plan.Node, opts Options) (card int, work i
 	return len(res.Rows), res.Work, nil
 }
 
-type execState struct {
-	cat     *catalog.Catalog
-	work    int64
-	maxWork int64
-	rows    int64 // tuples materialized by all operators
-	maxRows int64
+// acct is one budget account: the counters charged so far, their totals, and
+// the limits the totals are held to. The execution owns the live account;
+// each shard of a partitioned operator charges a private one that the
+// coordinator folds into the live account in shard order (see exchange.go).
+type acct struct {
 	ctr     Counters
+	work    int64
+	rows    int64 // tuples materialized by all operators
+	maxWork int64
+	maxRows int64
+}
+
+type execState struct {
+	acct // the live account
+	cat  *catalog.Catalog
 	// pool runs partitioned operators' shards; nil means inline. Shards
-	// never touch this struct — they log into private shardLogs the
-	// coordinator replays in shard order (see exchange.go).
+	// never touch this struct — each charges a private acct.
 	pool *mlmath.Pool
 
 	// Observability state, all nil/unused on the fast path.
@@ -218,21 +210,21 @@ type execState struct {
 
 // charge adds units to the given category counter and the total, enforcing
 // the work budget.
-func (s *execState) charge(counter *int64, units int64) error {
+func (a *acct) charge(counter *int64, units int64) error {
 	*counter += units
-	s.work += units
-	if s.maxWork > 0 && s.work > s.maxWork {
-		return &BudgetExceededError{Kind: "work", Limit: s.maxWork, Used: s.work}
+	a.work += units
+	if a.maxWork > 0 && a.work > a.maxWork {
+		return &BudgetExceededError{Kind: "work", Limit: a.maxWork, Used: a.work}
 	}
 	return nil
 }
 
 // chargeRows counts tuples materialized by an operator, enforcing the row
 // budget.
-func (s *execState) chargeRows(n int64) error {
-	s.rows += n
-	if s.maxRows > 0 && s.rows > s.maxRows {
-		return &BudgetExceededError{Kind: "rows", Limit: s.maxRows, Used: s.rows}
+func (a *acct) chargeRows(n int64) error {
+	a.rows += n
+	if a.maxRows > 0 && a.rows > a.maxRows {
+		return &BudgetExceededError{Kind: "rows", Limit: a.maxRows, Used: a.rows}
 	}
 	return nil
 }
@@ -296,39 +288,38 @@ func (s *execState) seqScan(n *plan.Node) ([][]int64, error) {
 		return s.seqScanVirtual(n, t) // virtual sources materialize as a unit; Partitions is ignored
 	}
 	if t.Disk != nil {
-		if n.Partitions > 1 {
-			return s.seqScanDiskPartitioned(n, t)
-		}
 		return s.seqScanDisk(n, t)
 	}
-	if n.Partitions > 1 {
-		return s.seqScanPartitioned(n, t)
-	}
-	nRows := t.NumRows()
-	nCols := t.NumCols()
-	var out [][]int64
-	for r := 0; r < nRows; r++ {
-		if err := s.charge(&s.ctr.ScanTuples, 1); err != nil {
-			return nil, err
-		}
-		ok := true
-		for _, f := range n.Filters {
-			if !f.Eval(t.Data[f.Col][r]) {
-				ok = false
-				break
+	nCols, data, filters := t.NumCols(), t.Data, n.Filters
+	out, err := s.ranged(t.NumRows(), n.Partitions, func(a *acct, _, lo, hi int) ([][]int64, error) {
+		var out [][]int64
+		for r := lo; r < hi; r++ {
+			if err := a.charge(&a.ctr.ScanTuples, 1); err != nil {
+				return nil, err
 			}
+			ok := true
+			for _, f := range filters {
+				if !f.Eval(data[f.Col][r]) {
+					ok = false
+					break
+				}
+			}
+			if !ok {
+				continue
+			}
+			if err := a.chargeRows(1); err != nil {
+				return nil, err
+			}
+			row := make([]int64, nCols)
+			for c := 0; c < nCols; c++ {
+				row[c] = data[c][r]
+			}
+			out = append(out, row)
 		}
-		if !ok {
-			continue
-		}
-		if err := s.chargeRows(1); err != nil {
-			return nil, err
-		}
-		row := make([]int64, nCols)
-		for c := 0; c < nCols; c++ {
-			row[c] = t.Data[c][r]
-		}
-		out = append(out, row)
+		return out, nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	n.ActualRows = float64(len(out))
 	return out, nil
@@ -350,7 +341,7 @@ func (s *execState) indexScan(n *plan.Node) ([][]int64, error) {
 		return nil, fmt.Errorf("exec: IndexScan on %s has no interval predicate on c%d", t.Name, n.IndexCol)
 	}
 	// One probe costs a binary search over the index.
-	if err := s.charge(&s.ctr.IndexProbe, log2int(ix.Len())); err != nil {
+	if err := s.charge(&s.ctr.IndexProbe, plan.ProbeSteps(ix.Len())); err != nil {
 		return nil, err
 	}
 	if t.Disk != nil {
@@ -416,18 +407,6 @@ func indexInterval(t *catalog.Table, n *plan.Node) (lo, hi int64, residual []exp
 	return lo, hi, residual, found
 }
 
-// log2int returns floor(log2(n))+1 — the number of probes a binary search
-// makes over n items — as a work charge, minimum 1 (n <= 1). The optimizer's
-// IndexScanCost mirrors this exactly (optimizer.probeSteps), keeping the
-// "true cost params reproduce actual work" identity free of off-by-ones.
-func log2int(n int) int64 {
-	c := int64(1)
-	for v := n; v > 1; v >>= 1 {
-		c++
-	}
-	return c
-}
-
 func (s *execState) children(n *plan.Node) (left, right [][]int64, err error) {
 	left, err = s.run(n.Children[0])
 	if err != nil {
@@ -460,23 +439,28 @@ func (s *execState) hashJoin(n *plan.Node) ([][]int64, error) {
 		k := row[n.LeftCol]
 		ht[k] = append(ht[k], i)
 	}
-	if n.Partitions > 1 {
-		return s.hashProbePartitioned(n, ht, left, right)
-	}
-	var out [][]int64
-	for _, rrow := range right {
-		if err := s.charge(&s.ctr.HashProbe, 1); err != nil {
-			return nil, err
-		}
-		for _, li := range ht[rrow[n.RightCol]] {
-			if err := s.charge(&s.ctr.OutputTuple, 1); err != nil {
+	// The probe phase shards by contiguous probe-side ranges; the table is
+	// only read from here on, and concurrent map reads are safe.
+	out, err := s.ranged(len(right), n.Partitions, func(a *acct, _, lo, hi int) ([][]int64, error) {
+		var out [][]int64
+		for _, rrow := range right[lo:hi] {
+			if err := a.charge(&a.ctr.HashProbe, 1); err != nil {
 				return nil, err
 			}
-			if err := s.chargeRows(1); err != nil {
-				return nil, err
+			for _, li := range ht[rrow[n.RightCol]] {
+				if err := a.charge(&a.ctr.OutputTuple, 1); err != nil {
+					return nil, err
+				}
+				if err := a.chargeRows(1); err != nil {
+					return nil, err
+				}
+				out = append(out, joinRows(left[li], rrow))
 			}
-			out = append(out, joinRows(left[li], rrow))
 		}
+		return out, nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	n.ActualRows = float64(len(out))
 	return out, nil
@@ -487,23 +471,28 @@ func (s *execState) nlJoin(n *plan.Node) ([][]int64, error) {
 	if err != nil {
 		return nil, err
 	}
-	if n.Partitions > 1 {
-		return s.nlJoinPartitioned(n, left, right)
-	}
-	var out [][]int64
-	for _, lrow := range left {
-		lk := lrow[n.LeftCol]
-		for _, rrow := range right {
-			if err := s.charge(&s.ctr.NLPairs, 1); err != nil {
-				return nil, err
-			}
-			if lk == rrow[n.RightCol] {
-				if err := s.chargeRows(1); err != nil {
+	// Shards are contiguous outer (left) ranges, each scanning the full inner
+	// side, which preserves the left-major pair order within and across shards.
+	out, err := s.ranged(len(left), n.Partitions, func(a *acct, _, lo, hi int) ([][]int64, error) {
+		var out [][]int64
+		for _, lrow := range left[lo:hi] {
+			lk := lrow[n.LeftCol]
+			for _, rrow := range right {
+				if err := a.charge(&a.ctr.NLPairs, 1); err != nil {
 					return nil, err
 				}
-				out = append(out, joinRows(lrow, rrow))
+				if lk == rrow[n.RightCol] {
+					if err := a.chargeRows(1); err != nil {
+						return nil, err
+					}
+					out = append(out, joinRows(lrow, rrow))
+				}
 			}
 		}
+		return out, nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	n.ActualRows = float64(len(out))
 	return out, nil
@@ -519,17 +508,7 @@ func (s *execState) mergeJoin(n *plan.Node) ([][]int64, error) {
 		return nil, err
 	}
 	// Charge an n·log n sort cost approximation plus the merge.
-	sortCost := func(m int) int64 {
-		if m <= 1 {
-			return int64(m)
-		}
-		logM := 0
-		for v := m; v > 1; v >>= 1 {
-			logM++
-		}
-		return int64(m * logM)
-	}
-	if err := s.charge(&s.ctr.MergeSort, sortCost(len(left))+sortCost(len(right))); err != nil {
+	if err := s.charge(&s.ctr.MergeSort, int64(plan.SortUnits(len(left))+plan.SortUnits(len(right)))); err != nil {
 		return nil, err
 	}
 	lc, rc := n.LeftCol, n.RightCol

@@ -134,7 +134,7 @@ func TestJoinOutputSchemaIsLeftThenRight(t *testing.T) {
 func TestWorkBudgetAborts(t *testing.T) {
 	cat := tinyCatalog(t)
 	e := New(cat)
-	_, err := e.Execute(joinPlanOver(plan.OpNLJoin), Options{MaxWork: 3})
+	_, err := e.Execute(joinPlanOver(plan.OpNLJoin), Options{Budget: &Budget{MaxWork: 3}})
 	if !errors.Is(err, ErrWorkBudgetExceeded) {
 		t.Errorf("err = %v, want ErrWorkBudgetExceeded", err)
 	}
@@ -168,40 +168,96 @@ func TestNLJoinCostsMoreThanHashJoin(t *testing.T) {
 	}
 }
 
+// TestThreeWayJoinMatchesBruteForce checks a grouped three-way join against
+// a triple loop over the base columns: the rows, and the work counters that
+// follow from the data alone, for both inner join operators, every partition
+// count, and t0 in memory or spilled.
 func TestThreeWayJoinMatchesBruteForce(t *testing.T) {
-	rng := mlmath.NewRNG(2)
-	sch, err := datagen.NewChainSchema(rng, []int{60, 40, 30})
+	sizes := []int{60, 40, 30}
+	sch, err := datagen.NewChainSchema(mlmath.NewRNG(2), sizes)
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := New(sch.Cat)
-	s0 := plan.NewScan(0, sch.TableIDs[0], nil)
-	s1 := plan.NewScan(1, sch.TableIDs[1], nil)
-	s2 := plan.NewScan(2, sch.TableIDs[2], nil)
-	// ((t0 ⋈ t1) ⋈ t2): t0.next=t1.id, then t1.next (offset 3+1=4) = t2.id.
-	j1 := plan.NewJoin(plan.OpHashJoin, s0, s1, 1, 0)
-	root := plan.NewJoin(plan.OpMergeJoin, j1, s2, 4, 0)
-	res, err := e.Execute(root, Options{})
+	twin, err := datagen.NewChainSchema(mlmath.NewRNG(2), sizes)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Brute force.
+	spill(t, twin.Cat.Table(twin.TableIDs[0]), 2)
+
+	// Brute force: SELECT t2.id, COUNT(*), SUM(t0.attr) over
+	// t0.next = t1.id AND t1.next = t2.id, grouped by t2.id.
 	t0, t1, t2 := sch.Cat.Table(sch.TableIDs[0]), sch.Cat.Table(sch.TableIDs[1]), sch.Cat.Table(sch.TableIDs[2])
-	count := 0
+	var pairs, triples int64
+	groups := map[int64][]int64{}
 	for r0 := 0; r0 < t0.NumRows(); r0++ {
 		for r1 := 0; r1 < t1.NumRows(); r1++ {
 			if t0.Data[1][r0] != t1.Data[0][r1] {
 				continue
 			}
+			pairs++
 			for r2 := 0; r2 < t2.NumRows(); r2++ {
 				if t1.Data[1][r1] == t2.Data[0][r2] {
-					count++
+					triples++
+					id := t2.Data[0][r2]
+					if groups[id] == nil {
+						groups[id] = []int64{id, 0, 0}
+					}
+					groups[id][1]++
+					groups[id][2] += t0.Data[2][r0]
 				}
 			}
 		}
 	}
-	if len(res.Rows) != count {
-		t.Errorf("3-way join rows = %d, brute force = %d", len(res.Rows), count)
+	if triples == 0 {
+		t.Fatal("fixture joins to nothing")
+	}
+	var wantRows [][]int64
+	for _, g := range groups {
+		wantRows = append(wantRows, g)
+	}
+	wantRows = canonical(wantRows)
+
+	n0, n1, n2 := int64(sizes[0]), int64(sizes[1]), int64(sizes[2])
+	// The merge join on top sorts and emits the triples; the agg consumes
+	// them and emits the groups.
+	base := Counters{
+		ScanTuples:  n0 + n1 + n2,
+		MergeSort:   int64(plan.SortUnits(int(pairs)) + plan.SortUnits(sizes[2])),
+		AggInput:    triples,
+		OutputTuple: triples + int64(len(groups)),
+	}
+	hash, nl := base, base
+	hash.HashBuild, hash.HashProbe = n0, n1
+	hash.OutputTuple += pairs
+	nl.NLPairs = n0 * n1
+
+	pool := mlmath.NewPool(3)
+	defer pool.Close()
+	for _, tc := range []struct {
+		op   plan.OpType
+		want Counters
+	}{{plan.OpHashJoin, hash}, {plan.OpNLJoin, nl}} {
+		s0 := plan.NewScan(0, sch.TableIDs[0], nil)
+		s1 := plan.NewScan(1, sch.TableIDs[1], nil)
+		s2 := plan.NewScan(2, sch.TableIDs[2], nil)
+		// ((t0 ⋈ t1) ⋈ t2): t0.next=t1.id, then t1.next (offset 3+1=4) =
+		// t2.id (offset 6), summing t0.attr (offset 2).
+		j1 := plan.NewJoin(tc.op, s0, s1, 1, 0)
+		root := plan.NewAgg(plan.NewJoin(plan.OpMergeJoin, j1, s2, 4, 0), 6, 2)
+		for name, cat := range map[string]*catalog.Catalog{"mem": sch.Cat, "spilled": twin.Cat} {
+			for _, parts := range partitionSweep {
+				res, err := New(cat).Execute(forcePartitions(root, parts), Options{Pool: pool})
+				if err != nil {
+					t.Fatalf("%v/%s/P=%d: %v", tc.op, name, parts, err)
+				}
+				if !sameRows(res.Rows, wantRows) {
+					t.Errorf("%v/%s/P=%d: rows %v, brute force %v", tc.op, name, parts, res.Rows, wantRows)
+				}
+				if got := closedForm(res.Counters); got != tc.want {
+					t.Errorf("%v/%s/P=%d: counters\ngot  %+v\nwant %+v", tc.op, name, parts, got, tc.want)
+				}
+			}
+		}
 	}
 }
 

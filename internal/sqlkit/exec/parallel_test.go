@@ -176,7 +176,7 @@ func TestForcedPartitionsMatchSerial(t *testing.T) {
 }
 
 // TestAggParallelBudgetAbort pins the aggregation's abort identity: the
-// AggInput replay must abort at the same input tuple as the serial
+// partitioned accumulation must abort at the same input tuple as the serial
 // accumulation loop.
 func TestAggParallelBudgetAbort(t *testing.T) {
 	rng := mlmath.NewRNG(13)
@@ -291,17 +291,6 @@ func TestExplainIdenticalAcrossWorkerCounts(t *testing.T) {
 	for i := 1; i < len(renderings); i++ {
 		if renderings[i] != renderings[0] {
 			t.Fatalf("explain differs between worker counts:\n%s\nvs\n%s", renderings[0], renderings[i])
-		}
-	}
-}
-
-// TestLog2IntSmallN pins the binary-search probe count for small inputs —
-// floor(log2 n) + 1, minimum 1 — which optimizer.probeSteps mirrors.
-func TestLog2IntSmallN(t *testing.T) {
-	cases := map[int]int64{0: 1, 1: 1, 2: 2, 3: 2, 4: 3, 7: 3, 8: 4, 1023: 10, 1024: 11}
-	for n, want := range cases {
-		if got := log2int(n); got != want {
-			t.Errorf("log2int(%d) = %d, want %d", n, got, want)
 		}
 	}
 }

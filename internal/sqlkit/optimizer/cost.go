@@ -72,32 +72,6 @@ func ParamsFromVec(v []float64) CostParams {
 	}
 }
 
-// probeSteps mirrors exec.log2int exactly: the number of probes a binary
-// search makes over n items — floor(log2 n) + 1, minimum 1 — so IndexScanCost
-// under TrueCostParams reproduces the executor's IndexProbe charge with no
-// off-by-one.
-func probeSteps(x float64) float64 {
-	c := 1.0
-	for v := int64(x); v > 1; v >>= 1 {
-		c++
-	}
-	return c
-}
-
-// nLogN mirrors the executor's merge-sort charge exactly: m·floor(log2 m)
-// for m > 1, m itself for m ≤ 1 (fractional estimates use the floor's
-// integer log but keep the fractional multiplier).
-func nLogN(x float64) float64 {
-	if x <= 1 {
-		return x
-	}
-	logM := 0.0
-	for v := int64(x); v > 1; v >>= 1 {
-		logM++
-	}
-	return x * logM
-}
-
 // JoinCost returns the formula cost of joining inputs of the given estimated
 // sizes with operator op, excluding child costs.
 func (p CostParams) JoinCost(op plan.OpType, leftRows, rightRows, outRows float64) float64 {
@@ -107,7 +81,7 @@ func (p CostParams) JoinCost(op plan.OpType, leftRows, rightRows, outRows float6
 	case plan.OpNLJoin:
 		return p.NLTuple * leftRows * rightRows
 	case plan.OpMergeJoin:
-		return p.MergeSort*(nLogN(leftRows)+nLogN(rightRows)) +
+		return p.MergeSort*(plan.SortUnits(leftRows)+plan.SortUnits(rightRows)) +
 			p.MergeScan*(leftRows+rightRows) + p.OutputTuple*outRows
 	default:
 		return math.Inf(1)
@@ -120,7 +94,7 @@ func (p CostParams) ScanCost(tableRows float64) float64 { return p.CPUTuple * ta
 // IndexScanCost returns the formula cost of an index scan over a table of
 // tableRows fetching estFetched rows through the index.
 func (p CostParams) IndexScanCost(tableRows, estFetched float64) float64 {
-	return p.IndexProbe*probeSteps(tableRows) + p.IndexFetch*estFetched
+	return p.IndexProbe*float64(plan.ProbeSteps(int(tableRows))) + p.IndexFetch*estFetched
 }
 
 // AggCost returns the formula cost of hash-aggregating inRows input tuples

@@ -85,22 +85,3 @@ func TestParallelizeSkipsSmallScans(t *testing.T) {
 		}
 	})
 }
-
-// TestProbeStepsMatchesExecutorLog2 pins the probe-count alignment fixed by
-// this sweep: probeSteps mirrors exec.log2int (floor(log2 n) + 1, min 1) and
-// nLogN mirrors the executor's merge-sort charge (m·floor(log2 m), m for
-// m ≤ 1) — no ceil/floor off-by-ones between cost model and executor.
-func TestProbeStepsMatchesExecutorLog2(t *testing.T) {
-	probeCases := map[float64]float64{0: 1, 1: 1, 2: 2, 3: 2, 4: 3, 7: 3, 8: 4, 1023: 10, 1024: 11}
-	for n, want := range probeCases {
-		if got := probeSteps(n); got != want {
-			t.Errorf("probeSteps(%v) = %v, want %v", n, got, want)
-		}
-	}
-	nLogNCases := map[float64]float64{0: 0, 1: 1, 2: 2, 3: 3, 4: 8, 7: 14, 8: 24, 16: 64}
-	for m, want := range nLogNCases {
-		if got := nLogN(m); got != want {
-			t.Errorf("nLogN(%v) = %v, want %v", m, got, want)
-		}
-	}
-}

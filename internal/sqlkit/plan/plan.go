@@ -161,7 +161,8 @@ type Node struct {
 	SumCols  []int
 
 	// Partitions is the exchange degree: how many contiguous shards the
-	// operator's parallel phase splits into. Zero or one mean serial. The
+	// operator's loop splits its input into. Zero or one mean one shard:
+	// the same loop over the whole input, on the calling goroutine. The
 	// executor produces bit-identical rows and counters for every value —
 	// partitioning only trades latency — so the optimizer costs the knob
 	// and the plan cache keys on it purely for performance coherence.

@@ -45,6 +45,11 @@ fi
 echo "==> go test -race ./..."
 go test -race ./...
 
+# bench/ is a module of its own (the end-to-end SQL benchmark), so the ./...
+# patterns above skip it: vet it and run its unit tests and -quick smoke here.
+echo "==> bench module (go vet + go test)"
+(cd bench && go vet ./... && go test ./...)
+
 # Compile-and-run the kernel benchmarks once (-benchtime=1x): not a timing
 # measurement, just a guard that the serial-vs-parallel benchmark paths and
 # their determinism checks keep working. Full numbers: ml4db-bench -kernels.
