@@ -1,8 +1,7 @@
 package main
 
-// Autopilot benchmark mode (-autopilot): drives the internal/autopilot
-// self-driving loop end to end on live telemetry and writes
-// BENCH_autopilot.json.
+// The autopilot suite drives the internal/autopilot self-driving loop end to
+// end on live telemetry.
 //
 //   - beneficial adoption: a scan-heavy skewed workload runs through a real
 //     engine with the querystore attached; the autopilot must mine it,
@@ -22,16 +21,13 @@ package main
 //   - queryable ledger: `SELECT * FROM sys_tuning` through the normal
 //     planner/executor must return exactly the ledger.
 //
-// Any violated contract makes the benchmark exit nonzero; check.sh runs the
-// -quick variant as a smoke test.
+// Any violated contract fails the suite; check.sh runs the -quick variant as
+// a smoke test.
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"os"
-	"runtime"
 	"time"
 
 	"ml4db/internal/autopilot"
@@ -45,11 +41,6 @@ import (
 )
 
 type autopilotReport struct {
-	GOMAXPROCS int    `json:"gomaxprocs"`
-	NumCPU     int    `json:"numcpu"`
-	Seed       uint64 `json:"seed"`
-	Quick      bool   `json:"quick"`
-
 	IndexAdopted    bool    `json:"index_adopted"`
 	IndexKept       bool    `json:"index_kept"`
 	IndexTarget     string  `json:"index_target"`
@@ -112,6 +103,13 @@ func (r *autopilotRig) runN(q *plan.Query, n int, step time.Duration) (int64, in
 		rows = len(res.Rows)
 	}
 	return work, rows, nil
+}
+
+// ledger exports the rig's TuningEvent ledger as JSONL.
+func (r *autopilotRig) ledger() ([]byte, error) {
+	var buf bytes.Buffer
+	err := r.ap.WriteEventsJSONL(&buf)
+	return buf.Bytes(), err
 }
 
 // indexScenario is the beneficial-adoption path: a selective statement the
@@ -185,12 +183,7 @@ func indexScenario(seed uint64, rows, calls int, rep *autopilotReport) ([]byte, 
 	if rep.PostWorkPerCall > 0 {
 		rep.WorkReduction = rep.PreWorkPerCall / rep.PostWorkPerCall
 	}
-
-	var buf bytes.Buffer
-	if err := r.ap.WriteEventsJSONL(&buf); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
+	return r.ledger()
 }
 
 // viewScenario is the canary-revert path: stale join-key statistics bait the
@@ -282,21 +275,11 @@ func viewScenario(seed uint64, lRows, rRows, calls int, rep *autopilotReport) ([
 			rep.SysTuningOK = false
 		}
 	}
-
-	var buf bytes.Buffer
-	if err := r.ap.WriteEventsJSONL(&buf); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
+	return r.ledger()
 }
 
-func runAutopilotBench(seed uint64, outPath string, quick bool) error {
-	rep := autopilotReport{
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		NumCPU:     runtime.NumCPU(),
-		Seed:       seed,
-		Quick:      quick,
-	}
+func autopilotSuite(seed uint64, quick bool, _ string) (any, error) {
+	var rep autopilotReport
 	rows, calls := 20000, 24
 	lRows, rRows := 1000, 2000
 	if quick {
@@ -307,7 +290,7 @@ func runAutopilotBench(seed uint64, outPath string, quick bool) error {
 	fmt.Printf("autopilot bench: beneficial-index scenario (%d rows, %d calls/phase)\n", rows, calls)
 	idxA, err := indexScenario(seed, rows, calls, &rep)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	fmt.Printf("  adopted=%v kept=%v target=%s work/call %.0f -> %.0f (%.1fx)\n",
 		rep.IndexAdopted, rep.IndexKept, rep.IndexTarget,
@@ -316,7 +299,7 @@ func runAutopilotBench(seed uint64, outPath string, quick bool) error {
 	fmt.Printf("autopilot bench: canary-revert scenario (%d x %d rows, stale join stats)\n", lRows, rRows)
 	viewA, err := viewScenario(seed, lRows, rRows, calls, &rep)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	fmt.Printf("  adopted=%v dropped=%v target=%s observed/baseline wpc %.0f/%.0f\n",
 		rep.HarmfulAdopted, rep.HarmfulDropped, rep.HarmfulTarget,
@@ -326,60 +309,40 @@ func runAutopilotBench(seed uint64, outPath string, quick bool) error {
 	var rep2 autopilotReport
 	idxB, err := indexScenario(seed, rows, calls, &rep2)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	viewB, err := viewScenario(seed, lRows, rRows, calls, &rep2)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	rep.ReplayIdentical = bytes.Equal(idxA, idxB) && bytes.Equal(viewA, viewB)
 	rep.Events = bytes.Count(idxA, []byte("\n")) + bytes.Count(viewA, []byte("\n"))
 	fmt.Printf("  %d events, byte-identical=%v; sys_tuning rows=%d ok=%v\n",
 		rep.Events, rep.ReplayIdentical, rep.SysTuningRows, rep.SysTuningOK)
 
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(outPath, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s\n", outPath)
-
-	var violations []string
-	if !rep.IndexAdopted {
-		violations = append(violations, "beneficial index was not adopted")
-	}
-	if !rep.IndexKept {
-		violations = append(violations, "beneficial index did not survive its shadow trial")
-	}
-	if rep.WorkReduction <= 1 {
-		violations = append(violations, fmt.Sprintf("adoption did not reduce observed work (%.2fx)", rep.WorkReduction))
-	}
-	if rep.Rejected == 0 {
-		violations = append(violations, "the unselective candidate was not rejected at the gate")
-	}
-	if !rep.HarmfulAdopted {
-		violations = append(violations, "the stale-stats view was not adopted (scenario bait failed)")
-	}
-	if !rep.HarmfulDropped {
-		violations = append(violations, "the harmful view was not dropped by shadow verification")
-	}
-	if !rep.ResultsStable {
-		violations = append(violations, "query results changed across adopt/revert")
-	}
-	if !rep.ReplayIdentical {
-		violations = append(violations, "two replays diverged (determinism contract broken)")
-	}
-	if !rep.SysTuningOK {
-		violations = append(violations, "sys_tuning disagrees with the event ledger")
-	}
-	if len(violations) > 0 {
-		for _, v := range violations {
-			fmt.Fprintf(os.Stderr, "autopilot bench: VIOLATION: %s\n", v)
+	violated := false
+	for _, c := range []struct {
+		ok        bool
+		violation string
+	}{
+		{rep.IndexAdopted, "beneficial index was not adopted"},
+		{rep.IndexKept, "beneficial index did not survive its shadow trial"},
+		{rep.WorkReduction > 1, fmt.Sprintf("adoption did not reduce observed work (%.2fx)", rep.WorkReduction)},
+		{rep.Rejected > 0, "the unselective candidate was not rejected at the gate"},
+		{rep.HarmfulAdopted, "the stale-stats view was not adopted (scenario bait failed)"},
+		{rep.HarmfulDropped, "the harmful view was not dropped by shadow verification"},
+		{rep.ResultsStable, "query results changed across adopt/revert"},
+		{rep.ReplayIdentical, "two replays diverged (determinism contract broken)"},
+		{rep.SysTuningOK, "sys_tuning disagrees with the event ledger"},
+	} {
+		if !c.ok {
+			fmt.Printf("autopilot bench: VIOLATION: %s\n", c.violation)
+			violated = true
 		}
-		return errors.New("autopilot contracts violated")
+	}
+	if violated {
+		return nil, errors.New("autopilot contracts violated")
 	}
 	fmt.Println("autopilot bench: all contracts hold")
-	return nil
+	return rep, nil
 }

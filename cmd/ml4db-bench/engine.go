@@ -1,7 +1,7 @@
 package main
 
-// Engine benchmark mode (-engine): exercises the internal/engine concurrent
-// query-session front end and writes BENCH_engine.json.
+// The engine suite exercises the internal/engine concurrent query-session
+// front end.
 //
 //   - plan cache: a repeated workload (Q distinct star-join queries × R
 //     passes) through one engine vs the same workload re-planned from scratch
@@ -18,16 +18,13 @@ package main
 //     re-plan (Bao's safety contract: the learned path may be useless, never
 //     harmful), with the fallback counter accounting for each run.
 //
-// Any violated contract makes the benchmark exit nonzero; check.sh runs the
-// -quick variant as a smoke test.
+// Any violated contract fails the suite; check.sh runs the -quick variant as
+// a smoke test.
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
-	"os"
-	"runtime"
 	"sync"
 
 	"ml4db/internal/engine"
@@ -41,11 +38,6 @@ import (
 )
 
 type engineReport struct {
-	GOMAXPROCS int    `json:"gomaxprocs"`
-	NumCPU     int    `json:"numcpu"`
-	Seed       uint64 `json:"seed"`
-	Quick      bool   `json:"quick"`
-
 	Tables  int `json:"tables"`
 	Queries int `json:"queries"`
 	Repeats int `json:"repeats"`
@@ -67,11 +59,12 @@ type engineReport struct {
 	FallbackNeverFail bool `json:"fallback_never_fails"`
 }
 
-// starWorkload builds the benchmark schema and Q distinct star-join queries:
-// same shape (fact ⋈ every dimension), different range literals, so each is
-// its own plan-cache entry on first sighting and a pure hit afterwards.
-func starWorkload(seed uint64, queries int) (*datagen.StarSchema, []*plan.Query, error) {
-	sch, err := datagen.NewStarSchema(mlmath.NewRNG(seed), 4000, 200, 5)
+// starWorkload builds a star schema of the given sizes and Q distinct
+// star-join queries: same shape (fact ⋈ every dimension), different range
+// literals, so each is its own plan-cache entry on first sighting and a pure
+// hit afterwards.
+func starWorkload(seed uint64, factRows, dimRows, dims, queries int) (*datagen.StarSchema, []*plan.Query, error) {
+	sch, err := datagen.NewStarSchema(mlmath.NewRNG(seed), factRows, dimRows, dims)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -125,28 +118,22 @@ func (p *parkingEstimator) JoinSelectivity(q *plan.Query, c expr.JoinCond) float
 	return p.inner.JoinSelectivity(q, c)
 }
 
-func runEngineBench(seed uint64, outPath string, quick bool) error {
-	reps := 3
+func engineSuite(seed uint64, quick bool, _ string) (any, error) {
 	queries, repeats := 12, 25
 	if quick {
-		reps = 1
 		queries, repeats = 6, 10
 	}
-	sch, qs, err := starWorkload(seed, queries)
+	sch, qs, err := starWorkload(seed, 4000, 200, 5, queries)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	rep := engineReport{
-		GOMAXPROCS: runtime.GOMAXPROCS(0), NumCPU: runtime.NumCPU(),
-		Seed: seed, Quick: quick,
-		Tables: 1 + len(sch.DimIDs), Queries: queries, Repeats: repeats,
-	}
+	rep := engineReport{Tables: 1 + len(sch.DimIDs), Queries: queries, Repeats: repeats}
 
 	// Baseline: every run plans from scratch, then executes.
 	opt := optimizer.New(sch.Cat)
 	exc := exec.New(sch.Cat)
 	var baselineRows int
-	rep.BaselineSec = bestOf(reps, func() {
+	rep.BaselineSec = bestOf(quick, true, func() {
 		baselineRows = 0
 		for r := 0; r < repeats; r++ {
 			for _, q := range qs {
@@ -183,7 +170,7 @@ func runEngineBench(seed uint64, outPath string, quick bool) error {
 	}
 	reg := obs.NewRegistry()
 	if got := runCached(reg); got != baselineRows {
-		return fmt.Errorf("cached workload returned %d rows, baseline %d", got, baselineRows)
+		return nil, fmt.Errorf("cached workload returned %d rows, baseline %d", got, baselineRows)
 	}
 	rep.CacheHits = reg.Counter("engine.plancache.hits").Value()
 	rep.CacheMisses = reg.Counter("engine.plancache.misses").Value()
@@ -193,13 +180,13 @@ func runEngineBench(seed uint64, outPath string, quick bool) error {
 	rep.HitRateExact = rep.CacheMisses == int64(queries) &&
 		rep.CacheHits == int64(queries*(repeats-1))
 	if !rep.HitRateExact {
-		return fmt.Errorf("cache hit-rate is not exact: hits=%d misses=%d, want %d/%d",
+		return nil, fmt.Errorf("cache hit-rate is not exact: hits=%d misses=%d, want %d/%d",
 			rep.CacheHits, rep.CacheMisses, queries*(repeats-1), queries)
 	}
-	rep.CachedSec = bestOf(reps, func() { runCached(nil) })
+	rep.CachedSec = bestOf(quick, true, func() { runCached(nil) })
 	rep.Speedup = rep.BaselineSec / rep.CachedSec
 	if rep.Speedup < 1.5 {
-		return fmt.Errorf("plan cache speedup %.2fx < 1.5x on the repeated workload", rep.Speedup)
+		return nil, fmt.Errorf("plan cache speedup %.2fx < 1.5x on the repeated workload", rep.Speedup)
 	}
 
 	// Admission overflow exactness: park the only slot inside planning, offer
@@ -214,7 +201,7 @@ func runEngineBench(seed uint64, outPath string, quick bool) error {
 		release: make(chan struct{}),
 	}
 	if err := one.SetEstimator(parked, 1); err != nil {
-		return err
+		return nil, err
 	}
 	inflight := make(chan error, 1)
 	go func() {
@@ -227,21 +214,21 @@ func runEngineBench(seed uint64, outPath string, quick bool) error {
 		if errors.Is(err, engine.ErrOverloaded) {
 			rep.OverloadRejected++
 		} else if err != nil {
-			return fmt.Errorf("overloaded engine returned a non-overload error: %v", err)
+			return nil, fmt.Errorf("overloaded engine returned a non-overload error: %v", err)
 		}
 	}
 	close(parked.release)
 	if err := <-inflight; err != nil {
-		return fmt.Errorf("in-flight query failed after drain: %v", err)
+		return nil, fmt.Errorf("in-flight query failed after drain: %v", err)
 	}
 	if _, err := one.Run(qs[0]); err != nil {
-		return fmt.Errorf("run after drain: %v", err)
+		return nil, fmt.Errorf("run after drain: %v", err)
 	}
 	rep.OverloadExact = rep.OverloadRejected == offered &&
 		admReg.Counter("engine.rejected").Value() == offered &&
 		admReg.Counter("engine.admitted").Value() == 2
 	if !rep.OverloadExact {
-		return fmt.Errorf("admission overflow is not exact: rejected %d of %d (counters: rejected=%d admitted=%d)",
+		return nil, fmt.Errorf("admission overflow is not exact: rejected %d of %d (counters: rejected=%d admitted=%d)",
 			rep.OverloadRejected, offered,
 			admReg.Counter("engine.rejected").Value(), admReg.Counter("engine.admitted").Value())
 	}
@@ -251,20 +238,20 @@ func runEngineBench(seed uint64, outPath string, quick bool) error {
 	fbReg := obs.NewRegistry()
 	fb := engine.New(sch.Cat, engine.Options{Metrics: fbReg})
 	if err := fb.SetEstimator(nanLearnedEstimator{}, 1); err != nil {
-		return err
+		return nil, err
 	}
 	rep.FallbackNeverFail = true
 	for _, q := range qs {
 		res, err := fb.Run(q)
 		if err != nil || !res.Fallback {
 			rep.FallbackNeverFail = false
-			return fmt.Errorf("broken-estimator run: err=%v fallback=%v, want clean classical fallback", err, res != nil && res.Fallback)
+			return nil, fmt.Errorf("broken-estimator run: err=%v fallback=%v, want clean classical fallback", err, res != nil && res.Fallback)
 		}
 		rep.FallbackRuns++
 	}
 	if got := fbReg.Counter("engine.fallbacks").Value(); got != int64(queries) {
 		rep.FallbackNeverFail = false
-		return fmt.Errorf("fallback counter = %d, want %d", got, queries)
+		return nil, fmt.Errorf("fallback counter = %d, want %d", got, queries)
 	}
 
 	fmt.Printf("%-24s baseline %8.4fs  cached %8.4fs  speedup %.2fx\n",
@@ -275,15 +262,5 @@ func runEngineBench(seed uint64, outPath string, quick bool) error {
 		"admission_overflow", rep.OverloadOffered, rep.OverloadRejected, rep.OverloadExact)
 	fmt.Printf("%-24s runs %d  never-fails %v\n",
 		"estimator_fallback", rep.FallbackRuns, rep.FallbackNeverFail)
-
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	data = append(data, '\n')
-	if err := os.WriteFile(outPath, data, 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s (gomaxprocs=%d)\n", outPath, rep.GOMAXPROCS)
-	return nil
+	return rep, nil
 }

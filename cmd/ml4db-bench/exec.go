@@ -1,7 +1,7 @@
 package main
 
-// Executor benchmark mode (-exec): exercises the partitioned parallel
-// operators in internal/sqlkit/exec and writes BENCH_exec.json.
+// The exec suite exercises the partitioned parallel operators in
+// internal/sqlkit/exec.
 //
 //   - per-operator speedup: for SeqScan, HashJoin, and HashAgg plans the
 //     optimizer is asked to partition (Parallelism = worker count) and the
@@ -24,16 +24,13 @@ package main
 //     must never be served at another — switching the knob re-plans, and
 //     switching back re-hits the original entry.
 //
-// Any violated contract makes the benchmark exit nonzero; check.sh runs the
-// -quick variant as a smoke test.
+// Any violated contract fails the suite; check.sh runs the -quick variant as
+// a smoke test.
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
-	"os"
 	"reflect"
-	"runtime"
 
 	"ml4db/internal/engine"
 	"ml4db/internal/mlmath"
@@ -55,11 +52,6 @@ type execOpReport struct {
 }
 
 type execReport struct {
-	GOMAXPROCS int    `json:"gomaxprocs"`
-	NumCPU     int    `json:"numcpu"`
-	Seed       uint64 `json:"seed"`
-	Quick      bool   `json:"quick"`
-
 	Workers         int  `json:"workers"`
 	FactRows        int  `json:"fact_rows"`
 	SingleCore      bool `json:"single_core"`
@@ -96,32 +88,23 @@ func sameExecResult(a, b *exec.Result) bool {
 	return a.Work == b.Work && a.Counters == b.Counters && reflect.DeepEqual(a.Rows, b.Rows)
 }
 
-func runExecBench(seed uint64, outPath string, quick bool) error {
-	reps := 3
+func execSuite(seed uint64, quick bool, _ string) (any, error) {
 	factRows, dimRows := 120000, 400
 	if quick {
-		reps = 1
 		factRows = 24000
 	}
-	workers := runtime.GOMAXPROCS(0)
-	if workers < 2 {
-		workers = 2
-	}
-	if workers > 8 {
-		workers = 8
-	}
+	procs := gomaxprocs()
+	workers := min(max(procs, 2), 8)
 	rep := execReport{
-		GOMAXPROCS: runtime.GOMAXPROCS(0), NumCPU: runtime.NumCPU(),
-		Seed: seed, Quick: quick,
 		Workers: workers, FactRows: factRows,
-		SingleCore:      runtime.GOMAXPROCS(0) == 1,
-		SpeedupEnforced: runtime.GOMAXPROCS(0) >= 4,
+		SingleCore:      procs == 1,
+		SpeedupEnforced: procs >= 4,
 		BitIdentical:    true,
 	}
 
 	sch, err := datagen.NewStarSchema(mlmath.NewRNG(seed), factRows, dimRows, 2)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	pool := mlmath.NewPool(workers)
 	defer pool.Close()
@@ -154,39 +137,39 @@ func runExecBench(seed uint64, outPath string, quick bool) error {
 		opt.Parallelism = workers
 		par, err := opt.Plan(c.q, optimizer.NoHint())
 		if err != nil {
-			return err
+			return nil, err
 		}
 		parts := maxExecPartitions(par)
 		if parts < 2 {
-			return fmt.Errorf("%s: optimizer never partitioned (%d fact rows, parallelism %d); speedup would be vacuous", c.name, factRows, workers)
+			return nil, fmt.Errorf("%s: optimizer never partitioned (%d fact rows, parallelism %d); speedup would be vacuous", c.name, factRows, workers)
 		}
 		serial := stripExecPartitions(par)
 
 		serRes, err := exc.Execute(serial.Clone(), exec.Options{})
 		if err != nil {
-			return err
+			return nil, err
 		}
 		parRes, err := exc.Execute(par.Clone(), exec.Options{Pool: pool})
 		if err != nil {
-			return err
+			return nil, err
 		}
 		altRes, err := exc.Execute(par.Clone(), exec.Options{Pool: altPool})
 		if err != nil {
-			return err
+			return nil, err
 		}
 		if !sameExecResult(serRes, parRes) || !sameExecResult(serRes, altRes) {
 			rep.BitIdentical = false
-			return fmt.Errorf("%s: parallel result differs from serial (serial work=%d rows=%d, pool[%d] work=%d rows=%d, pool[3] work=%d rows=%d)",
+			return nil, fmt.Errorf("%s: parallel result differs from serial (serial work=%d rows=%d, pool[%d] work=%d rows=%d, pool[3] work=%d rows=%d)",
 				c.name, serRes.Work, len(serRes.Rows), workers, parRes.Work, len(parRes.Rows), altRes.Work, len(altRes.Rows))
 		}
 
 		opRep := execOpReport{Name: c.name, Rows: len(serRes.Rows), Partitions: parts}
-		opRep.SerialSec = bestOf(reps, func() {
+		opRep.SerialSec = bestOf(quick, rep.SpeedupEnforced, func() {
 			if _, err := exc.Execute(serial.Clone(), exec.Options{}); err != nil {
 				panic(err)
 			}
 		})
-		opRep.ParallelSec = bestOf(reps, func() {
+		opRep.ParallelSec = bestOf(quick, rep.SpeedupEnforced, func() {
 			if _, err := exc.Execute(par.Clone(), exec.Options{Pool: pool}); err != nil {
 				panic(err)
 			}
@@ -211,7 +194,7 @@ func runExecBench(seed uint64, outPath string, quick bool) error {
 			*serBE == *parBE && sameExecResult(serAb, parAb)
 		if !identical {
 			rep.AbortIdentical = false
-			return fmt.Errorf("%s: budget abort diverged: serial err=%v work=%d rows=%d, parallel err=%v work=%d rows=%d",
+			return nil, fmt.Errorf("%s: budget abort diverged: serial err=%v work=%d rows=%d, parallel err=%v work=%d rows=%d",
 				c.name, serErr, serAb.Work, len(serAb.Rows), parErr, parAb.Work, len(parAb.Rows))
 		}
 		fmt.Printf("%-24s limit %d  used %d  identical %v\n",
@@ -220,7 +203,7 @@ func runExecBench(seed uint64, outPath string, quick bool) error {
 	if rep.SpeedupEnforced {
 		for _, op := range rep.Operators {
 			if op.Speedup < 2.0 {
-				return fmt.Errorf("%s: speedup %.2fx < 2x with GOMAXPROCS=%d", op.Name, op.Speedup, rep.GOMAXPROCS)
+				return nil, fmt.Errorf("%s: speedup %.2fx < 2x with GOMAXPROCS=%d", op.Name, op.Speedup, procs)
 			}
 		}
 	}
@@ -231,17 +214,17 @@ func runExecBench(seed uint64, outPath string, quick bool) error {
 	eng := engine.New(sch.Cat, engine.Options{Metrics: reg, Pool: pool})
 	first, err := eng.Run(joinQ)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	eng.SetParallelism(1)
 	serialRun, err := eng.Run(joinQ)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	eng.SetParallelism(workers)
 	back, err := eng.Run(joinQ)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	stillSerial := true
 	serialRun.Plan.Walk(func(n *plan.Node) {
@@ -253,20 +236,10 @@ func runExecBench(seed uint64, outPath string, quick bool) error {
 		back.Plan.String() == first.Plan.String() &&
 		reflect.DeepEqual(first.Rows, serialRun.Rows)
 	if !rep.CacheCoherent {
-		return fmt.Errorf("plan-cache coherence violated across parallelism change: p1Hit=%v p1Serial=%v backHit=%v",
+		return nil, fmt.Errorf("plan-cache coherence violated across parallelism change: p1Hit=%v p1Serial=%v backHit=%v",
 			serialRun.CacheHit, stillSerial, back.CacheHit)
 	}
 	fmt.Printf("%-24s p=%d cached, p=1 re-planned serial, p=%d re-hit\n",
 		"cache_coherence", workers, workers)
-
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	data = append(data, '\n')
-	if err := os.WriteFile(outPath, data, 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s (gomaxprocs=%d, single_core=%v, speedup_enforced=%v)\n", outPath, rep.GOMAXPROCS, rep.SingleCore, rep.SpeedupEnforced)
-	return nil
+	return rep, nil
 }

@@ -1,8 +1,7 @@
 package main
 
-// Kernel benchmark mode (-kernels): times the cache-blocked parallel math
-// kernels against their serial counterparts and writes the results to a JSON
-// file (BENCH_kernels.json by default). Two families are measured:
+// The kernels suite times the cache-blocked parallel math kernels against
+// their serial counterparts. Two families are measured:
 //
 //   - mlmath.MatMul on square matrices, serial (nil pool) vs a
 //     GOMAXPROCS-sized pool;
@@ -16,16 +15,12 @@ package main
 // rather than just noting it, because a fast-but-irreproducible kernel is
 // useless here. Speedups on a single-CPU machine will hover around 1x (the
 // pool degenerates to near-serial execution plus channel overhead); the
-// gomaxprocs and numcpu fields record the machine so readers can judge the
-// numbers. See docs/PERFORMANCE.md for how to interpret the output.
+// envelope's gomaxprocs and numcpu record the machine so readers can judge
+// the numbers. See docs/PERFORMANCE.md for how to interpret the output.
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
-	"os"
-	"runtime"
-	"time"
 
 	"ml4db/internal/mlmath"
 	"ml4db/internal/nn"
@@ -45,26 +40,8 @@ type kernelResult struct {
 }
 
 type kernelReport struct {
-	GOMAXPROCS  int            `json:"gomaxprocs"`
-	NumCPU      int            `json:"numcpu"`
 	MatMulBlock int            `json:"matmul_block"`
-	Seed        uint64         `json:"seed"`
-	Quick       bool           `json:"quick"`
 	Results     []kernelResult `json:"results"`
-}
-
-// bestOf returns the fastest of reps timed runs of f — the usual antidote to
-// scheduler noise on shared machines.
-func bestOf(reps int, f func()) float64 {
-	best := math.Inf(1)
-	for i := 0; i < reps; i++ {
-		start := time.Now()
-		f()
-		if d := time.Since(start).Seconds(); d < best {
-			best = d
-		}
-	}
-	return best
 }
 
 func fillMat(m *mlmath.Mat, rng *mlmath.RNG) {
@@ -85,7 +62,7 @@ func matsEqualBits(a, b *mlmath.Mat) bool {
 	return true
 }
 
-func benchMatMul(seed uint64, size, reps, workers int) kernelResult {
+func benchMatMul(seed uint64, size, workers int, quick bool) kernelResult {
 	rng := mlmath.NewRNG(seed)
 	a := mlmath.NewMat(size, size)
 	b := mlmath.NewMat(size, size)
@@ -93,7 +70,7 @@ func benchMatMul(seed uint64, size, reps, workers int) kernelResult {
 	fillMat(b, rng)
 
 	serialOut := mlmath.MatMul(a, b, nil)
-	serial := bestOf(reps, func() { mlmath.MatMul(a, b, nil) })
+	serial := bestOf(quick, false, func() { mlmath.MatMul(a, b, nil) })
 
 	pool := mlmath.NewPool(workers)
 	defer pool.Close()
@@ -105,7 +82,7 @@ func benchMatMul(seed uint64, size, reps, workers int) kernelResult {
 		identical = identical && matsEqualBits(serialOut, mlmath.MatMul(a, b, p))
 		p.Close()
 	}
-	parallel := bestOf(reps, func() { mlmath.MatMul(a, b, pool) })
+	parallel := bestOf(quick, false, func() { mlmath.MatMul(a, b, pool) })
 
 	return kernelResult{
 		Name:         fmt.Sprintf("matmul_%dx%d", size, size),
@@ -161,10 +138,10 @@ func mlpParamsEqualBits(a, b *nn.MLP) bool {
 	return true
 }
 
-func benchMLPTrain(seed uint64, n, epochs, reps, workers int) kernelResult {
+func benchMLPTrain(seed uint64, n, epochs, workers int, quick bool) kernelResult {
 	xs, ys := mlpDataset(seed, n, 32)
 
-	serial := bestOf(reps, func() { trainMLP(seed, xs, ys, epochs, nil) })
+	serial := bestOf(quick, false, func() { trainMLP(seed, xs, ys, epochs, nil) })
 
 	pool := mlmath.NewPool(workers)
 	defer pool.Close()
@@ -174,7 +151,7 @@ func benchMLPTrain(seed uint64, n, epochs, reps, workers int) kernelResult {
 	m1 := trainMLP(seed, xs, ys, epochs, pool)
 	m2 := trainMLP(seed, xs, ys, epochs, pool)
 	identical := mlpParamsEqualBits(m1, m2)
-	parallel := bestOf(reps, func() { trainMLP(seed, xs, ys, epochs, pool) })
+	parallel := bestOf(quick, false, func() { trainMLP(seed, xs, ys, epochs, pool) })
 
 	return kernelResult{
 		Name:         fmt.Sprintf("mlp_train_n%d_e%d", n, epochs),
@@ -187,49 +164,27 @@ func benchMLPTrain(seed uint64, n, epochs, reps, workers int) kernelResult {
 	}
 }
 
-func runKernelBench(seed uint64, outPath string, quick bool) error {
-	workers := runtime.GOMAXPROCS(0)
-	reps := 3
+func kernelSuite(seed uint64, quick bool, _ string) (any, error) {
+	workers := gomaxprocs()
 	sizes := []int{128, 256, 512}
 	trainN, epochs := 2000, 3
 	if quick {
-		reps = 1
 		sizes = []int{128, 256}
 		trainN, epochs = 400, 1
 	}
 
-	rep := kernelReport{
-		GOMAXPROCS:  workers,
-		NumCPU:      runtime.NumCPU(),
-		MatMulBlock: mlmath.MatMulBlock,
-		Seed:        seed,
-		Quick:       quick,
-	}
+	rep := kernelReport{MatMulBlock: mlmath.MatMulBlock}
 	for _, size := range sizes {
-		r := benchMatMul(seed, size, reps, workers)
-		fmt.Printf("%-24s serial %8.4fs  parallel %8.4fs  speedup %.2fx  bit-identical %v\n",
-			r.Name, r.SerialSec, r.ParallelSec, r.Speedup, r.BitIdentical)
-		rep.Results = append(rep.Results, r)
+		rep.Results = append(rep.Results, benchMatMul(seed, size, workers, quick))
 	}
-	r := benchMLPTrain(seed, trainN, epochs, reps, workers)
-	fmt.Printf("%-24s serial %8.4fs  parallel %8.4fs  speedup %.2fx  rerun-identical %v\n",
-		r.Name, r.SerialSec, r.ParallelSec, r.Speedup, r.BitIdentical)
-	rep.Results = append(rep.Results, r)
+	rep.Results = append(rep.Results, benchMLPTrain(seed, trainN, epochs, workers, quick))
 
 	for _, r := range rep.Results {
+		fmt.Printf("%-24s serial %8.4fs  parallel %8.4fs  speedup %.2fx  %s-identical %v\n",
+			r.Name, r.SerialSec, r.ParallelSec, r.Speedup, r.Identity, r.BitIdentical)
 		if !r.BitIdentical {
-			return fmt.Errorf("kernel %s violated its determinism contract (%s identity)", r.Name, r.Identity)
+			return nil, fmt.Errorf("kernel %s violated its determinism contract (%s identity)", r.Name, r.Identity)
 		}
 	}
-
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	data = append(data, '\n')
-	if err := os.WriteFile(outPath, data, 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s (gomaxprocs=%d)\n", outPath, workers)
-	return nil
+	return rep, nil
 }

@@ -1,181 +1,265 @@
 // Command ml4db-bench runs the reproduction harness: every experiment from
 // DESIGN.md (paper artifacts F1/T1, claims E1–E20, and the ablations),
-// printing the regenerated rows and whether each paper claim held.
+// printing the regenerated rows and whether each paper claim held — or, with
+// -suite, the registered bench suites, each of which checks one subsystem's
+// contracts end to end and times it.
 //
 // Usage:
 //
 //	ml4db-bench [-seed N] [-run ID[,ID...]] [-list]
-//	ml4db-bench -kernels [-quick] [-kernels-out FILE]
-//	ml4db-bench -trace spans.jsonl -metrics metrics.jsonl [-trace-queries N]
-//	ml4db-bench -obsbench [-obs-out FILE]
-//	ml4db-bench -serve [-quick] [-serve-out FILE] [-metrics metrics.jsonl]
-//	ml4db-bench -engine [-quick] [-engine-out FILE]
-//	ml4db-bench -querystore [-quick] [-querystore-out FILE] [-querystore-export FILE]
-//	ml4db-bench -autopilot [-quick] [-autopilot-out FILE]
+//	ml4db-bench -suite NAME[,NAME...]|all [-seed N] [-quick] [-out-dir DIR]
 //
-// The -kernels mode skips the experiments and instead benchmarks the
-// parallel math kernels (cache-blocked MatMul, data-parallel MLP training)
-// against their serial counterparts, verifying the determinism contracts and
-// writing machine-readable results to BENCH_kernels.json (see
-// docs/PERFORMANCE.md).
+//	suite       fails unless                                          also writes
+//	kernels     parallel MatMul / MLP training is bit-identical to
+//	            serial and across reruns
+//	obs         the nil (off) instrumentation path allocates nothing
+//	trace       an instrumented workload's JSONL passes its           spans.jsonl
+//	            validators (publishes no BENCH file)                  metrics.jsonl
+//	serve       registry round trip and batched inference are         serve_metrics.jsonl
+//	            bit-identical, the canary gate blocks a worse model,
+//	            queue overflow is exact
+//	engine      plan-cache hit rate is exact and its speedup ≥ 1.5×,
+//	            admission overflow is exact, fallback never fails
+//	storage     an oversized scan is right, learned eviction is gated
+//	            and beats LRU, eviction replay is bit-identical
+//	querystore  sys_statements accounting is exact, two replays       querystore.jsonl
+//	            export byte-identical valid JSONL
+//	autopilot   the good index is adopted and kept, the harmful view
+//	            dropped, the ledger replays, sys_tuning matches it
+//	exec        partitioned ≡ serial in rows, work, counters, aborts;
+//	            the plan cache is coherent; ≥ 2× at GOMAXPROCS ≥ 4
 //
-// The -trace/-metrics mode runs a small instrumented workload and writes the
-// observability JSONL artifacts (validate with cmd/ml4db-tracecheck); the
-// -obsbench mode measures the instrumentation's execution overhead and
-// writes BENCH_obs.json (see docs/OBSERVABILITY.md).
-//
-// The -serve mode benchmarks the internal/modelsvc serving subsystem —
-// registry round trips, batched vs serial inference, canary-gate rollouts,
-// admission control — writing BENCH_serve.json and, with -metrics, the
-// subsystem's metrics JSONL (see docs/SERVING.md).
-//
-// The -engine mode benchmarks the internal/engine query-session front end —
-// plan-cache speedup on a repeated workload, exact cache hit accounting,
-// admission overflow, and learned-estimator fallback — writing
-// BENCH_engine.json and exiting nonzero if any engine contract is violated
-// (see docs/ENGINE.md).
-//
-// The -querystore mode benchmarks the internal/querystore workload
-// observatory — recording overhead vs a store-less engine, exact statement
-// accounting read back through the sys_statements system view, and
-// byte-identical two-replay JSONL exports — writing BENCH_querystore.json
-// and exiting nonzero if any observatory contract is violated (see
-// docs/QUERYSTORE.md).
-//
-// The -autopilot mode drives the internal/autopilot self-driving loop end to
-// end — a beneficial secondary index mined from live telemetry, adopted, and
-// confirmed by its shadow trial; a stale-stats-baited harmful materialized
-// view adopted and then auto-dropped; byte-identical two-replay event
-// ledgers; and the sys_tuning view read through SQL — writing
-// BENCH_autopilot.json and exiting nonzero if any tuning contract is
-// violated (see docs/AUTOPILOT.md).
+// A failing suite prints the violation, writes nothing, and makes the command
+// exit 1. A passing one writes DIR/BENCH_<suite>.json: its report under one
+// envelope (suite, gomaxprocs, numcpu, goversion, seed, quick, report), so a
+// field docs/*.md calls `speedup` is `.report.speedup`. -quick shrinks every
+// scenario to CI size (scripts/check.sh runs `-suite all -quick`); the root
+// BENCH_*.json are `go run ./cmd/ml4db-bench -suite all`. docs/README.md maps
+// each suite to its design page.
 package main
 
 import (
+	"bytes"
+	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
+	"math"
 	"os"
+	"path/filepath"
+	"runtime"
+	"slices"
 	"strings"
 	"time"
 
 	"ml4db/internal/experiments"
 )
 
-func main() {
-	seed := flag.Uint64("seed", 42, "random seed for all experiments")
-	run := flag.String("run", "", "comma-separated experiment IDs to run (default: all)")
-	list := flag.Bool("list", false, "list experiment IDs and exit")
-	kernels := flag.Bool("kernels", false, "benchmark parallel math kernels instead of running experiments")
-	kernelsOut := flag.String("kernels-out", "BENCH_kernels.json", "output file for -kernels results")
-	quick := flag.Bool("quick", false, "with -kernels: smaller sizes and single timed runs")
-	tracePath := flag.String("trace", "", "run an instrumented workload and write span JSONL to this file")
-	metricsPath := flag.String("metrics", "", "run an instrumented workload and write metrics JSONL to this file")
-	traceQueries := flag.Int("trace-queries", 5, "number of queries in the -trace/-metrics workload")
-	obsbench := flag.Bool("obsbench", false, "benchmark observability overhead (traced vs untraced execution)")
-	obsOut := flag.String("obs-out", "BENCH_obs.json", "output file for -obsbench results")
-	serve := flag.Bool("serve", false, "benchmark the modelsvc serving subsystem (registry, batching, rollout)")
-	serveOut := flag.String("serve-out", "BENCH_serve.json", "output file for -serve results")
-	engineBench := flag.Bool("engine", false, "benchmark the query-session engine (plan cache, admission, fallback)")
-	engineOut := flag.String("engine-out", "BENCH_engine.json", "output file for -engine results")
-	querystoreBench := flag.Bool("querystore", false, "benchmark the workload observatory (recording overhead, sys views, replay)")
-	querystoreOut := flag.String("querystore-out", "BENCH_querystore.json", "output file for -querystore results")
-	querystoreExport := flag.String("querystore-export", "", "with -querystore: also write the workload's querystore JSONL export here")
-	storageBench := flag.Bool("storage", false, "benchmark the disk-backed storage engine (oversized scans, learned eviction, replay)")
-	storageOut := flag.String("storage-out", "BENCH_storage.json", "output file for -storage results")
-	autopilotBench := flag.Bool("autopilot", false, "benchmark the self-driving tuning loop (index adoption, canary revert, replay)")
-	autopilotOut := flag.String("autopilot-out", "BENCH_autopilot.json", "output file for -autopilot results")
-	execBench := flag.Bool("exec", false, "benchmark partitioned parallel execution (speedup, bit-identity, abort identity, cache coherence)")
-	execOut := flag.String("exec-out", "BENCH_exec.json", "output file for -exec results")
-	flag.Parse()
+// A suite is one registered benchmark. run builds the scenario, checks its
+// contracts, and returns the report to publish (nil when the suite only
+// writes JSONL artifacts into dir). Flags, the environment envelope,
+// repetition counts, file writing and the exit code all belong to this file:
+// a suite never sees an output path.
+type suite struct {
+	name string
+	run  func(seed uint64, quick bool, dir string) (report any, err error)
+}
 
-	if *execBench {
-		if err := runExecBench(*seed, *execOut, *quick); err != nil {
-			fmt.Fprintf(os.Stderr, "ml4db-bench: %v\n", err)
-			os.Exit(1)
+var suites = []suite{
+	{"kernels", kernelSuite},
+	{"obs", obsSuite},
+	{"trace", traceSuite},
+	{"serve", serveSuite},
+	{"engine", engineSuite},
+	{"storage", storageSuite},
+	{"querystore", querystoreSuite},
+	{"autopilot", autopilotSuite},
+	{"exec", execSuite},
+}
+
+// envelope is the top-level shape of every BENCH_<suite>.json. It carries no
+// commit hash: a committed file would always name its parent.
+type envelope struct {
+	Suite      string `json:"suite"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	NumCPU     int    `json:"numcpu"`
+	GoVersion  string `json:"goversion"`
+	Seed       uint64 `json:"seed"`
+	Quick      bool   `json:"quick"`
+	Report     any    `json:"report"`
+}
+
+// gomaxprocs is the worker count the suites size their pools by.
+func gomaxprocs() int { return runtime.GOMAXPROCS(0) }
+
+// gatedBudget is how long bestOf keeps repeating a measurement that feeds a
+// gate: noise on a small VM arrives in bursts longer than three
+// millisecond-scale runs, and one burst must not be able to fail the build.
+const gatedBudget = 300 * time.Millisecond
+
+// bestOf is the one timer: it returns the fastest timed run of f — the usual
+// antidote to scheduler noise on shared machines — and is the one place that
+// decides how many runs that takes. Best of three, or a single run under
+// -quick; when the result feeds a gate (engine's ≥ 1.5× plan-cache speedup,
+// exec's ≥ 2×), at least three whatever -quick says, and on until gatedBudget
+// is spent — which costs nothing where it matters, since the workloads short
+// enough to be noisy are the ones that fit many runs in the budget.
+func bestOf(quick, gated bool, f func()) float64 {
+	reps, budget := 3, time.Duration(0)
+	if gated {
+		budget = gatedBudget
+	} else if quick {
+		reps = 1
+	}
+	best := math.Inf(1)
+	begin := time.Now()
+	for i := 0; i < reps || time.Since(begin) < budget; i++ {
+		start := time.Now()
+		f()
+		if d := time.Since(start).Seconds(); d < best {
+			best = d
 		}
-		return
+	}
+	return best
+}
+
+// publish is the one place the command writes an output file.
+func publish(dir, name string, data []byte) error {
+	path := filepath.Join(dir, name)
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		return err
+	}
+	fmt.Printf("wrote %s\n", path)
+	return nil
+}
+
+// writeJSONL publishes a JSONL side artifact as dir/name after passing it
+// through its validator, so a schema break fails the producing suite, not
+// just the downstream ml4db-tracecheck.
+func writeJSONL(dir, name string, write func(io.Writer) error, validate func(io.Reader) (int, error)) error {
+	var buf bytes.Buffer
+	if err := write(&buf); err != nil {
+		return err
+	}
+	if _, err := validate(bytes.NewReader(buf.Bytes())); err != nil {
+		return fmt.Errorf("%s: emitted invalid JSONL: %v", name, err)
+	}
+	return publish(dir, name, buf.Bytes())
+}
+
+// scratchDir makes a temporary directory for a suite's on-disk scenario (heap
+// files, a model registry); the caller defers cleanup.
+func scratchDir() (dir string, cleanup func(), err error) {
+	dir, err = os.MkdirTemp("", "ml4db-bench-*")
+	return dir, func() { _ = os.RemoveAll(dir) }, err // best-effort: the OS reaps its temp dir anyway
+}
+
+func suiteNames() string {
+	names := make([]string, len(suites))
+	for i, s := range suites {
+		names[i] = s.name
+	}
+	return strings.Join(names, ",")
+}
+
+// selectSuites resolves a -suite argument against the table.
+func selectSuites(arg string) ([]suite, error) {
+	if arg == "all" {
+		return suites, nil
+	}
+	var picked []suite
+	for _, name := range strings.Split(arg, ",") {
+		i := slices.IndexFunc(suites, func(s suite) bool { return s.name == strings.TrimSpace(name) })
+		if i < 0 {
+			return nil, fmt.Errorf("unknown suite %q (valid: all,%s)", name, suiteNames())
+		}
+		picked = append(picked, suites[i])
+	}
+	return picked, nil
+}
+
+// runSuites runs each picked suite and publishes its report under the
+// envelope; it returns how many failed.
+func runSuites(picked []suite, seed uint64, quick bool, dir string, stderr io.Writer) int {
+	failures := 0
+	for _, s := range picked {
+		fmt.Printf("==> suite %s\n", s.name)
+		start := time.Now()
+		report, err := s.run(seed, quick, dir)
+		if err == nil && report != nil {
+			err = writeEnvelope(dir, envelope{
+				Suite: s.name, GOMAXPROCS: gomaxprocs(), NumCPU: runtime.NumCPU(),
+				GoVersion: runtime.Version(), Seed: seed, Quick: quick, Report: report,
+			})
+		}
+		if err != nil {
+			fmt.Fprintf(stderr, "ml4db-bench: %v\n", err)
+			failures++
+			continue
+		}
+		fmt.Printf("suite %s ok (gomaxprocs=%d, %.1fs)\n", s.name, gomaxprocs(), time.Since(start).Seconds())
+	}
+	return failures
+}
+
+func writeEnvelope(dir string, env envelope) error {
+	data, err := json.MarshalIndent(env, "", "  ")
+	if err != nil {
+		return err
+	}
+	return publish(dir, "BENCH_"+env.Suite+".json", append(data, '\n'))
+}
+
+func main() { os.Exit(run(os.Args[1:], os.Stderr)) }
+
+// run is main with its arguments and error stream injected; it returns the
+// exit code (2 for a usage error, 1 for a failed suite or experiment).
+func run(args []string, stderr io.Writer) int {
+	fs := flag.NewFlagSet("ml4db-bench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	seed := fs.Uint64("seed", 42, "random seed for all experiments and suites")
+	runIDs := fs.String("run", "", "comma-separated experiment IDs to run (default: all)")
+	list := fs.Bool("list", false, "list experiment IDs and exit")
+	suiteArg := fs.String("suite", "", "run bench suites instead of experiments: all, or a comma-separated subset of "+suiteNames())
+	quick := fs.Bool("quick", false, "with -suite: CI-sized scenarios, and single timed runs where no gate depends on them")
+	outDir := fs.String("out-dir", ".", "with -suite: directory for BENCH_<suite>.json and the JSONL artifacts")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
 	}
 
-	if *autopilotBench {
-		if err := runAutopilotBench(*seed, *autopilotOut, *quick); err != nil {
-			fmt.Fprintf(os.Stderr, "ml4db-bench: %v\n", err)
-			os.Exit(1)
+	if *suiteArg != "" {
+		picked, err := selectSuites(*suiteArg)
+		if err != nil {
+			fmt.Fprintf(stderr, "ml4db-bench: %v\n", err)
+			return 2
 		}
-		return
-	}
-
-	if *querystoreBench {
-		if err := runQuerystoreBench(*seed, *querystoreOut, *querystoreExport, *quick); err != nil {
-			fmt.Fprintf(os.Stderr, "ml4db-bench: %v\n", err)
-			os.Exit(1)
+		if failures := runSuites(picked, *seed, *quick, *outDir, stderr); failures > 0 {
+			fmt.Fprintf(stderr, "ml4db-bench: %d suite(s) failed\n", failures)
+			return 1
 		}
-		return
-	}
-
-	if *storageBench {
-		if err := runStorageBench(*seed, *storageOut, *quick); err != nil {
-			fmt.Fprintf(os.Stderr, "ml4db-bench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *engineBench {
-		if err := runEngineBench(*seed, *engineOut, *quick); err != nil {
-			fmt.Fprintf(os.Stderr, "ml4db-bench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *serve {
-		if err := runServeBench(*seed, *serveOut, *metricsPath, *quick); err != nil {
-			fmt.Fprintf(os.Stderr, "ml4db-bench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *kernels {
-		if err := runKernelBench(*seed, *kernelsOut, *quick); err != nil {
-			fmt.Fprintf(os.Stderr, "ml4db-bench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *obsbench {
-		if err := runObsBench(*seed, *obsOut); err != nil {
-			fmt.Fprintf(os.Stderr, "ml4db-bench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *tracePath != "" || *metricsPath != "" {
-		if err := runTraced(*seed, *traceQueries, *tracePath, *metricsPath); err != nil {
-			fmt.Fprintf(os.Stderr, "ml4db-bench: %v\n", err)
-			os.Exit(1)
-		}
-		return
+		return 0
 	}
 
 	if *list {
 		for _, r := range experiments.All() {
 			fmt.Println(r.ID)
 		}
-		return
+		return 0
 	}
 
 	var runners []experiments.Runner
-	if *run == "" {
+	if *runIDs == "" {
 		runners = experiments.All()
 	} else {
-		for _, id := range strings.Split(*run, ",") {
+		for _, id := range strings.Split(*runIDs, ",") {
 			r, ok := experiments.ByID(strings.TrimSpace(id))
 			if !ok {
-				fmt.Fprintf(os.Stderr, "ml4db-bench: unknown experiment %q\n", id)
-				os.Exit(2)
+				fmt.Fprintf(stderr, "ml4db-bench: unknown experiment %q\n", id)
+				return 2
 			}
 			runners = append(runners, r)
 		}
@@ -186,7 +270,7 @@ func main() {
 		start := time.Now()
 		rep, err := r.Run(*seed)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "ml4db-bench: %s failed: %v\n", r.ID, err)
+			fmt.Fprintf(stderr, "ml4db-bench: %s failed: %v\n", r.ID, err)
 			failures++
 			continue
 		}
@@ -197,8 +281,9 @@ func main() {
 		}
 	}
 	if failures > 0 {
-		fmt.Fprintf(os.Stderr, "ml4db-bench: %d experiment(s) did not reproduce the claimed direction\n", failures)
-		os.Exit(1)
+		fmt.Fprintf(stderr, "ml4db-bench: %d experiment(s) did not reproduce the claimed direction\n", failures)
+		return 1
 	}
 	fmt.Println("all experiments reproduce the paper's claimed directions")
+	return 0
 }

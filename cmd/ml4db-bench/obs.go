@@ -1,22 +1,19 @@
 package main
 
-// Observability modes of ml4db-bench:
+// Observability suites of ml4db-bench:
 //
-//   - -trace/-metrics run a small instrumented workload (spans around each
-//     query's optimize and execute phases plus one span per plan operator,
-//     and the learned components' counters and histograms) and write the
-//     schema-stable JSONL files that cmd/ml4db-tracecheck validates;
-//   - -obsbench measures the runtime overhead the instrumentation adds to
-//     query execution — untraced vs EXPLAIN ANALYZE vs full tracing — and
-//     verifies the "nil is off, and free" contract by counting allocations
-//     on the nil-receiver call surface. Results go to BENCH_obs.json.
+//   - trace runs a small instrumented workload (spans around each query's
+//     optimize and execute phases plus one span per plan operator, and the
+//     learned components' counters and histograms) and writes the
+//     schema-stable spans.jsonl and metrics.jsonl that cmd/ml4db-tracecheck
+//     validates; it publishes no BENCH file;
+//   - obs measures the runtime overhead the instrumentation adds to query
+//     execution — untraced vs EXPLAIN ANALYZE vs full tracing — and verifies
+//     the "nil is off, and free" contract by counting allocations on the
+//     nil-receiver call surface.
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
-	"os"
-	"runtime"
 	"testing"
 
 	"ml4db/internal/experiments"
@@ -28,57 +25,22 @@ import (
 	"ml4db/internal/sqlkit/plan"
 )
 
-// runTraced executes the instrumented workload and writes span and metric
-// JSONL files, validating both before returning.
-func runTraced(seed uint64, numQueries int, tracePath, metricsPath string) error {
+// traceQueries is the number of traced query lifecycles in the trace suite.
+const traceQueries = 5
+
+// traceSuite executes the instrumented workload and writes the span and
+// metric JSONL artifacts, each validated before it reaches disk.
+func traceSuite(seed uint64, _ bool, dir string) (any, error) {
 	clock := mlmath.SystemClock{}
 	tr := obs.NewTracer(clock)
 	reg := obs.NewRegistry()
-	if err := experiments.TraceWorkload(seed, numQueries, tr, reg, clock); err != nil {
-		return err
+	if err := experiments.TraceWorkload(seed, traceQueries, tr, reg, clock); err != nil {
+		return nil, err
 	}
-	if tracePath != "" {
-		n, err := writeValidated(tracePath, tr.WriteJSONL, obs.ValidateTraceJSONL, "span")
-		if err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s (%d spans)\n", tracePath, n)
+	if err := writeJSONL(dir, "spans.jsonl", tr.WriteJSONL, obs.ValidateTraceJSONL); err != nil {
+		return nil, err
 	}
-	if metricsPath != "" {
-		n, err := writeValidated(metricsPath, reg.WriteJSONL, obs.ValidateMetricsJSONL, "metric")
-		if err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s (%d metrics)\n", metricsPath, n)
-	}
-	return nil
-}
-
-// writeValidated writes a JSONL artifact and immediately re-reads it through
-// its validator, so a schema break fails the producing command, not just the
-// downstream checker. It returns the validated line count.
-func writeValidated(path string, write func(io.Writer) error, validate func(io.Reader) (int, error), kind string) (int, error) {
-	f, err := os.Create(path)
-	if err != nil {
-		return 0, err
-	}
-	if err := write(f); err != nil {
-		_ = f.Close() // the write error is the one worth reporting
-		return 0, err
-	}
-	if err := f.Close(); err != nil {
-		return 0, err
-	}
-	rf, err := os.Open(path)
-	if err != nil {
-		return 0, err
-	}
-	defer rf.Close()
-	n, err := validate(rf)
-	if err != nil {
-		return 0, fmt.Errorf("%s: emitted invalid %s JSONL: %v", path, kind, err)
-	}
-	return n, nil
+	return nil, writeJSONL(dir, "metrics.jsonl", reg.WriteJSONL, obs.ValidateMetricsJSONL)
 }
 
 type obsBenchResult struct {
@@ -90,34 +52,25 @@ type obsBenchResult struct {
 }
 
 type obsBenchReport struct {
-	GOMAXPROCS int    `json:"gomaxprocs"`
-	NumCPU     int    `json:"numcpu"`
-	Seed       uint64 `json:"seed"`
 	// NilPathAllocs must be zero: the allocation count of the full
 	// nil-receiver instrumentation surface per operation.
 	NilPathAllocs float64          `json:"nil_path_allocs"`
 	Results       []obsBenchResult `json:"results"`
 }
 
-// runObsBench times a fixed query workload untraced vs instrumented and
-// writes BENCH_obs.json.
-func runObsBench(seed uint64, outPath string) error {
-	env, plans, err := obsBenchWorkload(seed)
+// obsSuite times a fixed query workload untraced vs instrumented.
+func obsSuite(seed uint64, quick bool, _ string) (any, error) {
+	queries := 20
+	if quick {
+		queries = 5
+	}
+	env, plans, err := obsBenchWorkload(seed, queries)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	const reps = 5
-	runAll := func() error {
+	runAll := func(analyze bool) error {
 		for _, p := range plans {
-			if _, err := env.Exec.Execute(p, exec.Options{}); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	runAnalyze := func() error {
-		for _, p := range plans {
-			if _, err := env.Exec.Execute(p, exec.Options{Analyze: true}); err != nil {
+			if _, err := env.Exec.Execute(p, exec.Options{Analyze: analyze}); err != nil {
 				return err
 			}
 		}
@@ -126,20 +79,20 @@ func runObsBench(seed uint64, outPath string) error {
 
 	// Baseline: observability fully off.
 	env.Instrument(nil, nil, nil)
-	if err := runAll(); err != nil { // warm up
-		return err
+	if err := runAll(false); err != nil { // warm up
+		return nil, err
 	}
-	base := bestOf(reps, func() { _ = runAll() })
+	base := bestOf(quick, false, func() { _ = runAll(false) })
 
 	// EXPLAIN ANALYZE only (per-operator stats, no tracer).
-	analyze := bestOf(reps, func() { _ = runAnalyze() })
+	analyze := bestOf(quick, false, func() { _ = runAll(true) })
 
 	// Full tracing: fresh tracer and registry per rep so span accumulation
 	// does not grow across reps.
-	traced := bestOf(reps, func() {
+	traced := bestOf(quick, false, func() {
 		clock := mlmath.SystemClock{}
 		env.Instrument(obs.NewTracer(clock), obs.NewRegistry(), clock)
-		_ = runAnalyze()
+		_ = runAll(true)
 	})
 	env.Instrument(nil, nil, nil)
 
@@ -154,9 +107,6 @@ func runObsBench(seed uint64, outPath string) error {
 	})
 
 	rep := obsBenchReport{
-		GOMAXPROCS:    runtime.GOMAXPROCS(0),
-		NumCPU:        runtime.NumCPU(),
-		Seed:          seed,
 		NilPathAllocs: nilAllocs,
 		Results: []obsBenchResult{
 			{Name: "explain_analyze", BaselineSec: base, ObservedSec: analyze,
@@ -166,32 +116,23 @@ func runObsBench(seed uint64, outPath string) error {
 		},
 	}
 	if nilAllocs != 0 {
-		return fmt.Errorf("nil observability path allocated %.1f times per op, want 0", nilAllocs)
+		return nil, fmt.Errorf("nil observability path allocated %.1f times per op, want 0", nilAllocs)
 	}
 	for _, r := range rep.Results {
 		fmt.Printf("%-24s baseline %8.5fs  observed %8.5fs  overhead %+.1f%%\n",
 			r.Name, r.BaselineSec, r.ObservedSec, r.OverheadPct)
 	}
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	data = append(data, '\n')
-	if err := os.WriteFile(outPath, data, 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s (gomaxprocs=%d, nil-path allocs %.0f)\n", outPath, rep.GOMAXPROCS, nilAllocs)
-	return nil
+	return rep, nil
 }
 
 // obsBenchWorkload plans a fixed set of star queries to execute repeatedly.
-func obsBenchWorkload(seed uint64) (*qo.Env, []*plan.Node, error) {
+func obsBenchWorkload(seed uint64, queries int) (*qo.Env, []*plan.Node, error) {
 	env, gen, err := experiments.NewQoTestbed(seed, 4000)
 	if err != nil {
 		return nil, nil, err
 	}
 	var plans []*plan.Node
-	for i := 0; i < 20; i++ {
+	for i := 0; i < queries; i++ {
 		q := gen.QueryWithDims(2)
 		p, err := env.Opt.Plan(q, optimizer.NoHint())
 		if err != nil {

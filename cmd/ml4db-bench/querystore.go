@@ -1,7 +1,7 @@
 package main
 
-// Querystore benchmark mode (-querystore): exercises the internal/querystore
-// workload observatory end to end and writes BENCH_querystore.json.
+// The querystore suite exercises the internal/querystore workload
+// observatory end to end.
 //
 //   - recording overhead: the same workload through one engine with the
 //     store attached vs one with no store. The "nil is off, and free"
@@ -16,18 +16,16 @@ package main
 //     executed;
 //   - deterministic export: the same workload replayed twice under fresh
 //     mlmath.ManualClocks must produce byte-identical JSONL exports, and the
-//     export must pass the querystore schema validator.
+//     export must pass the querystore schema validator; it is written to
+//     querystore.jsonl for cmd/ml4db-tracecheck to revalidate.
 //
-// Any violated contract makes the benchmark exit nonzero; check.sh runs the
-// -quick variant as a smoke test.
+// Any violated contract fails the suite; check.sh runs the -quick variant as
+// a smoke test.
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"os"
-	"runtime"
 	"time"
 
 	"ml4db/internal/engine"
@@ -35,16 +33,10 @@ import (
 	"ml4db/internal/querystore"
 	"ml4db/internal/sqlkit/datagen"
 	"ml4db/internal/sqlkit/exec"
-	"ml4db/internal/sqlkit/expr"
 	"ml4db/internal/sqlkit/plan"
 )
 
 type querystoreReport struct {
-	GOMAXPROCS int    `json:"gomaxprocs"`
-	NumCPU     int    `json:"numcpu"`
-	Seed       uint64 `json:"seed"`
-	Quick      bool   `json:"quick"`
-
 	Queries int `json:"queries"`
 	Repeats int `json:"repeats"`
 
@@ -61,79 +53,56 @@ type querystoreReport struct {
 	ExportValid     bool `json:"export_valid"`
 }
 
-// querystoreWorkload builds Q distinct star-join queries over a fresh
-// schema, same as the engine bench but smaller: the subject here is the
-// recording path, not the planner.
+// querystoreWorkload is the engine suite's star workload, smaller: the
+// subject here is the recording path, not the planner.
 func querystoreWorkload(seed uint64, queries int) (*datagen.StarSchema, []*plan.Query, error) {
-	sch, err := datagen.NewStarSchema(mlmath.NewRNG(seed), 2000, 100, 4)
-	if err != nil {
-		return nil, nil, err
-	}
-	qs := make([]*plan.Query, queries)
-	for i := range qs {
-		q := plan.NewQuery(append([]int{sch.FactID}, sch.DimIDs...)...)
-		q.AddFilter(0, expr.Pred{Col: sch.AttrCols[0], Op: expr.GE, Lo: int64(860 + 7*i)})
-		for d, col := range sch.FKCol {
-			q.AddJoin(expr.JoinCond{LeftTable: 0, LeftCol: col, RightTable: d + 1, RightCol: 0})
-		}
-		qs[i] = q
-	}
-	return sch, qs, nil
+	return starWorkload(seed, 2000, 100, 4, queries)
 }
 
-func runQuerystoreBench(seed uint64, outPath, exportPath string, quick bool) error {
-	reps := 3
+func querystoreSuite(seed uint64, quick bool, dir string) (any, error) {
 	queries, repeats := 10, 20
 	if quick {
-		reps = 1
 		queries, repeats = 5, 8
 	}
 
-	rep := querystoreReport{
-		GOMAXPROCS: runtime.GOMAXPROCS(0), NumCPU: runtime.NumCPU(),
-		Seed: seed, Quick: quick,
-		Queries: queries, Repeats: repeats,
-	}
+	rep := querystoreReport{Queries: queries, Repeats: repeats}
 
 	// --- Recording overhead: store-off vs store-on, same workload. ---
-	runAll := func(eng *engine.Engine, qs []*plan.Query) {
-		sess := eng.Session()
-		for r := 0; r < repeats; r++ {
-			for _, q := range qs {
-				if _, err := sess.Run(q); err != nil {
-					panic(err)
+	timeWorkload := func(recorded bool) (float64, error) {
+		sch, qs, err := querystoreWorkload(seed, queries)
+		if err != nil {
+			return 0, err
+		}
+		var opts engine.Options
+		if recorded {
+			opts.Store = querystore.New(querystore.Options{Catalog: sch.Cat})
+		}
+		sess := engine.New(sch.Cat, opts).Session()
+		return bestOf(quick, false, func() {
+			for r := 0; r < repeats; r++ {
+				for _, q := range qs {
+					if _, err := sess.Run(q); err != nil {
+						panic(err)
+					}
 				}
 			}
-		}
+		}), nil
 	}
-	{
-		sch, qs, err := querystoreWorkload(seed, queries)
-		if err != nil {
-			return err
-		}
-		eng := engine.New(sch.Cat, engine.Options{})
-		rep.BareSec = bestOf(reps, func() { runAll(eng, qs) })
+	var err error
+	if rep.BareSec, err = timeWorkload(false); err != nil {
+		return nil, err
 	}
-	{
-		sch, qs, err := querystoreWorkload(seed, queries)
-		if err != nil {
-			return err
-		}
-		store := querystore.New(querystore.Options{Catalog: sch.Cat})
-		eng := engine.New(sch.Cat, engine.Options{Store: store})
-		rep.RecordedSec = bestOf(reps, func() { runAll(eng, qs) })
+	if rep.RecordedSec, err = timeWorkload(true); err != nil {
+		return nil, err
 	}
 	if rep.BareSec > 0 {
 		rep.Overhead = rep.RecordedSec/rep.BareSec - 1
 	}
 
 	// --- Exact statement accounting through sys_statements. ---
-	exact, nStatements, err := querystoreAccounting(seed)
-	if err != nil {
-		return err
+	if rep.AccountingExact, rep.Statements, err = querystoreAccounting(seed); err != nil {
+		return nil, err
 	}
-	rep.AccountingExact = exact
-	rep.Statements = nStatements
 
 	// --- Deterministic export: two replays, byte-identical, valid. ---
 	replay := func() ([]byte, error) {
@@ -164,51 +133,34 @@ func runQuerystoreBench(seed uint64, outPath, exportPath string, quick bool) err
 	}
 	exportA, err := replay()
 	if err != nil {
-		return err
+		return nil, err
 	}
 	exportB, err := replay()
 	if err != nil {
-		return err
+		return nil, err
 	}
 	rep.ReplayIdentical = bytes.Equal(exportA, exportB)
 	rep.ExportBytes = len(exportA)
 	n, verr := querystore.ValidateJSONL(bytes.NewReader(exportA))
 	rep.ExportValid = verr == nil
 	rep.ExportLines = n
-	if exportPath != "" {
-		if err := os.WriteFile(exportPath, exportA, 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("querystore export: %s (%d lines)\n", exportPath, n)
-	}
 
-	// --- Report. ---
-	fmt.Printf("querystore bench: seed=%d quick=%v\n", seed, quick)
 	fmt.Printf("  overhead      bare=%.4fs recorded=%.4fs overhead=%.1f%%\n",
 		rep.BareSec, rep.RecordedSec, rep.Overhead*100)
 	fmt.Printf("  accounting    statements=%d exact=%v\n", rep.Statements, rep.AccountingExact)
 	fmt.Printf("  export        lines=%d bytes=%d replay_identical=%v valid=%v\n",
 		rep.ExportLines, rep.ExportBytes, rep.ReplayIdentical, rep.ExportValid)
 
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(outPath, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s\n", outPath)
-
 	if !rep.AccountingExact {
-		return errors.New("querystore contract violated: sys_statements does not match the executed workload")
+		return nil, errors.New("querystore contract violated: sys_statements does not match the executed workload")
 	}
 	if !rep.ReplayIdentical {
-		return errors.New("querystore contract violated: two replays exported different bytes")
+		return nil, errors.New("querystore contract violated: two replays exported different bytes")
 	}
 	if verr != nil {
-		return fmt.Errorf("querystore contract violated: export fails validation: %v", verr)
+		return nil, fmt.Errorf("querystore contract violated: export fails validation: %v", verr)
 	}
-	return nil
+	return rep, publish(dir, "querystore.jsonl", exportA) // validated above
 }
 
 // querystoreAccounting runs a scripted workload with known per-shape counts
@@ -274,8 +226,7 @@ func querystoreAccounting(seed uint64) (bool, int, error) {
 		sumHits == cacheHits &&
 		sumAborts == 1
 	if !exact {
-		fmt.Fprintf(os.Stderr,
-			"querystore accounting mismatch: rows=%d calls=%d/%d work=%d/%d hits=%d/%d aborts=%d/1\n",
+		fmt.Printf("querystore accounting mismatch: rows=%d calls=%d/%d work=%d/%d hits=%d/%d aborts=%d/1\n",
 			len(rr.Rows), sumCalls, len(script)+1, sumWork, totalWork, sumHits, cacheHits, sumAborts)
 	}
 	return exact, len(rr.Rows), nil

@@ -1,7 +1,7 @@
 package main
 
-// Serving benchmark mode (-serve): exercises the internal/modelsvc model
-// lifecycle subsystem end to end and writes BENCH_serve.json.
+// The serve suite exercises the internal/modelsvc model lifecycle subsystem
+// end to end.
 //
 //   - registry: publish + load round-trip latency for a versioned checkpoint,
 //     with the restored model verified bit-identical to the published one;
@@ -15,15 +15,12 @@ package main
 //   - admission control: a bounded queue under overload must reject the
 //     excess deterministically.
 //
-// With -metrics FILE the subsystem's obs instruments are written as metrics
-// JSONL and validated (cmd/ml4db-tracecheck revalidates them in CI).
+// The subsystem's obs instruments are written to serve_metrics.jsonl and
+// validated (cmd/ml4db-tracecheck revalidates them in CI).
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
-	"os"
-	"runtime"
 	"time"
 
 	"ml4db/internal/mlmath"
@@ -32,17 +29,13 @@ import (
 	"ml4db/internal/obs"
 )
 
-// mlpPredictor adapts an nn.MLP to the serving interface.
-type mlpPredictor struct{ net *nn.MLP }
+// predictorFunc lets a plain function serve as a deployment model or an
+// eviction scorer.
+type predictorFunc func(x []float64) float64
 
-func (p mlpPredictor) Predict(x []float64) float64 { return p.net.Forward(x)[0] }
+func (f predictorFunc) Predict(x []float64) float64 { return f(x) }
 
 type serveReport struct {
-	GOMAXPROCS int    `json:"gomaxprocs"`
-	NumCPU     int    `json:"numcpu"`
-	Seed       uint64 `json:"seed"`
-	Quick      bool   `json:"quick"`
-
 	Requests int `json:"requests"`
 	MaxBatch int `json:"max_batch"`
 	Workers  int `json:"workers"`
@@ -68,7 +61,7 @@ type serveReport struct {
 
 // serveModel builds the benchmark MLP (random init — inference cost does not
 // depend on training) and a deterministic request stream.
-func serveModel(seed uint64, dim int, n int) (mlpPredictor, [][]float64) {
+func serveModel(seed uint64, dim int, n int) (*nn.MLP, [][]float64) {
 	rng := mlmath.NewRNG(seed)
 	net := nn.NewMLP([]int{dim, 64, 64, 1}, nn.LeakyReLU{}, nn.Identity{}, rng)
 	xs := make([][]float64, n)
@@ -79,54 +72,49 @@ func serveModel(seed uint64, dim int, n int) (mlpPredictor, [][]float64) {
 		}
 		xs[i] = x
 	}
-	return mlpPredictor{net: net}, xs
+	return net, xs
 }
 
-func runServeBench(seed uint64, outPath, metricsPath string, quick bool) error {
-	workers := runtime.GOMAXPROCS(0)
-	reps := 3
+func serveSuite(seed uint64, quick bool, dir string) (any, error) {
+	workers := gomaxprocs()
 	requests, dim, maxBatch := 20000, 16, 64
 	if quick {
-		reps = 1
 		requests = 2000
 	}
-	model, xs := serveModel(seed, dim, requests)
+	net, xs := serveModel(seed, dim, requests)
+	model := predictorFunc(func(x []float64) float64 { return net.Forward(x)[0] })
 	reg := obs.NewRegistry()
-	rep := serveReport{
-		GOMAXPROCS: workers, NumCPU: runtime.NumCPU(),
-		Seed: seed, Quick: quick,
-		Requests: requests, MaxBatch: maxBatch, Workers: workers,
-	}
+	rep := serveReport{Requests: requests, MaxBatch: maxBatch, Workers: workers}
 
 	// Registry round trip.
-	regDir, err := os.MkdirTemp("", "ml4db-serve-registry-*")
+	regDir, cleanup, err := scratchDir()
 	if err != nil {
-		return err
+		return nil, err
 	}
-	defer os.RemoveAll(regDir)
+	defer cleanup()
 	modelReg, err := modelsvc.OpenRegistry(regDir)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	start := time.Now()
-	man, err := modelsvc.PublishModule(modelReg, "bench-mlp", model.net, map[string]string{"trigger": "bench"})
+	man, err := modelsvc.PublishModule(modelReg, "bench-mlp", net, map[string]string{"trigger": "bench"})
 	if err != nil {
-		return err
+		return nil, err
 	}
 	rep.RegistryPublishSec = time.Since(start).Seconds()
 	restored := nn.NewMLP([]int{dim, 64, 64, 1}, nn.LeakyReLU{}, nn.Identity{}, mlmath.NewRNG(seed+1))
 	start = time.Now()
 	if _, err := modelsvc.LoadModule(modelReg, "bench-mlp", man.Version, restored); err != nil {
-		return err
+		return nil, err
 	}
 	rep.RegistryLoadSec = time.Since(start).Seconds()
-	if a, b := model.net.Forward(xs[0])[0], restored.Forward(xs[0])[0]; math.Float64bits(a) != math.Float64bits(b) {
-		return fmt.Errorf("registry round trip is not bit-identical: %v vs %v", a, b)
+	if a, b := net.Forward(xs[0])[0], restored.Forward(xs[0])[0]; math.Float64bits(a) != math.Float64bits(b) {
+		return nil, fmt.Errorf("registry round trip is not bit-identical: %v vs %v", a, b)
 	}
 
 	// Serial baseline.
 	want := make([]float64, len(xs))
-	rep.SerialSec = bestOf(reps, func() {
+	rep.SerialSec = bestOf(quick, false, func() {
 		for i, x := range xs {
 			want[i] = model.Predict(x)
 		}
@@ -157,7 +145,7 @@ func runServeBench(seed uint64, outPath, metricsPath string, quick bool) error {
 	for _, w := range []int{1, 2, 3, workers} {
 		out, err := runBatched(w)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		for i := range out {
 			if math.Float64bits(out[i]) != math.Float64bits(want[i]) {
@@ -166,9 +154,9 @@ func runServeBench(seed uint64, outPath, metricsPath string, quick bool) error {
 		}
 	}
 	if !rep.BitIdentical {
-		return fmt.Errorf("batched serving is not bit-identical to the serial loop")
+		return nil, fmt.Errorf("batched serving is not bit-identical to the serial loop")
 	}
-	rep.BatchedSec = bestOf(reps, func() { _, _ = runBatched(workers) })
+	rep.BatchedSec = bestOf(quick, false, func() { _, _ = runBatched(workers) })
 	rep.Speedup = rep.SerialSec / rep.BatchedSec
 
 	// Canary gate under a ManualClock: a worse candidate must be blocked, a
@@ -184,27 +172,27 @@ func runServeBench(seed uint64, outPath, metricsPath string, quick bool) error {
 			ErrFn: func(pred, truth float64) float64 { return math.Abs(pred - truth) }})
 	truth := func(x []float64) float64 { return model.Predict(x) + 0.25 }
 	// Stable-mode Observe cost.
-	rep.StableObserveSec = bestOf(reps, func() {
+	rep.StableObserveSec = bestOf(quick, false, func() {
 		for _, x := range xs[:window] {
 			rollout.Observe(x, truth(x))
 		}
 	})
 	// Worse candidate: twice the incumbent's distance from truth. Shadowing
-	// runs exactly one window, so it is timed with a single rep.
+	// runs exactly one window, so it is timed once, not through bestOf.
 	rollout.SetCandidate(modelsvc.Deployment{Version: man.Version + 1,
 		Model: predictorFunc(func(x []float64) float64 { return model.Predict(x) - 0.5 })})
-	rep.ShadowObserveSec = bestOf(1, func() {
-		for _, x := range xs[:window] {
-			rollout.Observe(x, truth(x))
-		}
-	})
+	start = time.Now()
+	for _, x := range xs[:window] {
+		rollout.Observe(x, truth(x))
+	}
+	rep.ShadowObserveSec = time.Since(start).Seconds()
 	if rep.StableObserveSec > 0 {
 		rep.ShadowOverheadRatio = rep.ShadowObserveSec / rep.StableObserveSec
 	}
 	promotions, rejections, _ := rollout.Stats()
 	rep.GateBlockedWorse = promotions == 0 && rejections == 1 && rollout.Current().Version == man.Version
 	if !rep.GateBlockedWorse {
-		return fmt.Errorf("canary gate failed to block a worse candidate (promotions=%d rejections=%d)", promotions, rejections)
+		return nil, fmt.Errorf("canary gate failed to block a worse candidate (promotions=%d rejections=%d)", promotions, rejections)
 	}
 	// Better candidate: exact truth function.
 	rollout.SetCandidate(modelsvc.Deployment{Version: man.Version + 2, Model: predictorFunc(truth)})
@@ -213,7 +201,7 @@ func runServeBench(seed uint64, outPath, metricsPath string, quick bool) error {
 	}
 	promotions, rejections, _ = rollout.Stats()
 	if promotions != 1 || rollout.Current().Version != man.Version+2 {
-		return fmt.Errorf("canary gate failed to promote a better candidate (promotions=%d)", promotions)
+		return nil, fmt.Errorf("canary gate failed to promote a better candidate (promotions=%d)", promotions)
 	}
 	rep.Promotions, rep.Rejections = promotions, rejections
 
@@ -227,7 +215,7 @@ func runServeBench(seed uint64, outPath, metricsPath string, quick bool) error {
 	}
 	small.Flush()
 	if rep.QueueRejected != 64-8 {
-		return fmt.Errorf("admission control rejected %d of 64 requests, want %d", rep.QueueRejected, 64-8)
+		return nil, fmt.Errorf("admission control rejected %d of 64 requests, want %d", rep.QueueRejected, 64-8)
 	}
 
 	fmt.Printf("%-24s serial %8.4fs  batched %8.4fs  speedup %.2fx  bit-identical %v\n",
@@ -238,27 +226,5 @@ func runServeBench(seed uint64, outPath, metricsPath string, quick bool) error {
 	fmt.Printf("%-24s promotions %d  rejections %d  worse-blocked %v  queue-rejected %d\n",
 		"canary_gate", rep.Promotions, rep.Rejections, rep.GateBlockedWorse, rep.QueueRejected)
 
-	if metricsPath != "" {
-		n, err := writeValidated(metricsPath, reg.WriteJSONL, obs.ValidateMetricsJSONL, "metric")
-		if err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s (%d metrics)\n", metricsPath, n)
-	}
-
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	data = append(data, '\n')
-	if err := os.WriteFile(outPath, data, 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s (gomaxprocs=%d)\n", outPath, workers)
-	return nil
+	return rep, writeJSONL(dir, "serve_metrics.jsonl", reg.WriteJSONL, obs.ValidateMetricsJSONL)
 }
-
-// predictorFunc lets a plain function serve as a deployment model.
-type predictorFunc func(x []float64) float64
-
-func (f predictorFunc) Predict(x []float64) float64 { return f(x) }

@@ -1,7 +1,6 @@
 package main
 
-// Storage benchmark mode (-storage): exercises the internal/storage
-// disk-backed engine and writes BENCH_storage.json.
+// The storage suite exercises the internal/storage disk-backed engine.
 //
 //   - larger-than-memory scan: a heap table many times bigger than the
 //     buffer pool must scan to exactly the right row count and column sums,
@@ -17,22 +16,17 @@ package main
 //   - replay determinism: the same trace through fresh pools produces
 //     bit-identical eviction logs, for the LRU and the learned policy both.
 //
-// Any violated contract makes the benchmark exit nonzero; check.sh runs the
-// -quick variant as a smoke test.
+// Any violated contract fails the suite; check.sh runs the -quick variant as
+// a smoke test.
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"path/filepath"
 
 	"ml4db/internal/storage"
 )
 
 type storageReport struct {
-	Seed  uint64 `json:"seed"`
-	Quick bool   `json:"quick"`
-
 	ScanPages     int   `json:"scan_pages"`
 	ScanRows      int   `json:"scan_rows"`
 	PoolFrames    int   `json:"pool_frames"`
@@ -53,12 +47,6 @@ type storageReport struct {
 	ReplayEvictions int  `json:"replay_evictions"`
 	ReplayIdentical bool `json:"replay_identical"`
 }
-
-// constScorer predicts the same reuse distance for every page — a
-// candidate no gate should ever let near a pool.
-type constScorer float64
-
-func (c constScorer) Predict(x []float64) float64 { return float64(c) }
 
 // floodTrace builds the scan-flood access pattern: per round, two groups of
 // [each hot page once, then a flood of fresh cold pages read twice
@@ -113,14 +101,14 @@ func driveTrace(p *storage.Pool, hf *storage.HeapFile, trace []int, hotN int) (h
 	return hit, hotHit, nil
 }
 
-func runStorageBench(seed uint64, outPath string, quick bool) error {
-	dir, err := os.MkdirTemp("", "ml4db-storage-bench")
+func storageSuite(seed uint64, quick bool, _ string) (any, error) {
+	dir, cleanup, err := scratchDir()
 	if err != nil {
-		return err
+		return nil, err
 	}
-	defer os.RemoveAll(dir)
+	defer cleanup()
 
-	rep := storageReport{Seed: seed, Quick: quick}
+	var rep storageReport
 
 	// Larger-than-memory scan: fill a table far past pool capacity, reopen
 	// it behind a small pool, and verify the scan byte-for-byte.
@@ -135,20 +123,20 @@ func runStorageBench(seed uint64, outPath string, quick bool) error {
 	tablePath := filepath.Join(dir, "big.tbl")
 	build, err := storage.CreateTableFile(tablePath, 2, storage.NewPool(storage.PoolOptions{Capacity: frames}))
 	if err != nil {
-		return err
+		return nil, err
 	}
 	for i := 0; i < nrows; i++ {
 		if _, err := build.AppendRow([]int64{int64(i), int64(3*i + 1)}); err != nil {
-			return err
+			return nil, err
 		}
 	}
 	if err := build.Close(); err != nil {
-		return err
+		return nil, err
 	}
 	scanPool := storage.NewPool(storage.PoolOptions{Capacity: frames})
 	tf, err := storage.OpenTableFile(tablePath, 2, scanPool)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	var rows int
 	var sumA, sumB int64
@@ -158,7 +146,7 @@ func runStorageBench(seed uint64, outPath string, quick bool) error {
 		sumB += row[1]
 		return nil
 	}); err != nil {
-		return err
+		return nil, err
 	}
 	n := int64(nrows)
 	wantA := n * (n - 1) / 2
@@ -171,14 +159,14 @@ func runStorageBench(seed uint64, outPath string, quick bool) error {
 	rep.ScanCorrect = rows == nrows && sumA == wantA && sumB == wantB &&
 		st.Resident <= frames && st.Pinned == 0 && st.Evictions > 0
 	if !rep.ScanCorrect {
-		return fmt.Errorf("larger-than-memory scan broken: rows=%d/%d sums=(%d,%d)/(%d,%d) stats=%+v",
+		return nil, fmt.Errorf("larger-than-memory scan broken: rows=%d/%d sums=(%d,%d)/(%d,%d) stats=%+v",
 			rows, nrows, sumA, sumB, wantA, wantB, st)
 	}
 	if tf.NumPages() <= frames {
-		return fmt.Errorf("table fits in the pool (%d pages, %d frames); the scan proves nothing", tf.NumPages(), frames)
+		return nil, fmt.Errorf("table fits in the pool (%d pages, %d frames); the scan proves nothing", tf.NumPages(), frames)
 	}
 	if err := tf.Close(); err != nil {
-		return err
+		return nil, err
 	}
 
 	// Eviction workload: train a scorer on the flood trace, gate it against
@@ -194,33 +182,34 @@ func runStorageBench(seed uint64, outPath string, quick bool) error {
 	rep.TraceSamples = len(samples)
 	scorer, err := storage.TrainScorer(samples, seed, 30, nil)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	gate := storage.NewGate(storage.GateOptions{Window: window})
 	gate.SetCandidate(scorer, 1)
 	promotions, _ := gate.ObserveSamples(samples)
 	rep.GatePromotions = promotions
 	if promotions < 1 || gate.Version() != 1 {
-		return fmt.Errorf("trained scorer not promoted (promotions=%d version=%d): it should beat Recency on the flood trace",
+		return nil, fmt.Errorf("trained scorer not promoted (promotions=%d version=%d): it should beat Recency on the flood trace",
 			promotions, gate.Version())
 	}
-	// A constant scorer must shadow and lose: same samples, no promotion.
-	gate.SetCandidate(constScorer(1e6), 2)
+	// A constant scorer — the same reuse distance for every page — must
+	// shadow and lose: same samples, no promotion.
+	gate.SetCandidate(predictorFunc(func([]float64) float64 { return 1e6 }), 2)
 	_, rejections := gate.ObserveSamples(samples)
 	rep.GateRejections = rejections
 	rep.GateVersion = gate.Version()
 	if rejections < 1 || gate.Version() != 1 {
-		return fmt.Errorf("bad candidate not rejected (rejections=%d version=%d)", rejections, gate.Version())
+		return nil, fmt.Errorf("bad candidate not rejected (rejections=%d version=%d)", rejections, gate.Version())
 	}
 
 	tracePath := filepath.Join(dir, "trace.heap")
 	hf, err := storage.CreateHeapFile(tracePath, 1)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	for p := 0; p < npages; p++ {
 		if _, err := hf.AllocPage(); err != nil {
-			return err
+			return nil, err
 		}
 	}
 	defer hf.Close()
@@ -232,15 +221,15 @@ func runStorageBench(seed uint64, outPath string, quick bool) error {
 	}
 	_, rep.LRUHitRate, rep.HotHitLRU, err = run(storage.NewLRU(), false)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	_, rep.LearnedHitRate, rep.HotHitLearned, err = run(storage.NewLearnedPolicy(gate), false)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	rep.LearnedWins = rep.LearnedHitRate > rep.LRUHitRate
 	if !rep.LearnedWins {
-		return fmt.Errorf("promoted policy does not beat LRU: learned %.3f vs lru %.3f",
+		return nil, fmt.Errorf("promoted policy does not beat LRU: learned %.3f vs lru %.3f",
 			rep.LearnedHitRate, rep.LRUHitRate)
 	}
 
@@ -252,19 +241,19 @@ func runStorageBench(seed uint64, outPath string, quick bool) error {
 	} {
 		a, _, _, err := run(policy(), true)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		b, _, _, err := run(policy(), true)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		la, lb := a.EvictionLog(), b.EvictionLog()
 		if len(la) == 0 || len(la) != len(lb) {
-			return fmt.Errorf("replay eviction logs differ in length: %d vs %d", len(la), len(lb))
+			return nil, fmt.Errorf("replay eviction logs differ in length: %d vs %d", len(la), len(lb))
 		}
 		for i := range la {
 			if la[i] != lb[i] {
-				return fmt.Errorf("replay diverges at eviction %d: %v vs %v", i, la[i], lb[i])
+				return nil, fmt.Errorf("replay diverges at eviction %d: %v vs %v", i, la[i], lb[i])
 			}
 		}
 		rep.ReplayEvictions = len(la)
@@ -279,15 +268,5 @@ func runStorageBench(seed uint64, outPath string, quick bool) error {
 		"hit_rates", rep.LRUHitRate, rep.LearnedHitRate, rep.HotHitLRU, rep.HotHitLearned)
 	fmt.Printf("%-24s evictions %d  identical %v\n",
 		"replay", rep.ReplayEvictions, rep.ReplayIdentical)
-
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	data = append(data, '\n')
-	if err := os.WriteFile(outPath, data, 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s\n", outPath)
-	return nil
+	return rep, nil
 }

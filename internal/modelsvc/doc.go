@@ -49,5 +49,5 @@
 //
 // docs/SERVING.md documents the registry layout, the rollout state machine,
 // the determinism contract, and how to read BENCH_serve.json from
-// `ml4db-bench -serve`.
+// `ml4db-bench -suite serve`.
 package modelsvc

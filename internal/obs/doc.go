@@ -17,7 +17,8 @@
 //     and every Span/Counter/Gauge/Histogram method is a no-op on a nil
 //     receiver. Instrumented hot paths therefore cost one pointer test and
 //     zero allocations when observability is disabled — verified by
-//     TestNilObservabilityAllocatesNothing and BENCH_obs.json.
+//     TestNilObservabilityAllocatesNothing and `ml4db-bench -suite obs`
+//     (.report.nil_path_allocs in BENCH_obs.json).
 //
 //   - Metrics are named and label-free. Names are dot-separated,
 //     lowercase, component-first: "exec.work", "nn.fit.epoch_loss",

@@ -52,65 +52,35 @@ echo "==> bench module (go vet + go test)"
 
 # Compile-and-run the kernel benchmarks once (-benchtime=1x): not a timing
 # measurement, just a guard that the serial-vs-parallel benchmark paths and
-# their determinism checks keep working. Full numbers: ml4db-bench -kernels.
+# their determinism checks keep working. Full numbers: ml4db-bench -suite kernels.
 echo "==> kernel benchmarks (smoke, 1 iteration)"
 go test -run '^$' -bench 'MatMul|MLPFit' -benchtime=1x ./internal/mlmath/ ./internal/nn/
 
-# Observability smoke: run one traced workload, then re-validate the emitted
-# JSONL with the standalone checker, so any drift in the span/metric schemas
-# fails the gate rather than silently breaking downstream consumers.
-echo "==> observability smoke (traced query + JSONL schema validation)"
+# Bench suites smoke: every registered suite at CI size. A suite that finds a
+# violated contract prints it and the command exits 1:
+#   kernels     parallel MatMul / MLP training not bit-identical
+#   obs         the nil (off) instrumentation path allocated
+#   trace       emitted span or metric JSONL fails its schema validator
+#   serve       registry round trip or batched inference not bit-identical,
+#               canary gate passed a worse candidate, queue overflow inexact
+#   engine      plan-cache hit accounting inexact or speedup < 1.5x, admission
+#               overflow inexact, a broken learned estimator cost a query
+#   storage     oversized scan wrong or leaked a pin, learned eviction not
+#               gated or not beating LRU, eviction replay diverged
+#   querystore  sys_statements disagrees with the executed workload, or two
+#               replays exported different or invalid JSONL
+#   autopilot   good index not adopted and kept, harmful view not dropped,
+#               ledger replay or sys_tuning disagrees
+#   exec        partitioned run differs from serial in rows, work, counters
+#               or typed budget abort; plan cache served the wrong parallelism
+# (The -race sweep above already covers the concurrent shard and buffer-pool
+# paths.) The standalone checker then re-validates the emitted JSONL, so
+# schema drift fails the gate rather than silently breaking consumers.
+echo "==> bench suites smoke (ml4db-bench -suite all -quick + JSONL schema validation)"
 obsdir=$(mktemp -d)
 trap 'rm -rf "$obsdir"' EXIT
-go run ./cmd/ml4db-bench -trace "$obsdir/spans.jsonl" -metrics "$obsdir/metrics.jsonl" -trace-queries 2
+go run ./cmd/ml4db-bench -suite all -quick -out-dir "$obsdir"
 go run ./cmd/ml4db-tracecheck -trace "$obsdir/spans.jsonl" -metrics "$obsdir/metrics.jsonl"
-
-# Serving smoke: exercise the modelsvc lifecycle end to end (registry round
-# trip, batched-vs-serial bit identity, canary gate blocking a worse
-# candidate, admission control) and re-validate its metrics JSONL. The bench
-# exits nonzero if any serving contract is violated.
-echo "==> serving smoke (modelsvc registry + batching + canary gate)"
-go run ./cmd/ml4db-bench -serve -quick -serve-out "$obsdir/BENCH_serve.json" -metrics "$obsdir/serve_metrics.jsonl"
-go run ./cmd/ml4db-tracecheck -metrics "$obsdir/serve_metrics.jsonl"
-
-# Engine smoke: run the query-session front end contracts end to end — exact
-# plan-cache hit accounting, >=1.5x repeated-workload speedup, admission
-# overflow exactness, and fallback-never-fails under a broken learned
-# estimator. The bench exits nonzero if any engine contract is violated.
-echo "==> engine smoke (plan cache + admission + fallback contracts)"
-go run ./cmd/ml4db-bench -engine -quick -engine-out "$obsdir/BENCH_engine.json"
-
-# Storage smoke: larger-than-memory scan correctness through a small pool,
-# learned-eviction canary gating (trained scorer promoted and beating LRU,
-# constant scorer rejected), and bit-identical eviction replay. The bench
-# exits nonzero if any storage contract is violated.
-echo "==> storage smoke (heap pages + buffer pool + learned eviction)"
-go run ./cmd/ml4db-bench -storage -quick -storage-out "$obsdir/BENCH_storage.json"
-
-# Querystore smoke: run a traced workload through the engine with the
-# workload observatory attached, read the accounting back through a real
-# `SELECT * FROM sys_statements` (the bench exits nonzero on any mismatch
-# or on a non-byte-identical replay export), then re-validate the emitted
-# querystore JSONL with the standalone checker.
-echo "==> querystore smoke (statement accounting + sys views + replay export)"
-go run ./cmd/ml4db-bench -querystore -quick -querystore-out "$obsdir/BENCH_querystore.json" -querystore-export "$obsdir/querystore.jsonl"
-go run ./cmd/ml4db-tracecheck -querystore "$obsdir/querystore.jsonl"
-
-# Autopilot smoke: close the self-driving loop on live telemetry — a mined
-# beneficial index adopted and kept through its shadow trial, an unselective
-# candidate rejected at the what-if gate, a stale-stats-baited harmful view
-# adopted then auto-dropped, byte-identical two-replay event ledgers, and
-# sys_tuning read back through SQL. The bench exits nonzero on any violation.
-echo "==> autopilot smoke (index adoption + canary revert + replay)"
-go run ./cmd/ml4db-bench -autopilot -quick -autopilot-out "$obsdir/BENCH_autopilot.json"
-
-# Executor smoke: partitioned parallel operators end to end — serial-vs-
-# parallel bit identity (rows, work, counters) including across pools with
-# different worker counts, budget-abort identity down to the typed error,
-# and plan-cache coherence across the parallelism knob. The bench exits
-# nonzero if any exchange contract is violated. (The -race sweep above
-# already covers the concurrent shard and buffer-pool paths.)
-echo "==> executor smoke (partitioned operators + determinism contracts)"
-go run ./cmd/ml4db-bench -exec -quick -exec-out "$obsdir/BENCH_exec.json"
+go run ./cmd/ml4db-tracecheck -metrics "$obsdir/serve_metrics.jsonl" -querystore "$obsdir/querystore.jsonl"
 
 echo "All checks passed."
