@@ -219,7 +219,7 @@ func storageSuite(seed uint64, quick bool, _ string) (any, error) {
 		hit, hotHit, err := driveTrace(pool, hf, trace, hotN)
 		return pool, hit, hotHit, err
 	}
-	_, rep.LRUHitRate, rep.HotHitLRU, err = run(storage.NewLRU(), false)
+	_, rep.LRUHitRate, rep.HotHitLRU, err = run(nil, false)
 	if err != nil {
 		return nil, err
 	}
@@ -236,7 +236,7 @@ func storageSuite(seed uint64, quick bool, _ string) (any, error) {
 	// Replay determinism: identical traces through fresh pools must evict
 	// the identical sequence, whichever policy is driving.
 	for _, policy := range []func() storage.Policy{
-		func() storage.Policy { return storage.NewLRU() },
+		func() storage.Policy { return nil },
 		func() storage.Policy { return storage.NewLearnedPolicy(gate) },
 	} {
 		a, _, _, err := run(policy(), true)

@@ -21,23 +21,34 @@
 // path (the spanend analyzer enforces this the same way it enforces
 // Span.End). A pinned page is never evicted — eviction with every frame
 // pinned fails with ErrAllPinned rather than corrupting a reader. Dirty
-// pages (SetDirty) are written back on eviction and on Flush.
+// pages (SetDirty) are written back on eviction and on Flush. Frames and
+// their page buffers are recycled, so a page pointer is valid only until
+// Unpin: after that its buffer may be refilled with another page.
+//
+// The frames sit on one intrusive recency list (list.go), coldest to
+// hottest. A hit costs a map lookup and four pointer writes; an LRU miss is
+// O(1) and allocates nothing but its handle: the incoming page is read and
+// verified into the pool's one spare buffer, and only then is the first
+// unpinned frame from the cold end written back and re-keyed in place — so
+// a failed read costs no resident page.
 //
 // # Determinism
 //
 // The pool is a determinism-core package: it keeps a logical access tick
-// instead of wall-clock time, eviction candidates are offered to the policy
-// in sorted key order, and ties break toward the lowest key. Same trace +
-// same policy (and, for the learned policy, same training seed) therefore
-// reproduce a bit-identical eviction sequence — the replay contract the
-// -storage benchmark verifies, mirroring the mlmath.Clock/Pool contracts.
+// instead of wall-clock time, the tick is unique per access so the recency
+// order has no ties, and a policy that scores candidates breaks score ties
+// toward the lowest key. Same trace + same policy (and, for the learned
+// policy, same training seed) therefore reproduce a bit-identical eviction
+// sequence — the replay contract the storage bench suite verifies,
+// mirroring the mlmath.Clock/Pool contracts.
 //
 // # Learned eviction
 //
-// Policy is the eviction interface; LRU is the deterministic baseline. A
-// LearnedPolicy instead scores each candidate's predicted forward reuse
-// distance with a modelsvc.Predictor and evicts the page predicted to be
-// needed furthest in the future (the Belady direction). The predictor is
+// A nil PoolOptions.Policy is LRU, served from the pool's own list. Policy
+// is the interface for anything else: a LearnedPolicy scores each unpinned
+// resident's predicted forward reuse distance with a modelsvc.Predictor —
+// O(capacity) per miss, the model's cost — and evicts the page predicted to
+// be needed furthest in the future (the Belady direction). The predictor is
 // deployed through Gate — a modelsvc.Rollout whose incumbent is the Recency
 // heuristic (predicted reuse = time since last access, which makes the
 // learned policy behave exactly like LRU) — so a trained model serves

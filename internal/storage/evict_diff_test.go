@@ -1,0 +1,373 @@
+package storage
+
+import (
+	"errors"
+	"fmt"
+	"os"
+	"reflect"
+	"testing"
+
+	"ml4db/internal/mlmath"
+)
+
+// refPool is the eviction rule the pool had before it kept a recency list,
+// written the slow obvious way as the oracle: among unpinned residents evict
+// the minimum last-access tick, or — given a scorer — the maximum score with
+// ties to the lowest PageKey. It scans a map, so it cannot lean on any order.
+type refPool struct {
+	cap    int
+	score  func(age uint64) float64 // nil: LRU
+	tick   uint64
+	pages  map[PageKey]*refPage
+	files  map[*HeapFile]uint32
+	nextID uint32
+	log    []PageKey
+	st     PoolStats
+}
+
+type refPage struct {
+	hf    *HeapFile
+	last  uint64
+	pins  int
+	dirty bool
+}
+
+func (r *refPool) victim() (best PageKey, found bool) {
+	var bestScore float64
+	for k, pg := range r.pages {
+		if pg.pins > 0 {
+			continue
+		}
+		s := -float64(pg.last)
+		if r.score != nil {
+			s = r.score(r.tick - pg.last)
+		}
+		if !found || s > bestScore || (s == bestScore && k.Less(best)) {
+			best, bestScore, found = k, s, true
+		}
+	}
+	return best, found
+}
+
+// fetch mirrors Pool.Fetch; ok is false where the pool must report
+// *AllPinnedError.
+func (r *refPool) fetch(hf *HeapFile, pageNo int) (key PageKey, missed, ok bool) {
+	r.tick++
+	id, known := r.files[hf]
+	if !known {
+		id = r.nextID
+		r.nextID++
+		r.files[hf] = id
+	}
+	key = PageKey{File: id, Page: uint32(pageNo)}
+	if pg := r.pages[key]; pg != nil {
+		r.st.Hits++
+		pg.last = r.tick
+		pg.pins++
+		return key, false, true
+	}
+	if len(r.pages) >= r.cap {
+		v, found := r.victim()
+		if !found {
+			return key, false, false
+		}
+		if r.pages[v].dirty {
+			r.st.Writebacks++
+		}
+		delete(r.pages, v)
+		r.st.Evictions++
+		r.log = append(r.log, v)
+	}
+	r.st.Misses++
+	r.pages[key] = &refPage{hf: hf, last: r.tick, pins: 1}
+	return key, true, true
+}
+
+// fetchScan mirrors Pool.FetchScan: a resident page is pinned and counted,
+// nothing else moves. pinned reports whether the handle holds a frame.
+func (r *refPool) fetchScan(hf *HeapFile, pageNo int) (key PageKey, pinned bool) {
+	if id, known := r.files[hf]; known {
+		key = PageKey{File: id, Page: uint32(pageNo)}
+		if pg := r.pages[key]; pg != nil {
+			r.st.Hits++
+			pg.pins++
+			return key, true
+		}
+	}
+	r.st.Misses++
+	return key, false
+}
+
+// release mirrors Pool.ReleaseFile; false where the pool must refuse.
+func (r *refPool) release(hf *HeapFile) bool {
+	for _, pg := range r.pages {
+		if pg.hf == hf && pg.pins > 0 {
+			return false
+		}
+	}
+	for k, pg := range r.pages {
+		if pg.hf == hf {
+			if pg.dirty {
+				r.st.Writebacks++
+			}
+			delete(r.pages, k)
+		}
+	}
+	delete(r.files, hf)
+	return true
+}
+
+func (r *refPool) stats() PoolStats {
+	st := r.st
+	st.Resident = len(r.pages)
+	for _, pg := range r.pages {
+		if pg.pins > 0 {
+			st.Pinned++
+		}
+	}
+	return st
+}
+
+// heldPin is a pin both sides still hold; key is zero-valued and pinned
+// false for a FetchScan bypass handle.
+type heldPin struct {
+	h      *PageHandle
+	key    PageKey
+	pinned bool
+}
+
+// diffTrace drives the real pool and the reference side by side over one
+// seeded random trace and fails at the first step they disagree on.
+func diffTrace(t *testing.T, name string, capacity int, policy Policy, score func(uint64) float64, seed uint64, files []*HeapFile) {
+	t.Helper()
+	pool := NewPool(PoolOptions{Capacity: capacity, Policy: policy, RecordEvictions: true})
+	ref := &refPool{cap: capacity, score: score, pages: map[PageKey]*refPage{}, files: map[*HeapFile]uint32{}}
+	rng := mlmath.NewRNG(seed)
+	var held []heldPin
+	allPinned := 0
+	unpin := func(i int) {
+		hp := held[i]
+		hp.h.Unpin()
+		if hp.pinned {
+			ref.pages[hp.key].pins--
+		}
+		held[i] = held[len(held)-1]
+		held = held[:len(held)-1]
+	}
+	steps := 1500 + 40*capacity
+	for step := 0; step < steps; step++ {
+		hf := files[rng.Intn(len(files))]
+		pageNo := rng.Intn(hf.NumPages())
+		at := fmt.Sprintf("%s cap %d seed %d step %d", name, capacity, seed, step)
+		switch op := rng.Intn(100); {
+		case op < 70: // Fetch, sometimes dirtied, sometimes held across later fetches
+			h, err := pool.Fetch(hf, pageNo)
+			key, missed, ok := ref.fetch(hf, pageNo)
+			if !ok {
+				var ap *AllPinnedError
+				if !errors.As(err, &ap) {
+					t.Fatalf("%s: Fetch err = %v, want *AllPinnedError", at, err)
+				}
+				allPinned++
+				continue
+			}
+			if err != nil {
+				t.Fatalf("%s: Fetch: %v", at, err)
+			}
+			if h.Missed() != missed || h.Page().PageNo() != pageNo {
+				t.Fatalf("%s: Fetch missed=%v page=%d, want missed=%v page=%d", at, h.Missed(), h.Page().PageNo(), missed, pageNo)
+			}
+			if rng.Intn(4) == 0 {
+				h.SetDirty()
+				ref.pages[key].dirty = true
+			}
+			held = append(held, heldPin{h, key, true})
+			if rng.Intn(5) != 0 {
+				unpin(len(held) - 1)
+			}
+		case op < 80: // FetchScan in between: must not move the recency order
+			h, err := pool.FetchScan(hf, pageNo)
+			if err != nil {
+				t.Fatalf("%s: FetchScan: %v", at, err)
+			}
+			key, pinned := ref.fetchScan(hf, pageNo)
+			if h.Missed() == pinned || h.Page().PageNo() != pageNo {
+				t.Fatalf("%s: FetchScan missed=%v page=%d, want missed=%v page=%d", at, h.Missed(), h.Page().PageNo(), !pinned, pageNo)
+			}
+			held = append(held, heldPin{h, key, pinned})
+			if rng.Intn(3) != 0 {
+				unpin(len(held) - 1)
+			}
+		case op < 98:
+			if len(held) > 0 {
+				unpin(rng.Intn(len(held)))
+			}
+		default: // ReleaseFile mid-trace; the next fetch re-registers the file
+			err := pool.ReleaseFile(hf)
+			if ok := ref.release(hf); ok != (err == nil) || (err != nil && !errors.Is(err, ErrAllPinned)) {
+				t.Fatalf("%s: ReleaseFile err = %v, reference released = %v", at, err, ok)
+			}
+		}
+		if got, want := pool.Stats(), ref.stats(); got != want {
+			t.Fatalf("%s: stats = %+v, want %+v", at, got, want)
+		}
+		if n := len(ref.log); n != len(pool.evictLog) || (n > 0 && pool.evictLog[n-1] != ref.log[n-1]) {
+			t.Fatalf("%s: eviction log ends %v, want %v", at, pool.evictLog[max(0, len(pool.evictLog)-3):], ref.log[max(0, n-3):])
+		}
+	}
+	if got := pool.EvictionLog(); len(got) != len(ref.log) || (len(got) > 0 && !reflect.DeepEqual(got, ref.log)) {
+		t.Fatalf("%s cap %d seed %d: eviction log %v, want %v", name, capacity, seed, got, ref.log)
+	}
+	if capacity <= 2 && allPinned == 0 {
+		t.Errorf("%s cap %d seed %d: trace never hit the all-pinned point", name, capacity, seed)
+	}
+	if capacity >= 4 && len(ref.log) == 0 {
+		t.Errorf("%s cap %d seed %d: trace never evicted", name, capacity, seed)
+	}
+}
+
+// TestEvictionMatchesReference is the differential test behind "the recency
+// list changed the cost of eviction and nothing else": LRU from the list,
+// the learned policy under the Recency scorer (which must equal LRU) and a
+// constant scorer (every score ties, so the lowest key goes) each evict the
+// reference's exact sequence, with the same counters and the same
+// all-pinned points.
+func TestEvictionMatchesReference(t *testing.T) {
+	files := []*HeapFile{newPooledFile(t, "a.heap", 90), newPooledFile(t, "b.heap", 70)}
+	constant := func(uint64) float64 { return 1 }
+	for _, capacity := range []int{1, 2, 3, 4, 5, 6, 7, 8, 128} {
+		for seed := uint64(1); seed <= 3; seed++ {
+			diffTrace(t, "lru", capacity, nil, nil, seed, files)
+			diffTrace(t, "learned-recency", capacity, NewLearnedPolicy(Recency{}), nil, seed, files)
+			diffTrace(t, "constant", capacity, NewLearnedPolicy(predictorFunc(func([]float64) float64 { return 1 })), constant, seed, files)
+		}
+	}
+}
+
+// roguePolicy answers Victim with whatever the test tells it to.
+type roguePolicy struct{ answer func(cands []PageKey) PageKey }
+
+func (roguePolicy) Name() string                           { return "rogue" }
+func (roguePolicy) OnAccess(PageKey, uint64)               {}
+func (roguePolicy) OnRemove(PageKey)                       {}
+func (r roguePolicy) Victim(c []PageKey, _ uint64) PageKey { return r.answer(c) }
+
+// TestPoolSurvivesRoguePolicy: a Policy naming a page that is not resident,
+// or one that is pinned, is overridden to the coldest unpinned frame — it
+// can make eviction worse, never corrupt the pool or evict under a reader.
+func TestPoolSurvivesRoguePolicy(t *testing.T) {
+	hf := newPooledFile(t, "t.heap", 6)
+	var pinnedKey PageKey
+	for name, answer := range map[string]func([]PageKey) PageKey{
+		"non-resident": func([]PageKey) PageKey { return PageKey{File: 9, Page: 9} },
+		"pinned":       func([]PageKey) PageKey { return pinnedKey },
+	} {
+		pool := NewPool(PoolOptions{Capacity: 3, Policy: roguePolicy{answer}, RecordEvictions: true})
+		fetchAndRelease(t, pool, hf, 0)
+		held, err := pool.Fetch(hf, 1) // pinned throughout
+		if err != nil {
+			t.Fatal(err)
+		}
+		pinnedKey = PageKey{File: 0, Page: 1}
+		fetchAndRelease(t, pool, hf, 2)
+		fetchAndRelease(t, pool, hf, 0) // order cold → hot: 1 (pinned), 2, 0
+		fetchAndRelease(t, pool, hf, 3) // coldest unpinned is 2
+		fetchAndRelease(t, pool, hf, 4) // then 0
+		want := []PageKey{{File: 0, Page: 2}, {File: 0, Page: 0}}
+		if got := pool.EvictionLog(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: eviction log = %v, want %v", name, got, want)
+		}
+		row := make([]int64, 1)
+		if !held.Page().ReadTuple(0, row) || row[0] != 1 {
+			t.Fatalf("%s: pinned page was overwritten: %v", name, row)
+		}
+		held.Unpin()
+		if st := pool.Stats(); st.Resident != 3 || st.Pinned != 0 || st.Evictions != 2 {
+			t.Fatalf("%s: stats = %+v", name, st)
+		}
+		for _, pageNo := range []int{1, 3, 4} {
+			if fetchAndRelease(t, pool, hf, pageNo) {
+				t.Fatalf("%s: page %d should still be resident", name, pageNo)
+			}
+		}
+	}
+}
+
+// TestFailedReadCostsNoResidentPage: with the pool full, a fetch whose page
+// fails its checksum must leave the resident set, the recency order, the
+// policy and the eviction log exactly as they were — the victim is only
+// evicted once the incoming page has been read and verified.
+func TestFailedReadCostsNoResidentPage(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		policy func() Policy
+	}{
+		{"lru", func() Policy { return nil }},
+		{"learned", func() Policy { return NewLearnedPolicy(Recency{}) }},
+	} {
+		hf := newPooledFile(t, tc.name+".heap", 4)
+		f, err := os.OpenFile(hf.Path(), os.O_RDWR, 0o644)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.WriteAt([]byte{0xAB}, 3*PageSize+PageSize/2); err != nil { // tear page 3
+			t.Fatal(err)
+		}
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
+		}
+		pool := NewPool(PoolOptions{Capacity: 2, Policy: tc.policy(), RecordEvictions: true})
+		h, err := pool.Fetch(hf, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h.SetDirty() // the would-be victim is dirty: it must not be written back either
+		h.Unpin()
+		fetchAndRelease(t, pool, hf, 1)
+		before := pool.Stats()
+		if _, err := pool.Fetch(hf, 3); !errors.Is(err, ErrChecksum) {
+			t.Fatalf("%s: fetch of torn page: got %v, want ErrChecksum", tc.name, err)
+		}
+		if after := pool.Stats(); after != before {
+			t.Fatalf("%s: failed fetch changed the pool: %+v -> %+v", tc.name, before, after)
+		}
+		if log := pool.EvictionLog(); len(log) != 0 {
+			t.Fatalf("%s: failed fetch evicted %v", tc.name, log)
+		}
+		// The next good miss evicts page 0 — still resident, still the coldest
+		// — and page 1 still hits.
+		fetchAndRelease(t, pool, hf, 2)
+		if got, want := pool.EvictionLog(), []PageKey{{File: 0, Page: 0}}; !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: eviction log = %v, want %v", tc.name, got, want)
+		}
+		if fetchAndRelease(t, pool, hf, 1) {
+			t.Fatalf("%s: page 1 was lost to the failed fetch", tc.name)
+		}
+		if st := pool.Stats(); st.Writebacks != 1 {
+			t.Fatalf("%s: writebacks = %d, want 1 (the dirty victim, once)", tc.name, st.Writebacks)
+		}
+	}
+}
+
+// TestReleaseFileForgetsTheFile: releasing drops the registration too, so a
+// reopen cycle does not keep every closed HeapFile reachable from the pool;
+// ids keep growing, so keys never alias a released file's.
+func TestReleaseFileForgetsTheFile(t *testing.T) {
+	var seen PageKey
+	pool := NewPool(PoolOptions{Capacity: 4, Observer: func(k PageKey, _ bool) { seen = k }})
+	for cycle := 0; cycle < 3; cycle++ {
+		hf := newPooledFile(t, fmt.Sprintf("c%d.heap", cycle), 2)
+		fetchAndRelease(t, pool, hf, 0)
+		if err := pool.ReleaseFile(hf); err != nil {
+			t.Fatal(err)
+		}
+		if n := len(pool.files); n != 0 {
+			t.Fatalf("cycle %d: %d files still registered after release", cycle, n)
+		}
+	}
+	hf := newPooledFile(t, "last.heap", 1)
+	fetchAndRelease(t, pool, hf, 0)
+	if seen.File != 3 {
+		t.Fatalf("file id after three release cycles = %d, want 3", seen.File)
+	}
+}

@@ -101,41 +101,40 @@ func (g *Gate) ObserveSamples(samples []Sample) (promotions, rejections int) {
 func (g *Gate) Demote() bool { return g.roll.Demote() }
 
 // shadowLRU simulates an LRU cache of fixed capacity over page keys only —
-// no I/O, no frames — to score what LRU's hit rate would have been on the
-// exact access sequence the live pool served.
+// no I/O, no pages: key-only frames on the package's one recency list — to
+// score what LRU's hit rate would have been on the exact access sequence the
+// live pool served.
 type shadowLRU struct {
-	cap  int
-	tick uint64
-	last map[PageKey]uint64
+	cap   int
+	nodes map[PageKey]*frame
+	lru   recency
 }
 
 func newShadowLRU(capacity int) *shadowLRU {
 	if capacity < 1 {
 		capacity = 1
 	}
-	return &shadowLRU{cap: capacity, last: make(map[PageKey]uint64, capacity)}
+	s := &shadowLRU{cap: capacity, nodes: make(map[PageKey]*frame, capacity)}
+	s.lru.init()
+	return s
 }
 
-// access records one access, returning whether it would have hit.
+// access records one access, returning whether it would have hit. A miss
+// on a full cache re-keys the coldest node in place.
 func (s *shadowLRU) access(key PageKey) bool {
-	s.tick++
-	if _, ok := s.last[key]; ok {
-		s.last[key] = s.tick
-		return true
-	}
-	if len(s.last) >= s.cap {
-		var victim PageKey
-		var victimTick uint64
-		first := true
-		for k, t := range s.last {
-			if first || t < victimTick || (t == victimTick && k.Less(victim)) {
-				victim, victimTick, first = k, t, false
-			}
+	fr, hit := s.nodes[key]
+	if !hit {
+		if len(s.nodes) < s.cap {
+			fr = &frame{}
+		} else {
+			fr = s.lru.coldest()
+			delete(s.nodes, fr.key)
 		}
-		delete(s.last, victim)
+		fr.key = key
+		s.nodes[key] = fr
 	}
-	s.last[key] = s.tick
-	return false
+	s.lru.touch(fr)
+	return hit
 }
 
 // Guard watches the live pool's hit rate against a shadowed LRU simulation

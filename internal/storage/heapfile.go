@@ -180,14 +180,25 @@ func (hf *HeapFile) AllocPage() (int, error) {
 
 // ReadPage reads and verifies pageNo from disk into a fresh Page.
 func (hf *HeapFile) ReadPage(pageNo int) (*Page, error) {
+	p, err := hf.readPageInto(make([]byte, PageSize), pageNo)
+	if err != nil {
+		return nil, err
+	}
+	return &p, nil
+}
+
+// readPageInto is ReadPage into a caller-owned PageSize buffer, which the
+// returned Page retains — the form the pool recycles frame buffers through.
+func (hf *HeapFile) readPageInto(buf []byte, pageNo int) (Page, error) {
 	if pageNo < 0 || pageNo >= hf.NumPages() {
-		return nil, fmt.Errorf("storage: page %d out of range of %s (%d pages)", pageNo, hf.path, hf.NumPages())
+		return Page{}, fmt.Errorf("storage: page %d out of range of %s (%d pages)", pageNo, hf.path, hf.NumPages())
 	}
-	buf := make([]byte, PageSize)
-	if _, err := hf.f.ReadAt(buf, int64(pageNo)*PageSize); err != nil && !errors.Is(err, io.EOF) {
-		return nil, fmt.Errorf("storage: reading page %d of %s: %w", pageNo, hf.path, err)
+	n, err := hf.f.ReadAt(buf, int64(pageNo)*PageSize)
+	if err != nil && !errors.Is(err, io.EOF) {
+		return Page{}, fmt.Errorf("storage: reading page %d of %s: %w", pageNo, hf.path, err)
 	}
-	return PageFromBytes(buf, hf.path, pageNo)
+	clear(buf[n:]) // a short read must not verify against a recycled buffer's stale tail
+	return parsePage(buf, hf.path, pageNo)
 }
 
 // WritePage checksums and writes p back to its slot in the file.

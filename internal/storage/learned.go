@@ -17,11 +17,16 @@ const FeatureDim = 3
 // inter-access gap). The same encoding feeds training and serving, so a
 // scorer's inputs replay bit-identically.
 func EvictionFeatures(recency, count, gap uint64) []float64 {
-	return []float64{
-		math.Log1p(float64(recency)),
-		math.Log1p(float64(count)),
-		math.Log1p(float64(gap)),
-	}
+	return fillFeatures(make([]float64, FeatureDim), recency, count, gap)
+}
+
+// fillFeatures is EvictionFeatures into x (FeatureDim long), for the
+// eviction path, which scores every candidate through one scratch vector.
+func fillFeatures(x []float64, recency, count, gap uint64) []float64 {
+	x[0] = math.Log1p(float64(recency))
+	x[1] = math.Log1p(float64(count))
+	x[2] = math.Log1p(float64(gap))
+	return x
 }
 
 // Recency is the LRU-equivalent heuristic scorer: the predicted forward
@@ -41,12 +46,19 @@ type pageStat struct {
 	count uint64 // lifetime accesses while resident
 }
 
-func (s *pageStat) features(tick uint64) []float64 {
+// access records one access at tick.
+func (s *pageStat) access(tick uint64) {
+	s.prev, s.last = s.last, tick
+	s.count++
+}
+
+// features encodes the history as of tick into x.
+func (s *pageStat) features(x []float64, tick uint64) []float64 {
 	gap := uint64(0)
 	if s.prev > 0 {
 		gap = s.last - s.prev
 	}
-	return EvictionFeatures(tick-s.last, s.count, gap)
+	return fillFeatures(x, tick-s.last, s.count, gap)
 }
 
 // LearnedPolicy evicts the candidate whose predicted forward reuse
@@ -58,12 +70,13 @@ func (s *pageStat) features(tick uint64) []float64 {
 // corrupting eviction.
 type LearnedPolicy struct {
 	scorer modelsvc.Predictor
-	st     map[PageKey]*pageStat
+	st     map[PageKey]pageStat
+	x      [FeatureDim]float64 // scratch: the scorer must not retain its input
 }
 
 // NewLearnedPolicy returns a learned eviction policy over scorer.
 func NewLearnedPolicy(scorer modelsvc.Predictor) *LearnedPolicy {
-	return &LearnedPolicy{scorer: scorer, st: make(map[PageKey]*pageStat)}
+	return &LearnedPolicy{scorer: scorer, st: make(map[PageKey]pageStat)}
 }
 
 // Name implements Policy.
@@ -72,26 +85,21 @@ func (l *LearnedPolicy) Name() string { return "learned" }
 // OnAccess implements Policy.
 func (l *LearnedPolicy) OnAccess(key PageKey, tick uint64) {
 	s := l.st[key]
-	if s == nil {
-		s = &pageStat{}
-		l.st[key] = s
-	}
-	s.prev = s.last
-	s.last = tick
-	s.count++
+	s.access(tick)
+	l.st[key] = s
 }
 
 // OnRemove implements Policy.
 func (l *LearnedPolicy) OnRemove(key PageKey) { delete(l.st, key) }
 
-// Victim implements Policy: the first strict maximum of the predicted
-// reuse distances over the sorted candidates, so ties break toward the
-// lowest key.
+// Victim implements Policy: the maximum predicted reuse distance, ties
+// broken toward the lowest key whatever order the candidates arrive in.
 func (l *LearnedPolicy) Victim(cands []PageKey, tick uint64) PageKey {
 	best := cands[0]
 	bestScore := l.score(best, tick)
 	for _, k := range cands[1:] {
-		if s := l.score(k, tick); s > bestScore {
+		//ml4db:allow floateq "a tie is two equal scores, not two close ones: only exact equality falls through to the key order"
+		if s := l.score(k, tick); s > bestScore || (s == bestScore && k.Less(best)) {
 			best, bestScore = k, s
 		}
 	}
@@ -99,13 +107,13 @@ func (l *LearnedPolicy) Victim(cands []PageKey, tick uint64) PageKey {
 }
 
 func (l *LearnedPolicy) score(key PageKey, tick uint64) float64 {
-	s := l.st[key]
-	if s == nil {
+	s, ok := l.st[key]
+	if !ok {
 		// Never accessed while resident — should not happen, but an unknown
 		// page is the safest eviction.
 		return math.MaxFloat64
 	}
-	x := s.features(tick)
+	x := s.features(l.x[:], tick)
 	v := l.scorer.Predict(x)
 	if math.IsNaN(v) || math.IsInf(v, 0) {
 		return x[0] // recency fallback: degrade toward LRU, never corrupt
@@ -142,21 +150,16 @@ func TraceSamples(trace []PageKey, horizon int) []Sample {
 		}
 		lastSeen[trace[i]] = i
 	}
-	st := make(map[PageKey]*pageStat, 64)
+	st := make(map[PageKey]pageStat, 64)
 	var out []Sample
 	for i, key := range trace {
 		tick := uint64(i + 1)
-		if s := st[key]; s != nil {
-			out = append(out, Sample{X: s.features(tick), Y: math.Log1p(float64(next[i]))})
+		s, seen := st[key]
+		if seen {
+			out = append(out, Sample{X: s.features(make([]float64, FeatureDim), tick), Y: math.Log1p(float64(next[i]))})
 		}
-		s := st[key]
-		if s == nil {
-			s = &pageStat{}
-			st[key] = s
-		}
-		s.prev = s.last
-		s.last = tick
-		s.count++
+		s.access(tick)
+		st[key] = s
 	}
 	return out
 }

@@ -11,7 +11,7 @@ func TestRecencyUnderLearnedPolicyIsLRU(t *testing.T) {
 	// feature, so argmax-prediction eviction must reproduce LRU's choices on
 	// any trace.
 	pattern := accessPattern(12, 300)
-	lru := runTrace(t, func() Policy { return NewLRU() }, "lru.heap", pattern, 12)
+	lru := runTrace(t, func() Policy { return nil }, "lru.heap", pattern, 12)
 	rec := runTrace(t, func() Policy { return NewLearnedPolicy(Recency{}) }, "rec.heap", pattern, 12)
 	if len(lru) == 0 || !reflect.DeepEqual(lru, rec) {
 		t.Fatalf("learned(Recency) diverges from LRU:\n%v\n%v", lru, rec)

@@ -68,22 +68,32 @@ func NewPage(pageNo, ncols int) *Page {
 // retained, not copied), verifying the checksum and the header's internal
 // consistency. path and pageNo label the error on failure.
 func PageFromBytes(buf []byte, path string, pageNo int) (*Page, error) {
+	p, err := parsePage(buf, path, pageNo)
+	if err != nil {
+		return nil, err
+	}
+	return &p, nil
+}
+
+// parsePage is PageFromBytes by value, so the pool can refill a recycled
+// Page in place without allocating.
+func parsePage(buf []byte, path string, pageNo int) (Page, error) {
 	if len(buf) != PageSize {
-		return nil, fmt.Errorf("storage: page buffer is %d bytes, want %d", len(buf), PageSize)
+		return Page{}, fmt.Errorf("storage: page buffer is %d bytes, want %d", len(buf), PageSize)
 	}
 	stored := binary.LittleEndian.Uint32(buf[0:4])
 	if stored != crc32.ChecksumIEEE(buf[4:]) {
-		return nil, &ChecksumError{Path: path, PageNo: pageNo}
+		return Page{}, &ChecksumError{Path: path, PageNo: pageNo}
 	}
 	ncols := int(binary.LittleEndian.Uint16(buf[8:10]))
 	nslots := int(binary.LittleEndian.Uint16(buf[10:12]))
 	if ncols < 1 || nslots != SlotsPerPage(ncols) {
-		return nil, &ChecksumError{Path: path, PageNo: pageNo}
+		return Page{}, &ChecksumError{Path: path, PageNo: pageNo}
 	}
 	if got := int(binary.LittleEndian.Uint32(buf[4:8])); got != pageNo {
-		return nil, fmt.Errorf("storage: page %d of %s carries page number %d", pageNo, path, got)
+		return Page{}, fmt.Errorf("storage: page %d of %s carries page number %d", pageNo, path, got)
 	}
-	return &Page{buf: buf, ncols: ncols, nslots: nslots}, nil
+	return Page{buf: buf, ncols: ncols, nslots: nslots}, nil
 }
 
 // UpdateChecksum recomputes the header checksum over the page contents.

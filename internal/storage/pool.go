@@ -3,7 +3,6 @@ package storage
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 
 	"ml4db/internal/obs"
@@ -33,8 +32,8 @@ type PageKey struct {
 	Page uint32
 }
 
-// Less orders keys (file, then page) — the deterministic tie-break order
-// used everywhere candidates are enumerated.
+// Less orders keys (file, then page) — the deterministic order policies
+// break score ties in.
 func (k PageKey) Less(o PageKey) bool {
 	if k.File != o.File {
 		return k.File < o.File
@@ -42,12 +41,15 @@ func (k PageKey) Less(o PageKey) bool {
 	return k.Page < o.Page
 }
 
-// Policy decides which unpinned resident page to evict. The pool owns the
-// policy and drives it single-threaded under its lock: OnAccess on every
-// fetch (hit or load), OnRemove when a page leaves the pool, Victim when a
-// frame must be freed. Candidates arrive sorted by PageKey; implementations
-// must return one of them and should break score ties toward the earliest
-// candidate so eviction sequences replay bit-identically.
+// Policy decides which unpinned resident page to evict when something other
+// than the pool's own LRU order is wanted. The pool owns the policy and
+// drives it single-threaded under its lock: OnAccess on every fetch (hit or
+// load), OnRemove when a page leaves the pool, Victim when a frame must be
+// freed. Candidates arrive coldest (least recently used) first, in a slice
+// the pool reuses and the policy must not retain; implementations must
+// return one of them and must break score ties toward the lower PageKey
+// explicitly, so eviction sequences replay bit-identically. Anything else
+// returned is overridden to the coldest candidate.
 type Policy interface {
 	Name() string
 	OnAccess(key PageKey, tick uint64)
@@ -59,7 +61,8 @@ type Policy interface {
 type PoolOptions struct {
 	// Capacity is the frame count; values below one default to 64.
 	Capacity int
-	// Policy selects eviction victims; nil defaults to NewLRU().
+	// Policy selects eviction victims; nil is LRU, served in O(1) from the
+	// pool's own recency list.
 	Policy Policy
 	// Metrics, when non-nil, receives storage.pool.* instruments.
 	Metrics *obs.Registry
@@ -71,16 +74,6 @@ type PoolOptions struct {
 	Observer func(key PageKey, hit bool)
 }
 
-// frame is one resident page.
-type frame struct {
-	key      PageKey
-	hf       *HeapFile
-	page     *Page
-	pins     int
-	dirty    bool
-	lastTick uint64
-}
-
 // Pool is the buffer pool: a fixed number of frames caching heap-file pages
 // with pin/unpin discipline, dirty tracking and write-back, and pluggable
 // eviction. All state transitions happen under one mutex, in caller order,
@@ -90,6 +83,9 @@ type Pool struct {
 	mu     sync.Mutex
 	opts   PoolOptions
 	frames map[PageKey]*frame
+	lru    recency   // every resident frame, cold to hot
+	spare  []byte    // the last victim's page buffer, refilled by the next miss
+	cands  []PageKey // scratch for Policy.Victim
 	files  map[*HeapFile]uint32
 	nextID uint32
 	tick   uint64
@@ -109,14 +105,12 @@ func NewPool(opts PoolOptions) *Pool {
 	if opts.Capacity < 1 {
 		opts.Capacity = 64
 	}
-	if opts.Policy == nil {
-		opts.Policy = NewLRU()
-	}
 	p := &Pool{
 		opts:   opts,
 		frames: make(map[PageKey]*frame, opts.Capacity),
 		files:  make(map[*HeapFile]uint32),
 	}
+	p.lru.init()
 	if m := opts.Metrics; m != nil {
 		p.cHits = m.Counter("storage.pool.hits")
 		p.cMisses = m.Counter("storage.pool.misses")
@@ -131,7 +125,12 @@ func NewPool(opts PoolOptions) *Pool {
 func (p *Pool) Capacity() int { return p.opts.Capacity }
 
 // PolicyName returns the active eviction policy's name.
-func (p *Pool) PolicyName() string { return p.opts.Policy.Name() }
+func (p *Pool) PolicyName() string {
+	if p.opts.Policy == nil {
+		return "lru"
+	}
+	return p.opts.Policy.Name()
+}
 
 // fileID registers hf on first use. Registration order follows first-fetch
 // order, so key assignment is deterministic for a deterministic workload.
@@ -159,7 +158,8 @@ type PageHandle struct {
 	released bool
 }
 
-// Page returns the pinned page. Valid until Unpin.
+// Page returns the pinned page. Valid until Unpin: after that the frame may
+// be evicted and the same Page refilled with another page's bytes.
 func (h *PageHandle) Page() *Page {
 	if h.fr == nil {
 		return h.page
@@ -202,38 +202,82 @@ func (h *PageHandle) Unpin() {
 }
 
 // Fetch pins pageNo of hf into the pool, reading it from disk on a miss
-// (evicting an unpinned victim first when the pool is full) and returns the
-// handle. With every frame pinned it fails with *AllPinnedError; a page
-// that fails its checksum on load surfaces as *ChecksumError.
+// (into the frame of an unpinned victim when the pool is full) and returns
+// the handle. With every frame pinned it fails with *AllPinnedError; a page
+// that fails its checksum on load surfaces as *ChecksumError. A failed Fetch
+// leaves the resident set, the recency order and the policy as they were.
 func (p *Pool) Fetch(hf *HeapFile, pageNo int) (*PageHandle, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.tick++
 	key := PageKey{File: p.fileID(hf), Page: uint32(pageNo)}
-	if fr, ok := p.frames[key]; ok {
+	fr, hit := p.frames[key]
+	if hit {
 		p.hits++
 		p.cHits.Inc()
 		p.hReuse.Observe(float64(p.tick - fr.lastTick))
-		fr.lastTick = p.tick
 		fr.pins++
-		p.notifyLocked(key, true)
-		return &PageHandle{pool: p, fr: fr, missed: false}, nil
-	}
-	if len(p.frames) >= p.opts.Capacity {
-		if err := p.evictLocked(); err != nil {
+	} else {
+		var err error
+		if fr, err = p.loadLocked(hf, key); err != nil {
 			return nil, err
 		}
+		p.misses++
+		p.cMisses.Inc()
 	}
-	page, err := hf.ReadPage(pageNo)
+	fr.lastTick = p.tick
+	p.lru.touch(fr)
+	p.notifyLocked(key, hit)
+	return &PageHandle{pool: p, fr: fr, missed: !hit}, nil
+}
+
+// notifyLocked drives the policy and observer for one access, in access
+// order under the pool lock.
+func (p *Pool) notifyLocked(key PageKey, hit bool) {
+	if p.opts.Policy != nil {
+		p.opts.Policy.OnAccess(key, p.tick)
+	}
+	if p.opts.Observer != nil {
+		p.opts.Observer(key, hit)
+	}
+}
+
+// loadLocked reads key's page into a frame pinned once: a fresh frame while
+// the pool is filling, afterwards the victim's, re-keyed in place. The page
+// is read and verified into the spare buffer before the victim is touched —
+// a failed read must not cost a resident page — and the victim's buffer is
+// the next spare, so a steady-state miss allocates nothing here.
+func (p *Pool) loadLocked(hf *HeapFile, key PageKey) (*frame, error) {
+	var fr *frame
+	if len(p.frames) >= p.opts.Capacity {
+		if fr = p.victimLocked(); fr == nil {
+			return nil, &AllPinnedError{Capacity: p.opts.Capacity}
+		}
+	}
+	if p.spare == nil {
+		p.spare = make([]byte, PageSize)
+	}
+	page, err := hf.readPageInto(p.spare, int(key.Page))
 	if err != nil {
 		return nil, err
 	}
-	p.misses++
-	p.cMisses.Inc()
-	fr := &frame{key: key, hf: hf, page: page, pins: 1, lastTick: p.tick}
+	if fr == nil {
+		fr, p.spare = &frame{page: new(Page)}, nil
+	} else {
+		if err := p.unmapLocked(fr); err != nil {
+			return nil, err
+		}
+		p.evictions++
+		p.cEvictions.Inc()
+		if p.opts.RecordEvictions {
+			p.evictLog = append(p.evictLog, fr.key)
+		}
+		p.spare = fr.page.buf
+	}
+	*fr.page = page
+	fr.key, fr.hf, fr.pins = key, hf, 1
 	p.frames[key] = fr
-	p.notifyLocked(key, false)
-	return &PageHandle{pool: p, fr: fr, missed: true}, nil
+	return fr, nil
 }
 
 // FetchScan is the read-only bulk-scan path: it returns pageNo of hf without
@@ -269,51 +313,57 @@ func (p *Pool) FetchScan(hf *HeapFile, pageNo int) (*PageHandle, error) {
 	return &PageHandle{page: page, missed: true}, nil
 }
 
-// notifyLocked drives the policy and observer for one access, in access
-// order under the pool lock.
-func (p *Pool) notifyLocked(key PageKey, hit bool) {
-	p.opts.Policy.OnAccess(key, p.tick)
-	if p.opts.Observer != nil {
-		p.opts.Observer(key, hit)
+// victimLocked picks the frame to evict, or nil when every frame is pinned.
+// LRU takes the first unpinned frame from the cold end: O(1) plus the pinned
+// frames it steps over. A Policy scores every unpinned resident — that O(n)
+// is the model's — and gets them coldest first in the pool's scratch slice;
+// an answer that is not one of them degrades to the coldest, i.e. to LRU.
+func (p *Pool) victimLocked() *frame {
+	p.cands = p.cands[:0]
+	for fr := p.lru.coldest(); fr != nil; fr = p.lru.next(fr) {
+		if fr.pins != 0 {
+			continue
+		}
+		if p.opts.Policy == nil {
+			return fr
+		}
+		p.cands = append(p.cands, fr.key)
 	}
+	if len(p.cands) == 0 {
+		return nil
+	}
+	fr, ok := p.frames[p.opts.Policy.Victim(p.cands, p.tick)]
+	if !ok || fr.pins != 0 {
+		fr = p.frames[p.cands[0]]
+	}
+	return fr
 }
 
-// evictLocked frees one frame: unpinned candidates are offered to the
-// policy in sorted key order, the victim is written back if dirty, and the
-// eviction is logged when RecordEvictions is set.
-func (p *Pool) evictLocked() error {
-	cands := make([]PageKey, 0, len(p.frames))
-	for key, fr := range p.frames {
-		if fr.pins == 0 {
-			cands = append(cands, key)
-		}
+// unmapLocked writes fr back if dirty and takes its key out of the index and
+// the policy; the frame itself, still on the list, is the caller's to re-key
+// or unlink.
+func (p *Pool) unmapLocked(fr *frame) error {
+	if err := p.writeBackLocked(fr); err != nil {
+		return err
 	}
-	sort.Slice(cands, func(i, j int) bool { return cands[i].Less(cands[j]) })
-	if len(cands) == 0 {
-		return &AllPinnedError{Capacity: p.opts.Capacity}
+	delete(p.frames, fr.key)
+	if p.opts.Policy != nil {
+		p.opts.Policy.OnRemove(fr.key)
 	}
-	victim := p.opts.Policy.Victim(cands, p.tick)
-	fr, ok := p.frames[victim]
-	if !ok || fr.pins != 0 {
-		// A policy returning a non-candidate must not corrupt the pool:
-		// fall back to the first (lowest-key) candidate deterministically.
-		victim = cands[0]
-		fr = p.frames[victim]
+	return nil
+}
+
+// writeBackLocked writes fr's page to its file if it is dirty.
+func (p *Pool) writeBackLocked(fr *frame) error {
+	if !fr.dirty {
+		return nil
 	}
-	if fr.dirty {
-		if err := fr.hf.WritePage(fr.page); err != nil {
-			return err
-		}
-		p.writebacks++
-		p.cWritebacks.Inc()
+	if err := fr.hf.WritePage(fr.page); err != nil {
+		return err
 	}
-	delete(p.frames, victim)
-	p.opts.Policy.OnRemove(victim)
-	p.evictions++
-	p.cEvictions.Inc()
-	if p.opts.RecordEvictions {
-		p.evictLog = append(p.evictLog, victim)
-	}
+	fr.dirty = false
+	p.writebacks++
+	p.cWritebacks.Inc()
 	return nil
 }
 
@@ -332,7 +382,7 @@ func (p *Pool) Stats() PoolStats {
 		Evictions: p.evictions, Writebacks: p.writebacks,
 		Resident: len(p.frames),
 	}
-	for _, fr := range p.frames {
+	for fr := p.lru.coldest(); fr != nil; fr = p.lru.next(fr) {
 		if fr.pins > 0 {
 			st.Pinned++
 		}
@@ -377,7 +427,7 @@ func (p *Pool) EvictionLog() []PageKey {
 	return out
 }
 
-// FlushAll writes back every dirty resident page (in key order) without
+// FlushAll writes back every dirty resident page (coldest first) without
 // evicting anything.
 func (p *Pool) FlushAll() error {
 	p.mu.Lock()
@@ -385,7 +435,7 @@ func (p *Pool) FlushAll() error {
 	return p.flushLocked(nil)
 }
 
-// FlushFile writes back hf's dirty resident pages (in key order).
+// FlushFile writes back hf's dirty resident pages (coldest first).
 func (p *Pool) FlushFile(hf *HeapFile) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -393,53 +443,40 @@ func (p *Pool) FlushFile(hf *HeapFile) error {
 }
 
 func (p *Pool) flushLocked(only *HeapFile) error {
-	keys := make([]PageKey, 0, len(p.frames))
-	for key, fr := range p.frames {
-		if fr.dirty && (only == nil || fr.hf == only) {
-			keys = append(keys, key)
+	for fr := p.lru.coldest(); fr != nil; fr = p.lru.next(fr) {
+		if only != nil && fr.hf != only {
+			continue
 		}
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i].Less(keys[j]) })
-	for _, key := range keys {
-		fr := p.frames[key]
-		if err := fr.hf.WritePage(fr.page); err != nil {
+		if err := p.writeBackLocked(fr); err != nil {
 			return err
 		}
-		fr.dirty = false
-		p.writebacks++
-		p.cWritebacks.Inc()
 	}
 	return nil
 }
 
-// ReleaseFile flushes hf's dirty pages and drops all its frames from the
-// pool (so the file can be closed or reopened). It fails with
-// *AllPinnedError semantics if any of hf's pages is still pinned.
+// ReleaseFile flushes hf's dirty pages, drops all its frames (coldest first)
+// and forgets the file, so it can be closed or reopened; a later Fetch of the
+// same HeapFile registers it afresh under a new id. It fails with
+// *AllPinnedError semantics, before changing anything, if any of hf's pages
+// is still pinned.
 func (p *Pool) ReleaseFile(hf *HeapFile) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	keys := make([]PageKey, 0, len(p.frames))
-	for key, fr := range p.frames {
-		if fr.hf == hf {
-			if fr.pins > 0 {
-				return fmt.Errorf("storage: releasing %s with page %d still pinned: %w", hf.Path(), key.Page, ErrAllPinned)
-			}
-			keys = append(keys, key)
+	for fr := p.lru.coldest(); fr != nil; fr = p.lru.next(fr) {
+		if fr.hf == hf && fr.pins > 0 {
+			return fmt.Errorf("storage: releasing %s with page %d still pinned: %w", hf.Path(), fr.key.Page, ErrAllPinned)
 		}
 	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i].Less(keys[j]) })
-	for _, key := range keys {
-		fr := p.frames[key]
-		if fr.dirty {
-			if err := fr.hf.WritePage(fr.page); err != nil {
+	for fr := p.lru.coldest(); fr != nil; {
+		next := p.lru.next(fr)
+		if fr.hf == hf {
+			if err := p.unmapLocked(fr); err != nil {
 				return err
 			}
-			p.writebacks++
-			p.cWritebacks.Inc()
+			p.lru.remove(fr)
 		}
-		delete(p.frames, key)
-		//ml4db:allow lockcheck "the policy is pool-owned single-threaded state driven strictly in access order under p.mu; snapshotting and calling outside would let a concurrent Fetch interleave OnAccess between the delete and the OnRemove"
-		p.opts.Policy.OnRemove(key)
+		fr = next
 	}
+	delete(p.files, hf)
 	return nil
 }

@@ -271,7 +271,7 @@ func TestPoolReplayDeterminism(t *testing.T) {
 		name   string
 		policy func() Policy
 	}{
-		{"lru", func() Policy { return NewLRU() }},
+		{"lru", func() Policy { return nil }},
 		{"learned-recency", func() Policy { return NewLearnedPolicy(Recency{}) }},
 	} {
 		a := runTrace(t, tc.policy, tc.name+"-a.heap", pattern, 12)

@@ -50,11 +50,12 @@ go test -race ./...
 echo "==> bench module (go vet + go test)"
 (cd bench && go vet ./... && go test ./...)
 
-# Compile-and-run the kernel benchmarks once (-benchtime=1x): not a timing
-# measurement, just a guard that the serial-vs-parallel benchmark paths and
-# their determinism checks keep working. Full numbers: ml4db-bench -suite kernels.
-echo "==> kernel benchmarks (smoke, 1 iteration)"
-go test -run '^$' -bench 'MatMul|MLPFit' -benchtime=1x ./internal/mlmath/ ./internal/nn/
+# Compile-and-run the micro benchmarks once (-benchtime=1x): not a timing
+# measurement, just a guard that the serial-vs-parallel kernel paths with
+# their determinism checks, and the buffer-pool fetch paths, keep working.
+# Full numbers: ml4db-bench -suite kernels; go test -bench PoolFetch ./internal/storage/.
+echo "==> micro benchmarks (smoke, 1 iteration)"
+go test -run '^$' -bench 'MatMul|MLPFit|PoolFetch' -benchtime=1x ./internal/mlmath/ ./internal/nn/ ./internal/storage/
 
 # Bench suites smoke: every registered suite at CI size. A suite that finds a
 # violated contract prints it and the command exits 1:
