@@ -17,7 +17,9 @@ package main
 //     auto-dropped (StageDropped) with queries returning identical results
 //     throughout;
 //   - replayable decisions: both scenarios re-run from scratch under fresh
-//     mlmath.ManualClocks must export byte-identical TuningEvent JSONL;
+//     mlmath.ManualClocks must export byte-identical TuningEvent JSONL
+//     (the first run's two ledgers are published as tuning.jsonl for
+//     cmd/ml4db-tracecheck to revalidate);
 //   - queryable ledger: `SELECT * FROM sys_tuning` through the normal
 //     planner/executor must return exactly the ledger.
 //
@@ -28,6 +30,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"time"
 
 	"ml4db/internal/autopilot"
@@ -278,7 +281,7 @@ func viewScenario(seed uint64, lRows, rRows, calls int, rep *autopilotReport) ([
 	return r.ledger()
 }
 
-func autopilotSuite(seed uint64, quick bool, _ string) (any, error) {
+func autopilotSuite(seed uint64, quick bool, dir string) (any, error) {
 	var rep autopilotReport
 	rows, calls := 20000, 24
 	lRows, rRows := 1000, 2000
@@ -344,5 +347,8 @@ func autopilotSuite(seed uint64, quick bool, _ string) (any, error) {
 		return nil, errors.New("autopilot contracts violated")
 	}
 	fmt.Println("autopilot bench: all contracts hold")
-	return rep, nil
+	return rep, writeJSONL(dir, "tuning.jsonl", func(w io.Writer) error {
+		_, err := w.Write(bytes.Join([][]byte{idxA, viewA}, nil))
+		return err
+	}, autopilot.LedgerFormat.Validate)
 }

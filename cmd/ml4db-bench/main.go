@@ -24,7 +24,7 @@
 //	            and beats LRU, eviction replay is bit-identical
 //	querystore  sys_statements accounting is exact, two replays       querystore.jsonl
 //	            export byte-identical valid JSONL
-//	autopilot   the good index is adopted and kept, the harmful view
+//	autopilot   the good index is adopted and kept, the harmful view      tuning.jsonl
 //	            dropped, the ledger replays, sys_tuning matches it
 //	exec        partitioned ≡ serial in rows, work, counters, aborts;
 //	            the plan cache is coherent; ≥ 2× at GOMAXPROCS ≥ 4

@@ -1,72 +1,47 @@
-// Command ml4db-tracecheck validates observability JSONL artifacts against
-// the stable schemas of internal/obs: every span line must carry id, parent,
-// name, start, and duration with well-ordered IDs, and every metric line must
-// be a counter, gauge, or histogram with its full field set. Querystore
-// exports (internal/querystore) are validated the same way: a schema-1
-// header whose section counts must match the statement, heat, window,
-// drift, and model records that follow. The check.sh
-// smoke gate runs it over freshly emitted files so schema drift fails CI
-// rather than silently breaking downstream consumers.
+// Command ml4db-tracecheck validates telemetry JSONL artifacts against the
+// record schemas their writers are derived from. Each file is dispatched on
+// its first record's type: span traces and metric snapshots (internal/obs),
+// querystore exports (a schema-1 header whose section counts must match the
+// statement, heat, window, drift and model records that follow) and
+// autopilot tuning ledgers. Every line must carry its type's full field set;
+// an empty file is an error. The check.sh smoke gate runs it over freshly
+// emitted files so schema drift fails CI rather than silently breaking
+// downstream consumers.
 //
 // Usage:
 //
-//	ml4db-tracecheck -trace spans.jsonl
-//	ml4db-tracecheck -metrics metrics.jsonl
-//	ml4db-tracecheck -trace spans.jsonl -metrics metrics.jsonl
-//	ml4db-tracecheck -querystore querystore.jsonl
+//	ml4db-tracecheck FILE...
 package main
 
 import (
-	"flag"
 	"fmt"
-	"io"
 	"os"
 
+	"ml4db/internal/autopilot"
 	"ml4db/internal/obs"
 	"ml4db/internal/querystore"
 )
 
 func main() {
-	tracePath := flag.String("trace", "", "span JSONL file to validate")
-	metricsPath := flag.String("metrics", "", "metrics JSONL file to validate")
-	queryStorePath := flag.String("querystore", "", "querystore export JSONL file to validate")
-	flag.Parse()
-
-	if *tracePath == "" && *metricsPath == "" && *queryStorePath == "" {
-		fmt.Fprintln(os.Stderr, "ml4db-tracecheck: need -trace, -metrics, and/or -querystore")
+	if len(os.Args) < 2 {
+		fmt.Fprintln(os.Stderr, "usage: ml4db-tracecheck FILE...")
 		os.Exit(2)
 	}
-	if *tracePath != "" {
-		n, err := validateFile(*tracePath, obs.ValidateTraceJSONL)
+	for _, path := range os.Args[1:] {
+		kind, n, err := validateFile(path)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "ml4db-tracecheck: %s: %v\n", *tracePath, err)
+			fmt.Fprintf(os.Stderr, "ml4db-tracecheck: %s: %v\n", path, err)
 			os.Exit(1)
 		}
-		fmt.Printf("%s: %d valid spans\n", *tracePath, n)
-	}
-	if *metricsPath != "" {
-		n, err := validateFile(*metricsPath, obs.ValidateMetricsJSONL)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "ml4db-tracecheck: %s: %v\n", *metricsPath, err)
-			os.Exit(1)
-		}
-		fmt.Printf("%s: %d valid metrics\n", *metricsPath, n)
-	}
-	if *queryStorePath != "" {
-		n, err := validateFile(*queryStorePath, querystore.ValidateJSONL)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "ml4db-tracecheck: %s: %v\n", *queryStorePath, err)
-			os.Exit(1)
-		}
-		fmt.Printf("%s: %d valid querystore lines\n", *queryStorePath, n)
+		fmt.Printf("%s: %d valid %s lines\n", path, n, kind)
 	}
 }
 
-func validateFile(path string, validate func(io.Reader) (int, error)) (int, error) {
+func validateFile(path string) (kind string, n int, err error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return 0, err
+		return "", 0, err
 	}
 	defer f.Close()
-	return validate(f)
+	return obs.ValidateJSONL(f, obs.TraceFormat, obs.MetricsFormat, querystore.ExportFormat, autopilot.LedgerFormat)
 }

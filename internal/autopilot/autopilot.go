@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"ml4db/internal/mlmath"
+	"ml4db/internal/obs"
 	"ml4db/internal/qo"
 	"ml4db/internal/querystore"
 	"ml4db/internal/sqlkit/catalog"
@@ -63,9 +64,6 @@ type Options struct {
 	// (default 1.25).
 	VerifyWindows int
 	RegressRatio  float64
-
-	// MaxEvents caps the retained ledger ring (default 256).
-	MaxEvents int
 }
 
 // adoption is one live adopted object and what reverting it takes.
@@ -98,6 +96,8 @@ type Autopilot struct {
 	host  Host
 	env   *qo.Env
 	opt   *optimizer.Optimizer
+	// ledger is the decision ledger; it guards itself.
+	ledger *obs.Ledger[TuningEvent]
 
 	mu       sync.Mutex
 	prev     map[string]stmtTotals
@@ -108,8 +108,6 @@ type Autopilot struct {
 	haveNext bool
 	nameSeq  int
 	hypoSeq  int
-	seq      int64
-	events   []TuningEvent
 	scratch  []TuningEvent
 }
 
@@ -149,18 +147,16 @@ func New(opts Options) (*Autopilot, error) {
 	if opts.RegressRatio <= 0 {
 		opts.RegressRatio = 1.25
 	}
-	if opts.MaxEvents < 1 {
-		opts.MaxEvents = 256
-	}
 	cat := opts.Host.Catalog()
 	env := qo.NewEnv(cat)
 	return &Autopilot{
-		opts:  opts,
-		clock: opts.Clock,
-		host:  opts.Host,
-		env:   env,
-		opt:   env.Opt,
-		prev:  map[string]stmtTotals{},
+		opts:   opts,
+		clock:  opts.Clock,
+		host:   opts.Host,
+		env:    env,
+		opt:    env.Opt,
+		prev:   map[string]stmtTotals{},
+		ledger: obs.NewLedger(obs.MaxEvents, func(e *TuningEvent, n int64) { e.Seq = n }),
 	}, nil
 }
 

@@ -2,6 +2,10 @@ package autopilot_test
 
 import (
 	"bytes"
+	"math"
+	"os"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -246,8 +250,24 @@ func TestShadowVerificationDropsHarmfulView(t *testing.T) {
 	}
 }
 
+// documentedSysTuningQuery returns the example statement of
+// docs/AUTOPILOT.md's "Reading the ledger" section, verbatim.
+func documentedSysTuningQuery(t *testing.T) string {
+	t.Helper()
+	doc, err := os.ReadFile("../../docs/AUTOPILOT.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, rest, found := strings.Cut(string(doc), "```sql\n")
+	stmt, _, closed := strings.Cut(rest, "\n```")
+	if !found || !closed || !strings.Contains(stmt, "sys_tuning") {
+		t.Fatalf("docs/AUTOPILOT.md has no ```sql example over sys_tuning (found %q)", stmt)
+	}
+	return stmt
+}
+
 // TestSysTuningReadableThroughSQL reads the decision ledger back through the
-// normal planner and executor.
+// normal planner and executor, with the statement the documentation shows.
 func TestSysTuningReadableThroughSQL(t *testing.T) {
 	r := newRig(t, skewedTable(t, 3, 2000), autopilot.Options{
 		Interval: time.Second, MinWinFrac: 0.01, BuildCostWeight: -1, VerifyWindows: 1,
@@ -263,17 +283,19 @@ func TestSysTuningReadableThroughSQL(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	rr, err := r.sess.Query("SELECT seq, stage, kind, net_win FROM sys_tuning ORDER BY seq")
+	rr, err := r.sess.Query(documentedSysTuningQuery(t))
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("the documented sys_tuning example does not run: %v", err)
 	}
 	evs := r.ap.Events()
 	if len(rr.Rows) != len(evs) {
 		t.Fatalf("sys_tuning rows = %d, ledger = %d", len(rr.Rows), len(evs))
 	}
 	for i, row := range rr.Rows {
-		if row[0] != evs[i].Seq || row[1] != int64(evs[i].Stage) || row[2] != int64(evs[i].Kind) {
-			t.Fatalf("row %d = %v, event = %+v", i, row, evs[i])
+		e := evs[i]
+		want := []int64{e.Seq, int64(e.Stage), int64(e.Kind), int64(e.TableID), int64(e.Col), int64(math.Round(e.NetWin))}
+		if !slices.Equal(row, want) {
+			t.Fatalf("row %d = %v, want %v (event %+v)", i, row, want, e)
 		}
 	}
 	// The loop must have finished a full adopt→keep cycle in this ledger.

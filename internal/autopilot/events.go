@@ -1,14 +1,11 @@
 package autopilot
 
 import (
-	"bufio"
 	"fmt"
 	"io"
-	"math"
 	"time"
 
-	"encoding/json"
-
+	"ml4db/internal/obs"
 	"ml4db/internal/sqlkit/catalog"
 )
 
@@ -104,18 +101,33 @@ type TuningEvent struct {
 	TrialCalls  int64
 }
 
-// emitLocked stamps and appends one event to the ledger ring and to the
+// tuningSchema is the one declaration of the ledger's exported forms: the
+// "tuning" JSONL line and the sys_tuning view. Views hold int64 values, so
+// there stages and kinds are their integer codes, estimated costs are
+// rounded to whole units and the per-call figures are milli-scaled.
+var tuningSchema = obs.NewSchema("tuning",
+	obs.Int("seq", func(e TuningEvent) int64 { return e.Seq }),
+	obs.Int("at_ms", func(e TuningEvent) int64 { return e.At.UnixMilli() }),
+	obs.Enum("stage", func(e TuningEvent) Stage { return e.Stage }),
+	obs.Enum("kind", func(e TuningEvent) Kind { return e.Kind }),
+	obs.JSON("target", func(e TuningEvent) string { return e.Target }),
+	obs.Int("table_id", func(e TuningEvent) int64 { return int64(e.TableID) }),
+	obs.Int("col", func(e TuningEvent) int64 { return int64(e.Col) }),
+	obs.Round("est_base", func(e TuningEvent) float64 { return e.EstBase }),
+	obs.Round("est_with", func(e TuningEvent) float64 { return e.EstWith }),
+	obs.Round("build_cost", func(e TuningEvent) float64 { return e.BuildCost }),
+	obs.Round("net_win", func(e TuningEvent) float64 { return e.NetWin }),
+	obs.Int("size_bytes", func(e TuningEvent) int64 { return e.SizeBytes }),
+	obs.Milli("baseline_wpc", func(e TuningEvent) float64 { return e.BaselineWPC }),
+	obs.Milli("observed_wpc", func(e TuningEvent) float64 { return e.ObservedWPC }),
+	obs.Int("trial_calls", func(e TuningEvent) int64 { return e.TrialCalls }),
+)
+
+// emitLocked stamps one event, appends it to the ledger and adds it to the
 // current tick's scratch list.
 func (a *Autopilot) emitLocked(now time.Time, ev TuningEvent) {
-	ev.Seq = a.seq
-	a.seq++
 	ev.At = now
-	a.events = append(a.events, ev)
-	if len(a.events) > a.opts.MaxEvents {
-		copy(a.events, a.events[len(a.events)-a.opts.MaxEvents:])
-		a.events = a.events[:a.opts.MaxEvents]
-	}
-	a.scratch = append(a.scratch, ev)
+	a.scratch = append(a.scratch, a.ledger.Append(ev))
 }
 
 // Events returns the retained ledger, oldest first.
@@ -123,9 +135,7 @@ func (a *Autopilot) Events() []TuningEvent {
 	if a == nil {
 		return nil
 	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return append([]TuningEvent(nil), a.events...)
+	return a.ledger.Snapshot()
 }
 
 // ViewTuning is the system-view table name RegisterTuningView claims.
@@ -133,98 +143,19 @@ const ViewTuning = "sys_tuning"
 
 // RegisterTuningView registers the sys_tuning virtual table over a, making
 // the decision ledger queryable with plain SELECTs through the normal
-// planner/executor. Fractional columns are milli-scaled (×1000, rounded);
-// estimated costs are rounded to whole units. Registration is idempotent
-// per catalog, with the same contract as querystore.RegisterViews.
+// planner/executor. Registration follows catalog.RegisterVirtual's
+// idempotence contract.
 func RegisterTuningView(cat *catalog.Catalog, a *Autopilot) error {
-	cols := []string{"seq", "at_ms", "stage", "kind", "table_id", "col",
-		"est_base", "est_with", "build_cost", "net_win", "size_bytes",
-		"baseline_wpc_milli", "observed_wpc_milli", "trial_calls"}
-	src := tuningView{a}
-	if id, ok := cat.ByName(ViewTuning); ok {
-		t := cat.Table(id)
-		if t.Virtual == nil {
-			return fmt.Errorf("autopilot: table %q exists and is not a virtual view", ViewTuning)
-		}
-		t.Virtual = src
-		return nil
-	}
-	t := catalog.NewTable(ViewTuning, cols...)
-	t.Data = nil
-	t.Virtual = src
-	_, err := cat.Add(t)
-	return err
+	v := tuningSchema.View(a.ledger.Len, a.Events)
+	return catalog.RegisterVirtual(cat, ViewTuning, v.Columns(), v)
 }
 
-type tuningView struct{ a *Autopilot }
-
-// VirtualNumRows implements catalog.VirtualSource.
-func (v tuningView) VirtualNumRows() int { return len(v.a.Events()) }
-
-// VirtualRows implements catalog.VirtualSource.
-func (v tuningView) VirtualRows() [][]int64 {
-	evs := v.a.Events()
-	rows := make([][]int64, 0, len(evs))
-	for _, e := range evs {
-		rows = append(rows, []int64{
-			e.Seq, e.At.UnixMilli(), int64(e.Stage), int64(e.Kind),
-			int64(e.TableID), int64(e.Col),
-			round64(e.EstBase), round64(e.EstWith), round64(e.BuildCost),
-			round64(e.NetWin), e.SizeBytes,
-			milli(e.BaselineWPC), milli(e.ObservedWPC), e.TrialCalls,
-		})
-	}
-	return rows
-}
-
-// round64 rounds an estimated cost to whole int64 units.
-func round64(v float64) int64 { return int64(math.Round(v)) }
-
-// milli scales a fractional metric into an int64 column value (×1000,
-// rounded half away from zero).
-func milli(v float64) int64 { return int64(math.Round(v * 1000)) }
-
-// tuningEventJSON is the export line format; like the querystore JSONL, the
-// field set is stable and replays byte-identically under a ManualClock.
-type tuningEventJSON struct {
-	Type        string  `json:"type"` // "tuning"
-	Seq         int64   `json:"seq"`
-	AtMs        int64   `json:"at_ms"`
-	Stage       string  `json:"stage"`
-	Kind        string  `json:"kind"`
-	Target      string  `json:"target"`
-	TableID     int     `json:"table_id"`
-	Col         int     `json:"col"`
-	EstBase     float64 `json:"est_base"`
-	EstWith     float64 `json:"est_with"`
-	BuildCost   float64 `json:"build_cost"`
-	NetWin      float64 `json:"net_win"`
-	SizeBytes   int64   `json:"size_bytes"`
-	BaselineWPC float64 `json:"baseline_wpc"`
-	ObservedWPC float64 `json:"observed_wpc"`
-	TrialCalls  int64   `json:"trial_calls"`
-}
-
-// WriteEventsJSONL exports the ledger, one JSON line per event in Seq order.
+// WriteEventsJSONL exports the ledger, one JSON line per event in Seq order;
+// like the querystore JSONL, the field set is stable and replays
+// byte-identically under a ManualClock.
 func (a *Autopilot) WriteEventsJSONL(w io.Writer) error {
-	if a == nil {
-		return nil
-	}
-	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
-	for _, e := range a.Events() {
-		line := tuningEventJSON{
-			Type: "tuning", Seq: e.Seq, AtMs: e.At.UnixMilli(),
-			Stage: e.Stage.String(), Kind: e.Kind.String(), Target: e.Target,
-			TableID: e.TableID, Col: e.Col,
-			EstBase: e.EstBase, EstWith: e.EstWith, BuildCost: e.BuildCost,
-			NetWin: e.NetWin, SizeBytes: e.SizeBytes,
-			BaselineWPC: e.BaselineWPC, ObservedWPC: e.ObservedWPC,
-			TrialCalls: e.TrialCalls,
-		}
-		if err := enc.Encode(line); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
+	return tuningSchema.WriteJSONL(w, a.Events()...)
 }
+
+// LedgerFormat is the exported ledger's file format, for obs.ValidateJSONL.
+var LedgerFormat = obs.Format{Name: "tuning", Lines: []obs.LineSpec{tuningSchema.Line("")}}

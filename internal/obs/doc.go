@@ -33,6 +33,12 @@
 //     ValidateTraceJSONL/ValidateMetricsJSONL check that schema and back
 //     the scripts/check.sh smoke gate via cmd/ml4db-tracecheck.
 //
+//   - One declaration per record type. A Schema lists a record's fields
+//     once; its JSONL line, its validator entry (Format, ValidateJSONL) and
+//     its sys_* view (View) are derived from that list, here and in the
+//     packages above (querystore, autopilot). Ledger is the bounded,
+//     sequence-numbering ring those packages keep their timelines in.
+//
 // Concurrency: Tracer and Registry are mutex-guarded and safe for
 // concurrent use; a Span's attributes must only be set by the goroutine
 // that started it (enforced by convention, as with contexts).

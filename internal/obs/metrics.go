@@ -261,13 +261,57 @@ func (h *Histogram) quantileLocked(q float64) float64 {
 	return h.max
 }
 
+// histReading is one consistent copy of a histogram's state.
+type histReading struct {
+	bounds                       []float64
+	counts                       []int64
+	count                        int64
+	sum, min, max, p50, p90, p99 float64
+}
+
 // snapshot copies the histogram state under its lock.
-func (h *Histogram) snapshot() (bounds []float64, counts []int64, count int64, sum, min, max, p50, p90, p99 float64) {
+func (h *Histogram) snapshot() histReading {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	return append([]float64(nil), h.bounds...), append([]int64(nil), h.counts...),
-		h.count, h.sum, h.min, h.max,
-		h.quantileLocked(0.50), h.quantileLocked(0.90), h.quantileLocked(0.99)
+	return histReading{
+		bounds: append([]float64(nil), h.bounds...), counts: append([]int64(nil), h.counts...),
+		count: h.count, sum: h.sum, min: h.min, max: h.max,
+		p50: h.quantileLocked(0.50), p90: h.quantileLocked(0.90), p99: h.quantileLocked(0.99),
+	}
+}
+
+// point is one named metric: a live counter or gauge, or a histogram reading.
+type point[V any] struct {
+	name string
+	v    V
+}
+
+// sortedPoints returns the map's entries in sorted-name order — the
+// sanctioned deterministic map-iteration idiom.
+func sortedPoints[V any](m map[string]V) []point[V] {
+	names := make([]string, 0, len(m))
+	for k := range m {
+		names = append(names, k)
+	}
+	sort.Strings(names)
+	out := make([]point[V], len(names))
+	for i, n := range names {
+		out[i] = point[V]{n, m[n]}
+	}
+	return out
+}
+
+// points lists every metric, each kind in sorted-name order. Instruments
+// are collected under the registry lock and read after it is released.
+func (r *Registry) points() ([]point[*Counter], []point[*Gauge], []point[histReading]) {
+	r.mu.Lock()
+	counters, gauges, live := sortedPoints(r.counters), sortedPoints(r.gauges), sortedPoints(r.hists)
+	r.mu.Unlock()
+	hists := make([]point[histReading], len(live))
+	for i, p := range live {
+		hists[i] = point[histReading]{p.name, p.v.snapshot()}
+	}
+	return counters, gauges, hists
 }
 
 // Summary renders all metrics as sorted human-readable lines.
@@ -275,35 +319,17 @@ func (r *Registry) Summary() string {
 	if r == nil {
 		return ""
 	}
-	r.mu.Lock()
-	counterNames := sortedNames(r.counters)
-	gaugeNames := sortedNames(r.gauges)
-	histNames := sortedNames(r.hists)
-	counters := make([]*Counter, len(counterNames))
-	for i, n := range counterNames {
-		counters[i] = r.counters[n]
-	}
-	gauges := make([]*Gauge, len(gaugeNames))
-	for i, n := range gaugeNames {
-		gauges[i] = r.gauges[n]
-	}
-	hists := make([]*Histogram, len(histNames))
-	for i, n := range histNames {
-		hists[i] = r.hists[n]
-	}
-	r.mu.Unlock()
-
+	counters, gauges, hists := r.points()
 	var b strings.Builder
-	for i, n := range counterNames {
-		fmt.Fprintf(&b, "counter   %-36s %d\n", n, counters[i].Value())
+	for _, c := range counters {
+		fmt.Fprintf(&b, "counter   %-36s %d\n", c.name, c.v.Value())
 	}
-	for i, n := range gaugeNames {
-		fmt.Fprintf(&b, "gauge     %-36s %g\n", n, gauges[i].Value())
+	for _, g := range gauges {
+		fmt.Fprintf(&b, "gauge     %-36s %g\n", g.name, g.v.Value())
 	}
-	for i, n := range histNames {
-		_, _, count, sum, min, max, p50, p90, p99 := hists[i].snapshot()
+	for _, h := range hists {
 		fmt.Fprintf(&b, "histogram %-36s n=%d sum=%g min=%g max=%g p50=%g p90=%g p99=%g\n",
-			n, count, sum, min, max, p50, p90, p99)
+			h.name, h.v.count, h.v.sum, h.v.min, h.v.max, h.v.p50, h.v.p90, h.v.p99)
 	}
 	return b.String()
 }

@@ -42,15 +42,16 @@ func TestHistogramBucketBoundaryValues(t *testing.T) {
 	h.Observe(10)
 	h.Observe(100)
 	h.Observe(101)
-	bounds, counts, count, _, min, max, _, _, _ := h.snapshot()
-	if len(bounds) != 2 || len(counts) != 3 {
-		t.Fatalf("bounds=%v counts=%v", bounds, counts)
+	r := h.snapshot()
+	counts := r.counts
+	if len(r.bounds) != 2 || len(counts) != 3 {
+		t.Fatalf("bounds=%v counts=%v", r.bounds, counts)
 	}
 	if counts[0] != 1 || counts[1] != 1 || counts[2] != 1 {
 		t.Fatalf("boundary samples landed in wrong buckets: %v", counts)
 	}
-	if count != 3 || min != 10 || max != 101 {
-		t.Fatalf("count=%d min=%g max=%g", count, min, max)
+	if r.count != 3 || r.min != 10 || r.max != 101 {
+		t.Fatalf("count=%d min=%g max=%g", r.count, r.min, r.max)
 	}
 }
 

@@ -2,7 +2,6 @@ package obs
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -210,26 +209,16 @@ func (t *Tracer) Summary() string {
 	return b.String()
 }
 
-// attrMap returns the attribute list as a key→value map for JSON encoding;
-// encoding/json emits map keys sorted, keeping output stable.
-func attrMap(attrs []Attr) map[string]interface{} {
-	if len(attrs) == 0 {
+// attrMap returns the attribute list as a key→value map for JSON encoding
+// (encoding/json emits map keys sorted, keeping output stable), or nil for
+// a span without attributes.
+func attrMap(sp SpanData) any {
+	if len(sp.Attrs) == 0 {
 		return nil
 	}
-	m := make(map[string]interface{}, len(attrs))
-	for _, a := range attrs {
+	m := make(map[string]interface{}, len(sp.Attrs))
+	for _, a := range sp.Attrs {
 		m[a.Key] = a.Value()
 	}
 	return m
-}
-
-// sortedNames returns the map's keys in sorted order — the sanctioned
-// deterministic map-iteration idiom.
-func sortedNames[V any](m map[string]V) []string {
-	names := make([]string, 0, len(m))
-	for k := range m {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	return names
 }

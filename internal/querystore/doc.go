@@ -21,6 +21,9 @@
 //     registered as virtual catalog tables, so the observatory is read back
 //     through the normal planner/executor with plain SELECTs.
 //
+// Every exported record type is declared once as an obs.Schema (export.go);
+// its JSONL line, its validator entry and its view are derived from that.
+//
 // The store carries the same "nil is off, and free" contract as obs: every
 // method on a nil *Store no-ops without allocating, so instrumented code
 // needs no conditionals and pays nothing when observation is disabled.

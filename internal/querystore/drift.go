@@ -3,6 +3,8 @@ package querystore
 import (
 	"sort"
 	"time"
+
+	"ml4db/internal/obs"
 )
 
 // DriftKind identifies what a drift monitor watches.
@@ -95,10 +97,10 @@ type DriftEvent struct {
 	Evidence         []WindowEvidence
 }
 
-// driftState is the monitors' memory, guarded by the store lock.
+// driftState is the monitors' memory, guarded by the store lock (the event
+// ledger also guards itself, so snapshots of it need no store lock).
 type driftState struct {
-	seq            int64
-	events         []DriftEvent
+	events         *obs.Ledger[DriftEvent]
 	lastFired      map[driftFireKey]int64 // window index of last firing
 	lastPoolHits   int64
 	lastPoolMisses int64
@@ -113,7 +115,7 @@ type driftFireKey struct {
 // returns the events to fire (the caller invokes OnDrift outside the lock).
 func (s *Store) evaluateDriftLocked(sealed WindowStats) []DriftEvent {
 	d := s.opts.Drift
-	wins := s.windows.wins
+	wins := s.windows.Snapshot()
 	if len(wins) < d.Recent+d.Baseline {
 		return nil
 	}
@@ -130,22 +132,14 @@ func (s *Store) evaluateDriftLocked(sealed WindowStats) []DriftEvent {
 			return
 		}
 		s.drift.lastFired[key] = sealed.Index
-		s.drift.seq++
-		ev := DriftEvent{
-			Seq:              s.drift.seq,
+		fired = append(fired, s.drift.events.Append(DriftEvent{
 			Kind:             kind,
 			At:               sealed.End,
 			EstimatorVersion: version,
 			Before:           before,
 			After:            after,
 			Evidence:         evidence,
-		}
-		s.drift.events = append(s.drift.events, ev)
-		if len(s.drift.events) > s.opts.MaxEvents {
-			copy(s.drift.events, s.drift.events[len(s.drift.events)-s.opts.MaxEvents:])
-			s.drift.events = s.drift.events[:s.opts.MaxEvents]
-		}
-		fired = append(fired, ev)
+		}))
 	}
 
 	// q-error trend, per estimator version present in both spans.
@@ -172,12 +166,7 @@ func (s *Store) evaluateDriftLocked(sealed WindowStats) []DriftEvent {
 	// Buffer-pool hit-rate trend.
 	if rRate, rOK := hitRateOver(recent); rOK {
 		if bRate, bOK := hitRateOver(base); bOK && rRate < bRate-d.HitRateDrop {
-			emit(DriftHitRate, 0, bRate, rRate, evidenceOf(recent, func(w WindowStats) (float64, bool) {
-				if w.PoolHits+w.PoolMisses == 0 {
-					return 0, false
-				}
-				return float64(w.PoolHits) / float64(w.PoolHits+w.PoolMisses), true
-			}))
+			emit(DriftHitRate, 0, bRate, rRate, evidenceOf(recent, WindowStats.hitRate))
 		}
 	}
 
@@ -271,9 +260,5 @@ func (s *Store) DriftEvents() []DriftEvent {
 	if s == nil {
 		return nil
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]DriftEvent, len(s.drift.events))
-	copy(out, s.drift.events)
-	return out
+	return s.drift.events.Snapshot()
 }

@@ -1,104 +1,105 @@
 package querystore
 
 import (
-	"bufio"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+
+	"ml4db/internal/obs"
+	"ml4db/internal/sqlkit/catalog"
 )
 
-// The JSONL schema. Field sets are stable: cmd/ml4db-tracecheck and the
-// scripts/check.sh smoke gate fail if a required field disappears. Under a
-// ManualClock two replays of the same workload export byte-identical files.
+// The record schemas: each is the one declaration its JSONL line, its
+// validator entry and its sys_* view are derived from. Field sets are
+// stable — cmd/ml4db-tracecheck and the scripts/check.sh smoke gate fail if
+// a required field disappears — and under a ManualClock two replays of the
+// same workload export byte-identical files. Views hold int64 values, so
+// fractional metrics appear there milli-scaled (see obs.Milli).
 
-type headerJSON struct {
-	Type       string `json:"type"` // "querystore"
-	Schema     int    `json:"schema"`
-	Statements int    `json:"statements"`
-	Heat       int    `json:"heat"`
-	Windows    int    `json:"windows"`
-	Drift      int    `json:"drift"`
-	Models     int    `json:"models"`
-	Dropped    int64  `json:"dropped"`
+// exportHeader is the export's first line: schema version, section counts.
+type exportHeader struct {
+	Statements, Heat, Windows, Drift, Models int
+	Dropped                                  int64
 }
 
-type statementJSON struct {
-	Type         string  `json:"type"` // "statement"
-	ID           int64   `json:"id"`
-	Shape        string  `json:"shape"`
-	Calls        int64   `json:"calls"`
-	CacheHits    int64   `json:"cache_hits"`
-	Fallbacks    int64   `json:"fallbacks"`
-	BudgetAborts int64   `json:"budget_aborts"`
-	TotalWork    int64   `json:"total_work"`
-	MaxWork      int64   `json:"max_work"`
-	TotalRows    int64   `json:"total_rows"`
-	PageMisses   int64   `json:"page_misses"`
-	QErrCount    int64   `json:"qerr_count"`
-	QErrMean     float64 `json:"qerr_mean"`
-	QErrMax      float64 `json:"qerr_max"`
-	LastWindow   int64   `json:"last_seen_window"`
-	RowsPerCall  float64 `json:"rows_per_call"`
-}
-
-type heatJSON struct {
-	Type        string  `json:"type"` // "heat"
-	Table       int     `json:"table"`
-	Col         int     `json:"col"`
-	FilterCount int64   `json:"filters"`
-	JoinCount   int64   `json:"joins"`
-	SelCount    int64   `json:"sel_count"`
-	SelMean     float64 `json:"sel_mean"`
-}
-
-type windowQErrJSON struct {
-	Version int     `json:"version"`
-	Count   int64   `json:"count"`
-	Mean    float64 `json:"mean"`
-	Max     float64 `json:"max"`
-}
-
-type windowJSON struct {
-	Type         string           `json:"type"` // "window"
-	ID           int64            `json:"id"`
-	StartMs      int64            `json:"start_ms"`
-	EndMs        int64            `json:"end_ms"`
-	Queries      int64            `json:"queries"`
-	CacheHits    int64            `json:"cache_hits"`
-	Fallbacks    int64            `json:"fallbacks"`
-	BudgetAborts int64            `json:"budget_aborts"`
-	TotalWork    int64            `json:"total_work"`
-	TotalRows    int64            `json:"total_rows"`
-	PageMisses   int64            `json:"page_misses"`
-	PoolHits     int64            `json:"pool_hits"`
-	PoolMisses   int64            `json:"pool_misses"`
-	QErr         []windowQErrJSON `json:"qerr"`
-}
-
-type evidenceJSON struct {
-	Window int64   `json:"window"`
-	Value  float64 `json:"value"`
-}
-
-type driftJSON struct {
-	Type       string         `json:"type"` // "drift"
-	Seq        int64          `json:"seq"`
-	Kind       string         `json:"kind"`
-	AtMs       int64          `json:"at_ms"`
-	EstVersion int            `json:"est_version"`
-	Before     float64        `json:"before"`
-	After      float64        `json:"after"`
-	Evidence   []evidenceJSON `json:"evidence"`
-}
-
-type modelJSON struct {
-	Type      string `json:"type"` // "model"
-	Seq       int64  `json:"seq"`
-	AtMs      int64  `json:"at_ms"`
-	Action    string `json:"action"`
-	Version   int    `json:"version"`
-	Incumbent int    `json:"incumbent"`
-}
+var (
+	headerSchema = obs.NewSchema("querystore",
+		obs.Int("schema", func(exportHeader) int64 { return 1 }),
+		obs.Int("statements", func(h exportHeader) int64 { return int64(h.Statements) }),
+		obs.Int("heat", func(h exportHeader) int64 { return int64(h.Heat) }),
+		obs.Int("windows", func(h exportHeader) int64 { return int64(h.Windows) }),
+		obs.Int("drift", func(h exportHeader) int64 { return int64(h.Drift) }),
+		obs.Int("models", func(h exportHeader) int64 { return int64(h.Models) }),
+		obs.Int("dropped", func(h exportHeader) int64 { return h.Dropped }),
+	)
+	statementSchema = obs.NewSchema("statement",
+		obs.Int("id", func(s StatementStats) int64 { return s.ID }).As("stmt_id"),
+		obs.JSON("shape", func(s StatementStats) string { return s.Shape }),
+		obs.Int("calls", func(s StatementStats) int64 { return s.Calls }),
+		obs.Int("cache_hits", func(s StatementStats) int64 { return s.CacheHits }),
+		obs.Int("fallbacks", func(s StatementStats) int64 { return s.Fallbacks }),
+		obs.Int("budget_aborts", func(s StatementStats) int64 { return s.BudgetAborts }),
+		obs.Int("total_work", func(s StatementStats) int64 { return s.TotalWork }),
+		obs.Int("max_work", func(s StatementStats) int64 { return s.MaxWork }),
+		obs.Int("total_rows", func(s StatementStats) int64 { return s.TotalRows }),
+		obs.Int("page_misses", func(s StatementStats) int64 { return s.PageMisses }),
+		obs.Int("qerr_count", func(s StatementStats) int64 { return s.QErrCount }),
+		obs.Milli("qerr_mean", StatementStats.QErrMean),
+		obs.Milli("qerr_max", func(s StatementStats) float64 { return s.QErrMax }),
+		obs.Int("last_seen_window", func(s StatementStats) int64 { return s.LastWindow }),
+		obs.Milli("rows_per_call", StatementStats.RowsPerCall),
+	)
+	heatSchema = obs.NewSchema("heat",
+		obs.Int("table", func(h ColumnHeat) int64 { return int64(h.TableID) }),
+		obs.Int("col", func(h ColumnHeat) int64 { return int64(h.Col) }),
+		obs.Int("filters", func(h ColumnHeat) int64 { return h.FilterCount }),
+		obs.Int("joins", func(h ColumnHeat) int64 { return h.JoinCount }),
+		obs.Int("sel_count", func(h ColumnHeat) int64 { return h.SelCount }),
+		obs.Milli("sel_mean", ColumnHeat.SelMean),
+	)
+	windowSchema = obs.NewSchema("window",
+		obs.Int("id", func(w WindowStats) int64 { return w.Index }).As("window_id"),
+		obs.Int("start_ms", func(w WindowStats) int64 { return w.Start.UnixMilli() }),
+		obs.Int("end_ms", func(w WindowStats) int64 { return w.End.UnixMilli() }),
+		obs.Int("queries", func(w WindowStats) int64 { return w.Queries }),
+		obs.Int("cache_hits", func(w WindowStats) int64 { return w.CacheHits }),
+		obs.Int("fallbacks", func(w WindowStats) int64 { return w.Fallbacks }),
+		obs.Int("budget_aborts", func(w WindowStats) int64 { return w.BudgetAborts }),
+		obs.Int("total_work", func(w WindowStats) int64 { return w.TotalWork }),
+		obs.Int("total_rows", func(w WindowStats) int64 { return w.TotalRows }),
+		obs.Int("page_misses", func(w WindowStats) int64 { return w.PageMisses }),
+		obs.Int("pool_hits", func(w WindowStats) int64 { return w.PoolHits }),
+		obs.Int("pool_misses", func(w WindowStats) int64 { return w.PoolMisses }),
+		obs.List("qerr", func(w WindowStats) []VersionQErr { return w.QErr }, obs.NewSchema("",
+			obs.Int("version", func(q VersionQErr) int64 { return int64(q.Version) }),
+			obs.Int("count", func(q VersionQErr) int64 { return q.Count }),
+			obs.JSON("mean", VersionQErr.Mean),
+			obs.JSON("max", func(q VersionQErr) float64 { return q.Max }),
+		)),
+		obs.Milli("hit_rate", func(w WindowStats) float64 { r, _ := w.hitRate(); return r }).ViewOnly(),
+	)
+	driftSchema = obs.NewSchema("drift",
+		obs.Int("seq", func(e DriftEvent) int64 { return e.Seq }),
+		obs.Enum("kind", func(e DriftEvent) DriftKind { return e.Kind }),
+		obs.Int("at_ms", func(e DriftEvent) int64 { return e.At.UnixMilli() }),
+		obs.Int("est_version", func(e DriftEvent) int64 { return int64(e.EstimatorVersion) }),
+		obs.Milli("before", func(e DriftEvent) float64 { return e.Before }),
+		obs.Milli("after", func(e DriftEvent) float64 { return e.After }),
+		obs.List("evidence", func(e DriftEvent) []WindowEvidence { return e.Evidence }, obs.NewSchema("",
+			obs.Int("window", func(e WindowEvidence) int64 { return e.Window }),
+			obs.JSON("value", func(e WindowEvidence) float64 { return e.Value }),
+		)),
+		obs.Int("evidence_windows", func(e DriftEvent) int64 { return int64(len(e.Evidence)) }).ViewOnly(),
+	)
+	modelSchema = obs.NewSchema("model",
+		obs.Int("seq", func(e ModelEvent) int64 { return e.Seq }),
+		obs.Int("at_ms", func(e ModelEvent) int64 { return e.At.UnixMilli() }),
+		obs.Enum("action", func(e ModelEvent) ModelAction { return e.Action }),
+		obs.Int("version", func(e ModelEvent) int64 { return int64(e.Version) }),
+		obs.Int("incumbent", func(e ModelEvent) int64 { return int64(e.Incumbent) }),
+	)
+)
 
 // WriteJSONL exports the store's sealed state: a header line, then
 // statements (ID order), heat (table/column order), windows (seal order),
@@ -113,172 +114,58 @@ func (s *Store) WriteJSONL(w io.Writer) error {
 	wins := s.Windows()
 	drift := s.DriftEvents()
 	models := s.ModelEvents()
-
-	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
-	if err := enc.Encode(headerJSON{
-		Type: "querystore", Schema: 1,
-		Statements: len(stmts), Heat: len(heat), Windows: len(wins),
-		Drift: len(drift), Models: len(models), Dropped: s.DroppedStatements(),
-	}); err != nil {
-		return err
-	}
-	for _, st := range stmts {
-		line := statementJSON{
-			Type: "statement", ID: st.ID, Shape: st.Shape,
-			Calls: st.Calls, CacheHits: st.CacheHits, Fallbacks: st.Fallbacks,
-			BudgetAborts: st.BudgetAborts, TotalWork: st.TotalWork,
-			MaxWork: st.MaxWork, TotalRows: st.TotalRows, PageMisses: st.PageMisses,
-			QErrCount: st.QErrCount, QErrMean: st.QErrMean(), QErrMax: st.QErrMax,
-			LastWindow: st.LastWindow, RowsPerCall: st.RowsPerCall(),
-		}
-		if err := enc.Encode(line); err != nil {
-			return err
-		}
-	}
-	for _, h := range heat {
-		line := heatJSON{
-			Type: "heat", Table: h.TableID, Col: h.Col,
-			FilterCount: h.FilterCount, JoinCount: h.JoinCount,
-			SelCount: h.SelCount, SelMean: h.SelMean(),
-		}
-		if err := enc.Encode(line); err != nil {
-			return err
-		}
-	}
-	for _, win := range wins {
-		line := windowJSON{
-			Type: "window", ID: win.Index,
-			StartMs: win.Start.UnixMilli(), EndMs: win.End.UnixMilli(),
-			Queries: win.Queries, CacheHits: win.CacheHits,
-			Fallbacks: win.Fallbacks, BudgetAborts: win.BudgetAborts,
-			TotalWork: win.TotalWork, TotalRows: win.TotalRows,
-			PageMisses: win.PageMisses, PoolHits: win.PoolHits,
-			PoolMisses: win.PoolMisses, QErr: []windowQErrJSON{},
-		}
-		for _, q := range win.QErr {
-			line.QErr = append(line.QErr, windowQErrJSON{
-				Version: q.Version, Count: q.Count, Mean: q.Mean(), Max: q.Max,
-			})
-		}
-		if err := enc.Encode(line); err != nil {
-			return err
-		}
-	}
-	for _, ev := range drift {
-		line := driftJSON{
-			Type: "drift", Seq: ev.Seq, Kind: ev.Kind.String(),
-			AtMs: ev.At.UnixMilli(), EstVersion: ev.EstimatorVersion,
-			Before: ev.Before, After: ev.After, Evidence: []evidenceJSON{},
-		}
-		for _, e := range ev.Evidence {
-			line.Evidence = append(line.Evidence, evidenceJSON{Window: e.Window, Value: e.Value})
-		}
-		if err := enc.Encode(line); err != nil {
-			return err
-		}
-	}
-	for _, ev := range models {
-		line := modelJSON{
-			Type: "model", Seq: ev.Seq, AtMs: ev.At.UnixMilli(),
-			Action: ev.Action.String(), Version: ev.Version, Incumbent: ev.Incumbent,
-		}
-		if err := enc.Encode(line); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
+	return errors.Join(
+		headerSchema.WriteJSONL(w, exportHeader{
+			Statements: len(stmts), Heat: len(heat), Windows: len(wins),
+			Drift: len(drift), Models: len(models), Dropped: s.DroppedStatements(),
+		}),
+		statementSchema.WriteJSONL(w, stmts...),
+		heatSchema.WriteJSONL(w, heat...),
+		windowSchema.WriteJSONL(w, wins...),
+		driftSchema.WriteJSONL(w, drift...),
+		modelSchema.WriteJSONL(w, models...),
+	)
 }
 
-// requiredFields per line type; the validator fails on any missing field,
-// so schema drift is caught by CI rather than by downstream consumers.
-var requiredFields = map[string][]string{
-	"querystore": {"schema", "statements", "heat", "windows", "drift", "models", "dropped"},
-	"statement": {"id", "shape", "calls", "cache_hits", "fallbacks", "budget_aborts",
-		"total_work", "max_work", "total_rows", "page_misses",
-		"qerr_count", "qerr_mean", "qerr_max", "last_seen_window", "rows_per_call"},
-	"heat":   {"table", "col", "filters", "joins", "sel_count", "sel_mean"},
-	"window": {"id", "start_ms", "end_ms", "queries", "cache_hits", "fallbacks", "budget_aborts", "total_work", "total_rows", "page_misses", "pool_hits", "pool_misses", "qerr"},
-	"drift":  {"seq", "kind", "at_ms", "est_version", "before", "after", "evidence"},
-	"model":  {"seq", "at_ms", "action", "version", "incumbent"},
+// ExportFormat is the export's file format: the schema-1 header, whose
+// section counts must match the typed records that follow it.
+var ExportFormat = obs.Format{Name: "querystore", Header: true, Lines: []obs.LineSpec{
+	headerSchema.Line("").Checked(func(m map[string]json.RawMessage) error {
+		var version int
+		if err := json.Unmarshal(m["schema"], &version); err != nil || version != 1 {
+			return fmt.Errorf("unsupported schema version %s", m["schema"])
+		}
+		return nil
+	}),
+	statementSchema.Line("statements"), heatSchema.Line("heat"), windowSchema.Line("windows"),
+	driftSchema.Line("drift"), modelSchema.Line("models"),
+}}
+
+// ValidateJSONL checks a querystore export against ExportFormat. Returns
+// the number of validated lines (header included).
+func ValidateJSONL(r io.Reader) (int, error) { return ExportFormat.Validate(r) }
+
+// The system-view table names RegisterViews claims in the catalog.
+const (
+	ViewStatements = "sys_statements"
+	ViewWindows    = "sys_windows"
+	ViewDrift      = "sys_drift"
+	ViewModels     = "sys_models"
+)
+
+// RegisterViews registers the four querystore system views as virtual
+// read-only tables served from s, making the observatory queryable with
+// plain SELECTs through the normal planner/executor. Registration follows
+// catalog.RegisterVirtual's idempotence contract.
+func RegisterViews(cat *catalog.Catalog, s *Store) error {
+	return errors.Join(
+		registerView(cat, ViewStatements, statementSchema.View(s.numStatements, s.Statements)),
+		registerView(cat, ViewWindows, windowSchema.View(s.windows.Len, s.Windows)),
+		registerView(cat, ViewDrift, driftSchema.View(s.drift.events.Len, s.DriftEvents)),
+		registerView(cat, ViewModels, modelSchema.View(s.models.Len, s.ModelEvents)),
+	)
 }
 
-// ValidateJSONL checks a querystore export: the first line must be the
-// querystore header, every later line one of the typed records with its
-// required fields, and the header's section counts must match the lines
-// that follow. Returns the number of validated lines (header included).
-func ValidateJSONL(r io.Reader) (int, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 1<<16), 1<<22)
-	lineNo := 0
-	validated := 0
-	var header headerJSON
-	counts := map[string]int{}
-	for sc.Scan() {
-		line := sc.Bytes()
-		lineNo++
-		if len(line) == 0 {
-			continue
-		}
-		var m map[string]json.RawMessage
-		if err := json.Unmarshal(line, &m); err != nil {
-			return validated, fmt.Errorf("line %d: not valid JSON: %v", lineNo, err)
-		}
-		var typ string
-		if err := json.Unmarshal(m["type"], &typ); err != nil {
-			return validated, fmt.Errorf("line %d: missing type", lineNo)
-		}
-		if validated == 0 {
-			if typ != "querystore" {
-				return validated, fmt.Errorf("line %d: first line must be the querystore header, got type %q", lineNo, typ)
-			}
-			if err := checkFields(m, lineNo, typ); err != nil {
-				return validated, err
-			}
-			if err := json.Unmarshal(line, &header); err != nil {
-				return validated, fmt.Errorf("line %d: bad header: %v", lineNo, err)
-			}
-			if header.Schema != 1 {
-				return validated, fmt.Errorf("line %d: unsupported schema version %d", lineNo, header.Schema)
-			}
-			validated++
-			continue
-		}
-		fields, ok := requiredFields[typ]
-		if !ok || typ == "querystore" {
-			return validated, fmt.Errorf("line %d: unknown record type %q", lineNo, typ)
-		}
-		for _, f := range fields {
-			if _, present := m[f]; !present {
-				return validated, fmt.Errorf("line %d: %s record missing field %q", lineNo, typ, f)
-			}
-		}
-		counts[typ]++
-		validated++
-	}
-	if err := sc.Err(); err != nil {
-		return validated, err
-	}
-	if validated == 0 {
-		return 0, fmt.Errorf("empty export: no querystore header")
-	}
-	want := map[string]int{
-		"statement": header.Statements, "heat": header.Heat,
-		"window": header.Windows, "drift": header.Drift, "model": header.Models,
-	}
-	for typ, n := range want {
-		if counts[typ] != n {
-			return validated, fmt.Errorf("header declares %d %s records, found %d", n, typ, counts[typ])
-		}
-	}
-	return validated, nil
-}
-
-func checkFields(m map[string]json.RawMessage, lineNo int, typ string) error {
-	for _, f := range requiredFields[typ] {
-		if _, ok := m[f]; !ok {
-			return fmt.Errorf("line %d: %s record missing field %q", lineNo, typ, f)
-		}
-	}
-	return nil
+func registerView[T any](cat *catalog.Catalog, name string, v obs.View[T]) error {
+	return catalog.RegisterVirtual(cat, name, v.Columns(), v)
 }

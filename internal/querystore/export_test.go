@@ -5,6 +5,9 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"ml4db/internal/obs"
+	"ml4db/internal/sqlkit/catalog"
 )
 
 // replayWorkload drives one fixed workload against a fresh store under a
@@ -65,5 +68,38 @@ func TestValidateJSONLRejects(t *testing.T) {
 		} else if !strings.Contains(err.Error(), c.frag) {
 			t.Errorf("%s: error %q does not mention %q", c.name, err, c.frag)
 		}
+	}
+}
+
+// TestModelRingWrapsAtMaxEvents overfills the model timeline, which runs at
+// the module-wide obs.MaxEvents: the export's header count and the
+// sys_models view must both describe exactly the retained events, and Seq
+// keeps counting across evictions.
+func TestModelRingWrapsAtMaxEvents(t *testing.T) {
+	s, _ := manualStore(Options{})
+	for v := 1; v <= obs.MaxEvents+3; v++ {
+		s.RecordModelInstall(v)
+	}
+	evs := s.ModelEvents()
+	if len(evs) != obs.MaxEvents || evs[0].Seq != 4 || evs[len(evs)-1].Seq != obs.MaxEvents+3 {
+		t.Fatalf("retained %d events, Seq %d..%d; want %d, 4..%d",
+			len(evs), evs[0].Seq, evs[len(evs)-1].Seq, obs.MaxEvents, obs.MaxEvents+3)
+	}
+	var buf bytes.Buffer
+	if err := s.WriteJSONL(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := ValidateJSONL(&buf); err != nil || n != 1+obs.MaxEvents {
+		t.Errorf("export validated %d lines (%v), want header + %d model lines", n, err, obs.MaxEvents)
+	}
+	cat := catalog.NewCatalog()
+	if err := RegisterViews(cat, s); err != nil {
+		t.Fatal(err)
+	}
+	id, _ := cat.ByName(ViewModels)
+	view := cat.Table(id)
+	if rows := view.Virtual.VirtualRows(); view.NumRows() != obs.MaxEvents || len(rows) != obs.MaxEvents || rows[0][0] != 4 {
+		t.Errorf("sys_models reports %d rows, returns %d, first seq %d; want %d, %d, 4",
+			view.NumRows(), len(rows), rows[0][0], obs.MaxEvents, obs.MaxEvents)
 	}
 }

@@ -90,21 +90,7 @@ func RolloutSink(s *Store) func(modelsvc.RolloutEvent) {
 }
 
 func (s *Store) recordModel(action ModelAction, version, incumbent int) {
-	now := s.clock.Now()
-	s.mu.Lock()
-	s.modelSeq++
-	s.models = append(s.models, ModelEvent{
-		Seq:       s.modelSeq,
-		At:        now,
-		Action:    action,
-		Version:   version,
-		Incumbent: incumbent,
-	})
-	if len(s.models) > s.opts.MaxEvents {
-		copy(s.models, s.models[len(s.models)-s.opts.MaxEvents:])
-		s.models = s.models[:s.opts.MaxEvents]
-	}
-	s.mu.Unlock()
+	s.models.Append(ModelEvent{At: s.clock.Now(), Action: action, Version: version, Incumbent: incumbent})
 }
 
 // ModelEvents returns the retained model events in emission order.
@@ -112,9 +98,5 @@ func (s *Store) ModelEvents() []ModelEvent {
 	if s == nil {
 		return nil
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]ModelEvent, len(s.models))
-	copy(out, s.models)
-	return out
+	return s.models.Snapshot()
 }

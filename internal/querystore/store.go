@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"ml4db/internal/mlmath"
+	"ml4db/internal/obs"
 	"ml4db/internal/sqlkit/catalog"
 	"ml4db/internal/sqlkit/expr"
 	"ml4db/internal/sqlkit/plan"
@@ -33,9 +34,6 @@ type Options struct {
 	// observations for shapes beyond the cap update only window aggregates
 	// (DroppedStatements counts them). Values below one default to 512.
 	MaxStatements int
-	// MaxEvents bounds the drift-event and model-event rings. Values below
-	// one default to 256.
-	MaxEvents int
 	// Catalog, when non-nil, lets the store harvest observed selectivities
 	// for the column heat map (it needs table row counts and widths).
 	// Without it the heat map still counts column appearances but records no
@@ -145,12 +143,11 @@ type Store struct {
 	stmtOrder  []string // shapes in first-seen order (snapshot order)
 	dropped    int64
 	heat       map[heatKey]*ColumnHeat
-	windows    windowRing
+	windows    *obs.Ledger[WindowStats]
 	cur        winAgg
 	curStarted bool
 	drift      driftState
-	models     []ModelEvent
-	modelSeq   int64
+	models     *obs.Ledger[ModelEvent]
 }
 
 type heatKey struct{ table, col int }
@@ -166,16 +163,15 @@ func New(opts Options) *Store {
 	if opts.MaxStatements < 1 {
 		opts.MaxStatements = 512
 	}
-	if opts.MaxEvents < 1 {
-		opts.MaxEvents = 256
-	}
 	opts.Drift = opts.Drift.withDefaults()
 	return &Store{
 		opts:    opts,
 		clock:   mlmath.ClockOrSystem(opts.Clock),
 		stmts:   make(map[string]*StatementStats),
 		heat:    make(map[heatKey]*ColumnHeat),
-		windows: windowRing{cap: opts.MaxWindows},
+		windows: obs.NewLedger[WindowStats](opts.MaxWindows, nil),
+		drift:   driftState{events: obs.NewLedger(obs.MaxEvents, func(e *DriftEvent, n int64) { e.Seq = n + 1 })},
+		models:  obs.NewLedger(obs.MaxEvents, func(e *ModelEvent, n int64) { e.Seq = n + 1 }),
 	}
 }
 
@@ -281,6 +277,14 @@ func (s *Store) DroppedStatements() int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.dropped
+}
+
+// numStatements returns how many statements are tracked, without copying
+// them (the optimizer asks for a view's row count more than once per plan).
+func (s *Store) numStatements() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.stmtOrder)
 }
 
 // Statements returns the statement records in first-seen (ID) order.

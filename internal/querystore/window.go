@@ -113,20 +113,13 @@ func (w *winAgg) seal(dur time.Duration) WindowStats {
 	return ws
 }
 
-// windowRing keeps the most recent cap sealed windows in seal order.
-type windowRing struct {
-	cap  int
-	wins []WindowStats
-}
-
-func (r *windowRing) push(w WindowStats) {
-	r.wins = append(r.wins, w)
-	if len(r.wins) > r.cap {
-		// Shift instead of a circular index: cap is small and snapshots stay
-		// trivially ordered.
-		copy(r.wins, r.wins[len(r.wins)-r.cap:])
-		r.wins = r.wins[:r.cap]
+// hitRate returns the window's buffer-pool hit rate; ok is false (and the
+// rate 0) for a window with no pool traffic.
+func (w WindowStats) hitRate() (rate float64, ok bool) {
+	if w.PoolHits+w.PoolMisses == 0 {
+		return 0, false
 	}
+	return float64(w.PoolHits) / float64(w.PoolHits+w.PoolMisses), true
 }
 
 // advanceLocked moves the window frontier to cover now, sealing the current
@@ -166,7 +159,7 @@ func (s *Store) sealLocked() []DriftEvent {
 		s.drift.lastPoolHits = ps.Hits
 		s.drift.lastPoolMisses = ps.Misses
 	}
-	s.windows.push(ws)
+	s.windows.Append(ws)
 	s.curStarted = false
 	return s.evaluateDriftLocked(ws)
 }
@@ -184,8 +177,8 @@ func (s *Store) LastWindowIndex() int64 {
 	if s.curStarted {
 		return s.cur.index
 	}
-	if n := len(s.windows.wins); n > 0 {
-		return s.windows.wins[n-1].Index
+	if wins := s.windows.Snapshot(); len(wins) > 0 {
+		return wins[len(wins)-1].Index
 	}
 	return -1
 }
@@ -195,9 +188,5 @@ func (s *Store) Windows() []WindowStats {
 	if s == nil {
 		return nil
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]WindowStats, len(s.windows.wins))
-	copy(out, s.windows.wins)
-	return out
+	return s.windows.Snapshot()
 }

@@ -146,6 +146,26 @@ func (c *Catalog) MustAdd(t *Table) int {
 	return id
 }
 
+// RegisterVirtual claims name in cat as a virtual read-only table with the
+// given columns, served from src. Registration is idempotent per catalog: a
+// table of that name that is already virtual is rebound to src; a
+// non-virtual table squatting on the name is an error.
+func RegisterVirtual(cat *Catalog, name string, cols []string, src VirtualSource) error {
+	if id, ok := cat.ByName(name); ok {
+		t := cat.Table(id)
+		if t.Virtual == nil {
+			return fmt.Errorf("catalog: table %q exists and is not a virtual view", name)
+		}
+		t.Virtual = src
+		return nil
+	}
+	t := NewTable(name, cols...)
+	t.Data = nil
+	t.Virtual = src
+	_, err := cat.Add(t)
+	return err
+}
+
 // Table returns the table with the given ID.
 func (c *Catalog) Table(id int) *Table { return c.Tables[id] }
 

@@ -71,7 +71,7 @@ go test -run '^$' -bench 'MatMul|MLPFit|PoolFetch' -benchtime=1x ./internal/mlma
 #   querystore  sys_statements disagrees with the executed workload, or two
 #               replays exported different or invalid JSONL
 #   autopilot   good index not adopted and kept, harmful view not dropped,
-#               ledger replay or sys_tuning disagrees
+#               ledger replay or sys_tuning disagrees, or invalid ledger JSONL
 #   exec        partitioned run differs from serial in rows, work, counters
 #               or typed budget abort; plan cache served the wrong parallelism
 # (The -race sweep above already covers the concurrent shard and buffer-pool
@@ -81,7 +81,6 @@ echo "==> bench suites smoke (ml4db-bench -suite all -quick + JSONL schema valid
 obsdir=$(mktemp -d)
 trap 'rm -rf "$obsdir"' EXIT
 go run ./cmd/ml4db-bench -suite all -quick -out-dir "$obsdir"
-go run ./cmd/ml4db-tracecheck -trace "$obsdir/spans.jsonl" -metrics "$obsdir/metrics.jsonl"
-go run ./cmd/ml4db-tracecheck -metrics "$obsdir/serve_metrics.jsonl" -querystore "$obsdir/querystore.jsonl"
+go run ./cmd/ml4db-tracecheck "$obsdir"/{spans,metrics,serve_metrics,querystore,tuning}.jsonl
 
 echo "All checks passed."
