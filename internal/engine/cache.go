@@ -73,7 +73,7 @@ func queryShape(q *plan.Query, hintName string) string {
 	for i, j := range q.Joins {
 		// Orient each condition smaller side first; equality is symmetric.
 		if j.RightTable < j.LeftTable || (j.RightTable == j.LeftTable && j.RightCol < j.LeftCol) {
-			j = expr.JoinCond{LeftTable: j.RightTable, LeftCol: j.RightCol, RightTable: j.LeftTable, RightCol: j.LeftCol}
+			j = j.Flip()
 		}
 		joins[i] = j
 	}

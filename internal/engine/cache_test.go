@@ -91,7 +91,7 @@ func TestCacheLRUEviction(t *testing.T) {
 
 func TestCacheServesClones(t *testing.T) {
 	c := newPlanCache(4, nil)
-	orig := plan.NewJoin(plan.OpHashJoin, plan.NewScan(0, 0, nil), plan.NewScan(1, 1, nil), 0, 0)
+	orig := plan.NewJoin(plan.OpHashJoin, plan.NewScan(0, 0, nil), plan.NewScan(1, 1, nil), expr.JoinCond{RightTable: 1})
 	c.Put("k", orig)
 
 	// Mutating the inserted tree after Put must not reach the cache.

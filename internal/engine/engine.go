@@ -147,14 +147,6 @@ func New(cat *catalog.Catalog, opts Options) *Engine {
 // Catalog returns the engine's catalog.
 func (e *Engine) Catalog() *catalog.Catalog { return e.cat }
 
-// StatsVersion returns the current catalog-statistics version. It starts at
-// zero and increments on every RefreshStats.
-func (e *Engine) StatsVersion() int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.statsVersion
-}
-
 // EstimatorVersion returns the installed learned-estimator version (zero
 // when none is installed).
 func (e *Engine) EstimatorVersion() int {
@@ -222,14 +214,6 @@ func (e *Engine) RefreshStats(buckets, sampleSize int) {
 		e.cache.Invalidate()
 		e.opts.Metrics.Counter("engine.stats_refreshes").Inc()
 	})
-}
-
-// DesignVersion returns the physical-design version. It starts at zero and
-// increments on every NotifyDesignChange (and SetRewriters).
-func (e *Engine) DesignVersion() int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.designVersion
 }
 
 // NotifyDesignChange records a physical-design mutation — an index built or

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 
+	"ml4db/internal/sqlkit/exec"
 	"ml4db/internal/sqlkit/sqlparse"
 )
 
@@ -32,37 +33,28 @@ func (s *Session) Query(sql string) (*RowsResult, error) {
 		return nil, err
 	}
 
-	// The optimizer reorders join leaves, so the executor's output columns
-	// are laid out in plan-leaf order, not FROM order — and a view rewrite
-	// may have folded several FROM tables into one wider view table. Recover
-	// each executed position's base offset from the plan, then route each
-	// FROM-relative column through the rewrite's position map.
-	exq := res.Query
-	leaves := res.Plan.Tables()
-	base := make(map[int]int, len(leaves))
-	off := 0
-	for _, pos := range leaves {
-		base[pos] = off
-		off += s.eng.cat.Table(exq.Tables[pos]).NumCols()
-	}
-	colOffset := func(c sqlparse.ColRef) (int, error) {
-		pos, shift := c.TablePos, 0
+	// The executor owns the row layout (the optimizer reorders join leaves),
+	// and a view rewrite may have folded several FROM tables into one wider
+	// view table: route each FROM-relative column through the rewrite's
+	// position map, then ask the executor where the plan's rows hold it.
+	offsetOf := func(c sqlparse.ColRef) (int, error) {
+		pos, col := c.TablePos, c.Col
 		if res.PosMap != nil {
 			pm := res.PosMap[c.TablePos]
-			pos, shift = pm.Pos, pm.ColShift
+			pos, col = pm.Pos, pm.ColShift+c.Col
 		}
-		b, ok := base[pos]
+		off, ok := exec.ColOffset(s.eng.cat, res.Plan, pos, col)
 		if !ok {
 			return 0, fmt.Errorf("engine: query table position %d missing from executed plan", c.TablePos)
 		}
-		return b + shift + c.Col, nil
+		return off, nil
 	}
 
 	rows := res.Rows
 	if len(st.OrderBy) > 0 {
 		keys := make([]int, len(st.OrderBy))
 		for i, k := range st.OrderBy {
-			if keys[i], err = colOffset(k.Col); err != nil {
+			if keys[i], err = offsetOf(k.Col); err != nil {
 				return nil, err
 			}
 		}
@@ -101,7 +93,7 @@ func (s *Session) Query(sql string) (*RowsResult, error) {
 	offsets := make([]int, len(cols))
 	names := make([]string, len(cols))
 	for i, c := range cols {
-		if offsets[i], err = colOffset(c); err != nil {
+		if offsets[i], err = offsetOf(c); err != nil {
 			return nil, err
 		}
 		names[i] = s.eng.cat.Table(st.Query.Tables[c.TablePos]).Columns[c.Col].Name

@@ -16,7 +16,7 @@ import (
 // exec.execute children (the latter with one span per operator), and the
 // learned components — BAO, the MLP cardinality estimator with its drift
 // adapter, and an RMI learned index — emit their counters and histograms
-// into reg. It is the engine behind the -trace/-metrics CLI flags and the
+// into reg. It is the engine behind ml4db-bench's `-suite trace` and the
 // check.sh observability smoke gate. Under a ManualClock the trace is
 // bit-reproducible.
 func TraceWorkload(seed uint64, numQueries int, tr *obs.Tracer, reg *obs.Registry, clock mlmath.Clock) error {

@@ -11,7 +11,6 @@ import (
 	"ml4db/internal/planrep"
 	"ml4db/internal/sqlkit/catalog"
 	"ml4db/internal/sqlkit/exec"
-	"ml4db/internal/sqlkit/expr"
 	"ml4db/internal/sqlkit/optimizer"
 	"ml4db/internal/sqlkit/plan"
 	"ml4db/internal/tree"
@@ -81,24 +80,6 @@ type ValueSearch struct {
 	Pool *mlmath.Pool
 }
 
-// forestEntry tracks a subtree and its output column layout.
-type forestEntry struct {
-	node   *plan.Node
-	layout []int // table positions in leaf order
-}
-
-func (v *ValueSearch) colOffset(q *plan.Query, layout []int, tablePos, col int) int {
-	off := 0
-	for _, p := range layout {
-		if p == tablePos {
-			return off + col
-		}
-		off += v.Env.Cat.Table(q.Tables[p]).NumCols()
-	}
-	//ml4db:allow nakedpanic "unreachable: layouts are permutations of the query tables by construction"
-	panic(fmt.Sprintf("qo: table position %d not in layout %v", tablePos, layout))
-}
-
 // candidate is a possible join step.
 type candidate struct {
 	left, right int // forest indexes
@@ -111,10 +92,9 @@ type candidate struct {
 // is ε-greedy over the value scores.
 func (v *ValueSearch) BuildPlan(q *plan.Query, explore bool) (*plan.Node, error) {
 	n := q.NumTables()
-	forest := make([]forestEntry, 0, n)
+	forest := make([]*plan.Node, 0, n)
 	for pos := 0; pos < n; pos++ {
-		scan := plan.NewScan(pos, q.Tables[pos], q.Filters[pos])
-		forest = append(forest, forestEntry{node: scan, layout: []int{pos}})
+		forest = append(forest, plan.NewScan(pos, q.Tables[pos], q.Filters[pos]))
 	}
 	for len(forest) > 1 {
 		cands := v.candidates(q, forest)
@@ -133,19 +113,18 @@ func (v *ValueSearch) BuildPlan(q *plan.Query, explore bool) (*plan.Node, error)
 			}
 		}
 		c := cands[pick]
-		merged := forestEntry{
-			node:   c.node,
-			layout: append(append([]int{}, forest[c.left].layout...), forest[c.right].layout...),
-		}
-		var next []forestEntry
+		var next []*plan.Node
 		for i, f := range forest {
 			if i != c.left && i != c.right {
 				next = append(next, f)
 			}
 		}
-		forest = append(next, merged)
+		forest = append(next, c.node)
 	}
-	root := forest[0].node
+	root := forest[0]
+	if err := optimizer.CheckConds(q, root); err != nil {
+		return nil, err
+	}
 	v.Env.Opt.Annotate(q, root)
 	return root, nil
 }
@@ -154,21 +133,19 @@ func (v *ValueSearch) BuildPlan(q *plan.Query, explore bool) (*plan.Node, error)
 // network in one batched inference pass: enumeration and annotation stay
 // serial (Annotate mutates plan nodes), then every candidate subtree is
 // encoded and scored in parallel on v.Pool.
-func (v *ValueSearch) candidates(q *plan.Query, forest []forestEntry) []candidate {
+func (v *ValueSearch) candidates(q *plan.Query, forest []*plan.Node) []candidate {
 	var out []candidate
 	for i := range forest {
 		for j := range forest {
 			if i == j {
 				continue
 			}
-			cond, ok := condBetween(q, forest[i].layout, forest[j].layout)
-			if !ok {
+			conds := optimizer.CrossingConds(q, forest[i], forest[j])
+			if len(conds) == 0 {
 				continue
 			}
-			lc := v.colOffset(q, forest[i].layout, cond.LeftTable, cond.LeftCol)
-			rc := v.colOffset(q, forest[j].layout, cond.RightTable, cond.RightCol)
 			for _, op := range plan.AllJoinOps {
-				node := plan.NewJoin(op, forest[i].node, forest[j].node, lc, rc)
+				node := plan.NewJoin(op, forest[i], forest[j], conds...)
 				v.Env.Opt.Annotate(q, node)
 				out = append(out, candidate{left: i, right: j, op: op, node: node})
 			}
@@ -184,28 +161,6 @@ func (v *ValueSearch) candidates(q *plan.Query, forest []forestEntry) []candidat
 		out[c].score = score
 	}
 	return out
-}
-
-// condBetween finds a join condition connecting the two layouts, oriented
-// left→right.
-func condBetween(q *plan.Query, left, right []int) (expr.JoinCond, bool) {
-	inLeft := map[int]bool{}
-	for _, p := range left {
-		inLeft[p] = true
-	}
-	inRight := map[int]bool{}
-	for _, p := range right {
-		inRight[p] = true
-	}
-	for _, c := range q.Joins {
-		if inLeft[c.LeftTable] && inRight[c.RightTable] {
-			return c, true
-		}
-		if inLeft[c.RightTable] && inRight[c.LeftTable] {
-			return expr.JoinCond{LeftTable: c.RightTable, LeftCol: c.RightCol, RightTable: c.LeftTable, RightCol: c.LeftCol}, true
-		}
-	}
-	return expr.JoinCond{}, false
 }
 
 // Experience is one labeled execution.

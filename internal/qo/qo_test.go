@@ -7,6 +7,7 @@ import (
 	"ml4db/internal/planrep"
 	"ml4db/internal/sqlkit/datagen"
 	"ml4db/internal/sqlkit/exec"
+	"ml4db/internal/sqlkit/expr"
 	"ml4db/internal/sqlkit/optimizer"
 	"ml4db/internal/sqlkit/plan"
 	"ml4db/internal/tree"
@@ -176,5 +177,43 @@ func TestBuildPlanRejectsDisconnected(t *testing.T) {
 	q := plan.NewQuery(0, 1) // no join conditions
 	if _, err := vs.BuildPlan(q, false); err == nil {
 		t.Error("expected disconnected error")
+	}
+}
+
+// TestBuildPlanCarriesEveryConditionOfACyclicQuery: on a triangle join graph
+// the value search — greedy and exploring alike — builds plans whose join
+// nodes carry all three conditions (the closing edge rides on whichever join
+// first has both its tables below it), so the 200-row chain join shrinks to
+// the one row the third condition leaves. A condition no join can carry is an
+// error, not a dropped predicate.
+func TestBuildPlanCarriesEveryConditionOfACyclicQuery(t *testing.T) {
+	sch, err := datagen.NewChainSchema(mlmath.NewRNG(7), []int{200, 200, 200})
+	if err != nil {
+		t.Fatal(err)
+	}
+	env := NewEnv(sch.Cat)
+	vs := newSearch(env, 3)
+	on := func(lt, lc, rt, rc int) expr.JoinCond {
+		return expr.JoinCond{LeftTable: lt, LeftCol: lc, RightTable: rt, RightCol: rc}
+	}
+	q := plan.NewQuery(sch.TableIDs...).AddJoin(on(0, 1, 1, 0)).AddJoin(on(1, 1, 2, 0)).AddJoin(on(0, 0, 2, 0))
+	for i := 0; i < 12; i++ {
+		p, err := vs.BuildPlan(q, i%2 == 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		carried := 0
+		p.Walk(func(n *plan.Node) { carried += len(n.Conds) })
+		res, err := env.Exec.Execute(p, exec.Options{})
+		if err != nil {
+			t.Fatalf("%v\n%s", err, p)
+		}
+		if carried != 3 || len(res.Rows) != 1 {
+			t.Fatalf("plan carries %d of 3 conditions and returns %d rows, want 3 and 1\n%s", carried, len(res.Rows), p)
+		}
+	}
+	q.AddJoin(on(1, 0, 1, 2)) // t1.id = t1.attr: both sides one table position
+	if p, err := vs.BuildPlan(q, false); err == nil {
+		t.Fatalf("BuildPlan returned a plan for a condition no join can carry:\n%s", p)
 	}
 }

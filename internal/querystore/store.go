@@ -8,7 +8,6 @@ import (
 	"ml4db/internal/mlmath"
 	"ml4db/internal/obs"
 	"ml4db/internal/sqlkit/catalog"
-	"ml4db/internal/sqlkit/expr"
 	"ml4db/internal/sqlkit/plan"
 	"ml4db/internal/storage"
 )
@@ -34,10 +33,10 @@ type Options struct {
 	// observations for shapes beyond the cap update only window aggregates
 	// (DroppedStatements counts them). Values below one default to 512.
 	MaxStatements int
-	// Catalog, when non-nil, lets the store harvest observed selectivities
-	// for the column heat map (it needs table row counts and widths).
-	// Without it the heat map still counts column appearances but records no
-	// selectivities.
+	// Catalog, when non-nil, lets the store harvest observed scan
+	// selectivities for the column heat map (it needs table row counts).
+	// Without it the heat map still counts filter-column appearances but
+	// records selectivities for join columns only.
 	Catalog *catalog.Catalog
 	// Pool, when non-nil, is sampled at every window seal; the per-window
 	// hit/miss deltas feed the hit-rate drift monitor.
@@ -90,9 +89,8 @@ type StatementStats struct {
 	LastWindow int64
 	// Template is a representative query reconstructed from the statement's
 	// first harvested plan: the executed leaves give tables and filters, the
-	// join nodes give join conditions. It is nil when the store has no
-	// catalog or no plan was harvested, and shared across snapshots —
-	// callers must treat it as read-only.
+	// join nodes give join conditions. It is nil when no plan was harvested,
+	// and shared across snapshots — callers must treat it as read-only.
 	Template *plan.Query
 }
 
@@ -366,8 +364,8 @@ func (s *Store) harvest(o Observation) harvestResult {
 		h.ok = true
 		h.qerrMean = sum / float64(nodes)
 	}
-	if s.opts.Catalog != nil && s.needsTemplate(o.Shape) {
-		h.tmpl = reconstructQuery(s.opts.Catalog, o.Plan)
+	if s.needsTemplate(o.Shape) {
+		h.tmpl = reconstructQuery(o.Plan)
 	}
 	return h
 }
@@ -383,11 +381,11 @@ func (s *Store) needsTemplate(shape string) bool {
 
 // reconstructQuery rebuilds a plan.Query from an executed plan tree: each
 // leaf contributes its table and filters at its original table position, and
-// each join node contributes a join condition with its key columns resolved
-// back to base (position, column) pairs. Returns nil when the tree's
-// positions do not form a dense 0..n-1 range or a join key cannot be
-// resolved — the template is a best-effort mining input, not an invariant.
-func reconstructQuery(cat *catalog.Catalog, p *plan.Node) *plan.Query {
+// each join node the conditions it carries, which already name base (position,
+// column) pairs. Returns nil when the tree's positions do not form a dense
+// 0..n-1 range — the template is a best-effort mining input, not an
+// invariant.
+func reconstructQuery(p *plan.Node) *plan.Query {
 	var leaves []*plan.Node
 	maxPos := -1
 	p.Walk(func(n *plan.Node) {
@@ -416,43 +414,12 @@ func reconstructQuery(cat *catalog.Catalog, p *plan.Node) *plan.Query {
 			q.AddFilter(l.TablePos, f)
 		}
 	}
-	ok := true
 	p.Walk(func(n *plan.Node) {
-		if n.IsLeaf() || len(n.Children) != 2 || !ok {
-			return
+		for _, c := range n.Conds {
+			q.AddJoin(c)
 		}
-		lp, lc, lok := resolveOutputPos(cat, n.Children[0], n.LeftCol)
-		rp, rc, rok := resolveOutputPos(cat, n.Children[1], n.RightCol)
-		if !lok || !rok {
-			ok = false
-			return
-		}
-		q.AddJoin(expr.JoinCond{LeftTable: lp, LeftCol: lc, RightTable: rp, RightCol: rc})
 	})
-	if !ok {
-		return nil
-	}
 	return q
-}
-
-// resolveOutputPos maps an output-relative column offset of a subtree back
-// to the (table position, column) leaf it came from.
-func resolveOutputPos(cat *catalog.Catalog, n *plan.Node, off int) (tablePos, col int, ok bool) {
-	if n.IsLeaf() {
-		w := cat.Table(n.TableID).NumCols()
-		if off < 0 || off >= w {
-			return 0, 0, false
-		}
-		return n.TablePos, off, true
-	}
-	for _, c := range n.Children {
-		w := outputWidth(cat, c)
-		if off < w {
-			return resolveOutputPos(cat, c, off)
-		}
-		off -= w
-	}
-	return 0, 0, false
 }
 
 // harvestHeat appends the node's heat samples. Scan leaves attribute the
@@ -460,7 +427,8 @@ func resolveOutputPos(cat *catalog.Catalog, n *plan.Node, off int) (tablePos, co
 // column — an approximation when a leaf carries several conjuncts, but the
 // right signal for "how selective are predicates touching this column".
 // Join nodes attribute the observed join selectivity (output over the
-// cross-product of the inputs) to both key columns.
+// cross-product of the inputs) to both columns of the key condition,
+// Conds[0].
 func (s *Store) harvestHeat(h *harvestResult, n *plan.Node) {
 	cat := s.opts.Catalog
 	if n.IsLeaf() {
@@ -476,13 +444,12 @@ func (s *Store) harvestHeat(h *harvestResult, n *plan.Node) {
 		}
 		return
 	}
-	if cat == nil || len(n.Children) != 2 {
+	if len(n.Conds) == 0 || len(n.Children) != 2 {
 		return
 	}
-	l, r := n.Children[0], n.Children[1]
-	lt, lc, lok := resolveOutputCol(cat, l, n.LeftCol)
-	rt, rc, rok := resolveOutputCol(cat, r, n.RightCol)
-	if !lok || !rok {
+	l, r, key := n.Children[0], n.Children[1], n.Conds[0]
+	lt, rt := l.Leaf(key.LeftTable), r.Leaf(key.RightTable)
+	if lt == nil || rt == nil {
 		return
 	}
 	cross := l.ActualRows * r.ActualRows
@@ -492,40 +459,8 @@ func (s *Store) harvestHeat(h *harvestResult, n *plan.Node) {
 		sel = n.ActualRows / cross
 	}
 	h.heat = append(h.heat,
-		heatSample{table: lt, col: lc, join: true, hasSel: hasSel, sel: sel},
-		heatSample{table: rt, col: rc, join: true, hasSel: hasSel, sel: sel})
-}
-
-// resolveOutputCol maps an output-relative column offset of a subtree back
-// to the base (catalog table ID, column) it came from: subtree output is the
-// concatenation of its leaves' columns in leaf order.
-func resolveOutputCol(cat *catalog.Catalog, n *plan.Node, off int) (tableID, col int, ok bool) {
-	if n.IsLeaf() {
-		w := cat.Table(n.TableID).NumCols()
-		if off < 0 || off >= w {
-			return 0, 0, false
-		}
-		return n.TableID, off, true
-	}
-	for _, c := range n.Children {
-		w := outputWidth(cat, c)
-		if off < w {
-			return resolveOutputCol(cat, c, off)
-		}
-		off -= w
-	}
-	return 0, 0, false
-}
-
-func outputWidth(cat *catalog.Catalog, n *plan.Node) int {
-	if n.IsLeaf() {
-		return cat.Table(n.TableID).NumCols()
-	}
-	w := 0
-	for _, c := range n.Children {
-		w += outputWidth(cat, c)
-	}
-	return w
+		heatSample{table: lt.TableID, col: key.LeftCol, join: true, hasSel: hasSel, sel: sel},
+		heatSample{table: rt.TableID, col: key.RightCol, join: true, hasSel: hasSel, sel: sel})
 }
 
 // pseudoQErr is the q-error of an (estimate, actual) row-count pair with a

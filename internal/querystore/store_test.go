@@ -126,7 +126,7 @@ func TestQErrAndHeatHarvest(t *testing.T) {
 	l.EstRows, l.ActualRows = 4, 3
 	r := plan.NewScan(1, 1, nil)
 	r.EstRows, r.ActualRows = 20, 20
-	j := plan.NewJoin(plan.OpHashJoin, l, r, 0, 0) // t0 col a, t1 col c
+	j := plan.NewJoin(plan.OpHashJoin, l, r, expr.JoinCond{RightTable: 1}) // t0 col a = t1 col c
 	j.EstRows, j.ActualRows = 10, 6
 	s.Record(Observation{Shape: "q", Plan: j, EstimatorVersion: 2})
 
@@ -248,7 +248,7 @@ func TestRecencyAndTemplateHarvest(t *testing.T) {
 	l.EstRows, l.ActualRows = 4, 3
 	r := plan.NewScan(1, 1, nil)
 	r.EstRows, r.ActualRows = 20, 20
-	j := plan.NewJoin(plan.OpHashJoin, l, r, 0, 0)
+	j := plan.NewJoin(plan.OpHashJoin, l, r, expr.JoinCond{RightTable: 1})
 	j.EstRows, j.ActualRows = 10, 6
 
 	s.Record(Observation{Shape: "q", Plan: j, Rows: 6})
@@ -264,7 +264,7 @@ func TestRecencyAndTemplateHarvest(t *testing.T) {
 	}
 	tmpl := st.Template
 	if tmpl == nil {
-		t.Fatal("no template reconstructed despite a catalog and a harvested plan")
+		t.Fatal("no template reconstructed despite a harvested plan")
 	}
 	if tmpl.NumTables() != 2 || tmpl.Tables[0] != 0 || tmpl.Tables[1] != 1 {
 		t.Fatalf("template tables = %v, want [0 1]", tmpl.Tables)

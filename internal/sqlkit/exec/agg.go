@@ -1,25 +1,33 @@
 package exec
 
 import (
+	"fmt"
 	"sort"
 
 	"ml4db/internal/sqlkit/plan"
 )
 
-// aggCell accumulates one group: COUNT(*) plus one running sum per SumCol.
+// aggCell accumulates one group: COUNT(*) plus one running sum per summed
+// column.
 type aggCell struct {
 	count int64
 	sums  []int64
 }
 
-// hashAgg groups the single child's rows by GroupCol and emits one row per
-// group — [group, COUNT(*), SUM(col)...] — in ascending group order. Each
+// hashAgg groups the single child's rows by n.Agg's grouping column and emits
+// one row per group — [group, COUNT(*), SUM(col)...] — in ascending group
+// order. The spec's column references resolve to offsets once, up front. Each
 // input row charges AggInput; each emitted group charges OutputTuple and one
 // materialized row. The accumulation phase runs over contiguous input shards
 // into one partial map per shard; partials merge order-insensitively (counts
 // and sums are commutative), so the sorted emission is the same for every
 // Partitions.
 func (s *execState) hashAgg(n *plan.Node) ([][]int64, error) {
+	cols, err := s.aggCols(n)
+	if err != nil {
+		return nil, err
+	}
+	groupCol, sumCols := cols[0], cols[1:]
 	in, err := s.run(n.Children[0])
 	if err != nil {
 		return nil, err
@@ -32,13 +40,13 @@ func (s *execState) hashAgg(n *plan.Node) ([][]int64, error) {
 			if err := a.charge(&a.ctr.AggInput, 1); err != nil {
 				return nil, err
 			}
-			cell := cells[row[n.GroupCol]]
+			cell := cells[row[groupCol]]
 			if cell == nil {
-				cell = &aggCell{sums: make([]int64, len(n.SumCols))}
-				cells[row[n.GroupCol]] = cell
+				cell = &aggCell{sums: make([]int64, len(sumCols))}
+				cells[row[groupCol]] = cell
 			}
 			cell.count++
-			for i, c := range n.SumCols {
+			for i, c := range sumCols {
 				cell.sums[i] += row[c]
 			}
 		}
@@ -81,4 +89,21 @@ func (s *execState) hashAgg(n *plan.Node) ([][]int64, error) {
 	}
 	n.ActualRows = float64(len(out))
 	return out, nil
+}
+
+// aggCols resolves an aggregation's column references against its input's
+// layout (see ColOffset): the grouping column first, then each summed column.
+func (s *execState) aggCols(n *plan.Node) ([]int, error) {
+	if n.Agg == nil {
+		return nil, fmt.Errorf("exec: %v carries no aggregate spec", n.Op)
+	}
+	refs := append([]plan.AggCol{{Table: n.Agg.GroupTable, Col: n.Agg.GroupCol}}, n.Agg.Sums...)
+	cols := make([]int, len(refs))
+	for i, c := range refs {
+		var ok bool
+		if cols[i], ok = ColOffset(s.cat, n.Children[0], c.Table, c.Col); !ok {
+			return nil, fmt.Errorf("exec: %s names t%d, which its input does not scan", n.Head(), c.Table)
+		}
+	}
+	return cols, nil
 }

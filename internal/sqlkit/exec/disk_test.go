@@ -148,7 +148,7 @@ func TestDiskJoinMatchesInMemory(t *testing.T) {
 	join := func() *plan.Node {
 		l := plan.NewScan(0, 0, nil)
 		r := plan.NewScan(1, 1, nil)
-		return plan.NewJoin(plan.OpHashJoin, l, r, 1, 0)
+		return plan.NewJoin(plan.OpHashJoin, l, r, on(0, 1, 1, 0))
 	}
 	rm, err := New(mem).Execute(join(), Options{})
 	if err != nil {

@@ -407,16 +407,19 @@ func indexInterval(t *catalog.Table, n *plan.Node) (lo, hi int64, residual []exp
 	return lo, hi, residual, found
 }
 
-func (s *execState) children(n *plan.Node) (left, right [][]int64, err error) {
-	left, err = s.run(n.Children[0])
-	if err != nil {
-		return nil, nil, err
+// children resolves a join's conditions to offsets into its inputs' rows
+// (keys[0] is the hash or merge key; see ColOffset), then runs both inputs.
+func (s *execState) children(n *plan.Node) (left, right [][]int64, keys []keyPair, err error) {
+	if keys, err = s.joinKeys(n); err != nil {
+		return nil, nil, nil, err
 	}
-	right, err = s.run(n.Children[1])
-	if err != nil {
-		return nil, nil, err
+	if left, err = s.run(n.Children[0]); err != nil {
+		return nil, nil, nil, err
 	}
-	return left, right, nil
+	if right, err = s.run(n.Children[1]); err != nil {
+		return nil, nil, nil, err
+	}
+	return left, right, keys, nil
 }
 
 func joinRows(l, r []int64) []int64 {
@@ -426,17 +429,19 @@ func joinRows(l, r []int64) []int64 {
 }
 
 func (s *execState) hashJoin(n *plan.Node) ([][]int64, error) {
-	left, right, err := s.children(n)
+	left, right, keys, err := s.children(n)
 	if err != nil {
 		return nil, err
 	}
-	// Build on the left child, probe with the right.
+	// Build on the left child, probe with the right, keyed on the first
+	// condition; key matches that fail a later condition emit nothing.
+	key, rest := keys[0], keys[1:]
 	ht := make(map[int64][]int, len(left))
 	for i, row := range left {
 		if err := s.charge(&s.ctr.HashBuild, 1); err != nil {
 			return nil, err
 		}
-		k := row[n.LeftCol]
+		k := row[key.l]
 		ht[k] = append(ht[k], i)
 	}
 	// The probe phase shards by contiguous probe-side ranges; the table is
@@ -447,7 +452,10 @@ func (s *execState) hashJoin(n *plan.Node) ([][]int64, error) {
 			if err := a.charge(&a.ctr.HashProbe, 1); err != nil {
 				return nil, err
 			}
-			for _, li := range ht[rrow[n.RightCol]] {
+			for _, li := range ht[rrow[key.r]] {
+				if !matches(rest, left[li], rrow) {
+					continue
+				}
 				if err := a.charge(&a.ctr.OutputTuple, 1); err != nil {
 					return nil, err
 				}
@@ -467,21 +475,22 @@ func (s *execState) hashJoin(n *plan.Node) ([][]int64, error) {
 }
 
 func (s *execState) nlJoin(n *plan.Node) ([][]int64, error) {
-	left, right, err := s.children(n)
+	left, right, keys, err := s.children(n)
 	if err != nil {
 		return nil, err
 	}
+	key, rest := keys[0], keys[1:]
 	// Shards are contiguous outer (left) ranges, each scanning the full inner
 	// side, which preserves the left-major pair order within and across shards.
 	out, err := s.ranged(len(left), n.Partitions, func(a *acct, _, lo, hi int) ([][]int64, error) {
 		var out [][]int64
 		for _, lrow := range left[lo:hi] {
-			lk := lrow[n.LeftCol]
+			lk := lrow[key.l]
 			for _, rrow := range right {
 				if err := a.charge(&a.ctr.NLPairs, 1); err != nil {
 					return nil, err
 				}
-				if lk == rrow[n.RightCol] {
+				if lk == rrow[key.r] && matches(rest, lrow, rrow) {
 					if err := a.chargeRows(1); err != nil {
 						return nil, err
 					}
@@ -503,7 +512,7 @@ func (s *execState) nlJoin(n *plan.Node) ([][]int64, error) {
 // charges 3 scan steps, any 2-way partition of it charges 2), so Partitions
 // is ignored here to preserve serial≡parallel counter identity.
 func (s *execState) mergeJoin(n *plan.Node) ([][]int64, error) {
-	left, right, err := s.children(n)
+	left, right, keys, err := s.children(n)
 	if err != nil {
 		return nil, err
 	}
@@ -511,7 +520,9 @@ func (s *execState) mergeJoin(n *plan.Node) ([][]int64, error) {
 	if err := s.charge(&s.ctr.MergeSort, int64(plan.SortUnits(len(left))+plan.SortUnits(len(right)))); err != nil {
 		return nil, err
 	}
-	lc, rc := n.LeftCol, n.RightCol
+	// Sort and merge on the first condition; pairs of equal runs that fail a
+	// later condition emit nothing.
+	lc, rc, rest := keys[0].l, keys[0].r, keys[1:]
 	sort.Slice(left, func(i, j int) bool { return left[i][lc] < left[j][lc] })
 	sort.Slice(right, func(i, j int) bool { return right[i][rc] < right[j][rc] })
 	var out [][]int64
@@ -534,6 +545,9 @@ func (s *execState) mergeJoin(n *plan.Node) ([][]int64, error) {
 			}
 			for ; i < len(left) && left[i][lc] == lv; i++ {
 				for jj := j; jj < jEnd; jj++ {
+					if !matches(rest, left[i], right[jj]) {
+						continue
+					}
 					if err := s.charge(&s.ctr.OutputTuple, 1); err != nil {
 						return nil, err
 					}

@@ -56,10 +56,15 @@ func TestSeqScanWithFilters(t *testing.T) {
 // matches 2 rows in b → 1 + 4 = 5 output rows.
 const expectedJoinRows = 5
 
+// on builds the join condition t<lt>.c<lc> = t<rt>.c<rc> for hand-built plans.
+func on(lt, lc, rt, rc int) expr.JoinCond {
+	return expr.JoinCond{LeftTable: lt, LeftCol: lc, RightTable: rt, RightCol: rc}
+}
+
 func joinPlanOver(op plan.OpType) *plan.Node {
 	l := plan.NewScan(0, 0, nil)
 	r := plan.NewScan(1, 1, nil)
-	return plan.NewJoin(op, l, r, 0, 0) // a.id (offset 0 in left) = b.ref (offset 0 in right)
+	return plan.NewJoin(op, l, r, on(0, 0, 1, 0)) // a.id = b.ref
 }
 
 func TestAllJoinOperatorsAgree(t *testing.T) {
@@ -150,7 +155,7 @@ func TestNLJoinCostsMoreThanHashJoin(t *testing.T) {
 	mk := func(op plan.OpType) *plan.Node {
 		l := plan.NewScan(0, sch.TableIDs[0], nil)
 		r := plan.NewScan(1, sch.TableIDs[1], nil)
-		return plan.NewJoin(op, l, r, 1, 0) // t0.next = t1.id
+		return plan.NewJoin(op, l, r, on(0, 1, 1, 0)) // t0.next = t1.id
 	}
 	hres, err := e.Execute(mk(plan.OpHashJoin), Options{})
 	if err != nil {
@@ -240,10 +245,11 @@ func TestThreeWayJoinMatchesBruteForce(t *testing.T) {
 		s0 := plan.NewScan(0, sch.TableIDs[0], nil)
 		s1 := plan.NewScan(1, sch.TableIDs[1], nil)
 		s2 := plan.NewScan(2, sch.TableIDs[2], nil)
-		// ((t0 ⋈ t1) ⋈ t2): t0.next=t1.id, then t1.next (offset 3+1=4) =
-		// t2.id (offset 6), summing t0.attr (offset 2).
-		j1 := plan.NewJoin(tc.op, s0, s1, 1, 0)
-		root := plan.NewAgg(plan.NewJoin(plan.OpMergeJoin, j1, s2, 4, 0), 6, 2)
+		// ((t0 ⋈ t1) ⋈ t2): t0.next=t1.id, then t1.next=t2.id, grouping by
+		// t2.id and summing t0.attr.
+		j1 := plan.NewJoin(tc.op, s0, s1, on(0, 1, 1, 0))
+		root := plan.NewAgg(plan.NewJoin(plan.OpMergeJoin, j1, s2, on(1, 1, 2, 0)),
+			&plan.AggSpec{GroupTable: 2, GroupCol: 0, Sums: []plan.AggCol{{Table: 0, Col: 2}}})
 		for name, cat := range map[string]*catalog.Catalog{"mem": sch.Cat, "spilled": twin.Cat} {
 			for _, parts := range partitionSweep {
 				res, err := New(cat).Execute(forcePartitions(root, parts), Options{Pool: pool})

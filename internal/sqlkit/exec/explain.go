@@ -121,7 +121,7 @@ func (x *Explain) String() string {
 
 func (x *Explain) render(b *strings.Builder, n *plan.Node, depth int) {
 	b.WriteString(strings.Repeat("  ", depth))
-	b.WriteString(opDesc(n))
+	b.WriteString(n.Head())
 	if st, ok := x.stats[n]; ok {
 		fmt.Fprintf(b, " est_rows=%.0f rows=%d loops=%d work=%d time=%dµs%s",
 			n.EstRows, st.Rows, st.Loops, st.Work, st.Dur.Microseconds(), counterBreakdown(st.Counters))
@@ -132,34 +132,6 @@ func (x *Explain) render(b *strings.Builder, n *plan.Node, depth int) {
 	for _, c := range n.Children {
 		x.render(b, c, depth+1)
 	}
-}
-
-// opDesc renders the operator head: operator name plus scan target and
-// filters, or the join condition.
-func opDesc(n *plan.Node) string {
-	var b strings.Builder
-	if n.IsLeaf() {
-		fmt.Fprintf(&b, "%s(t%d#%d", n.Op, n.TablePos, n.TableID)
-		if n.Op == plan.OpIndexScan {
-			fmt.Fprintf(&b, " ix=c%d", n.IndexCol)
-		}
-		for _, f := range n.Filters {
-			fmt.Fprintf(&b, " %s", f)
-		}
-		b.WriteString(")")
-	} else if n.Op == plan.OpHashAgg {
-		fmt.Fprintf(&b, "%s(g=c%d", n.Op, n.GroupCol)
-		for _, c := range n.SumCols {
-			fmt.Fprintf(&b, " sum=c%d", c)
-		}
-		b.WriteString(")")
-	} else {
-		fmt.Fprintf(&b, "%s(l.c%d = r.c%d)", n.Op, n.LeftCol, n.RightCol)
-	}
-	if n.Partitions > 1 {
-		fmt.Fprintf(&b, " par=%d", n.Partitions)
-	}
-	return b.String()
 }
 
 // counterBreakdown lists the nonzero work categories in Counters.Vec order.

@@ -18,7 +18,7 @@ func TestExplainRescanTelescoping(t *testing.T) {
 	scan := plan.NewScan(0, 0, nil)
 	// a ⋈ a on id: ids 1 and 2 match themselves, id 3 appears twice → 4
 	// pairs; 6 output rows total.
-	root := plan.NewJoin(plan.OpNLJoin, scan, scan, 0, 0)
+	root := plan.NewJoin(plan.OpNLJoin, scan, scan, on(0, 0, 0, 0))
 
 	res, err := e.Execute(root, Options{Analyze: true})
 	if err != nil {
@@ -80,8 +80,8 @@ func TestExplainRescanDeepTree(t *testing.T) {
 	e := New(cat)
 	sa := plan.NewScan(0, 0, nil)
 	sb := plan.NewScan(1, 1, nil)
-	inner := plan.NewJoin(plan.OpHashJoin, sa, sb, 0, 0)
-	root := plan.NewJoin(plan.OpNLJoin, inner, inner, 0, 0)
+	inner := plan.NewJoin(plan.OpHashJoin, sa, sb, on(0, 0, 1, 0))
+	root := plan.NewJoin(plan.OpNLJoin, inner, inner, on(0, 0, 0, 0))
 
 	res, err := e.Execute(root, Options{Analyze: true})
 	if err != nil {

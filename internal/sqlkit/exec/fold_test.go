@@ -62,7 +62,7 @@ func TestBudgetAbortIdenticalAtEveryCharge(t *testing.T) {
 	half := []expr.Pred{{Col: 1, Op: expr.LE, Lo: 1}}
 	join := func(op plan.OpType) *plan.Node {
 		// big.c1 = small.c1: every key matches several rows on both sides.
-		return plan.NewJoin(op, plan.NewScan(0, big, nil), plan.NewScan(1, small, nil), 1, 1)
+		return plan.NewJoin(op, plan.NewScan(0, big, nil), plan.NewScan(1, small, nil), on(0, 1, 1, 1))
 	}
 	cases := []struct {
 		name string
@@ -72,7 +72,7 @@ func TestBudgetAbortIdenticalAtEveryCharge(t *testing.T) {
 		{"SeqScanDisk", plan.NewScan(0, disk, half)},
 		{"HashJoin", join(plan.OpHashJoin)},
 		{"NLJoin", join(plan.OpNLJoin)},
-		{"HashAgg", plan.NewAgg(plan.NewScan(0, big, nil), 1, 0)},
+		{"HashAgg", plan.NewAgg(plan.NewScan(0, big, nil), &plan.AggSpec{GroupCol: 1, Sums: []plan.AggCol{{Col: 0}}})},
 	}
 	pools := []*mlmath.Pool{nil, mlmath.NewPool(1), mlmath.NewPool(2), mlmath.NewPool(8)}
 	defer func() {

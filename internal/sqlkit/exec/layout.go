@@ -1,0 +1,80 @@
+package exec
+
+import (
+	"fmt"
+
+	"ml4db/internal/sqlkit/catalog"
+	"ml4db/internal/sqlkit/plan"
+)
+
+// ColOffset returns the offset, within the rows subtree produces, of column
+// col of the table at query position tablePos. ok is false when no scan under
+// subtree reads that position, or subtree is an aggregation (whose rows are
+// [group, COUNT(*), SUM...], not base columns).
+//
+// This is the single statement of the row layout: a scan emits its table's
+// columns in catalog order, and a join emits its left child's row followed by
+// its right child's — so a subtree's row is its leaves' columns concatenated
+// in leaf order. Plans name columns as (table position, column) references
+// and everything outside this package that needs an offset asks here, so
+// changing the layout (pruned leaves, column chunks, a root projection) is a
+// change to this package alone. Operators resolve their references through it
+// once per execution, never per row.
+func ColOffset(cat *catalog.Catalog, subtree *plan.Node, tablePos, col int) (off int, ok bool) {
+	if subtree.Op == plan.OpHashAgg {
+		return 0, false
+	}
+	base, ok := leafBase(cat, subtree, tablePos)
+	return base + col, ok
+}
+
+// leafBase returns the offset at which the leaf scanning tablePos starts in
+// n's rows, or n's full row width and false when no leaf under n scans it.
+func leafBase(cat *catalog.Catalog, n *plan.Node, tablePos int) (int, bool) {
+	if n.IsLeaf() {
+		if n.TablePos == tablePos {
+			return 0, true
+		}
+		return cat.Table(n.TableID).NumCols(), false
+	}
+	off := 0
+	for _, c := range n.Children {
+		w, found := leafBase(cat, c, tablePos)
+		off += w
+		if found {
+			return off, true
+		}
+	}
+	return off, false
+}
+
+// keyPair is one join condition resolved to offsets: a left-child row l and a
+// right-child row r satisfy it when l[keyPair.l] == r[keyPair.r].
+type keyPair struct{ l, r int }
+
+// joinKeys resolves a join node's conditions against its children's layouts.
+func (s *execState) joinKeys(n *plan.Node) ([]keyPair, error) {
+	if len(n.Conds) == 0 {
+		return nil, fmt.Errorf("exec: %v carries no join condition", n.Op)
+	}
+	keys := make([]keyPair, len(n.Conds))
+	for i, c := range n.Conds {
+		l, lok := ColOffset(s.cat, n.Children[0], c.LeftTable, c.LeftCol)
+		r, rok := ColOffset(s.cat, n.Children[1], c.RightTable, c.RightCol)
+		if !lok || !rok {
+			return nil, fmt.Errorf("exec: %v condition %v names a table its inputs do not scan", n.Op, c)
+		}
+		keys[i] = keyPair{l, r}
+	}
+	return keys, nil
+}
+
+// matches reports whether the pair (l, r) satisfies every condition in keys.
+func matches(keys []keyPair, l, r []int64) bool {
+	for _, k := range keys {
+		if l[k.l] != r[k.r] {
+			return false
+		}
+	}
+	return true
+}

@@ -114,5 +114,11 @@ func (j JoinCond) String() string {
 	return fmt.Sprintf("t%d.c%d = t%d.c%d", j.LeftTable, j.LeftCol, j.RightTable, j.RightCol)
 }
 
+// Flip returns the same condition with its sides exchanged; equality is
+// symmetric.
+func (j JoinCond) Flip() JoinCond {
+	return JoinCond{LeftTable: j.RightTable, LeftCol: j.RightCol, RightTable: j.LeftTable, RightCol: j.LeftCol}
+}
+
 // Touches reports whether the condition references table position t.
 func (j JoinCond) Touches(t int) bool { return j.LeftTable == t || j.RightTable == t }

@@ -31,7 +31,7 @@ func bruteForceBest(o *Optimizer, q *plan.Query, hint HintSet) float64 {
 				pos++
 			}
 			sp := o.scanPlan(q, pos, hint)
-			s := state{cost: sp.cost, rows: sp.rows}
+			s := state{cost: sp.EstCost, rows: sp.EstRows}
 			memo[mask] = s
 			return s, true
 		}

@@ -2,7 +2,6 @@ package optimizer
 
 import (
 	"fmt"
-	"math"
 	"math/bits"
 
 	"ml4db/internal/obs"
@@ -76,16 +75,13 @@ func New(cat *catalog.Catalog) *Optimizer {
 	return &Optimizer{Cat: cat, Est: &HistEstimator{Cat: cat}, Cost: DefaultCostParams()}
 }
 
-// subPlan is the DP table entry for a table-position subset.
-type subPlan struct {
-	node   *plan.Node
-	cost   float64
-	rows   float64
-	layout []int // table positions in leaf (output) order
-}
-
 // Plan returns the cheapest plan for q under the hint set. It errors if the
-// query's join graph is disconnected or the hint set admits no operator.
+// query's join graph is disconnected, the hint set admits no operator, or a
+// join condition cannot be carried by any join node (see CheckConds).
+//
+// The DP table maps a set of table positions (a bitmask) to the cheapest plan
+// found for it; the node itself carries that plan's EstRows and EstCost. The
+// planner never looks at how rows are laid out: nodes name base columns.
 func (o *Optimizer) Plan(q *plan.Query, hint HintSet) (*plan.Node, error) {
 	n := q.NumTables()
 	if n == 0 {
@@ -97,56 +93,134 @@ func (o *Optimizer) Plan(q *plan.Query, hint HintSet) (*plan.Node, error) {
 	if n > 20 {
 		return nil, fmt.Errorf("optimizer: %d tables exceeds DP limit", n)
 	}
-	best := make(map[uint32]*subPlan, 1<<n)
+	best := make([]*plan.Node, 1<<uint(n))
 	for pos := 0; pos < n; pos++ {
-		sp := o.scanPlan(q, pos, hint)
-		best[1<<uint(pos)] = sp
+		best[1<<uint(pos)] = o.scanPlan(q, pos, hint)
 	}
 	full := uint32(1<<uint(n)) - 1
 	for mask := uint32(1); mask <= full; mask++ {
 		if bits.OnesCount32(mask) < 2 {
 			continue
 		}
-		var bestSP *subPlan
 		lowest := mask & (^mask + 1)
 		for sub := (mask - 1) & mask; sub > 0; sub = (sub - 1) & mask {
 			if sub&lowest == 0 {
 				continue // canonical split: left side holds the lowest bit
 			}
 			other := mask ^ sub
-			left, right := best[sub], best[other]
-			if left == nil || right == nil {
+			if best[sub] == nil || best[other] == nil {
 				continue
 			}
-			cands := o.joinCandidates(q, hint, left, right)
-			for _, sp := range cands {
-				if bestSP == nil || sp.cost < bestSP.cost {
-					bestSP = sp
-				}
-			}
-		}
-		if bestSP != nil {
-			best[mask] = bestSP
+			o.tryJoin(q, hint, best, sub, other)
+			o.tryJoin(q, hint, best, other, sub)
 		}
 	}
-	sp := best[full]
-	if sp == nil {
+	root := best[full]
+	if root == nil {
 		return nil, fmt.Errorf("optimizer: join graph is disconnected")
 	}
-	root := sp.node
+	if err := CheckConds(q, root); err != nil {
+		return nil, err
+	}
 	if q.Agg != nil {
-		gc := o.colOffset(q, sp.layout, q.Agg.GroupTable, q.Agg.GroupCol)
-		sums := make([]int, 0, len(q.Agg.Sums))
-		for _, s := range q.Agg.Sums {
-			sums = append(sums, o.colOffset(q, sp.layout, s.Table, s.Col))
-		}
-		agg := plan.NewAgg(root, gc, sums...)
+		agg := plan.NewAgg(root, q.Agg)
 		agg.EstRows = o.estAggGroups(q, root.EstRows)
 		agg.EstCost = root.EstCost + o.Cost.AggCost(root.EstRows, agg.EstRows)
 		root = agg
 	}
 	o.parallelize(root)
 	return root, nil
+}
+
+// tryJoin costs joining the best plans of the disjoint position sets l and r,
+// in that child order, under every operator the hint allows, and installs a
+// strictly cheaper result as the best plan of l|r. A candidate is costed
+// before its node is built, so only improvements allocate.
+func (o *Optimizer) tryJoin(q *plan.Query, hint HintSet, best []*plan.Node, l, r uint32) {
+	if hint.LeftDeepOnly && bits.OnesCount32(r) > 1 {
+		return
+	}
+	conds, sel := crossing(q, o.Est, l, r)
+	if len(conds) == 0 {
+		return
+	}
+	left, right := best[l], best[r]
+	outRows := left.EstRows * right.EstRows * sel
+	if outRows < 1 {
+		outRows = 1
+	}
+	for _, op := range plan.AllJoinOps {
+		if !hint.Allows(op) {
+			continue
+		}
+		cost := left.EstCost + right.EstCost + o.Cost.JoinCost(op, left.EstRows, right.EstRows, outRows)
+		if cur := best[l|r]; cur == nil || cost < cur.EstCost {
+			node := plan.NewJoin(op, left, right, conds...)
+			node.EstRows, node.EstCost = outRows, cost
+			best[l|r] = node
+		}
+	}
+}
+
+// crossing returns every join condition of q with one side in the position
+// set left and the other in right (bitmasks), in declaration order, each
+// oriented left→right — the conditions a join of the two sides must carry.
+// With a non-nil estimator it also returns the product of their
+// selectivities; the estimator always sees a condition as declared, so one
+// that keys on the declared form behaves consistently.
+func crossing(q *plan.Query, est CardEstimator, left, right uint32) (conds []expr.JoinCond, sel float64) {
+	sel = 1
+	for _, c := range q.Joins {
+		// A position outside the query shifts to no bit and crosses nothing.
+		lb, rb := uint32(1)<<uint(c.LeftTable), uint32(1)<<uint(c.RightTable)
+		switch {
+		case lb&left != 0 && rb&right != 0:
+			conds = append(conds, c)
+		case lb&right != 0 && rb&left != 0:
+			conds = append(conds, c.Flip())
+		default:
+			continue
+		}
+		if est != nil {
+			sel *= est.JoinSelectivity(q, c)
+		}
+	}
+	return conds, sel
+}
+
+// CrossingConds returns the conditions of q a join of the subtrees left and
+// right must carry (see plan.Node.Conds); none means joining them would be a
+// cross product. Plan builders outside the DP construct joins through it.
+func CrossingConds(q *plan.Query, left, right *plan.Node) []expr.JoinCond {
+	conds, _ := crossing(q, nil, tableMask(left), tableMask(right))
+	return conds
+}
+
+// tableMask returns the table positions under n as a bitmask.
+func tableMask(n *plan.Node) uint32 {
+	if n.IsLeaf() {
+		return 1 << uint(n.TablePos)
+	}
+	var m uint32
+	for _, c := range n.Children {
+		m |= tableMask(c)
+	}
+	return m
+}
+
+// CheckConds errors unless every join condition of q is carried by a join
+// node of the complete plan root, so no predicate is ever dropped silently.
+// A condition between two different positions of the query always crosses
+// exactly one join; one whose sides name the same position (a view rewrite
+// produces it when a second condition joins the pair the view absorbed), or a
+// position outside the query, crosses none.
+func CheckConds(q *plan.Query, root *plan.Node) error {
+	carried := 0
+	root.Walk(func(n *plan.Node) { carried += len(n.Conds) })
+	if carried != len(q.Joins) {
+		return fmt.Errorf("optimizer: plan carries %d of the query's %d join conditions (each must connect two different table positions)", carried, len(q.Joins))
+	}
+	return nil
 }
 
 // estAggGroups estimates the group count of q's aggregation: the grouping
@@ -259,7 +333,7 @@ func (o *Optimizer) PlanTraced(q *plan.Query, hint HintSet, tr *obs.Tracer, pare
 // scanPlan picks the cheapest access path for the table at pos: a
 // sequential scan, or an index scan through any secondary index whose column
 // carries an interval predicate (unless the hint forbids it).
-func (o *Optimizer) scanPlan(q *plan.Query, pos int, hint HintSet) *subPlan {
+func (o *Optimizer) scanPlan(q *plan.Query, pos int, hint HintSet) *plan.Node {
 	tid := q.Tables[pos]
 	t := o.Cat.Table(tid)
 	rows := float64(t.NumRows())
@@ -282,7 +356,7 @@ func (o *Optimizer) scanPlan(q *plan.Query, pos int, hint HintSet) *subPlan {
 			}
 		}
 	}
-	return &subPlan{node: best, cost: best.EstCost, rows: best.EstRows, layout: []int{pos}}
+	return best
 }
 
 // estIndexFetched estimates how many rows an index on col would fetch given
@@ -312,91 +386,6 @@ func (o *Optimizer) estIndexFetched(t *catalog.Table, filters []expr.Pred, col i
 		fetched = 1
 	}
 	return fetched, true
-}
-
-// condBetween finds a join condition with one side in left's tables and the
-// other in right's, returning it oriented so that Left refers to the left
-// subtree. ok is false if no condition connects the sides.
-func condBetween(q *plan.Query, left, right *subPlan) (expr.JoinCond, bool) {
-	inLeft := make(map[int]bool, len(left.layout))
-	for _, p := range left.layout {
-		inLeft[p] = true
-	}
-	inRight := make(map[int]bool, len(right.layout))
-	for _, p := range right.layout {
-		inRight[p] = true
-	}
-	for _, c := range q.Joins {
-		if inLeft[c.LeftTable] && inRight[c.RightTable] {
-			return c, true
-		}
-		if inLeft[c.RightTable] && inRight[c.LeftTable] {
-			return expr.JoinCond{LeftTable: c.RightTable, LeftCol: c.RightCol, RightTable: c.LeftTable, RightCol: c.LeftCol}, true
-		}
-	}
-	return expr.JoinCond{}, false
-}
-
-// colOffset maps (tablePos, col) to an output-relative offset given a layout.
-func (o *Optimizer) colOffset(q *plan.Query, layout []int, tablePos, col int) int {
-	off := 0
-	for _, p := range layout {
-		if p == tablePos {
-			return off + col
-		}
-		off += o.Cat.Table(q.Tables[p]).NumCols()
-	}
-	//ml4db:allow nakedpanic "unreachable: layouts are permutations of the query tables by construction"
-	panic(fmt.Sprintf("optimizer: table position %d not in layout %v", tablePos, layout))
-}
-
-func (o *Optimizer) joinCandidates(q *plan.Query, hint HintSet, left, right *subPlan) []*subPlan {
-	var out []*subPlan
-	for _, pair := range [][2]*subPlan{{left, right}, {right, left}} {
-		l, r := pair[0], pair[1]
-		if hint.LeftDeepOnly && len(r.layout) > 1 {
-			continue
-		}
-		cond, ok := condBetween(q, l, r)
-		if !ok {
-			continue
-		}
-		sel := o.Est.JoinSelectivity(q, normalizeCond(q, cond))
-		outRows := l.rows * r.rows * sel
-		if outRows < 1 {
-			outRows = 1
-		}
-		lc := o.colOffset(q, l.layout, cond.LeftTable, cond.LeftCol)
-		rc := o.colOffset(q, r.layout, cond.RightTable, cond.RightCol)
-		for _, op := range plan.AllJoinOps {
-			if !hint.Allows(op) {
-				continue
-			}
-			node := plan.NewJoin(op, l.node, r.node, lc, rc)
-			node.EstRows = outRows
-			cost := l.cost + r.cost + o.Cost.JoinCost(op, l.rows, r.rows, outRows)
-			node.EstCost = cost
-			layout := make([]int, 0, len(l.layout)+len(r.layout))
-			layout = append(layout, l.layout...)
-			layout = append(layout, r.layout...)
-			out = append(out, &subPlan{node: node, cost: cost, rows: outRows, layout: layout})
-		}
-	}
-	return out
-}
-
-// normalizeCond re-orients a condition to match one declared in the query so
-// estimators that key on the declared form behave consistently.
-func normalizeCond(q *plan.Query, c expr.JoinCond) expr.JoinCond {
-	for _, d := range q.Joins {
-		if d == c {
-			return d
-		}
-		if d.LeftTable == c.RightTable && d.LeftCol == c.RightCol && d.RightTable == c.LeftTable && d.RightCol == c.LeftCol {
-			return d
-		}
-	}
-	return c
 }
 
 // Annotate fills EstRows and EstCost on every node of an externally
@@ -473,6 +462,3 @@ func (o *Optimizer) CheapestHint(q *plan.Query, hints []HintSet) (plans []*plan.
 	}
 	return plans, costs, nil
 }
-
-// Infinity is a sentinel cost for invalid plans.
-var Infinity = math.Inf(1)

@@ -345,3 +345,88 @@ func TestCostParamsVecRoundTrip(t *testing.T) {
 		t.Errorf("round trip %+v != %+v", q, p)
 	}
 }
+
+// declaredOnly is a CardEstimator with a fixed join selectivity that records
+// every condition it is asked about, so a test can check they were all
+// spelled as the query declares them.
+type declaredOnly struct {
+	HistEstimator
+	asked []expr.JoinCond
+}
+
+func (d *declaredOnly) JoinSelectivity(q *plan.Query, c expr.JoinCond) float64 {
+	d.asked = append(d.asked, c)
+	return 0.5
+}
+
+// TestJoinNodesCarryEveryCrossingCondition: on a triangle the join that
+// closes the cycle carries two conditions, each oriented left child → right
+// child, its estimate multiplies both selectivities, and the estimator only
+// ever sees conditions in their declared orientation.
+func TestJoinNodesCarryEveryCrossingCondition(t *testing.T) {
+	sch, err := datagen.NewChainSchema(mlmath.NewRNG(7), []int{200, 200, 200})
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := chainQuery(sch, 3)
+	q.AddJoin(expr.JoinCond{LeftTable: 2, LeftCol: 2, RightTable: 0, RightCol: 2}) // declared "backwards"
+	est := &declaredOnly{HistEstimator: HistEstimator{Cat: sch.Cat}}
+	o := New(sch.Cat)
+	o.Est = est
+	for _, h := range StandardHintSets() {
+		p, err := o.Plan(q, h)
+		if err != nil {
+			t.Fatalf("%s: %v", h.Name, err)
+		}
+		if len(p.Conds) != 2 {
+			t.Fatalf("%s: root carries %v, want the two conditions crossing its children\n%s", h.Name, p.Conds, p)
+		}
+		p.Walk(func(n *plan.Node) {
+			for _, c := range n.Conds {
+				if n.Children[0].Leaf(c.LeftTable) == nil || n.Children[1].Leaf(c.RightTable) == nil {
+					t.Errorf("%s: %v is not oriented left child → right child\n%s", h.Name, c, p)
+				}
+			}
+		})
+		l, r := p.Children[0], p.Children[1]
+		if want := math.Max(1, l.EstRows*r.EstRows*0.5*0.5); p.EstRows != want {
+			t.Errorf("%s: root EstRows = %v, want both selectivities applied (%v)", h.Name, p.EstRows, want)
+		}
+	}
+	for _, c := range est.asked {
+		declared := false
+		for _, d := range q.Joins {
+			declared = declared || c == d
+		}
+		if !declared {
+			t.Fatalf("estimator asked about %v, which the query does not declare in that orientation", c)
+		}
+	}
+}
+
+// TestPlanRejectsConditionNoJoinCanCarry: a condition whose two sides are the
+// same table position (or a position outside the query) crosses no join, and
+// Plan must say so instead of returning a plan that silently ignores it.
+func TestPlanRejectsConditionNoJoinCanCarry(t *testing.T) {
+	sch, err := datagen.NewChainSchema(mlmath.NewRNG(7), []int{50, 50})
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := New(sch.Cat)
+	for name, bad := range map[string]expr.JoinCond{
+		"same position":     {LeftTable: 1, LeftCol: 0, RightTable: 1, RightCol: 2},
+		"outside query":     {LeftTable: 0, LeftCol: 0, RightTable: 5, RightCol: 0},
+		"negative position": {LeftTable: -1, LeftCol: 0, RightTable: 1, RightCol: 0},
+	} {
+		q := chainQuery(sch, 2)
+		q.AddJoin(bad)
+		if p, err := o.Plan(q, NoHint()); err == nil {
+			t.Errorf("%s: Plan returned a plan that drops %v:\n%s", name, bad, p)
+		}
+	}
+	single := plan.NewQuery(sch.TableIDs[0])
+	single.AddJoin(expr.JoinCond{LeftTable: 0, LeftCol: 0, RightTable: 0, RightCol: 1})
+	if _, err := o.Plan(single, NoHint()); err == nil {
+		t.Error("single-table query with a self-condition planned without error")
+	}
+}

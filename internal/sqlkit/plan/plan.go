@@ -105,9 +105,9 @@ const (
 	// the node's interval predicate on that column, then applies the
 	// remaining filters.
 	OpIndexScan
-	// OpHashAgg groups its single child's rows by GroupCol and emits one
-	// row per group — [group, COUNT(*), SUM(col)...] — in ascending group
-	// order.
+	// OpHashAgg groups its single child's rows by Agg's grouping column and
+	// emits one row per group — [group, COUNT(*), SUM(col)...] — in
+	// ascending group order.
 	OpHashAgg
 )
 
@@ -139,6 +139,12 @@ var AllJoinOps = []OpType{OpHashJoin, OpNLJoin, OpMergeJoin}
 // annotations are filled by the optimizer; ActualRows by the executor. These
 // annotations are the "database statistics" features of plan representation
 // (§3.1).
+//
+// A node names columns the way the query does — as (table position, column)
+// references into the base tables — never as offsets into some operator's
+// output row. How rows are laid out is the executor's private knowledge
+// (exec.ColOffset), so planners, plan builders and telemetry are unaffected
+// when the row format changes.
 type Node struct {
 	Op       OpType
 	Children []*Node
@@ -150,15 +156,17 @@ type Node struct {
 	// IndexCol is the indexed column an IndexScan reads through.
 	IndexCol int
 
-	// Join fields: output-relative column offsets into the left and right
-	// child schemas.
-	LeftCol, RightCol int
+	// Conds (joins) holds every condition of the query that crosses the
+	// node's two children, in declaration order, each oriented so that its
+	// Left side names a table under Children[0] and its Right side one under
+	// Children[1]. Hash and merge joins key on Conds[0] and filter on the
+	// rest; a join node always has at least one. Read-only once built:
+	// clones share it.
+	Conds []expr.JoinCond
 
-	// Agg fields (OpHashAgg): output-relative offsets into the child
-	// schema. GroupCol is the grouping column; SumCols are summed per
-	// group.
-	GroupCol int
-	SumCols  []int
+	// Agg (OpHashAgg) names the grouping and summed columns. Read-only and
+	// shared with the query it was planned from, and between clones.
+	Agg *AggSpec
 
 	// Partitions is the exchange degree: how many contiguous shards the
 	// operator's loop splits its input into. Zero or one mean one shard:
@@ -206,22 +214,6 @@ func (n *Node) Tables() []int {
 	return out
 }
 
-// Width returns the number of output columns of the subtree, given a lookup
-// from table position to that base table's column count.
-func (n *Node) Width(colsOf func(tablePos int) int) int {
-	if n.IsLeaf() {
-		return colsOf(n.TablePos)
-	}
-	if n.Op == OpHashAgg {
-		return 2 + len(n.SumCols) // group, COUNT(*), one column per SUM
-	}
-	w := 0
-	for _, c := range n.Children {
-		w += c.Width(colsOf)
-	}
-	return w
-}
-
 // NumNodes returns the node count of the subtree.
 func (n *Node) NumNodes() int {
 	c := 1
@@ -250,14 +242,30 @@ func (n *Node) Walk(visit func(*Node)) {
 	}
 }
 
-// Clone deep-copies the plan tree.
+// Leaf returns the scan of table position tablePos in the subtree, or nil.
+func (n *Node) Leaf(tablePos int) *Node {
+	if n.IsLeaf() {
+		if n.TablePos == tablePos {
+			return n
+		}
+		return nil
+	}
+	for _, c := range n.Children {
+		if l := c.Leaf(tablePos); l != nil {
+			return l
+		}
+	}
+	return nil
+}
+
+// Clone deep-copies the plan tree's nodes, so the copy's annotations and
+// Partitions are private; the read-only Filters, Conds and Agg are shared.
 func (n *Node) Clone() *Node {
 	out := *n
 	out.Children = nil
 	for _, c := range n.Children {
 		out.Children = append(out.Children, c.Clone())
 	}
-	out.SumCols = append([]int(nil), n.SumCols...)
 	return &out
 }
 
@@ -270,31 +278,46 @@ func (n *Node) String() string {
 
 func (n *Node) render(b *strings.Builder, depth int) {
 	b.WriteString(strings.Repeat("  ", depth))
-	if n.IsLeaf() {
-		fmt.Fprintf(b, "%s(t%d#%d", n.Op, n.TablePos, n.TableID)
-		if n.Op == OpIndexScan {
-			fmt.Fprintf(b, " ix=c%d", n.IndexCol)
-		}
-		for _, f := range n.Filters {
-			fmt.Fprintf(b, " %s", f)
-		}
-		b.WriteString(")")
-	} else if n.Op == OpHashAgg {
-		fmt.Fprintf(b, "%s(g=c%d", n.Op, n.GroupCol)
-		for _, c := range n.SumCols {
-			fmt.Fprintf(b, " sum=c%d", c)
-		}
-		b.WriteString(")")
-	} else {
-		fmt.Fprintf(b, "%s(l.c%d = r.c%d)", n.Op, n.LeftCol, n.RightCol)
-	}
-	if n.Partitions > 1 {
-		fmt.Fprintf(b, " par=%d", n.Partitions)
-	}
+	b.WriteString(n.Head())
 	fmt.Fprintf(b, " rows=%.0f cost=%.0f\n", n.EstRows, n.EstCost)
 	for _, c := range n.Children {
 		c.render(b, depth+1)
 	}
+}
+
+// Head renders the operator head shared by String and EXPLAIN ANALYZE: the
+// operator name with its scan target and filters, join conditions or
+// aggregate columns, then the partition degree when above one.
+func (n *Node) Head() string {
+	var b strings.Builder
+	switch {
+	case n.IsLeaf():
+		fmt.Fprintf(&b, "%s(t%d#%d", n.Op, n.TablePos, n.TableID)
+		if n.Op == OpIndexScan {
+			fmt.Fprintf(&b, " ix=c%d", n.IndexCol)
+		}
+		for _, f := range n.Filters {
+			fmt.Fprintf(&b, " %s", f)
+		}
+	case n.Agg != nil:
+		fmt.Fprintf(&b, "%s(g=t%d.c%d", n.Op, n.Agg.GroupTable, n.Agg.GroupCol)
+		for _, c := range n.Agg.Sums {
+			fmt.Fprintf(&b, " sum=t%d.c%d", c.Table, c.Col)
+		}
+	default:
+		fmt.Fprintf(&b, "%s(", n.Op)
+		for i, c := range n.Conds {
+			if i > 0 {
+				b.WriteString(" AND ")
+			}
+			b.WriteString(c.String())
+		}
+	}
+	b.WriteByte(')')
+	if n.Partitions > 1 {
+		fmt.Fprintf(&b, " par=%d", n.Partitions)
+	}
+	return b.String()
 }
 
 // NewScan constructs a scan leaf.
@@ -302,14 +325,13 @@ func NewScan(tablePos, tableID int, filters []expr.Pred) *Node {
 	return &Node{Op: OpSeqScan, TablePos: tablePos, TableID: tableID, Filters: filters}
 }
 
-// NewJoin constructs a join node over two children with output-relative key
-// column offsets.
-func NewJoin(op OpType, left, right *Node, leftCol, rightCol int) *Node {
-	return &Node{Op: op, Children: []*Node{left, right}, LeftCol: leftCol, RightCol: rightCol}
+// NewJoin constructs a join node over two children. conds are the conditions
+// crossing them, each oriented left→right (see Node.Conds).
+func NewJoin(op OpType, left, right *Node, conds ...expr.JoinCond) *Node {
+	return &Node{Op: op, Children: []*Node{left, right}, Conds: conds}
 }
 
-// NewAgg constructs a hash-aggregation node over one child with
-// output-relative column offsets.
-func NewAgg(child *Node, groupCol int, sumCols ...int) *Node {
-	return &Node{Op: OpHashAgg, Children: []*Node{child}, GroupCol: groupCol, SumCols: sumCols}
+// NewAgg constructs a hash-aggregation node over one child.
+func NewAgg(child *Node, spec *AggSpec) *Node {
+	return &Node{Op: OpHashAgg, Children: []*Node{child}, Agg: spec}
 }

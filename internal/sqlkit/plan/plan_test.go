@@ -11,8 +11,8 @@ func twoJoinPlan() *Node {
 	s0 := NewScan(0, 10, []expr.Pred{{Col: 1, Op: expr.GT, Lo: 5}})
 	s1 := NewScan(1, 11, nil)
 	s2 := NewScan(2, 12, nil)
-	j1 := NewJoin(OpHashJoin, s0, s1, 0, 1)
-	return NewJoin(OpNLJoin, j1, s2, 2, 0)
+	j1 := NewJoin(OpHashJoin, s0, s1, expr.JoinCond{LeftTable: 0, LeftCol: 0, RightTable: 1, RightCol: 1})
+	return NewJoin(OpNLJoin, j1, s2, expr.JoinCond{LeftTable: 1, LeftCol: 0, RightTable: 2, RightCol: 0})
 }
 
 func TestNodeShapeAccessors(t *testing.T) {
@@ -38,11 +38,42 @@ func TestNodeShapeAccessors(t *testing.T) {
 	}
 }
 
-func TestWidth(t *testing.T) {
+func TestLeafFindsScanByPosition(t *testing.T) {
 	root := twoJoinPlan()
-	colsOf := func(pos int) int { return pos + 2 } // t0:2, t1:3, t2:4
-	if got := root.Width(colsOf); got != 9 {
-		t.Errorf("Width = %d, want 9", got)
+	for pos, id := range []int{10, 11, 12} {
+		if l := root.Leaf(pos); l == nil || l.TableID != id {
+			t.Errorf("Leaf(%d) = %v, want the scan of table %d", pos, l, id)
+		}
+	}
+	if l := root.Children[0].Leaf(2); l != nil {
+		t.Errorf("Leaf(2) under the t0–t1 join = %v, want nil", l)
+	}
+}
+
+// TestHeadNamesBaseColumns pins the one operator-head renderer: joins list
+// every condition as (table position, column) references, aggregates name
+// their grouping and summed columns the same way.
+func TestHeadNamesBaseColumns(t *testing.T) {
+	j := NewJoin(OpHashJoin, NewScan(0, 10, nil), NewScan(2, 12, nil),
+		expr.JoinCond{LeftTable: 0, LeftCol: 1, RightTable: 2, RightCol: 0},
+		expr.JoinCond{LeftTable: 0, LeftCol: 3, RightTable: 2, RightCol: 3})
+	j.Partitions = 4
+	agg := NewAgg(j, &AggSpec{GroupTable: 2, GroupCol: 0, Sums: []AggCol{{Table: 0, Col: 2}}})
+	ix := NewIndexScan(1, 11, 2, []expr.Pred{{Col: 2, Op: expr.EQ, Lo: 7}})
+	for _, tc := range []struct {
+		n    *Node
+		want string
+	}{
+		{j, "HashJoin(t0.c1 = t2.c0 AND t0.c3 = t2.c3) par=4"},
+		{agg, "HashAgg(g=t2.c0 sum=t0.c2)"},
+		{ix, "IndexScan(t1#11 ix=c2 c2 = 7)"},
+	} {
+		if got := tc.n.Head(); got != tc.want {
+			t.Errorf("Head = %q, want %q", got, tc.want)
+		}
+		if !strings.HasPrefix(tc.n.String(), tc.want+" rows=") {
+			t.Errorf("String does not start with Head: %q", tc.n.String())
+		}
 	}
 }
 

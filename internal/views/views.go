@@ -74,10 +74,13 @@ func Materialize(env *qo.Env, c Candidate, name string) (*Materialized, error) {
 	if err != nil {
 		return nil, fmt.Errorf("views: materializing: %w", err)
 	}
-	// The executed plan's output layout may be (right, left) if the
-	// optimizer flipped the join; normalize to (left, right).
-	layout := p.Tables() // table positions in leaf order
-	flip := len(layout) == 2 && layout[0] == 1
+	// The view stores (left columns, right columns) whichever side the
+	// optimizer put first: ask the executor where each side starts.
+	lo, lok := exec.ColOffset(env.Cat, p, 0, 0)
+	ro, rok := exec.ColOffset(env.Cat, p, 1, 0)
+	if !lok || !rok {
+		return nil, fmt.Errorf("views: materialization plan does not scan both tables")
+	}
 	names := make([]string, 0, lt.NumCols()+rt.NumCols())
 	for i := range lt.Columns {
 		names = append(names, fmt.Sprintf("l_%s", lt.Columns[i].Name))
@@ -86,16 +89,10 @@ func Materialize(env *qo.Env, c Candidate, name string) (*Materialized, error) {
 		names = append(names, fmt.Sprintf("r_%s", rt.Columns[i].Name))
 	}
 	vt := catalog.NewTable(name, names...)
-	lc := lt.NumCols()
+	vrow := make([]int64, 0, len(names))
 	for _, row := range res.Rows {
-		if flip {
-			// Row is (right..., left...); reorder.
-			reordered := make([]int64, 0, len(row))
-			reordered = append(reordered, row[rt.NumCols():]...)
-			reordered = append(reordered, row[:rt.NumCols()]...)
-			row = reordered
-		}
-		if err := vt.AppendRow(row); err != nil {
+		vrow = append(append(vrow[:0], row[lo:lo+lt.NumCols()]...), row[ro:ro+rt.NumCols()]...)
+		if err := vt.AppendRow(vrow); err != nil {
 			return nil, err
 		}
 	}
@@ -104,7 +101,7 @@ func Materialize(env *qo.Env, c Candidate, name string) (*Materialized, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Materialized{Cand: c, TableID: id, leftCols: lc}, nil
+	return &Materialized{Cand: c, TableID: id, leftCols: lt.NumCols()}, nil
 }
 
 // SizeBytes reports the view's storage footprint.
@@ -122,13 +119,11 @@ func NewHypothetical(c Candidate, tableID, leftCols int) *Materialized {
 	return &Materialized{Cand: c, TableID: tableID, leftCols: leftCols}
 }
 
-// LeftCols returns the left table's column count in the view's layout.
-func (m *Materialized) LeftCols() int { return m.leftCols }
-
 // Rewrite replaces the first occurrence of the view's join pair in q with
 // the materialized view: the two base tables become one view table, filters
 // move to the view's columns, and remaining joins re-anchor onto it.
-// ok is false when q does not contain the pair.
+// ok is false when q does not contain the pair, or joins it on a second
+// condition too (see RewriteMapped).
 func (m *Materialized) Rewrite(q *plan.Query) (*plan.Query, bool) {
 	nq, _, ok := m.RewriteMapped(q)
 	return nq, ok
@@ -137,7 +132,9 @@ func (m *Materialized) Rewrite(q *plan.Query) (*plan.Query, bool) {
 // RewriteMapped is Rewrite plus the per-position map engine-side rewriting
 // needs to route result columns: entry i gives the rewritten-query position
 // of original position i and the offset its columns start at there. It
-// implements plan.QueryRewriter.
+// implements plan.QueryRewriter. A query that joins the pair on a second
+// condition as well is left alone: over the view that condition would compare
+// two columns of one table, which no join node can carry.
 func (m *Materialized) RewriteMapped(q *plan.Query) (*plan.Query, []plan.PosMap, bool) {
 	matchIdx := -1
 	var lPos, rPos int
@@ -150,6 +147,11 @@ func (m *Materialized) RewriteMapped(q *plan.Query) (*plan.Query, []plan.PosMap,
 	}
 	if matchIdx < 0 {
 		return nil, nil, false
+	}
+	for i, j := range q.Joins {
+		if i != matchIdx && (j.LeftTable == lPos || j.LeftTable == rPos) && (j.RightTable == lPos || j.RightTable == rPos) {
+			return nil, nil, false
+		}
 	}
 	// New table list: all tables except lPos/rPos, plus the view at the end.
 	var newTables []int
