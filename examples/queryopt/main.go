@@ -61,7 +61,7 @@ func main() {
 			if err != nil {
 				log.Fatal(err)
 			}
-			res, err := env.Exec.Execute(p, exec.Options{})
+			res, err := env.Exec.Execute(p, exec.Options{Output: exec.CountOnly})
 			if err != nil {
 				log.Fatal(err)
 			}

@@ -84,7 +84,7 @@ func (a *Advisor) workloadLatency(workload []*plan.Query) (float64, error) {
 		if err != nil {
 			return 0, err
 		}
-		res, err := a.Env.Exec.Execute(p, exec.Options{})
+		res, err := a.Env.Exec.Execute(p, exec.Options{Output: exec.CountOnly})
 		if err != nil {
 			return 0, err
 		}

@@ -287,11 +287,14 @@ func (e *Engine) Session() *Session {
 // Run executes q with the default hint set, budget, and no EXPLAIN — the
 // one-shot convenience over Session.
 func (e *Engine) Run(q *plan.Query) (*Result, error) {
-	return e.run(q, optimizer.NoHint(), e.opts.DefaultBudget, false)
+	return e.run(q, nil, optimizer.NoHint(), e.opts.DefaultBudget, false)
 }
 
 // run is the shared query path: admit, plan (through the cache), execute.
-func (e *Engine) run(q *plan.Query, hint optimizer.HintSet, budget *exec.Budget, analyze bool) (*Result, error) {
+// out, when non-nil, is the statement's requested output over q's table
+// positions; it rides along to the executor and is no part of the plan's or
+// the statement's identity.
+func (e *Engine) run(q *plan.Query, out *plan.Output, hint optimizer.HintSet, budget *exec.Budget, analyze bool) (*Result, error) {
 	m := e.opts.Metrics
 	select {
 	case e.slots <- struct{}{}:
@@ -344,8 +347,8 @@ func (e *Engine) run(q *plan.Query, hint optimizer.HintSet, budget *exec.Budget,
 	}
 	sp.SetStr("hint", hint.Name).SetInt("cache_hit", boolInt(hit))
 
-	res, err := e.exc.Execute(p, exec.Options{Budget: budget, Analyze: analyze, Span: sp, Pool: e.opts.Pool})
-	out := &Result{Result: res, Plan: p, CacheHit: hit, Fallback: fallback, EstimatorVersion: estV, Query: exq, PosMap: posMap}
+	res, err := e.exc.Execute(p, exec.Options{Budget: budget, Analyze: analyze, Span: sp, Pool: e.opts.Pool, Output: mapOutput(out, posMap)})
+	result := &Result{Result: res, Plan: p, CacheHit: hit, Fallback: fallback, EstimatorVersion: estV, Query: exq, PosMap: posMap}
 	budgetAbort := err != nil && errors.Is(err, exec.ErrWorkBudgetExceeded)
 	if budgetAbort {
 		m.Counter("engine.budget_aborts").Inc()
@@ -361,15 +364,37 @@ func (e *Engine) run(q *plan.Query, hint optimizer.HintSet, budget *exec.Budget,
 		}
 		if res != nil {
 			o.Work = res.Work
-			o.Rows = int64(len(res.Rows))
 			o.PageMisses = res.Counters.PageMiss
+		}
+		if err == nil {
+			// The statement's cardinality is the root operator's, whatever
+			// LIMIT or select list this one execution asked for.
+			o.Rows = int64(p.ActualRows)
 		}
 		st.Record(o)
 	}
-	if err != nil {
-		return out, err
+	return result, err
+}
+
+// mapOutput routes a requested output through a view rewrite's position map:
+// a rewrite may have folded several FROM tables into one wider view table,
+// and the plan names columns by the rewritten query's positions.
+func mapOutput(out *plan.Output, posMap []plan.PosMap) *plan.Output {
+	if out == nil || posMap == nil {
+		return out
 	}
-	return out, nil
+	via := func(c plan.AggCol) plan.AggCol {
+		pm := posMap[c.Table]
+		return plan.AggCol{Table: pm.Pos, Col: pm.ColShift + c.Col}
+	}
+	mapped := &plan.Output{Cols: make([]plan.AggCol, len(out.Cols)), OrderBy: make([]plan.OrderKey, len(out.OrderBy)), Limit: out.Limit}
+	for i, c := range out.Cols {
+		mapped.Cols[i] = via(c)
+	}
+	for i, k := range out.OrderBy {
+		mapped.OrderBy[i] = plan.OrderKey{Col: via(k.Col), Desc: k.Desc}
+	}
+	return mapped
 }
 
 // plan builds a plan for q under hint. With a learned estimator installed it

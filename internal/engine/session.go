@@ -27,10 +27,13 @@ type Session struct {
 // hint set and budget. It returns ErrOverloaded immediately when the engine
 // is at its concurrency limit, and a *exec.BudgetExceededError (alongside
 // the partial Result) when the query exceeds its budget.
-func (s *Session) Run(q *plan.Query) (*Result, error) {
+func (s *Session) Run(q *plan.Query) (*Result, error) { return s.run(q, nil) }
+
+// run is Run with the requested output (nil: every column in leaf order).
+func (s *Session) run(q *plan.Query, out *plan.Output) (*Result, error) {
 	budget := s.Budget
 	if budget == nil {
 		budget = s.eng.opts.DefaultBudget
 	}
-	return s.eng.run(q, s.Hint, budget, s.Analyze)
+	return s.eng.run(q, out, s.Hint, budget, s.Analyze)
 }

@@ -1,0 +1,147 @@
+package engine_test
+
+import (
+	"reflect"
+	"sort"
+	"testing"
+
+	"ml4db/internal/engine"
+	"ml4db/internal/qo"
+	"ml4db/internal/querystore"
+	"ml4db/internal/sqlkit/plan"
+	"ml4db/internal/views"
+)
+
+// TestQueryThroughViewRewriteMatchesBase: the executor applies a statement's
+// select list, ORDER BY and LIMIT to the plan's columns, and a view rewrite
+// moves those columns — several FROM tables fold into one wider view table.
+// The same SQL must return the same projected, ordered, limited rows with a
+// rewriter installed as without. Every ORDER BY here ends on t0.id, unique
+// per joined row, so the answer does not depend on which plan's executor
+// order breaks ties; the statement without ORDER BY compares as a multiset.
+func TestQueryThroughViewRewriteMatchesBase(t *testing.T) {
+	sch := chainCatalog(t, 21)
+	eng := engine.New(sch.Cat, engine.Options{})
+	sess := eng.Session()
+	const from = " FROM t0, t1, t2 WHERE t0.next = t1.id AND t1.next = t2.id AND t0.attr >= 450"
+	stmts := []string{
+		"SELECT t1.attr, t2.id, t0.attr, t1.attr" + from + " ORDER BY t1.attr DESC, t0.id LIMIT 25",
+		"SELECT t2.attr" + from + " ORDER BY t2.attr, t1.next DESC, t0.id DESC",
+		"SELECT *" + from + " ORDER BY t0.id LIMIT 7",
+		"SELECT t0.id, t1.id, t2.id" + from,
+	}
+	run := func(wantRewritten bool) []*engine.RowsResult {
+		var out []*engine.RowsResult
+		for _, sql := range stmts {
+			rr, err := sess.Query(sql)
+			if err != nil {
+				t.Fatalf("%s: %v", sql, err)
+			}
+			if (rr.Exec.PosMap != nil) != wantRewritten {
+				t.Fatalf("%s: rewritten = %v, want %v", sql, rr.Exec.PosMap != nil, wantRewritten)
+			}
+			out = append(out, rr)
+		}
+		return out
+	}
+	base := run(false)
+	v, err := views.Materialize(qo.NewEnv(sch.Cat),
+		views.Candidate{LeftID: sch.TableIDs[0], RightID: sch.TableIDs[1], LeftCol: 1, RightCol: 0}, "v01")
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng.SetRewriters([]plan.QueryRewriter{v})
+	through := run(true)
+
+	byValue := func(rows [][]int64) [][]int64 {
+		rows = append([][]int64(nil), rows...)
+		sort.Slice(rows, func(i, j int) bool {
+			for k := range rows[i] {
+				if rows[i][k] != rows[j][k] {
+					return rows[i][k] < rows[j][k]
+				}
+			}
+			return false
+		})
+		return rows
+	}
+	for i, sql := range stmts {
+		b, th := base[i], through[i]
+		if len(b.Rows) == 0 {
+			t.Fatalf("%s: no rows; the comparison would be vacuous", sql)
+		}
+		if !reflect.DeepEqual(b.Columns, th.Columns) {
+			t.Errorf("%s: columns %v through the view, %v over base tables", sql, th.Columns, b.Columns)
+		}
+		bRows, thRows := b.Rows, th.Rows
+		if i == len(stmts)-1 { // no ORDER BY
+			bRows, thRows = byValue(bRows), byValue(thRows)
+		}
+		if !reflect.DeepEqual(bRows, thRows) {
+			t.Errorf("%s: %d rows through the view differ from the %d over base tables", sql, len(thRows), len(bRows))
+		}
+	}
+}
+
+// TestLimitDoesNotChangeStatementCardinality: LIMIT is presentation. The rows
+// a statement returns shrink with it; the cardinality the query store records
+// for the statement — sys_statements.total_rows — stays the root operator's.
+func TestLimitDoesNotChangeStatementCardinality(t *testing.T) {
+	sch := chainCatalog(t, 7)
+	store := querystore.New(querystore.Options{Catalog: sch.Cat})
+	sess := engine.New(sch.Cat, engine.Options{Store: store}).Session()
+	all, err := sess.Query("SELECT id FROM t0 WHERE attr >= 450")
+	if err != nil {
+		t.Fatal(err)
+	}
+	card := int64(len(all.Rows))
+	if card < 10 {
+		t.Fatalf("only %d rows pass the filter", card)
+	}
+	for _, sql := range []string{
+		"SELECT id FROM t0 WHERE attr >= 450 LIMIT 3",
+		"SELECT attr, id FROM t0 WHERE attr >= 450 ORDER BY attr DESC LIMIT 0",
+	} {
+		rr, err := sess.Query(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rr.Rows) > 3 || len(rr.Exec.Rows) != len(rr.Rows) {
+			t.Fatalf("%s returned %d rows (%d in Exec)", sql, len(rr.Rows), len(rr.Exec.Rows))
+		}
+	}
+	// One statement shape, three executions, each of the full cardinality.
+	st, err := sess.Query("SELECT calls, total_rows FROM sys_statements")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(st.Rows) != 1 || st.Rows[0][0] != 3 || st.Rows[0][1] != 3*card {
+		t.Fatalf("sys_statements (calls, total_rows) = %v, want one statement with 3 calls and %d rows", st.Rows, 3*card)
+	}
+}
+
+// TestQueryInt64ExtremeLiterals runs both ends of the int64 range through the
+// whole path: every id is >= the smallest int64 and <= the largest, none is
+// beyond either.
+func TestQueryInt64ExtremeLiterals(t *testing.T) {
+	sch := chainCatalog(t, 3)
+	sess := engine.New(sch.Cat, engine.Options{}).Session()
+	rows := sch.Cat.Table(sch.TableIDs[0]).NumRows()
+	for _, tc := range []struct {
+		where string
+		want  int
+	}{
+		{"id >= -9223372036854775808", rows},
+		{"id < -9223372036854775808", 0},
+		{"id <= 9223372036854775807", rows},
+		{"id > 9223372036854775807", 0},
+	} {
+		rr, err := sess.Query("SELECT attr FROM t0 WHERE " + tc.where)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.where, err)
+		}
+		if len(rr.Rows) != tc.want {
+			t.Errorf("%s: %d rows, want %d", tc.where, len(rr.Rows), tc.want)
+		}
+	}
+}

@@ -48,7 +48,7 @@ func E23(seed uint64) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		rp, err := env.Exec.Execute(pp, exec.Options{})
+		rp, err := env.Exec.Execute(pp, exec.Options{Output: exec.CountOnly})
 		if err != nil {
 			return nil, err
 		}
@@ -60,7 +60,7 @@ func E23(seed uint64) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		re, err := env.Exec.Execute(pe, exec.Options{})
+		re, err := env.Exec.Execute(pe, exec.Options{Output: exec.CountOnly})
 		if err != nil {
 			return nil, err
 		}

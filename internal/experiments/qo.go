@@ -275,7 +275,7 @@ func E12(seed uint64) (*Report, error) {
 				if err != nil {
 					return nil, err
 				}
-				res, err := env.Exec.Execute(p, exec.Options{})
+				res, err := env.Exec.Execute(p, exec.Options{Output: exec.CountOnly})
 				if err != nil {
 					return nil, err
 				}

@@ -48,7 +48,7 @@ func BuildCardDataset(sch *datagen.StarSchema, rng *mlmath.RNG, numQueries int) 
 		if err != nil {
 			return nil, fmt.Errorf("study: planning query %d: %w", qi, err)
 		}
-		res, err := ex.Execute(p, exec.Options{})
+		res, err := ex.Execute(p, exec.Options{Output: exec.CountOnly})
 		if err != nil {
 			return nil, fmt.Errorf("study: executing query %d: %w", qi, err)
 		}
@@ -92,7 +92,7 @@ func BuildCostDataset(sch *datagen.StarSchema, rng *mlmath.RNG, numQueries int) 
 				continue // identical plan under a different hint
 			}
 			seen[key] = true
-			res, err := ex.Execute(p, exec.Options{})
+			res, err := ex.Execute(p, exec.Options{Output: exec.CountOnly})
 			if err != nil {
 				return nil, fmt.Errorf("study: executing query %d: %w", qi, err)
 			}

@@ -42,7 +42,7 @@ func BuildSamples(sch *datagen.StarSchema, rng *mlmath.RNG, numQueries int) ([]S
 			} else {
 				seen[key] = true
 			}
-			res, err := ex.Execute(p, exec.Options{})
+			res, err := ex.Execute(p, exec.Options{Output: exec.CountOnly})
 			if err != nil {
 				return nil, fmt.Errorf("pretrain: executing: %w", err)
 			}

@@ -49,7 +49,7 @@ var WorkBuckets = obs.ExpBuckets(16, 4, 12)
 // aborts over-budget plans (Balsa's timeout); the returned work is then the
 // budget and timedOut is true.
 func (e *Env) Run(p *plan.Node, maxWork int64) (work int64, timedOut bool, err error) {
-	res, err := e.Exec.Execute(p, exec.Options{Budget: &exec.Budget{MaxWork: maxWork}})
+	res, err := e.Exec.Execute(p, exec.Options{Budget: &exec.Budget{MaxWork: maxWork}, Output: exec.CountOnly})
 	if errors.Is(err, exec.ErrWorkBudgetExceeded) {
 		e.Metrics.Counter("qo.env.timeouts").Inc()
 		return res.Work, true, nil

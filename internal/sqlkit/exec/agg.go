@@ -7,87 +7,93 @@ import (
 	"ml4db/internal/sqlkit/plan"
 )
 
-// aggCell accumulates one group: COUNT(*) plus one running sum per summed
-// column.
-type aggCell struct {
-	count int64
-	sums  []int64
+// aggPartial is one shard's groups: slot maps a group value to where its
+// output row — the value, COUNT(*), one running sum per summed column —
+// starts in acc.
+type aggPartial struct {
+	slot map[int64]int
+	acc  []int64
 }
 
 // hashAgg groups the single child's rows by n.Agg's grouping column and emits
 // one row per group — [group, COUNT(*), SUM(col)...] — in ascending group
-// order. The spec's column references resolve to offsets once, up front. Each
-// input row charges AggInput; each emitted group charges OutputTuple and one
-// materialized row. The accumulation phase runs over contiguous input shards
-// into one partial map per shard; partials merge order-insensitively (counts
-// and sums are commutative), so the sorted emission is the same for every
-// Partitions.
-func (s *execState) hashAgg(n *plan.Node) ([][]int64, error) {
+// order. The spec's column references resolve to offsets once, up front, and
+// are all the child is asked for. Each input row charges AggInput; each
+// emitted group charges OutputTuple and one materialized row. The
+// accumulation phase runs over contiguous input shards into one partial per
+// shard; partials merge order-insensitively (counts and sums are
+// commutative), so the sorted emission is the same for every Partitions.
+func (s *execState) hashAgg(n *plan.Node, need []bool) (batch, error) {
 	cols, err := s.aggCols(n)
 	if err != nil {
-		return nil, err
+		return batch{}, err
 	}
-	groupCol, sumCols := cols[0], cols[1:]
-	in, err := s.run(n.Children[0])
+	reads := make([]bool, width(s.cat, n.Children[0]))
+	for _, c := range cols {
+		reads[c] = true
+	}
+	in, err := s.run(n.Children[0], reads)
 	if err != nil {
-		return nil, err
+		return batch{}, err
 	}
-	partials := make([]map[int64]*aggCell, max(n.Partitions, 1))
-	if _, err := s.ranged(len(in), n.Partitions, func(a *acct, shard, lo, hi int) ([][]int64, error) {
-		cells := make(map[int64]*aggCell)
-		partials[shard] = cells
-		for _, row := range in[lo:hi] {
+	group, sums, stride := in.cols[cols[0]], cols[1:], 1+len(cols)
+	partials := make([]aggPartial, max(n.Partitions, 1))
+	if _, err := s.ranged(in.n, n.Partitions, func(a *acct, shard, lo, hi int) (batch, error) {
+		p := aggPartial{slot: make(map[int64]int)}
+		for r := lo; r < hi; r++ {
 			if err := a.charge(&a.ctr.AggInput, 1); err != nil {
-				return nil, err
+				return batch{}, err
 			}
-			cell := cells[row[groupCol]]
-			if cell == nil {
-				cell = &aggCell{sums: make([]int64, len(sumCols))}
-				cells[row[groupCol]] = cell
+			at, ok := p.slot[group[r]]
+			if !ok {
+				at = len(p.acc)
+				p.slot[group[r]] = at
+				p.acc = append(append(p.acc, group[r]), make([]int64, stride-1)...)
 			}
-			cell.count++
-			for i, c := range sumCols {
-				cell.sums[i] += row[c]
+			p.acc[at+1]++
+			for i, c := range sums {
+				p.acc[at+2+i] += in.cols[c][r]
 			}
 		}
-		return nil, nil
+		partials[shard] = p
+		return batch{}, nil
 	}); err != nil {
-		return nil, err
+		return batch{}, err
 	}
 	groups := partials[0]
-	for _, part := range partials[1:] {
-		for k, cell := range part {
-			dst := groups[k]
-			if dst == nil {
-				groups[k] = cell
+	for _, p := range partials[1:] {
+		for k, at := range p.slot {
+			dst, ok := groups.slot[k]
+			if !ok {
+				groups.slot[k] = len(groups.acc)
+				groups.acc = append(groups.acc, p.acc[at:at+stride]...)
 				continue
 			}
-			dst.count += cell.count
-			for i, v := range cell.sums {
-				dst.sums[i] += v
+			for i, v := range p.acc[at+1 : at+stride] {
+				groups.acc[dst+1+i] += v
 			}
 		}
 	}
-	keys := make([]int64, 0, len(groups))
-	for k := range groups {
+	keys := make(column, 0, len(groups.slot))
+	for k := range groups.slot {
 		keys = append(keys, k)
 	}
 	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	out := make([][]int64, 0, len(keys))
-	for _, k := range keys {
+	out := newBatch(len(keys), need)
+	for i, k := range keys {
 		if err := s.charge(&s.ctr.OutputTuple, 1); err != nil {
-			return nil, err
+			return batch{}, err
 		}
 		if err := s.chargeRows(1); err != nil {
-			return nil, err
+			return batch{}, err
 		}
-		cell := groups[k]
-		row := make([]int64, 0, 2+len(cell.sums))
-		row = append(row, k, cell.count)
-		row = append(row, cell.sums...)
-		out = append(out, row)
+		for c, v := range groups.acc[groups.slot[k]:][:stride] {
+			if need[c] {
+				out.cols[c][i] = v
+			}
+		}
 	}
-	n.ActualRows = float64(len(out))
+	n.ActualRows = float64(out.n)
 	return out, nil
 }
 

@@ -1,0 +1,123 @@
+package exec
+
+import (
+	"ml4db/internal/sqlkit/catalog"
+	"ml4db/internal/sqlkit/expr"
+)
+
+// column holds one layout offset's value for every row of a batch.
+type column []int64
+
+// batch is what operators exchange: n rows, column-major, one column per
+// layout offset of the operator's output (ColOffset; len(cols) is the row
+// width). An operator is handed a need mask over its offsets and fills only
+// the marked columns; the rest stay nil — that is all column pruning is — so
+// a consumer indexes only offsets it marked. Columns may be a table's own
+// storage (tableBatch), shared by shards and concurrent executions: they are
+// read-only everywhere in this package. Rows exist only in Result.Rows, built
+// by Execute's root transposition (output.go).
+type batch struct {
+	n    int
+	cols []column
+}
+
+// newBatch returns an n-row batch whose marked columns are allocated, zeroed
+// and backed by one arena.
+func newBatch(n int, need []bool) batch {
+	marked := 0
+	for _, m := range need {
+		if m {
+			marked++
+		}
+	}
+	arena := make(column, n*marked)
+	b := batch{n: n, cols: make([]column, len(need))}
+	for o, m := range need {
+		if m {
+			b.cols[o], arena = arena[:n:n], arena[n:]
+		}
+	}
+	return b
+}
+
+// tableBatch is the zero-copy batch of a whole in-memory table: each marked
+// column is the table's own slice.
+func tableBatch(t *catalog.Table, need []bool) batch {
+	b := batch{n: t.NumRows(), cols: make([]column, len(need))}
+	for c, m := range need {
+		if m {
+			b.cols[c] = t.Data[c]
+		}
+	}
+	return b
+}
+
+// gather returns the join rows (l row li[i], r row ri[i]) in the join layout
+// — l's offsets, then r's — copying the marked columns once. With an empty r
+// it is a selection: l's rows at positions li.
+func gather(need []bool, l batch, li column, r batch, ri column) batch {
+	out, lw := newBatch(len(li), need), len(l.cols)
+	for o, dst := range out.cols {
+		if !need[o] {
+			continue
+		}
+		from, idx, at := l, li, o
+		if o >= lw {
+			from, idx, at = r, ri, o-lw
+		}
+		src := from.cols[at]
+		for i, p := range idx {
+			dst[i] = src[p]
+		}
+	}
+	return out
+}
+
+// appendRow adds one row to b by copying row's marked columns: the
+// row-at-a-time sources (a heap tuple decoded into a reused buffer, a virtual
+// table's snapshot) feed batches through it.
+func (b *batch) appendRow(row []int64, need []bool) {
+	for c, m := range need {
+		if m {
+			b.cols[c] = append(b.cols[c], row[c])
+		}
+	}
+	b.n++
+}
+
+// extend appends src's rows to b column by column, sizing each column for
+// total rows on first use. The exchange concatenates shard outputs with it.
+func (b *batch) extend(src batch, total int) {
+	if b.cols == nil {
+		b.cols = make([]column, len(src.cols))
+	}
+	for c, col := range src.cols {
+		if b.cols[c] == nil && len(col) > 0 {
+			b.cols[c] = make(column, 0, total)
+		}
+		b.cols[c] = append(b.cols[c], col...)
+	}
+	b.n += src.n
+}
+
+// rowPasses reports whether a row-at-a-time source's row satisfies every
+// filter.
+func rowPasses(filters []expr.Pred, row []int64) bool {
+	for _, f := range filters {
+		if !f.Eval(row[f.Col]) {
+			return false
+		}
+	}
+	return true
+}
+
+// tablePasses is rowPasses for row r of an in-memory table's columns (it takes
+// them bare to stay within the inliner's budget: scans call it per row).
+func tablePasses(filters []expr.Pred, data [][]int64, r int) bool {
+	for _, f := range filters {
+		if !f.Eval(data[f.Col][r]) {
+			return false
+		}
+	}
+	return true
+}

@@ -23,31 +23,32 @@ import (
 // the misses its first run saw. Miss charges equal the serial scan's whenever
 // the pool's resident set at scan start matches (always true for a cold
 // table; see docs/EXECUTOR.md for the warm-pool caveat).
-func (s *execState) seqScanDisk(n *plan.Node, t *catalog.Table) ([][]int64, error) {
+func (s *execState) seqScanDisk(n *plan.Node, t *catalog.Table, need []bool) (batch, error) {
 	tf := t.Disk
 	missBefore := s.ctr.PageMiss
-	out, err := s.ranged(tf.NumPages(), n.Partitions, func(a *acct, _, lo, hi int) ([][]int64, error) {
+	out, err := s.ranged(tf.NumPages(), n.Partitions, func(a *acct, _, lo, hi int) (batch, error) {
 		row := make([]int64, t.NumCols())
-		var out [][]int64
+		out := batch{cols: make([]column, len(need))}
 		for pageNo := lo; pageNo < hi; pageNo++ {
-			if err := scanDiskPage(a, n, tf, pageNo, row, &out); err != nil {
-				return nil, err
+			if err := scanDiskPage(a, n, tf, pageNo, row, need, &out); err != nil {
+				return batch{}, err
 			}
 		}
 		return out, nil
 	})
 	n.ActualPageMisses = float64(s.ctr.PageMiss - missBefore)
 	if err != nil {
-		return nil, err
+		return batch{}, err
 	}
-	n.ActualRows = float64(len(out))
+	n.ActualRows = float64(out.n)
 	return out, nil
 }
 
-// scanDiskPage pins one page, emits its matching rows, and unpins on every
-// path — including budget aborts — via defer (the pin discipline the
+// scanDiskPage pins one page, decodes each tuple into the shard's reused row
+// buffer, appends the marked columns of the matching ones to out, and unpins
+// on every path — including budget aborts — via defer (the pin discipline the
 // spanend analyzer enforces).
-func scanDiskPage(a *acct, n *plan.Node, tf *storage.TableFile, pageNo int, row []int64, out *[][]int64) error {
+func scanDiskPage(a *acct, n *plan.Node, tf *storage.TableFile, pageNo int, row []int64, need []bool, out *batch) error {
 	fetch := tf.FetchPage
 	if n.Partitions > 1 {
 		fetch = tf.FetchPageForScan
@@ -70,22 +71,13 @@ func scanDiskPage(a *acct, n *plan.Node, tf *storage.TableFile, pageNo int, row 
 		if err := a.charge(&a.ctr.ScanTuples, 1); err != nil {
 			return err
 		}
-		ok := true
-		for _, f := range n.Filters {
-			if !f.Eval(row[f.Col]) {
-				ok = false
-				break
-			}
-		}
-		if !ok {
+		if !rowPasses(n.Filters, row) {
 			continue
 		}
 		if err := a.chargeRows(1); err != nil {
 			return err
 		}
-		cp := make([]int64, len(row))
-		copy(cp, row)
-		*out = append(*out, cp)
+		out.appendRow(row, need)
 	}
 	return nil
 }
@@ -93,49 +85,35 @@ func scanDiskPage(a *acct, n *plan.Node, tf *storage.TableFile, pageNo int, row 
 // indexScanDisk fetches the index's matching heap rows through the pool —
 // random page access, the classic reason index scans on disk pay more per
 // row than sequential ones.
-func (s *execState) indexScanDisk(n *plan.Node, t *catalog.Table, ix *catalog.SecondaryIndex, lo, hi int64, residual []expr.Pred) ([][]int64, error) {
-	var out [][]int64
+func (s *execState) indexScanDisk(n *plan.Node, t *catalog.Table, ix *catalog.SecondaryIndex, lo, hi int64, residual []expr.Pred, need []bool) (batch, error) {
+	out := batch{cols: make([]column, len(need))}
 	fetched := 0
 	var misses int64
+	defer func() { n.ActualPageMisses = float64(misses) }() // on aborts too
 	for _, r := range ix.RangeRows(lo, hi) {
 		if err := s.charge(&s.ctr.IndexFetch, 1); err != nil {
-			n.ActualPageMisses = float64(misses)
-			return nil, err
+			return batch{}, err
 		}
 		fetched++
 		row, ok, missed, err := t.Disk.ReadRow(int64(r))
 		if err != nil {
-			n.ActualPageMisses = float64(misses)
-			return nil, err
+			return batch{}, err
 		}
 		if missed {
 			misses++
 			if err := s.charge(&s.ctr.PageMiss, 1); err != nil {
-				n.ActualPageMisses = float64(misses)
-				return nil, err
+				return batch{}, err
 			}
 		}
-		if !ok {
-			continue // the slot was deleted after the index was built
-		}
-		okRow := true
-		for _, f := range residual {
-			if !f.Eval(row[f.Col]) {
-				okRow = false
-				break
-			}
-		}
-		if !okRow {
-			continue
+		if !ok || !rowPasses(residual, row) {
+			continue // a deleted slot (the index predates the delete) or a residual miss
 		}
 		if err := s.chargeRows(1); err != nil {
-			n.ActualPageMisses = float64(misses)
-			return nil, err
+			return batch{}, err
 		}
-		out = append(out, row)
+		out.appendRow(row, need)
 	}
-	n.ActualRows = float64(len(out))
+	n.ActualRows = float64(out.n)
 	n.ActualFetched = float64(fetched)
-	n.ActualPageMisses = float64(misses)
 	return out, nil
 }

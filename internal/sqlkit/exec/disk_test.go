@@ -57,7 +57,7 @@ func diskFixture(t *testing.T, pool *storage.Pool, nrows int) (mem, disk *catalo
 
 // spill moves tbl behind a fresh buffer pool of the given capacity, in a
 // heap file under the test's temp dir, and returns the pool.
-func spill(t *testing.T, tbl *catalog.Table, capacity int) *storage.Pool {
+func spill(t testing.TB, tbl *catalog.Table, capacity int) *storage.Pool {
 	t.Helper()
 	pool := storage.NewPool(storage.PoolOptions{Capacity: capacity})
 	if err := tbl.SpillToDisk(filepath.Join(t.TempDir(), tbl.Name+".tbl"), pool); err != nil {

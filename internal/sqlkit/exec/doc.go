@@ -7,6 +7,13 @@
 // ordering of plan quality. A work budget implements the execution timeouts
 // that Balsa (§3.3) relies on to avoid unpredictable stalls.
 //
+// Operators exchange column batches, not rows: an operator is told which of
+// its output columns anything above it reads, an unfiltered in-memory scan
+// hands out the table's own columns without copying, joins pass position
+// vectors and gather the wanted columns once, and rows are built in exactly
+// one place — after the requested ORDER BY and LIMIT (Options.Output) have
+// picked the survivors (batch.go, output.go).
+//
 // Every partitionable operator has one loop body, written over a contiguous
 // range of its input. A plan node with Partitions ≤ 1 runs the body once
 // over the whole input: the serial executor. With Partitions > 1 the input

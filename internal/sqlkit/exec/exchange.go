@@ -10,7 +10,7 @@ import "ml4db/internal/mlmath"
 // EXPLAIN ANALYZE tree of the serial execution, bit for bit, because
 //
 //   - ranges are contiguous (mlmath.ShardRange), so concatenating shard
-//     outputs in shard order is the serial row order;
+//     batches in shard order is the serial row order;
 //   - a shard charges a private acct, and the coordinator folds the accounts
 //     into the live one in shard order, re-running inline — against the live
 //     account — the one shard whose charges would cross a limit;
@@ -20,14 +20,17 @@ import "ml4db/internal/mlmath"
 // docs/EXECUTOR.md carries the argument and the cost of the re-run.
 
 // rangeBody runs one operator loop over input positions [lo, hi), charging a
-// and returning the rows it materialized. shard indexes per-shard operator
-// state (HashAgg's partial maps). A body must be a deterministic function of
-// its range: the same charges in the same order on every call.
-type rangeBody func(a *acct, shard, lo, hi int) ([][]int64, error)
+// and returning what it produced as a batch — a scan's selection vector, a
+// join's (left, right) position vectors, a disk scan's decoded columns; the
+// operator turns the concatenation into its output once. shard indexes
+// per-shard operator state (HashAgg's partials). A body must be a
+// deterministic function of its range: the same charges in the same order on
+// every call. Shards read their inputs' columns concurrently and write none.
+type rangeBody func(a *acct, shard, lo, hi int) (batch, error)
 
 // ranged runs body over [0, n) split into parts contiguous shards. With
 // parts ≤ 1 that is one call against the live account: the serial loop.
-func (s *execState) ranged(n, parts int, body rangeBody) ([][]int64, error) {
+func (s *execState) ranged(n, parts int, body rangeBody) (batch, error) {
 	if parts <= 1 {
 		return body(&s.acct, 0, 0, n)
 	}
@@ -36,7 +39,7 @@ func (s *execState) ranged(n, parts int, body rangeBody) ([][]int64, error) {
 	// the execution aborts, and its counters are exactly its deltas.
 	type shardRun struct {
 		acct
-		out [][]int64
+		out batch
 		err error
 	}
 	seed := acct{work: s.work, rows: s.rows, maxWork: s.maxWork, maxRows: s.maxRows}
@@ -51,9 +54,9 @@ func (s *execState) ranged(n, parts int, body rangeBody) ([][]int64, error) {
 	})
 	total := 0
 	for k := range runs {
-		total += len(runs[k].out)
+		total += runs[k].out.n
 	}
-	out := make([][]int64, 0, total)
+	var out batch
 	for k := range runs {
 		r := &runs[k]
 		workBefore := s.work
@@ -74,12 +77,12 @@ func (s *execState) ranged(n, parts int, body rangeBody) ([][]int64, error) {
 			lo, hi := mlmath.ShardRange(n, parts, k)
 			r.out, err = body(&s.acct, k, lo, hi)
 		}
-		sp.SetInt("shard", int64(k)).SetInt("work", s.work-workBefore).SetInt("rows", int64(len(r.out)))
+		sp.SetInt("shard", int64(k)).SetInt("work", s.work-workBefore).SetInt("rows", int64(r.out.n))
 		sp.End()
 		if err != nil {
-			return nil, err
+			return batch{}, err
 		}
-		out = append(out, r.out...)
+		out.extend(r.out, total)
 	}
 	return out, nil
 }

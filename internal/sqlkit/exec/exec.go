@@ -69,7 +69,15 @@ type Options struct {
 	// function of the plan's Partitions knob, and shard outputs and accounts
 	// are folded in fixed shard order (see exchange.go).
 	Pool *mlmath.Pool
+	// Output is the statement's requested result, applied to the root
+	// operator's columns before any row is built (output.go). Nil means every
+	// column in leaf order, executor order, no limit. It is only read.
+	Output *plan.Output
 }
+
+// CountOnly is the Output of callers that read Work, Counters and the
+// cardinality (len(Result.Rows)) only: no column is gathered, rows are empty.
+var CountOnly = &plan.Output{Limit: plan.NoLimit}
 
 // workBuckets are the histogram bounds for the exec.work metric, shared so
 // the per-query hot path never rebuilds them.
@@ -111,7 +119,8 @@ func (c Counters) Vec() []float64 {
 
 // Result is the outcome of executing a plan.
 type Result struct {
-	// Rows holds the materialized output tuples.
+	// Rows holds the output tuples Options.Output asked for: full-capacity
+	// slices of one arena private to this result, aliasing no table data.
 	Rows [][]int64
 	// Work is the total deterministic work units consumed.
 	Work int64
@@ -143,6 +152,7 @@ func New(cat *catalog.Catalog) *Executor { return &Executor{Cat: cat} }
 // are filled in along the way.
 func (e *Executor) Execute(root *plan.Node, opts Options) (*Result, error) {
 	st := &execState{cat: e.Cat, pool: opts.Pool}
+	res := &st.res
 	if b := opts.Budget; b != nil {
 		st.maxWork, st.maxRows = b.MaxWork, b.MaxRows
 	}
@@ -155,31 +165,33 @@ func (e *Executor) Execute(root *plan.Node, opts Options) (*Result, error) {
 		}
 		st.cur = st.tr.StartSpan("exec.execute", opts.Span)
 	}
-	rows, err := st.run(root)
+	need, offs, err := resolveOutput(e.Cat, root, opts.Output)
+	if err == nil {
+		var b batch
+		if b, err = st.run(root, need); err == nil {
+			res.Rows = present(b, opts.Output, offs)
+		}
+	}
 	if st.ex != nil {
 		st.ex.finish()
 	}
 	if observed {
-		st.cur.SetInt("work", st.work).SetInt("rows", int64(len(rows))).End()
+		st.cur.SetInt("work", st.work).SetInt("rows", int64(len(res.Rows))).End()
 	}
 	if e.Metrics != nil {
 		e.Metrics.Counter("exec.queries").Inc()
 		e.Metrics.Histogram("exec.work", workBuckets).Observe(float64(st.work))
 	}
-	if err != nil {
-		return &Result{Work: st.work, Counters: st.ctr, Explain: st.ex}, err
-	}
-	return &Result{Rows: rows, Work: st.work, Counters: st.ctr, Explain: st.ex}, nil
+	res.Work, res.Counters, res.Explain = st.work, st.ctr, st.ex
+	return res, err
 }
 
-// ExecuteCount is Execute but discards rows, returning only cardinality and
-// work — the common case for training-signal collection.
+// ExecuteCount is Execute with the CountOnly output, returning only
+// cardinality and work — the common case for training-signal collection.
 func (e *Executor) ExecuteCount(root *plan.Node, opts Options) (card int, work int64, err error) {
+	opts.Output = CountOnly
 	res, err := e.Execute(root, opts)
-	if err != nil {
-		return 0, res.Work, err
-	}
-	return len(res.Rows), res.Work, nil
+	return len(res.Rows), res.Work, err
 }
 
 // acct is one budget account: the counters charged so far, their totals, and
@@ -195,7 +207,8 @@ type acct struct {
 }
 
 type execState struct {
-	acct // the live account
+	acct        // the live account
+	res  Result // what Execute returns, allocated with the state that fills it
 	cat  *catalog.Catalog
 	// pool runs partitioned operators' shards; nil means inline. Shards
 	// never touch this struct — each charges a private acct.
@@ -229,153 +242,154 @@ func (a *acct) chargeRows(n int64) error {
 	return nil
 }
 
-// run evaluates one plan node. The fast path — no EXPLAIN ANALYZE, no
-// tracer — dispatches directly so uninstrumented execution pays a single
-// branch per operator.
-func (s *execState) run(n *plan.Node) ([][]int64, error) {
+// run evaluates one plan node into a batch holding the columns marked in
+// need, a mask over the node's layout offsets. Marks flow top-down: Execute
+// marks what the output reads, each operator adds what its conditions or
+// aggregate read before running its inputs. The fast path — no EXPLAIN
+// ANALYZE, no tracer — pays a single branch per operator.
+func (s *execState) run(n *plan.Node, need []bool) (batch, error) {
 	if s.ex == nil && s.tr == nil {
-		return s.dispatch(n)
+		return s.dispatch(n, need)
 	}
-	return s.runObserved(n)
+	return s.runObserved(n, need)
 }
 
 // runObserved wraps dispatch with a per-operator span and accumulates the
 // node's subtree totals (work, counters, clock time) for EXPLAIN ANALYZE.
-func (s *execState) runObserved(n *plan.Node) ([][]int64, error) {
+func (s *execState) runObserved(n *plan.Node, need []bool) (batch, error) {
 	prev := s.cur
 	sp := s.tr.StartSpan(opSpanName(n.Op), prev)
 	s.cur = sp
 	workBefore, ctrBefore := s.work, s.ctr
 	start := s.clock.Now()
-	rows, err := s.dispatch(n)
+	out, err := s.dispatch(n, need)
 	dur := s.clock.Now().Sub(start)
 	if s.ex != nil {
 		st := s.ex.stat(n)
 		st.Loops++
-		st.Rows += int64(len(rows))
+		st.Rows += int64(out.n)
 		st.SubtreeWork += s.work - workBefore
 		st.SubtreeCounters = addCounters(st.SubtreeCounters, subCounters(s.ctr, ctrBefore))
 		st.SubtreeDur += dur
 	}
-	sp.SetInt("rows", int64(len(rows))).SetInt("work", s.work-workBefore)
+	sp.SetInt("rows", int64(out.n)).SetInt("work", s.work-workBefore)
 	sp.End()
 	s.cur = prev
-	return rows, err
+	return out, err
 }
 
-func (s *execState) dispatch(n *plan.Node) ([][]int64, error) {
+func (s *execState) dispatch(n *plan.Node, need []bool) (batch, error) {
 	switch n.Op {
 	case plan.OpSeqScan:
-		return s.seqScan(n)
+		return s.seqScan(n, need)
 	case plan.OpIndexScan:
-		return s.indexScan(n)
+		return s.indexScan(n, need)
 	case plan.OpHashJoin:
-		return s.hashJoin(n)
+		return s.hashJoin(n, need)
 	case plan.OpNLJoin:
-		return s.nlJoin(n)
+		return s.nlJoin(n, need)
 	case plan.OpMergeJoin:
-		return s.mergeJoin(n)
+		return s.mergeJoin(n, need)
 	case plan.OpHashAgg:
-		return s.hashAgg(n)
+		return s.hashAgg(n, need)
 	default:
-		return nil, fmt.Errorf("exec: unknown operator %v", n.Op)
+		return batch{}, fmt.Errorf("exec: unknown operator %v", n.Op)
 	}
 }
 
-func (s *execState) seqScan(n *plan.Node) ([][]int64, error) {
+// seqScan charges every table row and keeps those passing the filters. An
+// unfiltered scan copies nothing: the shards only charge, and the output is
+// the table's own columns (tableBatch). A filtered one collects a selection
+// vector per shard and gathers the marked columns once.
+func (s *execState) seqScan(n *plan.Node, need []bool) (batch, error) {
 	t := s.cat.Table(n.TableID)
 	if t.Virtual != nil {
-		return s.seqScanVirtual(n, t) // virtual sources materialize as a unit; Partitions is ignored
+		return s.seqScanVirtual(n, t, need) // virtual sources materialize as a unit; Partitions is ignored
 	}
 	if t.Disk != nil {
-		return s.seqScanDisk(n, t)
+		return s.seqScanDisk(n, t, need)
 	}
-	nCols, data, filters := t.NumCols(), t.Data, n.Filters
-	out, err := s.ranged(t.NumRows(), n.Partitions, func(a *acct, _, lo, hi int) ([][]int64, error) {
-		var out [][]int64
+	filters, filtered := n.Filters, len(n.Filters) > 0
+	kept, err := s.ranged(t.NumRows(), n.Partitions, func(a *acct, _, lo, hi int) (batch, error) {
+		out := batch{cols: make([]column, 1)} // the selection vector, when filters select
 		for r := lo; r < hi; r++ {
 			if err := a.charge(&a.ctr.ScanTuples, 1); err != nil {
-				return nil, err
+				return batch{}, err
 			}
-			ok := true
-			for _, f := range filters {
-				if !f.Eval(data[f.Col][r]) {
-					ok = false
-					break
-				}
-			}
-			if !ok {
+			if filtered && !tablePasses(filters, t.Data, r) {
 				continue
 			}
 			if err := a.chargeRows(1); err != nil {
-				return nil, err
+				return batch{}, err
 			}
-			row := make([]int64, nCols)
-			for c := 0; c < nCols; c++ {
-				row[c] = data[c][r]
+			out.n++
+			if filtered {
+				out.cols[0] = append(out.cols[0], int64(r))
 			}
-			out = append(out, row)
 		}
 		return out, nil
 	})
 	if err != nil {
-		return nil, err
+		return batch{}, err
 	}
-	n.ActualRows = float64(len(out))
+	n.ActualRows = float64(kept.n)
+	out := tableBatch(t, need)
+	if filtered {
+		out = gather(need, out, kept.cols[0], batch{}, nil)
+	}
 	return out, nil
 }
 
 // indexScan reads the rows matching the node's interval predicate on
 // IndexCol through the secondary index, then applies the remaining filters.
-func (s *execState) indexScan(n *plan.Node) ([][]int64, error) {
+func (s *execState) indexScan(n *plan.Node, need []bool) (batch, error) {
 	t := s.cat.Table(n.TableID)
 	ix := t.Index(n.IndexCol)
 	if ix == nil {
-		return nil, fmt.Errorf("exec: no index on column %d of %s", n.IndexCol, t.Name)
+		return batch{}, fmt.Errorf("exec: no index on column %d of %s", n.IndexCol, t.Name)
 	}
 	if ix.Hypothetical {
-		return nil, fmt.Errorf("exec: index on column %d of %s is hypothetical (what-if only)", n.IndexCol, t.Name)
+		return batch{}, fmt.Errorf("exec: index on column %d of %s is hypothetical (what-if only)", n.IndexCol, t.Name)
 	}
 	lo, hi, residual, ok := indexInterval(t, n)
 	if !ok {
-		return nil, fmt.Errorf("exec: IndexScan on %s has no interval predicate on c%d", t.Name, n.IndexCol)
+		return batch{}, fmt.Errorf("exec: IndexScan on %s has no interval predicate on c%d", t.Name, n.IndexCol)
 	}
 	// One probe costs a binary search over the index.
 	if err := s.charge(&s.ctr.IndexProbe, plan.ProbeSteps(ix.Len())); err != nil {
-		return nil, err
+		return batch{}, err
 	}
 	if t.Disk != nil {
-		return s.indexScanDisk(n, t, ix, lo, hi, residual)
+		return s.indexScanDisk(n, t, ix, lo, hi, residual, need)
 	}
-	nCols := t.NumCols()
-	var out [][]int64
-	fetched := 0
-	for _, r := range ix.RangeRows(lo, hi) {
+	// Room for every fetched row, filled as rows survive, cut to the survivors.
+	ids := ix.RangeRows(lo, hi)
+	out := newBatch(len(ids), need)
+	out.n = 0
+	for _, r := range ids {
 		if err := s.charge(&s.ctr.IndexFetch, 1); err != nil {
-			return nil, err
+			return batch{}, err
 		}
-		fetched++
-		okRow := true
-		for _, f := range residual {
-			if !f.Eval(t.Data[f.Col][r]) {
-				okRow = false
-				break
-			}
-		}
-		if !okRow {
+		if !tablePasses(residual, t.Data, int(r)) {
 			continue
 		}
 		if err := s.chargeRows(1); err != nil {
-			return nil, err
+			return batch{}, err
 		}
-		row := make([]int64, nCols)
-		for c := 0; c < nCols; c++ {
-			row[c] = t.Data[c][int(r)]
+		for c, m := range need {
+			if m {
+				out.cols[c][out.n] = t.Data[c][r]
+			}
 		}
-		out = append(out, row)
+		out.n++
 	}
-	n.ActualRows = float64(len(out))
-	n.ActualFetched = float64(fetched)
+	for c, m := range need {
+		if m {
+			out.cols[c] = out.cols[c][:out.n]
+		}
+	}
+	n.ActualRows = float64(out.n)
+	n.ActualFetched = float64(len(ids))
 	return out, nil
 }
 
@@ -407,131 +421,152 @@ func indexInterval(t *catalog.Table, n *plan.Node) (lo, hi int64, residual []exp
 	return lo, hi, residual, found
 }
 
-// children resolves a join's conditions to offsets into its inputs' rows
-// (keys[0] is the hash or merge key; see ColOffset), then runs both inputs.
-func (s *execState) children(n *plan.Node) (left, right [][]int64, keys []keyPair, err error) {
+// children resolves a join's conditions to offsets into its inputs' layouts
+// (keys[0] is the hash or merge key; see ColOffset), then runs both inputs,
+// asking each for its share of need plus the columns the conditions read.
+func (s *execState) children(n *plan.Node, need []bool) (left, right batch, keys []keyPair, err error) {
 	if keys, err = s.joinKeys(n); err != nil {
-		return nil, nil, nil, err
+		return batch{}, batch{}, nil, err
 	}
-	if left, err = s.run(n.Children[0]); err != nil {
-		return nil, nil, nil, err
+	lw := width(s.cat, n.Children[0])
+	need = append([]bool(nil), need...)
+	for _, k := range keys {
+		need[k.l], need[lw+k.r] = true, true
 	}
-	if right, err = s.run(n.Children[1]); err != nil {
-		return nil, nil, nil, err
+	if left, err = s.run(n.Children[0], need[:lw]); err == nil {
+		right, err = s.run(n.Children[1], need[lw:])
 	}
-	return left, right, keys, nil
+	return left, right, keys, err
 }
 
-func joinRows(l, r []int64) []int64 {
-	out := make([]int64, 0, len(l)+len(r))
-	out = append(out, l...)
-	return append(out, r...)
-}
+// slotOf spreads a join key over 1<<(64-shift) slots (Fibonacci hashing).
+func slotOf(key int64, shift uint) uint64 { return uint64(key) * 0x9E3779B97F4A7C15 >> shift }
 
-func (s *execState) hashJoin(n *plan.Node) ([][]int64, error) {
-	left, right, keys, err := s.children(n)
+func (s *execState) hashJoin(n *plan.Node, need []bool) (batch, error) {
+	left, right, keys, err := s.children(n, need)
 	if err != nil {
-		return nil, err
+		return batch{}, err
 	}
 	// Build on the left child, probe with the right, keyed on the first
-	// condition; key matches that fail a later condition emit nothing.
-	key, rest := keys[0], keys[1:]
-	ht := make(map[int64][]int, len(left))
-	for i, row := range left {
+	// condition; key matches that fail a later condition emit nothing. The
+	// table is two arrays in one allocation: head[slot] and next[pos] hold
+	// build positions plus one, zero ending a chain. Inserting in descending
+	// position makes chains ascend: a probe meets its matches in build order.
+	lk, rk, rest := left.cols[keys[0].l], right.cols[keys[0].r], keys[1:]
+	slots, shift := 1, uint(64)
+	for slots < left.n {
+		slots, shift = slots<<1, shift-1
+	}
+	mem := make([]int32, slots+left.n)
+	head, next := mem[:slots], mem[slots:]
+	for i := left.n - 1; i >= 0; i-- {
 		if err := s.charge(&s.ctr.HashBuild, 1); err != nil {
-			return nil, err
+			return batch{}, err
 		}
-		k := row[key.l]
-		ht[k] = append(ht[k], i)
+		slot := slotOf(lk[i], shift)
+		next[i], head[slot] = head[slot], int32(i+1)
 	}
 	// The probe phase shards by contiguous probe-side ranges; the table is
-	// only read from here on, and concurrent map reads are safe.
-	out, err := s.ranged(len(right), n.Partitions, func(a *acct, _, lo, hi int) ([][]int64, error) {
-		var out [][]int64
-		for _, rrow := range right[lo:hi] {
+	// only read from here on.
+	pairs, err := s.ranged(right.n, n.Partitions, func(a *acct, _, lo, hi int) (batch, error) {
+		var li, ri column
+		for r := lo; r < hi; r++ {
 			if err := a.charge(&a.ctr.HashProbe, 1); err != nil {
-				return nil, err
+				return batch{}, err
 			}
-			for _, li := range ht[rrow[key.r]] {
-				if !matches(rest, left[li], rrow) {
+			k := rk[r]
+			for p := head[slotOf(k, shift)]; p != 0; p = next[p-1] {
+				l := int(p - 1)
+				if lk[l] != k || !matches(rest, left, l, right, r) {
 					continue
 				}
 				if err := a.charge(&a.ctr.OutputTuple, 1); err != nil {
-					return nil, err
+					return batch{}, err
 				}
 				if err := a.chargeRows(1); err != nil {
-					return nil, err
+					return batch{}, err
 				}
-				out = append(out, joinRows(left[li], rrow))
+				li, ri = append(li, int64(l)), append(ri, int64(r))
 			}
 		}
-		return out, nil
+		return batch{n: len(li), cols: []column{li, ri}}, nil
 	})
 	if err != nil {
-		return nil, err
+		return batch{}, err
 	}
-	n.ActualRows = float64(len(out))
-	return out, nil
+	n.ActualRows = float64(pairs.n)
+	return gather(need, left, pairs.cols[0], right, pairs.cols[1]), nil
 }
 
-func (s *execState) nlJoin(n *plan.Node) ([][]int64, error) {
-	left, right, keys, err := s.children(n)
+func (s *execState) nlJoin(n *plan.Node, need []bool) (batch, error) {
+	left, right, keys, err := s.children(n, need)
 	if err != nil {
-		return nil, err
+		return batch{}, err
 	}
-	key, rest := keys[0], keys[1:]
+	lk, rk, rest := left.cols[keys[0].l], right.cols[keys[0].r], keys[1:]
 	// Shards are contiguous outer (left) ranges, each scanning the full inner
 	// side, which preserves the left-major pair order within and across shards.
-	out, err := s.ranged(len(left), n.Partitions, func(a *acct, _, lo, hi int) ([][]int64, error) {
-		var out [][]int64
-		for _, lrow := range left[lo:hi] {
-			lk := lrow[key.l]
-			for _, rrow := range right {
+	pairs, err := s.ranged(left.n, n.Partitions, func(a *acct, _, lo, hi int) (batch, error) {
+		var li, ri column
+		for l := lo; l < hi; l++ {
+			k := lk[l]
+			for r := 0; r < right.n; r++ {
 				if err := a.charge(&a.ctr.NLPairs, 1); err != nil {
-					return nil, err
+					return batch{}, err
 				}
-				if lk == rrow[key.r] && matches(rest, lrow, rrow) {
+				if k == rk[r] && matches(rest, left, l, right, r) {
 					if err := a.chargeRows(1); err != nil {
-						return nil, err
+						return batch{}, err
 					}
-					out = append(out, joinRows(lrow, rrow))
+					li, ri = append(li, int64(l)), append(ri, int64(r))
 				}
 			}
 		}
-		return out, nil
+		return batch{n: len(li), cols: []column{li, ri}}, nil
 	})
 	if err != nil {
-		return nil, err
+		return batch{}, err
 	}
-	n.ActualRows = float64(len(out))
-	return out, nil
+	n.ActualRows = float64(pairs.n)
+	return gather(need, left, pairs.cols[0], right, pairs.cols[1]), nil
+}
+
+// sortedBy returns key's row positions in the order sort.Slice would put the
+// rows themselves in: the permutation is sorted through the same comparison
+// sequence, so equal keys land where they always have (plans.golden pins it).
+func sortedBy(key column) column {
+	perm := make(column, len(key))
+	for i := range perm {
+		perm[i] = int64(i)
+	}
+	sort.Slice(perm, func(i, j int) bool { return key[perm[i]] < key[perm[j]] })
+	return perm
 }
 
 // mergeJoin is always serial: a partitioned merge provably diverges from the
 // serial MergeScan counter (e.g. left={1,5}, right={3,5}: the serial merge
 // charges 3 scan steps, any 2-way partition of it charges 2), so Partitions
 // is ignored here to preserve serial≡parallel counter identity.
-func (s *execState) mergeJoin(n *plan.Node) ([][]int64, error) {
-	left, right, keys, err := s.children(n)
+func (s *execState) mergeJoin(n *plan.Node, need []bool) (batch, error) {
+	left, right, keys, err := s.children(n, need)
 	if err != nil {
-		return nil, err
+		return batch{}, err
 	}
 	// Charge an n·log n sort cost approximation plus the merge.
-	if err := s.charge(&s.ctr.MergeSort, int64(plan.SortUnits(len(left))+plan.SortUnits(len(right)))); err != nil {
-		return nil, err
+	if err := s.charge(&s.ctr.MergeSort, int64(plan.SortUnits(left.n)+plan.SortUnits(right.n))); err != nil {
+		return batch{}, err
 	}
 	// Sort and merge on the first condition; pairs of equal runs that fail a
 	// later condition emit nothing.
-	lc, rc, rest := keys[0].l, keys[0].r, keys[1:]
-	sort.Slice(left, func(i, j int) bool { return left[i][lc] < left[j][lc] })
-	sort.Slice(right, func(i, j int) bool { return right[i][rc] < right[j][rc] })
-	var out [][]int64
+	lk, rk, rest := left.cols[keys[0].l], right.cols[keys[0].r], keys[1:]
+	lp, rp := sortedBy(lk), sortedBy(rk)
+	var li, ri column
 	i, j := 0, 0
-	for i < len(left) && j < len(right) {
+	for i < len(lp) && j < len(rp) {
 		if err := s.charge(&s.ctr.MergeScan, 1); err != nil {
-			return nil, err
+			return batch{}, err
 		}
-		lv, rv := left[i][lc], right[j][rc]
+		lv, rv := lk[lp[i]], rk[rp[j]]
 		switch {
 		case lv < rv:
 			i++
@@ -540,26 +575,26 @@ func (s *execState) mergeJoin(n *plan.Node) ([][]int64, error) {
 		default:
 			// Emit the cross product of the equal runs.
 			jEnd := j
-			for jEnd < len(right) && right[jEnd][rc] == rv {
+			for jEnd < len(rp) && rk[rp[jEnd]] == rv {
 				jEnd++
 			}
-			for ; i < len(left) && left[i][lc] == lv; i++ {
-				for jj := j; jj < jEnd; jj++ {
-					if !matches(rest, left[i], right[jj]) {
+			for ; i < len(lp) && lk[lp[i]] == lv; i++ {
+				for _, r := range rp[j:jEnd] {
+					if !matches(rest, left, int(lp[i]), right, int(r)) {
 						continue
 					}
 					if err := s.charge(&s.ctr.OutputTuple, 1); err != nil {
-						return nil, err
+						return batch{}, err
 					}
 					if err := s.chargeRows(1); err != nil {
-						return nil, err
+						return batch{}, err
 					}
-					out = append(out, joinRows(left[i], right[jj]))
+					li, ri = append(li, lp[i]), append(ri, r)
 				}
 			}
 			j = jEnd
 		}
 	}
-	n.ActualRows = float64(len(out))
-	return out, nil
+	n.ActualRows = float64(len(li))
+	return gather(need, left, li, right, ri), nil
 }

@@ -16,10 +16,11 @@ import (
 // columns in catalog order, and a join emits its left child's row followed by
 // its right child's — so a subtree's row is its leaves' columns concatenated
 // in leaf order. Plans name columns as (table position, column) references
-// and everything outside this package that needs an offset asks here, so
-// changing the layout (pruned leaves, column chunks, a root projection) is a
-// change to this package alone. Operators resolve their references through it
-// once per execution, never per row.
+// and everything outside this package that needs an offset asks here.
+// Operators resolve their references through it once per execution, never per
+// row. Between operators an offset indexes a batch's columns (batch.go), of
+// which only the ones somebody reads are filled; with a nil Options.Output it
+// also indexes the rows of Result.Rows.
 func ColOffset(cat *catalog.Catalog, subtree *plan.Node, tablePos, col int) (off int, ok bool) {
 	if subtree.Op == plan.OpHashAgg {
 		return 0, false
@@ -48,8 +49,18 @@ func leafBase(cat *catalog.Catalog, n *plan.Node, tablePos int) (int, bool) {
 	return off, false
 }
 
-// keyPair is one join condition resolved to offsets: a left-child row l and a
-// right-child row r satisfy it when l[keyPair.l] == r[keyPair.r].
+// width returns the number of layout offsets in n's output.
+func width(cat *catalog.Catalog, n *plan.Node) int {
+	if n.Op == plan.OpHashAgg && n.Agg != nil {
+		return 2 + len(n.Agg.Sums)
+	}
+	w, _ := leafBase(cat, n, -1) // no leaf scans position −1: the walk adds up every leaf
+	return w
+}
+
+// keyPair is one join condition resolved to offsets: row l of the left input
+// and row r of the right satisfy it when their columns keyPair.l and
+// keyPair.r hold equal values.
 type keyPair struct{ l, r int }
 
 // joinKeys resolves a join node's conditions against its children's layouts.
@@ -69,10 +80,11 @@ func (s *execState) joinKeys(n *plan.Node) ([]keyPair, error) {
 	return keys, nil
 }
 
-// matches reports whether the pair (l, r) satisfies every condition in keys.
-func matches(keys []keyPair, l, r []int64) bool {
+// matches reports whether row l of left and row r of right satisfy every
+// condition in keys.
+func matches(keys []keyPair, left batch, l int, right batch, r int) bool {
 	for _, k := range keys {
-		if l[k.l] != r[k.r] {
+		if left.cols[k.l][l] != right.cols[k.r][r] {
 			return false
 		}
 	}

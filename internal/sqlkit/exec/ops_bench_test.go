@@ -1,0 +1,155 @@
+package exec
+
+import (
+	"testing"
+
+	"ml4db/internal/sqlkit/catalog"
+	"ml4db/internal/sqlkit/expr"
+	"ml4db/internal/sqlkit/plan"
+)
+
+// The micro tier of the executor: one plan per operator over a synthetic
+// table of a chosen size, each through the full output path (need marks,
+// batches, ordering, the root transposition). BenchmarkExecOps reports time
+// and allocations per execution; TestExecAllocContract pins that allocations
+// do not grow with the input.
+
+// opsCase is one operator's micro workload.
+type opsCase struct {
+	name string
+	plan *plan.Node
+	out  *plan.Output
+	// grows counts the vectors the plan extends by append as its input grows
+	// — a filtered scan's selection vector, a join's two position vectors, a
+	// disk scan's decoded columns. Everything else is sized up front.
+	grows int
+}
+
+// opsFixture builds big(id, k, v, p0, p1, p2) with the given row count
+// (id = row number and indexed, k = id mod 64, v scattered over [0, 1000)),
+// a spilled copy of it, and small(id, w) with 64 rows, and returns one case
+// per operator plus the spilled table's page count.
+func opsFixture(tb testing.TB, rows int) (*Executor, []opsCase, int) {
+	tb.Helper()
+	fill := func(name string) *catalog.Table {
+		t := catalog.NewTable(name, "id", "k", "v", "p0", "p1", "p2")
+		for r := 0; r < rows; r++ {
+			if err := t.AppendRow([]int64{int64(r), int64(r % 64), int64(r * 7919 % 1000), 1, 2, 3}); err != nil {
+				tb.Fatal(err)
+			}
+		}
+		return t
+	}
+	bigT, diskT := fill("big"), fill("bigdisk")
+	bigT.AddIndex(catalog.BuildSecondaryIndex(bigT, 0))
+	spill(tb, diskT, 16)
+	smallT := catalog.NewTable("small", "id", "w")
+	for r := 0; r < 64; r++ {
+		if err := smallT.AppendRow([]int64{int64(r), int64(r * r)}); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	cat := catalog.NewCatalog()
+	big, disk, small := cat.MustAdd(bigT), cat.MustAdd(diskT), cat.MustAdd(smallT)
+
+	idV := &plan.Output{Cols: []plan.AggCol{{Table: 0, Col: 0}, {Table: 0, Col: 2}}, Limit: plan.NoLimit}
+	vW := &plan.Output{Cols: []plan.AggCol{{Table: 0, Col: 2}, {Table: 1, Col: 1}}, Limit: plan.NoLimit}
+	top := &plan.Output{Cols: idV.Cols, Limit: 10, OrderBy: []plan.OrderKey{
+		{Col: plan.AggCol{Table: 0, Col: 2}, Desc: true}, {Col: plan.AggCol{Table: 0, Col: 1}}}}
+	half := []expr.Pred{{Col: 2, Op: expr.LE, Lo: 499}}
+	join := func(op plan.OpType) *plan.Node { // big.k = small.id: every big row matches once
+		return plan.NewJoin(op, plan.NewScan(0, big, nil), plan.NewScan(1, small, nil), on(0, 1, 1, 0))
+	}
+	return New(cat), []opsCase{
+		{"scan", plan.NewScan(0, big, nil), idV, 0},
+		{"filter", plan.NewScan(0, big, half), idV, 1},
+		{"indexscan", plan.NewIndexScan(0, big, 0, []expr.Pred{{Col: 0, Op: expr.BETWEEN, Lo: 0, Hi: int64(rows / 4)}}), idV, 0},
+		{"hashjoin", join(plan.OpHashJoin), vW, 2},
+		{"nljoin", join(plan.OpNLJoin), vW, 2},
+		{"mergejoin", join(plan.OpMergeJoin), vW, 2},
+		{"hashagg", plan.NewAgg(plan.NewScan(0, big, nil), &plan.AggSpec{GroupCol: 1, Sums: []plan.AggCol{{Col: 2}}}), nil, 0},
+		{"topn", plan.NewScan(0, big, nil), top, 0},
+		{"diskscan", plan.NewScan(0, disk, half), idV, 2},
+	}, diskT.Disk.NumPages()
+}
+
+func BenchmarkExecOps(b *testing.B) {
+	e, cases, _ := opsFixture(b, 32<<10)
+	for _, c := range cases {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := e.Execute(c.plan, Options{Output: c.out}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// appendSteps counts the reallocations append makes growing a vector from
+// from to to elements one at a time.
+func appendSteps(from, to int) int {
+	v := make([]int64, from)
+	steps := 0
+	for len(v) < to {
+		before := cap(v)
+		if v = append(v, 0); cap(v) != before {
+			steps++
+		}
+	}
+	return steps
+}
+
+// TestExecAllocContract pins the allocation shape of the column-at-a-time
+// executor. (1) No operator allocates per row: between 1 k and 32 k input
+// rows an execution's allocations may differ only by the extra append steps
+// of the vectors it grows — plus, for the disk scan, the buffer pool's one
+// handle per extra page fetched. (2) The smallest query — a single-leaf
+// IndexScan returning one row through the full output path — allocates no
+// more than it did when operators exchanged rows.
+func TestExecAllocContract(t *testing.T) {
+	const smallRows, bigRows = 1 << 10, 32 << 10
+	measure := func(rows int) (map[string]float64, int, []opsCase) {
+		e, cases, pages := opsFixture(t, rows)
+		allocs := make(map[string]float64)
+		for _, c := range cases {
+			allocs[c.name] = testing.AllocsPerRun(3, func() {
+				if _, err := e.Execute(c.plan, Options{Output: c.out}); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		return allocs, pages, cases
+	}
+	atSmall, pagesSmall, _ := measure(smallRows)
+	atBig, pagesBig, cases := measure(bigRows)
+	for _, c := range cases {
+		allowed := float64(c.grows * appendSteps(smallRows, bigRows))
+		if c.name == "diskscan" {
+			allowed += float64(pagesBig - pagesSmall)
+		}
+		if grew := atBig[c.name] - atSmall[c.name]; grew > allowed {
+			t.Errorf("%s: %.0f allocations at %d rows, %.0f at %d: grew by %.0f, append growth explains %.0f",
+				c.name, atSmall[c.name], smallRows, atBig[c.name], bigRows, grew, allowed)
+		}
+	}
+
+	// At the parent of the column-at-a-time executor this query cost 7:
+	// Execute's state, result, row slice and row, then the SQL front end's
+	// offsets, row slice and projected row.
+	const rowPathAllocs = 7
+	e, _, _ := opsFixture(t, smallRows)
+	one := plan.NewIndexScan(0, 0, 0, []expr.Pred{{Col: 0, Op: expr.EQ, Lo: 5}})
+	all := &plan.Output{Limit: plan.NoLimit}
+	for c := 0; c < 6; c++ {
+		all.Cols = append(all.Cols, plan.AggCol{Table: 0, Col: c})
+	}
+	res, err := e.Execute(one, Options{Output: all})
+	if err != nil || len(res.Rows) != 1 || res.Rows[0][0] != 5 || len(res.Rows[0]) != 6 {
+		t.Fatalf("one-row lookup returned %v, %v", res.Rows, err)
+	}
+	if got := testing.AllocsPerRun(100, func() { e.Execute(one, Options{Output: all}) }); got > rowPathAllocs {
+		t.Errorf("one-row IndexScan allocates %.0f times, the row path took %d", got, rowPathAllocs)
+	}
+}

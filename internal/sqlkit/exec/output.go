@@ -1,0 +1,120 @@
+package exec
+
+import (
+	"fmt"
+	"sort"
+
+	"ml4db/internal/sqlkit/catalog"
+	"ml4db/internal/sqlkit/plan"
+)
+
+// resolveOutput turns the requested output into root's layout: need marks the
+// offsets the select list and the ORDER BY keys read — the marks run pushes
+// down the plan — and offs lists the select list's offsets followed by the
+// keys'. A nil output selects every offset in order.
+func resolveOutput(cat *catalog.Catalog, root *plan.Node, out *plan.Output) (need []bool, offs []int, err error) {
+	need = make([]bool, width(cat, root))
+	if out == nil {
+		offs = make([]int, len(need))
+		for o := range offs {
+			need[o], offs[o] = true, o
+		}
+		return need, offs, nil
+	}
+	offs = make([]int, len(out.Cols)+len(out.OrderBy))
+	for i := range offs {
+		var c plan.AggCol
+		if i < len(out.Cols) {
+			c = out.Cols[i]
+		} else {
+			c = out.OrderBy[i-len(out.Cols)].Col
+		}
+		off, ok := ColOffset(cat, root, c.Table, c.Col)
+		if !ok {
+			return nil, nil, fmt.Errorf("exec: output names t%d, which %s does not scan", c.Table, root.Head())
+		}
+		need[off], offs[i] = true, off
+	}
+	return need, offs, nil
+}
+
+// present applies the output to the root operator's batch: it orders the row
+// positions, keeps the first Limit, and only then transposes the surviving
+// rows × selected columns into one flat arena cut into full-capacity rows —
+// the only place the executor builds a row; none aliases another or a table.
+func present(b batch, out *plan.Output, offs []int) [][]int64 {
+	w, keep := len(offs), b.n
+	var order column // nil: executor order
+	if out != nil {
+		w = len(out.Cols)
+		if out.Limit >= 0 && out.Limit < keep {
+			keep = out.Limit
+		}
+		if len(out.OrderBy) > 0 && keep > 0 {
+			order = firstRows(b, out.OrderBy, offs[w:], keep)
+		}
+	}
+	flat := make([]int64, keep*w)
+	rows := make([][]int64, keep)
+	for i := range rows {
+		p := i
+		if order != nil {
+			p = int(order[i])
+		}
+		row := flat[i*w : (i+1)*w : (i+1)*w]
+		for j, o := range offs[:w] {
+			row[j] = b.cols[o][p]
+		}
+		rows[i] = row
+	}
+	return rows
+}
+
+// firstRows returns, in order, the positions of the first keep rows of b under
+// the ORDER BY keys (whose columns sit at offs). Ties on every key break
+// toward the lower position, so the answer is exactly a stable sort followed
+// by truncation. With keep < b.n only a heap of keep positions is held, worst
+// row on top, and the final sort touches only those.
+func firstRows(b batch, keys []plan.OrderKey, offs []int, keep int) column {
+	before := func(p, q int64) bool {
+		for i, o := range offs {
+			if x, y := b.cols[o][p], b.cols[o][q]; x != y {
+				return (x < y) != keys[i].Desc
+			}
+		}
+		return p < q
+	}
+	h := make(column, keep)
+	for i := range h {
+		h[i] = int64(i)
+	}
+	if keep < b.n {
+		sift := func(i int) {
+			for {
+				c := 2*i + 1
+				if c >= keep {
+					return
+				}
+				if c+1 < keep && before(h[c], h[c+1]) {
+					c++
+				}
+				if !before(h[i], h[c]) {
+					return
+				}
+				h[i], h[c] = h[c], h[i]
+				i = c
+			}
+		}
+		for i := keep/2 - 1; i >= 0; i-- {
+			sift(i)
+		}
+		for p := int64(keep); p < int64(b.n); p++ {
+			if before(p, h[0]) {
+				h[0] = p
+				sift(0)
+			}
+		}
+	}
+	sort.Slice(h, func(i, j int) bool { return before(h[i], h[j]) })
+	return h
+}

@@ -7,31 +7,22 @@ import (
 
 // seqScanVirtual scans a virtual (system) table: the provider materializes a
 // snapshot of its current rows, and the scan filters them exactly like an
-// in-memory SeqScan, charging one ScanTuples unit per provider row. The
-// provider returns fresh slices, so matching rows are emitted without
-// copying.
-func (s *execState) seqScanVirtual(n *plan.Node, t *catalog.Table) ([][]int64, error) {
-	rows := t.Virtual.VirtualRows()
-	var out [][]int64
-	for _, row := range rows {
+// in-memory SeqScan, charging one ScanTuples unit per provider row and
+// keeping the marked columns of each matching one.
+func (s *execState) seqScanVirtual(n *plan.Node, t *catalog.Table, need []bool) (batch, error) {
+	out := batch{cols: make([]column, len(need))}
+	for _, row := range t.Virtual.VirtualRows() {
 		if err := s.charge(&s.ctr.ScanTuples, 1); err != nil {
-			return nil, err
+			return batch{}, err
 		}
-		ok := true
-		for _, f := range n.Filters {
-			if !f.Eval(row[f.Col]) {
-				ok = false
-				break
-			}
-		}
-		if !ok {
+		if !rowPasses(n.Filters, row) {
 			continue
 		}
 		if err := s.chargeRows(1); err != nil {
-			return nil, err
+			return batch{}, err
 		}
-		out = append(out, row)
+		out.appendRow(row, need)
 	}
-	n.ActualRows = float64(len(out))
+	n.ActualRows = float64(out.n)
 	return out, nil
 }

@@ -1,5 +1,5 @@
 // Package sqlparse parses a practical subset of SQL into the repository's
-// plan.Query form plus the projection metadata the executor does not model:
+// plan.Query form plus the plan.Output the executor presents the result by:
 //
 //	SELECT {* | col[, col...]} FROM table[, table...]
 //	  [WHERE cond AND cond...] [ORDER BY col [ASC|DESC][, ...]] [LIMIT n]
@@ -10,7 +10,7 @@
 // a catalog.Catalog at parse time, so unknown tables and columns fail with
 // positioned errors instead of planning failures. The parsed Stmt carries
 // the plan.Query for the optimizer plus the SELECT list, ORDER BY keys, and
-// LIMIT for the caller to apply to executor output — engine.Session.Query
-// is the primary consumer, created so the querystore system views are
-// reachable end to end in SQL.
+// LIMIT as (table position, column) references the caller hands to the
+// executor with the plan — engine.Session.Query is the primary consumer,
+// created so the querystore system views are reachable end to end in SQL.
 package sqlparse

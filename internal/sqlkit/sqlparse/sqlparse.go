@@ -10,30 +10,14 @@ import (
 	"ml4db/internal/sqlkit/plan"
 )
 
-// ColRef addresses one column of one table in the statement's FROM list by
-// table position (index into Query.Tables) and column index.
-type ColRef struct {
-	TablePos int
-	Col      int
-}
-
-// OrderKey is one ORDER BY key.
-type OrderKey struct {
-	Col  ColRef
-	Desc bool
-}
-
-// Stmt is a parsed SELECT statement: the SPJ core as a plan.Query the normal
-// optimizer/executor pipeline runs, plus the presentation clauses
-// (projection, ordering, limit) the engine applies to the executed rows.
+// Stmt is a parsed SELECT statement: the SPJ core as a plan.Query the
+// optimizer plans, plus the presentation clauses (select list, ORDER BY,
+// LIMIT) as a plan.Output the executor applies to the plan's columns. Both
+// name columns by position in the FROM list (index into Query.Tables) and
+// column index. A nil Cols means SELECT *: every column in FROM order.
 type Stmt struct {
 	Query *plan.Query
-	// Cols is the projection; nil means SELECT *.
-	Cols []ColRef
-	// OrderBy sorts the output; empty leaves executor order.
-	OrderBy []OrderKey
-	// Limit caps the output rows; negative means no limit.
-	Limit int
+	plan.Output
 }
 
 // Parse parses a SELECT statement against the catalog. The supported
@@ -236,7 +220,7 @@ func (p *parser) parseSelect() (*Stmt, error) {
 			break
 		}
 	}
-	st := &Stmt{Query: plan.NewQuery(p.tableIDs...), Limit: -1}
+	st := &Stmt{Query: plan.NewQuery(p.tableIDs...), Output: plan.Output{Limit: plan.NoLimit}}
 	for _, r := range rawCols {
 		ref, err := p.resolve(r)
 		if err != nil {
@@ -267,7 +251,7 @@ func (p *parser) parseSelect() (*Stmt, error) {
 			if err != nil {
 				return nil, err
 			}
-			key := OrderKey{Col: ref}
+			key := plan.OrderKey{Col: ref}
 			if p.keyword("desc") {
 				key.Desc = true
 			} else {
@@ -309,47 +293,50 @@ func (p *parser) parseRawRef() (rawRef, error) {
 }
 
 // resolve binds a raw reference against the FROM list.
-func (p *parser) resolve(r rawRef) (ColRef, error) {
+func (p *parser) resolve(r rawRef) (plan.AggCol, error) {
 	if r.table != "" {
 		for pos, name := range p.tableNames {
 			if strings.EqualFold(name, r.table) {
 				col := p.cat.Table(p.tableIDs[pos]).ColIndex(r.col)
 				if col < 0 {
-					return ColRef{}, fmt.Errorf("sqlparse: table %q has no column %q", name, r.col)
+					return plan.AggCol{}, fmt.Errorf("sqlparse: table %q has no column %q", name, r.col)
 				}
-				return ColRef{TablePos: pos, Col: col}, nil
+				return plan.AggCol{Table: pos, Col: col}, nil
 			}
 		}
-		return ColRef{}, fmt.Errorf("sqlparse: table %q is not in the FROM list", r.table)
+		return plan.AggCol{}, fmt.Errorf("sqlparse: table %q is not in the FROM list", r.table)
 	}
-	found := ColRef{TablePos: -1}
+	found := plan.AggCol{Table: -1}
 	for pos, id := range p.tableIDs {
 		if col := p.cat.Table(id).ColIndex(r.col); col >= 0 {
-			if found.TablePos >= 0 {
-				return ColRef{}, fmt.Errorf("sqlparse: column %q is ambiguous (in %q and %q)",
-					r.col, p.tableNames[found.TablePos], p.tableNames[pos])
+			if found.Table >= 0 {
+				return plan.AggCol{}, fmt.Errorf("sqlparse: column %q is ambiguous (in %q and %q)",
+					r.col, p.tableNames[found.Table], p.tableNames[pos])
 			}
-			found = ColRef{TablePos: pos, Col: col}
+			found = plan.AggCol{Table: pos, Col: col}
 		}
 	}
-	if found.TablePos < 0 {
-		return ColRef{}, fmt.Errorf("sqlparse: no FROM table has a column %q", r.col)
+	if found.Table < 0 {
+		return plan.AggCol{}, fmt.Errorf("sqlparse: no FROM table has a column %q", r.col)
 	}
 	return found, nil
 }
 
+// parseInt reads an optionally negated integer literal. The sign is parsed
+// with the digits: the smallest int64 has no positive counterpart to negate.
 func (p *parser) parseInt() (int64, error) {
-	neg := p.symbol("-")
+	text := ""
+	if p.symbol("-") {
+		text = "-"
+	}
 	t := p.next()
 	if t.kind != tokNumber {
 		return 0, fmt.Errorf("sqlparse: expected integer, got %q", t.text)
 	}
-	v, err := strconv.ParseInt(t.text, 10, 64)
+	text += t.text
+	v, err := strconv.ParseInt(text, 10, 64)
 	if err != nil {
-		return 0, fmt.Errorf("sqlparse: bad integer %q: %v", t.text, err)
-	}
-	if neg {
-		v = -v
+		return 0, fmt.Errorf("sqlparse: bad integer %q: %v", text, err)
 	}
 	return v, nil
 }
@@ -376,7 +363,7 @@ func (p *parser) parseCond(q *plan.Query) error {
 		if err != nil {
 			return err
 		}
-		q.AddFilter(lref.TablePos, expr.Pred{Col: lref.Col, Op: expr.BETWEEN, Lo: lo, Hi: hi})
+		q.AddFilter(lref.Table, expr.Pred{Col: lref.Col, Op: expr.BETWEEN, Lo: lo, Hi: hi})
 		return nil
 	}
 	t := p.next()
@@ -410,13 +397,13 @@ func (p *parser) parseCond(q *plan.Query) error {
 		if err != nil {
 			return err
 		}
-		if rref.TablePos == lref.TablePos {
+		if rref.Table == lref.Table {
 			return fmt.Errorf("sqlparse: join condition references table %q on both sides",
-				p.tableNames[lref.TablePos])
+				p.tableNames[lref.Table])
 		}
 		q.AddJoin(expr.JoinCond{
-			LeftTable: lref.TablePos, LeftCol: lref.Col,
-			RightTable: rref.TablePos, RightCol: rref.Col,
+			LeftTable: lref.Table, LeftCol: lref.Col,
+			RightTable: rref.Table, RightCol: rref.Col,
 		})
 		return nil
 	}
@@ -424,6 +411,6 @@ func (p *parser) parseCond(q *plan.Query) error {
 	if err != nil {
 		return err
 	}
-	q.AddFilter(lref.TablePos, expr.Pred{Col: lref.Col, Op: op, Lo: v})
+	q.AddFilter(lref.Table, expr.Pred{Col: lref.Col, Op: op, Lo: v})
 	return nil
 }

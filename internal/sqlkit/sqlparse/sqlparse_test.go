@@ -1,11 +1,13 @@
 package sqlparse
 
 import (
+	"math"
 	"strings"
 	"testing"
 
 	"ml4db/internal/sqlkit/catalog"
 	"ml4db/internal/sqlkit/expr"
+	"ml4db/internal/sqlkit/plan"
 )
 
 func testCatalog(t *testing.T) *catalog.Catalog {
@@ -41,7 +43,7 @@ func TestParseFiltersAndBetween(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []ColRef{{0, 1}, {0, 2}}
+	want := []plan.AggCol{{Table: 0, Col: 1}, {Table: 0, Col: 2}}
 	if len(st.Cols) != 2 || st.Cols[0] != want[0] || st.Cols[1] != want[1] {
 		t.Fatalf("cols = %v, want %v", st.Cols, want)
 	}
@@ -89,10 +91,10 @@ func TestParseOrderByLimit(t *testing.T) {
 	if len(st.OrderBy) != 2 {
 		t.Fatalf("order by = %v", st.OrderBy)
 	}
-	if st.OrderBy[0] != (OrderKey{Col: ColRef{0, 1}, Desc: true}) {
+	if st.OrderBy[0] != (plan.OrderKey{Col: plan.AggCol{Table: 0, Col: 1}, Desc: true}) {
 		t.Errorf("key 0 = %+v", st.OrderBy[0])
 	}
-	if st.OrderBy[1] != (OrderKey{Col: ColRef{0, 0}}) {
+	if st.OrderBy[1] != (plan.OrderKey{Col: plan.AggCol{Table: 0, Col: 0}}) {
 		t.Errorf("key 1 = %+v", st.OrderBy[1])
 	}
 	if st.Limit != 5 {
@@ -108,6 +110,36 @@ func TestParseNegativeLiteral(t *testing.T) {
 	}
 	if st.Query.Filters[0][0].Lo != -5 {
 		t.Fatalf("filter = %+v", st.Query.Filters[0][0])
+	}
+}
+
+// TestParseInt64Extremes: both ends of the int64 range are valid literals.
+// The smallest has no positive counterpart, so the sign must be parsed with
+// the digits; one past either end is out of range.
+func TestParseInt64Extremes(t *testing.T) {
+	cat := testCatalog(t)
+	for _, tc := range []struct {
+		lit  string
+		want int64
+	}{
+		{"-9223372036854775808", math.MinInt64},
+		{"9223372036854775807", math.MaxInt64},
+	} {
+		st, err := Parse(cat, "SELECT * FROM users WHERE age >= "+tc.lit+" AND id BETWEEN "+tc.lit+" AND "+tc.lit)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.lit, err)
+		}
+		fs := st.Query.Filters[0]
+		if fs[0].Lo != tc.want || fs[1].Lo != tc.want || fs[1].Hi != tc.want {
+			t.Errorf("%s parsed as %+v", tc.lit, fs)
+		}
+	}
+	for _, lit := range []string{"-9223372036854775809", "9223372036854775808"} {
+		if _, err := Parse(cat, "SELECT * FROM users WHERE age < "+lit); err == nil || !strings.Contains(err.Error(), "out of range") {
+			t.Errorf("%s: err = %v, want an out-of-range error naming the literal", lit, err)
+		} else if !strings.Contains(err.Error(), lit) {
+			t.Errorf("%s: error %q does not quote the literal as written", lit, err)
+		}
 	}
 }
 

@@ -226,7 +226,7 @@ func (a *Advisor) workloadWork(workload []*plan.Query, views []*Materialized) (i
 		var err error
 		if use.NumTables() == 1 {
 			p := plan.NewScan(0, use.Tables[0], use.Filters[0])
-			res, execErr := a.Env.Exec.Execute(p, exec.Options{})
+			res, execErr := a.Env.Exec.Execute(p, exec.Options{Output: exec.CountOnly})
 			if execErr != nil {
 				return 0, execErr
 			}

@@ -52,12 +52,13 @@ echo "==> bench module (go vet + go test)"
 
 # Compile-and-run the micro benchmarks once (-benchtime=1x): not a timing
 # measurement, just a guard that the serial-vs-parallel kernel paths with
-# their determinism checks, the buffer-pool fetch paths, and the optimizer's
-# join-order DP keep working. Full numbers: ml4db-bench -suite kernels;
-# go test -bench PoolFetch ./internal/storage/; go test -bench PlanStar
-# ./internal/sqlkit/optimizer/.
+# their determinism checks, the buffer-pool fetch paths, the optimizer's
+# join-order DP, and one plan per executor operator keep working. Full
+# numbers: ml4db-bench -suite kernels; go test -bench PoolFetch
+# ./internal/storage/; go test -bench PlanStar ./internal/sqlkit/optimizer/;
+# go test -bench ExecOps ./internal/sqlkit/exec/.
 echo "==> micro benchmarks (smoke, 1 iteration)"
-go test -run '^$' -bench 'MatMul|MLPFit|PoolFetch|PlanStar' -benchtime=1x ./internal/mlmath/ ./internal/nn/ ./internal/storage/ ./internal/sqlkit/optimizer/
+go test -run '^$' -bench 'MatMul|MLPFit|PoolFetch|PlanStar|ExecOps' -benchtime=1x ./internal/mlmath/ ./internal/nn/ ./internal/storage/ ./internal/sqlkit/optimizer/ ./internal/sqlkit/exec/
 
 # Bench suites smoke: every registered suite at CI size. A suite that finds a
 # violated contract prints it and the command exits 1:
