@@ -28,7 +28,7 @@ type Host interface {
 	// design after an index build/drop.
 	NotifyDesignChange()
 	// SetRewriters installs the view rewriters applied before planning
-	// (and bumps the design version itself).
+	// (and invalidates cached plans itself).
 	SetRewriters(rs []plan.QueryRewriter)
 }
 
@@ -351,11 +351,4 @@ func (a *Autopilot) MemoryUsed() int64 {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	return a.memUsed
-}
-
-// TrialActive reports whether a shadow trial is open.
-func (a *Autopilot) TrialActive() bool {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.trial != nil
 }

@@ -1,9 +1,10 @@
 package engine
 
 import (
+	"cmp"
 	"container/list"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 
@@ -12,25 +13,28 @@ import (
 	"ml4db/internal/sqlkit/plan"
 )
 
-// cacheKey renders the canonical identity of a planning problem: the
-// normalized query shape plus the statistics, estimator, and physical-design
-// versions the plan would be built against, and the parallelism degree the
-// optimizer would cost the Partitions knob with. The version prefix makes
-// every entry planned against stale statistics, a superseded estimator, or a
-// changed physical design (an index built or dropped, a view installed)
-// unreachable without scanning the cache; the parallelism component keeps a
-// plan partitioned for one degree from being served at another (and lets
-// entries for a prior degree become reachable again when the knob switches
-// back — no invalidation needed, since executions are bit-identical across
-// degrees and only the costing differs).
-func cacheKey(shape string, statsVersion, estimatorVersion, designVersion, parallelism int) string {
-	return fmt.Sprintf("s%d/e%d/d%d/p%d/%s", statsVersion, estimatorVersion, designVersion, parallelism, shape)
+// cacheKey is the identity of a planning problem, used directly as the map
+// key: no key string is built. The epoch makes every entry planned against
+// stale statistics, a superseded estimator, or a changed physical design
+// unreachable without scanning the cache. The parallelism degree the plan's
+// Partitions knob was costed with sits beside the epoch, not inside it: it is
+// the one planning input whose old plans stay valid (executions are
+// bit-identical across degrees), so entries for a prior degree are hit again
+// when the degree switches back. shape is queryShape's normalized statement.
+type cacheKey struct {
+	epoch       uint64
+	parallelism int
+	shape       string
 }
 
 // applyRewriters folds q through each rewriter once, in order, composing the
 // per-position maps. The returned query is q itself — and the map nil,
-// meaning identity — when nothing applied.
+// meaning identity — when nothing applied. View-substitution rewriters do not
+// remap aggregation specs, so aggregating queries keep their original tables.
 func applyRewriters(q *plan.Query, rs []plan.QueryRewriter) (*plan.Query, []plan.PosMap) {
+	if q.Agg != nil {
+		return q, nil
+	}
 	cur := q
 	var m []plan.PosMap
 	for _, r := range rs {
@@ -51,7 +55,7 @@ func applyRewriters(q *plan.Query, rs []plan.QueryRewriter) (*plan.Query, []plan
 	return cur, m
 }
 
-// queryShape renders the version-independent normalized statement identity:
+// queryShape renders the epoch-independent normalized statement identity:
 // the query's tables, filters (literals included), and join conditions in a
 // normalized order, plus the hint-set name.
 //
@@ -63,8 +67,8 @@ func queryShape(q *plan.Query, hintName string) string {
 	fmt.Fprintf(&b, "h%s", hintName)
 	for pos, tid := range q.Tables {
 		fmt.Fprintf(&b, "|T%d", tid)
-		preds := append([]expr.Pred(nil), q.Filters[pos]...)
-		sort.Slice(preds, func(i, j int) bool { return predLess(preds[i], preds[j]) })
+		preds := slices.Clone(q.Filters[pos])
+		slices.SortFunc(preds, predCmp)
 		for _, p := range preds {
 			fmt.Fprintf(&b, ":%s", p)
 		}
@@ -77,7 +81,7 @@ func queryShape(q *plan.Query, hintName string) string {
 		}
 		joins[i] = j
 	}
-	sort.Slice(joins, func(i, j int) bool { return joinLess(joins[i], joins[j]) })
+	slices.SortFunc(joins, joinCmp)
 	for _, j := range joins {
 		fmt.Fprintf(&b, "|%s", j)
 	}
@@ -90,35 +94,18 @@ func queryShape(q *plan.Query, hintName string) string {
 	return b.String()
 }
 
-func predLess(a, b expr.Pred) bool {
-	if a.Col != b.Col {
-		return a.Col < b.Col
-	}
-	if a.Op != b.Op {
-		return a.Op < b.Op
-	}
-	if a.Lo != b.Lo {
-		return a.Lo < b.Lo
-	}
-	return a.Hi < b.Hi
+func predCmp(a, b expr.Pred) int {
+	return cmp.Or(cmp.Compare(a.Col, b.Col), cmp.Compare(a.Op, b.Op), cmp.Compare(a.Lo, b.Lo), cmp.Compare(a.Hi, b.Hi))
 }
 
-func joinLess(a, b expr.JoinCond) bool {
-	if a.LeftTable != b.LeftTable {
-		return a.LeftTable < b.LeftTable
-	}
-	if a.LeftCol != b.LeftCol {
-		return a.LeftCol < b.LeftCol
-	}
-	if a.RightTable != b.RightTable {
-		return a.RightTable < b.RightTable
-	}
-	return a.RightCol < b.RightCol
+func joinCmp(a, b expr.JoinCond) int {
+	return cmp.Or(cmp.Compare(a.LeftTable, b.LeftTable), cmp.Compare(a.LeftCol, b.LeftCol),
+		cmp.Compare(a.RightTable, b.RightTable), cmp.Compare(a.RightCol, b.RightCol))
 }
 
 // cacheEntry is one cached plan under its full key.
 type cacheEntry struct {
-	key  string
+	key  cacheKey
 	plan *plan.Node
 }
 
@@ -128,11 +115,13 @@ type cacheEntry struct {
 // concurrent sessions would race.
 type planCache struct {
 	capacity int
-	metrics  *obs.Registry // nil-safe; counters under engine.plancache.*
+	// engine.plancache.* counters, resolved once (nil without a registry):
+	// counting is a field bump, so it happens inside the critical sections.
+	hits, misses, evictions, invalidations *obs.Counter
 
 	mu    sync.Mutex
-	ll    *list.List               // front = most recently used
-	byKey map[string]*list.Element // element value: *cacheEntry
+	ll    *list.List                 // front = most recently used
+	byKey map[cacheKey]*list.Element // element value: *cacheEntry
 }
 
 func newPlanCache(capacity int, metrics *obs.Registry) *planCache {
@@ -140,66 +129,60 @@ func newPlanCache(capacity int, metrics *obs.Registry) *planCache {
 		capacity = 256
 	}
 	return &planCache{
-		capacity: capacity,
-		metrics:  metrics,
-		ll:       list.New(),
-		byKey:    make(map[string]*list.Element, capacity),
+		capacity:      capacity,
+		hits:          metrics.Counter("engine.plancache.hits"),
+		misses:        metrics.Counter("engine.plancache.misses"),
+		evictions:     metrics.Counter("engine.plancache.evictions"),
+		invalidations: metrics.Counter("engine.plancache.invalidations"),
+		ll:            list.New(),
+		byKey:         make(map[cacheKey]*list.Element, capacity),
 	}
 }
 
 // Get returns a deep clone of the cached plan for key, promoting the entry
 // to most recently used.
-func (c *planCache) Get(key string) (*plan.Node, bool) {
+func (c *planCache) Get(key cacheKey) (*plan.Node, bool) {
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	el, ok := c.byKey[key]
 	if !ok {
-		c.mu.Unlock()
-		c.metrics.Counter("engine.plancache.misses").Inc()
+		c.misses.Inc()
 		return nil, false
 	}
+	c.hits.Inc()
 	c.ll.MoveToFront(el)
-	p := el.Value.(*cacheEntry).plan.Clone()
-	c.mu.Unlock()
-	c.metrics.Counter("engine.plancache.hits").Inc()
-	return p, true
+	return el.Value.(*cacheEntry).plan.Clone(), true
 }
 
 // Put stores a deep clone of the plan under key, evicting the least recently
 // used entry past capacity. Re-putting an existing key refreshes its
 // recency but keeps the first plan (both were built from identical inputs).
-func (c *planCache) Put(key string, p *plan.Node) {
+func (c *planCache) Put(key cacheKey, p *plan.Node) {
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	if el, ok := c.byKey[key]; ok {
 		c.ll.MoveToFront(el)
-		c.mu.Unlock()
 		return
 	}
 	c.byKey[key] = c.ll.PushFront(&cacheEntry{key: key, plan: p.Clone()})
-	evicted := 0
 	for c.ll.Len() > c.capacity {
 		oldest := c.ll.Back()
 		c.ll.Remove(oldest)
 		delete(c.byKey, oldest.Value.(*cacheEntry).key)
-		evicted++
-	}
-	c.mu.Unlock()
-	if evicted > 0 {
-		c.metrics.Counter("engine.plancache.evictions").Add(int64(evicted))
+		c.evictions.Inc()
 	}
 }
 
-// Invalidate drops every entry, returning how many were dropped. Version
-// bumps already make stale keys unreachable; dropping them too frees the
+// Invalidate drops every entry, returning how many were dropped. An epoch
+// bump already makes stale keys unreachable; dropping them too frees the
 // memory immediately instead of waiting for LRU pressure.
 func (c *planCache) Invalidate() int {
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	n := c.ll.Len()
 	c.ll.Init()
-	c.byKey = make(map[string]*list.Element, c.capacity)
-	c.mu.Unlock()
-	if n > 0 {
-		c.metrics.Counter("engine.plancache.invalidations").Add(int64(n))
-	}
+	c.byKey = make(map[cacheKey]*list.Element, c.capacity)
+	c.invalidations.Add(int64(n))
 	return n
 }
 

@@ -21,41 +21,51 @@ func twoTableQuery(mutate func(q *plan.Query)) *plan.Query {
 }
 
 func TestCacheKeyNormalization(t *testing.T) {
-	base := cacheKey(queryShape(twoTableQuery(nil), "default"), 1, 2, 0, 1)
+	key := func(q *plan.Query, hint string) cacheKey {
+		return cacheKey{epoch: 3, parallelism: 1, shape: queryShape(q, hint)}
+	}
+	base := key(twoTableQuery(nil), "default")
+
+	// The shape is an exported identity (querystore statements, JSONL): pin
+	// its bytes.
+	if want := "hdefault|T3:c1 >= 10:c2 = 7|T5|t0.c0 = t1.c0"; base.shape != want {
+		t.Errorf("shape = %q, want %q", base.shape, want)
+	}
 
 	// Filter order is incidental: reversed filters share the key.
 	reordered := plan.NewQuery(3, 5)
 	reordered.AddFilter(0, expr.Pred{Col: 2, Op: expr.EQ, Lo: 7})
 	reordered.AddFilter(0, expr.Pred{Col: 1, Op: expr.GE, Lo: 10})
 	reordered.AddJoin(expr.JoinCond{LeftTable: 0, LeftCol: 0, RightTable: 1, RightCol: 0})
-	if got := cacheKey(queryShape(reordered, "default"), 1, 2, 0, 1); got != base {
-		t.Errorf("filter order changed the key:\n%s\nvs\n%s", got, base)
+	if got := key(reordered, "default"); got != base {
+		t.Errorf("filter order changed the key:\n%v\nvs\n%v", got, base)
 	}
 
 	// Join orientation is incidental: the flipped condition shares the key.
 	flipped := twoTableQuery(func(q *plan.Query) {
 		q.Joins = []expr.JoinCond{{LeftTable: 1, LeftCol: 0, RightTable: 0, RightCol: 0}}
 	})
-	if got := cacheKey(queryShape(flipped, "default"), 1, 2, 0, 1); got != base {
-		t.Errorf("join orientation changed the key:\n%s\nvs\n%s", got, base)
+	if got := key(flipped, "default"); got != base {
+		t.Errorf("join orientation changed the key:\n%v\nvs\n%v", got, base)
 	}
 
 	// Everything that changes the planning problem changes the key.
-	distinct := map[string]string{
-		"literal":    cacheKey(queryShape(twoTableQuery(func(q *plan.Query) { q.Filters[0][0].Lo = 11 }), "default"), 1, 2, 0, 1),
-		"operator":   cacheKey(queryShape(twoTableQuery(func(q *plan.Query) { q.Filters[0][0].Op = expr.LE }), "default"), 1, 2, 0, 1),
-		"table":      cacheKey(queryShape(twoTableQuery(func(q *plan.Query) { q.Tables[1] = 6 }), "default"), 1, 2, 0, 1),
-		"join col":   cacheKey(queryShape(twoTableQuery(func(q *plan.Query) { q.Joins[0].RightCol = 1 }), "default"), 1, 2, 0, 1),
-		"hint":       cacheKey(queryShape(twoTableQuery(nil), "hash-only"), 1, 2, 0, 1),
-		"stats ver":  cacheKey(queryShape(twoTableQuery(nil), "default"), 2, 2, 0, 1),
-		"est ver":    cacheKey(queryShape(twoTableQuery(nil), "default"), 1, 3, 0, 1),
-		"design ver": cacheKey(queryShape(twoTableQuery(nil), "default"), 1, 2, 1, 1),
-		"par degree": cacheKey(queryShape(twoTableQuery(nil), "default"), 1, 2, 0, 4),
+	epoch, degree := base, base
+	epoch.epoch++
+	degree.parallelism = 4
+	distinct := map[string]cacheKey{
+		"literal":    key(twoTableQuery(func(q *plan.Query) { q.Filters[0][0].Lo = 11 }), "default"),
+		"operator":   key(twoTableQuery(func(q *plan.Query) { q.Filters[0][0].Op = expr.LE }), "default"),
+		"table":      key(twoTableQuery(func(q *plan.Query) { q.Tables[1] = 6 }), "default"),
+		"join col":   key(twoTableQuery(func(q *plan.Query) { q.Joins[0].RightCol = 1 }), "default"),
+		"hint":       key(twoTableQuery(nil), "hash-only"),
+		"epoch":      epoch,
+		"par degree": degree,
 	}
-	seen := map[string]string{base: "base"}
+	seen := map[cacheKey]string{base: "base"}
 	for what, key := range distinct {
 		if prev, dup := seen[key]; dup {
-			t.Errorf("%s collides with %s: %s", what, prev, key)
+			t.Errorf("%s collides with %s: %v", what, prev, key)
 		}
 		seen[key] = what
 	}
@@ -65,20 +75,20 @@ func TestCacheLRUEviction(t *testing.T) {
 	reg := obs.NewRegistry()
 	c := newPlanCache(2, reg)
 	mk := func(i int) *plan.Node { return plan.NewScan(i, i, nil) }
-	c.Put("a", mk(1))
-	c.Put("b", mk(2))
+	c.Put(cacheKey{shape: "a"}, mk(1))
+	c.Put(cacheKey{shape: "b"}, mk(2))
 	// Touch "a" so "b" is the LRU victim.
-	if _, ok := c.Get("a"); !ok {
+	if _, ok := c.Get(cacheKey{shape: "a"}); !ok {
 		t.Fatal("a missing")
 	}
-	c.Put("c", mk(3))
-	if _, ok := c.Get("b"); ok {
+	c.Put(cacheKey{shape: "c"}, mk(3))
+	if _, ok := c.Get(cacheKey{shape: "b"}); ok {
 		t.Error("LRU entry b survived past capacity")
 	}
-	if _, ok := c.Get("a"); !ok {
+	if _, ok := c.Get(cacheKey{shape: "a"}); !ok {
 		t.Error("recently used entry a was evicted")
 	}
-	if _, ok := c.Get("c"); !ok {
+	if _, ok := c.Get(cacheKey{shape: "c"}); !ok {
 		t.Error("newest entry c was evicted")
 	}
 	if got := reg.Counter("engine.plancache.evictions").Value(); got != 1 {
@@ -92,18 +102,18 @@ func TestCacheLRUEviction(t *testing.T) {
 func TestCacheServesClones(t *testing.T) {
 	c := newPlanCache(4, nil)
 	orig := plan.NewJoin(plan.OpHashJoin, plan.NewScan(0, 0, nil), plan.NewScan(1, 1, nil), expr.JoinCond{RightTable: 1})
-	c.Put("k", orig)
+	c.Put(cacheKey{shape: "k"}, orig)
 
 	// Mutating the inserted tree after Put must not reach the cache.
 	orig.ActualRows = 999
-	got1, _ := c.Get("k")
+	got1, _ := c.Get(cacheKey{shape: "k"})
 	if got1.ActualRows != 0 {
 		t.Error("Put aliased the caller's tree instead of storing a clone")
 	}
 	// Mutating a served tree must not reach later readers (the executor
 	// writes ActualRows into whatever tree it runs).
 	got1.Children[0].ActualRows = 123
-	got2, _ := c.Get("k")
+	got2, _ := c.Get(cacheKey{shape: "k"})
 	if got2.Children[0].ActualRows != 0 {
 		t.Error("Get aliased the stored tree instead of serving a clone")
 	}
@@ -116,7 +126,7 @@ func TestCacheInvalidate(t *testing.T) {
 	reg := obs.NewRegistry()
 	c := newPlanCache(8, reg)
 	for i := 0; i < 5; i++ {
-		c.Put(fmt.Sprintf("k%d", i), plan.NewScan(i, i, nil))
+		c.Put(cacheKey{shape: fmt.Sprintf("k%d", i)}, plan.NewScan(i, i, nil))
 	}
 	if n := c.Invalidate(); n != 5 {
 		t.Errorf("Invalidate dropped %d, want 5", n)
@@ -124,15 +134,15 @@ func TestCacheInvalidate(t *testing.T) {
 	if c.Len() != 0 {
 		t.Errorf("Len = %d after invalidate, want 0", c.Len())
 	}
-	if _, ok := c.Get("k0"); ok {
+	if _, ok := c.Get(cacheKey{shape: "k0"}); ok {
 		t.Error("entry survived invalidation")
 	}
 	if got := reg.Counter("engine.plancache.invalidations").Value(); got != 5 {
 		t.Errorf("invalidations = %d, want 5", got)
 	}
 	// Cache keeps working after invalidation.
-	c.Put("fresh", plan.NewScan(0, 0, nil))
-	if _, ok := c.Get("fresh"); !ok {
+	c.Put(cacheKey{shape: "fresh"}, plan.NewScan(0, 0, nil))
+	if _, ok := c.Get(cacheKey{shape: "fresh"}); !ok {
 		t.Error("cache unusable after invalidation")
 	}
 }

@@ -1,6 +1,7 @@
 package engine_test
 
 import (
+	"sync"
 	"testing"
 	"time"
 
@@ -153,6 +154,183 @@ func TestCacheCoherenceAcrossHints(t *testing.T) {
 	}
 	if plansChangedOnPromotion == 0 {
 		t.Error("estimator promotion changed no plan under any hint set; property test is vacuous")
+	}
+}
+
+// TestStalePutIsNeverServed is the coherence case the epoch exists for: a
+// session loads its planning snapshot, a mutator moves the epoch while that
+// session is still planning, and the session then Puts its plan — built under
+// the old estimator — into the cache the mutator has just emptied. The entry
+// sits under the old epoch, so no later query can reach it.
+func TestStalePutIsNeverServed(t *testing.T) {
+	sch := chainCatalog(t, 13)
+	eng := engine.New(sch.Cat, engine.Options{Metrics: obs.NewRegistry()})
+	q := chainQuery(sch)
+	gate := newGateEstimator(sch.Cat)
+	if err := eng.SetEstimator(gate, 1); err != nil {
+		t.Fatal(err)
+	}
+
+	type outcome struct {
+		res *engine.Result
+		err error
+	}
+	done := make(chan outcome, 1)
+	go func() {
+		res, err := eng.Run(q)
+		done <- outcome{res, err}
+	}()
+	<-gate.entered // parked inside planning, snapshot already loaded
+
+	if err := eng.SetEstimator(constEstimator{}, 2); err != nil {
+		t.Fatal(err)
+	}
+	close(gate.release)
+	stale := <-done
+	if stale.err != nil {
+		t.Fatal(stale.err)
+	}
+	if stale.res.CacheHit || stale.res.EstimatorVersion != 1 {
+		t.Fatalf("in-flight query: hit=%v version=%d, want a miss planned under version 1", stale.res.CacheHit, stale.res.EstimatorVersion)
+	}
+	if eng.CachedPlans() != 1 {
+		t.Fatalf("cached plans = %d, want the one stale Put", eng.CachedPlans())
+	}
+
+	learnedOpt := &optimizer.Optimizer{Cat: sch.Cat, Est: constEstimator{}, Cost: optimizer.DefaultCostParams()}
+	want, err := learnedOpt.Plan(q, optimizer.NoHint())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want.String() == stale.res.Plan.String() {
+		t.Fatal("both estimators choose the same plan; the test cannot tell a stale plan from a fresh one")
+	}
+	for i, wantHit := range []bool{false, true, true} {
+		res, err := eng.Run(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.CacheHit != wantHit || res.EstimatorVersion != 2 {
+			t.Errorf("run %d after the install: hit=%v version=%d, want hit=%v version=2", i, res.CacheHit, res.EstimatorVersion, wantHit)
+		}
+		if res.Plan.String() != want.String() {
+			t.Errorf("run %d after the install served a plan that is not the fresh learned plan:\n%svs\n%s", i, res.Plan, want)
+		}
+	}
+}
+
+// TestEveryMutatorMissesOnceThenHits: a query that starts after any mutator
+// has returned plans afresh exactly once. A parallelism switch is the one
+// mutator that keeps the old entries, so switching back hits straight away.
+func TestEveryMutatorMissesOnceThenHits(t *testing.T) {
+	sch := chainCatalog(t, 14)
+	reg := obs.NewRegistry()
+	eng := engine.New(sch.Cat, engine.Options{Metrics: reg})
+	q := chainQuery(sch)
+	expect := func(what string, hits ...bool) {
+		t.Helper()
+		for i, want := range hits {
+			res, err := eng.Run(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.CacheHit != want {
+				t.Errorf("%s, run %d: hit=%v, want %v", what, i, res.CacheHit, want)
+			}
+		}
+	}
+	expect("fresh engine", false, true)
+	mutators := []struct {
+		name  string
+		apply func()
+		event string
+	}{
+		{"RefreshStats", func() { eng.RefreshStats(16, 128) }, "engine.stats_refreshes"},
+		{"NotifyDesignChange", eng.NotifyDesignChange, "engine.design_changes"},
+		{"SetRewriters", func() { eng.SetRewriters(nil) }, "engine.design_changes"},
+		{"SetEstimator", func() { _ = eng.SetEstimator(constEstimator{}, 7) }, "engine.estimator_installs"},
+		// The same version again is still an install: the estimator behind a
+		// version number may have changed.
+		{"SetEstimator again", func() { _ = eng.SetEstimator(constEstimator{}, 7) }, "engine.estimator_installs"},
+		{"removing the estimator", func() { _ = eng.SetEstimator(nil, 0) }, "engine.estimator_installs"},
+	}
+	for _, m := range mutators {
+		before := reg.Counter(m.event).Value()
+		m.apply()
+		if got := reg.Counter(m.event).Value(); got != before+1 {
+			t.Errorf("%s moved %s by %d, want 1", m.name, m.event, got-before)
+		}
+		if eng.CachedPlans() != 0 {
+			t.Errorf("%s left %d plans cached", m.name, eng.CachedPlans())
+		}
+		expect("after "+m.name, false, true)
+	}
+	eng.SetParallelism(3)
+	expect("after SetParallelism(3)", false, true)
+	eng.SetParallelism(1)
+	expect("back at degree 1", true)
+	eng.NotifyDesignChange()
+	eng.SetParallelism(3)
+	expect("degree 3 after a design change", false, true)
+}
+
+// TestSessionsRacingMutators runs sessions against every lock-free mutator
+// at once (under -race this is the data-race check for the snapshot). Each
+// result must be internally consistent — the version it reports is one that
+// was installed, with the rows every plan of this query returns — and once
+// the mutators stop, the engine settles: one miss, then hits.
+func TestSessionsRacingMutators(t *testing.T) {
+	sch := chainCatalog(t, 15)
+	eng := engine.New(sch.Cat, engine.Options{Metrics: obs.NewRegistry(), MaxConcurrent: 16})
+	q := chainQuery(sch)
+	base, err := eng.Run(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	const sessions, perSession, rounds = 4, 150, 60
+	var wg sync.WaitGroup
+	for g := 0; g < sessions; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			sess := eng.Session()
+			for i := 0; i < perSession; i++ {
+				res, err := sess.Run(q)
+				if err != nil {
+					t.Errorf("query failed while mutators ran: %v", err)
+					return
+				}
+				if len(res.Rows) != len(base.Rows) || res.Work == 0 {
+					t.Errorf("rows=%d work=%d, want %d rows", len(res.Rows), res.Work, len(base.Rows))
+					return
+				}
+				if v := res.EstimatorVersion; v < 0 || v > rounds {
+					t.Errorf("result reports estimator version %d, never installed", v)
+					return
+				}
+			}
+		}()
+	}
+	mutate := func(step func(i int)) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 1; i <= rounds; i++ {
+				step(i)
+			}
+		}()
+	}
+	mutate(func(i int) { _ = eng.SetEstimator(constEstimator{}, i) })
+	mutate(func(int) { eng.NotifyDesignChange() })
+	mutate(func(i int) { eng.SetParallelism(1 + i%3) })
+	wg.Wait()
+
+	if res, err := eng.Run(q); err != nil || res.EstimatorVersion != rounds {
+		t.Fatalf("after the race: err=%v version=%d, want %d", err, res.EstimatorVersion, rounds)
+	}
+	if res, err := eng.Run(q); err != nil || !res.CacheHit {
+		t.Fatalf("after the race the cache did not settle: err=%v hit=%v", err, res.CacheHit)
 	}
 }
 

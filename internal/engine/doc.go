@@ -8,10 +8,12 @@
 //   - Bounded admission: at most MaxConcurrent sessions run at once; excess
 //     arrivals are rejected immediately with ErrOverloaded rather than queued
 //     without bound (load shedding, mirroring modelsvc's inference queue).
-//   - A shared plan cache keyed by the normalized query shape plus the
-//     catalog-statistics version, the learned-estimator version, and the hint
-//     set. A hit replays the identical plan; any stats refresh or estimator
-//     promotion makes every stale key unreachable.
+//   - A shared plan cache keyed by the normalized query shape (hint set
+//     included), the planning epoch, and the parallelism degree. A hit
+//     replays the identical plan; a stats refresh, estimator install, or
+//     design change publishes a new planning snapshot with the next epoch,
+//     which makes every stale key unreachable. A query reads that snapshot
+//     with one atomic load and takes no engine lock.
 //   - Deterministic work budgets: per-query limits counted in executor work
 //     units and materialized rows (exec.Budget), never wall time, so an
 //     aborted query aborts at the same point on every replay.

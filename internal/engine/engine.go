@@ -4,7 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sync"
+	"sync/atomic"
 
 	"ml4db/internal/mlmath"
 	"ml4db/internal/modelsvc"
@@ -105,14 +105,29 @@ type Engine struct {
 	slots chan struct{}
 	cache *planCache
 
-	mu            sync.Mutex
-	statsVersion  int
-	estVersion    int
-	designVersion int
-	parallelism   int
-	rewriters     []plan.QueryRewriter
-	learned       optimizer.CardEstimator
-	classical     *optimizer.Optimizer
+	// cur is what the next query plans under: readers load it once, writers
+	// publish a new one through update.
+	cur atomic.Pointer[planning]
+
+	// The engine.* instruments, resolved once in New (nil without Metrics).
+	admitted, rejected, planErrors, fallbacks, budgetAborts *obs.Counter
+	statsRefreshes, designChanges, estimatorInstalls        *obs.Counter
+	active                                                  *obs.Gauge
+}
+
+// planning is one immutable snapshot of everything a planning pass reads. A
+// query loads it once, so it never sees half of a mutation; a published
+// snapshot is never written again.
+type planning struct {
+	// epoch counts the mutations that make existing plans stale (statistics,
+	// estimator, physical design, rewriters). It is part of the cache key.
+	epoch      uint64
+	estVersion int                     // 0: classical only
+	learned    optimizer.CardEstimator // nil: classical only
+	rewriters  []plan.QueryRewriter
+	// classical is the histogram-path optimizer every pass shares (Plan only
+	// reads it); its Parallelism is the engine's degree.
+	classical *optimizer.Optimizer
 }
 
 // New builds an engine over the catalog. The catalog should already be
@@ -130,18 +145,51 @@ func New(cat *catalog.Catalog, opts Options) *Engine {
 			panic(err)
 		}
 	}
+	m := opts.Metrics
 	e := &Engine{
-		cat:       cat,
-		exc:       exec.New(cat),
-		opts:      opts,
-		slots:     make(chan struct{}, opts.MaxConcurrent),
-		cache:     newPlanCache(opts.CacheSize, opts.Metrics),
-		classical: optimizer.New(cat),
+		cat:   cat,
+		exc:   exec.New(cat),
+		opts:  opts,
+		slots: make(chan struct{}, opts.MaxConcurrent),
+		cache: newPlanCache(opts.CacheSize, m),
+
+		admitted:          m.Counter("engine.admitted"),
+		rejected:          m.Counter("engine.rejected"),
+		planErrors:        m.Counter("engine.plan_errors"),
+		fallbacks:         m.Counter("engine.fallbacks"),
+		budgetAborts:      m.Counter("engine.budget_aborts"),
+		statsRefreshes:    m.Counter("engine.stats_refreshes"),
+		designChanges:     m.Counter("engine.design_changes"),
+		estimatorInstalls: m.Counter("engine.estimator_installs"),
+		active:            m.Gauge("engine.active"),
 	}
 	e.exc.Trace = opts.Trace
-	e.exc.Metrics = opts.Metrics
-	e.parallelism = opts.Pool.Workers() // nil pool reports 1: serial
+	e.exc.Metrics = m
+	classical := optimizer.New(cat)
+	classical.Parallelism = opts.Pool.Workers() // nil pool reports 1: serial
+	e.cur.Store(&planning{classical: classical})
 	return e
+}
+
+// update is the one writer of the planning snapshot: it publishes a copy
+// with change applied, retrying if another writer got in between (so change
+// may run twice and must only assign fields). stale — every mutation but a
+// parallelism switch — means no plan built so far may be served again: the
+// epoch moves, here and nowhere else, and the cache is dropped.
+func (e *Engine) update(stale bool, event *obs.Counter, change func(*planning)) {
+	for published := false; !published; {
+		old := e.cur.Load()
+		next := *old
+		change(&next)
+		if stale {
+			next.epoch++
+		}
+		published = e.cur.CompareAndSwap(old, &next)
+	}
+	if stale {
+		e.cache.Invalidate()
+	}
+	event.Inc()
 }
 
 // Catalog returns the engine's catalog.
@@ -149,35 +197,24 @@ func (e *Engine) Catalog() *catalog.Catalog { return e.cat }
 
 // EstimatorVersion returns the installed learned-estimator version (zero
 // when none is installed).
-func (e *Engine) EstimatorVersion() int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.estVersion
-}
+func (e *Engine) EstimatorVersion() int { return e.cur.Load().estVersion }
 
 // CachedPlans returns the number of plans currently cached.
 func (e *Engine) CachedPlans() int { return e.cache.Len() }
 
 // Parallelism returns the current parallelism degree the optimizer costs the
 // Partitions knob with (1 = serial planning).
-func (e *Engine) Parallelism() int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.parallelism
-}
+func (e *Engine) Parallelism() int { return e.cur.Load().classical.Parallelism }
 
 // SetParallelism changes the parallelism degree for subsequent planning.
-// Values below one clamp to one. No cache invalidation is needed: the cache
-// key carries the degree, so plans for the old degree simply become
-// unreachable — and become reachable again if the degree switches back,
-// which is sound because execution results are bit-identical across degrees.
+// Values below one clamp to one. The epoch does not move and nothing is
+// invalidated: the degree is its own cache-key component (see cacheKey).
 func (e *Engine) SetParallelism(p int) {
-	if p < 1 {
-		p = 1
-	}
-	e.mu.Lock()
-	e.parallelism = p
-	e.mu.Unlock()
+	e.update(false, nil, func(s *planning) {
+		classical := *s.classical
+		classical.Parallelism = max(p, 1)
+		s.classical = &classical
+	})
 }
 
 // Quiesce runs fn with the engine drained: every admission slot is held, so
@@ -199,51 +236,42 @@ func (e *Engine) Quiesce(fn func()) {
 	fn()
 }
 
-// RefreshStats re-analyzes every table (a database-wide ANALYZE), bumps the
-// statistics version, and invalidates the plan cache: no plan built against
-// the old statistics can be served afterwards.
+// RefreshStats re-analyzes every table (a database-wide ANALYZE), moves the
+// epoch, and invalidates the plan cache: no plan built against the old
+// statistics can be served afterwards.
 //
 // The refresh quiesces the engine first (see Quiesce), so statistics never
 // change under a session that is planning or executing.
 func (e *Engine) RefreshStats(buckets, sampleSize int) {
 	e.Quiesce(func() {
 		e.cat.AnalyzeAll(buckets, sampleSize)
-		e.mu.Lock()
-		e.statsVersion++
-		e.mu.Unlock()
-		e.cache.Invalidate()
-		e.opts.Metrics.Counter("engine.stats_refreshes").Inc()
+		e.update(true, e.statsRefreshes, func(*planning) {})
 	})
 }
 
 // NotifyDesignChange records a physical-design mutation — an index built or
-// dropped, a view table filled or emptied: it bumps the design version,
-// making every cached plan key unreachable, and drops the cache. Callers
-// mutating the catalog of a live engine must do so under Quiesce and call
-// this before releasing it.
+// dropped, a view table filled or emptied: it moves the epoch, making every
+// cached plan key unreachable, and drops the cache. Callers mutating the
+// catalog of a live engine must do so under Quiesce and call this before
+// releasing it.
 func (e *Engine) NotifyDesignChange() {
-	e.mu.Lock()
-	e.designVersion++
-	e.mu.Unlock()
-	e.cache.Invalidate()
-	e.opts.Metrics.Counter("engine.design_changes").Inc()
+	e.update(true, e.designChanges, func(*planning) {})
 }
 
 // SetRewriters installs the query rewriters applied, in order, before
 // planning — materialized views substituting for join pairs. Installing
 // counts as a design change (the same statement now plans to a different
-// tree), so the plan cache is invalidated through NotifyDesignChange.
+// tree), so the epoch moves and the plan cache is invalidated.
 func (e *Engine) SetRewriters(rs []plan.QueryRewriter) {
-	e.mu.Lock()
-	e.rewriters = append([]plan.QueryRewriter(nil), rs...)
-	e.mu.Unlock()
-	e.NotifyDesignChange()
+	rs = append([]plan.QueryRewriter(nil), rs...)
+	e.update(true, e.designChanges, func(s *planning) { s.rewriters = rs })
 }
 
 // SetEstimator installs (or, with a nil estimator, removes) the learned
-// cardinality estimator under the given deployment version and invalidates
-// the plan cache. Version zero always means "classical only"; installing an
-// estimator requires a nonzero version so cache keys distinguish it.
+// cardinality estimator under the given deployment version, moves the epoch
+// and invalidates the plan cache — also when the version is the one already
+// installed. Version zero always means "classical only"; installing an
+// estimator requires a nonzero version.
 func (e *Engine) SetEstimator(est optimizer.CardEstimator, version int) error {
 	if est != nil && version == 0 {
 		return fmt.Errorf("engine: learned estimator requires a nonzero version")
@@ -251,12 +279,7 @@ func (e *Engine) SetEstimator(est optimizer.CardEstimator, version int) error {
 	if est == nil {
 		version = 0
 	}
-	e.mu.Lock()
-	e.learned = est
-	e.estVersion = version
-	e.mu.Unlock()
-	e.cache.Invalidate()
-	e.opts.Metrics.Counter("engine.estimator_installs").Inc()
+	e.update(true, e.estimatorInstalls, func(s *planning) { s.learned, s.estVersion = est, version })
 	e.opts.Store.RecordModelInstall(version)
 	return nil
 }
@@ -295,63 +318,53 @@ func (e *Engine) Run(q *plan.Query) (*Result, error) {
 // positions; it rides along to the executor and is no part of the plan's or
 // the statement's identity.
 func (e *Engine) run(q *plan.Query, out *plan.Output, hint optimizer.HintSet, budget *exec.Budget, analyze bool) (*Result, error) {
-	m := e.opts.Metrics
 	select {
 	case e.slots <- struct{}{}:
 	default:
-		m.Counter("engine.rejected").Inc()
+		e.rejected.Inc()
 		return nil, &OverloadedError{Limit: cap(e.slots)}
 	}
 	defer func() {
-		m.Gauge("engine.active").Set(float64(len(e.slots) - 1))
+		e.active.Set(float64(len(e.slots) - 1))
 		<-e.slots
 	}()
-	m.Counter("engine.admitted").Inc()
-	m.Gauge("engine.active").Set(float64(len(e.slots)))
+	e.admitted.Inc()
+	e.active.Set(float64(len(e.slots)))
 
 	sp := e.opts.Trace.StartSpan("engine.query", nil)
 	defer sp.End()
 
-	e.mu.Lock()
-	statsV, estV, designV, learned := e.statsVersion, e.estVersion, e.designVersion, e.learned
-	par := e.parallelism
-	rewriters := e.rewriters
-	e.mu.Unlock()
+	s := e.cur.Load() // the one read of mutable planning state in this query
 
 	// The statement shape is computed from the caller's query, so one
 	// statement keeps one identity (and one querystore record) across design
 	// changes; the plan is built from the rewritten query. Rewriters only
-	// change together with a design-version bump, so a cached plan under
-	// this key always matches this rewrite.
+	// change together with an epoch bump, so a cached plan under this key
+	// always matches this rewrite.
 	shape := queryShape(q, hint.Name)
-	// View-substitution rewriters do not remap aggregation specs, so
-	// aggregating queries plan against their original tables.
-	if q.Agg != nil {
-		rewriters = nil
-	}
-	exq, posMap := applyRewriters(q, rewriters)
-	key := cacheKey(shape, statsV, estV, designV, par)
+	exq, posMap := applyRewriters(q, s.rewriters)
+	key := cacheKey{epoch: s.epoch, parallelism: s.classical.Parallelism, shape: shape}
 	p, hit := e.cache.Get(key)
 	fallback := false
 	if !hit {
 		var err error
-		p, fallback, err = e.plan(exq, hint, learned, par)
+		p, fallback, err = e.plan(s, exq, hint)
 		if err != nil {
-			m.Counter("engine.plan_errors").Inc()
+			e.planErrors.Inc()
 			return nil, err
 		}
 		if fallback {
-			m.Counter("engine.fallbacks").Inc()
+			e.fallbacks.Inc()
 		}
 		e.cache.Put(key, p)
 	}
 	sp.SetStr("hint", hint.Name).SetInt("cache_hit", boolInt(hit))
 
 	res, err := e.exc.Execute(p, exec.Options{Budget: budget, Analyze: analyze, Span: sp, Pool: e.opts.Pool, Output: mapOutput(out, posMap)})
-	result := &Result{Result: res, Plan: p, CacheHit: hit, Fallback: fallback, EstimatorVersion: estV, Query: exq, PosMap: posMap}
+	result := &Result{Result: res, Plan: p, CacheHit: hit, Fallback: fallback, EstimatorVersion: s.estVersion, Query: exq, PosMap: posMap}
 	budgetAbort := err != nil && errors.Is(err, exec.ErrWorkBudgetExceeded)
 	if budgetAbort {
-		m.Counter("engine.budget_aborts").Inc()
+		e.budgetAborts.Inc()
 	}
 	if st := e.opts.Store; st != nil && (err == nil || budgetAbort) {
 		o := querystore.Observation{
@@ -359,7 +372,7 @@ func (e *Engine) run(q *plan.Query, out *plan.Output, hint optimizer.HintSet, bu
 			CacheHit:         hit,
 			Fallback:         fallback,
 			BudgetAbort:      budgetAbort,
-			EstimatorVersion: estV,
+			EstimatorVersion: s.estVersion,
 			Plan:             p,
 		}
 		if res != nil {
@@ -397,31 +410,28 @@ func mapOutput(out *plan.Output, posMap []plan.PosMap) *plan.Output {
 	return mapped
 }
 
-// plan builds a plan for q under hint. With a learned estimator installed it
-// plans through a guarded wrapper first; if the wrapper trips — a non-finite
-// estimate or an exhausted call budget — the result is discarded and the
-// query is re-planned through the classical path (fallback=true). Planning
-// never lets a learned component's failure escape as a query failure unless
-// the classical path fails too.
-func (e *Engine) plan(q *plan.Query, hint optimizer.HintSet, learned optimizer.CardEstimator, parallelism int) (p *plan.Node, fallback bool, err error) {
-	// Each planning pass builds its own Optimizer so the parallelism degree
-	// is per-call state: the shared e.classical is never mutated, and a
-	// degree of 1 plans byte-identically to a pre-parallel optimizer.
-	classical := &optimizer.Optimizer{Cat: e.cat, Est: e.classical.Est, Cost: e.classical.Cost, IO: e.classical.IO, Parallelism: parallelism}
-	if learned == nil {
-		p, err = classical.Plan(q, hint)
-		return p, false, err
+// plan builds a plan for q under hint and the snapshot s. With a learned
+// estimator installed it plans through a guarded wrapper first; if the
+// wrapper trips — a non-finite estimate or an exhausted call budget — the
+// result is discarded and the query is re-planned through the classical path
+// (fallback=true). Planning never lets a learned component's failure escape
+// as a query failure unless the classical path fails too.
+func (e *Engine) plan(s *planning, q *plan.Query, hint optimizer.HintSet) (p *plan.Node, fallback bool, err error) {
+	if s.learned != nil {
+		// The snapshot's optimizer with a guard of this pass's own around
+		// the learned estimator.
+		g := &guardedEstimator{inner: s.learned, safe: s.classical.Est, limit: e.opts.EstimatorCallBudget}
+		guarded := *s.classical
+		guarded.Est = g
+		if p, err = guarded.Plan(q, hint); err == nil && !g.failed {
+			return p, false, nil
+		}
+		// Learned path failed (planning error or tripped guard): classical
+		// re-plan, Bao-style.
+		fallback = true
 	}
-	g := &guardedEstimator{inner: learned, safe: e.classical.Est, limit: e.opts.EstimatorCallBudget}
-	opt := &optimizer.Optimizer{Cat: e.cat, Est: g, Cost: e.classical.Cost, IO: e.classical.IO, Parallelism: parallelism}
-	p, err = opt.Plan(q, hint)
-	if err == nil && !g.failed {
-		return p, false, nil
-	}
-	// Learned path failed (planning error or tripped guard): classical
-	// re-plan, Bao-style.
-	p, err = classical.Plan(q, hint)
-	return p, true, err
+	p, err = s.classical.Plan(q, hint)
+	return p, fallback, err
 }
 
 // guardedEstimator wraps a learned cardinality estimator with a

@@ -8,6 +8,7 @@ import (
 
 	"ml4db/internal/engine"
 	"ml4db/internal/obs"
+	"ml4db/internal/sqlkit/catalog"
 	"ml4db/internal/sqlkit/expr"
 	"ml4db/internal/sqlkit/optimizer"
 	"ml4db/internal/sqlkit/plan"
@@ -21,6 +22,14 @@ type gateEstimator struct {
 	entered chan struct{}
 	release chan struct{}
 	once    sync.Once
+}
+
+func newGateEstimator(cat *catalog.Catalog) *gateEstimator {
+	return &gateEstimator{
+		inner:   &optimizer.HistEstimator{Cat: cat},
+		entered: make(chan struct{}),
+		release: make(chan struct{}),
+	}
 }
 
 func (g *gateEstimator) gate() {
@@ -47,11 +56,7 @@ func TestAdmissionRejectsAtCapacity(t *testing.T) {
 	sch := chainCatalog(t, 20)
 	reg := obs.NewRegistry()
 	eng := engine.New(sch.Cat, engine.Options{MaxConcurrent: 1, Metrics: reg})
-	gate := &gateEstimator{
-		inner:   &optimizer.HistEstimator{Cat: sch.Cat},
-		entered: make(chan struct{}),
-		release: make(chan struct{}),
-	}
+	gate := newGateEstimator(sch.Cat)
 	if err := eng.SetEstimator(gate, 1); err != nil {
 		t.Fatal(err)
 	}

@@ -8,6 +8,7 @@ import (
 	"ml4db/internal/engine"
 	"ml4db/internal/qo"
 	"ml4db/internal/querystore"
+	"ml4db/internal/sqlkit/catalog"
 	"ml4db/internal/sqlkit/plan"
 	"ml4db/internal/views"
 )
@@ -122,26 +123,42 @@ func TestLimitDoesNotChangeStatementCardinality(t *testing.T) {
 
 // TestQueryInt64ExtremeLiterals runs both ends of the int64 range through the
 // whole path: every id is >= the smallest int64 and <= the largest, none is
-// beyond either.
+// beyond either — whether the planner reads the column through a sequential
+// scan or, with a secondary index on it, through an IndexScan.
 func TestQueryInt64ExtremeLiterals(t *testing.T) {
 	sch := chainCatalog(t, 3)
-	sess := engine.New(sch.Cat, engine.Options{}).Session()
-	rows := sch.Cat.Table(sch.TableIDs[0]).NumRows()
-	for _, tc := range []struct {
-		where string
-		want  int
-	}{
-		{"id >= -9223372036854775808", rows},
-		{"id < -9223372036854775808", 0},
-		{"id <= 9223372036854775807", rows},
-		{"id > 9223372036854775807", 0},
-	} {
-		rr, err := sess.Query("SELECT attr FROM t0 WHERE " + tc.where)
-		if err != nil {
-			t.Fatalf("%s: %v", tc.where, err)
+	eng := engine.New(sch.Cat, engine.Options{})
+	sess := eng.Session()
+	t0 := sch.Cat.Table(sch.TableIDs[0])
+	rows := t0.NumRows()
+	for _, indexed := range []bool{false, true} {
+		if indexed {
+			t0.AddIndex(catalog.BuildSecondaryIndex(t0, 0))
+			eng.NotifyDesignChange()
 		}
-		if len(rr.Rows) != tc.want {
-			t.Errorf("%s: %d rows, want %d", tc.where, len(rr.Rows), tc.want)
+		indexScans := 0
+		for _, tc := range []struct {
+			where string
+			want  int
+		}{
+			{"id >= -9223372036854775808", rows},
+			{"id < -9223372036854775808", 0},
+			{"id <= 9223372036854775807", rows},
+			{"id > 9223372036854775807", 0},
+		} {
+			rr, err := sess.Query("SELECT attr FROM t0 WHERE " + tc.where)
+			if err != nil {
+				t.Fatalf("%s: %v", tc.where, err)
+			}
+			if len(rr.Rows) != tc.want {
+				t.Errorf("indexed=%v, %s: %d rows, want %d (plan %s)", indexed, tc.where, len(rr.Rows), tc.want, rr.Exec.Plan.Head())
+			}
+			if rr.Exec.Plan.Op == plan.OpIndexScan {
+				indexScans++
+			}
+		}
+		if indexed && indexScans == 0 {
+			t.Error("no statement was planned as an IndexScan; the indexed half of the test is vacuous")
 		}
 	}
 }

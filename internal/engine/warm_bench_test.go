@@ -1,0 +1,96 @@
+package engine_test
+
+import (
+	"testing"
+	"time"
+
+	"ml4db/internal/engine"
+	"ml4db/internal/mlmath"
+	"ml4db/internal/obs"
+	"ml4db/internal/querystore"
+	"ml4db/internal/sqlkit/catalog"
+	"ml4db/internal/sqlkit/datagen"
+)
+
+// warmStatements are the three cheap shapes of the end-to-end benchmark's
+// point_warm workload (bench/stmts.go): an indexed point lookup, a narrow
+// indexed range, and a dimension row by id. The executor's share of each is
+// small, so what is measured is the front end: parse, shape, plan-cache hit,
+// plan clone, instruments, workload record, projection.
+var warmStatements = []struct{ name, sql string }{
+	{"point", "SELECT * FROM fact WHERE attr2 = 600 LIMIT 10"},
+	{"range", "SELECT * FROM fact WHERE attr0 BETWEEN 100 AND 101 LIMIT 20"},
+	{"dim", "SELECT * FROM dim1 WHERE id = 77"},
+}
+
+// warmSession returns a session over an indexed star schema with Metrics and
+// Store on, every warm statement already planned once: each further Query is
+// a plan-cache hit.
+func warmSession(tb testing.TB) *engine.Session {
+	tb.Helper()
+	sch, err := datagen.NewStarSchema(mlmath.NewRNG(5), 20000, 200, 2)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	fact := sch.Cat.Table(sch.FactID)
+	fact.AddIndex(catalog.BuildSecondaryIndex(fact, sch.AttrCols[0]))
+	fact.AddIndex(catalog.BuildSecondaryIndex(fact, sch.AttrCols[2]))
+	for _, id := range sch.DimIDs {
+		dim := sch.Cat.Table(id)
+		dim.AddIndex(catalog.BuildSecondaryIndex(dim, 0))
+	}
+	sch.Cat.AnalyzeAll(32, 2048)
+	sess := engine.New(sch.Cat, engine.Options{
+		Metrics: obs.NewRegistry(),
+		Store:   querystore.New(querystore.Options{Clock: &mlmath.ManualClock{T: time.Unix(0, 0)}}),
+	}).Session()
+	for _, st := range warmStatements {
+		rr, err := sess.Query(st.sql)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		if len(rr.Rows) == 0 {
+			tb.Fatalf("%s returns no rows; the statement measures nothing", st.name)
+		}
+	}
+	return sess
+}
+
+// BenchmarkQueryWarm is the micro tier of the front end: one Session.Query
+// per iteration at 100 % plan-cache hits. Run with
+// go test -run '^$' -bench QueryWarm -benchmem ./internal/engine/.
+func BenchmarkQueryWarm(b *testing.B) {
+	sess := warmSession(b)
+	for _, st := range warmStatements {
+		b.Run(st.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				rr, err := sess.Query(st.sql)
+				if err != nil || !rr.Exec.CacheHit {
+					b.Fatalf("err=%v, want a plan-cache hit", err)
+				}
+			}
+		})
+	}
+}
+
+// TestQueryWarmAllocContract pins the allocations of a warm Session.Query per
+// statement: 36 / 34 / 35 in a plain build, 38 / 37 / 37 under -race, which
+// is the build scripts/check.sh runs and the one the ceilings are exact for.
+// The parent of the change that introduced the contract measured 40 / 38 / 39
+// plain and 44 / 43 / 42 under -race: the formatted plan-cache key string and
+// the reflection-based sort of the shape's predicates, on every statement.
+func TestQueryWarmAllocContract(t *testing.T) {
+	sess := warmSession(t)
+	ceilings := map[string]float64{"point": 38, "range": 37, "dim": 37}
+	for _, st := range warmStatements {
+		got := testing.AllocsPerRun(200, func() {
+			if _, err := sess.Query(st.sql); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if got > ceilings[st.name] {
+			t.Errorf("%s: %.0f allocs per warm query, ceiling %.0f", st.name, got, ceilings[st.name])
+		}
+	}
+}

@@ -42,9 +42,6 @@ func (m *MLP) Params() []*Param {
 	return out
 }
 
-// InDim returns the expected input width.
-func (m *MLP) InDim() int { return m.Layers[0].In }
-
 // OutDim returns the output width.
 func (m *MLP) OutDim() int { return m.Layers[len(m.Layers)-1].Out }
 

@@ -132,11 +132,6 @@ type Config struct {
 	Pool *mlmath.Pool
 }
 
-// DefaultConfig returns the settings used by experiment E1.
-func DefaultConfig() Config {
-	return Config{Hidden: 16, Epochs: 30, TrainFrac: 0.75, Seed: 7}
-}
-
 // Result is the evaluation of one (feature set, tree model) combination.
 type Result struct {
 	Feature  string

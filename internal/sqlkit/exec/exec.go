@@ -3,6 +3,7 @@ package exec
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 
 	"ml4db/internal/mlmath"
@@ -351,11 +352,12 @@ func (s *execState) indexScan(n *plan.Node, need []bool) (batch, error) {
 	if ix.Hypothetical {
 		return batch{}, fmt.Errorf("exec: index on column %d of %s is hypothetical (what-if only)", n.IndexCol, t.Name)
 	}
-	lo, hi, residual, ok := indexInterval(t, n)
+	lo, hi, residual, ok := indexInterval(n)
 	if !ok {
 		return batch{}, fmt.Errorf("exec: IndexScan on %s has no interval predicate on c%d", t.Name, n.IndexCol)
 	}
-	// One probe costs a binary search over the index.
+	// One probe costs a binary search over the index — all an empty
+	// interval costs: RangeRows finds no ids for lo > hi.
 	if err := s.charge(&s.ctr.IndexProbe, plan.ProbeSteps(ix.Len())); err != nil {
 		return batch{}, err
 	}
@@ -394,31 +396,23 @@ func (s *execState) indexScan(n *plan.Node, need []bool) (batch, error) {
 }
 
 // indexInterval extracts the interval on n.IndexCol from the node's filters
-// (intersecting multiple interval predicates on that column) and returns the
-// remaining predicates.
-func indexInterval(t *catalog.Table, n *plan.Node) (lo, hi int64, residual []expr.Pred, ok bool) {
-	domLo, domHi := int64(-1<<62), int64(1<<62)
-	if st := t.Columns[n.IndexCol].Stats; st != nil && st.Count > 0 {
-		domLo, domHi = st.Min, st.Max
-	}
-	lo, hi = domLo, domHi
-	found := false
+// (intersecting multiple interval predicates on that column; lo > hi when
+// they select nothing) and returns the remaining predicates. Open sides span
+// the whole int64 domain: the index says which values exist, and statistics
+// may be older than the rows.
+func indexInterval(n *plan.Node) (lo, hi int64, residual []expr.Pred, ok bool) {
+	lo, hi = math.MinInt64, math.MaxInt64
 	for _, f := range n.Filters {
 		if f.Col == n.IndexCol {
-			if l, h, isInterval := f.Range(domLo, domHi); isInterval {
-				if l > lo {
-					lo = l
-				}
-				if h < hi {
-					hi = h
-				}
-				found = true
+			if l, h, isInterval := f.Range(math.MinInt64, math.MaxInt64); isInterval {
+				lo, hi = max(lo, l), min(hi, h)
+				ok = true
 				continue
 			}
 		}
 		residual = append(residual, f)
 	}
-	return lo, hi, residual, found
+	return lo, hi, residual, ok
 }
 
 // children resolves a join's conditions to offsets into its inputs' layouts

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"math"
 	"testing"
 
 	"ml4db/internal/mlmath"
@@ -51,6 +52,62 @@ func TestIndexScanMatchesSeqScan(t *testing.T) {
 	}
 	if idx.ActualFetched < idx.ActualRows {
 		t.Errorf("fetched %v < output %v", idx.ActualFetched, idx.ActualRows)
+	}
+
+	// The ends of the int64 domain: nothing lies beyond either, everything
+	// lies within both. An empty interval costs the probe and nothing else.
+	fact := sch.Cat.Table(sch.FactID)
+	for _, tc := range []struct {
+		pred expr.Pred
+		want int
+	}{
+		{expr.Pred{Col: col, Op: expr.GT, Lo: math.MaxInt64}, 0},
+		{expr.Pred{Col: col, Op: expr.LT, Lo: math.MinInt64}, 0},
+		{expr.Pred{Col: col, Op: expr.LE, Lo: math.MaxInt64}, fact.NumRows()},
+		{expr.Pred{Col: col, Op: expr.GE, Lo: math.MinInt64}, fact.NumRows()},
+	} {
+		rs, err := e.Execute(plan.NewScan(0, sch.FactID, []expr.Pred{tc.pred}), Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ri, err := e.Execute(plan.NewIndexScan(0, sch.FactID, col, []expr.Pred{tc.pred}), Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rs.Rows) != tc.want || len(ri.Rows) != tc.want {
+			t.Errorf("%s: seq scan %d rows, index scan %d, want %d", tc.pred, len(rs.Rows), len(ri.Rows), tc.want)
+		}
+		if want := (Counters{IndexProbe: ri.Counters.IndexProbe}); tc.want == 0 && ri.Counters != want {
+			t.Errorf("%s: empty interval charged more than its probe: %+v", tc.pred, ri.Counters)
+		}
+	}
+}
+
+// TestIndexScanReadsBeyondStaleStatistics: the index, not the last ANALYZE,
+// says which values exist. A row appended above the recorded maximum (and
+// indexed) is found by an open-ended interval.
+func TestIndexScanReadsBeyondStaleStatistics(t *testing.T) {
+	sch, col := indexedSchema(t)
+	fact := sch.Cat.Table(sch.FactID)
+	beyond := fact.Columns[col].Stats.Max + 1000
+	row := make([]int64, fact.NumCols())
+	row[col] = beyond
+	if err := fact.AppendRow(row); err != nil {
+		t.Fatal(err)
+	}
+	fact.AddIndex(catalog.BuildSecondaryIndex(fact, col)) // statistics stay as they were
+	for _, pred := range []expr.Pred{
+		{Col: col, Op: expr.GE, Lo: beyond},
+		{Col: col, Op: expr.GT, Lo: beyond - 1},
+		{Col: col, Op: expr.EQ, Lo: beyond},
+	} {
+		res, err := New(sch.Cat).Execute(plan.NewIndexScan(0, sch.FactID, col, []expr.Pred{pred}), Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Rows) != 1 {
+			t.Errorf("%s: index scan returned %d rows, want the appended one", pred, len(res.Rows))
+		}
 	}
 }
 

@@ -1,6 +1,9 @@
 package expr
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Op is a comparison operator.
 type Op int
@@ -76,18 +79,26 @@ func (p Pred) String() string {
 	return fmt.Sprintf("c%d %s %d", p.Col, p.Op, p.Lo)
 }
 
-// Range returns the value interval [lo, hi] selected by the predicate,
-// clamped to the domain [domLo, domHi]. ok is false when the predicate is a
-// disequality (NE), which is not an interval.
+// Range returns the value interval [lo, hi] selected by the predicate; a side
+// the predicate leaves open takes the domain's end, domLo or domHi. A
+// predicate no int64 satisfies (col > MaxInt64, col < MinInt64) yields an
+// empty interval, lo > hi. ok is false when the predicate is a disequality
+// (NE), which is not an interval.
 func (p Pred) Range(domLo, domHi int64) (lo, hi int64, ok bool) {
 	switch p.Op {
 	case EQ:
 		return p.Lo, p.Lo, true
 	case LT:
+		if p.Lo == math.MinInt64 {
+			return p.Lo + 1, p.Lo, true
+		}
 		return domLo, p.Lo - 1, true
 	case LE:
 		return domLo, p.Lo, true
 	case GT:
+		if p.Lo == math.MaxInt64 {
+			return p.Lo, p.Lo - 1, true
+		}
 		return p.Lo + 1, domHi, true
 	case GE:
 		return p.Lo, domHi, true

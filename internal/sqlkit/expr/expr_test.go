@@ -1,6 +1,7 @@
 package expr
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -53,6 +54,21 @@ func TestRangeConsistentWithEval(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Error(err)
+	}
+
+	// The ends of int64 over the full domain: "beyond the end" is an empty
+	// interval (lo > hi), not a wrapped-around full one.
+	ends := []int64{math.MinInt64, math.MinInt64 + 1, 0, math.MaxInt64 - 1, math.MaxInt64}
+	for _, op := range ops[:5] {
+		for _, lit := range ends {
+			p := Pred{Op: op, Lo: lit}
+			rlo, rhi, _ := p.Range(math.MinInt64, math.MaxInt64)
+			for _, v := range ends {
+				if got := v >= rlo && v <= rhi; got != p.Eval(v) {
+					t.Errorf("%s: Range [%d, %d] contains %d = %v, Eval says %v", p, rlo, rhi, v, got, p.Eval(v))
+				}
+			}
+		}
 	}
 }
 

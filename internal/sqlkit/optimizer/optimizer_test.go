@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"ml4db/internal/mlmath"
+	"ml4db/internal/sqlkit/catalog"
 	"ml4db/internal/sqlkit/datagen"
 	"ml4db/internal/sqlkit/exec"
 	"ml4db/internal/sqlkit/expr"
@@ -46,6 +47,36 @@ func TestPlanSingleTable(t *testing.T) {
 	}
 	if p.EstCost != 100 { // CPUTuple=1 × 100 rows
 		t.Errorf("scan cost = %v, want 100", p.EstCost)
+	}
+}
+
+// TestIndexFetchEstimateOfEmptyInterval: predicates beyond either end of
+// int64 select nothing; the fetch estimate is the floor of one row (never 0,
+// never NaN), so the IndexScan costs a finite probe plus one fetch.
+func TestIndexFetchEstimateOfEmptyInterval(t *testing.T) {
+	sch, err := datagen.NewChainSchema(mlmath.NewRNG(1), []int{400})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl := sch.Cat.Table(sch.TableIDs[0])
+	tbl.AddIndex(catalog.BuildSecondaryIndex(tbl, 0))
+	o := New(sch.Cat)
+	for _, pred := range []expr.Pred{
+		{Col: 0, Op: expr.GT, Lo: math.MaxInt64},
+		{Col: 0, Op: expr.LT, Lo: math.MinInt64},
+	} {
+		if got, ok := o.estIndexFetched(tbl, []expr.Pred{pred}, 0); !ok || got != 1 {
+			t.Errorf("%s: estIndexFetched = %v, %v; want 1, true", pred, got, ok)
+		}
+		q := plan.NewQuery(sch.TableIDs[0])
+		q.AddFilter(0, pred)
+		p, err := o.Plan(q, NoHint())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p.Op != plan.OpIndexScan || p.EstFetched != 1 || math.IsNaN(p.EstCost) || math.IsInf(p.EstCost, 0) {
+			t.Errorf("%s: planned %s with EstFetched %v, EstCost %v", pred, p.Head(), p.EstFetched, p.EstCost)
+		}
 	}
 }
 

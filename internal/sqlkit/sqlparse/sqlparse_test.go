@@ -10,7 +10,7 @@ import (
 	"ml4db/internal/sqlkit/plan"
 )
 
-func testCatalog(t *testing.T) *catalog.Catalog {
+func testCatalog(t testing.TB) *catalog.Catalog {
 	t.Helper()
 	cat := catalog.NewCatalog()
 	users := catalog.NewTable("users", "id", "age", "city")

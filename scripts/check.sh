@@ -45,6 +45,13 @@ fi
 echo "==> go test -race ./..."
 go test -race ./...
 
+# A short fuzz budget on the SQL parser, on top of the committed seed corpus
+# (testdata/fuzz/FuzzParse) the race sweep above already ran: no panic, the
+# same parse twice, every accepted statement inside its tables' columns. A
+# finding is written to that corpus directory and fails the gate.
+echo "==> fuzz (sqlparse.FuzzParse, 5s)"
+go test -run '^$' -fuzz FuzzParse -fuzztime 5s ./internal/sqlkit/sqlparse/
+
 # bench/ is a module of its own (the end-to-end SQL benchmark), so the ./...
 # patterns above skip it: vet it and run its unit tests and -quick smoke here.
 echo "==> bench module (go vet + go test)"
@@ -53,12 +60,13 @@ echo "==> bench module (go vet + go test)"
 # Compile-and-run the micro benchmarks once (-benchtime=1x): not a timing
 # measurement, just a guard that the serial-vs-parallel kernel paths with
 # their determinism checks, the buffer-pool fetch paths, the optimizer's
-# join-order DP, and one plan per executor operator keep working. Full
-# numbers: ml4db-bench -suite kernels; go test -bench PoolFetch
-# ./internal/storage/; go test -bench PlanStar ./internal/sqlkit/optimizer/;
-# go test -bench ExecOps ./internal/sqlkit/exec/.
+# join-order DP, one plan per executor operator, and the warm Session.Query
+# front end keep working. Full numbers: ml4db-bench -suite kernels; go test
+# -bench PoolFetch ./internal/storage/; go test -bench PlanStar
+# ./internal/sqlkit/optimizer/; go test -bench ExecOps ./internal/sqlkit/exec/;
+# go test -bench QueryWarm -benchmem ./internal/engine/.
 echo "==> micro benchmarks (smoke, 1 iteration)"
-go test -run '^$' -bench 'MatMul|MLPFit|PoolFetch|PlanStar|ExecOps' -benchtime=1x ./internal/mlmath/ ./internal/nn/ ./internal/storage/ ./internal/sqlkit/optimizer/ ./internal/sqlkit/exec/
+go test -run '^$' -bench 'MatMul|MLPFit|PoolFetch|PlanStar|ExecOps|QueryWarm' -benchtime=1x ./internal/mlmath/ ./internal/nn/ ./internal/storage/ ./internal/sqlkit/optimizer/ ./internal/sqlkit/exec/ ./internal/engine/
 
 # Bench suites smoke: every registered suite at CI size. A suite that finds a
 # violated contract prints it and the command exits 1:
