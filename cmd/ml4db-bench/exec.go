@@ -145,15 +145,15 @@ func execSuite(seed uint64, quick bool, _ string) (any, error) {
 		}
 		serial := stripExecPartitions(par)
 
-		serRes, err := exc.Execute(serial.Clone(), exec.Options{})
+		serRes, err := exc.Execute(serial, exec.Options{})
 		if err != nil {
 			return nil, err
 		}
-		parRes, err := exc.Execute(par.Clone(), exec.Options{Pool: pool})
+		parRes, err := exc.Execute(par, exec.Options{Pool: pool})
 		if err != nil {
 			return nil, err
 		}
-		altRes, err := exc.Execute(par.Clone(), exec.Options{Pool: altPool})
+		altRes, err := exc.Execute(par, exec.Options{Pool: altPool})
 		if err != nil {
 			return nil, err
 		}
@@ -165,12 +165,12 @@ func execSuite(seed uint64, quick bool, _ string) (any, error) {
 
 		opRep := execOpReport{Name: c.name, Rows: len(serRes.Rows), Partitions: parts}
 		opRep.SerialSec = bestOf(quick, rep.SpeedupEnforced, func() {
-			if _, err := exc.Execute(serial.Clone(), exec.Options{}); err != nil {
+			if _, err := exc.Execute(serial, exec.Options{}); err != nil {
 				panic(err)
 			}
 		})
 		opRep.ParallelSec = bestOf(quick, rep.SpeedupEnforced, func() {
-			if _, err := exc.Execute(par.Clone(), exec.Options{Pool: pool}); err != nil {
+			if _, err := exc.Execute(par, exec.Options{Pool: pool}); err != nil {
 				panic(err)
 			}
 		})
@@ -186,9 +186,9 @@ func execSuite(seed uint64, quick bool, _ string) (any, error) {
 		// empty-vs-empty degenerate case; the counter identity is the real
 		// assertion that both stopped at the same charge.
 		budget := exec.Options{Budget: &exec.Budget{MaxWork: serRes.Work * 3 / 4}}
-		serAb, serErr := exc.Execute(serial.Clone(), budget)
+		serAb, serErr := exc.Execute(serial, budget)
 		budget.Pool = pool
-		parAb, parErr := exc.Execute(par.Clone(), budget)
+		parAb, parErr := exc.Execute(par, budget)
 		var serBE, parBE *exec.BudgetExceededError
 		identical := errors.As(serErr, &serBE) && errors.As(parErr, &parBE) &&
 			*serBE == *parBE && sameExecResult(serAb, parAb)

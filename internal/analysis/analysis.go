@@ -71,8 +71,9 @@ func (p *Pass) IsPkgFunc(call *ast.CallExpr, pkgPath, name string) bool {
 }
 
 // corePkgSegments names the packages that hold model state or numerical
-// substrate: code where nondeterminism or numerical sloppiness silently
-// invalidates experiments.
+// substrate, and the ones that decide every plan (parse, rewrite, estimate,
+// enumerate, advise): code where nondeterminism or numerical sloppiness
+// silently invalidates experiments.
 var corePkgSegments = map[string]bool{
 	"nn":           true,
 	"mlmath":       true,
@@ -87,6 +88,12 @@ var corePkgSegments = map[string]bool{
 	"storage":      true,
 	"querystore":   true,
 	"autopilot":    true,
+	"plan":         true,
+	"optimizer":    true,
+	"sqlparse":     true,
+	"catalog":      true,
+	"views":        true,
+	"advisor":      true,
 }
 
 // IsCorePackage reports whether pkgPath denotes one of the core model

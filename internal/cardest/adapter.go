@@ -35,7 +35,7 @@ func (a *OptimizerAdapter) ScanRows(q *plan.Query, pos int) float64 {
 	}
 	frac := a.Learned.EstimateFraction(preds)
 	// Recover the row count through the fallback's unfiltered estimate.
-	unfiltered := a.Fallback.ScanRows(&plan.Query{Tables: q.Tables, Filters: map[int][]expr.Pred{}}, pos)
+	unfiltered := a.Fallback.ScanRows(plan.NewQuery(q.Tables...), pos)
 	est := frac * unfiltered
 	if est < 1 {
 		est = 1

@@ -110,9 +110,9 @@ type cacheEntry struct {
 }
 
 // planCache is a mutex-guarded LRU of optimized plans shared by all sessions
-// of an engine. Plans are stored and served as deep clones: the executor
-// mutates ActualRows annotations in place, so handing the stored tree to two
-// concurrent sessions would race.
+// of an engine. It stores and serves the planner's tree itself: a plan is
+// read-only once built (the executor returns what it measured instead of
+// writing it into the nodes), so any number of sessions run one tree at once.
 type planCache struct {
 	capacity int
 	// engine.plancache.* counters, resolved once (nil without a registry):
@@ -139,8 +139,8 @@ func newPlanCache(capacity int, metrics *obs.Registry) *planCache {
 	}
 }
 
-// Get returns a deep clone of the cached plan for key, promoting the entry
-// to most recently used.
+// Get returns the cached plan for key — the stored tree, not a copy —
+// promoting the entry to most recently used.
 func (c *planCache) Get(key cacheKey) (*plan.Node, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -151,12 +151,12 @@ func (c *planCache) Get(key cacheKey) (*plan.Node, bool) {
 	}
 	c.hits.Inc()
 	c.ll.MoveToFront(el)
-	return el.Value.(*cacheEntry).plan.Clone(), true
+	return el.Value.(*cacheEntry).plan, true
 }
 
-// Put stores a deep clone of the plan under key, evicting the least recently
-// used entry past capacity. Re-putting an existing key refreshes its
-// recency but keeps the first plan (both were built from identical inputs).
+// Put stores the plan under key, evicting the least recently used entry past
+// capacity. Re-putting an existing key refreshes its recency but keeps the
+// first plan (both were built from identical inputs).
 func (c *planCache) Put(key cacheKey, p *plan.Node) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -164,7 +164,7 @@ func (c *planCache) Put(key cacheKey, p *plan.Node) {
 		c.ll.MoveToFront(el)
 		return
 	}
-	c.byKey[key] = c.ll.PushFront(&cacheEntry{key: key, plan: p.Clone()})
+	c.byKey[key] = c.ll.PushFront(&cacheEntry{key: key, plan: p})
 	for c.ll.Len() > c.capacity {
 		oldest := c.ll.Back()
 		c.ll.Remove(oldest)

@@ -73,7 +73,9 @@ type Options struct {
 // Result is the outcome of one engine query.
 type Result struct {
 	*exec.Result
-	// Plan is the executed physical plan (the session's private copy).
+	// Plan is the executed physical plan. It is the plan cache's own tree,
+	// shared with every session running the statement: read-only. What this
+	// execution measured per operator is Result.Actuals; Clone before editing.
 	Plan *plan.Node
 	// CacheHit reports whether the plan came from the shared plan cache.
 	CacheHit bool
@@ -374,15 +376,14 @@ func (e *Engine) run(q *plan.Query, out *plan.Output, hint optimizer.HintSet, bu
 			BudgetAbort:      budgetAbort,
 			EstimatorVersion: s.estVersion,
 			Plan:             p,
-		}
-		if res != nil {
-			o.Work = res.Work
-			o.PageMisses = res.Counters.PageMiss
+			Actuals:          res.Actuals,
+			Work:             res.Work,
+			PageMisses:       res.Counters.PageMiss,
 		}
 		if err == nil {
 			// The statement's cardinality is the root operator's, whatever
 			// LIMIT or select list this one execution asked for.
-			o.Rows = int64(p.ActualRows)
+			o.Rows = res.Actuals[0].Rows
 		}
 		st.Record(o)
 	}

@@ -2,12 +2,15 @@ package engine_test
 
 import (
 	"errors"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	"ml4db/internal/engine"
+	"ml4db/internal/mlmath"
 	"ml4db/internal/obs"
+	"ml4db/internal/querystore"
 	"ml4db/internal/sqlkit/catalog"
 	"ml4db/internal/sqlkit/expr"
 	"ml4db/internal/sqlkit/optimizer"
@@ -171,5 +174,80 @@ func TestConcurrentSessionsUnderRace(t *testing.T) {
 	}
 	if ok.Load() == 0 {
 		t.Error("no query ever succeeded")
+	}
+}
+
+// TestSessionsShareOneCachedTree is the read-only-plan contract under -race:
+// the plan cache hands every session the one tree the first run planned, and
+// eight sessions executing it at once — EXPLAIN ANALYZE and the workload
+// store on, shards on a two-worker pool — get identical rows, work, counters
+// and per-operator records while the tree itself never changes.
+func TestSessionsShareOneCachedTree(t *testing.T) {
+	sch := chainCatalog(t, 23)
+	pool := mlmath.NewPool(2)
+	defer pool.Close()
+	reg := obs.NewRegistry()
+	store := querystore.New(querystore.Options{Catalog: sch.Cat})
+	eng := engine.New(sch.Cat, engine.Options{MaxConcurrent: 8, Metrics: reg, Store: store, Pool: pool})
+	q := chainQuery(sch)
+
+	first := eng.Session()
+	first.Analyze = true
+	want, err := first.Run(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want.CacheHit || len(want.Rows) == 0 || len(want.Actuals) != want.Plan.NumNodes() {
+		t.Fatalf("first run: hit=%v, %d rows, %d records for %d nodes", want.CacheHit, len(want.Rows), len(want.Actuals), want.Plan.NumNodes())
+	}
+	partitioned := false
+	want.Plan.Walk(func(n *plan.Node) { partitioned = partitioned || n.Partitions > 1 })
+	if !partitioned {
+		t.Fatalf("no operator is partitioned; the pool is idle:\n%s", want.Plan)
+	}
+	asPlanned := want.Plan.Clone()
+
+	const workers, perWorker = 8, 200
+	var wg sync.WaitGroup
+	for g := 0; g < workers; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			sess := eng.Session()
+			sess.Analyze = true
+			for i := 0; i < perWorker; i++ {
+				res, err := sess.Run(q)
+				if err != nil {
+					t.Errorf("run %d: %v", i, err)
+					return
+				}
+				if !res.CacheHit || res.Plan != want.Plan {
+					t.Errorf("run %d: hit=%v plan %p, want the cached tree %p", i, res.CacheHit, res.Plan, want.Plan)
+					return
+				}
+				if res.Work != want.Work || res.Counters != want.Counters || res.Explain.TotalWork() != want.Work ||
+					!reflect.DeepEqual(res.Actuals, want.Actuals) || !reflect.DeepEqual(res.Rows, want.Rows) {
+					t.Errorf("run %d diverged: work %d vs %d, counters %+v vs %+v, records %+v vs %+v",
+						i, res.Work, want.Work, res.Counters, want.Counters, res.Actuals, want.Actuals)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+
+	if !reflect.DeepEqual(want.Plan, asPlanned) {
+		t.Errorf("the shared tree changed under execution:\n got  %s\n want %s", want.Plan, asPlanned)
+	}
+	if got := eng.CachedPlans(); got != 1 {
+		t.Errorf("CachedPlans = %d, want 1", got)
+	}
+	if hits, misses := reg.Counter("engine.plancache.hits").Value(), reg.Counter("engine.plancache.misses").Value(); hits != workers*perWorker || misses != 1 {
+		t.Errorf("plancache hits / misses = %d / %d, want %d / 1", hits, misses, workers*perWorker)
+	}
+	// Every run harvested the same actuals against the same estimates.
+	st := store.Statements()
+	if len(st) != 1 || st[0].Calls != workers*perWorker+1 || st[0].QErrCount != st[0].Calls || st[0].TotalRows != st[0].Calls*want.Actuals[0].Rows {
+		t.Errorf("statements = %+v, want one with %d calls, each harvested", st, workers*perWorker+1)
 	}
 }

@@ -12,9 +12,8 @@ import (
 // given q-error (est = q*actual pseudocounted away by large numbers).
 func obsWithQErr(version int, q float64) Observation {
 	n := plan.NewScan(0, 0, nil)
-	n.ActualRows = 1e6 - 1
 	n.EstRows = q*1e6 - 1
-	return Observation{Shape: "q", Plan: n, EstimatorVersion: version}
+	return Observation{Shape: "q", Plan: n, Actuals: []plan.Actual{{Rows: 1e6 - 1}}, EstimatorVersion: version}
 }
 
 func TestQErrorDrift(t *testing.T) {

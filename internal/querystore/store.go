@@ -49,8 +49,11 @@ type Options struct {
 }
 
 // Observation is one executed query as the engine saw it. Shape is the
-// engine's normalized statement key; Plan is the executed plan tree (the
-// session's private copy — the store only reads its annotations).
+// engine's normalized statement key; Plan is the executed plan tree, shared
+// with the plan cache and every session, so the store only reads it; Actuals
+// is what this execution's operators measured (exec.Result.Actuals). Without
+// one record per node of Plan the observation feeds the statement counters
+// only, like a budget abort.
 type Observation struct {
 	Shape            string
 	Work             int64
@@ -61,6 +64,7 @@ type Observation struct {
 	BudgetAbort      bool
 	EstimatorVersion int
 	Plan             *plan.Node
+	Actuals          []plan.Actual
 }
 
 // StatementStats is the accumulated record of one normalized statement.
@@ -342,28 +346,27 @@ type heatSample struct {
 	sel    float64
 }
 
-// harvest walks the executed plan tree. Budget-aborted executions are
-// skipped entirely: their ActualRows annotations describe a partial run.
+// harvest walks the executed plan tree beside what its operators measured.
+// Budget-aborted executions are skipped entirely (their actuals describe a
+// partial run), as are observations whose actuals do not cover the tree.
 func (s *Store) harvest(o Observation) harvestResult {
 	var h harvestResult
-	if o.Plan == nil || o.BudgetAbort {
+	if o.Plan == nil || o.BudgetAbort || len(o.Actuals) != o.Plan.NumNodes() {
 		return h
 	}
 	var sum float64
-	var nodes int64
+	ord := 0
 	o.Plan.Walk(func(n *plan.Node) {
-		q := pseudoQErr(n.EstRows, n.ActualRows)
+		q := pseudoQErr(n.EstRows, float64(o.Actuals[ord].Rows))
 		sum += q
-		nodes++
 		if q > h.qerrMax {
 			h.qerrMax = q
 		}
-		s.harvestHeat(&h, n)
+		s.harvestHeat(&h, n, o.Actuals[ord:])
+		ord++
 	})
-	if nodes > 0 {
-		h.ok = true
-		h.qerrMean = sum / float64(nodes)
-	}
+	h.ok = true
+	h.qerrMean = sum / float64(ord)
 	if s.needsTemplate(o.Shape) {
 		h.tmpl = reconstructQuery(o.Plan)
 	}
@@ -428,8 +431,8 @@ func reconstructQuery(p *plan.Node) *plan.Query {
 // right signal for "how selective are predicates touching this column".
 // Join nodes attribute the observed join selectivity (output over the
 // cross-product of the inputs) to both columns of the key condition,
-// Conds[0].
-func (s *Store) harvestHeat(h *harvestResult, n *plan.Node) {
+// Conds[0]. actuals holds the subtree's records, n's own first.
+func (s *Store) harvestHeat(h *harvestResult, n *plan.Node, actuals []plan.Actual) {
 	cat := s.opts.Catalog
 	if n.IsLeaf() {
 		for _, f := range n.Filters {
@@ -437,7 +440,7 @@ func (s *Store) harvestHeat(h *harvestResult, n *plan.Node) {
 			if cat != nil {
 				if rows := cat.Table(n.TableID).NumRows(); rows > 0 {
 					sample.hasSel = true
-					sample.sel = n.ActualRows / float64(rows)
+					sample.sel = float64(actuals[0].Rows) / float64(rows)
 				}
 			}
 			h.heat = append(h.heat, sample)
@@ -452,11 +455,11 @@ func (s *Store) harvestHeat(h *harvestResult, n *plan.Node) {
 	if lt == nil || rt == nil {
 		return
 	}
-	cross := l.ActualRows * r.ActualRows
+	cross := float64(actuals[n.ChildAt(0)].Rows) * float64(actuals[n.ChildAt(1)].Rows)
 	sel := 0.0
 	hasSel := cross > 0
 	if hasSel {
-		sel = n.ActualRows / cross
+		sel = float64(actuals[0].Rows) / cross
 	}
 	h.heat = append(h.heat,
 		heatSample{table: lt.TableID, col: key.LeftCol, join: true, hasSel: hasSel, sel: sel},

@@ -123,12 +123,13 @@ func TestQErrAndHeatHarvest(t *testing.T) {
 	// A join plan with known annotations: scan(t0, b=1) est 4 actual 3,
 	// scan(t1) est 20 actual 20, join on t0.a = t1.c est 10 actual 6.
 	l := plan.NewScan(0, 0, []expr.Pred{{Col: 1, Op: expr.EQ, Lo: 1}})
-	l.EstRows, l.ActualRows = 4, 3
+	l.EstRows = 4
 	r := plan.NewScan(1, 1, nil)
-	r.EstRows, r.ActualRows = 20, 20
+	r.EstRows = 20
 	j := plan.NewJoin(plan.OpHashJoin, l, r, expr.JoinCond{RightTable: 1}) // t0 col a = t1 col c
-	j.EstRows, j.ActualRows = 10, 6
-	s.Record(Observation{Shape: "q", Plan: j, EstimatorVersion: 2})
+	j.EstRows = 10
+	actuals := []plan.Actual{{Rows: 6}, {Rows: 3}, {Rows: 20}} // pre-order: join, left, right
+	s.Record(Observation{Shape: "q", Plan: j, Actuals: actuals, EstimatorVersion: 2})
 
 	stmts := s.Statements()
 	if len(stmts) != 1 {
@@ -170,11 +171,14 @@ func TestQErrAndHeatHarvest(t *testing.T) {
 		t.Errorf("join sel = %v, want 0.1", heat[0].SelSum)
 	}
 
-	// A budget abort contributes counters but no harvest.
-	s.Record(Observation{Shape: "q", Plan: j, BudgetAbort: true})
+	// A budget abort contributes counters but no harvest; so does a plan
+	// without its actuals, or with records that do not cover the tree.
+	s.Record(Observation{Shape: "q", Plan: j, Actuals: actuals, BudgetAbort: true})
+	s.Record(Observation{Shape: "q", Plan: j})
+	s.Record(Observation{Shape: "q", Plan: j, Actuals: actuals[:2]})
 	st = s.Statements()[0]
-	if st.Calls != 2 || st.QErrCount != 1 {
-		t.Errorf("abort harvested: %+v", st)
+	if st.Calls != 4 || st.QErrCount != 1 || len(s.Heat()) != 3 || s.Heat()[1].FilterCount != 1 {
+		t.Errorf("harvested without a full run's actuals: %+v, heat %+v", st, s.Heat())
 	}
 }
 
@@ -245,15 +249,16 @@ func TestRecencyAndTemplateHarvest(t *testing.T) {
 	s, mc := manualStore(Options{Catalog: cat})
 
 	l := plan.NewScan(0, 0, []expr.Pred{{Col: 1, Op: expr.BETWEEN, Lo: 1, Hi: 3}})
-	l.EstRows, l.ActualRows = 4, 3
+	l.EstRows = 4
 	r := plan.NewScan(1, 1, nil)
-	r.EstRows, r.ActualRows = 20, 20
+	r.EstRows = 20
 	j := plan.NewJoin(plan.OpHashJoin, l, r, expr.JoinCond{RightTable: 1})
-	j.EstRows, j.ActualRows = 10, 6
+	j.EstRows = 10
+	actuals := []plan.Actual{{Rows: 6}, {Rows: 3}, {Rows: 20}}
 
-	s.Record(Observation{Shape: "q", Plan: j, Rows: 6})
+	s.Record(Observation{Shape: "q", Plan: j, Actuals: actuals, Rows: 6})
 	mc.Advance(3100 * time.Millisecond)
-	s.Record(Observation{Shape: "q", Plan: j, Rows: 2})
+	s.Record(Observation{Shape: "q", Plan: j, Actuals: actuals, Rows: 2})
 
 	st := s.Statements()[0]
 	if st.LastWindow != 3 {

@@ -23,7 +23,7 @@ type aggPartial struct {
 // accumulation phase runs over contiguous input shards into one partial per
 // shard; partials merge order-insensitively (counts and sums are
 // commutative), so the sorted emission is the same for every Partitions.
-func (s *execState) hashAgg(n *plan.Node, need []bool) (batch, error) {
+func (s *execState) hashAgg(n *plan.Node, ord int, need []bool) (batch, error) {
 	cols, err := s.aggCols(n)
 	if err != nil {
 		return batch{}, err
@@ -32,7 +32,7 @@ func (s *execState) hashAgg(n *plan.Node, need []bool) (batch, error) {
 	for _, c := range cols {
 		reads[c] = true
 	}
-	in, err := s.run(n.Children[0], reads)
+	in, err := s.run(n.Children[0], ord+n.ChildAt(0), reads)
 	if err != nil {
 		return batch{}, err
 	}
@@ -93,7 +93,6 @@ func (s *execState) hashAgg(n *plan.Node, need []bool) (batch, error) {
 			}
 		}
 	}
-	n.ActualRows = float64(out.n)
 	return out, nil
 }
 

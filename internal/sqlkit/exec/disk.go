@@ -23,7 +23,7 @@ import (
 // the misses its first run saw. Miss charges equal the serial scan's whenever
 // the pool's resident set at scan start matches (always true for a cold
 // table; see docs/EXECUTOR.md for the warm-pool caveat).
-func (s *execState) seqScanDisk(n *plan.Node, t *catalog.Table, need []bool) (batch, error) {
+func (s *execState) seqScanDisk(n *plan.Node, ord int, t *catalog.Table, need []bool) (batch, error) {
 	tf := t.Disk
 	missBefore := s.ctr.PageMiss
 	out, err := s.ranged(tf.NumPages(), n.Partitions, func(a *acct, _, lo, hi int) (batch, error) {
@@ -36,12 +36,8 @@ func (s *execState) seqScanDisk(n *plan.Node, t *catalog.Table, need []bool) (ba
 		}
 		return out, nil
 	})
-	n.ActualPageMisses = float64(s.ctr.PageMiss - missBefore)
-	if err != nil {
-		return batch{}, err
-	}
-	n.ActualRows = float64(out.n)
-	return out, nil
+	s.res.Actuals[ord].PageMisses = s.ctr.PageMiss - missBefore // on aborts too
+	return out, err
 }
 
 // scanDiskPage pins one page, decodes each tuple into the shard's reused row
@@ -85,22 +81,20 @@ func scanDiskPage(a *acct, n *plan.Node, tf *storage.TableFile, pageNo int, row 
 // indexScanDisk fetches the index's matching heap rows through the pool —
 // random page access, the classic reason index scans on disk pay more per
 // row than sequential ones.
-func (s *execState) indexScanDisk(n *plan.Node, t *catalog.Table, ix *catalog.SecondaryIndex, lo, hi int64, residual []expr.Pred, need []bool) (batch, error) {
+func (s *execState) indexScanDisk(ord int, t *catalog.Table, ix *catalog.SecondaryIndex, lo, hi int64, residual []expr.Pred, need []bool) (batch, error) {
 	out := batch{cols: make([]column, len(need))}
-	fetched := 0
-	var misses int64
-	defer func() { n.ActualPageMisses = float64(misses) }() // on aborts too
+	act := &s.res.Actuals[ord] // counted as they happen: an abort keeps them
 	for _, r := range ix.RangeRows(lo, hi) {
 		if err := s.charge(&s.ctr.IndexFetch, 1); err != nil {
 			return batch{}, err
 		}
-		fetched++
+		act.Fetched++
 		row, ok, missed, err := t.Disk.ReadRow(int64(r))
 		if err != nil {
 			return batch{}, err
 		}
 		if missed {
-			misses++
+			act.PageMisses++
 			if err := s.charge(&s.ctr.PageMiss, 1); err != nil {
 				return batch{}, err
 			}
@@ -113,7 +107,5 @@ func (s *execState) indexScanDisk(n *plan.Node, t *catalog.Table, ix *catalog.Se
 		}
 		out.appendRow(row, need)
 	}
-	n.ActualRows = float64(out.n)
-	n.ActualFetched = float64(fetched)
 	return out, nil
 }

@@ -79,8 +79,7 @@ func TestDiskSeqScanMatchesInMemory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nd := scanNode(0, filters...)
-	rd, err := New(disk).Execute(nd, Options{})
+	rd, err := New(disk).Execute(scanNode(0, filters...), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,9 +90,9 @@ func TestDiskSeqScanMatchesInMemory(t *testing.T) {
 		t.Fatalf("scan tuples: disk %d vs mem %d", rd.Counters.ScanTuples, rm.Counters.ScanTuples)
 	}
 	// The disk scan read pages through a 2-frame pool over a larger table:
-	// it must have charged misses and annotated the node.
-	if rd.Counters.PageMiss == 0 || nd.ActualPageMisses != float64(rd.Counters.PageMiss) {
-		t.Fatalf("PageMiss=%d ActualPageMisses=%v", rd.Counters.PageMiss, nd.ActualPageMisses)
+	// it must have charged misses and recorded them for the scan.
+	if rd.Counters.PageMiss == 0 || rd.Actuals[0].PageMisses != rd.Counters.PageMiss {
+		t.Fatalf("PageMiss=%d Actuals=%+v", rd.Counters.PageMiss, rd.Actuals)
 	}
 	if rm.Counters.PageMiss != 0 {
 		t.Fatalf("in-memory scan charged %d page misses", rm.Counters.PageMiss)
@@ -123,8 +122,7 @@ func TestDiskIndexScanMatchesInMemory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nd := node(disk)
-	rd, err := New(disk).Execute(nd, Options{})
+	rd, err := New(disk).Execute(node(disk), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,8 +132,8 @@ func TestDiskIndexScanMatchesInMemory(t *testing.T) {
 	if rd.Counters.IndexFetch != rm.Counters.IndexFetch {
 		t.Fatalf("index fetches: disk %d vs mem %d", rd.Counters.IndexFetch, rm.Counters.IndexFetch)
 	}
-	if rd.Counters.PageMiss == 0 || nd.ActualPageMisses != float64(rd.Counters.PageMiss) {
-		t.Fatalf("PageMiss=%d ActualPageMisses=%v", rd.Counters.PageMiss, nd.ActualPageMisses)
+	if rd.Counters.PageMiss == 0 || rd.Actuals[0].PageMisses != rd.Counters.PageMiss {
+		t.Fatalf("PageMiss=%d Actuals=%+v", rd.Counters.PageMiss, rd.Actuals)
 	}
 	if n := pool.PinnedCount(); n != 0 {
 		t.Fatalf("index scan left %d pinned pages", n)
@@ -166,10 +164,13 @@ func TestDiskJoinMatchesInMemory(t *testing.T) {
 func TestDiskScanBudgetAbortLeavesNoPins(t *testing.T) {
 	pool := storage.NewPool(storage.PoolOptions{Capacity: 2})
 	_, disk := diskFixture(t, pool, 400)
-	n := scanNode(0)
-	_, err := New(disk).Execute(n, Options{Budget: &Budget{MaxWork: 50}})
+	res, err := New(disk).Execute(scanNode(0), Options{Budget: &Budget{MaxWork: 50}})
 	if !errors.Is(err, ErrWorkBudgetExceeded) {
 		t.Fatalf("got %v, want budget abort", err)
+	}
+	// The misses charged before the abort stay on the scan's record.
+	if want := (plan.Actual{PageMisses: res.Counters.PageMiss}); want.PageMisses == 0 || res.Actuals[0] != want {
+		t.Fatalf("aborted scan: Actuals=%+v, Counters.PageMiss=%d", res.Actuals, res.Counters.PageMiss)
 	}
 	if got := pool.PinnedCount(); got != 0 {
 		t.Fatalf("budget-aborted scan left %d pinned pages", got)

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync"
 
 	"ml4db/internal/mlmath"
 	"ml4db/internal/obs"
@@ -127,6 +128,11 @@ type Result struct {
 	Work int64
 	// Counters break Work down by operation category.
 	Counters Counters
+	// Actuals is what each operator measured, one record per node of the
+	// executed tree in plan.Actual's pre-order position. An operator a budget
+	// abort cut short or never reached reads zero rows; page misses charged
+	// before the abort are kept.
+	Actuals []plan.Actual
 	// Explain holds per-operator stats when Options.Analyze was set.
 	Explain *Explain
 }
@@ -138,22 +144,33 @@ type Executor struct {
 	Cat *catalog.Catalog
 	// Trace records spans around Execute and each operator.
 	Trace *obs.Tracer
-	// Metrics receives exec.queries and the exec.work histogram.
+	// Metrics receives exec.queries and the exec.work histogram. The first
+	// execution that finds it set resolves the two and later ones reuse them:
+	// a registry swapped in afterwards is ignored (nil still turns both off).
 	Metrics *obs.Registry
 	// Clock times operators for EXPLAIN ANALYZE; nil means the system
 	// clock. Inject a ManualClock (shared with the Tracer) for
 	// deterministic timings.
 	Clock mlmath.Clock
+
+	resolve sync.Once
+	queries *obs.Counter
+	work    *obs.Histogram
 }
 
 // New returns an executor over the catalog.
 func New(cat *catalog.Catalog) *Executor { return &Executor{Cat: cat} }
 
-// Execute runs the plan and returns the result. Node.ActualRows annotations
-// are filled in along the way.
+// Execute runs the plan and returns the result. The plan is only read: what
+// its operators measured comes back in Result.Actuals.
 func (e *Executor) Execute(root *plan.Node, opts Options) (*Result, error) {
 	st := &execState{cat: e.Cat, pool: opts.Pool}
 	res := &st.res
+	if k := root.NumNodes(); k <= len(st.few) {
+		res.Actuals = st.few[:k]
+	} else {
+		res.Actuals = make([]plan.Actual, k)
+	}
 	if b := opts.Budget; b != nil {
 		st.maxWork, st.maxRows = b.MaxWork, b.MaxRows
 	}
@@ -162,26 +179,29 @@ func (e *Executor) Execute(root *plan.Node, opts Options) (*Result, error) {
 		st.tr = e.Trace
 		st.clock = mlmath.ClockOrSystem(e.Clock)
 		if opts.Analyze {
-			st.ex = &Explain{Root: root, stats: make(map[*plan.Node]*OpStats)}
+			st.ex = &Explain{Root: root, actuals: res.Actuals, stats: make([]OpStats, len(res.Actuals))}
 		}
 		st.cur = st.tr.StartSpan("exec.execute", opts.Span)
 	}
 	need, offs, err := resolveOutput(e.Cat, root, opts.Output)
 	if err == nil {
 		var b batch
-		if b, err = st.run(root, need); err == nil {
+		if b, err = st.run(root, 0, need); err == nil {
 			res.Rows = present(b, opts.Output, offs)
 		}
 	}
 	if st.ex != nil {
-		st.ex.finish()
+		st.ex.finish(root, 0)
 	}
 	if observed {
 		st.cur.SetInt("work", st.work).SetInt("rows", int64(len(res.Rows))).End()
 	}
 	if e.Metrics != nil {
-		e.Metrics.Counter("exec.queries").Inc()
-		e.Metrics.Histogram("exec.work", workBuckets).Observe(float64(st.work))
+		e.resolve.Do(func() {
+			e.queries, e.work = e.Metrics.Counter("exec.queries"), e.Metrics.Histogram("exec.work", workBuckets)
+		})
+		e.queries.Inc()
+		e.work.Observe(float64(st.work))
 	}
 	res.Work, res.Counters, res.Explain = st.work, st.ctr, st.ex
 	return res, err
@@ -210,7 +230,10 @@ type acct struct {
 type execState struct {
 	acct        // the live account
 	res  Result // what Execute returns, allocated with the state that fills it
-	cat  *catalog.Catalog
+	// few backs res.Actuals for plans of up to five operators (a three-table
+	// join), so small plans allocate no record slice.
+	few [5]plan.Actual
+	cat *catalog.Catalog
 	// pool runs partitioned operators' shards; nil means inline. Shards
 	// never touch this struct — each charges a private acct.
 	pool *mlmath.Pool
@@ -246,32 +269,32 @@ func (a *acct) chargeRows(n int64) error {
 // run evaluates one plan node into a batch holding the columns marked in
 // need, a mask over the node's layout offsets. Marks flow top-down: Execute
 // marks what the output reads, each operator adds what its conditions or
-// aggregate read before running its inputs. The fast path — no EXPLAIN
+// aggregate read before running its inputs. ord is the node's pre-order
+// position in the executed tree (see plan.Actual), fixed by the tree's shape
+// (plan.Node.ChildAt), not by what has run. The fast path — no EXPLAIN
 // ANALYZE, no tracer — pays a single branch per operator.
-func (s *execState) run(n *plan.Node, need []bool) (batch, error) {
+func (s *execState) run(n *plan.Node, ord int, need []bool) (out batch, err error) {
 	if s.ex == nil && s.tr == nil {
-		return s.dispatch(n, need)
+		out, err = s.dispatch(n, ord, need)
+	} else {
+		out, err = s.runObserved(n, ord, need)
 	}
-	return s.runObserved(n, need)
+	s.res.Actuals[ord].Rows = int64(out.n)
+	return out, err
 }
 
 // runObserved wraps dispatch with a per-operator span and accumulates the
 // node's subtree totals (work, counters, clock time) for EXPLAIN ANALYZE.
-func (s *execState) runObserved(n *plan.Node, need []bool) (batch, error) {
+func (s *execState) runObserved(n *plan.Node, ord int, need []bool) (batch, error) {
 	prev := s.cur
 	sp := s.tr.StartSpan(opSpanName(n.Op), prev)
 	s.cur = sp
 	workBefore, ctrBefore := s.work, s.ctr
 	start := s.clock.Now()
-	out, err := s.dispatch(n, need)
+	out, err := s.dispatch(n, ord, need)
 	dur := s.clock.Now().Sub(start)
 	if s.ex != nil {
-		st := s.ex.stat(n)
-		st.Loops++
-		st.Rows += int64(out.n)
-		st.SubtreeWork += s.work - workBefore
-		st.SubtreeCounters = addCounters(st.SubtreeCounters, subCounters(s.ctr, ctrBefore))
-		st.SubtreeDur += dur
+		s.ex.stats[ord] = OpStats{Loops: 1, SubtreeWork: s.work - workBefore, SubtreeCounters: subCounters(s.ctr, ctrBefore), SubtreeDur: dur}
 	}
 	sp.SetInt("rows", int64(out.n)).SetInt("work", s.work-workBefore)
 	sp.End()
@@ -279,20 +302,20 @@ func (s *execState) runObserved(n *plan.Node, need []bool) (batch, error) {
 	return out, err
 }
 
-func (s *execState) dispatch(n *plan.Node, need []bool) (batch, error) {
+func (s *execState) dispatch(n *plan.Node, ord int, need []bool) (batch, error) {
 	switch n.Op {
 	case plan.OpSeqScan:
-		return s.seqScan(n, need)
+		return s.seqScan(n, ord, need)
 	case plan.OpIndexScan:
-		return s.indexScan(n, need)
+		return s.indexScan(n, ord, need)
 	case plan.OpHashJoin:
-		return s.hashJoin(n, need)
+		return s.hashJoin(n, ord, need)
 	case plan.OpNLJoin:
-		return s.nlJoin(n, need)
+		return s.nlJoin(n, ord, need)
 	case plan.OpMergeJoin:
-		return s.mergeJoin(n, need)
+		return s.mergeJoin(n, ord, need)
 	case plan.OpHashAgg:
-		return s.hashAgg(n, need)
+		return s.hashAgg(n, ord, need)
 	default:
 		return batch{}, fmt.Errorf("exec: unknown operator %v", n.Op)
 	}
@@ -302,13 +325,13 @@ func (s *execState) dispatch(n *plan.Node, need []bool) (batch, error) {
 // unfiltered scan copies nothing: the shards only charge, and the output is
 // the table's own columns (tableBatch). A filtered one collects a selection
 // vector per shard and gathers the marked columns once.
-func (s *execState) seqScan(n *plan.Node, need []bool) (batch, error) {
+func (s *execState) seqScan(n *plan.Node, ord int, need []bool) (batch, error) {
 	t := s.cat.Table(n.TableID)
 	if t.Virtual != nil {
 		return s.seqScanVirtual(n, t, need) // virtual sources materialize as a unit; Partitions is ignored
 	}
 	if t.Disk != nil {
-		return s.seqScanDisk(n, t, need)
+		return s.seqScanDisk(n, ord, t, need)
 	}
 	filters, filtered := n.Filters, len(n.Filters) > 0
 	kept, err := s.ranged(t.NumRows(), n.Partitions, func(a *acct, _, lo, hi int) (batch, error) {
@@ -333,7 +356,6 @@ func (s *execState) seqScan(n *plan.Node, need []bool) (batch, error) {
 	if err != nil {
 		return batch{}, err
 	}
-	n.ActualRows = float64(kept.n)
 	out := tableBatch(t, need)
 	if filtered {
 		out = gather(need, out, kept.cols[0], batch{}, nil)
@@ -343,7 +365,7 @@ func (s *execState) seqScan(n *plan.Node, need []bool) (batch, error) {
 
 // indexScan reads the rows matching the node's interval predicate on
 // IndexCol through the secondary index, then applies the remaining filters.
-func (s *execState) indexScan(n *plan.Node, need []bool) (batch, error) {
+func (s *execState) indexScan(n *plan.Node, ord int, need []bool) (batch, error) {
 	t := s.cat.Table(n.TableID)
 	ix := t.Index(n.IndexCol)
 	if ix == nil {
@@ -362,7 +384,7 @@ func (s *execState) indexScan(n *plan.Node, need []bool) (batch, error) {
 		return batch{}, err
 	}
 	if t.Disk != nil {
-		return s.indexScanDisk(n, t, ix, lo, hi, residual, need)
+		return s.indexScanDisk(ord, t, ix, lo, hi, residual, need)
 	}
 	// Room for every fetched row, filled as rows survive, cut to the survivors.
 	ids := ix.RangeRows(lo, hi)
@@ -390,8 +412,7 @@ func (s *execState) indexScan(n *plan.Node, need []bool) (batch, error) {
 			out.cols[c] = out.cols[c][:out.n]
 		}
 	}
-	n.ActualRows = float64(out.n)
-	n.ActualFetched = float64(len(ids))
+	s.res.Actuals[ord].Fetched = int64(len(ids))
 	return out, nil
 }
 
@@ -418,7 +439,7 @@ func indexInterval(n *plan.Node) (lo, hi int64, residual []expr.Pred, ok bool) {
 // children resolves a join's conditions to offsets into its inputs' layouts
 // (keys[0] is the hash or merge key; see ColOffset), then runs both inputs,
 // asking each for its share of need plus the columns the conditions read.
-func (s *execState) children(n *plan.Node, need []bool) (left, right batch, keys []keyPair, err error) {
+func (s *execState) children(n *plan.Node, ord int, need []bool) (left, right batch, keys []keyPair, err error) {
 	if keys, err = s.joinKeys(n); err != nil {
 		return batch{}, batch{}, nil, err
 	}
@@ -427,8 +448,8 @@ func (s *execState) children(n *plan.Node, need []bool) (left, right batch, keys
 	for _, k := range keys {
 		need[k.l], need[lw+k.r] = true, true
 	}
-	if left, err = s.run(n.Children[0], need[:lw]); err == nil {
-		right, err = s.run(n.Children[1], need[lw:])
+	if left, err = s.run(n.Children[0], ord+n.ChildAt(0), need[:lw]); err == nil {
+		right, err = s.run(n.Children[1], ord+n.ChildAt(1), need[lw:])
 	}
 	return left, right, keys, err
 }
@@ -436,8 +457,8 @@ func (s *execState) children(n *plan.Node, need []bool) (left, right batch, keys
 // slotOf spreads a join key over 1<<(64-shift) slots (Fibonacci hashing).
 func slotOf(key int64, shift uint) uint64 { return uint64(key) * 0x9E3779B97F4A7C15 >> shift }
 
-func (s *execState) hashJoin(n *plan.Node, need []bool) (batch, error) {
-	left, right, keys, err := s.children(n, need)
+func (s *execState) hashJoin(n *plan.Node, ord int, need []bool) (batch, error) {
+	left, right, keys, err := s.children(n, ord, need)
 	if err != nil {
 		return batch{}, err
 	}
@@ -488,12 +509,11 @@ func (s *execState) hashJoin(n *plan.Node, need []bool) (batch, error) {
 	if err != nil {
 		return batch{}, err
 	}
-	n.ActualRows = float64(pairs.n)
 	return gather(need, left, pairs.cols[0], right, pairs.cols[1]), nil
 }
 
-func (s *execState) nlJoin(n *plan.Node, need []bool) (batch, error) {
-	left, right, keys, err := s.children(n, need)
+func (s *execState) nlJoin(n *plan.Node, ord int, need []bool) (batch, error) {
+	left, right, keys, err := s.children(n, ord, need)
 	if err != nil {
 		return batch{}, err
 	}
@@ -521,7 +541,6 @@ func (s *execState) nlJoin(n *plan.Node, need []bool) (batch, error) {
 	if err != nil {
 		return batch{}, err
 	}
-	n.ActualRows = float64(pairs.n)
 	return gather(need, left, pairs.cols[0], right, pairs.cols[1]), nil
 }
 
@@ -541,8 +560,8 @@ func sortedBy(key column) column {
 // serial MergeScan counter (e.g. left={1,5}, right={3,5}: the serial merge
 // charges 3 scan steps, any 2-way partition of it charges 2), so Partitions
 // is ignored here to preserve serial≡parallel counter identity.
-func (s *execState) mergeJoin(n *plan.Node, need []bool) (batch, error) {
-	left, right, keys, err := s.children(n, need)
+func (s *execState) mergeJoin(n *plan.Node, ord int, need []bool) (batch, error) {
+	left, right, keys, err := s.children(n, ord, need)
 	if err != nil {
 		return batch{}, err
 	}
@@ -589,6 +608,5 @@ func (s *execState) mergeJoin(n *plan.Node, need []bool) (batch, error) {
 			j = jEnd
 		}
 	}
-	n.ActualRows = float64(len(li))
 	return gather(need, left, li, right, ri), nil
 }

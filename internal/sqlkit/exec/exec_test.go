@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"ml4db/internal/mlmath"
+	"ml4db/internal/obs"
 	"ml4db/internal/sqlkit/catalog"
 	"ml4db/internal/sqlkit/datagen"
 	"ml4db/internal/sqlkit/expr"
@@ -47,8 +48,38 @@ func TestSeqScanWithFilters(t *testing.T) {
 	if res.Work != 4 {
 		t.Errorf("scan work = %d, want 4 (one per input row)", res.Work)
 	}
-	if scan.ActualRows != 3 {
-		t.Errorf("ActualRows = %v, want 3", scan.ActualRows)
+	if len(res.Actuals) != 1 || res.Actuals[0] != (plan.Actual{Rows: 3}) {
+		t.Errorf("Actuals = %+v, want one record with Rows 3", res.Actuals)
+	}
+}
+
+// TestMetricsResolvedOncePerExecutor: exec.queries and exec.work are looked
+// up in the registry by the first execution that finds Metrics set, and that
+// pair serves every later execution — a registry swapped in afterwards
+// receives nothing, nil still switches both off.
+func TestMetricsResolvedOncePerExecutor(t *testing.T) {
+	e := New(tinyCatalog(t))
+	scan := plan.NewScan(0, 0, nil)
+	run := func() {
+		t.Helper()
+		if _, err := e.Execute(scan, Options{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run() // Metrics nil: free, and nothing is resolved yet
+	first, second := obs.NewRegistry(), obs.NewRegistry()
+	e.Metrics = first
+	run()
+	run()
+	e.Metrics = second
+	run()
+	e.Metrics = nil
+	run()
+	if q, w := first.Counter("exec.queries").Value(), first.Histogram("exec.work", workBuckets); q != 3 || w.Count() != 3 || w.Sum() != 12 {
+		t.Errorf("first registry: exec.queries=%d, exec.work count=%d sum=%v, want 3, 3, 12", q, w.Count(), w.Sum())
+	}
+	if q := second.Counter("exec.queries").Value(); q != 0 {
+		t.Errorf("a registry assigned after the first execution counted %d queries, want 0", q)
 	}
 }
 

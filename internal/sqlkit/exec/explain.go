@@ -17,9 +17,9 @@ import (
 // keeps the model-feature vector (Counters.Vec) and the EXPLAIN ANALYZE
 // readout from ever disagreeing.
 type OpStats struct {
-	// Rows is the number of tuples the operator produced; Loops counts how
-	// many times it ran (1 per execution in this engine).
-	Rows  int64
+	// Loops is 1 once the operator has run and 0 if it never did (a budget
+	// abort stopped the execution first). How many tuples it produced is the
+	// same visit's plan.Actual.
 	Loops int64
 
 	// Work and Counters are exclusive: charged to this operator alone.
@@ -35,78 +35,50 @@ type OpStats struct {
 }
 
 // Explain is the EXPLAIN ANALYZE view of one execution: per-operator stats
-// addressable by plan node, renderable as an indented text tree.
+// beside the execution's Actuals, both indexed by the operator's pre-order
+// position in Root (see plan.Actual), renderable as an indented text tree. An
+// entry is one visit: a node reachable twice has two.
 type Explain struct {
-	Root  *plan.Node
-	stats map[*plan.Node]*OpStats
+	Root    *plan.Node
+	actuals []plan.Actual // the execution's Result.Actuals
+	stats   []OpStats
 }
 
-// Stats returns the recorded stats for a plan node (nil if the node never
-// ran, e.g. after a work-budget abort).
-func (x *Explain) Stats(n *plan.Node) *OpStats {
-	if x == nil {
+// Stats returns the stats recorded at pre-order position ord (nil if that
+// operator never ran, e.g. after a work-budget abort).
+func (x *Explain) Stats(ord int) *OpStats {
+	if x == nil || x.stats[ord].Loops == 0 {
 		return nil
 	}
-	return x.stats[n]
+	return &x.stats[ord]
 }
 
 // TotalWork sums the exclusive per-operator work — by construction equal to
 // the execution's Counters.Total().
 func (x *Explain) TotalWork() int64 {
 	var total int64
-	for _, st := range x.stats {
-		total += st.Work
+	for i := range x.stats {
+		total += x.stats[i].Work
 	}
 	return total
 }
 
-// stat returns (creating on first use) the stats slot for a node.
-func (x *Explain) stat(n *plan.Node) *OpStats {
-	st, ok := x.stats[n]
-	if !ok {
-		st = &OpStats{}
-		x.stats[n] = st
+// finish derives the exclusive fields of the subtree whose root n sits at
+// ord: each operator's subtree totals minus the subtree totals of its
+// children (all zero for a child that never ran). The exclusive values
+// telescope, so their sum over the tree equals the root's subtree total
+// exactly.
+func (x *Explain) finish(n *plan.Node, ord int) {
+	st := &x.stats[ord]
+	st.Work, st.Counters, st.Dur = st.SubtreeWork, st.SubtreeCounters, st.SubtreeDur
+	for i, c := range n.Children {
+		at := ord + n.ChildAt(i)
+		cst := &x.stats[at]
+		st.Work -= cst.SubtreeWork
+		st.Counters = subCounters(st.Counters, cst.SubtreeCounters)
+		st.Dur -= cst.SubtreeDur
+		x.finish(c, at)
 	}
-	return st
-}
-
-// finish derives the exclusive fields: each operator's subtree totals minus
-// the subtree totals of its children. The exclusive values telescope, so
-// their sum over the tree equals the root's subtree total exactly.
-//
-// A child node referenced more than once by the same parent (a rescanned
-// subtree, e.g. a self-join reusing one scan on both sides) holds ONE stats
-// entry that already accumulates every loop, so its subtree totals are
-// subtracted once per distinct child — subtracting per reference would
-// double-count the rescans and break the telescoping identity against
-// Counters.Total().
-func (x *Explain) finish() {
-	x.Root.Walk(func(n *plan.Node) {
-		st, ok := x.stats[n]
-		if !ok {
-			return
-		}
-		st.Work = st.SubtreeWork
-		st.Counters = st.SubtreeCounters
-		st.Dur = st.SubtreeDur
-		for i, c := range n.Children {
-			shared := false
-			for _, prev := range n.Children[:i] {
-				if prev == c {
-					shared = true
-					break
-				}
-			}
-			if shared {
-				continue
-			}
-			if cst, ok := x.stats[c]; ok {
-				st.Work -= cst.SubtreeWork
-				st.Counters = subCounters(st.Counters, cst.SubtreeCounters)
-				st.Dur -= cst.SubtreeDur
-			}
-		}
-	})
 }
 
 // String renders the EXPLAIN ANALYZE tree: one line per operator with
@@ -115,22 +87,22 @@ func (x *Explain) finish() {
 // is fully deterministic (golden-tested).
 func (x *Explain) String() string {
 	var b strings.Builder
-	x.render(&b, x.Root, 0)
+	x.render(&b, x.Root, 0, 0)
 	return b.String()
 }
 
-func (x *Explain) render(b *strings.Builder, n *plan.Node, depth int) {
+func (x *Explain) render(b *strings.Builder, n *plan.Node, ord, depth int) {
 	b.WriteString(strings.Repeat("  ", depth))
 	b.WriteString(n.Head())
-	if st, ok := x.stats[n]; ok {
+	if st := x.Stats(ord); st != nil {
 		fmt.Fprintf(b, " est_rows=%.0f rows=%d loops=%d work=%d time=%dµs%s",
-			n.EstRows, st.Rows, st.Loops, st.Work, st.Dur.Microseconds(), counterBreakdown(st.Counters))
+			n.EstRows, x.actuals[ord].Rows, st.Loops, st.Work, st.Dur.Microseconds(), counterBreakdown(st.Counters))
 	} else {
 		fmt.Fprintf(b, " est_rows=%.0f (never executed)", n.EstRows)
 	}
 	b.WriteByte('\n')
-	for _, c := range n.Children {
-		x.render(b, c, depth+1)
+	for i, c := range n.Children {
+		x.render(b, c, ord+n.ChildAt(i), depth+1)
 	}
 }
 

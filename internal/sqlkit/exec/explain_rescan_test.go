@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"reflect"
 	"testing"
 
 	"ml4db/internal/sqlkit/plan"
@@ -8,10 +9,10 @@ import (
 
 // TestExplainRescanTelescoping pins the EXPLAIN ANALYZE accounting identity
 // for plans that execute the same subtree more than once: a self-join whose
-// two children are the SAME *plan.Node. The shared scan accumulates one
-// OpStats entry across both executions (Loops=2), and the parent must
-// subtract that entry's subtree totals once — not once per child reference —
-// for the exclusive values to telescope back to the executor's counters.
+// two children are the SAME *plan.Node. Records are per visit, addressed by
+// pre-order position, so the shared scan has two — one per side — and the
+// parent subtracts each visit's subtree totals once for the exclusive values
+// to telescope back to the executor's counters.
 func TestExplainRescanTelescoping(t *testing.T) {
 	cat := tinyCatalog(t)
 	e := New(cat)
@@ -24,34 +25,25 @@ func TestExplainRescanTelescoping(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Rows) != 6 {
-		t.Fatalf("self-join rows = %d, want 6", len(res.Rows))
+	if want := []plan.Actual{{Rows: 6}, {Rows: 4}, {Rows: 4}}; !reflect.DeepEqual(res.Actuals, want) {
+		t.Fatalf("Actuals = %+v, want %+v (join, then one record per visit of the scan)", res.Actuals, want)
+	}
+	for _, ord := range []int{1, 2} {
+		st := res.Explain.Stats(ord)
+		if st == nil {
+			t.Fatalf("no stats recorded for the scan's visit at %d", ord)
+		}
+		// Exclusive scan work equals its inclusive work (it has no children).
+		if st.Loops != 1 || st.SubtreeWork != 4 || st.Work != 4 {
+			t.Errorf("scan visit %d: %+v, want one loop of 4 work units", ord, *st)
+		}
 	}
 
-	st := res.Explain.Stats(scan)
-	if st == nil {
-		t.Fatal("no stats recorded for the shared scan")
-	}
-	if st.Loops != 2 {
-		t.Errorf("shared scan Loops = %d, want 2", st.Loops)
-	}
-	if st.Rows != 8 {
-		t.Errorf("shared scan Rows = %d, want 8 (4 per loop)", st.Rows)
-	}
-	if st.SubtreeWork != 8 {
-		t.Errorf("shared scan SubtreeWork = %d, want 8 (both executions)", st.SubtreeWork)
-	}
-	// Exclusive scan work equals its inclusive work (it has no children).
-	if st.Work != 8 {
-		t.Errorf("shared scan exclusive Work = %d, want 8", st.Work)
-	}
-
-	rootSt := res.Explain.Stats(root)
+	rootSt := res.Explain.Stats(0)
 	if rootSt == nil {
 		t.Fatal("no stats recorded for the join")
 	}
-	// 4×4 NL pairs; the scan's 8 units must be subtracted exactly once even
-	// though the scan appears as both children.
+	// 4×4 NL pairs; each visit's 4 scan units must be subtracted exactly once.
 	if rootSt.Work != 16 {
 		t.Errorf("join exclusive Work = %d, want 16 (16 NL pairs)", rootSt.Work)
 	}
@@ -73,8 +65,8 @@ func TestExplainRescanTelescoping(t *testing.T) {
 }
 
 // TestExplainRescanDeepTree checks the identity on a deeper plan where the
-// shared subtree is itself a join, so the double-subtraction bug (if
-// reintroduced) would corrupt interior operators, not just leaves.
+// shared subtree is itself a join, so a mis-addressed visit would corrupt
+// interior operators, not just leaves.
 func TestExplainRescanDeepTree(t *testing.T) {
 	cat := tinyCatalog(t)
 	e := New(cat)
@@ -87,21 +79,27 @@ func TestExplainRescanDeepTree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st := res.Explain.Stats(inner); st == nil || st.Loops != 2 {
-		t.Fatalf("inner join stats = %+v, want Loops=2", st)
+	// Pre-order: root 0, inner 1 (sa 2, sb 3), inner again 4 (sa 5, sb 6).
+	if len(res.Actuals) != 7 || !reflect.DeepEqual(res.Actuals[1:4], res.Actuals[4:7]) {
+		t.Fatalf("Actuals = %+v, want 7 records with the inner join's two visits alike", res.Actuals)
 	}
 	if got, want := res.Explain.TotalWork(), res.Counters.Total(); got != want {
 		t.Errorf("TotalWork() = %d, want %d (= Counters.Total())", got, want)
 	}
-	// Category-wise: summing exclusive counters over all operators must
+	// Category-wise: summing exclusive counters over all visits must
 	// reproduce the executor's counters exactly.
 	var sum Counters
-	for _, n := range []*plan.Node{sa, sb, inner, root} {
-		if st := res.Explain.Stats(n); st != nil {
-			sum = addCounters(sum, st.Counters)
+	for ord := range res.Actuals {
+		st := res.Explain.Stats(ord)
+		if st == nil || st.Loops != 1 {
+			t.Fatalf("visit %d stats = %+v, want Loops=1", ord, st)
 		}
+		sum = addCounters(sum, st.Counters)
 	}
 	if sum != res.Counters {
 		t.Errorf("exclusive counters sum %+v != executor counters %+v", sum, res.Counters)
+	}
+	if a, b := res.Explain.Stats(1), res.Explain.Stats(4); a.Work != b.Work || a.Counters != b.Counters {
+		t.Errorf("inner join's two visits differ: %+v vs %+v", *a, *b)
 	}
 }

@@ -2,8 +2,10 @@ package exec
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -53,15 +55,15 @@ func TestExplainWorkSumsToCounters(t *testing.T) {
 					h.Name, i, got, res.Work, res.Explain)
 			}
 			var sum Counters
-			p.Walk(func(n *plan.Node) {
-				if st := res.Explain.Stats(n); st != nil {
+			for ord := range res.Actuals {
+				if st := res.Explain.Stats(ord); st != nil {
 					sum = addCounters(sum, st.Counters)
 					if st.Work != st.Counters.Total() {
-						t.Fatalf("node %s: exclusive Work=%d but exclusive Counters.Total()=%d",
-							n.Op, st.Work, st.Counters.Total())
+						t.Fatalf("operator %d: exclusive Work=%d but exclusive Counters.Total()=%d",
+							ord, st.Work, st.Counters.Total())
 					}
 				}
-			})
+			}
 			if sum != res.Counters {
 				t.Fatalf("hint %s query %d: per-operator counters sum to %+v, executor counted %+v",
 					h.Name, i, sum, res.Counters)
@@ -70,8 +72,9 @@ func TestExplainWorkSumsToCounters(t *testing.T) {
 	}
 }
 
-// TestExplainRowsMatchActualRows ties the EXPLAIN ANALYZE readout back to the
-// executor's per-node annotations.
+// TestExplainRowsMatchActualRows ties the EXPLAIN ANALYZE readout and the
+// executor's per-operator records to the plan: one entry of each per node, in
+// Walk order, and the root's row count is the result's.
 func TestExplainRowsMatchActualRows(t *testing.T) {
 	cat, q := threeTableJoin(t)
 	opt := optimizer.New(cat)
@@ -83,17 +86,21 @@ func TestExplainRowsMatchActualRows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if len(res.Actuals) != p.NumNodes() || res.Actuals[0].Rows != int64(len(res.Rows)) {
+		t.Fatalf("%d records for %d nodes, root rows %d for %d result rows", len(res.Actuals), p.NumNodes(), res.Actuals[0].Rows, len(res.Rows))
+	}
+	lines := strings.Split(res.Explain.String(), "\n")
+	ord := 0
 	p.Walk(func(n *plan.Node) {
-		st := res.Explain.Stats(n)
-		if st == nil {
-			t.Fatalf("node %s has no stats", n.Op)
+		st := res.Explain.Stats(ord)
+		if st == nil || st.Loops != 1 {
+			t.Fatalf("operator %d (%s): stats %+v, want one loop", ord, n.Op, st)
 		}
-		if st.Loops != 1 {
-			t.Fatalf("node %s loops=%d, want 1", n.Op, st.Loops)
+		line := strings.TrimSpace(lines[ord])
+		if want := fmt.Sprintf(" rows=%d loops=1 ", res.Actuals[ord].Rows); !strings.HasPrefix(line, n.Head()) || !strings.Contains(line, want) {
+			t.Fatalf("operator %d renders %q, want %s with%s", ord, line, n.Head(), want)
 		}
-		if float64(st.Rows) != n.ActualRows {
-			t.Fatalf("node %s: Explain rows=%d, ActualRows=%g", n.Op, st.Rows, n.ActualRows)
-		}
+		ord++
 	})
 }
 

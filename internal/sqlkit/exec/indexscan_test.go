@@ -50,8 +50,8 @@ func TestIndexScanMatchesSeqScan(t *testing.T) {
 	if ri.Counters.IndexFetch == 0 || ri.Counters.IndexProbe == 0 {
 		t.Errorf("index counters not charged: %+v", ri.Counters)
 	}
-	if idx.ActualFetched < idx.ActualRows {
-		t.Errorf("fetched %v < output %v", idx.ActualFetched, idx.ActualRows)
+	if a := ri.Actuals[0]; a.Fetched != ri.Counters.IndexFetch || a.Rows != int64(len(ri.Rows)) || a.Fetched < a.Rows {
+		t.Errorf("Actuals = %+v with %d fetches charged and %d rows out", a, ri.Counters.IndexFetch, len(ri.Rows))
 	}
 
 	// The ends of the int64 domain: nothing lies beyond either, everything

@@ -135,14 +135,14 @@ func TestOutputMatchesSortLimitProject(t *testing.T) {
 				for _, p := range []*plan.Node{stripPartitions(planned), forcePartitions(planned, 4)} {
 					for _, x := range execs {
 						label := fmt.Sprintf("%s/%d/%s/P=%d/%s", c.name, qi, h.Name, p.Partitions, x.name)
-						full, err := x.e.Execute(p.Clone(), Options{Pool: pool})
+						full, err := x.e.Execute(p, Options{Pool: pool})
 						if err != nil {
 							t.Fatalf("%s: %v", label, err)
 						}
 						n := len(full.Rows)
 						for _, limit := range []int{plan.NoLimit, 0, 1, n / 2, n, n + 7} {
 							out := randomOutput(rng, c.mem, q, limit)
-							got, err := x.e.Execute(p.Clone(), Options{Pool: pool, Output: out})
+							got, err := x.e.Execute(p, Options{Pool: pool, Output: out})
 							if err != nil {
 								t.Fatalf("%s: %+v: %v", label, *out, err)
 							}

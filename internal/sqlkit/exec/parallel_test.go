@@ -35,14 +35,15 @@ func forcePartitions(p *plan.Node, parts int) *plan.Node {
 	return out
 }
 
-// runOnce executes a fresh clone of p and returns the full result and error.
+// runOnce executes p and returns the full result and error.
 func runOnce(t *testing.T, e *Executor, p *plan.Node, pool *mlmath.Pool, budget *Budget) (*Result, error) {
 	t.Helper()
-	return e.Execute(p.Clone(), Options{Pool: pool, Budget: budget, Analyze: true})
+	return e.Execute(p, Options{Pool: pool, Budget: budget, Analyze: true})
 }
 
 // assertIdentical fails unless got matches want bit-for-bit: rows, order,
-// work, counters, and the error (kind, limit, used for budget aborts).
+// work, counters, per-operator records, and the error (kind, limit, used for
+// budget aborts).
 func assertIdentical(t *testing.T, label string, want *Result, wantErr error, got *Result, gotErr error) {
 	t.Helper()
 	if (wantErr == nil) != (gotErr == nil) {
@@ -66,6 +67,9 @@ func assertIdentical(t *testing.T, label string, want *Result, wantErr error, go
 	}
 	if !reflect.DeepEqual(want.Rows, got.Rows) {
 		t.Fatalf("%s: rows differ (serial %d, parallel %d)", label, len(want.Rows), len(got.Rows))
+	}
+	if !reflect.DeepEqual(want.Actuals, got.Actuals) {
+		t.Fatalf("%s: per-operator records\nserial   %+v\nparallel %+v", label, want.Actuals, got.Actuals)
 	}
 	if got.Explain != nil && got.Explain.TotalWork() != got.Counters.Total() {
 		t.Fatalf("%s: explain TotalWork %d != Counters.Total %d", label, got.Explain.TotalWork(), got.Counters.Total())
@@ -281,7 +285,7 @@ func TestExplainIdenticalAcrossWorkerCounts(t *testing.T) {
 		e := New(sch.Cat)
 		e.Clock = &mlmath.ManualClock{}
 		pool := mlmath.NewPool(workers)
-		res, err := e.Execute(p.Clone(), Options{Pool: pool, Analyze: true})
+		res, err := e.Execute(p, Options{Pool: pool, Analyze: true})
 		pool.Close()
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)

@@ -23,6 +23,5 @@ func (s *execState) seqScanVirtual(n *plan.Node, t *catalog.Table, need []bool) 
 		}
 		out.appendRow(row, need)
 	}
-	n.ActualRows = float64(out.n)
 	return out, nil
 }

@@ -420,30 +420,29 @@ func (o *Optimizer) Annotate(q *plan.Query, n *plan.Node) float64 {
 	return n.EstCost
 }
 
-// PlanCostActual computes the formula cost of a plan using the *actual* row
-// counts recorded by a previous execution — the quantity ParamTree fits its
-// parameters against.
-func (o *Optimizer) PlanCostActual(n *plan.Node) float64 {
-	return planCostWith(o.Cat, o.Cost, n, func(x *plan.Node) float64 { return x.ActualRows })
-}
-
-func planCostWith(cat *catalog.Catalog, p CostParams, n *plan.Node, rows func(*plan.Node) float64) float64 {
+// PlanCostActual computes the formula cost of a plan from what one execution
+// of it measured (actuals is that execution's exec.Result.Actuals: one record
+// per node, pre-order) — the quantity ParamTree fits its parameters against.
+func (o *Optimizer) PlanCostActual(n *plan.Node, actuals []plan.Actual) float64 {
+	p, self := o.Cost, actuals[0]
 	if n.IsLeaf() {
-		t := cat.Table(n.TableID)
+		t := o.Cat.Table(n.TableID)
 		// The I/O term uses the misses the execution actually charged, so
 		// true params reproduce actual work exactly on disk tables too.
-		io := p.PageRead * n.ActualPageMisses
+		io := p.PageRead * float64(self.PageMisses)
 		if n.Op == plan.OpIndexScan {
-			return p.IndexScanCost(float64(t.NumRows()), n.ActualFetched) + io
+			return p.IndexScanCost(float64(t.NumRows()), float64(self.Fetched)) + io
 		}
 		return p.ScanCost(float64(t.NumRows())) + io
 	}
+	left := actuals[n.ChildAt(0):]
+	c := o.PlanCostActual(n.Children[0], left)
 	if n.Op == plan.OpHashAgg {
-		c := planCostWith(cat, p, n.Children[0], rows)
-		return c + p.AggCost(rows(n.Children[0]), rows(n))
+		return c + p.AggCost(float64(left[0].Rows), float64(self.Rows))
 	}
-	c := planCostWith(cat, p, n.Children[0], rows) + planCostWith(cat, p, n.Children[1], rows)
-	return c + p.JoinCost(n.Op, rows(n.Children[0]), rows(n.Children[1]), rows(n))
+	right := actuals[n.ChildAt(1):]
+	c += o.PlanCostActual(n.Children[1], right)
+	return c + p.JoinCost(n.Op, float64(left[0].Rows), float64(right[0].Rows), float64(self.Rows))
 }
 
 // CheapestHint plans q under every hint set and returns the plans with their

@@ -6,6 +6,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -120,6 +121,8 @@ func rowChecksum(rows [][]int64) uint64 {
 // columns (ISSUE 17) and must not change when the planner's or executor's
 // internals do: on acyclic join graphs every plan, estimate, row and counter
 // is a contract. Regenerate with UPDATE_GOLDEN=1 only for an intended change.
+// Every one of the executions also checks that the executor left the tree it
+// ran exactly as planned.
 func TestPlanIdentityGolden(t *testing.T) {
 	hints := append(StandardHintSets(), AtomicHints()...)
 	var b strings.Builder
@@ -135,9 +138,15 @@ func TestPlanIdentityGolden(t *testing.T) {
 					t.Fatalf("%s/%s: plan: %v", gq.label, h.Name, err)
 				}
 				renderShape(&b, p)
+				before := p.Clone()
 				res, err := ex.Execute(p, exec.Options{})
 				if err != nil {
 					t.Fatalf("%s/%s: execute: %v", gq.label, h.Name, err)
+				}
+				// Plans are read-only once built: executing one writes nothing
+				// into it.
+				if !reflect.DeepEqual(p, before) {
+					t.Fatalf("%s/%s P=%d: Execute changed the plan it was handed\n got  %s\n want %s", gq.label, h.Name, par, p, before)
 				}
 				fmt.Fprintf(&b, " rows=%d work=%d ctr=%v sum=%x\n", len(res.Rows), res.Work, res.Counters.Vec(), rowChecksum(res.Rows))
 			}

@@ -14,8 +14,9 @@ type Query struct {
 	// Tables holds catalog table IDs. Positions within this slice are the
 	// "table positions" predicates and joins refer to.
 	Tables []int
-	// Filters[pos] are conjunctive predicates on the table at pos.
-	Filters map[int][]expr.Pred
+	// Filters[pos] are conjunctive predicates on the table at pos, in
+	// AddFilter order; len(Filters) == len(Tables).
+	Filters [][]expr.Pred
 	// Joins are equi-join conditions between table positions.
 	Joins []expr.JoinCond
 	// Agg, when non-nil, applies a grouped aggregation on top of the join
@@ -48,7 +49,7 @@ func (q *Query) SetAgg(groupTable, groupCol int, sums ...AggCol) *Query {
 
 // NewQuery constructs an empty query over the given catalog table IDs.
 func NewQuery(tableIDs ...int) *Query {
-	return &Query{Tables: tableIDs, Filters: make(map[int][]expr.Pred)}
+	return &Query{Tables: tableIDs, Filters: make([][]expr.Pred, len(tableIDs))}
 }
 
 // AddFilter appends a predicate on the table at position pos.
@@ -136,9 +137,10 @@ var AllJoinOps = []OpType{OpHashJoin, OpNLJoin, OpMergeJoin}
 
 // Node is a physical plan node. A leaf is a SeqScan of a base table with
 // pushed-down filters; internal nodes are joins. Cost and cardinality
-// annotations are filled by the optimizer; ActualRows by the executor. These
-// annotations are the "database statistics" features of plan representation
-// (§3.1).
+// annotations are filled by the optimizer: the "database statistics" features
+// of plan representation (§3.1). A tree is read-only once planning hands it
+// out: the executor writes nothing into it (what a run measured comes back as
+// []Actual), so sessions share one tree; a caller that edits one Clones first.
 //
 // A node names columns the way the query does — as (table position, column)
 // references into the base tables — never as offsets into some operator's
@@ -183,14 +185,26 @@ type Node struct {
 	// EstFetched is the optimizer's estimate of rows fetched through the
 	// index before residual filtering (IndexScan only).
 	EstFetched float64
+}
 
-	// Executor annotations.
-	ActualRows float64
-	// ActualFetched counts rows fetched through the index (IndexScan only).
-	ActualFetched float64
-	// ActualPageMisses counts buffer-pool misses this scan charged
-	// (disk-backed tables only; zero for in-memory scans).
-	ActualPageMisses float64
+// Actual is what one operator measured in one execution. The executor returns
+// one per visit of a node (a node reachable twice has two), at the node's Walk
+// (pre-order) position: the root at 0, each child ChildAt past its parent.
+type Actual struct {
+	Rows       int64 // tuples the operator produced
+	Fetched    int64 // rows fetched through the index (IndexScan only)
+	PageMisses int64 // buffer-pool misses the scan charged (disk tables only)
+}
+
+// ChildAt returns how far past n's own pre-order position its i-th child
+// sits: right after n for the first, after each earlier sibling's whole
+// subtree for the next. It is the one written statement of that layout.
+func (n *Node) ChildAt(i int) int {
+	at := 1
+	for _, c := range n.Children[:i] {
+		at += c.NumNodes()
+	}
+	return at
 }
 
 // IsLeaf reports whether the node is a scan.
@@ -258,13 +272,16 @@ func (n *Node) Leaf(tablePos int) *Node {
 	return nil
 }
 
-// Clone deep-copies the plan tree's nodes, so the copy's annotations and
-// Partitions are private; the read-only Filters, Conds and Agg are shared.
+// Clone deep-copies the plan tree's nodes for a caller that edits them
+// (annotations, Partitions, a leaf's Filters slot); the read-only Filters,
+// Conds and Agg values are shared.
 func (n *Node) Clone() *Node {
 	out := *n
-	out.Children = nil
-	for _, c := range n.Children {
-		out.Children = append(out.Children, c.Clone())
+	if len(n.Children) > 0 {
+		out.Children = make([]*Node, len(n.Children))
+		for i, c := range n.Children {
+			out.Children[i] = c.Clone()
+		}
 	}
 	return &out
 }

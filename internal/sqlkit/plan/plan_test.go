@@ -90,6 +90,11 @@ func TestWalkVisitsAllPreOrder(t *testing.T) {
 			t.Errorf("visit %d: %v, want %v", i, ops[i], want[i])
 		}
 	}
+	// ChildAt is the same order as arithmetic: the inner join right after the
+	// root, the root's second child after the inner join's three nodes.
+	if l, r, ir := root.ChildAt(0), root.ChildAt(1), root.Children[0].ChildAt(1); l != 1 || r != 4 || ir != 2 {
+		t.Errorf("ChildAt = %d, %d under the root and %d under its left child, want 1, 4, 2", l, r, ir)
+	}
 }
 
 func TestCloneIsDeep(t *testing.T) {
@@ -102,6 +107,11 @@ func TestCloneIsDeep(t *testing.T) {
 	}
 	if root.Children[1].TableID == 99 {
 		t.Error("Clone shares leaves")
+	}
+	// One allocation per node plus one exactly-sized Children slice per
+	// internal node: 5 + 2 for two joins over three scans.
+	if got := testing.AllocsPerRun(100, func() { root.Clone() }); got != 7 {
+		t.Errorf("cloning 5 nodes allocates %.0f times, want 7", got)
 	}
 }
 

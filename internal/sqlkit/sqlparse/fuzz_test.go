@@ -10,7 +10,8 @@ import (
 // FuzzParse holds Parse to what every later layer assumes of it: arbitrary
 // bytes never panic, the same text parses the same way twice, and an
 // accepted statement names only tables of its own FROM list and columns those
-// tables have — the executor indexes with these numbers unchecked. The seed
+// tables have, with one filter list per table — the planner and executor
+// index with these numbers unchecked. The seed
 // corpus (testdata/fuzz/FuzzParse) runs with the ordinary tests; fuzz with
 // go test -run '^$' -fuzz FuzzParse ./internal/sqlkit/sqlparse/.
 func FuzzParse(f *testing.F) {
@@ -41,6 +42,9 @@ func FuzzParse(f *testing.F) {
 		}
 		for _, k := range st.OrderBy {
 			col("ORDER BY", k.Col)
+		}
+		if len(st.Query.Filters) != len(tables) {
+			t.Fatalf("%q: %d filter lists for %d tables", sql, len(st.Query.Filters), len(tables))
 		}
 		for pos, preds := range st.Query.Filters {
 			for _, p := range preds {
