@@ -14,8 +14,8 @@ package main
 //     overload error — exactly as many rejections as arrivals, and the slot
 //     must be reusable after the in-flight query drains;
 //   - graceful degradation: with a learned estimator that returns NaN for
-//     every estimate, every query must still succeed through the classical
-//     re-plan (Bao's safety contract: the learned path may be useless, never
+//     every estimate, every query must still succeed on the classical
+//     estimates (Bao's safety contract: the learned path may be useless, never
 //     harmful), with the fallback counter accounting for each run.
 //
 // Any violated contract fails the suite; check.sh runs the -quick variant as
@@ -240,7 +240,7 @@ func engineSuite(seed uint64, quick bool, _ string) (any, error) {
 	}
 
 	// Fallback never fails: a NaN-spewing learned estimator must not cost a
-	// single query — every run re-plans classically and matches the baseline.
+	// single query — every run plans classically and matches the baseline.
 	fbReg := obs.NewRegistry()
 	fb := engine.New(sch.Cat, engine.Options{Metrics: fbReg})
 	if err := fb.SetEstimator(nanLearnedEstimator{}, 1); err != nil {

@@ -207,10 +207,9 @@ func (h hypoRows) VirtualRows() [][]int64 { return nil }
 func (a *Autopilot) estJoinRows(c views.Candidate) float64 {
 	cat := a.host.Catalog()
 	q := plan.NewQuery(c.LeftID, c.RightID)
-	cond := expr.JoinCond{LeftTable: 0, LeftCol: c.LeftCol, RightTable: 1, RightCol: c.RightCol}
-	q.AddJoin(cond)
-	sel := a.opt.Est.JoinSelectivity(q, cond)
-	est := float64(cat.Table(c.LeftID).NumRows()) * float64(cat.Table(c.RightID).NumRows()) * sel
+	q.AddJoin(expr.JoinCond{LeftTable: 0, LeftCol: c.LeftCol, RightTable: 1, RightCol: c.RightCol})
+	tbl, _ := optimizer.Estimate(a.opt.Est, q, nil)
+	est := float64(cat.Table(c.LeftID).NumRows()) * float64(cat.Table(c.RightID).NumRows()) * tbl.Sel[0]
 	if math.IsNaN(est) || math.IsInf(est, 0) || est < 1 {
 		est = 1
 	}

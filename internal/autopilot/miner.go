@@ -24,10 +24,10 @@ type stmtTotals struct{ work, calls, misses int64 }
 
 // mineWorkload snapshots the querystore, diffs every statement against the
 // previous pass, and returns the top statements by recent work, hottest
-// first. Statements without a reconstructable template, without recent
-// traffic, or touching non-tunable tables (virtual system views, disk-backed
-// tables) are skipped — but their totals still advance, so they never leak
-// stale deltas into a later pass.
+// first. Statements without a template, without recent traffic, or touching
+// non-tunable tables (virtual system views, disk-backed tables) are skipped —
+// but their totals still advance, so they never leak stale deltas into a later
+// pass.
 func (a *Autopilot) mineWorkload() []MinedStatement {
 	var mined []MinedStatement
 	for _, st := range a.opts.Store.Statements() {

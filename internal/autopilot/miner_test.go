@@ -52,14 +52,14 @@ func minerFixture(t *testing.T) (*catalog.Catalog, *querystore.Store, *Autopilot
 
 // record executes nothing: it plans q and feeds the store a synthetic
 // observation with the given work (and all-zero actuals, so the plan is
-// harvested for its template), which is all the miner consumes.
+// harvested and q kept as the template), which is all the miner consumes.
 func record(t *testing.T, cat *catalog.Catalog, store *querystore.Store, q *plan.Query, shape string, work int64) {
 	t.Helper()
 	p, err := optimizer.New(cat).Plan(q, optimizer.NoHint())
 	if err != nil {
 		t.Fatal(err)
 	}
-	store.Record(querystore.Observation{Shape: shape, Work: work, Rows: 1, Plan: p, Actuals: make([]plan.Actual, p.NumNodes())})
+	store.Record(querystore.Observation{Shape: shape, Query: q, Work: work, Rows: 1, Plan: p, Actuals: make([]plan.Actual, p.NumNodes())})
 }
 
 // TestMinerRanksByWindowedDelta checks that mining ranks statements by work
@@ -86,7 +86,7 @@ func TestMinerRanksByWindowedDelta(t *testing.T) {
 		t.Errorf("A deltas = %d/%d, want lifetime totals on first pass", mined[0].DeltaWork, mined[0].DeltaCalls)
 	}
 	if mined[0].Query == nil || len(mined[0].Query.Tables) != 1 {
-		t.Fatalf("A template = %+v, want reconstructed single-table query", mined[0].Query)
+		t.Fatalf("A template = %+v, want the single-table query", mined[0].Query)
 	}
 
 	// A goes quiet, B keeps running: the second pass must mine only B.

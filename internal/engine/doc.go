@@ -17,11 +17,12 @@
 //   - Deterministic work budgets: per-query limits counted in executor work
 //     units and materialized rows (exec.Budget), never wall time, so an
 //     aborted query aborts at the same point on every replay.
-//   - Graceful degradation: when a learned cardinality estimator misbehaves
-//     during planning — a non-finite estimate or an exhausted call budget —
-//     the engine re-plans through the classical histogram path and counts the
-//     fallback (Bao's safety contract: the learned component may lose, but it
-//     must never take the system down with it).
+//   - Graceful degradation: a statement's estimates are gathered and checked
+//     before the join-order search; when the learned cardinality estimator
+//     misbehaves — a non-finite estimate, or a statement past the call budget
+//     — the search runs over the classical histogram estimates instead and
+//     the engine counts the fallback (Bao's safety contract: the learned
+//     component may lose, but it must never take the system down with it).
 //
 // engine is a determinism-core package: it spawns no goroutines (concurrency
 // is whatever its callers bring) and reads no ambient time or randomness, so

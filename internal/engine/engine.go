@@ -12,7 +12,6 @@ import (
 	"ml4db/internal/querystore"
 	"ml4db/internal/sqlkit/catalog"
 	"ml4db/internal/sqlkit/exec"
-	"ml4db/internal/sqlkit/expr"
 	"ml4db/internal/sqlkit/optimizer"
 	"ml4db/internal/sqlkit/plan"
 )
@@ -50,9 +49,10 @@ type Options struct {
 	// not set its own budget.
 	DefaultBudget *exec.Budget
 	// EstimatorCallBudget caps how many times one planning pass may invoke
-	// the learned estimator before the engine gives up on it and re-plans
-	// classically — the deterministic analogue of an inference timeout.
-	// Zero means unlimited.
+	// the learned estimator — the deterministic analogue of an inference
+	// timeout. A statement needs one call per table and one per join
+	// condition; one that needs more than the budget is planned classically
+	// without consulting the learned model. Zero means unlimited.
 	EstimatorCallBudget int64
 	// Metrics, when non-nil, receives the engine.* instruments.
 	Metrics *obs.Registry
@@ -79,8 +79,8 @@ type Result struct {
 	Plan *plan.Node
 	// CacheHit reports whether the plan came from the shared plan cache.
 	CacheHit bool
-	// Fallback reports that the learned estimator failed during planning and
-	// the plan was rebuilt through the classical path.
+	// Fallback reports that the learned estimator could not serve this
+	// statement and the plan was built from the classical estimates.
 	Fallback bool
 	// EstimatorVersion is the learned-estimator version the plan was built
 	// under (0 when planning was classical).
@@ -371,6 +371,7 @@ func (e *Engine) run(q *plan.Query, out *plan.Output, hint optimizer.HintSet, bu
 	if st := e.opts.Store; st != nil && (err == nil || budgetAbort) {
 		o := querystore.Observation{
 			Shape:            shape,
+			Query:            q,
 			CacheHit:         hit,
 			Fallback:         fallback,
 			BudgetAbort:      budgetAbort,
@@ -411,80 +412,39 @@ func mapOutput(out *plan.Output, posMap []plan.PosMap) *plan.Output {
 	return mapped
 }
 
-// plan builds a plan for q under hint and the snapshot s. With a learned
-// estimator installed it plans through a guarded wrapper first; if the
-// wrapper trips — a non-finite estimate or an exhausted call budget — the
-// result is discarded and the query is re-planned through the classical path
-// (fallback=true). Planning never lets a learned component's failure escape
-// as a query failure unless the classical path fails too.
+// plan builds a plan for q under hint and the snapshot s: one join-order
+// search over one table of estimates. With a learned estimator installed the
+// table is the learned one if every entry of it is usable; otherwise
+// (fallback=true) it is the classical table, and the plan is exactly the one a
+// classical engine builds. A learned component's failure never becomes a
+// query failure.
 func (e *Engine) plan(s *planning, q *plan.Query, hint optimizer.HintSet) (p *plan.Node, fallback bool, err error) {
-	if s.learned != nil {
-		// The snapshot's optimizer with a guard of this pass's own around
-		// the learned estimator.
-		g := &guardedEstimator{inner: s.learned, safe: s.classical.Est, limit: e.opts.EstimatorCallBudget}
-		guarded := *s.classical
-		guarded.Est = g
-		if p, err = guarded.Plan(q, hint); err == nil && !g.failed {
-			return p, false, nil
-		}
-		// Learned path failed (planning error or tripped guard): classical
-		// re-plan, Bao-style.
-		fallback = true
+	if err := optimizer.CheckJoins(q); err != nil {
+		return nil, false, err
 	}
-	p, err = s.classical.Plan(q, hint)
+	est, ok := optimizer.Estimates{}, false
+	if s.learned != nil {
+		est, ok = e.learnedEstimates(s.learned, q)
+		fallback = !ok
+	}
+	if !ok {
+		est, _ = optimizer.Estimate(s.classical.Est, q, nil)
+	}
+	p, err = s.classical.PlanWith(q, hint, est)
 	return p, fallback, err
 }
 
-// guardedEstimator wraps a learned cardinality estimator with a
-// deterministic call budget and output validation. Once tripped it answers
-// through the safe classical estimator so the planning pass still completes
-// structurally; the engine then discards that plan and re-plans classically.
-// One instance serves exactly one planning pass on one goroutine.
-type guardedEstimator struct {
-	inner  optimizer.CardEstimator
-	safe   optimizer.CardEstimator
-	limit  int64 // max inner calls; 0 = unlimited
-	calls  int64
-	failed bool
-}
-
-// tripped charges one call against the budget and reports whether the guard
-// has failed (now or earlier).
-func (g *guardedEstimator) tripped() bool {
-	if g.failed {
-		return true
+// learnedEstimates is the guard around the learned estimator: it asks for q's
+// table only if that fits Options.EstimatorCallBudget, and stops asking at the
+// first answer that is not a finite, non-negative number. ok false means the
+// learned model cannot serve this statement.
+func (e *Engine) learnedEstimates(learned optimizer.CardEstimator, q *plan.Query) (est optimizer.Estimates, ok bool) {
+	if limit := e.opts.EstimatorCallBudget; limit > 0 && int64(len(q.Tables)+len(q.Joins)) > limit {
+		return est, false
 	}
-	g.calls++
-	if g.limit > 0 && g.calls > g.limit {
-		g.failed = true
-	}
-	return g.failed
-}
-
-// ScanRows implements optimizer.CardEstimator.
-func (g *guardedEstimator) ScanRows(q *plan.Query, pos int) float64 {
-	if g.tripped() {
-		return g.safe.ScanRows(q, pos)
-	}
-	v := g.inner.ScanRows(q, pos)
-	if math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {
-		g.failed = true
-		return g.safe.ScanRows(q, pos)
-	}
-	return v
-}
-
-// JoinSelectivity implements optimizer.CardEstimator.
-func (g *guardedEstimator) JoinSelectivity(q *plan.Query, cond expr.JoinCond) float64 {
-	if g.tripped() {
-		return g.safe.JoinSelectivity(q, cond)
-	}
-	v := g.inner.JoinSelectivity(q, cond)
-	if math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {
-		g.failed = true
-		return g.safe.JoinSelectivity(q, cond)
-	}
-	return v
+	return optimizer.Estimate(learned, q, func(v float64) bool {
+		return !math.IsNaN(v) && !math.IsInf(v, 0) && v >= 0
+	})
 }
 
 func boolInt(b bool) int64 {

@@ -1,10 +1,12 @@
 package engine_test
 
 import (
+	"reflect"
 	"testing"
 
 	"ml4db/internal/engine"
 	"ml4db/internal/qo"
+	"ml4db/internal/querystore"
 	"ml4db/internal/sqlkit/plan"
 	"ml4db/internal/views"
 )
@@ -123,5 +125,37 @@ func TestViewRewriteFilterOrderIsDeterministic(t *testing.T) {
 		} else if got != first {
 			t.Fatalf("engine %d planned a different tree for the same statement:\n%s\nthe first:\n%s", i, got, first)
 		}
+	}
+}
+
+// TestStatementTemplateIsTheCallersQuery: a statement first seen while a view
+// rewrite is installed is recorded in the query store under a template over
+// its own base tables, declared joins included — not over the view table the
+// executed plan scanned, which a later views.Drop would leave at 0 rows for
+// every what-if costing of the statement.
+func TestStatementTemplateIsTheCallersQuery(t *testing.T) {
+	sch := chainCatalog(t, 21)
+	store := querystore.New(querystore.Options{Catalog: sch.Cat})
+	eng := engine.New(sch.Cat, engine.Options{Store: store})
+	v, err := views.Materialize(qo.NewEnv(sch.Cat),
+		views.Candidate{LeftID: sch.TableIDs[0], RightID: sch.TableIDs[1], LeftCol: 1, RightCol: 0}, "v01")
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng.SetRewriters([]plan.QueryRewriter{v})
+	q := chainQuery(sch)
+	res, err := eng.Run(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.PosMap == nil {
+		t.Fatal("statement did not run through the view; the check would be vacuous")
+	}
+	sts := store.Statements()
+	if len(sts) != 1 || !reflect.DeepEqual(sts[0].Template, q) {
+		t.Fatalf("template = %+v, want the caller's query %+v", sts[0].Template, q)
+	}
+	if sts[0].Template == q {
+		t.Error("template aliases the caller's query")
 	}
 }

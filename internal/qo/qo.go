@@ -91,6 +91,9 @@ type candidate struct {
 // BuildPlan constructs a complete plan for q. With explore true, each step
 // is ε-greedy over the value scores.
 func (v *ValueSearch) BuildPlan(q *plan.Query, explore bool) (*plan.Node, error) {
+	if err := optimizer.CheckJoins(q); err != nil {
+		return nil, err
+	}
 	n := q.NumTables()
 	forest := make([]*plan.Node, 0, n)
 	for pos := 0; pos < n; pos++ {

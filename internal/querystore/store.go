@@ -8,6 +8,7 @@ import (
 	"ml4db/internal/mlmath"
 	"ml4db/internal/obs"
 	"ml4db/internal/sqlkit/catalog"
+	"ml4db/internal/sqlkit/expr"
 	"ml4db/internal/sqlkit/plan"
 	"ml4db/internal/storage"
 )
@@ -49,13 +50,15 @@ type Options struct {
 }
 
 // Observation is one executed query as the engine saw it. Shape is the
-// engine's normalized statement key; Plan is the executed plan tree, shared
-// with the plan cache and every session, so the store only reads it; Actuals
-// is what this execution's operators measured (exec.Result.Actuals). Without
-// one record per node of Plan the observation feeds the statement counters
-// only, like a budget abort.
+// engine's normalized statement key and Query the caller's query it was
+// computed from — before any view rewrite, unlike Plan; Plan is the executed
+// plan tree, shared with the plan cache and every session, so the store only
+// reads it; Actuals is what this execution's operators measured
+// (exec.Result.Actuals). Without one record per node of Plan the observation
+// feeds the statement counters only, like a budget abort.
 type Observation struct {
 	Shape            string
+	Query            *plan.Query
 	Work             int64
 	Rows             int64
 	PageMisses       int64
@@ -91,10 +94,12 @@ type StatementStats struct {
 	// call landed in — the recency signal tuning loops rank by, so a
 	// once-hot statement ages out of the mined workload.
 	LastWindow int64
-	// Template is a representative query reconstructed from the statement's
-	// first harvested plan: the executed leaves give tables and filters, the
-	// join nodes give join conditions. It is nil when no plan was harvested,
-	// and shared across snapshots — callers must treat it as read-only.
+	// Template is a representative query of the statement: a copy of the
+	// tables, filters and join conditions of the caller's query (not its
+	// aggregation), taken with the statement's first harvested plan. It names
+	// base tables even when that plan ran over a view, is nil when no plan was
+	// harvested or the observation carried no query, and is shared across
+	// snapshots — callers must treat it as read-only.
 	Template *plan.Query
 }
 
@@ -238,8 +243,8 @@ func (s *Store) recordStatementLocked(o Observation, h harvestResult) {
 	e.TotalRows += o.Rows
 	e.PageMisses += o.PageMisses
 	e.LastWindow = s.cur.index
-	if e.Template == nil && h.tmpl != nil {
-		e.Template = h.tmpl
+	if e.Template == nil && h.ok && o.Query != nil {
+		e.Template = template(o.Query)
 	}
 	if h.ok {
 		e.QErrCount++
@@ -335,7 +340,6 @@ type harvestResult struct {
 	qerrMean float64
 	qerrMax  float64
 	heat     []heatSample
-	tmpl     *plan.Query // reconstructed template, or nil
 }
 
 type heatSample struct {
@@ -367,62 +371,20 @@ func (s *Store) harvest(o Observation) harvestResult {
 	})
 	h.ok = true
 	h.qerrMean = sum / float64(ord)
-	if s.needsTemplate(o.Shape) {
-		h.tmpl = reconstructQuery(o.Plan)
-	}
 	return h
 }
 
-// needsTemplate reports whether the shape's statement record still lacks a
-// template, so harvest only pays the reconstruction walk once per shape.
-func (s *Store) needsTemplate(shape string) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	e, ok := s.stmts[shape]
-	return !ok || e.Template == nil
-}
-
-// reconstructQuery rebuilds a plan.Query from an executed plan tree: each
-// leaf contributes its table and filters at its original table position, and
-// each join node the conditions it carries, which already name base (position,
-// column) pairs. Returns nil when the tree's positions do not form a dense
-// 0..n-1 range — the template is a best-effort mining input, not an
-// invariant.
-func reconstructQuery(p *plan.Node) *plan.Query {
-	var leaves []*plan.Node
-	maxPos := -1
-	p.Walk(func(n *plan.Node) {
-		if n.IsLeaf() {
-			leaves = append(leaves, n)
-			if n.TablePos > maxPos {
-				maxPos = n.TablePos
-			}
-		}
-	})
-	if len(leaves) == 0 || maxPos != len(leaves)-1 {
-		return nil
+// template copies the select-project-join part of q, keeping nil slices nil.
+func template(q *plan.Query) *plan.Query {
+	t := &plan.Query{
+		Tables:  append([]int(nil), q.Tables...),
+		Filters: make([][]expr.Pred, len(q.Filters)),
+		Joins:   append([]expr.JoinCond(nil), q.Joins...),
 	}
-	tables := make([]int, len(leaves))
-	filled := make([]bool, len(leaves))
-	for _, l := range leaves {
-		if filled[l.TablePos] {
-			return nil
-		}
-		filled[l.TablePos] = true
-		tables[l.TablePos] = l.TableID
+	for pos, fs := range q.Filters {
+		t.Filters[pos] = append([]expr.Pred(nil), fs...)
 	}
-	q := plan.NewQuery(tables...)
-	for _, l := range leaves {
-		for _, f := range l.Filters {
-			q.AddFilter(l.TablePos, f)
-		}
-	}
-	p.Walk(func(n *plan.Node) {
-		for _, c := range n.Conds {
-			q.AddJoin(c)
-		}
-	})
-	return q
+	return t
 }
 
 // harvestHeat appends the node's heat samples. Scan leaves attribute the

@@ -1,6 +1,7 @@
 package querystore
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -242,45 +243,53 @@ func TestWindowRingCap(t *testing.T) {
 
 // TestRecencyAndTemplateHarvest pins the tuning-loop inputs: LastWindow
 // tracks the window of the most recent call, RowsPerCall averages result
-// sizes, and the first harvested plan reconstructs a statement template with
-// the executed tables, filters, and join conditions.
+// sizes, and the first harvested plan makes the caller's query — not the
+// query the plan was built from, which a view rewrite may have changed — the
+// statement template.
 func TestRecencyAndTemplateHarvest(t *testing.T) {
 	cat := twoColCatalog(t)
 	s, mc := manualStore(Options{Catalog: cat})
 
-	l := plan.NewScan(0, 0, []expr.Pred{{Col: 1, Op: expr.BETWEEN, Lo: 1, Hi: 3}})
-	l.EstRows = 4
-	r := plan.NewScan(1, 1, nil)
-	r.EstRows = 20
-	j := plan.NewJoin(plan.OpHashJoin, l, r, expr.JoinCond{RightTable: 1})
-	j.EstRows = 10
-	actuals := []plan.Actual{{Rows: 6}, {Rows: 3}, {Rows: 20}}
+	// The caller joined t0 and t1; the executed plan scans one (view) table.
+	q := plan.NewQuery(0, 1).
+		AddFilter(0, expr.Pred{Col: 1, Op: expr.BETWEEN, Lo: 1, Hi: 3}).
+		AddJoin(expr.JoinCond{RightTable: 1})
+	q.SetAgg(0, 1)
+	p := plan.NewScan(0, 1, []expr.Pred{{Col: 1, Op: expr.BETWEEN, Lo: 1, Hi: 3}})
+	p.EstRows = 10
+	actuals := []plan.Actual{{Rows: 6}}
 
-	s.Record(Observation{Shape: "q", Plan: j, Actuals: actuals, Rows: 6})
+	s.Record(Observation{Shape: "q", Query: q, Plan: p, BudgetAbort: true})
+	if tmpl := s.Statements()[0].Template; tmpl != nil {
+		t.Fatalf("template %+v taken from an observation that harvested no plan", tmpl)
+	}
+	s.Record(Observation{Shape: "q", Query: q, Plan: p, Actuals: actuals, Rows: 6})
 	mc.Advance(3100 * time.Millisecond)
-	s.Record(Observation{Shape: "q", Plan: j, Actuals: actuals, Rows: 2})
+	s.Record(Observation{Shape: "q", Query: q, Plan: p, Actuals: actuals, Rows: 2})
 
 	st := s.Statements()[0]
 	if st.LastWindow != 3 {
 		t.Errorf("LastWindow = %d, want 3 (the window of the latest call)", st.LastWindow)
 	}
-	if got := st.RowsPerCall(); got != 4 {
-		t.Errorf("RowsPerCall = %v, want 4", got)
+	if got := st.RowsPerCall(); got != 8.0/3 {
+		t.Errorf("RowsPerCall = %v, want 8/3", got)
 	}
 	tmpl := st.Template
 	if tmpl == nil {
-		t.Fatal("no template reconstructed despite a harvested plan")
+		t.Fatal("no template despite a harvested plan")
 	}
-	if tmpl.NumTables() != 2 || tmpl.Tables[0] != 0 || tmpl.Tables[1] != 1 {
-		t.Fatalf("template tables = %v, want [0 1]", tmpl.Tables)
+	want := plan.NewQuery(0, 1).
+		AddFilter(0, expr.Pred{Col: 1, Op: expr.BETWEEN, Lo: 1, Hi: 3}).
+		AddJoin(expr.JoinCond{RightTable: 1})
+	if !reflect.DeepEqual(tmpl, want) {
+		t.Errorf("template = %+v, want the caller's tables, filters and joins without its aggregation: %+v", tmpl, want)
 	}
-	if len(tmpl.Filters[0]) != 1 || tmpl.Filters[0][0].Op != expr.BETWEEN {
-		t.Errorf("template filters = %+v, want t0's BETWEEN preserved", tmpl.Filters)
+	// The template is a copy, captured once and shared read-only across
+	// snapshots.
+	q.AddFilter(1, expr.Pred{Col: 0, Op: expr.EQ, Lo: 7})
+	if len(tmpl.Filters[1]) != 0 {
+		t.Error("template aliases the caller's query")
 	}
-	if len(tmpl.Joins) != 1 || tmpl.Joins[0].LeftCol != 0 || tmpl.Joins[0].RightCol != 0 {
-		t.Errorf("template joins = %+v", tmpl.Joins)
-	}
-	// The template is captured once and shared read-only across snapshots.
 	if again := s.Statements()[0].Template; again != tmpl {
 		t.Error("template pointer changed between snapshots")
 	}

@@ -68,22 +68,51 @@ func (h *HistEstimator) JoinSelectivity(q *plan.Query, cond expr.JoinCond) float
 	return 1 / v
 }
 
-// EstimateSubtreeRows estimates the output cardinality of joining the table
-// positions in set, under the independence assumption: the product of scan
-// estimates times the product of the selectivities of all join conditions
-// internal to the set.
-func EstimateSubtreeRows(est CardEstimator, q *plan.Query, set []int) float64 {
+// Estimates is what an estimator says about one statement: the whole of what
+// planning it reads. Every entry was asked for exactly once (see Estimate).
+type Estimates struct {
+	Rows []float64 // Rows[pos] is ScanRows(q, pos)
+	Sel  []float64 // Sel[i] is JoinSelectivity(q, q.Joins[i]), the condition as declared
+}
+
+// Estimate asks est everything planning q needs, each question once: the
+// scanned rows of every table position, then the selectivity of every join
+// condition, both in declaration order. q must pass CheckJoins — an estimator
+// may index the query by a condition's positions. accept, when non-nil, sees
+// each answer as it arrives; the first one it refuses ends the asking, and
+// Estimate reports ok false with no table.
+func Estimate(est CardEstimator, q *plan.Query, accept func(float64) bool) (e Estimates, ok bool) {
+	n := len(q.Tables)
+	vals := make([]float64, n+len(q.Joins))
+	for i := range vals {
+		if i < n {
+			vals[i] = est.ScanRows(q, i)
+		} else {
+			vals[i] = est.JoinSelectivity(q, q.Joins[i-n])
+		}
+		if accept != nil && !accept(vals[i]) {
+			return Estimates{}, false
+		}
+	}
+	return Estimates{Rows: vals[:n], Sel: vals[n:]}, true
+}
+
+// SubtreeRows estimates the output cardinality of joining q's table positions
+// in set, under the independence assumption: the product of scan estimates
+// times the product of the selectivities of all join conditions internal to
+// the set.
+func (e Estimates) SubtreeRows(q *plan.Query, set []int) float64 {
 	in := make(map[int]bool, len(set))
 	for _, p := range set {
 		in[p] = true
 	}
 	rows := 1.0
 	for _, p := range set {
-		rows *= est.ScanRows(q, p)
+		rows *= e.Rows[p]
 	}
-	for _, c := range q.Joins {
+	for i, c := range q.Joins {
 		if in[c.LeftTable] && in[c.RightTable] {
-			rows *= est.JoinSelectivity(q, c)
+			rows *= e.Sel[i]
 		}
 	}
 	if rows < 1 {

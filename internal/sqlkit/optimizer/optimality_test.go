@@ -30,7 +30,7 @@ func bruteForceBest(o *Optimizer, q *plan.Query, hint HintSet) float64 {
 			for mask>>uint(pos)&1 == 0 {
 				pos++
 			}
-			sp := o.scanPlan(q, pos, hint)
+			sp := o.scanPlan(q, pos, hint, o.Est.ScanRows(q, pos))
 			s := state{cost: sp.EstCost, rows: sp.EstRows}
 			memo[mask] = s
 			return s, true

@@ -77,12 +77,23 @@ func New(cat *catalog.Catalog) *Optimizer {
 
 // Plan returns the cheapest plan for q under the hint set. It errors if the
 // query's join graph is disconnected, the hint set admits no operator, or a
-// join condition cannot be carried by any join node (see CheckConds).
+// join condition cannot be carried by any join node (see CheckJoins) — the
+// last before the estimator is asked anything.
+func (o *Optimizer) Plan(q *plan.Query, hint HintSet) (*plan.Node, error) {
+	if err := CheckJoins(q); err != nil {
+		return nil, err
+	}
+	est, _ := Estimate(o.Est, q, nil)
+	return o.PlanWith(q, hint, est)
+}
+
+// PlanWith is Plan over estimates the caller already holds (est must be q's
+// table, see Estimate): the join-order search itself, which asks no estimator.
 //
 // The DP table maps a set of table positions (a bitmask) to the cheapest plan
 // found for it; the node itself carries that plan's EstRows and EstCost. The
 // planner never looks at how rows are laid out: nodes name base columns.
-func (o *Optimizer) Plan(q *plan.Query, hint HintSet) (*plan.Node, error) {
+func (o *Optimizer) PlanWith(q *plan.Query, hint HintSet, est Estimates) (*plan.Node, error) {
 	n := q.NumTables()
 	if n == 0 {
 		return nil, fmt.Errorf("optimizer: empty query")
@@ -95,7 +106,7 @@ func (o *Optimizer) Plan(q *plan.Query, hint HintSet) (*plan.Node, error) {
 	}
 	best := make([]*plan.Node, 1<<uint(n))
 	for pos := 0; pos < n; pos++ {
-		best[1<<uint(pos)] = o.scanPlan(q, pos, hint)
+		best[1<<uint(pos)] = o.scanPlan(q, pos, hint, est.Rows[pos])
 	}
 	full := uint32(1<<uint(n)) - 1
 	for mask := uint32(1); mask <= full; mask++ {
@@ -111,8 +122,8 @@ func (o *Optimizer) Plan(q *plan.Query, hint HintSet) (*plan.Node, error) {
 			if best[sub] == nil || best[other] == nil {
 				continue
 			}
-			o.tryJoin(q, hint, best, sub, other)
-			o.tryJoin(q, hint, best, other, sub)
+			o.tryJoin(q, hint, est.Sel, best, sub, other)
+			o.tryJoin(q, hint, est.Sel, best, other, sub)
 		}
 	}
 	root := best[full]
@@ -135,12 +146,13 @@ func (o *Optimizer) Plan(q *plan.Query, hint HintSet) (*plan.Node, error) {
 // tryJoin costs joining the best plans of the disjoint position sets l and r,
 // in that child order, under every operator the hint allows, and installs a
 // strictly cheaper result as the best plan of l|r. A candidate is costed
-// before its node is built, so only improvements allocate.
-func (o *Optimizer) tryJoin(q *plan.Query, hint HintSet, best []*plan.Node, l, r uint32) {
+// before its node is built, so only improvements allocate. sels is the
+// statement's Estimates.Sel.
+func (o *Optimizer) tryJoin(q *plan.Query, hint HintSet, sels []float64, best []*plan.Node, l, r uint32) {
 	if hint.LeftDeepOnly && bits.OnesCount32(r) > 1 {
 		return
 	}
-	conds, sel := crossing(q, o.Est, l, r)
+	conds, sel := crossing(q, sels, l, r)
 	if len(conds) == 0 {
 		return
 	}
@@ -165,12 +177,11 @@ func (o *Optimizer) tryJoin(q *plan.Query, hint HintSet, best []*plan.Node, l, r
 // crossing returns every join condition of q with one side in the position
 // set left and the other in right (bitmasks), in declaration order, each
 // oriented left→right — the conditions a join of the two sides must carry.
-// With a non-nil estimator it also returns the product of their
-// selectivities; the estimator always sees a condition as declared, so one
-// that keys on the declared form behaves consistently.
-func crossing(q *plan.Query, est CardEstimator, left, right uint32) (conds []expr.JoinCond, sel float64) {
+// With non-nil sels (one selectivity per declared condition) it also returns
+// the product of theirs, multiplied in declaration order.
+func crossing(q *plan.Query, sels []float64, left, right uint32) (conds []expr.JoinCond, sel float64) {
 	sel = 1
-	for _, c := range q.Joins {
+	for i, c := range q.Joins {
 		// A position outside the query shifts to no bit and crosses nothing.
 		lb, rb := uint32(1)<<uint(c.LeftTable), uint32(1)<<uint(c.RightTable)
 		switch {
@@ -181,8 +192,8 @@ func crossing(q *plan.Query, est CardEstimator, left, right uint32) (conds []exp
 		default:
 			continue
 		}
-		if est != nil {
-			sel *= est.JoinSelectivity(q, c)
+		if sels != nil {
+			sel *= sels[i]
 		}
 	}
 	return conds, sel
@@ -208,15 +219,33 @@ func tableMask(n *plan.Node) uint32 {
 	return m
 }
 
+// CheckJoins errors unless every join condition of q can be carried by some
+// join node: a condition between two different positions of the query always
+// crosses exactly one join of a complete plan; one whose sides name the same
+// position (a view rewrite produces it when a second condition joins the pair
+// the view absorbed), or a position outside the query, crosses none — and an
+// estimator must not be asked about it.
+func CheckJoins(q *plan.Query) error {
+	carriable, n := 0, uint(len(q.Tables))
+	for _, c := range q.Joins {
+		// A negative position converts to a uint no query is long enough for.
+		if c.LeftTable != c.RightTable && uint(c.LeftTable) < n && uint(c.RightTable) < n {
+			carriable++
+		}
+	}
+	return errUncarried(carriable, q)
+}
+
 // CheckConds errors unless every join condition of q is carried by a join
-// node of the complete plan root, so no predicate is ever dropped silently.
-// A condition between two different positions of the query always crosses
-// exactly one join; one whose sides name the same position (a view rewrite
-// produces it when a second condition joins the pair the view absorbed), or a
-// position outside the query, crosses none.
+// node of the complete plan root, so no predicate is ever dropped silently
+// (see CheckJoins for the conditions no plan can carry).
 func CheckConds(q *plan.Query, root *plan.Node) error {
 	carried := 0
 	root.Walk(func(n *plan.Node) { carried += len(n.Conds) })
+	return errUncarried(carried, q)
+}
+
+func errUncarried(carried int, q *plan.Query) error {
 	if carried != len(q.Joins) {
 		return fmt.Errorf("optimizer: plan carries %d of the query's %d join conditions (each must connect two different table positions)", carried, len(q.Joins))
 	}
@@ -332,13 +361,14 @@ func (o *Optimizer) PlanTraced(q *plan.Query, hint HintSet, tr *obs.Tracer, pare
 
 // scanPlan picks the cheapest access path for the table at pos: a
 // sequential scan, or an index scan through any secondary index whose column
-// carries an interval predicate (unless the hint forbids it).
-func (o *Optimizer) scanPlan(q *plan.Query, pos int, hint HintSet) *plan.Node {
+// carries an interval predicate (unless the hint forbids it). estRows is the
+// statement's estimate for the position.
+func (o *Optimizer) scanPlan(q *plan.Query, pos int, hint HintSet, estRows float64) *plan.Node {
 	tid := q.Tables[pos]
 	t := o.Cat.Table(tid)
 	rows := float64(t.NumRows())
 	best := plan.NewScan(pos, tid, q.Filters[pos])
-	best.EstRows = o.Est.ScanRows(q, pos)
+	best.EstRows = estRows
 	best.EstCost = o.Cost.ScanCost(rows) + o.scanIOCost(t)
 	if !hint.NoIndexScan {
 		for _, col := range t.IndexedCols() {
@@ -390,11 +420,17 @@ func (o *Optimizer) estIndexFetched(t *catalog.Table, filters []expr.Pred, col i
 
 // Annotate fills EstRows and EstCost on every node of an externally
 // constructed plan (as built by NEO, RTOS, or Balsa) and returns the total
-// estimated cost of the root.
+// estimated cost of the root. q must pass CheckJoins: Annotate asks the
+// estimator for the whole statement's table, once.
 func (o *Optimizer) Annotate(q *plan.Query, n *plan.Node) float64 {
+	est, _ := Estimate(o.Est, q, nil)
+	return o.annotate(q, n, est)
+}
+
+func (o *Optimizer) annotate(q *plan.Query, n *plan.Node, est Estimates) float64 {
 	if n.IsLeaf() {
 		t := o.Cat.Table(n.TableID)
-		n.EstRows = o.Est.ScanRows(q, n.TablePos)
+		n.EstRows = est.Rows[n.TablePos]
 		if n.Op == plan.OpIndexScan {
 			fetched, ok := o.estIndexFetched(t, n.Filters, n.IndexCol)
 			if !ok {
@@ -408,14 +444,14 @@ func (o *Optimizer) Annotate(q *plan.Query, n *plan.Node) float64 {
 		return n.EstCost
 	}
 	if n.Op == plan.OpHashAgg {
-		lc := o.Annotate(q, n.Children[0])
+		lc := o.annotate(q, n.Children[0], est)
 		n.EstRows = o.estAggGroups(q, n.Children[0].EstRows)
 		n.EstCost = lc + o.Cost.AggCost(n.Children[0].EstRows, n.EstRows)
 		return n.EstCost
 	}
-	lc := o.Annotate(q, n.Children[0])
-	rc := o.Annotate(q, n.Children[1])
-	n.EstRows = EstimateSubtreeRows(o.Est, q, n.Tables())
+	lc := o.annotate(q, n.Children[0], est)
+	rc := o.annotate(q, n.Children[1], est)
+	n.EstRows = est.SubtreeRows(q, n.Tables())
 	n.EstCost = lc + rc + o.Cost.JoinCost(n.Op, n.Children[0].EstRows, n.Children[1].EstRows, n.EstRows)
 	return n.EstCost
 }
@@ -445,19 +481,24 @@ func (o *Optimizer) PlanCostActual(n *plan.Node, actuals []plan.Actual) float64 
 	return c + p.JoinCost(n.Op, float64(left[0].Rows), float64(right[0].Rows), float64(self.Rows))
 }
 
-// CheapestHint plans q under every hint set and returns the plans with their
-// estimated costs — the candidate set a bandit optimizer selects among.
+// CheapestHint plans q under every hint set, over one table of estimates, and
+// returns the plans with their estimated costs — the candidate set a bandit
+// optimizer selects among.
 func (o *Optimizer) CheapestHint(q *plan.Query, hints []HintSet) (plans []*plan.Node, costs []float64, err error) {
+	if len(hints) == 0 {
+		return nil, nil, fmt.Errorf("optimizer: no hints given")
+	}
+	if err := CheckJoins(q); err != nil {
+		return nil, nil, err
+	}
+	est, _ := Estimate(o.Est, q, nil)
 	for _, h := range hints {
-		p, perr := o.Plan(q, h)
+		p, perr := o.PlanWith(q, h, est)
 		if perr != nil {
 			return nil, nil, perr
 		}
 		plans = append(plans, p)
 		costs = append(costs, p.EstCost)
-	}
-	if len(plans) == 0 {
-		return nil, nil, fmt.Errorf("optimizer: no hints given")
 	}
 	return plans, costs, nil
 }

@@ -437,13 +437,17 @@ func TestJoinNodesCarryEveryCrossingCondition(t *testing.T) {
 
 // TestPlanRejectsConditionNoJoinCanCarry: a condition whose two sides are the
 // same table position (or a position outside the query) crosses no join, and
-// Plan must say so instead of returning a plan that silently ignores it.
+// Plan must say so instead of returning a plan that silently ignores it —
+// before asking the estimator anything: one may index the query's tables by
+// the condition's positions, as the histogram estimator does.
 func TestPlanRejectsConditionNoJoinCanCarry(t *testing.T) {
 	sch, err := datagen.NewChainSchema(mlmath.NewRNG(7), []int{50, 50})
 	if err != nil {
 		t.Fatal(err)
 	}
 	o := New(sch.Cat)
+	rec := &recorder{HistEstimator: HistEstimator{Cat: sch.Cat}}
+	o.Est = rec
 	for name, bad := range map[string]expr.JoinCond{
 		"same position":     {LeftTable: 1, LeftCol: 0, RightTable: 1, RightCol: 2},
 		"outside query":     {LeftTable: 0, LeftCol: 0, RightTable: 5, RightCol: 0},
@@ -454,10 +458,16 @@ func TestPlanRejectsConditionNoJoinCanCarry(t *testing.T) {
 		if p, err := o.Plan(q, NoHint()); err == nil {
 			t.Errorf("%s: Plan returned a plan that drops %v:\n%s", name, bad, p)
 		}
+		if _, _, err := o.CheapestHint(q, StandardHintSets()); err == nil {
+			t.Errorf("%s: CheapestHint returned plans that drop %v", name, bad)
+		}
 	}
 	single := plan.NewQuery(sch.TableIDs[0])
 	single.AddJoin(expr.JoinCond{LeftTable: 0, LeftCol: 0, RightTable: 0, RightCol: 1})
 	if _, err := o.Plan(single, NoHint()); err == nil {
 		t.Error("single-table query with a self-condition planned without error")
+	}
+	if rec.calls() != 0 {
+		t.Errorf("estimator asked about positions %v and conditions %v of queries Plan rejects", rec.scans, rec.conds)
 	}
 }

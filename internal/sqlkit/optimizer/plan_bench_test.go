@@ -2,6 +2,7 @@ package optimizer
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 
 	"ml4db/internal/mlmath"
@@ -25,8 +26,28 @@ func benchStar(tb testing.TB, tables int) (*Optimizer, *plan.Query) {
 	return New(sch.Cat), q
 }
 
-// BenchmarkPlanStar is the micro tier of Optimizer.Plan: ns/op and allocs/op
-// of one full DP over a 3-, 5- and 7-table star join.
+// recorder answers like the histogram estimator and records every question it
+// is asked, in order.
+type recorder struct {
+	HistEstimator
+	scans []int
+	conds []expr.JoinCond
+}
+
+func (r *recorder) ScanRows(q *plan.Query, pos int) float64 {
+	r.scans = append(r.scans, pos)
+	return r.HistEstimator.ScanRows(q, pos)
+}
+
+func (r *recorder) JoinSelectivity(q *plan.Query, c expr.JoinCond) float64 {
+	r.conds = append(r.conds, c)
+	return r.HistEstimator.JoinSelectivity(q, c)
+}
+
+func (r *recorder) calls() int { return len(r.scans) + len(r.conds) }
+
+// BenchmarkPlanStar is the micro tier of Optimizer.Plan: ns/op, allocs/op and
+// estimator calls per op of one full DP over a 3-, 5- and 7-table star join.
 func BenchmarkPlanStar(b *testing.B) {
 	for _, tables := range []int{3, 5, 7} {
 		b.Run(fmt.Sprintf("tables=%d", tables), func(b *testing.B) {
@@ -38,15 +59,25 @@ func BenchmarkPlanStar(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
+			b.StopTimer()
+			// Calls per Plan do not vary, so one more pass outside the timer
+			// counts them without the recorder's appends in allocs/op.
+			rec := &recorder{HistEstimator: HistEstimator{Cat: o.Cat}}
+			o.Est = rec
+			if _, err := o.Plan(q, NoHint()); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportMetric(float64(rec.calls()), "est_calls/op")
 		})
 	}
 }
 
 // TestPlanAllocContract bounds the allocations of one planning pass. The
-// bounds sit about 10 % above the measured counts — 24 / 130 / 644 since the
+// bounds sit about 10 % above the measured counts — 25 / 131 / 645 since the
 // DP costs a candidate before building its node and keeps no per-entry
-// layout; 121 / 914 / 5 400 before — so a change that makes the DP allocate
-// per candidate again fails here rather than as an adhoc_plan regression in
+// layout (the one over 24 / 130 / 644 is the statement's table of estimates);
+// 121 / 914 / 5 400 before — so a change that makes the DP allocate per
+// candidate again fails here rather than as an adhoc_plan regression in
 // bench/.
 func TestPlanAllocContract(t *testing.T) {
 	for _, tc := range []struct{ tables, maxAllocs int }{{3, 27}, {5, 145}, {7, 710}} {
@@ -59,5 +90,57 @@ func TestPlanAllocContract(t *testing.T) {
 		if int(allocs) > tc.maxAllocs {
 			t.Errorf("Plan over %d tables: %.0f allocs, contract ≤ %d", tc.tables, allocs, tc.maxAllocs)
 		}
+	}
+}
+
+// TestPlanAsksEachEstimateOnce: whatever the join graph and the hint set, one
+// Plan asks the estimator for every table position once and then for every
+// join condition once, as declared and in declaration order — tables + join
+// conditions calls, none from inside the join-order search — and CheapestHint
+// asks the same questions once for all its hint sets together.
+func TestPlanAsksEachEstimateOnce(t *testing.T) {
+	chain, err := datagen.NewChainSchema(mlmath.NewRNG(7), []int{200, 200, 200})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cyclic := chainQuery(chain, 3)
+	cyclic.AddJoin(expr.JoinCond{LeftTable: 2, LeftCol: 2, RightTable: 0, RightCol: 2}) // declared "backwards"
+	double := chainQuery(chain, 3)
+	double.AddJoin(expr.JoinCond{LeftTable: 1, LeftCol: 2, RightTable: 0, RightCol: 2})
+	type graph struct {
+		name string
+		o    *Optimizer
+		q    *plan.Query
+	}
+	graphs := []graph{{"cyclic", New(chain.Cat), cyclic}, {"double-edge", New(chain.Cat), double}}
+	for _, tables := range []int{3, 5, 7} {
+		o, q := benchStar(t, tables)
+		graphs = append(graphs, graph{fmt.Sprintf("star%d", tables), o, q})
+	}
+	for _, g := range graphs {
+		rec := &recorder{HistEstimator: HistEstimator{Cat: g.o.Cat}}
+		g.o.Est = rec
+		check := func(what string) {
+			t.Helper()
+			positions := make([]int, len(g.q.Tables))
+			for pos := range positions {
+				positions[pos] = pos
+			}
+			if !reflect.DeepEqual(rec.scans, positions) || !reflect.DeepEqual(rec.conds, g.q.Joins) {
+				t.Fatalf("%s %s: asked about positions %v and conditions %v, want %v and %v: each once, in declaration order",
+					g.name, what, rec.scans, rec.conds, positions, g.q.Joins)
+			}
+			rec.scans, rec.conds = nil, nil
+		}
+		for _, h := range StandardHintSets() {
+			if _, err := g.o.Plan(g.q, h); err != nil {
+				t.Fatalf("%s %s: %v", g.name, h.Name, err)
+			}
+			check("Plan under " + h.Name)
+		}
+		if _, _, err := g.o.CheapestHint(g.q, StandardHintSets()); err != nil {
+			t.Fatalf("%s: %v", g.name, err)
+		}
+		check("CheapestHint")
 	}
 }

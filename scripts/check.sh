@@ -61,13 +61,14 @@ echo "==> bench module (go vet + go test)"
 # measurement, just a guard that the serial-vs-parallel kernel paths with
 # their determinism checks, the buffer-pool fetch paths, the optimizer's
 # join-order DP, one plan per executor operator, the warm Session.Query front
-# end and a plan-cache hit keep working. Full numbers: ml4db-bench -suite
-# kernels; go test -bench PoolFetch ./internal/storage/; go test -bench
-# PlanStar ./internal/sqlkit/optimizer/; go test -bench ExecOps
-# ./internal/sqlkit/exec/; go test -bench 'QueryWarm|PlanCacheGet' -benchmem
+# end, a plan-cache hit and a cold planning pass through the engine's estimator
+# guard keep working. Full numbers: ml4db-bench -suite kernels; go test -bench
+# PoolFetch ./internal/storage/; go test -bench PlanStar
+# ./internal/sqlkit/optimizer/; go test -bench ExecOps ./internal/sqlkit/exec/;
+# go test -bench 'QueryWarm|PlanCacheGet|PlanFallback' -benchmem
 # ./internal/engine/.
 echo "==> micro benchmarks (smoke, 1 iteration)"
-go test -run '^$' -bench 'MatMul|MLPFit|PoolFetch|PlanStar|ExecOps|QueryWarm|PlanCacheGet' -benchtime=1x ./internal/mlmath/ ./internal/nn/ ./internal/storage/ ./internal/sqlkit/optimizer/ ./internal/sqlkit/exec/ ./internal/engine/
+go test -run '^$' -bench 'MatMul|MLPFit|PoolFetch|PlanStar|ExecOps|QueryWarm|PlanCacheGet|PlanFallback' -benchtime=1x ./internal/mlmath/ ./internal/nn/ ./internal/storage/ ./internal/sqlkit/optimizer/ ./internal/sqlkit/exec/ ./internal/engine/
 
 # Bench suites smoke: every registered suite at CI size. A suite that finds a
 # violated contract prints it and the command exits 1:
