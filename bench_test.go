@@ -1,9 +1,10 @@
-// Package ml4db's top-level benchmarks regenerate every table and figure of
-// the reproduction: one testing.B target per experiment in DESIGN.md. Each
-// benchmark runs the full experiment per iteration (expect seconds per op —
-// the default b.N of 1 is the intended usage), reports the experiment's
-// headline metrics via b.ReportMetric, logs the regenerated rows, and fails
-// if the paper's claimed direction does not hold.
+// Package ml4db's top-level benchmark regenerates every table and figure of
+// the reproduction: one sub-benchmark per registered experiment (DESIGN.md
+// lists them; `ml4db-bench -list` prints the IDs). Each runs the full
+// experiment per iteration (expect seconds per op — the default b.N of 1 is
+// the intended usage), reports the experiment's headline metrics via
+// b.ReportMetric, logs the regenerated rows, and fails if the paper's claimed
+// direction does not hold.
 //
 // Regenerate everything:
 //
@@ -11,7 +12,7 @@
 //
 // Regenerate one artifact:
 //
-//	go test -bench=BenchmarkE9Bao
+//	go test -bench 'Experiment/E9$'
 package ml4db
 
 import (
@@ -23,120 +24,24 @@ import (
 // benchSeed keeps the bench artifacts reproducible run to run.
 const benchSeed = 42
 
-func runExperiment(b *testing.B, id string) {
-	b.Helper()
-	r, ok := experiments.ByID(id)
-	if !ok {
-		b.Fatalf("unknown experiment %q", id)
-	}
-	var rep *experiments.Report
-	var err error
-	for i := 0; i < b.N; i++ {
-		rep, err = r.Run(benchSeed)
-		if err != nil {
-			b.Fatalf("%s: %v", id, err)
-		}
-	}
-	b.StopTimer()
-	b.Log("\n" + rep.String())
-	for k, v := range rep.Metrics {
-		b.ReportMetric(v, k)
-	}
-	if !rep.Holds {
-		b.Fatalf("%s: claimed direction did not hold", id)
+func BenchmarkExperiment(b *testing.B) {
+	for _, r := range experiments.All() {
+		b.Run(r.ID, func(b *testing.B) {
+			var rep *experiments.Report
+			var err error
+			for i := 0; i < b.N; i++ {
+				if rep, err = r.Run(benchSeed); err != nil {
+					b.Fatalf("%s: %v", r.ID, err)
+				}
+			}
+			b.StopTimer()
+			b.Log("\n" + rep.String())
+			for k, v := range rep.Metrics {
+				b.ReportMetric(v, k)
+			}
+			if !rep.Holds {
+				b.Fatalf("%s: claimed direction did not hold", r.ID)
+			}
+		})
 	}
 }
-
-// BenchmarkF1PublicationTrend regenerates Figure 1.
-func BenchmarkF1PublicationTrend(b *testing.B) { runExperiment(b, "F1") }
-
-// BenchmarkT1RepresentationTable regenerates Table 1.
-func BenchmarkT1RepresentationTable(b *testing.B) { runExperiment(b, "T1") }
-
-// BenchmarkE1RepresentationStudy reproduces the comparative study of [57].
-func BenchmarkE1RepresentationStudy(b *testing.B) { runExperiment(b, "E1") }
-
-// BenchmarkE2LearnedIndexLookup reproduces learned-index vs B-tree lookups.
-func BenchmarkE2LearnedIndexLookup(b *testing.B) { runExperiment(b, "E2") }
-
-// BenchmarkE3IndexUpdates reproduces robustness under inserts.
-func BenchmarkE3IndexUpdates(b *testing.B) { runExperiment(b, "E3") }
-
-// BenchmarkE4SpatialIndex reproduces learned spatial index comparisons.
-func BenchmarkE4SpatialIndex(b *testing.B) { runExperiment(b, "E4") }
-
-// BenchmarkE5RLRTree reproduces the ML-enhanced insertion experiment.
-func BenchmarkE5RLRTree(b *testing.B) { runExperiment(b, "E5") }
-
-// BenchmarkE6Platon reproduces the ML-enhanced bulk-loading experiment.
-func BenchmarkE6Platon(b *testing.B) { runExperiment(b, "E6") }
-
-// BenchmarkE7AIRTree reproduces the ML-enhanced search experiment.
-func BenchmarkE7AIRTree(b *testing.B) { runExperiment(b, "E7") }
-
-// BenchmarkE8NeoRobustness reproduces the NEO unseen-template experiment.
-func BenchmarkE8NeoRobustness(b *testing.B) { runExperiment(b, "E8") }
-
-// BenchmarkE9Bao reproduces the BAO steering experiment.
-func BenchmarkE9Bao(b *testing.B) { runExperiment(b, "E9") }
-
-// BenchmarkE10AutoSteer reproduces the hint-set discovery experiment.
-func BenchmarkE10AutoSteer(b *testing.B) { runExperiment(b, "E10") }
-
-// BenchmarkE11Leon reproduces the LEON mixed-ranking experiment.
-func BenchmarkE11Leon(b *testing.B) { runExperiment(b, "E11") }
-
-// BenchmarkE12ParamTree reproduces the cost-model calibration experiment.
-func BenchmarkE12ParamTree(b *testing.B) { runExperiment(b, "E12") }
-
-// BenchmarkE13ModelEfficiency reproduces the NNGP/MLP efficiency experiment.
-func BenchmarkE13ModelEfficiency(b *testing.B) { runExperiment(b, "E13") }
-
-// BenchmarkE14Drift reproduces the drift degradation/adaptation experiment.
-func BenchmarkE14Drift(b *testing.B) { runExperiment(b, "E14") }
-
-// BenchmarkE15Pretrain reproduces the few-shot transfer experiment.
-func BenchmarkE15Pretrain(b *testing.B) { runExperiment(b, "E15") }
-
-// BenchmarkE16DataGen reproduces the workload-aware generation experiment.
-func BenchmarkE16DataGen(b *testing.B) { runExperiment(b, "E16") }
-
-// BenchmarkE17Balsa reproduces the sim-to-real safety experiment.
-func BenchmarkE17Balsa(b *testing.B) { runExperiment(b, "E17") }
-
-// BenchmarkE18NeoBootstrap reproduces the expert-bootstrap experiment.
-func BenchmarkE18NeoBootstrap(b *testing.B) { runExperiment(b, "E18") }
-
-// BenchmarkE19Rtos reproduces the RTOS curriculum experiment.
-func BenchmarkE19Rtos(b *testing.B) { runExperiment(b, "E19") }
-
-// BenchmarkE20UnsupPretrain reproduces the pretraining-speed experiment.
-func BenchmarkE20UnsupPretrain(b *testing.B) { runExperiment(b, "E20") }
-
-// BenchmarkE21IndexAdvisor reproduces the learned index-advisor experiment.
-func BenchmarkE21IndexAdvisor(b *testing.B) { runExperiment(b, "E21") }
-
-// BenchmarkE22Lemo reproduces the plan-cache experiment.
-func BenchmarkE22Lemo(b *testing.B) { runExperiment(b, "E22") }
-
-// BenchmarkE23EnhancedEstimation reproduces the learned-estimator-in-the-
-// optimizer experiment.
-func BenchmarkE23EnhancedEstimation(b *testing.B) { runExperiment(b, "E23") }
-
-// BenchmarkE24ViewAdvisor reproduces the view-selection experiment.
-func BenchmarkE24ViewAdvisor(b *testing.B) { runExperiment(b, "E24") }
-
-// BenchmarkAblationBaoArms ablates BAO's hint-collection size.
-func BenchmarkAblationBaoArms(b *testing.B) { runExperiment(b, "AblationBaoArms") }
-
-// BenchmarkAblationPlatonBudget ablates PLATON's MCTS budget.
-func BenchmarkAblationPlatonBudget(b *testing.B) { runExperiment(b, "AblationPlatonBudget") }
-
-// BenchmarkAblationWidth ablates tree-model hidden width.
-func BenchmarkAblationWidth(b *testing.B) { runExperiment(b, "AblationWidth") }
-
-// BenchmarkAblationRMIFanout ablates RMI second-stage fanout.
-func BenchmarkAblationRMIFanout(b *testing.B) { runExperiment(b, "AblationRMIFanout") }
-
-// BenchmarkAblationPGMEps ablates the PGM error bound.
-func BenchmarkAblationPGMEps(b *testing.B) { runExperiment(b, "AblationPGMEps") }

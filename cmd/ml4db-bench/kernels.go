@@ -70,7 +70,7 @@ func benchMatMul(seed uint64, size, workers int, quick bool) kernelResult {
 	fillMat(b, rng)
 
 	serialOut := mlmath.MatMul(a, b, nil)
-	serial := bestOf(quick, false, func() { mlmath.MatMul(a, b, nil) })
+	serial := bestOf(quick, func() { mlmath.MatMul(a, b, nil) })
 
 	pool := mlmath.NewPool(workers)
 	defer pool.Close()
@@ -82,7 +82,7 @@ func benchMatMul(seed uint64, size, workers int, quick bool) kernelResult {
 		identical = identical && matsEqualBits(serialOut, mlmath.MatMul(a, b, p))
 		p.Close()
 	}
-	parallel := bestOf(quick, false, func() { mlmath.MatMul(a, b, pool) })
+	parallel := bestOf(quick, func() { mlmath.MatMul(a, b, pool) })
 
 	return kernelResult{
 		Name:         fmt.Sprintf("matmul_%dx%d", size, size),
@@ -141,7 +141,7 @@ func mlpParamsEqualBits(a, b *nn.MLP) bool {
 func benchMLPTrain(seed uint64, n, epochs, workers int, quick bool) kernelResult {
 	xs, ys := mlpDataset(seed, n, 32)
 
-	serial := bestOf(quick, false, func() { trainMLP(seed, xs, ys, epochs, nil) })
+	serial := bestOf(quick, func() { trainMLP(seed, xs, ys, epochs, nil) })
 
 	pool := mlmath.NewPool(workers)
 	defer pool.Close()
@@ -151,7 +151,7 @@ func benchMLPTrain(seed uint64, n, epochs, workers int, quick bool) kernelResult
 	m1 := trainMLP(seed, xs, ys, epochs, pool)
 	m2 := trainMLP(seed, xs, ys, epochs, pool)
 	identical := mlpParamsEqualBits(m1, m2)
-	parallel := bestOf(quick, false, func() { trainMLP(seed, xs, ys, epochs, pool) })
+	parallel := bestOf(quick, func() { trainMLP(seed, xs, ys, epochs, pool) })
 
 	return kernelResult{
 		Name:         fmt.Sprintf("mlp_train_n%d_e%d", n, epochs),

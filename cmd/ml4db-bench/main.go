@@ -1,8 +1,9 @@
 // Command ml4db-bench runs the reproduction harness: every experiment from
-// DESIGN.md (paper artifacts F1/T1, claims E1–E20, and the ablations),
+// DESIGN.md (paper artifacts F1/T1, claims E1–E25, and the ablations),
 // printing the regenerated rows and whether each paper claim held — or, with
-// -suite, the registered bench suites, each of which checks one subsystem's
-// contracts end to end and times it.
+// -suite, the registered bench suites: the end-to-end scenarios whose report
+// or JSONL artifact no `go test`, bench/ metric or experiment holds
+// (docs/README.md has the table of which harness answers which question).
 //
 // Usage:
 //
@@ -18,24 +19,18 @@
 //	serve       registry round trip and batched inference are         serve_metrics.jsonl
 //	            bit-identical, the canary gate blocks a worse model,
 //	            queue overflow is exact
-//	engine      plan-cache hit rate is exact and its speedup ≥ 1.5×,
-//	            admission overflow is exact, fallback never fails
-//	storage     an oversized scan is right, learned eviction is gated
-//	            and beats LRU, eviction replay is bit-identical
 //	querystore  sys_statements accounting is exact, two replays       querystore.jsonl
 //	            export byte-identical valid JSONL
 //	autopilot   the good index is adopted and kept, the harmful view      tuning.jsonl
 //	            dropped, the ledger replays, sys_tuning matches it
-//	exec        partitioned ≡ serial in rows, work, counters, aborts;
-//	            the plan cache is coherent; ≥ 2× at GOMAXPROCS ≥ 4
 //
 // A failing suite prints the violation, writes nothing, and makes the command
 // exit 1. A passing one writes DIR/BENCH_<suite>.json: its report under one
 // envelope (suite, gomaxprocs, numcpu, goversion, seed, quick, report), so a
-// field docs/*.md calls `speedup` is `.report.speedup`. -quick shrinks every
-// scenario to CI size (scripts/check.sh runs `-suite all -quick`); the root
-// BENCH_*.json are `go run ./cmd/ml4db-bench -suite all`. docs/README.md maps
-// each suite to its design page.
+// field docs/*.md calls `speedup` is `.report.speedup`. Timings in a report are
+// recorded, never compared: no suite fails on a wall-clock number. -quick
+// shrinks every scenario to CI size (scripts/check.sh runs `-suite all
+// -quick`); the root BENCH_*.json are `go run ./cmd/ml4db-bench -suite all`.
 package main
 
 import (
@@ -71,11 +66,8 @@ var suites = []suite{
 	{"obs", obsSuite},
 	{"trace", traceSuite},
 	{"serve", serveSuite},
-	{"engine", engineSuite},
-	{"storage", storageSuite},
 	{"querystore", querystoreSuite},
 	{"autopilot", autopilotSuite},
-	{"exec", execSuite},
 }
 
 // envelope is the top-level shape of every BENCH_<suite>.json. It carries no
@@ -93,33 +85,19 @@ type envelope struct {
 // gomaxprocs is the worker count the suites size their pools by.
 func gomaxprocs() int { return runtime.GOMAXPROCS(0) }
 
-// gatedBudget is how long bestOf keeps repeating a measurement that feeds a
-// gate: noise on a small VM arrives in bursts longer than three
-// millisecond-scale runs, and one burst must not be able to fail the build.
-const gatedBudget = 300 * time.Millisecond
-
 // bestOf is the one timer: it returns the fastest timed run of f — the usual
 // antidote to scheduler noise on shared machines — and is the one place that
-// decides how many runs that takes. Best of three, or a single run under
-// -quick; when the result feeds a gate (engine's ≥ 1.5× plan-cache speedup,
-// exec's ≥ 2×), at least three whatever -quick says, and on until gatedBudget
-// is spent — which costs nothing where it matters, since the workloads short
-// enough to be noisy are the ones that fit many runs in the budget.
-func bestOf(quick, gated bool, f func()) float64 {
-	reps, budget := 3, time.Duration(0)
-	if gated {
-		budget = gatedBudget
-	} else if quick {
+// decides how many runs that takes: three, or a single one under -quick.
+func bestOf(quick bool, f func()) float64 {
+	reps := 3
+	if quick {
 		reps = 1
 	}
 	best := math.Inf(1)
-	begin := time.Now()
-	for i := 0; i < reps || time.Since(begin) < budget; i++ {
+	for i := 0; i < reps; i++ {
 		start := time.Now()
 		f()
-		if d := time.Since(start).Seconds(); d < best {
-			best = d
-		}
+		best = min(best, time.Since(start).Seconds())
 	}
 	return best
 }
@@ -222,7 +200,7 @@ func run(args []string, stderr io.Writer) int {
 	runIDs := fs.String("run", "", "comma-separated experiment IDs to run (default: all)")
 	list := fs.Bool("list", false, "list experiment IDs and exit")
 	suiteArg := fs.String("suite", "", "run bench suites instead of experiments: all, or a comma-separated subset of "+suiteNames())
-	quick := fs.Bool("quick", false, "with -suite: CI-sized scenarios, and single timed runs where no gate depends on them")
+	quick := fs.Bool("quick", false, "with -suite: CI-sized scenarios and single timed runs")
 	outDir := fs.String("out-dir", ".", "with -suite: directory for BENCH_<suite>.json and the JSONL artifacts")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -37,20 +38,25 @@ func TestSuiteNamesUnique(t *testing.T) {
 }
 
 // Every suite that publishes a report has a committed BENCH_<suite>.json at
-// the repository root under the current envelope, so a suite cannot be
-// documented but never committed, and a committed file cannot predate an
-// envelope change.
+// the repository root under the current envelope, and every BENCH_*.json there
+// belongs to such a suite: a suite cannot be documented but never committed, a
+// committed file cannot predate an envelope change, and a report cannot
+// outlive its suite.
 func TestCommittedBenchFilesMatchEnvelope(t *testing.T) {
 	want, err := json.Marshal(envelope{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	wantKeys := jsonKeys(t, want)
+	root := filepath.Join("..", "..")
+	var wantFiles []string
 	for _, s := range suites {
 		if s.name == "trace" { // writes only its JSONL artifacts
 			continue
 		}
-		data, err := os.ReadFile(filepath.Join("..", "..", "BENCH_"+s.name+".json"))
+		path := filepath.Join(root, "BENCH_"+s.name+".json")
+		wantFiles = append(wantFiles, path)
+		data, err := os.ReadFile(path)
 		if err != nil {
 			t.Errorf("suite %s has no committed report: %v", s.name, err)
 			continue
@@ -65,6 +71,15 @@ func TestCommittedBenchFilesMatchEnvelope(t *testing.T) {
 		if env.Suite != s.name || env.Quick || env.GOMAXPROCS < 2 {
 			t.Errorf("BENCH_%s.json: suite=%q quick=%v gomaxprocs=%d, want a full multi-core run of %q",
 				s.name, env.Suite, env.Quick, env.GOMAXPROCS, s.name)
+		}
+	}
+	committed, err := filepath.Glob(filepath.Join(root, "BENCH_*.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range committed {
+		if !slices.Contains(wantFiles, f) {
+			t.Errorf("%s is not the report of any registered suite: delete it with its suite", filepath.Base(f))
 		}
 	}
 }
@@ -86,7 +101,7 @@ func TestFlagSetIsExactlySix(t *testing.T) {
 
 func TestUnknownSuiteExitsTwoListingNames(t *testing.T) {
 	var stderr bytes.Buffer
-	if code := run([]string{"-suite", "engine,nosuch", "-out-dir", t.TempDir()}, &stderr); code != 2 {
+	if code := run([]string{"-suite", "kernels,nosuch", "-out-dir", t.TempDir()}, &stderr); code != 2 {
 		t.Fatalf("exit code %d, want 2", code)
 	}
 	for _, s := range suites {

@@ -82,14 +82,14 @@ func obsSuite(seed uint64, quick bool, _ string) (any, error) {
 	if err := runAll(false); err != nil { // warm up
 		return nil, err
 	}
-	base := bestOf(quick, false, func() { _ = runAll(false) })
+	base := bestOf(quick, func() { _ = runAll(false) })
 
 	// EXPLAIN ANALYZE only (per-operator stats, no tracer).
-	analyze := bestOf(quick, false, func() { _ = runAll(true) })
+	analyze := bestOf(quick, func() { _ = runAll(true) })
 
 	// Full tracing: fresh tracer and registry per rep so span accumulation
 	// does not grow across reps.
-	traced := bestOf(quick, false, func() {
+	traced := bestOf(quick, func() {
 		clock := mlmath.SystemClock{}
 		env.Instrument(obs.NewTracer(clock), obs.NewRegistry(), clock)
 		_ = runAll(true)

@@ -114,7 +114,7 @@ func serveSuite(seed uint64, quick bool, dir string) (any, error) {
 
 	// Serial baseline.
 	want := make([]float64, len(xs))
-	rep.SerialSec = bestOf(quick, false, func() {
+	rep.SerialSec = bestOf(quick, func() {
 		for i, x := range xs {
 			want[i] = model.Predict(x)
 		}
@@ -156,7 +156,7 @@ func serveSuite(seed uint64, quick bool, dir string) (any, error) {
 	if !rep.BitIdentical {
 		return nil, fmt.Errorf("batched serving is not bit-identical to the serial loop")
 	}
-	rep.BatchedSec = bestOf(quick, false, func() { _, _ = runBatched(workers) })
+	rep.BatchedSec = bestOf(quick, func() { _, _ = runBatched(workers) })
 	rep.Speedup = rep.SerialSec / rep.BatchedSec
 
 	// Canary gate under a ManualClock: a worse candidate must be blocked, a
@@ -172,7 +172,7 @@ func serveSuite(seed uint64, quick bool, dir string) (any, error) {
 			ErrFn: func(pred, truth float64) float64 { return math.Abs(pred - truth) }})
 	truth := func(x []float64) float64 { return model.Predict(x) + 0.25 }
 	// Stable-mode Observe cost.
-	rep.StableObserveSec = bestOf(quick, false, func() {
+	rep.StableObserveSec = bestOf(quick, func() {
 		for _, x := range xs[:window] {
 			rollout.Observe(x, truth(x))
 		}

@@ -10,6 +10,7 @@ import (
 
 	"ml4db/internal/obs"
 	"ml4db/internal/sqlkit/expr"
+	"ml4db/internal/sqlkit/optimizer"
 	"ml4db/internal/sqlkit/plan"
 )
 
@@ -20,11 +21,35 @@ import (
 // Partitions knob was costed with sits beside the epoch, not inside it: it is
 // the one planning input whose old plans stay valid (executions are
 // bit-identical across degrees), so entries for a prior degree are hit again
-// when the degree switches back. shape is queryShape's normalized statement.
+// when the degree switches back. shape is queryShape's normalized statement;
+// it carries the hint set's name, which is only a label, so hint holds what
+// the hint set means to the search.
 type cacheKey struct {
 	epoch       uint64
 	parallelism int
+	hint        hintBits
 	shape       string
+}
+
+// hintBits is everything of a HintSet the optimizer reads: one bit per entry
+// of plan.AllJoinOps it allows, then LeftDeepOnly and NoIndexScan. Two hint
+// sets with equal bits define the same search space whatever they are called.
+type hintBits uint8
+
+func hintBitsOf(h optimizer.HintSet) hintBits {
+	var b hintBits
+	for i, op := range plan.AllJoinOps {
+		if h.Allows(op) {
+			b |= 1 << i
+		}
+	}
+	if h.LeftDeepOnly {
+		b |= 1 << len(plan.AllJoinOps)
+	}
+	if h.NoIndexScan {
+		b |= 1 << (len(plan.AllJoinOps) + 1)
+	}
+	return b
 }
 
 // applyRewriters folds q through each rewriter once, in order, composing the

@@ -345,7 +345,7 @@ func (e *Engine) run(q *plan.Query, out *plan.Output, hint optimizer.HintSet, bu
 	// always matches this rewrite.
 	shape := queryShape(q, hint.Name)
 	exq, posMap := applyRewriters(q, s.rewriters)
-	key := cacheKey{epoch: s.epoch, parallelism: s.classical.Parallelism, shape: shape}
+	key := cacheKey{epoch: s.epoch, parallelism: s.classical.Parallelism, hint: hintBitsOf(hint), shape: shape}
 	p, hit := e.cache.Get(key)
 	fallback := false
 	if !hit {

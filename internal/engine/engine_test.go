@@ -270,6 +270,42 @@ func TestSessionHintConstrainsPlan(t *testing.T) {
 	}
 }
 
+// TestSameNameDifferentHintMissesCache: the plan cache identifies a hint set
+// by what it allows, not by its label. Sessions whose hint sets share a Name
+// (or leave it empty) but constrain the search differently each plan once,
+// under their own hint, and afterwards each hits its own entry.
+func TestSameNameDifferentHintMissesCache(t *testing.T) {
+	for _, name := range []string{"", "custom"} {
+		sch := chainCatalog(t, 8)
+		eng := engine.New(sch.Cat, engine.Options{})
+		q := chainQuery(sch)
+		hints := []optimizer.HintSet{
+			{Name: name, JoinOps: []plan.OpType{plan.OpNLJoin}},
+			{Name: name, JoinOps: []plan.OpType{plan.OpHashJoin}},
+			{Name: name, JoinOps: []plan.OpType{plan.OpHashJoin}, LeftDeepOnly: true},
+			{Name: name, JoinOps: []plan.OpType{plan.OpHashJoin}, LeftDeepOnly: true, NoIndexScan: true},
+		}
+		for pass, wantHit := range []bool{false, true} {
+			for i, hint := range hints {
+				sess := eng.Session()
+				sess.Hint = hint
+				res, err := sess.Run(q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res.CacheHit != wantHit {
+					t.Errorf("name %q pass %d hint %d: CacheHit = %v, want %v", name, pass, i, res.CacheHit, wantHit)
+				}
+				res.Plan.Walk(func(n *plan.Node) {
+					if !n.IsLeaf() && !hint.Allows(n.Op) {
+						t.Errorf("name %q pass %d hint %d: session was served a %v it forbids", name, pass, i, n.Op)
+					}
+				})
+			}
+		}
+	}
+}
+
 func TestSessionAnalyzeTelescopes(t *testing.T) {
 	sch := chainCatalog(t, 9)
 	eng := engine.New(sch.Cat, engine.Options{})

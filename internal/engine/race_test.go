@@ -53,8 +53,9 @@ func (g *gateEstimator) JoinSelectivity(q *plan.Query, c expr.JoinCond) float64 
 }
 
 // TestAdmissionRejectsAtCapacity deterministically saturates a one-slot
-// engine and checks the typed rejection, then verifies the slot is reusable
-// after the in-flight query finishes.
+// engine and checks that every arrival meanwhile gets the typed rejection —
+// N of N, and counted — then verifies the slot is reusable after the in-flight
+// query finishes.
 func TestAdmissionRejectsAtCapacity(t *testing.T) {
 	sch := chainCatalog(t, 20)
 	reg := obs.NewRegistry()
@@ -76,16 +77,20 @@ func TestAdmissionRejectsAtCapacity(t *testing.T) {
 	}()
 	<-gate.entered // the goroutine now holds the only slot, parked in planning
 
-	_, err := eng.Run(q)
-	if !errors.Is(err, engine.ErrOverloaded) {
-		t.Fatalf("err = %v, want ErrOverloaded", err)
-	}
-	var oe *engine.OverloadedError
-	if !errors.As(err, &oe) {
-		t.Fatalf("err = %v, want *OverloadedError", err)
-	}
-	if oe.Limit != 1 {
-		t.Errorf("OverloadedError.Limit = %d, want 1", oe.Limit)
+	// Overflow is exact: every one of the arrivals is rejected, typed.
+	const offered = 32
+	for i := 0; i < offered; i++ {
+		_, err := eng.Run(q)
+		if !errors.Is(err, engine.ErrOverloaded) {
+			t.Fatalf("arrival %d: err = %v, want ErrOverloaded", i, err)
+		}
+		var oe *engine.OverloadedError
+		if !errors.As(err, &oe) {
+			t.Fatalf("arrival %d: err = %v, want *OverloadedError", i, err)
+		}
+		if oe.Limit != 1 {
+			t.Errorf("OverloadedError.Limit = %d, want 1", oe.Limit)
+		}
 	}
 
 	close(gate.release)
@@ -101,8 +106,8 @@ func TestAdmissionRejectsAtCapacity(t *testing.T) {
 	if !res.CacheHit {
 		t.Error("replay after drain missed the cache")
 	}
-	if got := reg.Counter("engine.rejected").Value(); got != 1 {
-		t.Errorf("rejected = %d, want 1", got)
+	if got := reg.Counter("engine.rejected").Value(); got != offered {
+		t.Errorf("rejected = %d, want %d", got, offered)
 	}
 	if got := reg.Counter("engine.admitted").Value(); got != 2 {
 		t.Errorf("admitted = %d, want 2", got)

@@ -81,6 +81,7 @@ func All() []Runner {
 		{"E22", E22},
 		{"E23", E23},
 		{"E24", E24},
+		{"E25", E25},
 		{"AblationBaoArms", AblationBaoArms},
 		{"AblationPlatonBudget", AblationPlatonBudget},
 		{"AblationWidth", AblationWidth},

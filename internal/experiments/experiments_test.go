@@ -10,7 +10,7 @@ func TestAllRunnersRegistered(t *testing.T) {
 		"F1", "T1",
 		"E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9", "E10",
 		"E11", "E12", "E13", "E14", "E15", "E16", "E17", "E18", "E19", "E20",
-		"E21", "E22", "E23", "E24",
+		"E21", "E22", "E23", "E24", "E25",
 		"AblationBaoArms", "AblationPlatonBudget", "AblationWidth",
 		"AblationRMIFanout", "AblationPGMEps",
 	}
@@ -50,13 +50,14 @@ func TestReportRendering(t *testing.T) {
 	}
 }
 
-// TestFastExperimentsHold runs the cheap experiments end to end as a smoke
-// test (the full set runs via cmd/ml4db-bench and the bench targets).
+// TestFastExperimentsHold runs the cheap experiments end to end at full size:
+// the tier-1 assertion of their claimed directions (the full set runs via
+// cmd/ml4db-bench and the root BenchmarkExperiment).
 func TestFastExperimentsHold(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiments in -short mode")
 	}
-	for _, id := range []string{"F1", "T1", "E3", "E5", "E6", "E12", "E16"} {
+	for _, id := range []string{"F1", "T1", "E3", "E5", "E6", "E12", "E16", "E25"} {
 		runner, ok := ByID(id)
 		if !ok {
 			t.Fatalf("missing %s", id)

@@ -1,8 +1,10 @@
 package exec
 
 import (
+	"runtime"
 	"testing"
 
+	"ml4db/internal/mlmath"
 	"ml4db/internal/sqlkit/catalog"
 	"ml4db/internal/sqlkit/expr"
 	"ml4db/internal/sqlkit/plan"
@@ -73,13 +75,24 @@ func opsFixture(tb testing.TB, rows int) (*Executor, []opsCase, int) {
 	}, diskT.Disk.NumPages()
 }
 
+// BenchmarkExecOps runs every fixture plan serially, then the partitionable
+// ones again as NAME/P=2: the same plan with Partitions = 2 on every node,
+// over a pool sized by GOMAXPROCS — so `-cpu 1,2,4` sweeps the workers, and
+// NAME vs NAME/P=2 at one -cpu value is that operator's partitioned speedup.
 func BenchmarkExecOps(b *testing.B) {
 	e, cases, _ := opsFixture(b, 32<<10)
+	pool := mlmath.NewPool(runtime.GOMAXPROCS(0))
+	defer pool.Close()
+	for _, c := range cases {
+		if c.name == "scan" || c.name == "hashjoin" || c.name == "hashagg" {
+			cases = append(cases, opsCase{name: c.name + "/P=2", plan: forcePartitions(c.plan, 2), out: c.out})
+		}
+	}
 	for _, c := range cases {
 		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := e.Execute(c.plan, Options{Output: c.out}); err != nil {
+				if _, err := e.Execute(c.plan, Options{Output: c.out, Pool: pool}); err != nil {
 					b.Fatal(err)
 				}
 			}

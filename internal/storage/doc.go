@@ -39,7 +39,7 @@
 // order has no ties, and a policy that scores candidates breaks score ties
 // toward the lowest key. Same trace + same policy (and, for the learned
 // policy, same training seed) therefore reproduce a bit-identical eviction
-// sequence — the replay contract the storage bench suite verifies,
+// sequence — the replay contract experiment E25 verifies,
 // mirroring the mlmath.Clock/Pool contracts.
 //
 // # Learned eviction

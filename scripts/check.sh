@@ -60,13 +60,14 @@ echo "==> bench module (go vet + go test)"
 # Compile-and-run the micro benchmarks once (-benchtime=1x): not a timing
 # measurement, just a guard that the serial-vs-parallel kernel paths with
 # their determinism checks, the buffer-pool fetch paths, the optimizer's
-# join-order DP, one plan per executor operator, the warm Session.Query front
-# end, a plan-cache hit and a cold planning pass through the engine's estimator
-# guard keep working. Full numbers: ml4db-bench -suite kernels; go test -bench
-# PoolFetch ./internal/storage/; go test -bench PlanStar
-# ./internal/sqlkit/optimizer/; go test -bench ExecOps ./internal/sqlkit/exec/;
-# go test -bench 'QueryWarm|PlanCacheGet|PlanFallback' -benchmem
-# ./internal/engine/.
+# join-order DP, one plan per executor operator (the ExecOps pattern also
+# matches scan/P=2, hashjoin/P=2 and hashagg/P=2, the partitioned forms), the
+# warm Session.Query front end, a plan-cache hit and a cold planning pass
+# through the engine's estimator guard keep working. Full numbers: ml4db-bench
+# -suite kernels; go test -bench PoolFetch ./internal/storage/; go test -bench
+# PlanStar ./internal/sqlkit/optimizer/; go test -bench ExecOps -cpu 1,2,4
+# ./internal/sqlkit/exec/; go test -bench 'QueryWarm|PlanCacheGet|PlanFallback'
+# -benchmem ./internal/engine/.
 echo "==> micro benchmarks (smoke, 1 iteration)"
 go test -run '^$' -bench 'MatMul|MLPFit|PoolFetch|PlanStar|ExecOps|QueryWarm|PlanCacheGet|PlanFallback' -benchtime=1x ./internal/mlmath/ ./internal/nn/ ./internal/storage/ ./internal/sqlkit/optimizer/ ./internal/sqlkit/exec/ ./internal/engine/
 
@@ -77,19 +78,15 @@ go test -run '^$' -bench 'MatMul|MLPFit|PoolFetch|PlanStar|ExecOps|QueryWarm|Pla
 #   trace       emitted span or metric JSONL fails its schema validator
 #   serve       registry round trip or batched inference not bit-identical,
 #               canary gate passed a worse candidate, queue overflow inexact
-#   engine      plan-cache hit accounting inexact or speedup < 1.5x, admission
-#               overflow inexact, a broken learned estimator cost a query
-#   storage     oversized scan wrong or leaked a pin, learned eviction not
-#               gated or not beating LRU, eviction replay diverged
 #   querystore  sys_statements disagrees with the executed workload, or two
 #               replays exported different or invalid JSONL
 #   autopilot   good index not adopted and kept, harmful view not dropped,
 #               ledger replay or sys_tuning disagrees, or invalid ledger JSONL
-#   exec        partitioned run differs from serial in rows, work, counters
-#               or typed budget abort; plan cache served the wrong parallelism
-# (The -race sweep above already covers the concurrent shard and buffer-pool
-# paths.) The standalone checker then re-validates the emitted JSONL, so
-# schema drift fails the gate rather than silently breaking consumers.
+# The former engine, exec and storage suites' contracts are asserted by the
+# race sweep above (docs/README.md names the test for each; storage's is E25).
+# No suite gates on a timing, so nothing here compares two wall-clock numbers.
+# The standalone checker then re-validates the emitted JSONL, so schema drift
+# fails the gate rather than silently breaking consumers.
 echo "==> bench suites smoke (ml4db-bench -suite all -quick + JSONL schema validation)"
 obsdir=$(mktemp -d)
 trap 'rm -rf "$obsdir"' EXIT
