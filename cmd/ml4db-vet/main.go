@@ -1,12 +1,10 @@
 // Command ml4db-vet runs the project's static-analysis suite
-// (internal/analysis) over the module. Two tiers run together: the
-// package-tier analyzers (determinism, unchecked errors, float equality,
-// naked panics, unguarded numerics, mutex copies, lock discipline, span/file
-// leaks, error-comparison hygiene) and the module-tier call-graph analyzers
-// (spawnreach, clockflow), which check transitive contracts across package
-// boundaries. It prints file:line:col diagnostics and exits non-zero when
-// any finding survives //ml4db:allow suppression — making it suitable as a
-// CI gate:
+// (internal/analysis) over the module: determinism (directly and through the
+// module call graph), unchecked errors, float equality, naked panics,
+// unguarded numerics, mutex copies, lock discipline, span/file leaks and
+// error-comparison hygiene. It prints file:line:col diagnostics and exits
+// non-zero when any finding survives //ml4db:allow suppression — making it
+// suitable as a CI gate:
 //
 //	go run ./cmd/ml4db-vet -strict-suppress ./...
 //
@@ -22,6 +20,7 @@ import (
 	"fmt"
 	"go/token"
 	"go/types"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -29,57 +28,63 @@ import (
 	"ml4db/internal/analysis"
 )
 
-func main() {
-	list := flag.Bool("list", false, "list analyzers and exit")
-	only := flag.String("only", "", "comma-separated analyzer names to run (default: all)")
-	jsonOut := flag.Bool("json", false, "emit findings (suppressed included) as JSON on stdout")
-	strict := flag.Bool("strict-suppress", false, "fail on //ml4db:allow comments that suppress nothing")
-	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: ml4db-vet [-list] [-only a,b] [-json] [-strict-suppress] [patterns...]\n")
-		fmt.Fprintf(os.Stderr, "patterns default to ./... relative to the module root\n")
-		flag.PrintDefaults()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is main with its arguments and output streams injected; it returns the
+// exit code (2 for a usage or load error, 1 for a surviving finding).
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("ml4db-vet", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	list := fs.Bool("list", false, "list analyzers and exit")
+	only := fs.String("only", "", "comma-separated analyzer names to run (default: all)")
+	jsonOut := fs.Bool("json", false, "emit findings (suppressed included) as JSON on stdout")
+	strict := fs.Bool("strict-suppress", false, "fail on //ml4db:allow comments that suppress nothing")
+	fs.Usage = func() {
+		fmt.Fprintf(stderr, "usage: ml4db-vet [-list] [-only a,b] [-json] [-strict-suppress] [patterns...]\n")
+		fmt.Fprintf(stderr, "patterns default to ./... relative to the module root\n")
+		fs.PrintDefaults()
 	}
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
 	if *list {
 		for _, a := range analysis.All() {
-			fmt.Printf("%-14s %s\n", a.Name, a.Doc)
+			fmt.Fprintf(stdout, "%-14s %s\n", a.Name, a.Doc)
 		}
-		for _, a := range analysis.AllModule() {
-			fmt.Printf("%-14s %s (module tier)\n", a.Name, a.Doc)
-		}
-		return
+		return 0
 	}
 
-	pkgAnalyzers := analysis.All()
-	modAnalyzers := analysis.AllModule()
+	analyzers := analysis.All()
 	if *only != "" {
 		var err error
-		pkgAnalyzers, modAnalyzers, err = analysis.SelectAnalyzers(strings.Split(*only, ","))
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
+		if analyzers, err = analysis.ByName(strings.Split(*only, ",")); err != nil {
+			fmt.Fprintln(stderr, err)
+			return 2
 		}
 	}
 
 	modRoot, err := findModuleRoot()
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, err)
+		return 2
 	}
 	loader, err := analysis.NewLoader(modRoot)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, err)
+		return 2
 	}
-	patterns := flag.Args()
+	patterns := fs.Args()
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
 	pkgs, err := loader.Load(patterns)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, err)
+		return 2
 	}
 
 	var findings []analysis.Finding
@@ -100,15 +105,15 @@ func main() {
 	// The call graph is built over everything the loader saw — targets plus
 	// their module-internal dependencies — so transitive edges resolve even
 	// when vetting a subset.
-	findings = append(findings, analysis.Analyze(pkgs, loader.AllLoaded(), pkgAnalyzers, modAnalyzers, *strict)...)
+	findings = append(findings, analysis.Analyze(pkgs, loader.AllLoaded(), analyzers, *strict)...)
 	for i := range findings {
 		findings[i].Pos.Filename = relPath(modRoot, findings[i].Pos.Filename)
 	}
 
 	if *jsonOut {
-		if err := analysis.WriteFindingsJSON(os.Stdout, findings); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
+		if err := analysis.WriteFindingsJSON(stdout, findings); err != nil {
+			fmt.Fprintln(stderr, err)
+			return 2
 		}
 	}
 	failing := 0
@@ -119,18 +124,18 @@ func main() {
 		failing++
 		if !*jsonOut {
 			if f.Analyzer == "typecheck" {
-				fmt.Printf("[typecheck] %s\n", f.Message)
+				fmt.Fprintf(stdout, "[typecheck] %s\n", f.Message)
 			} else {
-				fmt.Println(f.Diagnostic)
+				fmt.Fprintln(stdout, f.Diagnostic)
 			}
 		}
 	}
-	nAnalyzers := len(pkgAnalyzers) + len(modAnalyzers)
 	if failing > 0 {
-		fmt.Fprintf(os.Stderr, "ml4db-vet: %d finding(s) in %d package(s)\n", failing, len(pkgs))
-		os.Exit(1)
+		fmt.Fprintf(stderr, "ml4db-vet: %d finding(s) in %d package(s)\n", failing, len(pkgs))
+		return 1
 	}
-	fmt.Fprintf(os.Stderr, "ml4db-vet: clean (%d packages, %d analyzers)\n", len(pkgs), nAnalyzers)
+	fmt.Fprintf(stderr, "ml4db-vet: clean (%d packages, %d analyzers)\n", len(pkgs), len(analyzers))
+	return 0
 }
 
 // findModuleRoot walks up from the working directory to the nearest go.mod.

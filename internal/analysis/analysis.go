@@ -5,6 +5,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"sort"
 	"strings"
 )
 
@@ -38,7 +39,26 @@ type Pass struct {
 	// PkgPath is the import path the package was loaded under.
 	PkgPath string
 
-	sink *[]Diagnostic
+	sink  *[]Diagnostic
+	graph func() *CallGraph
+}
+
+// CallGraph returns the module call graph (callgraph.go). Analyze builds it
+// once per call, the first time any analyzer asks, over every loaded package,
+// so edges through packages outside the vetted set resolve.
+func (p *Pass) CallGraph() *CallGraph { return p.graph() }
+
+// Nodes returns the call-graph nodes declared in the pass's package, sorted
+// by position.
+func (p *Pass) Nodes() []*FuncNode {
+	var out []*FuncNode
+	for _, n := range p.CallGraph().Nodes {
+		if n.Fn.Pkg() == p.Pkg {
+			out = append(out, n)
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Decl.Pos() < out[j].Decl.Pos() })
+	return out
 }
 
 // Reportf records a finding at pos.
@@ -161,18 +181,100 @@ func ByName(names []string) ([]*Analyzer, error) {
 	return out, nil
 }
 
-// RunPackage runs package-tier analyzers over one loaded package, applies
-// //ml4db:allow suppressions, and returns the surviving diagnostics sorted
-// by position. Module-tier analyzers and suppression auditing go through
-// Analyze (module.go).
-func RunPackage(pkg *Package, analyzers []*Analyzer) []Diagnostic {
-	findings := Analyze([]*Package{pkg}, nil, analyzers, nil, false)
-	diags := make([]Diagnostic, 0, len(findings))
-	for _, f := range findings {
-		if f.Suppressed {
-			continue
+// Finding is one diagnostic with its suppression outcome. Suppressed findings
+// are kept (for -json output and the unused-suppression audit) but do not
+// fail the vet run.
+type Finding struct {
+	Diagnostic
+	Suppressed bool
+	// Reason is the suppression's quoted justification when Suppressed.
+	Reason string `json:",omitempty"`
+}
+
+// Analyze runs the analyzers over the target packages and resolves
+// suppressions. all is the universe the call graph is built over and must
+// include the targets (normally Loader.AllLoaded(): the targets and the
+// helper packages they reach); when nil, targets is used. With
+// strictSuppress, //ml4db:allow comments that suppressed nothing — among
+// analyzers that actually ran — become findings themselves.
+func Analyze(targets, all []*Package, analyzers []*Analyzer, strictSuppress bool) []Finding {
+	var graph *CallGraph
+	graphOnce := func() *CallGraph {
+		if graph == nil {
+			if all == nil {
+				all = targets
+			}
+			graph = BuildCallGraph(all)
 		}
-		diags = append(diags, f.Diagnostic)
+		return graph
 	}
-	return diags
+	var diags []Diagnostic
+	var sup suppressionSet
+	for _, pkg := range targets {
+		for _, a := range analyzers {
+			a.Run(&Pass{
+				Analyzer: a,
+				Fset:     pkg.Fset,
+				Files:    pkg.Files,
+				Pkg:      pkg.Types,
+				Info:     pkg.Info,
+				PkgPath:  pkg.Path,
+				sink:     &diags,
+				graph:    graphOnce,
+			})
+		}
+		s := collectSuppressions(pkg.Fset, pkg.Files)
+		sup.entries = append(sup.entries, s.entries...)
+		sup.malformed = append(sup.malformed, s.malformed...)
+	}
+
+	findings := make([]Finding, 0, len(diags)+len(sup.malformed))
+	for _, d := range diags {
+		f := Finding{Diagnostic: d}
+		if i, ok := sup.match(d); ok {
+			sup.entries[i].used = true
+			f.Suppressed = true
+			f.Reason = sup.entries[i].reason
+		}
+		findings = append(findings, f)
+	}
+	for _, d := range sup.malformed {
+		findings = append(findings, Finding{Diagnostic: d})
+	}
+	if strictSuppress {
+		ran := map[string]bool{}
+		for _, a := range analyzers {
+			ran[a.Name] = true
+		}
+		for _, e := range sup.entries {
+			if e.used || !ran[e.analyzer] {
+				continue
+			}
+			findings = append(findings, Finding{Diagnostic: Diagnostic{
+				Pos:      e.pos,
+				Analyzer: "suppression",
+				Message:  fmt.Sprintf("unused //ml4db:allow %s: it suppresses no finding; delete it or re-justify", e.analyzer),
+			}})
+		}
+	}
+	sort.Slice(findings, func(i, j int) bool {
+		return lessDiagnostic(findings[i].Diagnostic, findings[j].Diagnostic)
+	})
+	return findings
+}
+
+func lessDiagnostic(a, b Diagnostic) bool {
+	if a.Pos.Filename != b.Pos.Filename {
+		return a.Pos.Filename < b.Pos.Filename
+	}
+	if a.Pos.Line != b.Pos.Line {
+		return a.Pos.Line < b.Pos.Line
+	}
+	if a.Pos.Column != b.Pos.Column {
+		return a.Pos.Column < b.Pos.Column
+	}
+	if a.Analyzer != b.Analyzer {
+		return a.Analyzer < b.Analyzer
+	}
+	return a.Message < b.Message
 }

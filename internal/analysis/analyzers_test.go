@@ -1,6 +1,9 @@
 package analysis
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 // Every analyzer has at least one fixture proving it fires and one proving
 // it stays silent on correct code mirroring real repo idioms.
@@ -31,6 +34,19 @@ func TestDeterminismFiresInAutopilot(t *testing.T) {
 
 func TestDeterminismFiresInExec(t *testing.T) {
 	runFixture(t, DeterminismAnalyzer, "determinism/exec")
+}
+
+// The transitive half of determinism: a core package calling a non-core
+// helper that spawns is reported at the call, with the chain to the go
+// statement; the sanctioned mlmath.Pool fan-out is silent.
+func TestSpawnReachFixture(t *testing.T) {
+	runFixture(t, DeterminismAnalyzer, "spawnreach/engine", "spawnreach/helper", "spawnreach/mlmath")
+}
+
+// The same for the wall clock and the global RNG, with mlmath.SystemClock as
+// the sanctioned bridge and caller-seeded *rand.Rand methods exempt.
+func TestClockFlowFixture(t *testing.T) {
+	runFixture(t, DeterminismAnalyzer, "clockflow/engine", "clockflow/helper", "clockflow/mlmath")
 }
 
 func TestDeterminismSilentOnCleanCoreCode(t *testing.T) {
@@ -87,4 +103,63 @@ func TestMutexCopyFires(t *testing.T) {
 
 func TestMutexCopySilentOnPointerDiscipline(t *testing.T) {
 	runFixture(t, MutexCopyAnalyzer, "mutexcopy/clean")
+}
+
+func TestLockCheckFixture(t *testing.T) { runFixture(t, LockCheckAnalyzer, "lockcheck") }
+func TestSpanEndFixture(t *testing.T)   { runFixture(t, SpanEndAnalyzer, "spanend") }
+func TestErrCmpFixture(t *testing.T)    { runFixture(t, ErrCmpAnalyzer, "errcmp") }
+
+// TestStrictSuppressUnused pins the -strict-suppress contract: an allow
+// comment that suppresses nothing is a finding in strict mode and silent
+// otherwise — and only for analyzers that actually ran.
+func TestStrictSuppressUnused(t *testing.T) {
+	pkgs := loadFixturePkgs(t, "strictsup")
+	var unused []Finding
+	for _, f := range Analyze(pkgs, nil, All(), true) {
+		if f.Analyzer == "suppression" {
+			unused = append(unused, f)
+		}
+	}
+	if len(unused) != 1 {
+		t.Fatalf("strict mode: got %d suppression findings, want 1: %+v", len(unused), unused)
+	}
+	if !strings.Contains(unused[0].Message, "unused //ml4db:allow floateq") {
+		t.Errorf("unexpected message %q", unused[0].Message)
+	}
+
+	for _, f := range Analyze(pkgs, nil, All(), false) {
+		if f.Analyzer == "suppression" {
+			t.Errorf("non-strict mode reported suppression finding %q", f.Message)
+		}
+	}
+
+	// The floateq allow is only auditable when floateq runs: selecting a
+	// different analyzer must not flag it.
+	for _, f := range Analyze(pkgs, nil, []*Analyzer{MutexCopyAnalyzer}, true) {
+		if f.Analyzer == "suppression" {
+			t.Errorf("strict mode flagged an allow for an analyzer that did not run: %q", f.Message)
+		}
+	}
+}
+
+// TestSelfAnalysisClean runs the full analyzer suite — strict suppression,
+// call graph over everything loaded — over internal/analysis itself: the
+// analysis code must satisfy its own contracts without a single suppression.
+func TestSelfAnalysisClean(t *testing.T) {
+	loader := fixtureLoader(t)
+	pkgs, err := loader.Load([]string{"./internal/analysis"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pkg := range pkgs {
+		for _, terr := range pkg.TypeErrors {
+			t.Fatalf("%s: type error: %v", pkg.Path, terr)
+		}
+	}
+	for _, f := range Analyze(pkgs, loader.AllLoaded(), All(), true) {
+		if f.Suppressed {
+			continue
+		}
+		t.Errorf("%s:%d: [%s] %s", f.Pos.Filename, f.Pos.Line, f.Analyzer, f.Message)
+	}
 }

@@ -1,14 +1,17 @@
 package analysis
 
 import (
+	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
+	"path/filepath"
+	"strings"
 )
 
-// This file builds the module-wide static call graph that powers the
-// second analysis tier (spawnreach, clockflow). The graph is resolved over
-// go/types:
+// This file builds the module-wide static call graph that Pass.CallGraph
+// hands to analyzers checking transitive contracts (determinism's "core code
+// never reaches a forbidden call"). The graph is resolved over go/types:
 //
 //   - direct calls to package-level functions and methods on concrete types
 //     become ordinary edges;
@@ -17,7 +20,7 @@ import (
 //     per implementation (ViaInterface=true). This is the standard
 //     class-hierarchy approximation — sound for interfaces whose
 //     implementations all live in this module, which holds for the contracts
-//     the tier enforces (mlmath.Clock, modelsvc.Predictor/Backend,
+//     it serves (mlmath.Clock, modelsvc.Predictor/Backend,
 //     optimizer.CardEstimator, ...);
 //   - calls into packages outside the module (the standard library, since
 //     go.mod has no dependencies) are recorded as ExternalCall leaves, so
@@ -95,6 +98,8 @@ type CallGraph struct {
 	namedTypes []*types.Named
 	// implCache memoizes interface resolution per interface method object.
 	implCache map[*types.Func][]*FuncNode
+	// taints memoizes taint passes by key.
+	taints map[string]taintResult
 }
 
 // BuildCallGraph constructs the graph over the given packages (normally
@@ -105,6 +110,7 @@ func BuildCallGraph(pkgs []*Package) *CallGraph {
 		Nodes:     map[*types.Func]*FuncNode{},
 		modPkgs:   map[*types.Package]*Package{},
 		implCache: map[*types.Func][]*FuncNode{},
+		taints:    map[string]taintResult{},
 	}
 	for _, pkg := range pkgs {
 		if pkg.Types != nil {
@@ -256,29 +262,30 @@ func (g *CallGraph) implementations(ifaceMethod *types.Func) []*FuncNode {
 	return impls
 }
 
-// PathStep is one hop of a call path rendered in a diagnostic.
-type PathStep struct {
-	Node *FuncNode
-	// Pos is the call site inside Node leading to the next step (or the
-	// offending statement for the final step).
-	Pos token.Pos
+// taintFact is a forbidden operation in a function's own body: where it is
+// and how a rendered call chain names it ("go statement", "time.Now").
+type taintFact struct {
+	Pos   token.Pos
+	Label string
 }
 
-// taint computes, for every node that can reach a "bad" node, the next hop
-// toward one. bad reports whether a node's own body contains the offending
-// fact (with its position); skip excludes sanctioned nodes from both the bad
-// set and their own facts (their outgoing edges still propagate).
+// taintResult maps every node that can reach a seeded fact to the next hop
+// toward one.
 type taintResult struct {
 	// next maps a tainted node to the call edge to follow toward the fact.
 	next map[*FuncNode]CallSite
-	// fact holds the offending position for nodes whose own body is bad.
-	fact map[*FuncNode]token.Pos
+	// fact holds the offending fact for nodes whose own body is bad.
+	fact map[*FuncNode]taintFact
 }
 
-// taint runs a reverse reachability pass: seed the nodes whose own bodies
-// contain the fact, then walk callers until fixpoint.
-func (g *CallGraph) taint(bad func(*FuncNode) (token.Pos, bool), sanctioned func(*FuncNode) bool) taintResult {
-	res := taintResult{next: map[*FuncNode]CallSite{}, fact: map[*FuncNode]token.Pos{}}
+// taint runs a reverse reachability pass: seed the nodes for which seed
+// returns a fact, then walk callers until fixpoint. Results are memoized by
+// key, so every package of one Analyze call shares one pass per fact family.
+func (g *CallGraph) taint(key string, seed func(*FuncNode) (taintFact, bool)) taintResult {
+	if res, ok := g.taints[key]; ok {
+		return res
+	}
+	res := taintResult{next: map[*FuncNode]CallSite{}, fact: map[*FuncNode]taintFact{}}
 	// Reverse edges.
 	callers := map[*FuncNode][]struct {
 		caller *FuncNode
@@ -292,30 +299,23 @@ func (g *CallGraph) taint(bad func(*FuncNode) (token.Pos, bool), sanctioned func
 				site   CallSite
 			}{n, c})
 		}
-		if sanctioned != nil && sanctioned(n) {
-			continue
-		}
-		if pos, ok := bad(n); ok {
-			res.fact[n] = pos
+		if f, ok := seed(n); ok {
+			res.fact[n] = f
 			worklist = append(worklist, n)
 		}
-	}
-	tainted := map[*FuncNode]bool{}
-	for _, n := range worklist {
-		tainted[n] = true
 	}
 	for len(worklist) > 0 {
 		n := worklist[len(worklist)-1]
 		worklist = worklist[:len(worklist)-1]
 		for _, in := range callers[n] {
-			if tainted[in.caller] {
+			if res.isTainted(in.caller) {
 				continue
 			}
-			tainted[in.caller] = true
 			res.next[in.caller] = in.site
 			worklist = append(worklist, in.caller)
 		}
 	}
+	g.taints[key] = res
 	return res
 }
 
@@ -328,22 +328,23 @@ func (r taintResult) isTainted(n *FuncNode) bool {
 	return ok
 }
 
-// pathFrom renders the call chain from n to the offending fact, capped so a
+// path renders the call chain from n to its fact, e.g. "qo.train ->
+// util.fanOut (go statement at util.go:12)", capped at eight hops so a
 // pathological graph cannot produce an unreadable diagnostic.
-func (r taintResult) pathFrom(n *FuncNode) []PathStep {
-	const maxSteps = 8
-	var steps []PathStep
-	for i := 0; i < maxSteps; i++ {
-		if pos, ok := r.fact[n]; ok {
-			steps = append(steps, PathStep{Node: n, Pos: pos})
-			return steps
+func (r taintResult) path(fset *token.FileSet, n *FuncNode) string {
+	var hops []string
+	for i := 0; i < 8; i++ {
+		if f, ok := r.fact[n]; ok {
+			pos := fset.Position(f.Pos)
+			hops = append(hops, fmt.Sprintf("%s (%s at %s:%d)", n.Name(), f.Label, filepath.Base(pos.Filename), pos.Line))
+			break
 		}
 		site, ok := r.next[n]
 		if !ok {
-			return steps
+			break
 		}
-		steps = append(steps, PathStep{Node: n, Pos: site.Pos})
+		hops = append(hops, n.Name())
 		n = site.Callee
 	}
-	return steps
+	return strings.Join(hops, " -> ")
 }

@@ -1,29 +1,6 @@
 package analysis
 
-import (
-	"go/token"
-	"path/filepath"
-	"testing"
-)
-
-// loadFixturePkgs loads the listed fixture packages through the shared loader.
-func loadFixturePkgs(t *testing.T, rels ...string) []*Package {
-	t.Helper()
-	loader := fixtureLoader(t)
-	var pkgs []*Package
-	for _, rel := range rels {
-		dir, err := filepath.Abs(filepath.Join("testdata", "src", rel))
-		if err != nil {
-			t.Fatal(err)
-		}
-		pkg, err := loader.LoadDir(dir, "ml4db/internal/analysis/testdata/src/"+rel)
-		if err != nil {
-			t.Fatalf("loading %s: %v", rel, err)
-		}
-		pkgs = append(pkgs, pkg)
-	}
-	return pkgs
-}
+import "testing"
 
 // findNode looks a function up by its diagnostic name (pkg.Func or
 // pkg.Recv.Method).
@@ -102,19 +79,19 @@ func TestCallGraphExternals(t *testing.T) {
 	}
 
 	// Methods on a caller-owned *rand.Rand render as Rand.Float64 — the shape
-	// clockflow's denylist relies on to exempt seeded sources.
+	// determinism's fact table relies on to exempt seeded sources.
 	scaled := findNode(t, g, "helper.Scaled")
 	var sawMethod bool
 	for _, e := range scaled.Externals {
 		if e.PkgPath == "math/rand" && e.Name == "Rand.Float64" {
 			sawMethod = true
 		}
-		if ambientClockCall(e) {
-			t.Errorf("seeded-source call %s.%s classified as ambient", e.PkgPath, e.Name)
-		}
 	}
 	if !sawMethod {
 		t.Errorf("helper.Scaled externals missing Rand.Float64: %+v", scaled.Externals)
+	}
+	if facts := clockFacts(scaled); len(facts) != 0 {
+		t.Errorf("seeded-source calls classified as ambient: %+v", facts)
 	}
 }
 
@@ -122,15 +99,12 @@ func TestTaintPropagation(t *testing.T) {
 	pkgs := loadFixturePkgs(t, "spawnreach/engine", "spawnreach/helper", "spawnreach/mlmath")
 	g := BuildCallGraph(pkgs)
 
-	res := g.taint(
-		func(n *FuncNode) (token.Pos, bool) {
-			if len(n.GoStmts) > 0 {
-				return n.GoStmts[0], true
-			}
-			return token.NoPos, false
-		},
-		func(n *FuncNode) bool { return mlmathFuncMentions(n, "Pool") },
-	)
+	res := g.taint("spawn", func(n *FuncNode) (taintFact, bool) {
+		if len(n.GoStmts) > 0 && !mlmathFuncMentions(n, "Pool") {
+			return taintFact{n.GoStmts[0], "go statement"}, true
+		}
+		return taintFact{}, false
+	})
 
 	fanOut := findNode(t, g, "helper.FanOut")
 	if !res.isTainted(fanOut) {
@@ -148,8 +122,8 @@ func TestTaintPropagation(t *testing.T) {
 	}
 
 	// Two hops: TrainIndirect -> Indirect -> FanOut(go stmt).
-	steps := res.pathFrom(findNode(t, g, "engine.TrainIndirect"))
-	if len(steps) != 3 || steps[2].Node != fanOut {
-		t.Errorf("unexpected path from TrainIndirect: %+v", steps)
+	want := "engine.TrainIndirect -> helper.Indirect -> helper.FanOut (go statement at helper.go:11)"
+	if got := res.path(pkgs[0].Fset, findNode(t, g, "engine.TrainIndirect")); got != want {
+		t.Errorf("path from TrainIndirect = %q, want %q", got, want)
 	}
 }

@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
 	"strconv"
 	"strings"
@@ -9,14 +10,14 @@ import (
 
 // DeterminismAnalyzer enforces the repository's reproducibility contract in
 // the core model packages (nn, mlmath, tree, learnedindex, cardest,
-// planrep, obs): the same seed must always yield the same model — and, for
-// obs, the same clock injection must always yield the same trace. Four ambient
-// sources of nondeterminism are forbidden there:
+// planrep, obs, ...): the same seed must always yield the same model — and,
+// for obs, the same clock injection must always yield the same trace. Four
+// ambient sources of nondeterminism are forbidden there:
 //
 //   - math/rand (and math/rand/v2): use an injected *mlmath.RNG instead, so
 //     every random draw flows from the experiment seed;
-//   - time.Now / time.Since: use an injected mlmath.Clock, so wall-clock
-//     reads are replayable;
+//   - time.Now / time.Since / time.Until: use an injected mlmath.Clock, so
+//     wall-clock reads are replayable;
 //   - slices built by appending inside a range over a map: Go randomizes map
 //     iteration order, so the slice's order differs run to run. Sorting the
 //     slice afterwards (any sort.* or slices.Sort* call in the same
@@ -24,12 +25,95 @@ import (
 //   - go statements: ad-hoc goroutines race on scheduling order. The one
 //     sanctioned concurrency primitive is mlmath.Pool, whose contiguous
 //     pure-function sharding and fixed-order reduction keep parallel kernels
-//     reproducible; only Pool's own machinery (functions in the mlmath
-//     package whose receiver or result type involves Pool) may spawn.
+//     reproducible.
+//
+// The rule is transitive: core code must not *reach* a wall-clock read, a
+// global-RNG draw or a go statement through any chain of calls either. A fact
+// written directly in a core package is reported at the fact itself; a fact in
+// non-core code is reported once, at the boundary edge where a core function
+// calls the non-core function that reaches it, with the call chain rendered.
+// That keeps one root cause at one position instead of cascading a finding
+// onto every transitive caller.
 var DeterminismAnalyzer = &Analyzer{
 	Name: "determinism",
-	Doc:  "forbid math/rand, time.Now, goroutine launches, and map-order-dependent slice building in core model packages",
+	Doc:  "forbid math/rand, the wall clock, goroutine launches, and map-order-dependent slice building in core model packages, directly or through calls",
 	Run:  runDeterminism,
+}
+
+// ambientFact is one forbidden operation in a function's own body.
+type ambientFact struct {
+	taintFact
+	// direct is the finding when the fact sits in a core package, or "" when
+	// another check reports it there (the global RNG, at its import).
+	direct string
+}
+
+// determinismRules is the one table of forbidden facts, one row per family.
+// A family is sanctioned in mlmath functions whose receiver or result type
+// mentions its marker — the one reviewed place the capability enters — and
+// taints on its own, so a rendered chain always ends at a fact of its family.
+var determinismRules = []struct {
+	sanction string
+	facts    func(*FuncNode) []ambientFact
+	// reach completes "core function %s reaches " with the rendered chain.
+	reach string
+}{
+	{"Pool", spawnFacts, "a goroutine launch outside mlmath.Pool: %s; route fan-out through mlmath.Pool or break the dependency"},
+	{"Clock", clockFacts, "the ambient clock or global RNG: %s; inject mlmath.Clock or a seeded source instead"},
+}
+
+func spawnFacts(n *FuncNode) []ambientFact {
+	var out []ambientFact
+	for _, pos := range n.GoStmts {
+		out = append(out, ambientFact{taintFact{pos, "go statement"},
+			"goroutine launched in core model package; route data-parallel work through mlmath.Pool so sharding and reduction order stay deterministic"})
+	}
+	return out
+}
+
+// clockFacts matches the wall clock (time.Until is t.Sub(time.Now())) and the
+// process-global random source. Methods on an explicitly constructed
+// *rand.Rand come through as "Rand.X" and are fine (the caller owns the seed),
+// as are the New* constructors that build such sources.
+func clockFacts(n *FuncNode) []ambientFact {
+	var out []ambientFact
+	for _, e := range n.Externals {
+		label := e.PkgPath + "." + e.Name
+		switch {
+		case e.PkgPath == "time" && (e.Name == "Now" || e.Name == "Since" || e.Name == "Until"):
+			out = append(out, ambientFact{taintFact{e.Pos, label},
+				label + " in core model package; inject a mlmath.Clock so timing reads are replayable"})
+		case (e.PkgPath == "math/rand" || e.PkgPath == "math/rand/v2") &&
+			!strings.Contains(e.Name, ".") && !strings.HasPrefix(e.Name, "New"):
+			out = append(out, ambientFact{taintFact{e.Pos, label}, ""})
+		}
+	}
+	return out
+}
+
+// mlmathFuncMentions reports whether n is declared in an mlmath package with
+// a receiver or result type whose name contains marker — the structural
+// signature of the sanctioned concurrency (Pool, NewPool) and clock (Clock,
+// SystemClock.Now, ...) surfaces.
+func mlmathFuncMentions(n *FuncNode, marker string) bool {
+	if !strings.HasSuffix("/"+n.Pkg.Path, "/mlmath") {
+		return false
+	}
+	mentions := func(fields *ast.FieldList) bool {
+		found := false
+		if fields != nil {
+			for _, f := range fields.List {
+				ast.Inspect(f.Type, func(x ast.Node) bool {
+					if id, ok := x.(*ast.Ident); ok && strings.Contains(id.Name, marker) {
+						found = true
+					}
+					return !found
+				})
+			}
+		}
+		return found
+	}
+	return mentions(n.Decl.Recv) || mentions(n.Decl.Type.Results)
 }
 
 func runDeterminism(pass *Pass) {
@@ -46,25 +130,47 @@ func runDeterminism(pass *Pass) {
 				pass.Reportf(imp.Pos(), "import of %s in core model package; draw randomness from an injected *mlmath.RNG so runs are reproducible", path)
 			}
 		}
-		ast.Inspect(f, func(n ast.Node) bool {
-			fn, ok := n.(*ast.FuncDecl)
-			if ok && fn.Body != nil {
-				checkFuncDeterminism(pass, fn)
+	}
+	nodes := pass.Nodes()
+	for _, node := range nodes {
+		checkMapOrder(pass, node.Decl.Body)
+	}
+	for _, rule := range determinismRules {
+		res := pass.CallGraph().taint(rule.sanction, func(n *FuncNode) (taintFact, bool) {
+			if facts := rule.facts(n); len(facts) > 0 && !mlmathFuncMentions(n, rule.sanction) {
+				return facts[0].taintFact, true
 			}
-			return true
+			return taintFact{}, false
 		})
+		for _, node := range nodes {
+			if !mlmathFuncMentions(node, rule.sanction) {
+				for _, f := range rule.facts(node) {
+					if f.direct != "" {
+						pass.Reportf(f.Pos, "%s", f.direct)
+					}
+				}
+			}
+			seen := map[token.Pos]bool{}
+			for _, c := range node.Calls {
+				// In-core facts are reported where they are written.
+				if IsCorePackage(c.Callee.Pkg.Path) || !res.isTainted(c.Callee) || seen[c.Pos] {
+					continue
+				}
+				seen[c.Pos] = true
+				pass.Reportf(c.Pos, "core function %s reaches "+rule.reach, node.Name(), res.path(pass.Fset, c.Callee))
+			}
+		}
 	}
 }
 
-func checkFuncDeterminism(pass *Pass, fn *ast.FuncDecl) {
+// checkMapOrder flags `for k := range m { s = append(s, ...) }` where s is
+// declared outside the loop and never handed to a sorting function anywhere
+// in body.
+func checkMapOrder(pass *Pass, body *ast.BlockStmt) {
 	sortedSlices := map[types.Object]bool{}
-	// First pass: find slices handed to a sorting function anywhere in fn.
-	ast.Inspect(fn.Body, func(n ast.Node) bool {
+	ast.Inspect(body, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		if !isSortCall(pass, call) {
+		if !ok || !isSortCall(pass, call) {
 			return true
 		}
 		for _, arg := range call.Args {
@@ -80,59 +186,12 @@ func checkFuncDeterminism(pass *Pass, fn *ast.FuncDecl) {
 		}
 		return true
 	})
-	poolFunc := isPoolFunc(pass, fn)
-	ast.Inspect(fn.Body, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.CallExpr:
-			if pass.IsPkgFunc(n, "time", "Now") || pass.IsPkgFunc(n, "time", "Since") {
-				sel := n.Fun.(*ast.SelectorExpr)
-				pass.Reportf(n.Pos(), "time.%s in core model package; inject a mlmath.Clock so timing reads are replayable", sel.Sel.Name)
-			}
-		case *ast.GoStmt:
-			if !poolFunc {
-				pass.Reportf(n.Pos(), "goroutine launched in core model package; route data-parallel work through mlmath.Pool so sharding and reduction order stay deterministic")
-			}
-		case *ast.RangeStmt:
-			checkMapRangeAppend(pass, n, sortedSlices)
+	ast.Inspect(body, func(n ast.Node) bool {
+		if rng, ok := n.(*ast.RangeStmt); ok {
+			checkMapRangeAppend(pass, rng, sortedSlices)
 		}
 		return true
 	})
-}
-
-// isPoolFunc reports whether fn is part of mlmath.Pool's own machinery — a
-// function in the mlmath package whose receiver or a result type mentions
-// Pool (the Pool methods themselves and constructors like NewPool). These are
-// the only sanctioned goroutine launch sites in the core packages.
-func isPoolFunc(pass *Pass, fn *ast.FuncDecl) bool {
-	segs := strings.Split(pass.PkgPath, "/")
-	if segs[len(segs)-1] != "mlmath" {
-		return false
-	}
-	mentionsPool := func(e ast.Expr) bool {
-		found := false
-		ast.Inspect(e, func(n ast.Node) bool {
-			if id, ok := n.(*ast.Ident); ok && id.Name == "Pool" {
-				found = true
-			}
-			return !found
-		})
-		return found
-	}
-	if fn.Recv != nil {
-		for _, f := range fn.Recv.List {
-			if mentionsPool(f.Type) {
-				return true
-			}
-		}
-	}
-	if fn.Type.Results != nil {
-		for _, f := range fn.Type.Results.List {
-			if mentionsPool(f.Type) {
-				return true
-			}
-		}
-	}
-	return false
 }
 
 func isSortCall(pass *Pass, call *ast.CallExpr) bool {

@@ -10,11 +10,12 @@ import (
 
 // The fixture harness: each analyzer has golden packages under
 // testdata/src/. A fixture file marks every line where the analyzer must
-// fire with a `// want "substring"` comment; the harness loads the package
+// fire with a `// want "substring"` comment; the harness loads the packages
 // through the real Loader (so fixtures are parsed and type-checked exactly
-// like production code), runs the analyzer plus suppression filtering, and
-// requires an exact match between diagnostics and want comments. A clean
-// fixture simply contains no want comments: any diagnostic fails the test.
+// like production code), runs the analyzer over all of them at once (so call
+// edges between them resolve), applies suppressions, and requires an exact
+// match between unsuppressed findings and want comments. A clean fixture
+// simply contains no want comments: any diagnostic fails the test.
 
 var wantRe = regexp.MustCompile(`//\s*want\s+"([^"]+)"`)
 
@@ -34,30 +35,47 @@ func fixtureLoader(t *testing.T) *Loader {
 	return sharedLoader
 }
 
-func runFixture(t *testing.T, a *Analyzer, rel string) {
+// loadFixturePkgs loads the listed fixture packages through the shared
+// loader. Fixture packages live outside the loader's walk but are loaded
+// explicitly under a path that mirrors their directory, so path-scoped
+// analyzers (the core-package checks) see the intended package identity.
+func loadFixturePkgs(t *testing.T, rels ...string) []*Package {
 	t.Helper()
-	dir, err := filepath.Abs(filepath.Join("testdata", "src", rel))
-	if err != nil {
-		t.Fatal(err)
-	}
 	loader := fixtureLoader(t)
-	// Fixture packages live outside the loader's walk but are loaded
-	// explicitly under a path that mirrors their directory, so path-scoped
-	// analyzers (the core-package checks) see the intended package identity.
-	importPath := "ml4db/internal/analysis/testdata/src/" + rel
-	pkg, err := loader.LoadDir(dir, importPath)
-	if err != nil {
-		t.Fatalf("loading fixture %s: %v", rel, err)
+	var pkgs []*Package
+	for _, rel := range rels {
+		dir, err := filepath.Abs(filepath.Join("testdata", "src", rel))
+		if err != nil {
+			t.Fatal(err)
+		}
+		pkg, err := loader.LoadDir(dir, "ml4db/internal/analysis/testdata/src/"+rel)
+		if err != nil {
+			t.Fatalf("loading fixture %s: %v", rel, err)
+		}
+		for _, terr := range pkg.TypeErrors {
+			t.Fatalf("fixture %s has type errors: %v", rel, terr)
+		}
+		pkgs = append(pkgs, pkg)
 	}
-	for _, terr := range pkg.TypeErrors {
-		t.Fatalf("fixture %s has type errors: %v", rel, terr)
-	}
+	return pkgs
+}
 
-	wants := collectWants(pkg)
+func runFixture(t *testing.T, a *Analyzer, rels ...string) {
+	t.Helper()
+	pkgs := loadFixturePkgs(t, rels...)
+	wants := map[string]string{}
+	for _, pkg := range pkgs {
+		for key, substr := range collectWants(pkg) {
+			wants[key] = substr
+		}
+	}
 	got := map[string]string{}
-	for _, d := range RunPackage(pkg, []*Analyzer{a}) {
-		key := fmt.Sprintf("%s:%d", filepath.Base(d.Pos.Filename), d.Pos.Line)
-		got[key] = d.Message
+	for _, f := range Analyze(pkgs, nil, []*Analyzer{a}, false) {
+		if f.Suppressed {
+			continue
+		}
+		key := fmt.Sprintf("%s:%d", filepath.Base(f.Pos.Filename), f.Pos.Line)
+		got[key] = f.Message
 	}
 
 	for key, substr := range wants {

@@ -55,9 +55,13 @@ func ValidateFindingsJSON(data []byte) error {
 	if err := json.Unmarshal(data, &raw); err != nil {
 		return fmt.Errorf("analysis: findings JSON is not an array: %w", err)
 	}
-	known := knownAnalyzerNames()
-	known["suppression"] = true // malformed/unused-suppression findings
-	known["typecheck"] = true   // loader type errors surfaced by the CLI
+	known := map[string]bool{
+		"suppression": true, // malformed/unused-suppression findings
+		"typecheck":   true, // loader type errors surfaced by the CLI
+	}
+	for _, a := range All() {
+		known[a.Name] = true
+	}
 	for i, msg := range raw {
 		var f JSONFinding
 		dec := json.NewDecoder(bytes.NewReader(msg))

@@ -23,13 +23,12 @@ var allowRe = regexp.MustCompile(`^//ml4db:allow\s+([a-z]+)\s+"([^"]+)"\s*$`)
 type suppression struct {
 	analyzer string
 	reason   string
-	file     string
 	// pos is where the comment itself sits (reported by the
 	// unused-suppression check).
 	pos token.Position
-	// lines the comment covers (its own line, and the next line when the
-	// comment stands alone on its line).
-	lines map[int]bool
+	// trailing marks a comment that follows code on its line: it covers
+	// that line only, where a standalone one also covers the next.
+	trailing bool
 	// used is set once the entry suppresses at least one diagnostic.
 	used bool
 }
@@ -42,6 +41,7 @@ type suppressionSet struct {
 func collectSuppressions(fset *token.FileSet, files []*ast.File) suppressionSet {
 	var set suppressionSet
 	for _, f := range files {
+		var codeLines map[int]bool // lines holding a token, built on first allow
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
 				text := strings.TrimRight(c.Text, " \t")
@@ -58,7 +58,7 @@ func collectSuppressions(fset *token.FileSet, files []*ast.File) suppressionSet 
 					})
 					continue
 				}
-				if !knownAnalyzerNames()[m[1]] {
+				if _, err := ByName([]string{m[1]}); err != nil {
 					set.malformed = append(set.malformed, Diagnostic{
 						Pos:      pos,
 						Analyzer: "suppression",
@@ -66,13 +66,14 @@ func collectSuppressions(fset *token.FileSet, files []*ast.File) suppressionSet 
 					})
 					continue
 				}
-				lines := map[int]bool{pos.Line: true, pos.Line + 1: true}
+				if codeLines == nil {
+					codeLines = tokenLines(fset, f)
+				}
 				set.entries = append(set.entries, suppression{
 					analyzer: m[1],
 					reason:   m[2],
-					file:     pos.Filename,
 					pos:      pos,
-					lines:    lines,
+					trailing: codeLines[pos.Line],
 				})
 			}
 		}
@@ -80,27 +81,28 @@ func collectSuppressions(fset *token.FileSet, files []*ast.File) suppressionSet 
 	return set
 }
 
+// tokenLines returns the lines of f on which some syntax node starts or ends:
+// a line holding code has at least one, a line holding only comments none.
+func tokenLines(fset *token.FileSet, f *ast.File) map[int]bool {
+	lines := map[int]bool{}
+	ast.Inspect(f, func(n ast.Node) bool {
+		if _, isComment := n.(*ast.CommentGroup); n == nil || isComment {
+			return false
+		}
+		lines[fset.Position(n.Pos()).Line] = true
+		lines[fset.Position(n.End()).Line] = true
+		return true
+	})
+	return lines
+}
+
 // match finds the entry suppressing d, returning its index.
 func (s suppressionSet) match(d Diagnostic) (int, bool) {
 	for i, e := range s.entries {
-		if e.analyzer == d.Analyzer && e.file == d.Pos.Filename && e.lines[d.Pos.Line] {
+		if e.analyzer == d.Analyzer && e.pos.Filename == d.Pos.Filename &&
+			(d.Pos.Line == e.pos.Line || d.Pos.Line == e.pos.Line+1 && !e.trailing) {
 			return i, true
 		}
 	}
 	return 0, false
-}
-
-func (s suppressionSet) filter(diags []Diagnostic) []Diagnostic {
-	if len(s.entries) == 0 {
-		return diags
-	}
-	kept := diags[:0]
-	for _, d := range diags {
-		if i, ok := s.match(d); ok {
-			s.entries[i].used = true
-			continue
-		}
-		kept = append(kept, d)
-	}
-	return kept
 }

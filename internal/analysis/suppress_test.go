@@ -18,33 +18,11 @@ func parseForSuppression(t *testing.T, src string) (*token.FileSet, []*ast.File)
 	return fset, []*ast.File{f}
 }
 
+// A standalone allow covers its own line and the next; a trailing allow only
+// its own, so the comparison on the line after it still fires. The fixture's
+// want lines mark every finding that must survive.
 func TestSuppressionCoversOwnAndNextLine(t *testing.T) {
-	fset, files := parseForSuppression(t, `package p
-
-//ml4db:allow nakedpanic "reviewed"
-func a() {}
-func b() {} //ml4db:allow floateq "tie break"
-`)
-	set := collectSuppressions(fset, files)
-	if len(set.malformed) != 0 {
-		t.Fatalf("unexpected malformed: %v", set.malformed)
-	}
-	diags := []Diagnostic{
-		{Pos: token.Position{Filename: "sup.go", Line: 4}, Analyzer: "nakedpanic"}, // next line
-		{Pos: token.Position{Filename: "sup.go", Line: 5}, Analyzer: "floateq"},    // same line
-		{Pos: token.Position{Filename: "sup.go", Line: 4}, Analyzer: "floateq"},    // wrong analyzer
-		{Pos: token.Position{Filename: "sup.go", Line: 9}, Analyzer: "nakedpanic"}, // out of range
-	}
-	kept := set.filter(diags)
-	if len(kept) != 2 {
-		t.Fatalf("kept %d diagnostics, want 2: %v", len(kept), kept)
-	}
-	if kept[0].Analyzer != "floateq" || kept[0].Pos.Line != 4 {
-		t.Errorf("wrong-analyzer diagnostic should survive, got %v", kept[0])
-	}
-	if kept[1].Pos.Line != 9 {
-		t.Errorf("distant diagnostic should survive, got %v", kept[1])
-	}
+	runFixture(t, FloatEqAnalyzer, "suppress")
 }
 
 func TestSuppressionRequiresReason(t *testing.T) {

@@ -1,9 +1,9 @@
-// Package engine is a core-named fixture package: clockflow must flag its
+// Package engine is a core-named fixture package: determinism must flag its
 // calls into clock- or RNG-reading non-core helpers at the boundary edge.
 package engine
 
 import (
-	"math/rand"
+	"math/rand" // want "import of math/rand"
 	"time"
 
 	"ml4db/internal/analysis/testdata/src/clockflow/helper"
@@ -22,6 +22,10 @@ func Took(t0 time.Time) time.Duration {
 	return helper.Elapsed(t0) // want "ambient clock or global RNG"
 }
 
+func Left(deadline time.Time) time.Duration {
+	return helper.Remaining(deadline) // want "ambient clock or global RNG"
+}
+
 func AddOnly(a, b int) int {
 	return helper.Add(a, b)
 }
@@ -38,6 +42,6 @@ func Seeded(seed int64) float64 {
 }
 
 func Suppressed() int64 {
-	//ml4db:allow clockflow "fixture: wall-clock read reviewed for suppression coverage"
+	//ml4db:allow determinism "fixture: wall-clock read reviewed for suppression coverage"
 	return helper.Stamp()
 }

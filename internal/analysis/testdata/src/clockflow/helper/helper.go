@@ -16,6 +16,9 @@ func Jitter() float64 { return rand.Float64() }
 // Elapsed reads the clock via time.Since.
 func Elapsed(t0 time.Time) time.Duration { return time.Since(t0) }
 
+// Remaining reads the clock via time.Until (t.Sub(time.Now())).
+func Remaining(deadline time.Time) time.Duration { return time.Until(deadline) }
+
 // Add is pure.
 func Add(a, b int) int { return a + b }
 

@@ -16,6 +16,7 @@ func Train(data map[string]float64) []string {
 	}
 	start := time.Now()   // want "time.Now"
 	_ = time.Since(start) // want "time.Since"
+	_ = time.Until(start) // want "time.Until"
 	_ = rand.Float64()
 
 	// Ad-hoc fan-out: scheduling order races, so the reduction order is

@@ -1,4 +1,4 @@
-// Package engine is a core-named fixture package: spawnreach must flag its
+// Package engine is a core-named fixture package: determinism must flag its
 // calls into goroutine-spawning non-core helpers at the boundary edge.
 package engine
 
@@ -28,6 +28,6 @@ func PoolFanOut(fns []func()) {
 }
 
 func Suppressed(fns []func()) {
-	//ml4db:allow spawnreach "fixture: one-off spawn reviewed for suppression coverage"
+	//ml4db:allow determinism "fixture: one-off spawn reviewed for suppression coverage"
 	helper.FanOut(fns)
 }

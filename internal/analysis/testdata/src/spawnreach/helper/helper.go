@@ -2,7 +2,7 @@
 // but core packages must not reach the spawn through it.
 package helper
 
-// FanOut runs fns concurrently: the go statement spawnreach reports
+// FanOut runs fns concurrently: the go statement determinism reports
 // transitively.
 func FanOut(fns []func()) {
 	done := make(chan struct{})

@@ -2,10 +2,10 @@ package experiments
 
 import (
 	"ml4db/internal/cardest"
-	gendb "ml4db/internal/datagen"
 	"ml4db/internal/mlmath"
 	"ml4db/internal/planrep"
 	"ml4db/internal/pretrain"
+	"ml4db/internal/samgen"
 	"ml4db/internal/sqlkit/catalog"
 	"ml4db/internal/sqlkit/datagen"
 	"ml4db/internal/sqlkit/expr"
@@ -253,7 +253,7 @@ func E16(seed uint64) (*Report, error) {
 	fact := sch.Cat.Table(sch.FactID)
 	gen := workload.NewStarGen(sch, rng)
 	cols := [2]int{sch.AttrCols[0], sch.AttrCols[1]}
-	var cs []gendb.Constraint
+	var cs []samgen.Constraint
 	for len(cs) < 240 {
 		preds := gen.SelectionQuery(2, true).Filters[0]
 		ok := true
@@ -265,14 +265,14 @@ func E16(seed uint64) (*Report, error) {
 		if !ok {
 			continue
 		}
-		cs = append(cs, gendb.Constraint{Preds: preds, Fraction: cardest.TrueFraction(fact, preds)})
+		cs = append(cs, samgen.Constraint{Preds: preds, Fraction: cardest.TrueFraction(fact, preds)})
 	}
-	g := gendb.NewGenerator(cols, 1000, 32)
+	g := samgen.NewGenerator(cols, 1000, 32)
 	if err := g.Fit(cs[:200], 8); err != nil {
 		return nil, err
 	}
 	synth := g.Generate(rng, 8000)
-	uniform := gendb.NewGenerator(cols, 1000, 32).Generate(rng, 8000)
+	uniform := samgen.NewGenerator(cols, 1000, 32).Generate(rng, 8000)
 	medianQ := func(tab *catalog.Table) float64 {
 		var qs []float64
 		const n = 1e6

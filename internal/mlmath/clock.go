@@ -16,7 +16,7 @@ type SystemClock struct{}
 
 // Now implements Clock.
 func (SystemClock) Now() time.Time {
-	return time.Now() //ml4db:allow determinism "SystemClock is the sanctioned wall-clock source; everything else injects a Clock"
+	return time.Now()
 }
 
 // ManualClock is a Clock advanced explicitly by the test or replay harness.

@@ -28,9 +28,9 @@ fi
 
 # The project's own analyzer suite, in strict-suppression mode so stale
 # //ml4db:allow comments fail the gate. The wall-clock budget keeps the
-# module-wide call-graph tier honest: the whole run (including go run's
-# build step) must stay interactive, or vet stops being something people
-# run before every commit.
+# module-wide call graph (built once for determinism's transitive rule)
+# honest: the whole run (including go run's build step) must stay
+# interactive, or vet stops being something people run before every commit.
 echo "==> ml4db-vet -strict-suppress ./..."
 vet_budget=15
 vet_start=$(date +%s)
