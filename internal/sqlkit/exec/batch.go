@@ -40,6 +40,16 @@ func newBatch(n int, need []bool) batch {
 	return b
 }
 
+// reserve is newBatch(n, need) emptied: its marked columns have room for n
+// rows in one arena, so appending up to n rows allocates nothing.
+func reserve(n int, need []bool) batch {
+	b := newBatch(n, need)
+	for c := range b.cols {
+		b.cols[c] = b.cols[c][:0]
+	}
+	return batch{cols: b.cols}
+}
+
 // tableBatch is the zero-copy batch of a whole in-memory table: each marked
 // column is the table's own slice.
 func tableBatch(t *catalog.Table, need []bool) batch {
@@ -73,9 +83,9 @@ func gather(need []bool, l batch, li column, r batch, ri column) batch {
 	return out
 }
 
-// appendRow adds one row to b by copying row's marked columns: the
-// row-at-a-time sources (a heap tuple decoded into a reused buffer, a virtual
-// table's snapshot) feed batches through it.
+// appendRow adds one row to b by copying row's marked columns. Only virtual
+// tables, whose providers hand over whole rows, feed batches through it; disk
+// scans copy from the pinned page instead (appendSlot).
 func (b *batch) appendRow(row []int64, need []bool) {
 	for c, m := range need {
 		if m {
@@ -100,8 +110,7 @@ func (b *batch) extend(src batch, total int) {
 	b.n += src.n
 }
 
-// rowPasses reports whether a row-at-a-time source's row satisfies every
-// filter.
+// rowPasses reports whether a virtual table's row satisfies every filter.
 func rowPasses(filters []expr.Pred, row []int64) bool {
 	for _, f := range filters {
 		if !f.Eval(row[f.Col]) {

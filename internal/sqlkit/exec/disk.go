@@ -11,8 +11,9 @@ import (
 // but iterating heap pages through the table's buffer pool. Pool misses are
 // charged as PageMiss work units — the executor-side ground truth for the
 // optimizer's PageRead cost term — and every pinned page is released on
-// every path, including budget aborts, by scoping each page's work in a
-// function with a deferred Unpin.
+// every path, including budget aborts (pinPage). No tuple is decoded whole:
+// filters read their columns in place (Page.Value), and a passing row copies
+// only its marked columns out.
 
 // seqScanDisk scans a disk-backed table page by page, sharded by contiguous
 // page ranges. A serial scan fetches through the pool proper; a partitioned
@@ -24,13 +25,33 @@ import (
 // the pool's resident set at scan start matches (always true for a cold
 // table; see docs/EXECUTOR.md for the warm-pool caveat).
 func (s *execState) seqScanDisk(n *plan.Node, ord int, t *catalog.Table, need []bool) (batch, error) {
-	tf := t.Disk
 	missBefore := s.ctr.PageMiss
-	out, err := s.ranged(tf.NumPages(), n.Partitions, func(a *acct, _, lo, hi int) (batch, error) {
-		row := make([]int64, t.NumCols())
-		out := batch{cols: make([]column, len(need))}
+	out, err := s.ranged(t.Disk.NumPages(), n.Partitions, func(a *acct, _, lo, hi int) (batch, error) {
+		size := 0 // a filtered shard grows by append: no estimate sizes memory
+		if len(n.Filters) == 0 {
+			size = t.Disk.File().LiveTuplesIn(lo, hi) // every live tuple is a row
+		}
+		out := reserve(size, need)
+		scan := func(p *storage.Page) error {
+			for slot := 0; slot < p.NumSlots(); slot++ {
+				if !p.Used(slot) {
+					continue
+				}
+				if err := a.charge(&a.ctr.ScanTuples, 1); err != nil {
+					return err
+				}
+				if !pagePasses(n.Filters, p, slot) {
+					continue
+				}
+				if err := a.chargeRows(1); err != nil {
+					return err
+				}
+				out.appendSlot(p, slot, need)
+			}
+			return nil
+		}
 		for pageNo := lo; pageNo < hi; pageNo++ {
-			if err := scanDiskPage(a, n, tf, pageNo, row, need, &out); err != nil {
+			if err := pinPage(a, t.Disk, pageNo, n.Partitions > 1, scan); err != nil {
 				return batch{}, err
 			}
 		}
@@ -40,72 +61,90 @@ func (s *execState) seqScanDisk(n *plan.Node, ord int, t *catalog.Table, need []
 	return out, err
 }
 
-// scanDiskPage pins one page, decodes each tuple into the shard's reused row
-// buffer, appends the marked columns of the matching ones to out, and unpins
-// on every path — including budget aborts — via defer (the pin discipline the
-// spanend analyzer enforces).
-func scanDiskPage(a *acct, n *plan.Node, tf *storage.TableFile, pageNo int, row []int64, need []bool, out *batch) error {
-	fetch := tf.FetchPage
-	if n.Partitions > 1 {
-		fetch = tf.FetchPageForScan
+// indexScanDisk fetches the index's matching heap rows through the pool —
+// random page access, the classic reason index scans on disk pay more per
+// row than sequential ones. Like the in-memory path it has room for every
+// fetched row up front.
+func (s *execState) indexScanDisk(ord int, t *catalog.Table, ix *catalog.SecondaryIndex, lo, hi int64, residual []expr.Pred, need []bool) (batch, error) {
+	ids := ix.RangeRows(lo, hi)
+	out := reserve(len(ids), need)
+	act, missBefore := &s.res.Actuals[ord], s.ctr.PageMiss
+	defer func() { act.PageMisses = s.ctr.PageMiss - missBefore }() // on aborts too
+	spp := int64(t.Disk.File().SlotsPerPage())
+	for _, r := range ids {
+		if err := s.charge(&s.ctr.IndexFetch, 1); err != nil {
+			return batch{}, err
+		}
+		act.Fetched++ // counted as they happen: an abort keeps them
+		slot := int(int64(r) % spp)
+		err := pinPage(&s.acct, t.Disk, int(int64(r)/spp), false, func(p *storage.Page) error {
+			if !p.Used(slot) || !pagePasses(residual, p, slot) {
+				return nil // a deleted slot (the index predates the delete) or a residual miss
+			}
+			if err := s.chargeRows(1); err != nil {
+				return err
+			}
+			out.appendSlot(p, slot, need)
+			return nil
+		})
+		if err != nil {
+			return batch{}, err
+		}
 	}
-	h, err := fetch(pageNo)
+	return out, nil
+}
+
+// pinPage pins pageNo of tf — through FetchScan when bypass is set — charges
+// a miss to a, runs fn on the page, and unpins on every path, budget aborts
+// included (the pin discipline the spanend analyzer enforces). The pool is
+// called directly, not through a func value, so the handle stays on this
+// frame and a fetch allocates nothing.
+func pinPage(a *acct, tf *storage.TableFile, pageNo int, bypass bool, fn func(*storage.Page) error) error {
+	pool, hf := tf.Pool(), tf.File()
+	if bypass {
+		h, err := pool.FetchScan(hf, pageNo)
+		if err != nil {
+			return err
+		}
+		defer h.Unpin()
+		return onPage(a, h.Missed(), h.Page(), fn)
+	}
+	h, err := pool.Fetch(hf, pageNo)
 	if err != nil {
 		return err
 	}
 	defer h.Unpin()
-	if h.Missed() {
+	return onPage(a, h.Missed(), h.Page(), fn)
+}
+
+// onPage charges a pinned page's miss, then runs fn on it.
+func onPage(a *acct, missed bool, p *storage.Page, fn func(*storage.Page) error) error {
+	if missed {
 		if err := a.charge(&a.ctr.PageMiss, 1); err != nil {
 			return err
 		}
 	}
-	p := h.Page()
-	for slot := 0; slot < p.NumSlots(); slot++ {
-		if !p.ReadTuple(slot, row) {
-			continue
-		}
-		if err := a.charge(&a.ctr.ScanTuples, 1); err != nil {
-			return err
-		}
-		if !rowPasses(n.Filters, row) {
-			continue
-		}
-		if err := a.chargeRows(1); err != nil {
-			return err
-		}
-		out.appendRow(row, need)
-	}
-	return nil
+	return fn(p)
 }
 
-// indexScanDisk fetches the index's matching heap rows through the pool —
-// random page access, the classic reason index scans on disk pay more per
-// row than sequential ones.
-func (s *execState) indexScanDisk(ord int, t *catalog.Table, ix *catalog.SecondaryIndex, lo, hi int64, residual []expr.Pred, need []bool) (batch, error) {
-	out := batch{cols: make([]column, len(need))}
-	act := &s.res.Actuals[ord] // counted as they happen: an abort keeps them
-	for _, r := range ix.RangeRows(lo, hi) {
-		if err := s.charge(&s.ctr.IndexFetch, 1); err != nil {
-			return batch{}, err
+// pagePasses is rowPasses for a live slot of a pinned page, reading only the
+// filters' columns.
+func pagePasses(filters []expr.Pred, p *storage.Page, slot int) bool {
+	for _, f := range filters {
+		if !f.Eval(p.Value(slot, f.Col)) {
+			return false
 		}
-		act.Fetched++
-		row, ok, missed, err := t.Disk.ReadRow(int64(r))
-		if err != nil {
-			return batch{}, err
-		}
-		if missed {
-			act.PageMisses++
-			if err := s.charge(&s.ctr.PageMiss, 1); err != nil {
-				return batch{}, err
-			}
-		}
-		if !ok || !rowPasses(residual, row) {
-			continue // a deleted slot (the index predates the delete) or a residual miss
-		}
-		if err := s.chargeRows(1); err != nil {
-			return batch{}, err
-		}
-		out.appendRow(row, need)
 	}
-	return out, nil
+	return true
+}
+
+// appendSlot adds a live slot of a pinned page to b, copying its marked
+// columns straight from the page.
+func (b *batch) appendSlot(p *storage.Page, slot int, need []bool) {
+	for c, m := range need {
+		if m {
+			b.cols[c] = append(b.cols[c], p.Value(slot, c))
+		}
+	}
+	b.n++
 }

@@ -185,6 +185,51 @@ func TestDiskScanBudgetAbortLeavesNoPins(t *testing.T) {
 	}
 }
 
+// TestDiskPageOfWrongWidthIsAnError overwrites the only page of the 2-column
+// customers table with a valid 3-column page. Every disk read path — the
+// serial and the partitioned SeqScan, the IndexScan — must fail with
+// storage.ErrPageWidth rather than skip or misread the page's tuples, and
+// leave no page pinned.
+func TestDiskPageOfWrongWidthIsAnError(t *testing.T) {
+	pool := storage.NewPool(storage.PoolOptions{Capacity: 2})
+	_, disk := diskFixture(t, pool, 400)
+	cust := disk.Table(1)
+	ix, err := catalog.BuildSecondaryIndexIO(cust, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cust.AddIndex(ix)
+	hf := cust.Disk.File()
+	if hf.NumPages() != 1 {
+		t.Fatalf("customers has %d pages, want 1", hf.NumPages())
+	}
+	if err := pool.ReleaseFile(hf); err != nil {
+		t.Fatal(err)
+	}
+	wide := storage.NewPage(0, 3)
+	if _, ok := wide.Insert([]int64{1, 2, 3}); !ok {
+		t.Fatal("insert into an empty page failed")
+	}
+	if err := hf.WritePage(wide); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		plan *plan.Node
+	}{
+		{"SeqScan", scanNode(1)},
+		{"SeqScan/P=2", forcePartitions(scanNode(1), 2)},
+		{"IndexScan", plan.NewIndexScan(0, 1, 0, []expr.Pred{{Col: 0, Op: expr.GE, Lo: 0}})},
+	} {
+		if _, err := New(disk).Execute(tc.plan, Options{}); !errors.Is(err, storage.ErrPageWidth) {
+			t.Errorf("%s: err = %v, want storage.ErrPageWidth", tc.name, err)
+		}
+		if n := pool.PinnedCount(); n != 0 {
+			t.Errorf("%s: %d pages still pinned", tc.name, n)
+		}
+	}
+}
+
 func sortedRows(rows [][]int64) [][]int64 {
 	out := make([][]int64, len(rows))
 	copy(out, rows)

@@ -66,7 +66,7 @@ func (s *execState) ranged(n, parts int, body rangeBody) (batch, error) {
 		var sink int64
 		var err error
 		next := s.acct
-		next.ctr = addCounters(next.ctr, r.ctr)
+		next.ctr = addCounters(next.ctr, r.ctr, 1)
 		if r.err == nil && next.charge(&sink, r.work-seed.work) == nil && next.chargeRows(r.rows-seed.rows) == nil {
 			s.acct = next
 		} else {

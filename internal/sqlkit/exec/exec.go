@@ -294,7 +294,7 @@ func (s *execState) runObserved(n *plan.Node, ord int, need []bool) (batch, erro
 	out, err := s.dispatch(n, ord, need)
 	dur := s.clock.Now().Sub(start)
 	if s.ex != nil {
-		s.ex.stats[ord] = OpStats{Loops: 1, SubtreeWork: s.work - workBefore, SubtreeCounters: subCounters(s.ctr, ctrBefore), SubtreeDur: dur}
+		s.ex.stats[ord] = OpStats{Loops: 1, SubtreeWork: s.work - workBefore, SubtreeCounters: addCounters(s.ctr, ctrBefore, -1), SubtreeDur: dur}
 	}
 	sp.SetInt("rows", int64(out.n)).SetInt("work", s.work-workBefore)
 	sp.End()
@@ -386,10 +386,9 @@ func (s *execState) indexScan(n *plan.Node, ord int, need []bool) (batch, error)
 	if t.Disk != nil {
 		return s.indexScanDisk(ord, t, ix, lo, hi, residual, need)
 	}
-	// Room for every fetched row, filled as rows survive, cut to the survivors.
+	// Room for every fetched row, filled as rows survive.
 	ids := ix.RangeRows(lo, hi)
-	out := newBatch(len(ids), need)
-	out.n = 0
+	out := reserve(len(ids), need)
 	for _, r := range ids {
 		if err := s.charge(&s.ctr.IndexFetch, 1); err != nil {
 			return batch{}, err
@@ -402,15 +401,10 @@ func (s *execState) indexScan(n *plan.Node, ord int, need []bool) (batch, error)
 		}
 		for c, m := range need {
 			if m {
-				out.cols[c][out.n] = t.Data[c][r]
+				out.cols[c] = append(out.cols[c], t.Data[c][r])
 			}
 		}
 		out.n++
-	}
-	for c, m := range need {
-		if m {
-			out.cols[c] = out.cols[c][:out.n]
-		}
 	}
 	s.res.Actuals[ord].Fetched = int64(len(ids))
 	return out, nil

@@ -75,7 +75,7 @@ func (x *Explain) finish(n *plan.Node, ord int) {
 		at := ord + n.ChildAt(i)
 		cst := &x.stats[at]
 		st.Work -= cst.SubtreeWork
-		st.Counters = subCounters(st.Counters, cst.SubtreeCounters)
+		st.Counters = addCounters(st.Counters, cst.SubtreeCounters, -1)
 		st.Dur -= cst.SubtreeDur
 		x.finish(c, at)
 	}
@@ -131,37 +131,20 @@ func counterBreakdown(c Counters) string {
 	return " [" + strings.Join(parts, " ") + "]"
 }
 
-// addCounters returns a + b category-wise.
-func addCounters(a, b Counters) Counters {
+// addCounters returns a + k·b category-wise: k = 1 adds, k = -1 subtracts.
+func addCounters(a, b Counters, k int64) Counters {
 	return Counters{
-		ScanTuples:  a.ScanTuples + b.ScanTuples,
-		HashBuild:   a.HashBuild + b.HashBuild,
-		HashProbe:   a.HashProbe + b.HashProbe,
-		NLPairs:     a.NLPairs + b.NLPairs,
-		MergeSort:   a.MergeSort + b.MergeSort,
-		MergeScan:   a.MergeScan + b.MergeScan,
-		OutputTuple: a.OutputTuple + b.OutputTuple,
-		IndexProbe:  a.IndexProbe + b.IndexProbe,
-		IndexFetch:  a.IndexFetch + b.IndexFetch,
-		PageMiss:    a.PageMiss + b.PageMiss,
-		AggInput:    a.AggInput + b.AggInput,
-	}
-}
-
-// subCounters returns a − b category-wise.
-func subCounters(a, b Counters) Counters {
-	return Counters{
-		ScanTuples:  a.ScanTuples - b.ScanTuples,
-		HashBuild:   a.HashBuild - b.HashBuild,
-		HashProbe:   a.HashProbe - b.HashProbe,
-		NLPairs:     a.NLPairs - b.NLPairs,
-		MergeSort:   a.MergeSort - b.MergeSort,
-		MergeScan:   a.MergeScan - b.MergeScan,
-		OutputTuple: a.OutputTuple - b.OutputTuple,
-		IndexProbe:  a.IndexProbe - b.IndexProbe,
-		IndexFetch:  a.IndexFetch - b.IndexFetch,
-		PageMiss:    a.PageMiss - b.PageMiss,
-		AggInput:    a.AggInput - b.AggInput,
+		ScanTuples:  a.ScanTuples + k*b.ScanTuples,
+		HashBuild:   a.HashBuild + k*b.HashBuild,
+		HashProbe:   a.HashProbe + k*b.HashProbe,
+		NLPairs:     a.NLPairs + k*b.NLPairs,
+		MergeSort:   a.MergeSort + k*b.MergeSort,
+		MergeScan:   a.MergeScan + k*b.MergeScan,
+		OutputTuple: a.OutputTuple + k*b.OutputTuple,
+		IndexProbe:  a.IndexProbe + k*b.IndexProbe,
+		IndexFetch:  a.IndexFetch + k*b.IndexFetch,
+		PageMiss:    a.PageMiss + k*b.PageMiss,
+		AggInput:    a.AggInput + k*b.AggInput,
 	}
 }
 

@@ -94,7 +94,7 @@ func TestExplainRescanDeepTree(t *testing.T) {
 		if st == nil || st.Loops != 1 {
 			t.Fatalf("visit %d stats = %+v, want Loops=1", ord, st)
 		}
-		sum = addCounters(sum, st.Counters)
+		sum = addCounters(sum, st.Counters, 1)
 	}
 	if sum != res.Counters {
 		t.Errorf("exclusive counters sum %+v != executor counters %+v", sum, res.Counters)

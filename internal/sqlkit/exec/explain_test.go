@@ -57,7 +57,7 @@ func TestExplainWorkSumsToCounters(t *testing.T) {
 			var sum Counters
 			for ord := range res.Actuals {
 				if st := res.Explain.Stats(ord); st != nil {
-					sum = addCounters(sum, st.Counters)
+					sum = addCounters(sum, st.Counters, 1)
 					if st.Work != st.Counters.Total() {
 						t.Fatalf("operator %d: exclusive Work=%d but exclusive Counters.Total()=%d",
 							ord, st.Work, st.Counters.Total())

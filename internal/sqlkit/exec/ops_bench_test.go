@@ -30,8 +30,10 @@ type opsCase struct {
 // opsFixture builds big(id, k, v, p0, p1, p2) with the given row count
 // (id = row number and indexed, k = id mod 64, v scattered over [0, 1000)),
 // a spilled copy of it, and small(id, w) with 64 rows, and returns one case
-// per operator plus the spilled table's page count.
-func opsFixture(tb testing.TB, rows int) (*Executor, []opsCase, int) {
+// per operator. The disk scan comes three ways: filtered (its columns grow),
+// unfiltered (sized from the free-space map) and partitioned (each shard
+// grows its own columns, through the bypass path).
+func opsFixture(tb testing.TB, rows int) (*Executor, []opsCase) {
 	tb.Helper()
 	fill := func(name string) *catalog.Table {
 		t := catalog.NewTable(name, "id", "k", "v", "p0", "p1", "p2")
@@ -72,7 +74,9 @@ func opsFixture(tb testing.TB, rows int) (*Executor, []opsCase, int) {
 		{"hashagg", plan.NewAgg(plan.NewScan(0, big, nil), &plan.AggSpec{GroupCol: 1, Sums: []plan.AggCol{{Col: 2}}}), nil, 0},
 		{"topn", plan.NewScan(0, big, nil), top, 0},
 		{"diskscan", plan.NewScan(0, disk, half), idV, 2},
-	}, diskT.Disk.NumPages()
+		{"diskscan/all", plan.NewScan(0, disk, nil), idV, 0},
+		{"diskscan/P=2", forcePartitions(plan.NewScan(0, disk, half), 2), idV, 4},
+	}
 }
 
 // BenchmarkExecOps runs every fixture plan serially, then the partitionable
@@ -80,7 +84,7 @@ func opsFixture(tb testing.TB, rows int) (*Executor, []opsCase, int) {
 // over a pool sized by GOMAXPROCS — so `-cpu 1,2,4` sweeps the workers, and
 // NAME vs NAME/P=2 at one -cpu value is that operator's partitioned speedup.
 func BenchmarkExecOps(b *testing.B) {
-	e, cases, _ := opsFixture(b, 32<<10)
+	e, cases := opsFixture(b, 32<<10)
 	pool := mlmath.NewPool(runtime.GOMAXPROCS(0))
 	defer pool.Close()
 	for _, c := range cases {
@@ -117,14 +121,14 @@ func appendSteps(from, to int) int {
 // TestExecAllocContract pins the allocation shape of the column-at-a-time
 // executor. (1) No operator allocates per row: between 1 k and 32 k input
 // rows an execution's allocations may differ only by the extra append steps
-// of the vectors it grows — plus, for the disk scan, the buffer pool's one
-// handle per extra page fetched. (2) The smallest query — a single-leaf
-// IndexScan returning one row through the full output path — allocates no
-// more than it did when operators exchanged rows.
+// of the vectors it grows — a disk scan's page fetches included, which
+// allocate nothing. (2) The smallest query — a single-leaf IndexScan
+// returning one row through the full output path — allocates no more than it
+// did when operators exchanged rows.
 func TestExecAllocContract(t *testing.T) {
 	const smallRows, bigRows = 1 << 10, 32 << 10
-	measure := func(rows int) (map[string]float64, int, []opsCase) {
-		e, cases, pages := opsFixture(t, rows)
+	measure := func(rows int) (map[string]float64, []opsCase) {
+		e, cases := opsFixture(t, rows)
 		allocs := make(map[string]float64)
 		for _, c := range cases {
 			allocs[c.name] = testing.AllocsPerRun(3, func() {
@@ -133,15 +137,12 @@ func TestExecAllocContract(t *testing.T) {
 				}
 			})
 		}
-		return allocs, pages, cases
+		return allocs, cases
 	}
-	atSmall, pagesSmall, _ := measure(smallRows)
-	atBig, pagesBig, cases := measure(bigRows)
+	atSmall, _ := measure(smallRows)
+	atBig, cases := measure(bigRows)
 	for _, c := range cases {
 		allowed := float64(c.grows * appendSteps(smallRows, bigRows))
-		if c.name == "diskscan" {
-			allowed += float64(pagesBig - pagesSmall)
-		}
 		if grew := atBig[c.name] - atSmall[c.name]; grew > allowed {
 			t.Errorf("%s: %.0f allocations at %d rows, %.0f at %d: grew by %.0f, append growth explains %.0f",
 				c.name, atSmall[c.name], smallRows, atBig[c.name], bigRows, grew, allowed)
@@ -152,7 +153,7 @@ func TestExecAllocContract(t *testing.T) {
 	// Execute's state, result, row slice and row, then the SQL front end's
 	// offsets, row slice and projected row.
 	const rowPathAllocs = 7
-	e, _, _ := opsFixture(t, smallRows)
+	e, _ := opsFixture(t, smallRows)
 	one := plan.NewIndexScan(0, 0, 0, []expr.Pred{{Col: 0, Op: expr.EQ, Lo: 5}})
 	all := &plan.Output{Limit: plan.NoLimit}
 	for c := 0; c < 6; c++ {

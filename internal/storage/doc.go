@@ -27,10 +27,11 @@
 //
 // The frames sit on one intrusive recency list (list.go), coldest to
 // hottest. A hit costs a map lookup and four pointer writes; an LRU miss is
-// O(1) and allocates nothing but its handle: the incoming page is read and
-// verified into the pool's one spare buffer, and only then is the first
-// unpinned frame from the cold end written back and re-keyed in place — so
-// a failed read costs no resident page.
+// O(1) and allocates nothing: the incoming page is read and verified into
+// the pool's one spare buffer, and only then is the first unpinned frame
+// from the cold end written back and re-keyed in place — so a failed read
+// costs no resident page. Fetch and FetchScan inline into their callers,
+// so the handle itself lives on the caller's stack.
 //
 // # Determinism
 //

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"sync"
 )
@@ -26,6 +27,10 @@ type HeapFile struct {
 	slotsPerPage int
 	npages       int
 	free         []int // free slots per page
+	// low is the first-fit hint: every page below it is full, and it is the
+	// lowest page with a free slot or len(free). Inserts advance it past full
+	// pages, deletes lower it, so FirstFree never rescans the full prefix.
+	low int
 }
 
 // CreateHeapFile creates (or truncates) the heap file at path for
@@ -68,7 +73,7 @@ func (hf *HeapFile) rebuildFreeMap() error {
 		return fmt.Errorf("storage: %s is %d bytes, not a whole number of %d-byte pages", hf.path, st.Size(), PageSize)
 	}
 	npages := int(st.Size() / PageSize)
-	free := make([]int, npages)
+	free, low := make([]int, npages), 0
 	buf := make([]byte, PageSize)
 	for pno := 0; pno < npages; pno++ {
 		if _, err := hf.f.ReadAt(buf, int64(pno)*PageSize); err != nil {
@@ -79,14 +84,17 @@ func (hf *HeapFile) rebuildFreeMap() error {
 			return err
 		}
 		if p.NCols() != hf.ncols {
-			return fmt.Errorf("storage: %s page %d holds %d-column tuples, want %d", hf.path, pno, p.NCols(), hf.ncols)
+			return &PageWidthError{Path: hf.path, PageNo: pno, NCols: p.NCols(), Want: hf.ncols}
 		}
 		free[pno] = p.FreeSlots()
+		if free[pno] == 0 && low == pno {
+			low++
+		}
 		buf = make([]byte, PageSize) // PageFromBytes retains buf
 	}
 	hf.mu.Lock()
 	hf.npages = npages
-	hf.free = free
+	hf.free, hf.low = free, low
 	hf.mu.Unlock()
 	return nil
 }
@@ -109,11 +117,15 @@ func (hf *HeapFile) NumPages() int {
 
 // LiveTuples sums the occupied slots across all pages, per the free-space
 // map.
-func (hf *HeapFile) LiveTuples() int {
+func (hf *HeapFile) LiveTuples() int { return hf.LiveTuplesIn(0, math.MaxInt) }
+
+// LiveTuplesIn sums the occupied slots of pages [lo, hi) (hi clamped to the
+// file), per the free-space map — how many rows a scan of that range reads.
+func (hf *HeapFile) LiveTuplesIn(lo, hi int) int {
 	hf.mu.Lock()
 	defer hf.mu.Unlock()
 	n := 0
-	for _, fr := range hf.free {
+	for _, fr := range hf.free[lo:min(hi, len(hf.free))] {
 		n += hf.slotsPerPage - fr
 	}
 	return n
@@ -130,33 +142,37 @@ func (hf *HeapFile) FreeSlots(pageNo int) int {
 }
 
 // FirstFree returns the lowest page number with at least one free slot
-// (deterministic first-fit), or ok=false when every page is full.
+// (deterministic first-fit), or ok=false when every page is full. It reads
+// the low-water hint, so appending to a file of n full pages costs O(1),
+// not O(n).
 func (hf *HeapFile) FirstFree() (pageNo int, ok bool) {
 	hf.mu.Lock()
 	defer hf.mu.Unlock()
-	for pno, fr := range hf.free {
-		if fr > 0 {
-			return pno, true
-		}
-	}
-	return 0, false
+	return hf.low, hf.low < len(hf.free)
 }
 
-// noteInsert decrements pageNo's free count after a successful insert.
+// noteInsert decrements pageNo's free count after a successful insert and
+// moves the first-fit hint past the pages that are now full.
 func (hf *HeapFile) noteInsert(pageNo int) {
 	hf.mu.Lock()
 	defer hf.mu.Unlock()
 	if pageNo >= 0 && pageNo < len(hf.free) && hf.free[pageNo] > 0 {
 		hf.free[pageNo]--
 	}
+	for hf.low < len(hf.free) && hf.free[hf.low] == 0 {
+		hf.low++
+	}
 }
 
-// noteDelete increments pageNo's free count after a successful delete.
+// noteDelete increments pageNo's free count after a successful delete; the
+// page is now a first-fit candidate, so the hint drops to it if it was
+// higher.
 func (hf *HeapFile) noteDelete(pageNo int) {
 	hf.mu.Lock()
 	defer hf.mu.Unlock()
 	if pageNo >= 0 && pageNo < len(hf.free) && hf.free[pageNo] < hf.slotsPerPage {
 		hf.free[pageNo]++
+		hf.low = min(hf.low, pageNo)
 	}
 }
 
@@ -189,6 +205,9 @@ func (hf *HeapFile) ReadPage(pageNo int) (*Page, error) {
 
 // readPageInto is ReadPage into a caller-owned PageSize buffer, which the
 // returned Page retains — the form the pool recycles frame buffers through.
+// Every page load goes through it, so a page that verifies but holds another
+// width than the file's is rejected here, once, as *PageWidthError: readers
+// may then decode any column below NCols without checking.
 func (hf *HeapFile) readPageInto(buf []byte, pageNo int) (Page, error) {
 	if pageNo < 0 || pageNo >= hf.NumPages() {
 		return Page{}, fmt.Errorf("storage: page %d out of range of %s (%d pages)", pageNo, hf.path, hf.NumPages())
@@ -198,7 +217,11 @@ func (hf *HeapFile) readPageInto(buf []byte, pageNo int) (Page, error) {
 		return Page{}, fmt.Errorf("storage: reading page %d of %s: %w", pageNo, hf.path, err)
 	}
 	clear(buf[n:]) // a short read must not verify against a recycled buffer's stale tail
-	return parsePage(buf, hf.path, pageNo)
+	p, err := parsePage(buf, hf.path, pageNo)
+	if err == nil && p.ncols != hf.ncols {
+		return Page{}, &PageWidthError{Path: hf.path, PageNo: pageNo, NCols: p.ncols, Want: hf.ncols}
+	}
+	return p, err
 }
 
 // WritePage checksums and writes p back to its slot in the file.

@@ -2,7 +2,10 @@ package storage
 
 import (
 	"path/filepath"
+	"slices"
 	"testing"
+
+	"ml4db/internal/mlmath"
 )
 
 func TestHeapFileAllocWriteRead(t *testing.T) {
@@ -74,5 +77,57 @@ func TestHeapFileFirstFreeIsFirstFit(t *testing.T) {
 	hf.noteDelete(0)
 	if pno, ok := hf.FirstFree(); !ok || pno != 0 {
 		t.Fatalf("FirstFree after delete = %d,%v want 0,true", pno, ok)
+	}
+}
+
+// TestAppendRowMatchesFirstFitModel drives seeded random appends and deletes
+// through a table file, then reopens it, and checks every row id against a
+// brute-force first-fit model: the lowest free row id, or the first slot of
+// a new page when every page is full. The first-fit hint must agree with it
+// after deletes below, inside and above the hint, and after Open rebuilds it.
+func TestAppendRowMatchesFirstFitModel(t *testing.T) {
+	const ncols = 60 // 8 slots a page: pages fill and reopen often
+	path := filepath.Join(t.TempDir(), "t.tbl")
+	tf, err := CreateTableFile(path, ncols, NewPool(PoolOptions{Capacity: 4}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	spp := tf.File().SlotsPerPage()
+	var used []bool // the model, by row id
+	row := make([]int64, ncols)
+	appendRow := func(step int) {
+		want := slices.Index(used, false)
+		if want < 0 {
+			want = len(used)
+			used = append(used, make([]bool, spp)...)
+		}
+		got, err := tf.AppendRow(row)
+		if err != nil || got != int64(want) {
+			t.Fatalf("step %d: AppendRow = %d, %v; first fit is %d", step, got, err, want)
+		}
+		used[want] = true
+	}
+	rng := mlmath.NewRNG(7)
+	for step := 0; step < 3000; step++ {
+		if len(used) == 0 || rng.Intn(3) != 0 {
+			appendRow(step)
+			continue
+		}
+		id := rng.Intn(len(used)) // live or already free
+		ok, err := tf.DeleteRow(int64(id))
+		if err != nil || ok != used[id] {
+			t.Fatalf("step %d: DeleteRow(%d) = %v, %v; model says live=%v", step, id, ok, err, used[id])
+		}
+		used[id] = false
+	}
+	if err := tf.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if tf, err = OpenTableFile(path, ncols, NewPool(PoolOptions{Capacity: 4})); err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = tf.Close() }()
+	for step := 3000; step < 3000+2*spp; step++ {
+		appendRow(step)
 	}
 }

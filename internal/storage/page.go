@@ -33,6 +33,26 @@ func (e *ChecksumError) Error() string {
 // Is reports checksum failures as ErrChecksum so errors.Is matches.
 func (e *ChecksumError) Is(target error) bool { return target == ErrChecksum }
 
+// ErrPageWidth matches any page-width mismatch under errors.Is.
+var ErrPageWidth = errors.New("storage: page tuple width differs from its file's")
+
+// PageWidthError reports a page that verifies but holds tuples of another
+// width than its file's — a page written for a different table. Reading its
+// columns at the file's width would return other tuples' bytes.
+type PageWidthError struct {
+	Path        string
+	PageNo      int
+	NCols, Want int
+}
+
+// Error implements error.
+func (e *PageWidthError) Error() string {
+	return fmt.Sprintf("storage: page %d of %s holds %d-column tuples, want %d", e.PageNo, e.Path, e.NCols, e.Want)
+}
+
+// Is reports width mismatches as ErrPageWidth so errors.Is matches.
+func (e *PageWidthError) Is(target error) bool { return target == ErrPageWidth }
+
 // SlotsPerPage returns how many ncols-wide tuples fit in one page after the
 // header and the slot-occupancy bitmap (one bit per slot).
 func SlotsPerPage(ncols int) int {
@@ -180,6 +200,13 @@ func (p *Page) ReadTuple(slot int, dst []int64) bool {
 		dst[c] = int64(binary.LittleEndian.Uint64(p.buf[off+8*c:]))
 	}
 	return true
+}
+
+// Value reads column col of the tuple in slot in place, without copying the
+// row. The caller checks Used(slot) and keeps col below NCols: Value checks
+// neither, which is what lets a scan decode one column at a time.
+func (p *Page) Value(slot, col int) int64 {
+	return int64(binary.LittleEndian.Uint64(p.buf[p.tupleOff(slot)+8*col:]))
 }
 
 // Delete clears slot, returning false if it was already empty.

@@ -86,9 +86,12 @@ type Pool struct {
 	lru    recency   // every resident frame, cold to hot
 	spare  []byte    // the last victim's page buffer, refilled by the next miss
 	cands  []PageKey // scratch for Policy.Victim
-	files  map[*HeapFile]uint32
-	nextID uint32
-	tick   uint64
+	// scanFree holds the private pages of released FetchScan bypass handles,
+	// refilled by later bypass reads (at most maxScanFree of them).
+	scanFree []*Page
+	files    map[*HeapFile]uint32
+	nextID   uint32
+	tick     uint64
 
 	hits, misses, evictions, writebacks int64
 	evictLog                            []PageKey
@@ -99,6 +102,10 @@ type Pool struct {
 
 // reuseBuckets cover on-hit reuse distances (ticks) from 1 to ~16M.
 var reuseBuckets = obs.ExpBuckets(1, 4, 13)
+
+// maxScanFree bounds the bypass-page free list: one page per scan shard in
+// flight is all a steady state needs; pages released beyond it go to the GC.
+const maxScanFree = 16
 
 // NewPool returns a buffer pool with the given options.
 func NewPool(opts PoolOptions) *Pool {
@@ -141,7 +148,8 @@ func (p *Pool) fileID(hf *HeapFile) uint32 {
 // spanend analyzer checks this). Unpin is idempotent per handle.
 //
 // Handles from FetchScan may instead wrap a private page read around the
-// pool (pool and fr nil, page set); such handles are read-only.
+// pool (fr nil, page set); such handles are read-only, and Unpin returns the
+// page to the pool's bypass free list.
 type PageHandle struct {
 	pool     *Pool
 	fr       *frame
@@ -167,7 +175,7 @@ func (h *PageHandle) Missed() bool { return h.missed }
 // FetchScan bypass handles are read-only: dirtying a private copy would
 // silently lose the write, so that is a programming error.
 func (h *PageHandle) SetDirty() {
-	if h.pool == nil {
+	if h.fr == nil {
 		//ml4db:allow nakedpanic "read-only bypass handles have no frame to dirty; losing the write silently would corrupt the table"
 		panic("storage: SetDirty on a read-only scan handle")
 	}
@@ -176,29 +184,45 @@ func (h *PageHandle) SetDirty() {
 	h.pool.mu.Unlock()
 }
 
-// Unpin releases the pin. Calling it more than once is a no-op. Bypass
-// handles hold no pool state; for them Unpin only marks the handle released.
+// Unpin releases the pin. Calling it more than once is a no-op. A bypass
+// handle holds no frame; its Unpin hands the private page back for the next
+// bypass read.
 func (h *PageHandle) Unpin() {
-	if h.pool == nil {
-		h.released = true
-		return
-	}
-	h.pool.mu.Lock()
+	p := h.pool
+	p.mu.Lock()
 	if !h.released {
 		h.released = true
-		if h.fr.pins > 0 {
+		switch {
+		case h.fr == nil:
+			if len(p.scanFree) < maxScanFree {
+				p.scanFree = append(p.scanFree, h.page)
+			}
+		case h.fr.pins > 0:
 			h.fr.pins--
 		}
 	}
-	h.pool.mu.Unlock()
+	p.mu.Unlock()
 }
 
 // Fetch pins pageNo of hf into the pool, reading it from disk on a miss
 // (into the frame of an unpinned victim when the pool is full) and returns
 // the handle. With every frame pinned it fails with *AllPinnedError; a page
-// that fails its checksum on load surfaces as *ChecksumError. A failed Fetch
+// that fails its checksum on load surfaces as *ChecksumError, one holding
+// tuples of another width than hf's as *PageWidthError. A failed Fetch
 // leaves the resident set, the recency order and the policy as they were.
+//
+// Fetch allocates nothing: it is small enough to inline, so the handle lives
+// in the caller's frame unless the caller lets it escape.
 func (p *Pool) Fetch(hf *HeapFile, pageNo int) (*PageHandle, error) {
+	h, err := p.fetch(hf, pageNo)
+	if err != nil {
+		return nil, err
+	}
+	return &h, nil
+}
+
+// fetch is Fetch returning the handle by value.
+func (p *Pool) fetch(hf *HeapFile, pageNo int) (PageHandle, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.tick++
@@ -212,7 +236,7 @@ func (p *Pool) Fetch(hf *HeapFile, pageNo int) (*PageHandle, error) {
 	} else {
 		var err error
 		if fr, err = p.loadLocked(hf, key); err != nil {
-			return nil, err
+			return PageHandle{}, err
 		}
 		p.misses++
 		p.cMisses.Inc()
@@ -220,7 +244,7 @@ func (p *Pool) Fetch(hf *HeapFile, pageNo int) (*PageHandle, error) {
 	fr.lastTick = p.tick
 	p.lru.touch(fr)
 	p.notifyLocked(key, hit)
-	return &PageHandle{pool: p, fr: fr, missed: !hit}, nil
+	return PageHandle{pool: p, fr: fr, missed: !hit}, nil
 }
 
 // notifyLocked drives the policy and observer for one access, in access
@@ -279,30 +303,48 @@ func (p *Pool) loadLocked(hf *HeapFile, key PageKey) (*frame, error) {
 // counted as a hit, but the logical tick, the eviction policy, the reuse
 // histogram, and the observer are all left alone; a non-resident page is read
 // from disk outside the lock into a private page that is never inserted (no
-// eviction, no registration of unknown files) and counted as a miss. Safe for
-// concurrent use with Fetch and with other FetchScan calls.
+// eviction, no registration of unknown files) and counted as a miss. The
+// private page comes from the pool's bypass free list, which the handle's
+// Unpin refills, so like Fetch a steady-state FetchScan allocates nothing.
+// Safe for concurrent use with Fetch and with other FetchScan calls.
 func (p *Pool) FetchScan(hf *HeapFile, pageNo int) (*PageHandle, error) {
+	h, err := p.fetchScan(hf, pageNo)
+	if err != nil {
+		return nil, err
+	}
+	return &h, nil
+}
+
+// fetchScan is FetchScan returning the handle by value.
+func (p *Pool) fetchScan(hf *HeapFile, pageNo int) (PageHandle, error) {
 	p.mu.Lock()
 	if id, ok := p.files[hf]; ok {
-		key := PageKey{File: id, Page: uint32(pageNo)}
-		if fr, ok := p.frames[key]; ok {
+		if fr, ok := p.frames[PageKey{File: id, Page: uint32(pageNo)}]; ok {
 			p.hits++
 			p.cHits.Inc()
 			fr.pins++
 			p.mu.Unlock()
-			return &PageHandle{pool: p, fr: fr, missed: false}, nil
+			return PageHandle{pool: p, fr: fr}, nil
 		}
 	}
-	p.mu.Unlock()
-	page, err := hf.ReadPage(pageNo)
-	if err != nil {
-		return nil, err
+	var pg *Page
+	if k := len(p.scanFree); k > 0 {
+		pg, p.scanFree = p.scanFree[k-1], p.scanFree[:k-1]
 	}
+	p.mu.Unlock()
+	if pg == nil {
+		pg = &Page{buf: make([]byte, PageSize)}
+	}
+	page, err := hf.readPageInto(pg.buf, pageNo)
+	if err != nil {
+		return PageHandle{}, err // pg goes to the GC: errors are not the steady state
+	}
+	*pg = page
 	p.mu.Lock()
 	p.misses++
 	p.cMisses.Inc()
 	p.mu.Unlock()
-	return &PageHandle{page: page, missed: true}, nil
+	return PageHandle{pool: p, page: pg, missed: true}, nil
 }
 
 // victimLocked picks the frame to evict, or nil when every frame is pinned.

@@ -7,9 +7,10 @@ import (
 )
 
 // The micro tier for this layer: what one Pool.Fetch costs on a hit, on an
-// LRU miss and on a learned-policy miss, in ns and allocations, with the
-// pool full (steady state). The miss benchmarks cycle over more pages than
-// the pool holds, so under either policy every fetch misses and evicts.
+// LRU miss and on a learned-policy miss, and one Pool.FetchScan on a bypass
+// miss, in ns and allocations, with the pool full (steady state). The miss
+// benchmarks cycle over more pages than the pool holds, so under either
+// policy every fetch misses and evicts.
 
 const benchMissPages = 8192
 
@@ -29,13 +30,21 @@ func benchFile(tb testing.TB, npages int) *HeapFile {
 	return hf
 }
 
-// cyclicFetcher returns a func fetching hf's pages round-robin through pool,
-// after filling the pool so the first call already runs at steady state.
-func cyclicFetcher(tb testing.TB, pool *Pool, hf *HeapFile) func() {
+// cyclicFetcher returns a func fetching hf's pages round-robin through pool —
+// by Fetch, or by FetchScan when scan is set — after filling the pool so the
+// first call already runs at steady state. Both calls are direct, as in the
+// executor, so the handle can stay on the stack.
+func cyclicFetcher(tb testing.TB, pool *Pool, hf *HeapFile, scan bool) func() {
 	tb.Helper()
 	next, npages := 0, hf.NumPages()
 	fetch := func() {
-		h, err := pool.Fetch(hf, next%npages)
+		var h *PageHandle
+		var err error
+		if scan {
+			h, err = pool.FetchScan(hf, next%npages)
+		} else {
+			h, err = pool.Fetch(hf, next%npages)
+		}
 		if err != nil {
 			tb.Fatal(err)
 		}
@@ -48,8 +57,8 @@ func cyclicFetcher(tb testing.TB, pool *Pool, hf *HeapFile) func() {
 	return fetch
 }
 
-func benchFetch(b *testing.B, opts PoolOptions, npages int) {
-	fetch := cyclicFetcher(b, NewPool(opts), benchFile(b, npages))
+func benchFetch(b *testing.B, opts PoolOptions, npages int, scan bool) {
+	fetch := cyclicFetcher(b, NewPool(opts), benchFile(b, npages), scan)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -58,26 +67,33 @@ func benchFetch(b *testing.B, opts PoolOptions, npages int) {
 }
 
 func BenchmarkPoolFetchHit(b *testing.B) {
-	benchFetch(b, PoolOptions{Capacity: 128}, 128)
+	benchFetch(b, PoolOptions{Capacity: 128}, 128, false)
 }
 
 // The 4096-frame case is the O(1) check: ns/op must not grow with Capacity.
 func BenchmarkPoolFetchMissLRU(b *testing.B) {
 	for _, frames := range []int{128, 4096} {
 		b.Run(fmt.Sprintf("frames=%d", frames), func(b *testing.B) {
-			benchFetch(b, PoolOptions{Capacity: frames}, benchMissPages)
+			benchFetch(b, PoolOptions{Capacity: frames}, benchMissPages, false)
 		})
 	}
 }
 
 func BenchmarkPoolFetchMissLearned(b *testing.B) {
-	benchFetch(b, PoolOptions{Capacity: 128, Policy: NewLearnedPolicy(Recency{})}, benchMissPages)
+	benchFetch(b, PoolOptions{Capacity: 128, Policy: NewLearnedPolicy(Recency{})}, benchMissPages, false)
+}
+
+// A partitioned scan's fetch of a page the pool does not hold: a private read
+// into a page from the bypass free list.
+func BenchmarkPoolFetchScanMiss(b *testing.B) {
+	benchFetch(b, PoolOptions{Capacity: 128}, benchMissPages, true)
 }
 
 // TestPoolFetchAllocContract pins the allocation contract: at steady state a
-// fetch allocates its PageHandle and nothing else — no page buffer, no
-// candidate slice — on a hit, on an LRU miss and on a learned miss whose
-// scorer does not allocate, and that does not change with Capacity.
+// fetch allocates nothing — no handle (it stays on the caller's stack), no
+// page buffer, no candidate slice — on a hit, on an LRU miss, on a learned
+// miss whose scorer does not allocate and on a FetchScan bypass miss, and
+// that does not change with Capacity.
 func TestPoolFetchAllocContract(t *testing.T) {
 	hf := benchFile(t, 1100)
 	hot := benchFile(t, 128)
@@ -85,18 +101,20 @@ func TestPoolFetchAllocContract(t *testing.T) {
 		name string
 		opts PoolOptions
 		hf   *HeapFile
+		scan bool
 	}{
-		{"hit/128", PoolOptions{Capacity: 128}, hot},
-		{"lru-miss/128", PoolOptions{Capacity: 128}, hf},
-		{"lru-miss/1024", PoolOptions{Capacity: 1024}, hf},
-		{"learned-miss/128", PoolOptions{Capacity: 128, Policy: NewLearnedPolicy(Recency{})}, hf},
-		{"learned-miss/1024", PoolOptions{Capacity: 1024, Policy: NewLearnedPolicy(Recency{})}, hf},
+		{"hit/128", PoolOptions{Capacity: 128}, hot, false},
+		{"lru-miss/128", PoolOptions{Capacity: 128}, hf, false},
+		{"lru-miss/1024", PoolOptions{Capacity: 1024}, hf, false},
+		{"learned-miss/128", PoolOptions{Capacity: 128, Policy: NewLearnedPolicy(Recency{})}, hf, false},
+		{"learned-miss/1024", PoolOptions{Capacity: 1024, Policy: NewLearnedPolicy(Recency{})}, hf, false},
+		{"scan-miss/128", PoolOptions{Capacity: 128}, hf, true},
 	} {
 		pool := NewPool(tc.opts)
-		fetch := cyclicFetcher(t, pool, tc.hf)
+		fetch := cyclicFetcher(t, pool, tc.hf, tc.scan)
 		before := pool.Stats()
-		if allocs := testing.AllocsPerRun(2000, fetch); allocs > 1 {
-			t.Errorf("%s: %v allocs per fetch, want at most 1 (the handle)", tc.name, allocs)
+		if allocs := testing.AllocsPerRun(2000, fetch); allocs > 0 {
+			t.Errorf("%s: %v allocs per fetch, want 0", tc.name, allocs)
 		}
 		after := pool.Stats()
 		if allHits := tc.hf == hot; (allHits && after.Misses != before.Misses) || (!allHits && after.Hits != before.Hits) {

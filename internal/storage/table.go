@@ -49,21 +49,6 @@ func (tf *TableFile) NumPages() int { return tf.hf.NumPages() }
 // NumRows returns the live row count (from the free-space map).
 func (tf *TableFile) NumRows() int { return tf.hf.LiveTuples() }
 
-// FetchPage pins pageNo through the pool. The caller must Unpin the handle
-// on every non-error path.
-func (tf *TableFile) FetchPage(pageNo int) (*PageHandle, error) {
-	return tf.pool.Fetch(tf.hf, pageNo)
-}
-
-// FetchPageForScan fetches pageNo through the pool's read-only scan path
-// (Pool.FetchScan): resident pages are pinned without perturbing replacement
-// state, non-resident pages are read privately without insertion. Safe for
-// concurrent scan shards; the caller must Unpin the handle on every
-// non-error path.
-func (tf *TableFile) FetchPageForScan(pageNo int) (*PageHandle, error) {
-	return tf.pool.FetchScan(tf.hf, pageNo)
-}
-
 // AppendRow inserts row into the first page with free space (allocating a
 // new page when the file is full) and returns its row id.
 func (tf *TableFile) AppendRow(row []int64) (rowID int64, err error) {
@@ -77,7 +62,7 @@ func (tf *TableFile) AppendRow(row []int64) (rowID int64, err error) {
 			return 0, err
 		}
 	}
-	h, err := tf.FetchPage(pageNo)
+	h, err := tf.pool.Fetch(tf.hf, pageNo)
 	if err != nil {
 		return 0, err
 	}
@@ -98,7 +83,7 @@ func (tf *TableFile) DeleteRow(rowID int64) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	h, err := tf.FetchPage(pageNo)
+	h, err := tf.pool.Fetch(tf.hf, pageNo)
 	if err != nil {
 		return false, err
 	}
@@ -119,7 +104,7 @@ func (tf *TableFile) ReadRow(rowID int64) (row []int64, ok, missed bool, err err
 	if err != nil {
 		return nil, false, false, err
 	}
-	h, err := tf.FetchPage(pageNo)
+	h, err := tf.pool.Fetch(tf.hf, pageNo)
 	if err != nil {
 		return nil, false, false, err
 	}
@@ -156,7 +141,7 @@ func (tf *TableFile) Scan(fn func(rowID int64, row []int64) error) error {
 }
 
 func (tf *TableFile) scanPage(pageNo int, spp int64, row []int64, fn func(rowID int64, row []int64) error) error {
-	h, err := tf.FetchPage(pageNo)
+	h, err := tf.pool.Fetch(tf.hf, pageNo)
 	if err != nil {
 		return err
 	}
