@@ -11,23 +11,17 @@
 //	ml4db-bench -suite NAME[,NAME...]|all [-seed N] [-quick] [-out-dir DIR]
 //
 //	suite       fails unless                                          also writes
-//	kernels     parallel MatMul / MLP training is bit-identical to
-//	            serial and across reruns
-//	obs         the nil (off) instrumentation path allocates nothing
 //	trace       an instrumented workload's JSONL passes its           spans.jsonl
 //	            validators (publishes no BENCH file)                  metrics.jsonl
-//	serve       registry round trip and batched inference are         serve_metrics.jsonl
-//	            bit-identical, the canary gate blocks a worse model,
-//	            queue overflow is exact
 //	querystore  sys_statements accounting is exact, two replays       querystore.jsonl
 //	            export byte-identical valid JSONL
-//	autopilot   the good index is adopted and kept, the harmful view      tuning.jsonl
-//	            dropped, the ledger replays, sys_tuning matches it
+//	autopilot   the good index is adopted and kept, the harmful      tuning.jsonl
+//	            view dropped, the ledger replays, sys_tuning matches it
 //
 // A failing suite prints the violation, writes nothing, and makes the command
 // exit 1. A passing one writes DIR/BENCH_<suite>.json: its report under one
 // envelope (suite, gomaxprocs, numcpu, goversion, seed, quick, report), so a
-// field docs/*.md calls `speedup` is `.report.speedup`. Timings in a report are
+// field docs/*.md calls `overhead` is `.report.overhead`. Timings in a report are
 // recorded, never compared: no suite fails on a wall-clock number. -quick
 // shrinks every scenario to CI size (scripts/check.sh runs `-suite all
 // -quick`); the root BENCH_*.json are `go run ./cmd/ml4db-bench -suite all`.
@@ -62,10 +56,7 @@ type suite struct {
 }
 
 var suites = []suite{
-	{"kernels", kernelSuite},
-	{"obs", obsSuite},
 	{"trace", traceSuite},
-	{"serve", serveSuite},
 	{"querystore", querystoreSuite},
 	{"autopilot", autopilotSuite},
 }
@@ -81,9 +72,6 @@ type envelope struct {
 	Quick      bool   `json:"quick"`
 	Report     any    `json:"report"`
 }
-
-// gomaxprocs is the worker count the suites size their pools by.
-func gomaxprocs() int { return runtime.GOMAXPROCS(0) }
 
 // bestOf is the one timer: it returns the fastest timed run of f — the usual
 // antidote to scheduler noise on shared machines — and is the one place that
@@ -126,13 +114,6 @@ func writeJSONL(dir, name string, write func(io.Writer) error, validate func(io.
 	return publish(dir, name, buf.Bytes())
 }
 
-// scratchDir makes a temporary directory for a suite's on-disk scenario (heap
-// files, a model registry); the caller defers cleanup.
-func scratchDir() (dir string, cleanup func(), err error) {
-	dir, err = os.MkdirTemp("", "ml4db-bench-*")
-	return dir, func() { _ = os.RemoveAll(dir) }, err // best-effort: the OS reaps its temp dir anyway
-}
-
 func suiteNames() string {
 	names := make([]string, len(suites))
 	for i, s := range suites {
@@ -167,7 +148,7 @@ func runSuites(picked []suite, seed uint64, quick bool, dir string, stderr io.Wr
 		report, err := s.run(seed, quick, dir)
 		if err == nil && report != nil {
 			err = writeEnvelope(dir, envelope{
-				Suite: s.name, GOMAXPROCS: gomaxprocs(), NumCPU: runtime.NumCPU(),
+				Suite: s.name, GOMAXPROCS: runtime.GOMAXPROCS(0), NumCPU: runtime.NumCPU(),
 				GoVersion: runtime.Version(), Seed: seed, Quick: quick, Report: report,
 			})
 		}
@@ -176,7 +157,7 @@ func runSuites(picked []suite, seed uint64, quick bool, dir string, stderr io.Wr
 			failures++
 			continue
 		}
-		fmt.Printf("suite %s ok (gomaxprocs=%d, %.1fs)\n", s.name, gomaxprocs(), time.Since(start).Seconds())
+		fmt.Printf("suite %s ok (gomaxprocs=%d, %.1fs)\n", s.name, runtime.GOMAXPROCS(0), time.Since(start).Seconds())
 	}
 	return failures
 }

@@ -101,7 +101,7 @@ func TestFlagSetIsExactlySix(t *testing.T) {
 
 func TestUnknownSuiteExitsTwoListingNames(t *testing.T) {
 	var stderr bytes.Buffer
-	if code := run([]string{"-suite", "kernels,nosuch", "-out-dir", t.TempDir()}, &stderr); code != 2 {
+	if code := run([]string{"-suite", "trace,nosuch", "-out-dir", t.TempDir()}, &stderr); code != 2 {
 		t.Fatalf("exit code %d, want 2", code)
 	}
 	for _, s := range suites {

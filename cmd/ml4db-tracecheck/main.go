@@ -4,9 +4,8 @@
 // querystore exports (a schema-1 header whose section counts must match the
 // statement, heat, window, drift and model records that follow) and
 // autopilot tuning ledgers. Every line must carry its type's full field set;
-// an empty file is an error. The check.sh smoke gate runs it over freshly
-// emitted files so schema drift fails CI rather than silently breaking
-// downstream consumers.
+// an empty file is an error. It exits 1 at the first invalid or unreadable
+// file and 2 when no file is given.
 //
 // Usage:
 //
@@ -15,6 +14,7 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"os"
 
 	"ml4db/internal/autopilot"
@@ -22,19 +22,24 @@ import (
 	"ml4db/internal/querystore"
 )
 
-func main() {
-	if len(os.Args) < 2 {
-		fmt.Fprintln(os.Stderr, "usage: ml4db-tracecheck FILE...")
-		os.Exit(2)
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is main with its arguments and output streams injected; it returns the
+// exit code.
+func run(args []string, stdout, stderr io.Writer) int {
+	if len(args) == 0 {
+		fmt.Fprintln(stderr, "usage: ml4db-tracecheck FILE...")
+		return 2
 	}
-	for _, path := range os.Args[1:] {
+	for _, path := range args {
 		kind, n, err := validateFile(path)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "ml4db-tracecheck: %s: %v\n", path, err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "ml4db-tracecheck: %s: %v\n", path, err)
+			return 1
 		}
-		fmt.Printf("%s: %d valid %s lines\n", path, n, kind)
+		fmt.Fprintf(stdout, "%s: %d valid %s lines\n", path, n, kind)
 	}
+	return 0
 }
 
 func validateFile(path string) (kind string, n int, err error) {

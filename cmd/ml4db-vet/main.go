@@ -1,10 +1,10 @@
 // Command ml4db-vet runs the project's static-analysis suite
 // (internal/analysis) over the module: determinism (directly and through the
 // module call graph), unchecked errors, float equality, naked panics,
-// unguarded numerics, mutex copies, lock discipline, span/file leaks and
-// error-comparison hygiene. It prints file:line:col diagnostics and exits
-// non-zero when any finding survives //ml4db:allow suppression — making it
-// suitable as a CI gate:
+// unguarded numerics, lock discipline, span/file leaks and error-comparison
+// hygiene (copies of sync primitives are go vet's copylocks). It prints
+// file:line:col diagnostics and exits non-zero when any finding survives
+// //ml4db:allow suppression — making it suitable as a CI gate:
 //
 //	go run ./cmd/ml4db-vet -strict-suppress ./...
 //

@@ -154,7 +154,6 @@ func All() []*Analyzer {
 		FloatEqAnalyzer,
 		NakedPanicAnalyzer,
 		NumGuardAnalyzer,
-		MutexCopyAnalyzer,
 		LockCheckAnalyzer,
 		SpanEndAnalyzer,
 		ErrCmpAnalyzer,

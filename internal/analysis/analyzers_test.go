@@ -97,14 +97,6 @@ func TestNumGuardSilentOnGuardedCode(t *testing.T) {
 	runFixture(t, NumGuardAnalyzer, "numguard/clean/nn")
 }
 
-func TestMutexCopyFires(t *testing.T) {
-	runFixture(t, MutexCopyAnalyzer, "mutexcopy/bad")
-}
-
-func TestMutexCopySilentOnPointerDiscipline(t *testing.T) {
-	runFixture(t, MutexCopyAnalyzer, "mutexcopy/clean")
-}
-
 func TestLockCheckFixture(t *testing.T) { runFixture(t, LockCheckAnalyzer, "lockcheck") }
 func TestSpanEndFixture(t *testing.T)   { runFixture(t, SpanEndAnalyzer, "spanend") }
 func TestErrCmpFixture(t *testing.T)    { runFixture(t, ErrCmpAnalyzer, "errcmp") }
@@ -135,7 +127,7 @@ func TestStrictSuppressUnused(t *testing.T) {
 
 	// The floateq allow is only auditable when floateq runs: selecting a
 	// different analyzer must not flag it.
-	for _, f := range Analyze(pkgs, nil, []*Analyzer{MutexCopyAnalyzer}, true) {
+	for _, f := range Analyze(pkgs, nil, []*Analyzer{ErrCmpAnalyzer}, true) {
 		if f.Analyzer == "suppression" {
 			t.Errorf("strict mode flagged an allow for an analyzer that did not run: %q", f.Message)
 		}

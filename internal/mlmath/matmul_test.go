@@ -1,8 +1,9 @@
 package mlmath
 
 import (
-	"fmt"
 	"math"
+	"runtime"
+	"strconv"
 	"testing"
 )
 
@@ -143,28 +144,22 @@ func TestMulDelegatesToBlockedKernel(t *testing.T) {
 	}
 }
 
-func benchmarkMatMul(b *testing.B, size int, p *Pool) {
-	rng := NewRNG(1)
-	x := randomMat(rng, size, size)
-	y := randomMat(rng, size, size)
-	b.SetBytes(int64(size) * int64(size) * int64(size) * 16) // 2 flops·8B proxy
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		MatMul(x, y, p)
-	}
-}
-
-func BenchmarkMatMulSerial128(b *testing.B)   { benchmarkMatMul(b, 128, nil) }
-func BenchmarkMatMulSerial512(b *testing.B)   { benchmarkMatMul(b, 512, nil) }
-func BenchmarkMatMulParallel128(b *testing.B) { benchmarkMatMul(b, 128, Shared()) }
-func BenchmarkMatMulParallel512(b *testing.B) { benchmarkMatMul(b, 512, Shared()) }
-
-func BenchmarkMatMulWorkers512(b *testing.B) {
-	for _, w := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			p := NewPool(w)
-			defer p.Close()
-			benchmarkMatMul(b, 512, p)
+// BenchmarkMatMul multiplies two square matrices on a pool sized by
+// GOMAXPROCS, so `-cpu 1,2,4` is the worker sweep (Shared() is sized once per
+// process and cannot follow -cpu).
+func BenchmarkMatMul(b *testing.B) {
+	pool := NewPool(runtime.GOMAXPROCS(0))
+	defer pool.Close()
+	for _, size := range []int{128, 512} {
+		b.Run(strconv.Itoa(size), func(b *testing.B) {
+			rng := NewRNG(1)
+			x := randomMat(rng, size, size)
+			y := randomMat(rng, size, size)
+			b.SetBytes(int64(size) * int64(size) * int64(size) * 16) // 2 flops·8B proxy
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				MatMul(x, y, pool)
+			}
 		})
 	}
 }

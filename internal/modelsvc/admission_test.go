@@ -6,12 +6,16 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"ml4db/internal/obs"
 )
 
 // TestSubmitBoundaryTable pins the admission contract at the queue boundary
-// for a range of capacities: Submit succeeds exactly MaxQueue times on a
-// full drain cycle, the (MaxQueue+1)-th returns ErrQueueFull with a nil
-// ticket, and every accepted ticket is served by the next Flush.
+// for a range of capacities: of 2·MaxQueue+1 requests offered before a drain,
+// Submit accepts exactly the first MaxQueue, every one past capacity returns
+// ErrQueueFull with a nil ticket and is counted once in
+// modelsvc.serve.rejected, and every accepted ticket is served by the next
+// Flush.
 func TestSubmitBoundaryTable(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
@@ -23,8 +27,9 @@ func TestSubmitBoundaryTable(t *testing.T) {
 		{"capacity 7", 7},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
+			reg := obs.NewRegistry()
 			srv := NewServer(Single{Deployment{Version: 1, Model: versionPredictor{version: 1}}},
-				ServerOptions{MaxQueue: tc.maxQueue, MaxBatch: 2})
+				ServerOptions{MaxQueue: tc.maxQueue, MaxBatch: 2, Metrics: reg})
 			var tickets []*Ticket
 			for i := 0; i < tc.maxQueue; i++ {
 				tk, err := srv.Submit([]float64{float64(i)})
@@ -33,12 +38,18 @@ func TestSubmitBoundaryTable(t *testing.T) {
 				}
 				tickets = append(tickets, tk)
 			}
-			tk, err := srv.Submit([]float64{-1})
-			if !errors.Is(err, ErrQueueFull) {
-				t.Fatalf("Submit at capacity: err = %v, want ErrQueueFull", err)
+			excess := tc.maxQueue + 1
+			for i := 0; i < excess; i++ {
+				tk, err := srv.Submit([]float64{-1})
+				if !errors.Is(err, ErrQueueFull) {
+					t.Fatalf("Submit %d past capacity: err = %v, want ErrQueueFull", i+1, err)
+				}
+				if tk != nil {
+					t.Fatalf("Submit %d past capacity returned a non-nil ticket", i+1)
+				}
 			}
-			if tk != nil {
-				t.Fatal("rejected Submit returned a non-nil ticket")
+			if got := reg.Counter("modelsvc.serve.rejected").Value(); got != int64(excess) {
+				t.Fatalf("rejected counter = %d, want %d", got, excess)
 			}
 			if got := srv.QueueDepth(); got != tc.maxQueue {
 				t.Fatalf("QueueDepth = %d, want %d (rejection must not consume a slot)", got, tc.maxQueue)

@@ -48,6 +48,6 @@
 //     free).
 //
 // docs/SERVING.md documents the registry layout, the rollout state machine,
-// the determinism contract, and how to read BENCH_serve.json from
-// `ml4db-bench -suite serve`.
+// the determinism contract, and the micro benchmarks (BenchmarkServerFlush,
+// BenchmarkRolloutObserve) that measure serving speed.
 package modelsvc

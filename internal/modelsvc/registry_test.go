@@ -3,6 +3,7 @@ package modelsvc
 import (
 	"errors"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -51,10 +52,11 @@ func TestRegistryPublishLoadRoundTrip(t *testing.T) {
 	if got.Version != 1 {
 		t.Fatalf("latest version = %d, want 1", got.Version)
 	}
-	probe := []float64{0.1, -0.5, 0.9}
-	a, b := src.Forward(probe), dst.Forward(probe)
-	if a[0] != b[0] {
-		t.Fatalf("loaded model differs: %v vs %v", a, b)
+	for i, probe := range serveInputs(3, 16, 3) {
+		a, b := src.Forward(probe)[0], dst.Forward(probe)[0]
+		if math.Float64bits(a) != math.Float64bits(b) {
+			t.Fatalf("probe %d: loaded model predicts %v, published %v", i, b, a)
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package modelsvc
 
 import (
+	"bytes"
 	"errors"
 	"math"
 	"testing"
@@ -153,5 +154,46 @@ func TestServerFlushSubmissionOrder(t *testing.T) {
 	}
 	if got := reg.Counter("modelsvc.serve.submitted").Value(); got != int64(len(xs)) {
 		t.Fatalf("submitted counter = %d, want %d", got, len(xs))
+	}
+}
+
+// TestMetricsJSONLValidates fills one registry from a Server (accepted,
+// rejected and flushed requests) and a Rollout (a promotion, a rejection and
+// a demotion), and requires its JSONL export to pass the metrics schema with
+// one line for each of the 18 modelsvc instruments.
+func TestMetricsJSONLValidates(t *testing.T) {
+	reg := obs.NewRegistry()
+	srv := NewServer(Single{Deployment{Version: 1, Model: sinPredictor{scale: 1}}},
+		ServerOptions{MaxQueue: 4, MaxBatch: 3, Metrics: reg})
+	for _, x := range serveInputs(8, 6, 2) {
+		if _, err := srv.Submit(x); err != nil && !errors.Is(err, ErrQueueFull) {
+			t.Fatal(err)
+		}
+	}
+	srv.Flush()
+
+	r, _ := manualRollout(1, 4, reg)
+	r.SetCandidate(Deployment{Version: 2, Model: biasPredictor{factor: 1.1}})
+	if out := driveWindow(r, 4); out != OutcomePromoted {
+		t.Fatalf("better candidate: outcome %v, want promotion", out)
+	}
+	r.SetCandidate(Deployment{Version: 3, Model: biasPredictor{factor: 5}})
+	if out := driveWindow(r, 4); out != OutcomeRejected {
+		t.Fatalf("worse candidate: outcome %v, want rejection", out)
+	}
+	if !r.Demote() {
+		t.Fatal("Demote found nothing to restore")
+	}
+
+	var buf bytes.Buffer
+	if err := reg.WriteJSONL(&buf); err != nil {
+		t.Fatal(err)
+	}
+	n, err := obs.ValidateMetricsJSONL(&buf)
+	if err != nil {
+		t.Fatalf("metrics JSONL fails its schema: %v", err)
+	}
+	if n != 18 {
+		t.Errorf("validated %d metric lines, want one per modelsvc instrument (18)", n)
 	}
 }

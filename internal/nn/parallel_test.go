@@ -1,8 +1,8 @@
 package nn
 
 import (
-	"fmt"
 	"math"
+	"runtime"
 	"testing"
 
 	"ml4db/internal/mlmath"
@@ -132,7 +132,11 @@ func TestFitParallelGradientsCloseToSerial(t *testing.T) {
 	}
 }
 
-func benchmarkMLPFit(b *testing.B, pool *mlmath.Pool) {
+// BenchmarkMLPFit trains a 32-64-64-1 MLP for two epochs on a pool sized by
+// GOMAXPROCS, so `-cpu 1,2,4` is the worker sweep.
+func BenchmarkMLPFit(b *testing.B) {
+	pool := mlmath.NewPool(runtime.GOMAXPROCS(0))
+	defer pool.Close()
 	xs, ys := makeDataset(mlmath.NewRNG(1), 512, 32)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -141,19 +145,6 @@ func benchmarkMLPFit(b *testing.B, pool *mlmath.Pool) {
 			Epochs: 2, BatchSize: 64,
 			Optimizer: NewAdam(1e-3), RNG: mlmath.NewRNG(3),
 			Pool: pool,
-		})
-	}
-}
-
-func BenchmarkMLPFitSerial(b *testing.B)   { benchmarkMLPFit(b, nil) }
-func BenchmarkMLPFitParallel(b *testing.B) { benchmarkMLPFit(b, mlmath.Shared()) }
-
-func BenchmarkMLPFitWorkers(b *testing.B) {
-	for _, w := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			p := mlmath.NewPool(w)
-			defer p.Close()
-			benchmarkMLPFit(b, p)
 		})
 	}
 }

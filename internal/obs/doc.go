@@ -17,8 +17,8 @@
 //     and every Span/Counter/Gauge/Histogram method is a no-op on a nil
 //     receiver. Instrumented hot paths therefore cost one pointer test and
 //     zero allocations when observability is disabled — verified by
-//     TestNilObservabilityAllocatesNothing and `ml4db-bench -suite obs`
-//     (.report.nil_path_allocs in BENCH_obs.json).
+//     TestNilObservabilityAllocatesNothing; what an enabled instrument costs
+//     a query is bench/'s obs.on_cost_us_p50.
 //
 //   - Metrics are named and label-free. Names are dot-separated,
 //     lowercase, component-first: "exec.work", "nn.fit.epoch_loss",
@@ -30,8 +30,8 @@
 //     (JSONL): spans in start order, metrics in sorted-name order, with a
 //     schema-stable field set (spans: type,id,parent,name,start,duration
 //     [,attrs]; metrics: type,name,value or the histogram fields).
-//     ValidateTraceJSONL/ValidateMetricsJSONL check that schema and back
-//     the scripts/check.sh smoke gate via cmd/ml4db-tracecheck.
+//     ValidateTraceJSONL/ValidateMetricsJSONL check that schema; they back
+//     cmd/ml4db-tracecheck and every ml4db-bench suite that writes JSONL.
 //
 //   - One declaration per record type. A Schema lists a record's fields
 //     once; its JSONL line, its validator entry (Format, ValidateJSONL) and

@@ -9,6 +9,8 @@ cd "$(dirname "$0")/.."
 echo "==> go build ./..."
 go build ./...
 
+# go vet's copylocks is the project's check against copying a value that
+# holds a sync primitive (ml4db-vet has no analyzer of its own for it).
 echo "==> go vet ./..."
 go vet ./...
 
@@ -58,39 +60,33 @@ echo "==> bench module (go vet + go test)"
 (cd bench && go vet ./... && go test ./...)
 
 # Compile-and-run the micro benchmarks once (-benchtime=1x): not a timing
-# measurement, just a guard that the serial-vs-parallel kernel paths with
-# their determinism checks, the buffer-pool fetch paths, the optimizer's
-# join-order DP, one plan per executor operator (the ExecOps pattern also
-# matches scan/P=2, hashjoin/P=2 and hashagg/P=2, the partitioned forms), the
-# warm Session.Query front end, a plan-cache hit and a cold planning pass
-# through the engine's estimator guard keep working. Full numbers: ml4db-bench
-# -suite kernels; go test -bench PoolFetch ./internal/storage/; go test -bench
-# PlanStar ./internal/sqlkit/optimizer/; go test -bench ExecOps -cpu 1,2,4
-# ./internal/sqlkit/exec/; go test -bench 'QueryWarm|PlanCacheGet|PlanFallback'
-# -benchmem ./internal/engine/.
+# measurement, just a guard that the kernel worker sweeps (MatMul, MLPFit),
+# the buffer-pool fetch paths, the optimizer's join-order DP, one plan per
+# executor operator (the ExecOps pattern also matches scan/P=2, hashjoin/P=2
+# and hashagg/P=2, the partitioned forms), the warm Session.Query front end, a
+# plan-cache hit, a cold planning pass through the engine's estimator guard,
+# a batched Server flush and a stable vs shadow Rollout.Observe keep working.
+# Full numbers: the same command without -benchtime=1x, with -cpu 1,2,4 for
+# the benchmarks whose pool is sized by GOMAXPROCS (docs/PERFORMANCE.md).
 echo "==> micro benchmarks (smoke, 1 iteration)"
-go test -run '^$' -bench 'MatMul|MLPFit|PoolFetch|PlanStar|ExecOps|QueryWarm|PlanCacheGet|PlanFallback' -benchtime=1x ./internal/mlmath/ ./internal/nn/ ./internal/storage/ ./internal/sqlkit/optimizer/ ./internal/sqlkit/exec/ ./internal/engine/
+go test -run '^$' -bench 'MatMul|MLPFit|PoolFetch|PlanStar|ExecOps|QueryWarm|PlanCacheGet|PlanFallback|ServerFlush|RolloutObserve' -benchtime=1x ./internal/mlmath/ ./internal/nn/ ./internal/storage/ ./internal/sqlkit/optimizer/ ./internal/sqlkit/exec/ ./internal/engine/ ./internal/modelsvc/
 
 # Bench suites smoke: every registered suite at CI size. A suite that finds a
 # violated contract prints it and the command exits 1:
-#   kernels     parallel MatMul / MLP training not bit-identical
-#   obs         the nil (off) instrumentation path allocated
 #   trace       emitted span or metric JSONL fails its schema validator
-#   serve       registry round trip or batched inference not bit-identical,
-#               canary gate passed a worse candidate, queue overflow inexact
 #   querystore  sys_statements disagrees with the executed workload, or two
 #               replays exported different or invalid JSONL
 #   autopilot   good index not adopted and kept, harmful view not dropped,
 #               ledger replay or sys_tuning disagrees, or invalid ledger JSONL
-# The former engine, exec and storage suites' contracts are asserted by the
-# race sweep above (docs/README.md names the test for each; storage's is E25).
-# No suite gates on a timing, so nothing here compares two wall-clock numbers.
-# The standalone checker then re-validates the emitted JSONL, so schema drift
-# fails the gate rather than silently breaking consumers.
-echo "==> bench suites smoke (ml4db-bench -suite all -quick + JSONL schema validation)"
+# Every JSONL artifact passes its validator before the suite writes it, and
+# ml4db-tracecheck's format detection is a go test, so the files are not
+# checked a second time here. The former kernels, obs, serve, engine, exec and
+# storage suites' contracts are asserted by the race sweep above
+# (docs/README.md names the test for each; storage's is E25). No suite gates
+# on a timing, so nothing here compares two wall-clock numbers.
+echo "==> bench suites smoke (ml4db-bench -suite all -quick)"
 obsdir=$(mktemp -d)
 trap 'rm -rf "$obsdir"' EXIT
 go run ./cmd/ml4db-bench -suite all -quick -out-dir "$obsdir"
-go run ./cmd/ml4db-tracecheck "$obsdir"/{spans,metrics,serve_metrics,querystore,tuning}.jsonl
 
 echo "All checks passed."
