@@ -90,9 +90,10 @@ func (o *Optimizer) Plan(q *plan.Query, hint HintSet) (*plan.Node, error) {
 // PlanWith is Plan over estimates the caller already holds (est must be q's
 // table, see Estimate): the join-order search itself, which asks no estimator.
 //
-// The DP table maps a set of table positions (a bitmask) to the cheapest plan
-// found for it; the node itself carries that plan's EstRows and EstCost. The
-// planner never looks at how rows are laid out: nodes name base columns.
+// The search is over numbers: its table (see dpEntry) holds, for every set of
+// table positions, the estimates of the cheapest plan found for it and how to
+// build it, and only the plan it returns is built, once the search is over.
+// The planner never looks at how rows are laid out: nodes name base columns.
 func (o *Optimizer) PlanWith(q *plan.Query, hint HintSet, est Estimates) (*plan.Node, error) {
 	n := q.NumTables()
 	if n == 0 {
@@ -104,9 +105,18 @@ func (o *Optimizer) PlanWith(q *plan.Query, hint HintSet, est Estimates) (*plan.
 	if n > 20 {
 		return nil, fmt.Errorf("optimizer: %d tables exceeds DP limit", n)
 	}
-	best := make([]*plan.Node, 1<<uint(n))
-	for pos := 0; pos < n; pos++ {
-		best[1<<uint(pos)] = o.scanPlan(q, pos, hint, est.Rows[pos])
+	leaves := make([]*plan.Node, n)
+	memo := make([]dpEntry, 1<<uint(n))
+	for pos := range leaves {
+		leaves[pos] = o.scanPlan(q, pos, hint, est.Rows[pos])
+		m := uint32(1) << uint(pos)
+		memo[m] = dpEntry{rows: leaves[pos].EstRows, cost: leaves[pos].EstCost, left: m}
+	}
+	var allowed uint8 // bit i: the hint allows plan.AllJoinOps[i]
+	for i, op := range plan.AllJoinOps {
+		if hint.Allows(op) {
+			allowed |= 1 << i
+		}
 	}
 	full := uint32(1<<uint(n)) - 1
 	for mask := uint32(1); mask <= full; mask++ {
@@ -119,17 +129,22 @@ func (o *Optimizer) PlanWith(q *plan.Query, hint HintSet, est Estimates) (*plan.
 				continue // canonical split: left side holds the lowest bit
 			}
 			other := mask ^ sub
-			if best[sub] == nil || best[other] == nil {
+			if !memo[sub].found() || !memo[other].found() {
 				continue
 			}
-			o.tryJoin(q, hint, est.Sel, best, sub, other)
-			o.tryJoin(q, hint, est.Sel, best, other, sub)
+			// Both child orders cross the same conditions.
+			crossed, sel := crossingSel(q, est.Sel, sub, other)
+			if crossed == 0 {
+				continue
+			}
+			o.costJoins(memo, sub, other, sel, allowed, hint.LeftDeepOnly)
+			o.costJoins(memo, other, sub, sel, allowed, hint.LeftDeepOnly)
 		}
 	}
-	root := best[full]
-	if root == nil {
+	if !memo[full].found() {
 		return nil, fmt.Errorf("optimizer: join graph is disconnected")
 	}
+	root := buildPlan(q, memo, leaves, full)
 	if err := CheckConds(q, root); err != nil {
 		return nil, err
 	}
@@ -143,68 +158,112 @@ func (o *Optimizer) PlanWith(q *plan.Query, hint HintSet, est Estimates) (*plan.
 	return root, nil
 }
 
-// tryJoin costs joining the best plans of the disjoint position sets l and r,
-// in that child order, under every operator the hint allows, and installs a
-// strictly cheaper result as the best plan of l|r. A candidate is costed
-// before its node is built, so only improvements allocate. sels is the
-// statement's Estimates.Sel.
-func (o *Optimizer) tryJoin(q *plan.Query, hint HintSet, sels []float64, best []*plan.Node, l, r uint32) {
-	if hint.LeftDeepOnly && bits.OnesCount32(r) > 1 {
+// dpEntry is the search's record of the cheapest plan found so far for one set
+// of table positions (its index in the table, a bitmask): that plan's
+// estimated rows and cost, and how to build it — a join by op of the best
+// plans of the position sets left and right. A single position's entry is
+// its scan, with left the position's own bit and right zero. left is zero
+// while no plan has been found.
+type dpEntry struct {
+	rows, cost  float64
+	op          plan.OpType
+	left, right uint32
+}
+
+func (e *dpEntry) found() bool { return e.left != 0 }
+
+// costJoins costs joining the best plans of the disjoint position sets l and
+// r, in that child order, under every operator bit i of allowed admits
+// (plan.AllJoinOps[i]), and records a strictly cheaper result as the best
+// plan of l|r. sel is the product of the selectivities of the conditions
+// crossing l and r (see crossingSel). Being one call per child order keeps
+// the arithmetic compiled as the golden plans pin it, NaN payloads included
+// (see TestPlanIdentityEdgeGolden).
+func (o *Optimizer) costJoins(memo []dpEntry, l, r uint32, sel float64, allowed uint8, leftDeepOnly bool) {
+	if leftDeepOnly && bits.OnesCount32(r) > 1 {
 		return
 	}
-	conds, sel := crossing(q, sels, l, r)
-	if len(conds) == 0 {
-		return
-	}
-	left, right := best[l], best[r]
-	outRows := left.EstRows * right.EstRows * sel
+	left, right, best := &memo[l], &memo[r], &memo[l|r]
+	outRows := left.rows * right.rows * sel
 	if outRows < 1 {
 		outRows = 1
 	}
-	for _, op := range plan.AllJoinOps {
-		if !hint.Allows(op) {
+	for i, op := range plan.AllJoinOps {
+		if allowed&(1<<i) == 0 {
 			continue
 		}
-		cost := left.EstCost + right.EstCost + o.Cost.JoinCost(op, left.EstRows, right.EstRows, outRows)
-		if cur := best[l|r]; cur == nil || cost < cur.EstCost {
-			node := plan.NewJoin(op, left, right, conds...)
-			node.EstRows, node.EstCost = outRows, cost
-			best[l|r] = node
+		cost := left.cost + right.cost + o.Cost.JoinCost(op, left.rows, right.rows, outRows)
+		if !best.found() || cost < best.cost {
+			*best = dpEntry{rows: outRows, cost: cost, op: op, left: l, right: r}
 		}
 	}
 }
 
-// crossing returns every join condition of q with one side in the position
-// set left and the other in right (bitmasks), in declaration order, each
-// oriented left→right — the conditions a join of the two sides must carry.
-// With non-nil sels (one selectivity per declared condition) it also returns
-// the product of theirs, multiplied in declaration order.
-func crossing(q *plan.Query, sels []float64, left, right uint32) (conds []expr.JoinCond, sel float64) {
+// buildPlan builds the plan the search table memo records for the position
+// set mask: leaves[pos] for a single position, else a join node over the
+// built plans of its two sides, carrying the conditions that cross them.
+func buildPlan(q *plan.Query, memo []dpEntry, leaves []*plan.Node, mask uint32) *plan.Node {
+	e := &memo[mask]
+	if e.right == 0 {
+		return leaves[bits.TrailingZeros32(mask)]
+	}
+	left := buildPlan(q, memo, leaves, e.left)
+	right := buildPlan(q, memo, leaves, e.right)
+	node := plan.NewJoin(e.op, left, right, crossing(q, e.left, e.right)...)
+	node.EstRows, node.EstCost = e.rows, e.cost
+	return node
+}
+
+// crosses reports whether join condition c has one side in the position set
+// left and the other in right (bitmasks), and whether it is declared
+// right→left. A position outside the query shifts to no bit and crosses
+// nothing.
+func crosses(c expr.JoinCond, left, right uint32) (ok, flipped bool) {
+	lb, rb := uint32(1)<<uint(c.LeftTable), uint32(1)<<uint(c.RightTable)
+	switch {
+	case lb&left != 0 && rb&right != 0:
+		return true, false
+	case lb&right != 0 && rb&left != 0:
+		return true, true
+	}
+	return false, false
+}
+
+// crossing returns every join condition of q that crosses the position sets
+// left and right, in declaration order, each oriented left→right — the
+// conditions a join of the two sides must carry.
+func crossing(q *plan.Query, left, right uint32) []expr.JoinCond {
+	var conds []expr.JoinCond
+	for _, c := range q.Joins {
+		if ok, flipped := crosses(c, left, right); ok {
+			if flipped {
+				c = c.Flip()
+			}
+			conds = append(conds, c)
+		}
+	}
+	return conds
+}
+
+// crossingSel counts the join conditions of q that cross the position sets
+// left and right, without building them (see crossing), and returns the
+// product of their selectivities sels[i], multiplied in declaration order.
+func crossingSel(q *plan.Query, sels []float64, left, right uint32) (n int, sel float64) {
 	sel = 1
 	for i, c := range q.Joins {
-		// A position outside the query shifts to no bit and crosses nothing.
-		lb, rb := uint32(1)<<uint(c.LeftTable), uint32(1)<<uint(c.RightTable)
-		switch {
-		case lb&left != 0 && rb&right != 0:
-			conds = append(conds, c)
-		case lb&right != 0 && rb&left != 0:
-			conds = append(conds, c.Flip())
-		default:
-			continue
-		}
-		if sels != nil {
+		if ok, _ := crosses(c, left, right); ok {
+			n++
 			sel *= sels[i]
 		}
 	}
-	return conds, sel
+	return n, sel
 }
 
 // CrossingConds returns the conditions of q a join of the subtrees left and
 // right must carry (see plan.Node.Conds); none means joining them would be a
 // cross product. Plan builders outside the DP construct joins through it.
 func CrossingConds(q *plan.Query, left, right *plan.Node) []expr.JoinCond {
-	conds, _ := crossing(q, nil, tableMask(left), tableMask(right))
-	return conds
+	return crossing(q, tableMask(left), tableMask(right))
 }
 
 // tableMask returns the table positions under n as a bitmask.

@@ -73,14 +73,16 @@ func BenchmarkPlanStar(b *testing.B) {
 }
 
 // TestPlanAllocContract bounds the allocations of one planning pass. The
-// bounds sit about 10 % above the measured counts — 25 / 131 / 645 since the
-// DP costs a candidate before building its node and keeps no per-entry
-// layout (the one over 24 / 130 / 644 is the statement's table of estimates);
-// 121 / 914 / 5 400 before — so a change that makes the DP allocate per
-// candidate again fails here rather than as an adhoc_plan regression in
-// bench/.
+// bounds sit about 10 % above the measured counts: 12 / 20 / 28 since the
+// search runs over a table of numbers and builds only the plan it returns —
+// the table of estimates, the search table, the leaf slice, one scan per
+// table and, per join, its node, children and conditions. Before that they
+// were 25 / 131 / 645 (a node per improving candidate, a condition slice per
+// candidate), and 121 / 914 / 5 400 before the DP costed a candidate ahead
+// of building it. A change that makes the search allocate per candidate
+// again fails here rather than as an adhoc_plan regression in bench/.
 func TestPlanAllocContract(t *testing.T) {
-	for _, tc := range []struct{ tables, maxAllocs int }{{3, 27}, {5, 145}, {7, 710}} {
+	for _, tc := range []struct{ tables, maxAllocs int }{{3, 14}, {5, 22}, {7, 31}} {
 		o, q := benchStar(t, tc.tables)
 		allocs := testing.AllocsPerRun(20, func() {
 			if _, err := o.Plan(q, NoHint()); err != nil {

@@ -65,11 +65,12 @@ echo "==> bench module (go vet + go test)"
 # executor operator (the ExecOps pattern also matches scan/P=2, hashjoin/P=2
 # and hashagg/P=2, the partitioned forms), the warm Session.Query front end, a
 # plan-cache hit, a cold planning pass through the engine's estimator guard,
-# a batched Server flush and a stable vs shadow Rollout.Observe keep working.
+# the cold front end's parse, shape and query-store record steps, a batched
+# Server flush and a stable vs shadow Rollout.Observe keep working.
 # Full numbers: the same command without -benchtime=1x, with -cpu 1,2,4 for
 # the benchmarks whose pool is sized by GOMAXPROCS (docs/PERFORMANCE.md).
 echo "==> micro benchmarks (smoke, 1 iteration)"
-go test -run '^$' -bench 'MatMul|MLPFit|PoolFetch|PlanStar|ExecOps|QueryWarm|PlanCacheGet|PlanFallback|ServerFlush|RolloutObserve' -benchtime=1x ./internal/mlmath/ ./internal/nn/ ./internal/storage/ ./internal/sqlkit/optimizer/ ./internal/sqlkit/exec/ ./internal/engine/ ./internal/modelsvc/
+go test -run '^$' -bench 'MatMul|MLPFit|PoolFetch|PlanStar|ExecOps|QueryWarm|PlanCacheGet|PlanFallback|ColdFrontEnd|ServerFlush|RolloutObserve' -benchtime=1x ./internal/mlmath/ ./internal/nn/ ./internal/storage/ ./internal/sqlkit/optimizer/ ./internal/sqlkit/exec/ ./internal/engine/ ./internal/modelsvc/
 
 # Bench suites smoke: every registered suite at CI size. A suite that finds a
 # violated contract prints it and the command exits 1:
