@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"os"
+	"path/filepath"
 	"slices"
 	"strings"
 	"testing"
@@ -150,15 +151,15 @@ func TestAdoptsBeneficialIndexEndToEnd(t *testing.T) {
 
 // staleJoinCatalog builds two tables whose join-key statistics are stale:
 // analyzed while the keys were near-unique, then overwritten to five
-// distinct values — so the optimizer's join-size estimate is ~160× under.
-func staleJoinCatalog(t *testing.T, seed uint64) *catalog.Catalog {
+// distinct values — so the optimizer's join-size estimate is ~rRows/5× under.
+func staleJoinCatalog(t *testing.T, seed uint64, lRows, rRows int) *catalog.Catalog {
 	t.Helper()
 	rng := mlmath.NewRNG(seed)
 	cat := catalog.NewCatalog()
 	for _, spec := range []struct {
 		name string
 		rows int
-	}{{"l", 400}, {"r", 800}} {
+	}{{"l", lRows}, {"r", rRows}} {
 		tbl, err := datagen.GenTable(rng, spec.name, spec.rows, []datagen.ColSpec{
 			{Name: "id", Kind: datagen.Sequential},
 			{Name: "k", Kind: datagen.Uniform, Domain: 100000},
@@ -185,7 +186,7 @@ func staleJoinCatalog(t *testing.T, seed uint64) *catalog.Catalog {
 // autopilot adopts it, observes the regression over the next windows, drops
 // it again, and queries keep returning correct results throughout.
 func TestShadowVerificationDropsHarmfulView(t *testing.T) {
-	r := newRig(t, staleJoinCatalog(t, 5), autopilot.Options{
+	r := newRig(t, staleJoinCatalog(t, 5, 400, 800), autopilot.Options{
 		Interval: time.Second, MinWinFrac: 0.01, BuildCostWeight: -1, VerifyWindows: 2,
 	})
 	q := plan.NewQuery(0, 1)
@@ -340,5 +341,91 @@ func TestReplayByteIdentical(t *testing.T) {
 	}
 	if !bytes.Equal(a, b) {
 		t.Fatalf("replays differ:\n%s\n---\n%s", a, b)
+	}
+}
+
+// TestTuningLedgerGolden runs both end-to-end scenarios at full size and pins
+// their concatenated event ledgers byte for byte against
+// testdata/tuning.golden.jsonl (regenerate with UPDATE_GOLDEN=1 only for an
+// intended change to a decision or the ledger schema):
+//   - index: a selective statement over 20 000 rows whose index is adopted
+//     and kept, next to an unselective one whose candidate idx(t0.c2) must be
+//     rejected at the what-if gate, with build cost weighted 0.5;
+//   - view: stale join-key statistics over 1 000 × 2 000 rows bait a view
+//     that the shadow trial drops.
+func TestTuningLedgerGolden(t *testing.T) {
+	opts := func(buildCostWeight float64) autopilot.Options {
+		return autopilot.Options{
+			Interval: time.Second, MinWinFrac: 0.02, BuildCostWeight: buildCostWeight, VerifyWindows: 2,
+		}
+	}
+	ledger := func(r *rig) []byte {
+		var buf bytes.Buffer
+		if err := r.ap.WriteEventsJSONL(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+
+	tbl, err := datagen.GenTable(mlmath.NewRNG(42), "events", 20000, []datagen.ColSpec{
+		{Name: "id", Kind: datagen.Sequential},
+		{Name: "attr", Kind: datagen.Uniform, Domain: 1000},
+		{Name: "wide", Kind: datagen.Uniform, Domain: 1000},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cat := catalog.NewCatalog()
+	cat.MustAdd(tbl)
+	cat.AnalyzeAll(32, 512)
+	r := newRig(t, cat, opts(0.5))
+	hot := plan.NewQuery(0)
+	hot.AddFilter(0, expr.Pred{Col: 1, Op: expr.BETWEEN, Lo: 500, Hi: 509})
+	cold := plan.NewQuery(0)
+	cold.AddFilter(0, expr.Pred{Col: 2, Op: expr.BETWEEN, Lo: 0, Hi: 999})
+	r.runN(t, hot, 24, 50*time.Millisecond)
+	r.runN(t, cold, 3, 50*time.Millisecond)
+	evs, err := r.ap.Tick()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.ContainsFunc(evs, func(e autopilot.TuningEvent) bool {
+		return e.Stage == autopilot.StageRejected && e.Target == "idx(t0.c2)"
+	}) {
+		t.Errorf("unselective candidate idx(t0.c2) not rejected; stages = %v", stages(evs))
+	}
+	r.runN(t, hot, 24, 300*time.Millisecond)
+	if _, err := r.ap.Tick(); err != nil {
+		t.Fatal(err)
+	}
+	got := ledger(r)
+
+	r = newRig(t, staleJoinCatalog(t, 42, 1000, 2000), opts(-1))
+	q := plan.NewQuery(0, 1)
+	q.AddFilter(0, expr.Pred{Col: 2, Op: expr.BETWEEN, Lo: 500, Hi: 509})
+	q.AddJoin(expr.JoinCond{LeftTable: 0, LeftCol: 1, RightTable: 1, RightCol: 1})
+	for _, step := range []time.Duration{50 * time.Millisecond, 300 * time.Millisecond} {
+		r.runN(t, q, 24, step)
+		if _, err := r.ap.Tick(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got = append(got, ledger(r)...)
+
+	if _, err := autopilot.LedgerFormat.Validate(bytes.NewReader(got)); err != nil {
+		t.Fatalf("ledger fails validation: %v", err)
+	}
+	golden := filepath.Join("testdata", "tuning.golden.jsonl")
+	if os.Getenv("UPDATE_GOLDEN") != "" {
+		if err := os.WriteFile(golden, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("read golden (run with UPDATE_GOLDEN=1 to create): %v", err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("tuning ledger drifted\n--- got ---\n%s--- want ---\n%s", got, want)
 	}
 }

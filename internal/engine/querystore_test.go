@@ -3,12 +3,15 @@ package engine_test
 import (
 	"bytes"
 	"errors"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
 	"ml4db/internal/engine"
 	"ml4db/internal/mlmath"
 	"ml4db/internal/querystore"
+	"ml4db/internal/sqlkit/datagen"
 	"ml4db/internal/sqlkit/exec"
 	"ml4db/internal/sqlkit/expr"
 	"ml4db/internal/sqlkit/plan"
@@ -182,6 +185,59 @@ func TestQuerystoreReplayByteIdentical(t *testing.T) {
 	a, b := replay(), replay()
 	if !bytes.Equal(a, b) {
 		t.Errorf("replays diverged:\n%s\nvs\n%s", a, b)
+	}
+}
+
+// TestQuerystoreExportGolden replays ten star statements over a
+// 2 000-row, 4-dimension star three times under a ManualClock stepping
+// 250 ms per statement (so windows close mid-run), and pins the whole export
+// byte for byte against testdata/querystore.golden.jsonl. The export must
+// also pass the querystore schema validator. Regenerate with UPDATE_GOLDEN=1
+// only for an intended change to what the store records or how it exports.
+func TestQuerystoreExportGolden(t *testing.T) {
+	sch, err := datagen.NewStarSchema(mlmath.NewRNG(42), 2000, 100, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	qs := make([]*plan.Query, 10)
+	for i := range qs {
+		qs[i] = plan.NewQuery(append([]int{sch.FactID}, sch.DimIDs...)...)
+		qs[i].AddFilter(0, expr.Pred{Col: sch.AttrCols[0], Op: expr.GE, Lo: int64(860 + 7*i)})
+		for d, col := range sch.FKCol {
+			qs[i].AddJoin(expr.JoinCond{LeftTable: 0, LeftCol: col, RightTable: d + 1, RightCol: 0})
+		}
+	}
+	mc := &mlmath.ManualClock{T: time.Unix(0, 0)}
+	store := querystore.New(querystore.Options{Clock: mc, Catalog: sch.Cat, Window: time.Second})
+	sess := engine.New(sch.Cat, engine.Options{Store: store}).Session()
+	for round := 0; round < 3; round++ {
+		for _, q := range qs {
+			if _, err := sess.Run(q); err != nil {
+				t.Fatal(err)
+			}
+			mc.Advance(250 * time.Millisecond)
+		}
+	}
+	store.Flush()
+	var buf bytes.Buffer
+	if err := store.WriteJSONL(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := querystore.ValidateJSONL(bytes.NewReader(buf.Bytes())); err != nil {
+		t.Fatalf("export fails validation: %v", err)
+	}
+	golden := filepath.Join("testdata", "querystore.golden.jsonl")
+	if os.Getenv("UPDATE_GOLDEN") != "" {
+		if err := os.WriteFile(golden, buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("read golden (run with UPDATE_GOLDEN=1 to create): %v", err)
+	}
+	if !bytes.Equal(buf.Bytes(), want) {
+		t.Fatalf("querystore export drifted\n--- got ---\n%s--- want ---\n%s", buf.Bytes(), want)
 	}
 }
 
