@@ -1,18 +1,20 @@
 // Package ml4db's top-level benchmark regenerates every table and figure of
 // the reproduction: one sub-benchmark per registered experiment (DESIGN.md
-// lists them; `ml4db-bench -list` prints the IDs). Each runs the full
-// experiment per iteration (expect seconds per op — the default b.N of 1 is
-// the intended usage), reports the experiment's headline metrics via
-// b.ReportMetric, logs the regenerated rows, and fails if the paper's claimed
-// direction does not hold.
+// lists the IDs). Each sub-benchmark reports the experiment's headline
+// metrics via b.ReportMetric, logs the regenerated rows, and fails if the
+// paper's claimed direction does not hold. Pass -benchtime 1x: each iteration
+// runs the whole experiment, and without it the testing package raises b.N
+// until the benchmark takes a second, rerunning a cheap experiment hundreds
+// of thousands of times. Pass -v: without it the log of rows is cut after
+// ten lines.
 //
 // Regenerate everything:
 //
-//	go test -bench=. -benchmem
+//	go test -run '^$' -bench . -benchtime 1x -v
 //
 // Regenerate one artifact:
 //
-//	go test -bench 'Experiment/E9$'
+//	go test -run '^$' -bench 'Experiment/E9$' -benchtime 1x -v
 package ml4db
 
 import (

@@ -27,12 +27,6 @@ func qoTestbed(seed uint64, factRows int) (*qo.Env, *workload.StarGen, error) {
 	return qo.NewEnv(sch.Cat), workload.NewStarGen(sch, rng), nil
 }
 
-// NewQoTestbed exposes the standard optimizer testbed to external harnesses
-// (the observability overhead benchmark in cmd/ml4db-bench).
-func NewQoTestbed(seed uint64, factRows int) (*qo.Env, *workload.StarGen, error) {
-	return qoTestbed(seed, factRows)
-}
-
 func mustWork(env *qo.Env, p *plan.Node) int64 {
 	w, _, err := env.Run(p, 0)
 	if err != nil {

@@ -1,10 +1,6 @@
 package survey
 
-import (
-	"fmt"
-	"sort"
-	"strings"
-)
+import "sort"
 
 // Area classifies what database component a publication targets.
 type Area int
@@ -186,27 +182,4 @@ func Table1() []Table1Row {
 		{"Plan-Cost", "Cost Estimation", "TreeRNN", "tree.TreeRNNEncoder"},
 		{"QueryFormer", "General Purpose", "Transformer", "tree.TransformerEncoder"},
 	}
-}
-
-// RenderFigure1 formats the trend as the paper's figure data (one row per
-// year with both series), suitable for terminal display.
-func RenderFigure1() string {
-	var b strings.Builder
-	b.WriteString("Figure 1: Publication trend in ML for index & query optimizer\n")
-	b.WriteString("year  replacement  ml-enhanced\n")
-	for _, tp := range Figure1() {
-		fmt.Fprintf(&b, "%d  %11d  %11d\n", tp.Year, tp.Replacement, tp.MLEnhanced)
-	}
-	return b.String()
-}
-
-// RenderTable1 formats Table 1 for terminal display.
-func RenderTable1() string {
-	var b strings.Builder
-	b.WriteString("Table 1: Query plan representation methods in ML4DB studies\n")
-	fmt.Fprintf(&b, "%-12s %-22s %-15s %s\n", "Method", "Application", "Tree Model", "Implementation")
-	for _, r := range Table1() {
-		fmt.Fprintf(&b, "%-12s %-22s %-15s %s\n", r.Method, r.Application, r.TreeModel, r.Implementation)
-	}
-	return b.String()
 }
