@@ -3,9 +3,8 @@ package engine
 import (
 	"cmp"
 	"container/list"
-	"fmt"
 	"slices"
-	"strings"
+	"strconv"
 	"sync"
 
 	"ml4db/internal/obs"
@@ -88,35 +87,47 @@ func applyRewriters(q *plan.Query, rs []plan.QueryRewriter) (*plan.Query, []plan
 // filters and joins were added — two spellings of the same query share one
 // shape, one plan-cache entry, and one querystore statement record.
 func queryShape(q *plan.Query, hintName string) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "h%s", hintName)
+	// Sorting happens in stack arrays: a table's filters and the join list
+	// only reach the heap past 16 entries.
+	var predBuf [16]expr.Pred
+	var joinBuf [16]expr.JoinCond
+	b := make([]byte, 0, 64)
+	b = append(b, 'h')
+	b = append(b, hintName...)
 	for pos, tid := range q.Tables {
-		fmt.Fprintf(&b, "|T%d", tid)
-		preds := slices.Clone(q.Filters[pos])
+		b = append(b, "|T"...)
+		b = strconv.AppendInt(b, int64(tid), 10)
+		preds := append(predBuf[:0], q.Filters[pos]...)
 		slices.SortFunc(preds, predCmp)
 		for _, p := range preds {
-			fmt.Fprintf(&b, ":%s", p)
+			b = p.AppendTo(append(b, ':'))
 		}
 	}
-	joins := make([]expr.JoinCond, len(q.Joins))
-	for i, j := range q.Joins {
+	joins := joinBuf[:0]
+	for _, j := range q.Joins {
 		// Orient each condition smaller side first; equality is symmetric.
 		if j.RightTable < j.LeftTable || (j.RightTable == j.LeftTable && j.RightCol < j.LeftCol) {
 			j = j.Flip()
 		}
-		joins[i] = j
+		joins = append(joins, j)
 	}
 	slices.SortFunc(joins, joinCmp)
 	for _, j := range joins {
-		fmt.Fprintf(&b, "|%s", j)
+		b = j.AppendTo(append(b, '|'))
 	}
 	if q.Agg != nil {
-		fmt.Fprintf(&b, "|G%d.c%d", q.Agg.GroupTable, q.Agg.GroupCol)
+		b = appendCol(append(b, "|G"...), q.Agg.GroupTable, q.Agg.GroupCol)
 		for _, sc := range q.Agg.Sums {
-			fmt.Fprintf(&b, "|S%d.c%d", sc.Table, sc.Col)
+			b = appendCol(append(b, "|S"...), sc.Table, sc.Col)
 		}
 	}
-	return b.String()
+	return string(b)
+}
+
+// appendCol appends "<table>.c<col>".
+func appendCol(b []byte, table, col int) []byte {
+	b = strconv.AppendInt(b, int64(table), 10)
+	return strconv.AppendInt(append(b, ".c"...), int64(col), 10)
 }
 
 func predCmp(a, b expr.Pred) int {
@@ -128,91 +139,94 @@ func joinCmp(a, b expr.JoinCond) int {
 		cmp.Compare(a.RightTable, b.RightTable), cmp.Compare(a.RightCol, b.RightCol))
 }
 
-// cacheEntry is one cached plan under its full key.
-type cacheEntry struct {
-	key  cacheKey
-	plan *plan.Node
-}
-
-// planCache is a mutex-guarded LRU of optimized plans shared by all sessions
-// of an engine. It stores and serves the planner's tree itself: a plan is
-// read-only once built (the executor returns what it measured instead of
-// writing it into the nodes), so any number of sessions run one tree at once.
-type planCache struct {
+// lru is a mutex-guarded least-recently-used map of at most capacity entries,
+// shared by all sessions of an engine. The engine keeps two: the plan cache
+// (cacheKey → plan) and the statement memo (stmtKey → *stmt). Values are
+// stored and served as they are, not copied: both kinds are read-only once
+// built (the executor returns what it measured instead of writing it into
+// the plan's nodes), so any number of sessions use one value at once.
+type lru[K comparable, V any] struct {
 	capacity int
-	// engine.plancache.* counters, resolved once (nil without a registry):
-	// counting is a field bump, so it happens inside the critical sections.
+	// <prefix>.hits/misses/evictions/invalidations, resolved once (nil
+	// without a registry): counting is a field bump, so it happens inside
+	// the critical sections.
 	hits, misses, evictions, invalidations *obs.Counter
 
 	mu    sync.Mutex
-	ll    *list.List                 // front = most recently used
-	byKey map[cacheKey]*list.Element // element value: *cacheEntry
+	ll    *list.List // front = most recently used; values *lruEntry[K, V]
+	byKey map[K]*list.Element
 }
 
-func newPlanCache(capacity int, metrics *obs.Registry) *planCache {
+type lruEntry[K comparable, V any] struct {
+	key K
+	val V
+}
+
+// newLRU returns an empty cache of capacity entries (256 below one) counting
+// into the metrics named prefix + ".hits" and so on.
+func newLRU[K comparable, V any](capacity int, metrics *obs.Registry, prefix string) *lru[K, V] {
 	if capacity < 1 {
 		capacity = 256
 	}
-	return &planCache{
+	return &lru[K, V]{
 		capacity:      capacity,
-		hits:          metrics.Counter("engine.plancache.hits"),
-		misses:        metrics.Counter("engine.plancache.misses"),
-		evictions:     metrics.Counter("engine.plancache.evictions"),
-		invalidations: metrics.Counter("engine.plancache.invalidations"),
+		hits:          metrics.Counter(prefix + ".hits"),
+		misses:        metrics.Counter(prefix + ".misses"),
+		evictions:     metrics.Counter(prefix + ".evictions"),
+		invalidations: metrics.Counter(prefix + ".invalidations"),
 		ll:            list.New(),
-		byKey:         make(map[cacheKey]*list.Element, capacity),
+		byKey:         make(map[K]*list.Element, capacity),
 	}
 }
 
-// Get returns the cached plan for key — the stored tree, not a copy —
+// Get returns the value cached under key — the stored value, not a copy —
 // promoting the entry to most recently used.
-func (c *planCache) Get(key cacheKey) (*plan.Node, bool) {
+func (c *lru[K, V]) Get(key K) (V, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.byKey[key]
 	if !ok {
 		c.misses.Inc()
-		return nil, false
+		var zero V
+		return zero, false
 	}
 	c.hits.Inc()
 	c.ll.MoveToFront(el)
-	return el.Value.(*cacheEntry).plan, true
+	return el.Value.(*lruEntry[K, V]).val, true
 }
 
-// Put stores the plan under key, evicting the least recently used entry past
+// Put stores v under key, evicting the least recently used entry past
 // capacity. Re-putting an existing key refreshes its recency but keeps the
-// first plan (both were built from identical inputs).
-func (c *planCache) Put(key cacheKey, p *plan.Node) {
+// first value (both were built from identical inputs).
+func (c *lru[K, V]) Put(key K, v V) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.byKey[key]; ok {
 		c.ll.MoveToFront(el)
 		return
 	}
-	c.byKey[key] = c.ll.PushFront(&cacheEntry{key: key, plan: p})
+	c.byKey[key] = c.ll.PushFront(&lruEntry[K, V]{key: key, val: v})
 	for c.ll.Len() > c.capacity {
 		oldest := c.ll.Back()
 		c.ll.Remove(oldest)
-		delete(c.byKey, oldest.Value.(*cacheEntry).key)
+		delete(c.byKey, oldest.Value.(*lruEntry[K, V]).key)
 		c.evictions.Inc()
 	}
 }
 
-// Invalidate drops every entry, returning how many were dropped. An epoch
-// bump already makes stale keys unreachable; dropping them too frees the
-// memory immediately instead of waiting for LRU pressure.
-func (c *planCache) Invalidate() int {
+// Invalidate drops every entry, returning how many were dropped.
+func (c *lru[K, V]) Invalidate() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	n := c.ll.Len()
 	c.ll.Init()
-	c.byKey = make(map[cacheKey]*list.Element, c.capacity)
+	c.byKey = make(map[K]*list.Element, c.capacity)
 	c.invalidations.Add(int64(n))
 	return n
 }
 
-// Len returns the number of cached plans.
-func (c *planCache) Len() int {
+// Len returns the number of cached entries.
+func (c *lru[K, V]) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.ll.Len()

@@ -2,6 +2,9 @@ package engine
 
 import (
 	"fmt"
+	"math"
+	"slices"
+	"strings"
 	"testing"
 
 	"ml4db/internal/obs"
@@ -68,6 +71,82 @@ func TestCacheKeyNormalization(t *testing.T) {
 			t.Errorf("%s collides with %s: %v", what, prev, key)
 		}
 		seen[key] = what
+	}
+}
+
+// newPlanCache is the engine's plan cache on its own.
+func newPlanCache(capacity int, reg *obs.Registry) *lru[cacheKey, *plan.Node] {
+	return newLRU[cacheKey, *plan.Node](capacity, reg, "engine.plancache")
+}
+
+// refShape renders a shape through fmt and the String methods of expr.Pred
+// and expr.JoinCond: the reference queryShape must equal byte for byte, so
+// the statement identities in the query store and its goldens never move.
+func refShape(q *plan.Query, hintName string) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "h%s", hintName)
+	for pos, tid := range q.Tables {
+		fmt.Fprintf(&b, "|T%d", tid)
+		preds := slices.Clone(q.Filters[pos])
+		slices.SortFunc(preds, predCmp)
+		for _, p := range preds {
+			fmt.Fprintf(&b, ":%s", p)
+		}
+	}
+	joins := make([]expr.JoinCond, len(q.Joins))
+	for i, j := range q.Joins {
+		if j.RightTable < j.LeftTable || (j.RightTable == j.LeftTable && j.RightCol < j.LeftCol) {
+			j = j.Flip()
+		}
+		joins[i] = j
+	}
+	slices.SortFunc(joins, joinCmp)
+	for _, j := range joins {
+		fmt.Fprintf(&b, "|%s", j)
+	}
+	if q.Agg != nil {
+		fmt.Fprintf(&b, "|G%d.c%d", q.Agg.GroupTable, q.Agg.GroupCol)
+		for _, sc := range q.Agg.Sums {
+			fmt.Fprintf(&b, "|S%d.c%d", sc.Table, sc.Col)
+		}
+	}
+	return b.String()
+}
+
+// TestQueryShapeMatchesReference: every operator, int64 extremes, more
+// filters and joins than the sort's stack arrays hold, and an aggregate.
+func TestQueryShapeMatchesReference(t *testing.T) {
+	wide := plan.NewQuery(1)
+	for c := 20; c > 0; c-- {
+		wide.AddFilter(0, expr.Pred{Col: c % 7, Op: expr.Op(c % 7), Lo: int64(c) * -3, Hi: int64(c)})
+	}
+	star := plan.NewQuery(9, 8, 7, 6, 5, 4, 3, 2, 1, 0, 10, 11, 12, 13, 14, 15, 16, 17, 18)
+	for i := 18; i > 0; i-- {
+		star.AddJoin(expr.JoinCond{LeftTable: i, LeftCol: i % 3, RightTable: 0, RightCol: i})
+	}
+	for name, tc := range map[string]struct {
+		q    *plan.Query
+		hint string
+	}{
+		"two tables": {twoTableQuery(nil), "default"},
+		"NE and BETWEEN": {twoTableQuery(func(q *plan.Query) {
+			q.AddFilter(1, expr.Pred{Col: 3, Op: expr.NE, Lo: -1})
+			q.AddFilter(1, expr.Pred{Col: 0, Op: expr.BETWEEN, Lo: -5, Hi: 12})
+		}), "hash-only"},
+		"int64 extremes": {twoTableQuery(func(q *plan.Query) {
+			q.AddFilter(0, expr.Pred{Col: 1, Op: expr.LT, Lo: math.MinInt64})
+			q.AddFilter(1, expr.Pred{Col: 2, Op: expr.BETWEEN, Lo: math.MinInt64, Hi: math.MaxInt64})
+			q.AddFilter(1, expr.Pred{Col: 2, Op: expr.GT, Lo: math.MaxInt64})
+		}), ""},
+		"aggregate": {twoTableQuery(func(q *plan.Query) {
+			q.SetAgg(1, 2, plan.AggCol{Table: 0, Col: 4}, plan.AggCol{Table: 1, Col: 0})
+		}), "no-nl"},
+		"20 filters": {wide, "default"},
+		"18 joins":   {star, "left-deep"},
+	} {
+		if got, want := queryShape(tc.q, tc.hint), refShape(tc.q, tc.hint); got != want {
+			t.Errorf("%s: shape\n%q, reference\n%q", name, got, want)
+		}
 	}
 }
 

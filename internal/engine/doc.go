@@ -13,7 +13,10 @@
 //     replays the identical plan; a stats refresh, estimator install, or
 //     design change publishes a new planning snapshot with the next epoch,
 //     which makes every stale key unreachable. A query reads that snapshot
-//     with one atomic load and takes no engine lock.
+//     with one atomic load and takes no engine lock. In front of the cache,
+//     a statement memo keyed by SQL text and hint-set name hands a repeated
+//     text its parsed statement, column names and shape without lexing,
+//     parsing or rendering anything; every epoch move drops it.
 //   - Deterministic work budgets: per-query limits counted in executor work
 //     units and materialized rows (exec.Budget), never wall time, so an
 //     aborted query aborts at the same point on every replay.

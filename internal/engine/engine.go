@@ -42,8 +42,8 @@ type Options struct {
 	// arrivals are rejected with ErrOverloaded. Values below one default
 	// to 8.
 	MaxConcurrent int
-	// CacheSize bounds the shared plan cache in entries. Values below one
-	// default to 256.
+	// CacheSize bounds the shared plan cache and the statement memo, each in
+	// entries. Values below one default to 256.
 	CacheSize int
 	// DefaultBudget, when non-nil, applies to every query whose session does
 	// not set its own budget.
@@ -86,7 +86,9 @@ type Result struct {
 	// under (0 when planning was classical).
 	EstimatorVersion int
 	// Query is the query the plan was actually built from — the input after
-	// view rewriting, or the input itself when no rewriter applied.
+	// view rewriting, or the input itself when no rewriter applied. For
+	// Session.Query it is the statement memo's, shared by every call that
+	// sends the same text: read-only, like Plan.
 	Query *plan.Query
 	// PosMap maps each input table position to its (position, column offset)
 	// in Query. Nil means identity: no rewriter applied.
@@ -105,7 +107,9 @@ type Engine struct {
 
 	// slots is the admission semaphore: one token per running session.
 	slots chan struct{}
-	cache *planCache
+	cache *lru[cacheKey, *plan.Node]
+	// stmts is the statement memo Session.Query consults before parsing.
+	stmts *lru[stmtKey, *stmt]
 
 	// cur is what the next query plans under: readers load it once, writers
 	// publish a new one through update.
@@ -153,7 +157,8 @@ func New(cat *catalog.Catalog, opts Options) *Engine {
 		exc:   exec.New(cat),
 		opts:  opts,
 		slots: make(chan struct{}, opts.MaxConcurrent),
-		cache: newPlanCache(opts.CacheSize, m),
+		cache: newLRU[cacheKey, *plan.Node](opts.CacheSize, m, "engine.plancache"),
+		stmts: newLRU[stmtKey, *stmt](opts.CacheSize, m, "engine.stmtcache"),
 
 		admitted:          m.Counter("engine.admitted"),
 		rejected:          m.Counter("engine.rejected"),
@@ -177,7 +182,10 @@ func New(cat *catalog.Catalog, opts Options) *Engine {
 // with change applied, retrying if another writer got in between (so change
 // may run twice and must only assign fields). stale — every mutation but a
 // parallelism switch — means no plan built so far may be served again: the
-// epoch moves, here and nowhere else, and the cache is dropped.
+// epoch moves, here and nowhere else, and both caches are dropped. For the
+// plan cache the drop only frees memory early (the epoch in its key already
+// makes every entry unreachable); the statement memo has no epoch in its key,
+// so the drop is what makes a text parse again against a changed catalog.
 func (e *Engine) update(stale bool, event *obs.Counter, change func(*planning)) {
 	for published := false; !published; {
 		old := e.cur.Load()
@@ -190,6 +198,7 @@ func (e *Engine) update(stale bool, event *obs.Counter, change func(*planning)) 
 	}
 	if stale {
 		e.cache.Invalidate()
+		e.stmts.Invalidate()
 	}
 	event.Inc()
 }
@@ -311,39 +320,41 @@ func (e *Engine) Session() *Session {
 
 // Run executes q with the default hint set, budget, and no EXPLAIN — the
 // one-shot convenience over Session.
-func (e *Engine) Run(q *plan.Query) (*Result, error) {
-	return e.run(q, nil, optimizer.NoHint(), e.opts.DefaultBudget, false)
-}
+func (e *Engine) Run(q *plan.Query) (*Result, error) { return e.Session().Run(q) }
 
-// run is the shared query path: admit, plan (through the cache), execute.
-// out, when non-nil, is the statement's requested output over q's table
-// positions; it rides along to the executor and is no part of the plan's or
-// the statement's identity.
-func (e *Engine) run(q *plan.Query, out *plan.Output, hint optimizer.HintSet, budget *exec.Budget, analyze bool) (*Result, error) {
+// admit takes an admission slot, or rejects the query with *OverloadedError.
+// Every admitted query calls release once it is done.
+func (e *Engine) admit() error {
 	select {
 	case e.slots <- struct{}{}:
 	default:
 		e.rejected.Inc()
-		return nil, &OverloadedError{Limit: cap(e.slots)}
+		return &OverloadedError{Limit: cap(e.slots)}
 	}
-	defer func() {
-		e.active.Set(float64(len(e.slots) - 1))
-		<-e.slots
-	}()
 	e.admitted.Inc()
 	e.active.Set(float64(len(e.slots)))
+	return nil
+}
 
+func (e *Engine) release() {
+	e.active.Set(float64(len(e.slots) - 1))
+	<-e.slots
+}
+
+// run is the one query path of an admitted query: plan (through the cache),
+// execute, record. shape is queryShape(q, hint.Name), computed by the caller
+// (or remembered: see Session.Query). It is computed from the caller's query,
+// so one statement keeps one identity (and one querystore record) across
+// design changes; the plan is built from the rewritten query. Rewriters only
+// change together with an epoch bump, so a cached plan under this key always
+// matches this rewrite. out, when non-nil, is the statement's requested
+// output over q's table positions; it rides along to the executor and is no
+// part of the plan's or the statement's identity.
+func (e *Engine) run(q *plan.Query, shape string, out *plan.Output, hint optimizer.HintSet, budget *exec.Budget, analyze bool) (*Result, error) {
 	sp := e.opts.Trace.StartSpan("engine.query", nil)
 	defer sp.End()
 
 	s := e.cur.Load() // the one read of mutable planning state in this query
-
-	// The statement shape is computed from the caller's query, so one
-	// statement keeps one identity (and one querystore record) across design
-	// changes; the plan is built from the rewritten query. Rewriters only
-	// change together with an epoch bump, so a cached plan under this key
-	// always matches this rewrite.
-	shape := queryShape(q, hint.Name)
 	exq, posMap := applyRewriters(q, s.rewriters)
 	key := cacheKey{epoch: s.epoch, parallelism: s.classical.Parallelism, hint: hintBitsOf(hint), shape: shape}
 	p, hit := e.cache.Get(key)

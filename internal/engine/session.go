@@ -27,13 +27,21 @@ type Session struct {
 // hint set and budget. It returns ErrOverloaded immediately when the engine
 // is at its concurrency limit, and a *exec.BudgetExceededError (alongside
 // the partial Result) when the query exceeds its budget.
-func (s *Session) Run(q *plan.Query) (*Result, error) { return s.run(q, nil) }
+func (s *Session) Run(q *plan.Query) (*Result, error) {
+	if err := s.eng.admit(); err != nil {
+		return nil, err
+	}
+	defer s.eng.release()
+	return s.run(q, queryShape(q, s.Hint.Name), nil)
+}
 
-// run is Run with the requested output (nil: every column in leaf order).
-func (s *Session) run(q *plan.Query, out *plan.Output) (*Result, error) {
+// run is the engine's query path under the session's settings, for an
+// admitted query whose shape the caller computed. out is the requested
+// output (nil: every column in leaf order).
+func (s *Session) run(q *plan.Query, shape string, out *plan.Output) (*Result, error) {
 	budget := s.Budget
 	if budget == nil {
 		budget = s.eng.opts.DefaultBudget
 	}
-	return s.eng.run(q, out, s.Hint, budget, s.Analyze)
+	return s.eng.run(q, shape, out, s.Hint, budget, s.Analyze)
 }

@@ -9,9 +9,26 @@ import (
 // output rows with their column names, plus the underlying engine result
 // (plan, counters, cache/fallback flags) for callers that want it.
 type RowsResult struct {
+	// Columns names the output columns. The slice is the statement memo's,
+	// shared by every call that sends the same text: read-only.
 	Columns []string
 	Rows    [][]int64
 	Exec    *Result
+}
+
+// stmtKey is the statement memo's key: the text as sent, and the name of the
+// hint set it was sent under, which the statement's shape carries.
+type stmtKey struct {
+	hint, sql string
+}
+
+// stmt is everything Session.Query derives from a statement's text before
+// planning. Once in the memo it is shared by every session sending the text,
+// so it is never written again.
+type stmt struct {
+	*sqlparse.Stmt          // Cols is never nil: SELECT * is expanded
+	names          []string // the output column names
+	shape          string   // queryShape(Query, hint)
 }
 
 // Query parses and runs one SELECT statement (see sqlparse for the
@@ -22,13 +39,44 @@ type RowsResult struct {
 // projects its columns before it builds a row, so Rows are Exec.Rows. This
 // front end only names the columns and labels them. ORDER BY is stable over
 // the executor's deterministic order, so results replay byte-identically.
+//
+// A text sent again under the same hint-set name is neither lexed nor parsed
+// nor re-shaped: the engine's statement memo returns what the first call
+// derived (see Engine.statement).
 func (s *Session) Query(sql string) (*RowsResult, error) {
-	st, err := sqlparse.Parse(s.eng.cat, sql)
+	e := s.eng
+	if err := e.admit(); err != nil {
+		return nil, err
+	}
+	defer e.release()
+	st, err := e.statement(s.Hint.Name, sql)
 	if err != nil {
 		return nil, err
 	}
-	cat, tables := s.eng.cat, st.Query.Tables
-	out := &st.Output // the statement is this call's own: expanding * in place copies nothing
+	res, err := s.run(st.Query, st.shape, &st.Output)
+	if err != nil {
+		return nil, err
+	}
+	return &RowsResult{Columns: st.names, Rows: res.Rows, Exec: res}, nil
+}
+
+// statement returns the memoised statement for sql under the hint name,
+// parsing and inserting it on a miss; a text that fails to parse is not
+// stored, so it is parsed again on every call. The memo is dropped on every
+// epoch move (update), which every catalog change must cause; and since it
+// is only read and filled by admitted queries, no fill can straddle a change
+// made under Quiesce.
+func (e *Engine) statement(hint, sql string) (*stmt, error) {
+	key := stmtKey{hint: hint, sql: sql}
+	if st, ok := e.stmts.Get(key); ok {
+		return st, nil
+	}
+	parsed, err := sqlparse.Parse(e.cat, sql)
+	if err != nil {
+		return nil, err
+	}
+	cat, tables := e.cat, parsed.Query.Tables
+	out := &parsed.Output
 	if out.Cols == nil {
 		// SELECT * is every column in FROM order.
 		total := 0
@@ -42,13 +90,10 @@ func (s *Session) Query(sql string) (*RowsResult, error) {
 			}
 		}
 	}
-	names := make([]string, len(out.Cols))
+	st := &stmt{Stmt: parsed, names: make([]string, len(out.Cols)), shape: queryShape(parsed.Query, hint)}
 	for i, c := range out.Cols {
-		names[i] = cat.Table(tables[c.Table]).Columns[c.Col].Name
+		st.names[i] = cat.Table(tables[c.Table]).Columns[c.Col].Name
 	}
-	res, err := s.run(st.Query, out)
-	if err != nil {
-		return nil, err
-	}
-	return &RowsResult{Columns: names, Rows: res.Rows, Exec: res}, nil
+	e.stmts.Put(key, st)
+	return st, nil
 }

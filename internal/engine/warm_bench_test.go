@@ -15,8 +15,8 @@ import (
 // warmStatements are the three cheap shapes of the end-to-end benchmark's
 // point_warm workload (bench/stmts.go): an indexed point lookup, a narrow
 // indexed range, and a dimension row by id. The executor's share of each is
-// small, so what is measured is the front end: parse, shape, plan-cache hit,
-// instruments, workload record, projection.
+// small, so what is measured is the front end: statement-memo and plan-cache
+// hits, instruments, workload record, projection.
 var warmStatements = []struct{ name, sql string }{
 	{"point", "SELECT * FROM fact WHERE attr2 = 600 LIMIT 10"},
 	{"range", "SELECT * FROM fact WHERE attr0 BETWEEN 100 AND 101 LIMIT 20"},
@@ -25,8 +25,8 @@ var warmStatements = []struct{ name, sql string }{
 
 // warmSession returns a session over an indexed star schema with Metrics and
 // Store on, every warm statement already planned once: each further Query is
-// a plan-cache hit.
-func warmSession(tb testing.TB) *engine.Session {
+// a statement-memo and a plan-cache hit. reg is the engine's registry.
+func warmSession(tb testing.TB) (sess *engine.Session, reg *obs.Registry) {
 	tb.Helper()
 	sch, err := datagen.NewStarSchema(mlmath.NewRNG(5), 20000, 200, 2)
 	if err != nil {
@@ -40,8 +40,9 @@ func warmSession(tb testing.TB) *engine.Session {
 		dim.AddIndex(catalog.BuildSecondaryIndex(dim, 0))
 	}
 	sch.Cat.AnalyzeAll(32, 2048)
-	sess := engine.New(sch.Cat, engine.Options{
-		Metrics: obs.NewRegistry(),
+	reg = obs.NewRegistry()
+	sess = engine.New(sch.Cat, engine.Options{
+		Metrics: reg,
 		Store:   querystore.New(querystore.Options{Clock: &mlmath.ManualClock{T: time.Unix(0, 0)}}),
 	}).Session()
 	for _, st := range warmStatements {
@@ -53,14 +54,14 @@ func warmSession(tb testing.TB) *engine.Session {
 			tb.Fatalf("%s returns no rows; the statement measures nothing", st.name)
 		}
 	}
-	return sess
+	return sess, reg
 }
 
 // BenchmarkQueryWarm is the micro tier of the front end: one Session.Query
-// per iteration at 100 % plan-cache hits. Run with
+// per iteration at 100 % statement-memo and plan-cache hits. Run with
 // go test -run '^$' -bench QueryWarm -benchmem ./internal/engine/.
 func BenchmarkQueryWarm(b *testing.B) {
-	sess := warmSession(b)
+	sess, _ := warmSession(b)
 	for _, st := range warmStatements {
 		b.Run(st.name, func(b *testing.B) {
 			b.ReportAllocs()
@@ -75,24 +76,32 @@ func BenchmarkQueryWarm(b *testing.B) {
 }
 
 // TestQueryWarmAllocContract pins the allocations of a warm Session.Query per
-// statement: 34 / 32 / 33 in a plain build and 36 / 35–36 / 34–35 under -race
-// (AllocsPerRun truncates a mean that sits near a whole number there), which
-// is the build scripts/check.sh runs and the one the ceilings are set for.
-// History, plain build: 40 / 38 / 39 with a formatted plan-cache key string
-// and a reflection-based sort of the shape's predicates, 36 / 34 / 35 while
-// every hit deep-cloned the cached plan and the executor looked its two
-// instruments up by name (38 / 37 / 36 under -race).
+// statement, 10 / 10 / 10 in a plain build and under -race (which is how
+// scripts/check.sh runs it), and checks that each of those calls was served
+// by the statement memo. History, plain build: 40 / 38 / 39 with a formatted
+// plan-cache key string and a reflection-based sort of the shape's
+// predicates, 36 / 34 / 35 while every hit deep-cloned the cached plan and
+// the executor looked its two instruments up by name, 34 / 32 / 33 while
+// every call parsed its text and rendered its shape (36 / 35–36 / 34–35
+// under -race).
 func TestQueryWarmAllocContract(t *testing.T) {
-	sess := warmSession(t)
-	ceilings := map[string]float64{"point": 36, "range": 36, "dim": 35}
+	sess, reg := warmSession(t)
+	hits := reg.Counter("engine.stmtcache.hits")
+	const runs = 200
+	ceilings := map[string]float64{"point": 10, "range": 10, "dim": 10}
 	for _, st := range warmStatements {
-		got := testing.AllocsPerRun(200, func() {
+		before := hits.Value()
+		got := testing.AllocsPerRun(runs, func() {
 			if _, err := sess.Query(st.sql); err != nil {
 				t.Fatal(err)
 			}
 		})
 		if got > ceilings[st.name] {
 			t.Errorf("%s: %.0f allocs per warm query, ceiling %.0f", st.name, got, ceilings[st.name])
+		}
+		// AllocsPerRun makes one warm-up call before the runs it measures.
+		if n := hits.Value() - before; n != runs+1 {
+			t.Errorf("%s: %d statement-memo hits in %d warm calls", st.name, n, runs+1)
 		}
 	}
 }

@@ -3,6 +3,7 @@ package expr
 import (
 	"fmt"
 	"math"
+	"strconv"
 )
 
 // Op is a comparison operator.
@@ -72,11 +73,23 @@ func (p Pred) Eval(v int64) bool {
 }
 
 // String renders the predicate for debugging and plan display.
-func (p Pred) String() string {
+func (p Pred) String() string { return string(p.AppendTo(nil)) }
+
+// AppendTo appends the predicate's String form to b: "c<col> <op> <lo>", or
+// "c<col> between <lo> and <hi>".
+func (p Pred) AppendTo(b []byte) []byte {
+	b = append(b, 'c')
+	b = strconv.AppendInt(b, int64(p.Col), 10)
 	if p.Op == BETWEEN {
-		return fmt.Sprintf("c%d between %d and %d", p.Col, p.Lo, p.Hi)
+		b = append(b, " between "...)
+		b = strconv.AppendInt(b, p.Lo, 10)
+		b = append(b, " and "...)
+		return strconv.AppendInt(b, p.Hi, 10)
 	}
-	return fmt.Sprintf("c%d %s %d", p.Col, p.Op, p.Lo)
+	b = append(b, ' ')
+	b = append(b, p.Op.String()...)
+	b = append(b, ' ')
+	return strconv.AppendInt(b, p.Lo, 10)
 }
 
 // Range returns the value interval [lo, hi] selected by the predicate; a side
@@ -121,8 +134,19 @@ type JoinCond struct {
 }
 
 // String renders the join condition.
-func (j JoinCond) String() string {
-	return fmt.Sprintf("t%d.c%d = t%d.c%d", j.LeftTable, j.LeftCol, j.RightTable, j.RightCol)
+func (j JoinCond) String() string { return string(j.AppendTo(nil)) }
+
+// AppendTo appends the join condition's String form to b:
+// "t<left table>.c<left col> = t<right table>.c<right col>".
+func (j JoinCond) AppendTo(b []byte) []byte {
+	b = append(b, 't')
+	b = strconv.AppendInt(b, int64(j.LeftTable), 10)
+	b = append(b, ".c"...)
+	b = strconv.AppendInt(b, int64(j.LeftCol), 10)
+	b = append(b, " = t"...)
+	b = strconv.AppendInt(b, int64(j.RightTable), 10)
+	b = append(b, ".c"...)
+	return strconv.AppendInt(b, int64(j.RightCol), 10)
 }
 
 // Flip returns the same condition with its sides exchanged; equality is

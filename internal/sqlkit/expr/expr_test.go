@@ -86,14 +86,32 @@ func TestJoinCondTouches(t *testing.T) {
 	}
 }
 
+// TestStringRendering pins the rendered forms, which are part of exported
+// identities (the engine's statement shape, plan display): String and
+// AppendTo, onto an empty and onto a non-empty buffer, give the same bytes.
 func TestStringRendering(t *testing.T) {
-	p := Pred{Col: 3, Op: BETWEEN, Lo: 1, Hi: 9}
-	if p.String() != "c3 between 1 and 9" {
-		t.Errorf("Pred.String = %q", p.String())
-	}
-	j := JoinCond{LeftTable: 0, LeftCol: 1, RightTable: 2, RightCol: 3}
-	if j.String() != "t0.c1 = t2.c3" {
-		t.Errorf("JoinCond.String = %q", j.String())
+	for _, c := range []struct {
+		v interface {
+			String() string
+			AppendTo([]byte) []byte
+		}
+		want string
+	}{
+		{Pred{Col: 3, Op: BETWEEN, Lo: 1, Hi: 9}, "c3 between 1 and 9"},
+		{Pred{Col: 0, Op: NE, Lo: -7}, "c0 <> -7"},
+		{Pred{Col: 12, Op: GE, Lo: math.MaxInt64}, "c12 >= 9223372036854775807"},
+		{Pred{Col: 1, Op: LT, Lo: math.MinInt64}, "c1 < -9223372036854775808"},
+		{Pred{Col: 2, Op: BETWEEN, Lo: math.MinInt64, Hi: math.MaxInt64}, "c2 between -9223372036854775808 and 9223372036854775807"},
+		{Pred{Col: 4, Op: Op(42), Lo: 5}, "c4 op(42) 5"},
+		{JoinCond{LeftTable: 0, LeftCol: 1, RightTable: 2, RightCol: 3}, "t0.c1 = t2.c3"},
+		{JoinCond{LeftTable: 11, LeftCol: 0, RightTable: 7, RightCol: 10}, "t11.c0 = t7.c10"},
+	} {
+		if got := c.v.String(); got != c.want {
+			t.Errorf("String = %q, want %q", got, c.want)
+		}
+		if got := string(c.v.AppendTo([]byte("x|"))); got != "x|"+c.want {
+			t.Errorf("AppendTo = %q, want %q", got, "x|"+c.want)
+		}
 	}
 	if EQ.String() != "=" || BETWEEN.String() != "between" {
 		t.Error("Op.String wrong")

@@ -54,6 +54,12 @@ go test -race ./...
 echo "==> fuzz (sqlparse.FuzzParse, 5s)"
 go test -run '^$' -fuzz FuzzParse -fuzztime 5s ./internal/sqlkit/sqlparse/
 
+# The same budget on the whole of Session.Query, seeded with that corpus: no
+# panic, and a text sent again (a statement-memo hit) or to a fresh engine
+# returns the same error or the same columns and rows as its first call.
+echo "==> fuzz (engine.FuzzSessionQuery, 5s)"
+go test -run '^$' -fuzz FuzzSessionQuery -fuzztime 5s ./internal/engine/
+
 # bench/ is a module of its own (the end-to-end SQL benchmark), so the ./...
 # patterns above skip it: vet it and run its unit tests and -quick smoke here.
 echo "==> bench module (go vet + go test)"
