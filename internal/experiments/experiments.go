@@ -89,13 +89,3 @@ func All() []Runner {
 		{"AblationPGMEps", AblationPGMEps},
 	}
 }
-
-// ByID finds an experiment runner.
-func ByID(id string) (Runner, bool) {
-	for _, r := range All() {
-		if strings.EqualFold(r.ID, id) {
-			return r, true
-		}
-	}
-	return Runner{}, false
-}

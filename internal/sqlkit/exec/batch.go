@@ -1,9 +1,6 @@
 package exec
 
-import (
-	"ml4db/internal/sqlkit/catalog"
-	"ml4db/internal/sqlkit/expr"
-)
+import "ml4db/internal/sqlkit/expr"
 
 // column holds one layout offset's value for every row of a batch.
 type column []int64
@@ -50,13 +47,13 @@ func reserve(n int, need []bool) batch {
 	return batch{cols: b.cols}
 }
 
-// tableBatch is the zero-copy batch of a whole in-memory table: each marked
-// column is the table's own slice.
-func tableBatch(t *catalog.Table, need []bool) batch {
-	b := batch{n: t.NumRows(), cols: make([]column, len(need))}
+// tableBatch is the zero-copy batch of a whole in-memory table's columns
+// (tableData): each marked column is the table's own slice.
+func tableBatch(data [][]int64, rows int, need []bool) batch {
+	b := batch{n: rows, cols: make([]column, len(need))}
 	for c, m := range need {
 		if m {
-			b.cols[c] = t.Data[c]
+			b.cols[c] = data[c]
 		}
 	}
 	return b
@@ -83,18 +80,6 @@ func gather(need []bool, l batch, li column, r batch, ri column) batch {
 	return out
 }
 
-// appendRow adds one row to b by copying row's marked columns. Only virtual
-// tables, whose providers hand over whole rows, feed batches through it; disk
-// scans copy from the pinned page instead (appendSlot).
-func (b *batch) appendRow(row []int64, need []bool) {
-	for c, m := range need {
-		if m {
-			b.cols[c] = append(b.cols[c], row[c])
-		}
-	}
-	b.n++
-}
-
 // extend appends src's rows to b column by column, sizing each column for
 // total rows on first use. The exchange concatenates shard outputs with it.
 func (b *batch) extend(src batch, total int) {
@@ -110,18 +95,35 @@ func (b *batch) extend(src batch, total int) {
 	b.n += src.n
 }
 
-// rowPasses reports whether a virtual table's row satisfies every filter.
-func rowPasses(filters []expr.Pred, row []int64) bool {
-	for _, f := range filters {
-		if !f.Eval(row[f.Col]) {
-			return false
+// chunkRows is the most rows SeqScan's kernel takes at once: an in-memory
+// scan's chunk. A disk scan's chunk is one page, and no page has more slots.
+const chunkRows = 1024
+
+// ordinals[i] == i: the selection vector of a whole chunk, read-only.
+var ordinals = func() (o [chunkRows]uint16) {
+	for i := range o {
+		o[i] = uint16(i)
+	}
+	return o
+}()
+
+// narrow is one filter's step of SeqScan's kernel: of the chunk's ordinals in
+// kept (ordinals[:n] at first: all n live rows), it writes to sel, which may
+// be kept itself, those whose value in vals — f's column by ordinal — passes.
+func narrow(sel, kept []uint16, vals []int64, f expr.Pred) []uint16 {
+	sel, k := sel[:len(kept)], 0
+	for _, o := range kept {
+		if f.Eval(vals[o]) {
+			sel[k] = o
+			k++
 		}
 	}
-	return true
+	return sel[:k]
 }
 
-// tablePasses is rowPasses for row r of an in-memory table's columns (it takes
-// them bare to stay within the inliner's budget: scans call it per row).
+// tablePasses reports whether row r of an in-memory table's columns satisfies
+// every filter (it takes them bare to stay within the inliner's budget: index
+// scans call it per fetched row).
 func tablePasses(filters []expr.Pred, data [][]int64, r int) bool {
 	for _, f := range filters {
 		if !f.Eval(data[f.Col][r]) {

@@ -1,9 +1,14 @@
 package exec
 
 import (
+	"bytes"
 	"errors"
+	"fmt"
 	"testing"
 
+	"ml4db/internal/mlmath"
+	"ml4db/internal/sqlkit/catalog"
+	"ml4db/internal/sqlkit/expr"
 	"ml4db/internal/sqlkit/plan"
 )
 
@@ -72,5 +77,205 @@ func TestBudgetZeroMeansUnlimited(t *testing.T) {
 	}
 	if len(res.Rows) != expectedJoinRows {
 		t.Errorf("rows = %d, want %d", len(res.Rows), expectedJoinRows)
+	}
+}
+
+// chargeModel is the oracle for SeqScan's charges: the row-at-a-time order
+// every scan must charge in, one event per unit — 'm' a page miss, 's' a
+// tuple scanned, 'r' a row kept. It is built from the table itself (in-memory
+// columns, or heap pages read through Used and Value), not from the executor,
+// so a mistake shared by the serial and the partitioned scan shows here.
+type chargeModel []byte
+
+// memModel is the model of a scan of an in-memory table under filters.
+func memModel(tbl *catalog.Table, filters []expr.Pred) chargeModel {
+	var m chargeModel
+	for r := 0; r < tbl.NumRows(); r++ {
+		m = append(m, 's')
+		if tablePasses(filters, tbl.Data, r) {
+			m = append(m, 'r')
+		}
+	}
+	return m
+}
+
+// diskModel is the model of a cold serial scan of a spilled table under
+// filters: each page misses, then its live slots scan in slot order.
+func diskModel(t *testing.T, tbl *catalog.Table, filters []expr.Pred) chargeModel {
+	var m chargeModel
+	hf := tbl.Disk.File()
+	for pno := 0; pno < hf.NumPages(); pno++ {
+		p, err := hf.ReadPage(pno)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m = append(m, 'm')
+		for slot := 0; slot < p.NumSlots(); slot++ {
+			if p.Used(slot) {
+				m = append(m, 's')
+				if pagePasses(filters, p, slot) {
+					m = append(m, 'r')
+				}
+			}
+		}
+	}
+	return m
+}
+
+// run charges the events one unit at a time against b, as acct does, and
+// returns the abort (nil if none), the work and the counters an execution
+// under b must report.
+func (m chargeModel) run(b Budget) (abort *BudgetExceededError, work int64, ctr Counters) {
+	var rows int64
+	for _, ev := range m {
+		switch ev {
+		case 'm':
+			ctr.PageMiss++
+			work++
+		case 's':
+			ctr.ScanTuples++
+			work++
+		case 'r':
+			rows++
+		}
+		if b.MaxWork > 0 && work > b.MaxWork {
+			return &BudgetExceededError{Kind: "work", Limit: b.MaxWork, Used: work}, work, ctr
+		}
+		if b.MaxRows > 0 && rows > b.MaxRows {
+			return &BudgetExceededError{Kind: "rows", Limit: b.MaxRows, Used: rows}, work, ctr
+		}
+	}
+	return nil, work, ctr
+}
+
+// after returns the work and rows charged by the time the scan has charged
+// its first n tuples and the rows they keep: the state at a chunk boundary.
+func (m chargeModel) after(n int) (work, rows int64) {
+	for _, ev := range m {
+		if ev == 's' {
+			if n == 0 {
+				break
+			}
+			n--
+		}
+		if ev == 'r' {
+			rows++
+		} else {
+			work++
+		}
+	}
+	return work, rows
+}
+
+// checkModel fails unless an execution under b reported what the model says:
+// the same abort (Kind, Limit, Used) or none, and the same Work and Counters;
+// a completed one returns one row per 'r'.
+func checkModel(t *testing.T, label string, m chargeModel, b Budget, res *Result, err error) {
+	t.Helper()
+	abort, work, ctr := m.run(b)
+	var be *BudgetExceededError
+	switch {
+	case abort == nil && err != nil:
+		t.Fatalf("%s under %+v: %v, the model completes", label, b, err)
+	case abort != nil && (!errors.As(err, &be) || *be != *abort):
+		t.Fatalf("%s under %+v: err = %v, the model aborts with %+v", label, b, err, *abort)
+	case abort == nil && len(res.Rows) != bytes.Count(m, []byte{'r'}):
+		t.Fatalf("%s: %d rows, the model keeps %d", label, len(res.Rows), bytes.Count(m, []byte{'r'}))
+	}
+	if res.Work != work || res.Counters != ctr {
+		t.Fatalf("%s under %+v: work %d, counters %+v; the model charges %d, %+v", label, b, res.Work, res.Counters, work, ctr)
+	}
+}
+
+// TestScanChargesMatchRowAtATimeModel holds SeqScan's chunk kernel — bulk
+// charges, replayed a unit at a time only in the chunk where a limit trips —
+// to the row-at-a-time model, serial and partitioned alike.
+//
+// On disk: every work and every row limit over a spilled table of ten-slot
+// pages (the bitmap's last byte is partial) whose last page is partly
+// filled, with deleted slots, and with a page the filters empty. In memory:
+// a 2 500-row table, filtered and unfiltered, at every chunk boundary ±1 —
+// 1 024-row chunks, from each shard's start — in work and in rows.
+func TestScanChargesMatchRowAtATimeModel(t *testing.T) {
+	cat := catalog.NewCatalog()
+	wide := foldTable(t, "wide", 57, 50, 3) // c0 = row, c1 = row % 3
+	for r := 20; r < 30; r++ {
+		wide.Data[2][r] = 1 // c2 marks page 2
+	}
+	diskPool := spill(t, wide, 2)
+	if spp := wide.Disk.File().SlotsPerPage(); spp != 10 || wide.Disk.NumPages() != 6 {
+		t.Fatalf("wide table: %d slots per page, %d pages; want 10 and 6", spp, wide.Disk.NumPages())
+	}
+	for _, r := range []int64{3, 15, 16, 41, 55} {
+		if ok, err := wide.Disk.DeleteRow(r); !ok || err != nil {
+			t.Fatalf("deleting row %d: %v, %v", r, ok, err)
+		}
+	}
+	disk := cat.MustAdd(wide)
+	big := foldTable(t, "big", 2500, 3, 7) // c0 = row, c1 = row % 7
+	for r := range big.Data[2] {
+		big.Data[2][r] = int64(r * 7919 % 1000)
+	}
+	mem := cat.MustAdd(big)
+
+	workers := mlmath.NewPool(2)
+	defer workers.Close()
+	e := New(cat)
+	run := func(label string, scan *plan.Node, m chargeModel, b Budget) {
+		for _, p := range []*plan.Node{scan, forcePartitions(scan, 3)} {
+			if err := diskPool.ReleaseFile(wide.Disk.File()); err != nil { // cold: every page misses
+				t.Fatal(err)
+			}
+			res, err := e.Execute(p, Options{Budget: &b, Pool: workers, Output: CountOnly})
+			checkModel(t, fmt.Sprintf("%s/P=%d", label, p.Partitions), m, b, res, err)
+			if n := diskPool.PinnedCount(); n != 0 {
+				t.Fatalf("%s: %d pages still pinned", label, n)
+			}
+		}
+	}
+
+	pageTwoOut := []expr.Pred{{Col: 1, Op: expr.NE, Lo: 1}, {Col: 2, Op: expr.EQ, Lo: 0}}
+	for _, filters := range [][]expr.Pred{nil, pageTwoOut} {
+		if err := diskPool.ReleaseFile(wide.Disk.File()); err != nil { // flushes the deletes
+			t.Fatal(err)
+		}
+		m := diskModel(t, wide, filters)
+		work, rows := m.after(len(m))
+		if filters != nil && !bytes.Contains(m, []byte("mssssssssssm")) {
+			t.Fatalf("no page of the model is emptied by the filters: %q", m)
+		}
+		label := fmt.Sprintf("disk/%d filters", len(filters))
+		for limit := int64(1); limit <= work+1; limit++ {
+			run(label, plan.NewScan(0, disk, filters), m, Budget{MaxWork: limit})
+		}
+		for limit := int64(1); limit <= rows+1; limit++ {
+			run(label, plan.NewScan(0, disk, filters), m, Budget{MaxRows: limit})
+		}
+	}
+
+	var boundaries []int
+	for _, parts := range []int{1, 3} {
+		for k := 0; k < parts; k++ {
+			lo, hi := mlmath.ShardRange(big.NumRows(), parts, k)
+			for b := lo; b < hi; b += chunkRows {
+				boundaries = append(boundaries, b)
+			}
+			boundaries = append(boundaries, hi)
+		}
+	}
+	half := []expr.Pred{{Col: 2, Op: expr.LE, Lo: 499}, {Col: 1, Op: expr.NE, Lo: 3}}
+	for _, filters := range [][]expr.Pred{nil, half} {
+		m, label := memModel(big, filters), fmt.Sprintf("mem/%d filters", len(filters))
+		for _, b := range boundaries {
+			work, rows := m.after(b)
+			for d := int64(-1); d <= 1; d++ {
+				if work+d > 0 {
+					run(label, plan.NewScan(0, mem, filters), m, Budget{MaxWork: work + d})
+				}
+				if rows+d > 0 {
+					run(label, plan.NewScan(0, mem, filters), m, Budget{MaxRows: rows + d})
+				}
+			}
+		}
 	}
 }

@@ -11,9 +11,10 @@ import (
 // but iterating heap pages through the table's buffer pool. Pool misses are
 // charged as PageMiss work units — the executor-side ground truth for the
 // optimizer's PageRead cost term — and every pinned page is released on
-// every path, including budget aborts (pinPage). No tuple is decoded whole:
-// filters read their columns in place (Page.Value), and a passing row copies
-// only its marked columns out.
+// every path, including budget aborts (pinPage). No tuple is decoded whole: a
+// scan's chunk is one pinned page, whose filters' columns and then the kept
+// slots' marked columns are decoded at one stride each (Page.AppendColumn);
+// an index fetch reads its row's columns in place (Page.Value).
 
 // seqScanDisk scans a disk-backed table page by page, sharded by contiguous
 // page ranges. A serial scan fetches through the pool proper; a partitioned
@@ -32,22 +33,29 @@ func (s *execState) seqScanDisk(n *plan.Node, ord int, t *catalog.Table, need []
 			size = t.Disk.File().LiveTuplesIn(lo, hi) // every live tuple is a row
 		}
 		out := reserve(size, need)
+		var live, sel [chunkRows]uint16 // a page's live slots, and the kept ones
+		var vals [chunkRows]int64       // one filter's column over the live slots
 		scan := func(p *storage.Page) error {
-			for slot := 0; slot < p.NumSlots(); slot++ {
-				if !p.Used(slot) {
-					continue
-				}
-				if err := a.charge(&a.ctr.ScanTuples, 1); err != nil {
-					return err
-				}
-				if !pagePasses(n.Filters, p, slot) {
-					continue
-				}
-				if err := a.chargeRows(1); err != nil {
-					return err
-				}
-				out.appendSlot(p, slot, need)
+			slots := p.LiveSlots(live[:0])
+			kept := ordinals[:len(slots)]
+			for _, f := range n.Filters {
+				kept = narrow(sel[:0], kept, p.AppendColumn(vals[:0], f.Col, slots), f)
 			}
+			if err := a.chargeScan(len(slots), kept); err != nil {
+				return err
+			}
+			if len(n.Filters) > 0 {
+				for j, o := range kept { // ordinals to slots, in place: a filter wrote kept to sel
+					kept[j] = slots[o]
+				}
+				slots = kept
+			}
+			for c, m := range need {
+				if m {
+					out.cols[c] = p.AppendColumn(out.cols[c], c, slots)
+				}
+			}
+			out.n += len(slots)
 			return nil
 		}
 		for pageNo := lo; pageNo < hi; pageNo++ {
@@ -127,7 +135,7 @@ func onPage(a *acct, missed bool, p *storage.Page, fn func(*storage.Page) error)
 	return fn(p)
 }
 
-// pagePasses is rowPasses for a live slot of a pinned page, reading only the
+// pagePasses is tablePasses for a live slot of a pinned page, reading only the
 // filters' columns.
 func pagePasses(filters []expr.Pred, p *storage.Page, slot int) bool {
 	for _, f := range filters {

@@ -321,34 +321,62 @@ func (s *execState) dispatch(n *plan.Node, ord int, need []bool) (batch, error) 
 	}
 }
 
-// seqScan charges every table row and keeps those passing the filters. An
-// unfiltered scan copies nothing: the shards only charge, and the output is
-// the table's own columns (tableBatch). A filtered one collects a selection
-// vector per shard and gathers the marked columns once.
+// chargeScan charges one scan chunk: a ScanTuples unit per live tuple and a
+// row per kept one (kept: their ordinals among the live ones, ascending). If
+// both limits hold the whole chunk that is one step; otherwise one trips
+// inside it, so the charges replay a unit at a time in row order — the
+// tuple, then its row if kept — and stop where a row-at-a-time scan stops.
+func (a *acct) chargeScan(live int, kept []uint16) error {
+	n, k := int64(live), int64(len(kept))
+	if (a.maxWork <= 0 || a.work+n <= a.maxWork) && (a.maxRows <= 0 || a.rows+k <= a.maxRows) {
+		a.ctr.ScanTuples += n
+		a.work += n
+		a.rows += k
+		return nil
+	}
+	for i := range live {
+		if err := a.charge(&a.ctr.ScanTuples, 1); err != nil {
+			return err
+		}
+		if len(kept) > 0 && int(kept[0]) == i {
+			kept = kept[1:]
+			if err := a.chargeRows(1); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// seqScan charges every table row and keeps those passing the filters, a
+// chunk of chunkRows rows at a time: each filter narrows the chunk's selection
+// vector over one column, then one call charges the chunk. An unfiltered scan
+// copies nothing: the output is the table's own columns (tableBatch). A
+// filtered one collects the kept row numbers and gathers the marked columns.
 func (s *execState) seqScan(n *plan.Node, ord int, need []bool) (batch, error) {
 	t := s.cat.Table(n.TableID)
-	if t.Virtual != nil {
-		return s.seqScanVirtual(n, t, need) // virtual sources materialize as a unit; Partitions is ignored
-	}
 	if t.Disk != nil {
 		return s.seqScanDisk(n, ord, t, need)
 	}
-	filters, filtered := n.Filters, len(n.Filters) > 0
-	kept, err := s.ranged(t.NumRows(), n.Partitions, func(a *acct, _, lo, hi int) (batch, error) {
-		out := batch{cols: make([]column, 1)} // the selection vector, when filters select
-		for r := lo; r < hi; r++ {
-			if err := a.charge(&a.ctr.ScanTuples, 1); err != nil {
+	data, rows := tableData(t)
+	filtered := len(n.Filters) > 0
+	kept, err := s.ranged(rows, n.Partitions, func(a *acct, _, lo, hi int) (batch, error) {
+		out := batch{cols: make([]column, 1)} // the kept row numbers, when filters select
+		var sel [chunkRows]uint16
+		for base := lo; base < hi; base += chunkRows {
+			end := min(base+chunkRows, hi)
+			kept := ordinals[:end-base]
+			for _, f := range n.Filters {
+				kept = narrow(sel[:0], kept, data[f.Col][base:end], f)
+			}
+			if err := a.chargeScan(end-base, kept); err != nil {
 				return batch{}, err
 			}
-			if filtered && !tablePasses(filters, t.Data, r) {
-				continue
-			}
-			if err := a.chargeRows(1); err != nil {
-				return batch{}, err
-			}
-			out.n++
+			out.n += len(kept)
 			if filtered {
-				out.cols[0] = append(out.cols[0], int64(r))
+				for _, o := range kept {
+					out.cols[0] = append(out.cols[0], int64(base+int(o)))
+				}
 			}
 		}
 		return out, nil
@@ -356,7 +384,7 @@ func (s *execState) seqScan(n *plan.Node, ord int, need []bool) (batch, error) {
 	if err != nil {
 		return batch{}, err
 	}
-	out := tableBatch(t, need)
+	out := tableBatch(data, rows, need)
 	if filtered {
 		out = gather(need, out, kept.cols[0], batch{}, nil)
 	}

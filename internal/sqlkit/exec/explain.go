@@ -106,25 +106,17 @@ func (x *Explain) render(b *strings.Builder, n *plan.Node, ord, depth int) {
 	}
 }
 
+// counterNames are the work categories' short names, in Counters.Vec order.
+var counterNames = [...]string{"scan", "build", "probe", "nl", "msort", "mscan", "out", "iprobe", "ifetch", "pmiss", "agg"}
+
 // counterBreakdown lists the nonzero work categories in Counters.Vec order.
 func counterBreakdown(c Counters) string {
-	parts := make([]string, 0, 10)
-	add := func(name string, v int64) {
+	var parts []string
+	for i, v := range c.Vec() {
 		if v != 0 {
-			parts = append(parts, fmt.Sprintf("%s=%d", name, v))
+			parts = append(parts, fmt.Sprintf("%s=%.0f", counterNames[i], v))
 		}
 	}
-	add("scan", c.ScanTuples)
-	add("build", c.HashBuild)
-	add("probe", c.HashProbe)
-	add("nl", c.NLPairs)
-	add("msort", c.MergeSort)
-	add("mscan", c.MergeScan)
-	add("out", c.OutputTuple)
-	add("iprobe", c.IndexProbe)
-	add("ifetch", c.IndexFetch)
-	add("pmiss", c.PageMiss)
-	add("agg", c.AggInput)
 	if len(parts) == 0 {
 		return ""
 	}
@@ -148,23 +140,16 @@ func addCounters(a, b Counters, k int64) Counters {
 	}
 }
 
-// opSpanName maps an operator to its constant span name, avoiding string
+// opSpanNames maps each operator to its constant span name, avoiding string
 // concatenation on the tracing path.
+var opSpanNames = [...]string{
+	plan.OpSeqScan: "exec.SeqScan", plan.OpHashJoin: "exec.HashJoin", plan.OpNLJoin: "exec.NLJoin",
+	plan.OpMergeJoin: "exec.MergeJoin", plan.OpIndexScan: "exec.IndexScan", plan.OpHashAgg: "exec.HashAgg",
+}
+
 func opSpanName(op plan.OpType) string {
-	switch op {
-	case plan.OpSeqScan:
-		return "exec.SeqScan"
-	case plan.OpIndexScan:
-		return "exec.IndexScan"
-	case plan.OpHashJoin:
-		return "exec.HashJoin"
-	case plan.OpNLJoin:
-		return "exec.NLJoin"
-	case plan.OpMergeJoin:
-		return "exec.MergeJoin"
-	case plan.OpHashAgg:
-		return "exec.HashAgg"
-	default:
+	if op < 0 || int(op) >= len(opSpanNames) {
 		return "exec.Op"
 	}
+	return opSpanNames[op]
 }

@@ -27,8 +27,8 @@ func stripPartitions(p *plan.Node) *plan.Node {
 }
 
 // forcePartitions returns a clone with every node's knob set to parts
-// (operators that never partition — merge joins, index scans, virtual scans —
-// ignore it by construction).
+// (operators that never partition — merge joins, index scans — ignore it by
+// construction).
 func forcePartitions(p *plan.Node, parts int) *plan.Node {
 	out := p.Clone()
 	out.Walk(func(n *plan.Node) { n.Partitions = parts })

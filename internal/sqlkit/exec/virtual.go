@@ -1,27 +1,22 @@
 package exec
 
-import (
-	"ml4db/internal/sqlkit/catalog"
-	"ml4db/internal/sqlkit/plan"
-)
+import "ml4db/internal/sqlkit/catalog"
 
-// seqScanVirtual scans a virtual (system) table: the provider materializes a
-// snapshot of its current rows, and the scan filters them exactly like an
-// in-memory SeqScan, charging one ScanTuples unit per provider row and
-// keeping the marked columns of each matching one.
-func (s *execState) seqScanVirtual(n *plan.Node, t *catalog.Table, need []bool) (batch, error) {
-	out := batch{cols: make([]column, len(need))}
-	for _, row := range t.Virtual.VirtualRows() {
-		if err := s.charge(&s.ctr.ScanTuples, 1); err != nil {
-			return batch{}, err
-		}
-		if !rowPasses(n.Filters, row) {
-			continue
-		}
-		if err := s.chargeRows(1); err != nil {
-			return batch{}, err
-		}
-		out.appendRow(row, need)
+// tableData returns the columns an in-memory SeqScan reads and their row
+// count. A virtual (system) table's provider materializes a snapshot of its
+// current rows, transposed here into fresh columns, so the scan charges and
+// filters it exactly like a stored table.
+func tableData(t *catalog.Table) (data [][]int64, rows int) {
+	if t.Virtual == nil {
+		return t.Data, t.NumRows()
 	}
-	return out, nil
+	snap := t.Virtual.VirtualRows()
+	data = make([][]int64, t.NumCols())
+	for c := range data {
+		data[c] = make([]int64, len(snap))
+		for r, row := range snap {
+			data[c][r] = row[c]
+		}
+	}
+	return data, len(snap)
 }

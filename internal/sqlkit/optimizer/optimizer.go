@@ -105,6 +105,9 @@ func (o *Optimizer) PlanWith(q *plan.Query, hint HintSet, est Estimates) (*plan.
 	if n > 20 {
 		return nil, fmt.Errorf("optimizer: %d tables exceeds DP limit", n)
 	}
+	if !connected(q, n) {
+		return nil, fmt.Errorf("optimizer: join graph is disconnected")
+	}
 	leaves := make([]*plan.Node, n)
 	memo := make([]dpEntry, 1<<uint(n))
 	for pos := range leaves {
@@ -141,9 +144,6 @@ func (o *Optimizer) PlanWith(q *plan.Query, hint HintSet, est Estimates) (*plan.
 			o.costJoins(memo, other, sub, sel, allowed, hint.LeftDeepOnly)
 		}
 	}
-	if !memo[full].found() {
-		return nil, fmt.Errorf("optimizer: join graph is disconnected")
-	}
 	root := buildPlan(q, memo, leaves, full)
 	if err := CheckConds(q, root); err != nil {
 		return nil, err
@@ -156,6 +156,38 @@ func (o *Optimizer) PlanWith(q *plan.Query, hint HintSet, est Estimates) (*plan.
 	}
 	o.parallelize(root)
 	return root, nil
+}
+
+// connected reports whether the join conditions of q connect all n ≤ 20 table
+// positions, by one union-find pass over them on the stack. A condition
+// naming one position twice, or one outside the query, connects nothing — it
+// crosses no split (see crosses). Then, and only then, the search finds a
+// plan for the full set: every connected set splits into two connected sets
+// with a condition crossing them, a left-deep one included (a spanning
+// tree's leaf and the rest), and the hint admits an operator (Viable).
+func connected(q *plan.Query, n int) bool {
+	var parent [20]int
+	for i := range n {
+		parent[i] = i
+	}
+	root := func(i int) int {
+		for parent[i] != i {
+			parent[i] = parent[parent[i]]
+			i = parent[i]
+		}
+		return i
+	}
+	sets := n
+	for _, c := range q.Joins {
+		if uint(c.LeftTable) >= uint(n) || uint(c.RightTable) >= uint(n) {
+			continue
+		}
+		if l, r := root(c.LeftTable), root(c.RightTable); l != r {
+			parent[l] = r
+			sets--
+		}
+	}
+	return sets == 1
 }
 
 // dpEntry is the search's record of the cheapest plan found so far for one set

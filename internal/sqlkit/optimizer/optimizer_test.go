@@ -3,6 +3,7 @@ package optimizer
 import (
 	"math"
 	"testing"
+	"time"
 
 	"ml4db/internal/mlmath"
 	"ml4db/internal/sqlkit/catalog"
@@ -213,6 +214,12 @@ func TestHintViability(t *testing.T) {
 	}
 }
 
+// TestDisconnectedQueryRejected plans two tables with no join condition,
+// then 20 table positions whose conditions form two chains of 10 with no
+// bridge. The search used to walk every split of its 2^20-entry table before
+// failing (about 2.5 s and 32 MiB on 2 vCPU); a union-find pass must reject
+// the graph before the table exists, in well under a millisecond and with
+// the error's allocations only.
 func TestDisconnectedQueryRejected(t *testing.T) {
 	rng := mlmath.NewRNG(8)
 	sch, err := datagen.NewChainSchema(rng, []int{10, 10})
@@ -223,6 +230,29 @@ func TestDisconnectedQueryRejected(t *testing.T) {
 	q := plan.NewQuery(sch.TableIDs...) // two tables, no join cond
 	if _, err := o.Plan(q, NoHint()); err == nil {
 		t.Error("expected disconnected-graph error")
+	}
+
+	q = plan.NewQuery(make([]int, 20)...) // 20 positions over one table
+	for i := 0; i+1 < 20; i++ {
+		if i != 9 {
+			q.AddJoin(expr.JoinCond{LeftTable: i, LeftCol: 0, RightTable: i + 1, RightCol: 0})
+		}
+	}
+	est, _ := Estimate(o.Est, q, nil)
+	fastest := time.Hour
+	for range 5 {
+		start := time.Now()
+		_, err := o.PlanWith(q, NoHint(), est)
+		fastest = min(fastest, time.Since(start))
+		if err == nil || err.Error() != "optimizer: join graph is disconnected" {
+			t.Fatalf("20 positions: err = %v, want the disconnected-graph error", err)
+		}
+	}
+	if fastest > time.Millisecond {
+		t.Errorf("rejecting a disconnected 20-table graph took %v, want < 1ms", fastest)
+	}
+	if allocs := testing.AllocsPerRun(10, func() { o.PlanWith(q, NoHint(), est) }); allocs > 2 {
+		t.Errorf("rejecting a disconnected 20-table graph allocates %.0f times, want the error's 2 at most", allocs)
 	}
 }
 

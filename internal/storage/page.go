@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"math/bits"
 )
 
 // PageSize is the fixed on-disk page size in bytes.
@@ -207,6 +208,43 @@ func (p *Page) ReadTuple(slot int, dst []int64) bool {
 // neither, which is what lets a scan decode one column at a time.
 func (p *Page) Value(slot, col int) int64 {
 	return int64(binary.LittleEndian.Uint64(p.buf[p.tupleOff(slot)+8*col:]))
+}
+
+// LiveSlots appends the page's live slots to dst in ascending order — the
+// slots Used reports, so bitmap bits at or beyond NumSlots are not slots —
+// and returns the extended slice.
+func (p *Page) LiveSlots(dst []uint16) []uint16 {
+	for i, b := range p.buf[pageHeaderSize : pageHeaderSize+(p.nslots+7)/8] {
+		for ; b != 0; b &= b - 1 {
+			slot := i*8 + bits.TrailingZeros8(b)
+			if slot >= p.nslots {
+				return dst
+			}
+			dst = append(dst, uint16(slot))
+		}
+	}
+	return dst
+}
+
+// AppendColumn appends column col of the tuple in each of slots to dst and
+// returns the extended slice: Value(slot, col) for every slot, read at one
+// base offset and one stride. dst grows exactly as appending the values one
+// at a time would grow it. Like Value it trusts its caller: every slot below
+// NumSlots (live or not, the bytes are read as they are) and col below NCols.
+func (p *Page) AppendColumn(dst []int64, col int, slots []uint16) []int64 {
+	base, stride := p.tupleOff(0)+8*col, 8*p.ncols
+	for len(slots) > 0 {
+		if len(dst) == cap(dst) {
+			dst = append(dst, 0)[:len(dst)]
+		}
+		n := min(len(slots), cap(dst)-len(dst))
+		vals := dst[len(dst) : len(dst)+n]
+		for i, s := range slots[:n] {
+			vals[i] = int64(binary.LittleEndian.Uint64(p.buf[base+int(s)*stride:]))
+		}
+		dst, slots = dst[:len(dst)+n], slots[n:]
+	}
+	return dst
 }
 
 // Delete clears slot, returning false if it was already empty.

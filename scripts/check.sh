@@ -54,7 +54,14 @@ go test -race ./...
 echo "==> fuzz (sqlparse.FuzzParse, 5s)"
 go test -run '^$' -fuzz FuzzParse -fuzztime 5s ./internal/sqlkit/sqlparse/
 
-# The same budget on the whole of Session.Query, seeded with that corpus: no
+# The same budget on the heap-page decoder, over its corpus
+# (testdata/fuzz/FuzzPageDecode): no panic on any bytes, and on every page
+# that verifies, the scan's live-slot and column decoders read what the
+# slot-at-a-time Used/Value loop reads.
+echo "==> fuzz (storage.FuzzPageDecode, 5s)"
+go test -run '^$' -fuzz FuzzPageDecode -fuzztime 5s ./internal/storage/
+
+# The same budget on the whole of Session.Query, seeded with the SQL corpus: no
 # panic, and a text sent again (a statement-memo hit) or to a fresh engine
 # returns the same error or the same columns and rows as its first call.
 echo "==> fuzz (engine.FuzzSessionQuery, 5s)"
