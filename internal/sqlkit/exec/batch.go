@@ -95,8 +95,8 @@ func (b *batch) extend(src batch, total int) {
 	b.n += src.n
 }
 
-// chunkRows is the most rows SeqScan's kernel takes at once: an in-memory
-// scan's chunk. A disk scan's chunk is one page, and no page has more slots.
+// chunkRows is the most rows a kernel takes at once: an in-memory scan's or a
+// hash probe's chunk. A disk scan's chunk is one page, and no page has more slots.
 const chunkRows = 1024
 
 // ordinals[i] == i: the selection vector of a whole chunk, read-only.

@@ -80,11 +80,30 @@ func TestBudgetZeroMeansUnlimited(t *testing.T) {
 	}
 }
 
-// chargeModel is the oracle for SeqScan's charges: the row-at-a-time order
-// every scan must charge in, one event per unit — 'm' a page miss, 's' a
-// tuple scanned, 'r' a row kept. It is built from the table itself (in-memory
-// columns, or heap pages read through Used and Value), not from the executor,
-// so a mistake shared by the serial and the partitioned scan shows here.
+// chunkBoundaries returns where the chunks of an in-memory loop over rows
+// input rows start and end, serial and over three shards: 1 024-row chunks
+// from each shard's start.
+func chunkBoundaries(rows int) []int {
+	var bs []int
+	for _, parts := range []int{1, 3} {
+		for k := 0; k < parts; k++ {
+			lo, hi := mlmath.ShardRange(rows, parts, k)
+			for b := lo; b < hi; b += chunkRows {
+				bs = append(bs, b)
+			}
+			bs = append(bs, hi)
+		}
+	}
+	return bs
+}
+
+// chargeModel is the oracle for the chunked operators' charges: the
+// row-at-a-time order a scan or a hash join must charge in, one event per
+// unit — 'm' a page miss, 's' a tuple scanned, 'b' a tuple built, 'p' a tuple
+// probed, 'o' a join output, 'r' a row (kept or output). It is built from the
+// tables themselves (in-memory columns, or heap pages read through Used and
+// Value), not from the executor, so a mistake shared by the serial and the
+// partitioned operator shows here.
 type chargeModel []byte
 
 // memModel is the model of a scan of an in-memory table under filters.
@@ -135,6 +154,15 @@ func (m chargeModel) run(b Budget) (abort *BudgetExceededError, work int64, ctr 
 		case 's':
 			ctr.ScanTuples++
 			work++
+		case 'b':
+			ctr.HashBuild++
+			work++
+		case 'p':
+			ctr.HashProbe++
+			work++
+		case 'o':
+			ctr.OutputTuple++
+			work++
 		case 'r':
 			rows++
 		}
@@ -148,17 +176,18 @@ func (m chargeModel) run(b Budget) (abort *BudgetExceededError, work int64, ctr 
 	return nil, work, ctr
 }
 
-// after returns the work and rows charged by the time the scan has charged
-// its first n tuples and the rows they keep: the state at a chunk boundary.
-func (m chargeModel) after(n int) (work, rows int64) {
-	for _, ev := range m {
-		if ev == 's' {
+// after returns the work and rows charged before the model's (n+1)-th event
+// of kind ev — after the first n tuples scanned ('s') or probed ('p') and the
+// rows they produce: the state at a chunk boundary.
+func (m chargeModel) after(ev byte, n int) (work, rows int64) {
+	for _, e := range m {
+		if e == ev {
 			if n == 0 {
 				break
 			}
 			n--
 		}
-		if ev == 'r' {
+		if e == 'r' {
 			rows++
 		} else {
 			work++
@@ -169,18 +198,22 @@ func (m chargeModel) after(n int) (work, rows int64) {
 
 // checkModel fails unless an execution under b reported what the model says:
 // the same abort (Kind, Limit, Used) or none, and the same Work and Counters;
-// a completed one returns one row per 'r'.
+// a completed one returns one row per 'r' of a scan, per 'o' of a join.
 func checkModel(t *testing.T, label string, m chargeModel, b Budget, res *Result, err error) {
 	t.Helper()
 	abort, work, ctr := m.run(b)
+	out := bytes.Count(m, []byte{'r'})
+	if bytes.IndexByte(m, 'p') >= 0 {
+		out = bytes.Count(m, []byte{'o'})
+	}
 	var be *BudgetExceededError
 	switch {
 	case abort == nil && err != nil:
 		t.Fatalf("%s under %+v: %v, the model completes", label, b, err)
 	case abort != nil && (!errors.As(err, &be) || *be != *abort):
 		t.Fatalf("%s under %+v: err = %v, the model aborts with %+v", label, b, err, *abort)
-	case abort == nil && len(res.Rows) != bytes.Count(m, []byte{'r'}):
-		t.Fatalf("%s: %d rows, the model keeps %d", label, len(res.Rows), bytes.Count(m, []byte{'r'}))
+	case abort == nil && len(res.Rows) != out:
+		t.Fatalf("%s: %d rows, the model returns %d", label, len(res.Rows), out)
 	}
 	if res.Work != work || res.Counters != ctr {
 		t.Fatalf("%s under %+v: work %d, counters %+v; the model charges %d, %+v", label, b, res.Work, res.Counters, work, ctr)
@@ -240,7 +273,7 @@ func TestScanChargesMatchRowAtATimeModel(t *testing.T) {
 			t.Fatal(err)
 		}
 		m := diskModel(t, wide, filters)
-		work, rows := m.after(len(m))
+		work, rows := m.after('s', len(m))
 		if filters != nil && !bytes.Contains(m, []byte("mssssssssssm")) {
 			t.Fatalf("no page of the model is emptied by the filters: %q", m)
 		}
@@ -253,21 +286,11 @@ func TestScanChargesMatchRowAtATimeModel(t *testing.T) {
 		}
 	}
 
-	var boundaries []int
-	for _, parts := range []int{1, 3} {
-		for k := 0; k < parts; k++ {
-			lo, hi := mlmath.ShardRange(big.NumRows(), parts, k)
-			for b := lo; b < hi; b += chunkRows {
-				boundaries = append(boundaries, b)
-			}
-			boundaries = append(boundaries, hi)
-		}
-	}
 	half := []expr.Pred{{Col: 2, Op: expr.LE, Lo: 499}, {Col: 1, Op: expr.NE, Lo: 3}}
 	for _, filters := range [][]expr.Pred{nil, half} {
 		m, label := memModel(big, filters), fmt.Sprintf("mem/%d filters", len(filters))
-		for _, b := range boundaries {
-			work, rows := m.after(b)
+		for _, b := range chunkBoundaries(big.NumRows()) {
+			work, rows := m.after('s', b)
 			for d := int64(-1); d <= 1; d++ {
 				if work+d > 0 {
 					run(label, plan.NewScan(0, mem, filters), m, Budget{MaxWork: work + d})
@@ -276,6 +299,79 @@ func TestScanChargesMatchRowAtATimeModel(t *testing.T) {
 					run(label, plan.NewScan(0, mem, filters), m, Budget{MaxRows: rows + d})
 				}
 			}
+		}
+	}
+}
+
+// joinModel is the model of a HashJoin of two unfiltered in-memory scans on
+// c1 = c1 and c2 = c2, the build side on the left: both scans, a build unit
+// per build tuple, then per probe tuple a probe unit and, for each build tuple
+// it matches, in build order, an output unit and its row.
+func joinModel(build, probe *catalog.Table) chargeModel {
+	m := append(memModel(build, nil), memModel(probe, nil)...)
+	m = append(m, bytes.Repeat([]byte{'b'}, build.NumRows())...)
+	for r := range probe.NumRows() {
+		m = append(m, 'p')
+		for l := range build.NumRows() {
+			if build.Data[1][l] == probe.Data[1][r] && build.Data[2][l] == probe.Data[2][r] {
+				m = append(m, 'o', 'r')
+			}
+		}
+	}
+	return m
+}
+
+// TestHashJoinChargesMatchRowAtATimeModel holds HashJoin's one-step build
+// charge and chunked probe — bulk charges, replayed a unit at a time only in
+// the chunk where a limit trips — to the row-at-a-time model, serial and
+// partitioned: every work limit inside the build, and a 2 500-row probe side
+// at every chunk boundary ±1 (1 024-row chunks from each shard's start), in
+// work and in rows. The build side has duplicate keys, distinct keys that
+// share a slot, and a second condition that rejects some key matches.
+func TestHashJoinChargesMatchRowAtATimeModel(t *testing.T) {
+	cat := catalog.NewCatalog()
+	build := foldTable(t, "build", 40, 3, 25)
+	for r := range build.NumRows() {
+		k := build.Data[1][r]
+		build.Data[1][r] = k * k % 97 // 25 distinct keys below 97: rows r and r+25 share one
+		build.Data[2][r] = int64(r % 2)
+	}
+	probe := foldTable(t, "probe", 2500, 3, 100) // keys 0…99: a quarter match
+	for r := range probe.NumRows() {
+		probe.Data[2][r] = int64(r % 3)
+	}
+	bid, pid := cat.MustAdd(build), cat.MustAdd(probe)
+	const shift = 64 - 6 // 40 build rows take 64 slots
+	keys, slots := map[int64]bool{}, map[uint64]bool{}
+	for _, k := range build.Data[1] {
+		keys[k], slots[hashOf(k)>>shift] = true, true
+	}
+	if len(slots) == len(keys) {
+		t.Fatal("no two build keys share a slot")
+	}
+
+	workers := mlmath.NewPool(2)
+	defer workers.Close()
+	e := New(cat)
+	join := plan.NewJoin(plan.OpHashJoin, plan.NewScan(0, bid, nil), plan.NewScan(1, pid, nil), on(0, 1, 1, 1), on(0, 2, 1, 2))
+	m := joinModel(build, probe)
+	run := func(b Budget) {
+		for _, p := range []*plan.Node{join, forcePartitions(join, 3)} {
+			res, err := e.Execute(p, Options{Budget: &b, Pool: workers, Output: CountOnly})
+			checkModel(t, fmt.Sprintf("hashjoin/P=%d", p.Partitions), m, b, res, err)
+		}
+	}
+
+	built, _ := m.after('b', 0)
+	probed, _ := m.after('p', 0)
+	for limit := built; limit <= probed+1; limit++ {
+		run(Budget{MaxWork: limit})
+	}
+	for _, b := range chunkBoundaries(probe.NumRows()) {
+		work, rows := m.after('p', b)
+		for d := int64(-1); d <= 1; d++ {
+			run(Budget{MaxWork: work + d})
+			run(Budget{MaxRows: rows + d})
 		}
 	}
 }

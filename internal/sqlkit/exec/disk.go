@@ -41,7 +41,7 @@ func (s *execState) seqScanDisk(n *plan.Node, ord int, t *catalog.Table, need []
 			for _, f := range n.Filters {
 				kept = narrow(sel[:0], kept, p.AppendColumn(vals[:0], f.Col, slots), f)
 			}
-			if err := a.chargeScan(len(slots), kept); err != nil {
+			if err := chargeChunk(a, &a.ctr.ScanTuples, len(slots), nil, kept, 0); err != nil {
 				return err
 			}
 			if len(n.Filters) > 0 {

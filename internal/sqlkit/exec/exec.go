@@ -321,25 +321,36 @@ func (s *execState) dispatch(n *plan.Node, ord int, need []bool) (batch, error) 
 	}
 }
 
-// chargeScan charges one scan chunk: a ScanTuples unit per live tuple and a
-// row per kept one (kept: their ordinals among the live ones, ascending). If
-// both limits hold the whole chunk that is one step; otherwise one trips
-// inside it, so the charges replay a unit at a time in row order — the
-// tuple, then its row if kept — and stop where a row-at-a-time scan stops.
-func (a *acct) chargeScan(live int, kept []uint16) error {
-	n, k := int64(live), int64(len(kept))
-	if (a.maxWork <= 0 || a.work+n <= a.maxWork) && (a.maxRows <= 0 || a.rows+k <= a.maxRows) {
-		a.ctr.ScanTuples += n
-		a.work += n
+// chargeChunk charges one chunk of an operator loop over n input rows: a unit
+// to unit per input row, and per output row a unit to out (if non-nil) and a
+// row; at holds the output rows' input ordinals plus base, ascending. If both
+// limits hold the whole chunk that is one step; otherwise one trips inside it,
+// so the charges replay a unit at a time in row order — the input row, then
+// each of its outputs — and stop where a row-at-a-time loop stops.
+func chargeChunk[T uint16 | int64](a *acct, unit *int64, n int, out *int64, at []T, base T) error {
+	k, work := int64(len(at)), int64(n)
+	if out != nil {
+		work += k
+	}
+	if (a.maxWork <= 0 || a.work+work <= a.maxWork) && (a.maxRows <= 0 || a.rows+k <= a.maxRows) {
+		*unit += int64(n)
+		if out != nil {
+			*out += k
+		}
+		a.work += work
 		a.rows += k
 		return nil
 	}
-	for i := range live {
-		if err := a.charge(&a.ctr.ScanTuples, 1); err != nil {
+	for i := range n {
+		if err := a.charge(unit, 1); err != nil {
 			return err
 		}
-		if len(kept) > 0 && int(kept[0]) == i {
-			kept = kept[1:]
+		for ; len(at) > 0 && int(at[0]-base) == i; at = at[1:] {
+			if out != nil {
+				if err := a.charge(out, 1); err != nil {
+					return err
+				}
+			}
 			if err := a.chargeRows(1); err != nil {
 				return err
 			}
@@ -369,7 +380,7 @@ func (s *execState) seqScan(n *plan.Node, ord int, need []bool) (batch, error) {
 			for _, f := range n.Filters {
 				kept = narrow(sel[:0], kept, data[f.Col][base:end], f)
 			}
-			if err := a.chargeScan(end-base, kept); err != nil {
+			if err := chargeChunk(a, &a.ctr.ScanTuples, end-base, nil, kept, 0); err != nil {
 				return batch{}, err
 			}
 			out.n += len(kept)
@@ -476,8 +487,9 @@ func (s *execState) children(n *plan.Node, ord int, need []bool) (left, right ba
 	return left, right, keys, err
 }
 
-// slotOf spreads a join key over 1<<(64-shift) slots (Fibonacci hashing).
-func slotOf(key int64, shift uint) uint64 { return uint64(key) * 0x9E3779B97F4A7C15 >> shift }
+// hashOf spreads a join key over 64 bits (Fibonacci hashing): the top bits
+// pick its slot, the five below them the slot's tag bit.
+func hashOf(key int64) uint64 { return uint64(key) * 0x9E3779B97F4A7C15 }
 
 func (s *execState) hashJoin(n *plan.Node, ord int, need []bool) (batch, error) {
 	left, right, keys, err := s.children(n, ord, need)
@@ -486,44 +498,51 @@ func (s *execState) hashJoin(n *plan.Node, ord int, need []bool) (batch, error) 
 	}
 	// Build on the left child, probe with the right, keyed on the first
 	// condition; key matches that fail a later condition emit nothing. The
-	// table is two arrays in one allocation: head[slot] and next[pos] hold
-	// build positions plus one, zero ending a chain. Inserting in descending
-	// position makes chains ascend: a probe meets its matches in build order.
+	// table is one allocation: per slot a chain head and a 32-bit Bloom tag on
+	// one cache line (heads[2*slot], heads[2*slot+1]), then next[pos]; links
+	// are build positions plus one, zero ending a chain. Inserting in
+	// descending position makes chains ascend: matches come in build order.
+	// Two slots or more keep shift < 64, so & 63 elides its range check.
 	lk, rk, rest := left.cols[keys[0].l], right.cols[keys[0].r], keys[1:]
-	slots, shift := 1, uint(64)
+	slots, shift := 2, uint(63)
 	for slots < left.n {
 		slots, shift = slots<<1, shift-1
 	}
-	mem := make([]int32, slots+left.n)
-	head, next := mem[:slots], mem[slots:]
-	for i := left.n - 1; i >= 0; i-- {
-		if err := s.charge(&s.ctr.HashBuild, 1); err != nil {
-			return batch{}, err
-		}
-		slot := slotOf(lk[i], shift)
-		next[i], head[slot] = head[slot], int32(i+1)
+	if err := chargeChunk[uint16](&s.acct, &s.ctr.HashBuild, left.n, nil, nil, 0); err != nil {
+		return batch{}, err
 	}
-	// The probe phase shards by contiguous probe-side ranges; the table is
-	// only read from here on.
+	mem := make([]int32, 2*slots+left.n)
+	heads, next := mem[:2*slots], mem[2*slots:]
+	for i := left.n - 1; i >= 0; i-- {
+		h := hashOf(lk[i])
+		j := 2 * (h >> (shift & 63))
+		next[i], heads[j] = heads[j], int32(i+1)
+		heads[j+1] |= 1 << (h >> ((shift - 5) & 63) & 31)
+	}
+	// The probe shards by probe-side ranges, a chunk at a time: pass 1 keeps,
+	// without a branch, the ordinals whose tag bit is set; pass 2 walks only
+	// their chains; one call charges the chunk.
 	pairs, err := s.ranged(right.n, n.Partitions, func(a *acct, _, lo, hi int) (batch, error) {
 		var li, ri column
-		for r := lo; r < hi; r++ {
-			if err := a.charge(&a.ctr.HashProbe, 1); err != nil {
-				return batch{}, err
+		var sel [chunkRows]uint16
+		for base := lo; base < hi; base += chunkRows {
+			chunk, k := rk[base:min(base+chunkRows, hi)], 0
+			for o, key := range chunk {
+				h := hashOf(key)
+				sel[k] = uint16(o)
+				k += int(uint32(heads[2*(h>>(shift&63))+1]) >> (h >> ((shift - 5) & 63) & 31) & 1)
 			}
-			k := rk[r]
-			for p := head[slotOf(k, shift)]; p != 0; p = next[p-1] {
-				l := int(p - 1)
-				if lk[l] != k || !matches(rest, left, l, right, r) {
-					continue
+			from := len(ri)
+			for _, o := range sel[:k] {
+				r, key := base+int(o), chunk[o]
+				for p := heads[2*(hashOf(key)>>(shift&63))]; p != 0; p = next[p-1] {
+					if l := int(p - 1); lk[l] == key && matches(rest, left, l, right, r) {
+						li, ri = append(li, int64(l)), append(ri, int64(r))
+					}
 				}
-				if err := a.charge(&a.ctr.OutputTuple, 1); err != nil {
-					return batch{}, err
-				}
-				if err := a.chargeRows(1); err != nil {
-					return batch{}, err
-				}
-				li, ri = append(li, int64(l)), append(ri, int64(r))
+			}
+			if err := chargeChunk(a, &a.ctr.HashProbe, len(chunk), &a.ctr.OutputTuple, ri[from:], int64(base)); err != nil {
+				return batch{}, err
 			}
 		}
 		return batch{n: len(li), cols: []column{li, ri}}, nil

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"encoding/binary"
 	"errors"
 	"sort"
 	"testing"
@@ -202,6 +203,69 @@ func TestNLJoinCostsMoreThanHashJoin(t *testing.T) {
 	if nres.Work < 100*hres.Work {
 		t.Errorf("NL work %d should dwarf hash work %d on 2k x 2k", nres.Work, hres.Work)
 	}
+}
+
+// fuzzKeys decodes a join-key vector: a byte below 0x80 is that small key (so
+// duplicates and matches are common), any other byte takes the next eight,
+// little-endian, as the key (zero-padded at the end of data).
+func fuzzKeys(data []byte) []int64 {
+	var keys []int64
+	for len(data) > 0 {
+		c := data[0]
+		if data = data[1:]; c < 0x80 {
+			keys = append(keys, int64(c))
+			continue
+		}
+		var word [8]byte
+		data = data[copy(word[:], data):]
+		keys = append(keys, int64(binary.LittleEndian.Uint64(word[:])))
+	}
+	return keys
+}
+
+// FuzzHashJoin is the hash join against the nested-loop join on arbitrary
+// build (left) and probe key vectors: the same rows as a multiset, a build
+// and a probe unit per input row and an output unit per row, and the 3-way
+// partitioned hash join identical to the serial one. The seed corpus
+// (testdata/fuzz/FuzzHashJoin: build sides of 0, 1 and 2 rows, duplicates,
+// MinInt64 and MaxInt64) runs with the ordinary tests; fuzz with
+// go test -run '^$' -fuzz FuzzHashJoin ./internal/sqlkit/exec/.
+func FuzzHashJoin(f *testing.F) {
+	pool := mlmath.NewPool(2)
+	f.Cleanup(pool.Close)
+	f.Fuzz(func(t *testing.T, build, probe []byte) {
+		cat := catalog.NewCatalog()
+		for i, keys := range [][]int64{fuzzKeys(build), fuzzKeys(probe)} {
+			tbl := catalog.NewTable([]string{"build", "probe"}[i], "k", "id")
+			for r, k := range keys[:min(len(keys), 3000)] {
+				if err := tbl.AppendRow([]int64{k, int64(r)}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			cat.MustAdd(tbl)
+		}
+		e := New(cat)
+		join := func(op plan.OpType) *plan.Node {
+			return plan.NewJoin(op, plan.NewScan(0, 0, nil), plan.NewScan(1, 1, nil), on(0, 0, 1, 0))
+		}
+		hash, err := runOnce(t, e, join(plan.OpHashJoin), nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		nl, err := runOnce(t, e, join(plan.OpNLJoin), nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sameRows(canonical(hash.Rows), canonical(nl.Rows)) {
+			t.Fatalf("hash join returned %d rows, nested loops %d, or different ones", len(hash.Rows), len(nl.Rows))
+		}
+		c := hash.Counters
+		if c.HashBuild != int64(cat.Table(0).NumRows()) || c.HashProbe != int64(cat.Table(1).NumRows()) || c.OutputTuple != int64(len(hash.Rows)) {
+			t.Fatalf("counters %+v for %d build, %d probe and %d output rows", c, cat.Table(0).NumRows(), cat.Table(1).NumRows(), len(hash.Rows))
+		}
+		par, err := runOnce(t, e, forcePartitions(join(plan.OpHashJoin), 3), pool, nil)
+		assertIdentical(t, "P=3", hash, nil, par, err)
+	})
 }
 
 // TestThreeWayJoinMatchesBruteForce checks a grouped three-way join against

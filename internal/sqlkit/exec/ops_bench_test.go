@@ -30,9 +30,12 @@ type opsCase struct {
 // opsFixture builds big(id, k, v, p0, p1, p2) with the given row count
 // (id = row number and indexed, k = id mod 64, v scattered over [0, 1000)),
 // a spilled copy of it, and small(id, w) with 64 rows, and returns one case
-// per operator. The disk scan comes three ways: filtered (its columns grow),
-// unfiltered (sized from the free-space map) and partitioned (each shard
-// grows its own columns, through the bypass path).
+// per operator. The hash join comes two ways: dense (big builds, and every
+// small row probes a chain of rows/64 matches) and selective (small builds,
+// and 6.4 % of big's rows match: a fact probing a filtered dimension). The
+// disk scan comes three ways: filtered (its columns grow), unfiltered (sized
+// from the free-space map) and partitioned (each shard grows its own columns,
+// through the bypass path).
 func opsFixture(tb testing.TB, rows int) (*Executor, []opsCase) {
 	tb.Helper()
 	fill := func(name string) *catalog.Table {
@@ -64,11 +67,15 @@ func opsFixture(tb testing.TB, rows int) (*Executor, []opsCase) {
 	join := func(op plan.OpType) *plan.Node { // big.k = small.id: every big row matches once
 		return plan.NewJoin(op, plan.NewScan(0, big, nil), plan.NewScan(1, small, nil), on(0, 1, 1, 0))
 	}
+	// small.id = big.v: a 64-key build probed by every big row, 6.4 % of which match.
+	selective := plan.NewJoin(plan.OpHashJoin, plan.NewScan(0, small, nil), plan.NewScan(1, big, nil), on(0, 0, 1, 2))
+	wID := &plan.Output{Cols: []plan.AggCol{{Table: 0, Col: 1}, {Table: 1, Col: 0}}, Limit: plan.NoLimit}
 	return New(cat), []opsCase{
 		{"scan", plan.NewScan(0, big, nil), idV, 0},
 		{"filter", plan.NewScan(0, big, half), idV, 1},
 		{"indexscan", plan.NewIndexScan(0, big, 0, []expr.Pred{{Col: 0, Op: expr.BETWEEN, Lo: 0, Hi: int64(rows / 4)}}), idV, 0},
 		{"hashjoin", join(plan.OpHashJoin), vW, 2},
+		{"hashjoin/selective", selective, wID, 2},
 		{"nljoin", join(plan.OpNLJoin), vW, 2},
 		{"mergejoin", join(plan.OpMergeJoin), vW, 2},
 		{"hashagg", plan.NewAgg(plan.NewScan(0, big, nil), &plan.AggSpec{GroupCol: 1, Sums: []plan.AggCol{{Col: 2}}}), nil, 0},

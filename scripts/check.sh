@@ -61,6 +61,13 @@ go test -run '^$' -fuzz FuzzParse -fuzztime 5s ./internal/sqlkit/sqlparse/
 echo "==> fuzz (storage.FuzzPageDecode, 5s)"
 go test -run '^$' -fuzz FuzzPageDecode -fuzztime 5s ./internal/storage/
 
+# The same budget on the hash join, over its corpus
+# (testdata/fuzz/FuzzHashJoin: build sides of 0, 1 and 2 rows, duplicates,
+# MinInt64/MaxInt64): on any build and probe keys it returns the nested-loop
+# join's rows as a multiset, and partitioned three ways it equals the serial run.
+echo "==> fuzz (exec.FuzzHashJoin, 5s)"
+go test -run '^$' -fuzz FuzzHashJoin -fuzztime 5s ./internal/sqlkit/exec/
+
 # The same budget on the whole of Session.Query, seeded with the SQL corpus: no
 # panic, and a text sent again (a statement-memo hit) or to a fresh engine
 # returns the same error or the same columns and rows as its first call.
