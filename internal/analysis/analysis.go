@@ -118,8 +118,8 @@ var corePkgSegments = map[string]bool{
 
 // IsCorePackage reports whether pkgPath denotes one of the core model
 // packages: an internal/ package with a path segment in the core set
-// (subpackages like planrep/study are included; examples/ and cmd/ that
-// merely reuse a core name are not).
+// (subpackages like planrep/study are included; a cmd/ package that merely
+// reuses a core name is not).
 func IsCorePackage(pkgPath string) bool {
 	segs := strings.Split(pkgPath, "/")
 	internal := false
@@ -136,10 +136,10 @@ func IsCorePackage(pkgPath string) bool {
 }
 
 // IsLibraryPackage reports whether pkgPath is library code: not a command
-// under cmd/ and not an example under examples/.
+// under cmd/.
 func IsLibraryPackage(pkgPath string) bool {
 	for _, seg := range strings.Split(pkgPath, "/") {
-		if seg == "cmd" || seg == "examples" {
+		if seg == "cmd" {
 			return false
 		}
 	}

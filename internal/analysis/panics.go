@@ -6,14 +6,14 @@ import (
 )
 
 // NakedPanicAnalyzer flags panic calls in library packages (everything
-// outside cmd/ and examples/). A panic that escapes a library API takes the
-// whole process down — unacceptable once this code serves traffic. Each site
-// must either return an error, or carry an //ml4db:allow nakedpanic comment
+// outside cmd/). A panic that escapes a library API takes the whole process
+// down — unacceptable once this code serves traffic. Each site must either
+// return an error, or carry an //ml4db:allow nakedpanic comment
 // whose reason states the invariant that makes the panic unreachable except
 // through a caller bug (the stdlib convention for shape-mismatch guards).
 var NakedPanicAnalyzer = &Analyzer{
 	Name: "nakedpanic",
-	Doc:  "flag panic in library (non-cmd, non-example) code",
+	Doc:  "flag panic in library (non-cmd) code",
 	Run:  runNakedPanic,
 }
 

@@ -78,7 +78,7 @@ func TestIsCorePackageScoping(t *testing.T) {
 		{"ml4db/internal/autopilot", true},
 		{"ml4db/internal/sqlkit/exec", true},
 		{"ml4db/internal/qo/bao", false},
-		{"ml4db/examples/learnedindex", false}, // core name outside internal/
+		{"ml4db/learnedindex", false}, // core name outside internal/
 		{"ml4db/cmd/ml4db-vet", false},
 	}
 	for _, c := range cases {

@@ -17,7 +17,6 @@ type ThompsonLinear struct {
 
 	a []*mlmath.Mat // per-arm precision matrices
 	b [][]float64   // per-arm Σ r·x
-	n []int         // per-arm observation counts
 }
 
 // NewThompsonLinear constructs the bandit for arms arms over dim-dimensional
@@ -37,7 +36,6 @@ func NewThompsonLinear(arms, dim int, noise, prior float64) *ThompsonLinear {
 		}
 		t.a = append(t.a, a)
 		t.b = append(t.b, make([]float64, dim))
-		t.n = append(t.n, 0)
 	}
 	return t
 }
@@ -99,8 +97,4 @@ func (t *ThompsonLinear) Update(arm int, ctx []float64, reward float64) {
 		mlmath.AXPY(a.Row(i), ctx[i], ctx)
 		t.b[arm][i] += reward * ctx[i]
 	}
-	t.n[arm]++
 }
-
-// Pulls returns the observation count of an arm.
-func (t *ThompsonLinear) Pulls(arm int) int { return t.n[arm] }

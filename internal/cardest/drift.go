@@ -1,6 +1,7 @@
 package cardest
 
 import (
+	"maps"
 	"math"
 	"strconv"
 
@@ -231,11 +232,10 @@ func (d *DriftAdapter) StartShadow(cand *MLPEstimator, meta map[string]string) i
 	version := d.nextVer
 	d.nextVer++
 	if d.Registry != nil {
-		if meta == nil {
-			meta = map[string]string{}
-		}
-		meta["component"] = "cardest"
-		man, err := modelsvc.PublishModule(d.Registry, d.registryName(), cand.Net, meta)
+		tagged := make(map[string]string, len(meta)+1)
+		maps.Copy(tagged, meta)
+		tagged["component"] = "cardest"
+		man, err := modelsvc.PublishModule(d.Registry, d.registryName(), cand.Net, tagged)
 		if err != nil {
 			d.PublishErr = err
 		} else {

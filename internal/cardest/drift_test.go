@@ -130,6 +130,35 @@ func TestDriftPublishesToRegistry(t *testing.T) {
 	}
 }
 
+// TestStartShadowLeavesCallerMetaAlone: publishing a candidate tags its
+// manifest with component=cardest without writing into the map the caller
+// passed, so a caller may reuse one meta map across candidates.
+func TestStartShadowLeavesCallerMetaAlone(t *testing.T) {
+	_, ad := driftHarness(t, true)
+	reg, err := modelsvc.OpenRegistry(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ad.Registry = reg
+	meta := map[string]string{"trigger": "manual", "owner": "ops"}
+	version := ad.StartShadow(ad.Model.Clone(nil), meta)
+	if ad.PublishErr != nil {
+		t.Fatalf("publish failed: %v", ad.PublishErr)
+	}
+	if len(meta) != 2 || meta["trigger"] != "manual" || meta["owner"] != "ops" {
+		t.Fatalf("StartShadow rewrote the caller's meta map: %v", meta)
+	}
+	list, err := reg.List("cardest-mlp")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := list[len(list)-1]
+	if got.Version != version || got.Meta["trigger"] != "manual" || got.Meta["owner"] != "ops" ||
+		got.Meta["component"] != "cardest" {
+		t.Fatalf("candidate manifest v%d meta = %v, want the caller's keys plus component=cardest", got.Version, got.Meta)
+	}
+}
+
 // TestMLPEstimatorCloneIsolation: training a clone leaves the original's
 // parameters untouched.
 func TestMLPEstimatorCloneIsolation(t *testing.T) {

@@ -3,11 +3,8 @@ package engine_test
 import (
 	"sync"
 	"testing"
-	"time"
 
 	"ml4db/internal/engine"
-	"ml4db/internal/mlmath"
-	"ml4db/internal/modelsvc"
 	"ml4db/internal/obs"
 	"ml4db/internal/sqlkit/catalog"
 	"ml4db/internal/sqlkit/expr"
@@ -333,75 +330,3 @@ func TestSessionsRacingMutators(t *testing.T) {
 		t.Fatalf("after the race the cache did not settle: err=%v hit=%v", err, res.CacheHit)
 	}
 }
-
-// TestSyncRolloutPromotion drives a modelsvc canary promotion and checks the
-// engine picks it up exactly once, invalidating the plan cache.
-func TestSyncRolloutPromotion(t *testing.T) {
-	sch := chainCatalog(t, 12)
-	reg := obs.NewRegistry()
-	eng := engine.New(sch.Cat, engine.Options{Metrics: reg})
-	q := chainQuery(sch)
-
-	clock := &mlmath.ManualClock{T: time.Unix(1700000000, 0)}
-	rollout := modelsvc.NewRollout(
-		modelsvc.Deployment{Version: 1, Model: versionModel{1}},
-		modelsvc.RolloutOptions{Window: 2, Clock: clock, ErrFn: func(pred, truth float64) float64 {
-			if pred == truth {
-				return 0
-			}
-			return 1
-		}})
-	mk := func(d modelsvc.Deployment) optimizer.CardEstimator {
-		if d.Version >= 2 {
-			return constEstimator{}
-		}
-		return &optimizer.HistEstimator{Cat: sch.Cat}
-	}
-
-	if installed, err := eng.SyncRollout(rollout, mk); err != nil || !installed {
-		t.Fatalf("initial sync: installed=%v err=%v, want install of v1", installed, err)
-	}
-	if v := eng.EstimatorVersion(); v != 1 {
-		t.Fatalf("EstimatorVersion = %d, want 1", v)
-	}
-	if _, err := eng.Run(q); err != nil {
-		t.Fatal(err)
-	}
-	// No promotion yet: syncing again is a no-op and the cache survives.
-	if installed, err := eng.SyncRollout(rollout, mk); err != nil || installed {
-		t.Fatalf("idle sync: installed=%v err=%v, want no-op", installed, err)
-	}
-	if res, err := eng.Run(q); err != nil || !res.CacheHit {
-		t.Fatalf("pre-promotion replay: err=%v, hit=%v", err, res.CacheHit)
-	}
-
-	// Promote version 2 through the canary gate: candidate matches the truth
-	// on every window sample, incumbent never does.
-	rollout.SetCandidate(modelsvc.Deployment{Version: 2, Model: versionModel{2}})
-	for i := 0; i < 2; i++ {
-		if out := rollout.Observe([]float64{0}, 2); i == 1 && out != modelsvc.OutcomePromoted {
-			t.Fatalf("observe %d: outcome %v, want promotion", i, out)
-		}
-	}
-	if installed, err := eng.SyncRollout(rollout, mk); err != nil || !installed {
-		t.Fatalf("post-promotion sync: installed=%v err=%v, want install", installed, err)
-	}
-	if v := eng.EstimatorVersion(); v != 2 {
-		t.Fatalf("EstimatorVersion = %d, want 2", v)
-	}
-	res, err := eng.Run(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.CacheHit {
-		t.Error("cached plan served across a rollout promotion")
-	}
-	if res.EstimatorVersion != 2 {
-		t.Errorf("result EstimatorVersion = %d, want 2", res.EstimatorVersion)
-	}
-}
-
-// versionModel predicts its own version (see modelsvc race tests).
-type versionModel struct{ v int }
-
-func (m versionModel) Predict(x []float64) float64 { return float64(m.v) }

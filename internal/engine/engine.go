@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 
 	"ml4db/internal/mlmath"
-	"ml4db/internal/modelsvc"
 	"ml4db/internal/obs"
 	"ml4db/internal/querystore"
 	"ml4db/internal/sqlkit/catalog"
@@ -293,23 +292,6 @@ func (e *Engine) SetEstimator(est optimizer.CardEstimator, version int) error {
 	e.update(true, e.estimatorInstalls, func(s *planning) { s.learned, s.estVersion = est, version })
 	e.opts.Store.RecordModelInstall(version)
 	return nil
-}
-
-// SyncRollout aligns the engine with a modelsvc canary rollout: when the
-// rollout's current deployment version differs from the installed estimator
-// version, the estimator built by mk for that deployment is installed (which
-// invalidates the plan cache). Call it after observing rollout outcomes; a
-// promotion or demotion then reaches the planner exactly once. Returns
-// whether an install happened.
-func (e *Engine) SyncRollout(r *modelsvc.Rollout, mk func(modelsvc.Deployment) optimizer.CardEstimator) (bool, error) {
-	d := r.Current()
-	if d.Version == e.EstimatorVersion() {
-		return false, nil
-	}
-	if err := e.SetEstimator(mk(d), d.Version); err != nil {
-		return false, err
-	}
-	return true, nil
 }
 
 // Session returns a new session with the default hint set and the engine's

@@ -35,22 +35,6 @@ func SortKVs(kvs []KV) {
 	sort.Slice(kvs, func(i, j int) bool { return kvs[i].Key < kvs[j].Key })
 }
 
-// DedupKVs removes duplicate keys from sorted pairs, keeping the last value.
-func DedupKVs(kvs []KV) []KV {
-	if len(kvs) == 0 {
-		return kvs
-	}
-	out := kvs[:1]
-	for _, kv := range kvs[1:] {
-		if kv.Key == out[len(out)-1].Key {
-			out[len(out)-1].Value = kv.Value
-		} else {
-			out = append(out, kv)
-		}
-	}
-	return out
-}
-
 // KeyDist names a key distribution for index experiments.
 type KeyDist int
 

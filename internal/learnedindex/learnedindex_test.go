@@ -1,6 +1,7 @@
 package learnedindex
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -160,7 +161,7 @@ func TestRMIStaleLookupMissesAfterInserts(t *testing.T) {
 		grown = append(grown, KV{Key: rng.Int63() % (int64(len(kvs)) * 1000), Value: -1})
 	}
 	SortKVs(grown)
-	grown = DedupKVs(grown)
+	grown = slices.CompactFunc(grown, func(a, b KV) bool { return a.Key == b.Key })
 	keys := make([]int64, len(grown))
 	vals := make([]int64, len(grown))
 	for i, kv := range grown {
@@ -285,17 +286,6 @@ func TestAlexSequentialInsert(t *testing.T) {
 		if !ok || v != i*2 {
 			t.Fatalf("Get(%d) = (%d, %v)", i, v, ok)
 		}
-	}
-}
-
-func TestDedupKVs(t *testing.T) {
-	kvs := []KV{{1, 1}, {1, 2}, {2, 3}, {3, 4}, {3, 5}}
-	out := DedupKVs(kvs)
-	if len(out) != 3 || out[0].Value != 2 || out[2].Value != 5 {
-		t.Errorf("DedupKVs = %v", out)
-	}
-	if got := DedupKVs(nil); len(got) != 0 {
-		t.Error("DedupKVs(nil) should be empty")
 	}
 }
 

@@ -53,14 +53,6 @@ func (t *AIRTree) collectLeaves() {
 	walk(t.Tree.Root())
 }
 
-func leafMBR(n *spatial.RNode) spatial.Rect {
-	m := n.Entries[0].Rect
-	for _, e := range n.Entries[1:] {
-		m = m.Union(e.Rect)
-	}
-	return m
-}
-
 // buildGrid labels each cell with the leaves whose *items* touch it. This is
 // the trained multi-label classifier of the AI-tree: a leaf whose MBR
 // overlaps a query but whose items lie elsewhere is never returned — the

@@ -198,52 +198,3 @@ func domainOf(t *catalog.Table, col int) (int64, int64) {
 	}
 	return 0, 1
 }
-
-// EncodeQueryScans encodes only the scan leaves of a query as a left-deep
-// chain (used by models that represent queries rather than plans, e.g. the
-// bandit context of BAO variants).
-func (pe *PlanEncoder) EncodeQueryScans(q *plan.Query) *tree.EncTree {
-	var root *tree.EncTree
-	for pos := range q.Tables {
-		scan := plan.NewScan(pos, q.Tables[pos], q.Filters[pos])
-		leaf := &tree.EncTree{Feat: pe.nodeFeatures(scan)}
-		if root == nil {
-			root = leaf
-		} else {
-			root = &tree.EncTree{Feat: make([]float64, pe.FeatDim()), Left: root, Right: leaf}
-		}
-	}
-	if root == nil {
-		root = &tree.EncTree{Feat: make([]float64, pe.FeatDim())}
-	}
-	return root
-}
-
-// QueryFeatureVector flattens a query's scans into a single fixed-size
-// context vector of width FeatDim()*maxTables — the contextual-bandit
-// feature map used by BAO (§3.2).
-func (pe *PlanEncoder) QueryFeatureVector(q *plan.Query, maxTables int) []float64 {
-	out := make([]float64, pe.FeatDim()*maxTables)
-	for pos := range q.Tables {
-		if pos >= maxTables {
-			break
-		}
-		scan := plan.NewScan(pos, q.Tables[pos], q.Filters[pos])
-		copy(out[pos*pe.FeatDim():(pos+1)*pe.FeatDim()], pe.nodeFeatures(scan))
-	}
-	return out
-}
-
-// JoinCount is a convenience feature used by several models.
-func JoinCount(q *plan.Query) int { return len(q.Joins) }
-
-// Pred01 clamps a feature to [0, 1].
-func Pred01(x float64) float64 {
-	if x < 0 {
-		return 0
-	}
-	if x > 1 {
-		return 1
-	}
-	return x
-}

@@ -140,31 +140,3 @@ func TestPredicateSummaryChangesWithFilters(t *testing.T) {
 		t.Errorf("predicate count feature: 1-pred %v vs 3-pred %v", fa[d-3], fb[d-3])
 	}
 }
-
-func TestQueryFeatureVectorStableWidth(t *testing.T) {
-	sch, gen := testSchema(t)
-	pe := NewPlanEncoder(sch.Cat, FullFeatures())
-	for dims := 1; dims <= 3; dims++ {
-		q := gen.QueryWithDims(dims)
-		v := pe.QueryFeatureVector(q, 6)
-		if len(v) != pe.FeatDim()*6 {
-			t.Errorf("dims=%d: vector len %d, want %d", dims, len(v), pe.FeatDim()*6)
-		}
-	}
-}
-
-func TestEncodeQueryScans(t *testing.T) {
-	sch, gen := testSchema(t)
-	pe := NewPlanEncoder(sch.Cat, FullFeatures())
-	q := gen.QueryWithDims(3) // 4 tables → 4 leaves → 7 nodes in a chain
-	enc := pe.EncodeQueryScans(q)
-	if enc.NumNodes() != 7 {
-		t.Errorf("scan chain nodes = %d, want 7", enc.NumNodes())
-	}
-}
-
-func TestPred01(t *testing.T) {
-	if Pred01(-1) != 0 || Pred01(2) != 1 || Pred01(0.5) != 0.5 {
-		t.Error("Pred01 wrong")
-	}
-}

@@ -197,9 +197,3 @@ func (v *ValueSearch) TrainValue(exps []Experience, epochs int, lr float64) {
 		Optimizer: nn.NewAdam(lr), RNG: v.RNG,
 	})
 }
-
-// PredictPlan scores a complete plan with the value network.
-func (v *ValueSearch) PredictPlan(q *plan.Query, p *plan.Node) float64 {
-	v.Env.Opt.Annotate(q, p)
-	return v.Reg.Predict(v.Enc.Encode(p))
-}

@@ -165,7 +165,8 @@ func TestTrainValueReducesPredictionLoss(t *testing.T) {
 func predLoss(vs *ValueSearch, exps []Experience) float64 {
 	s := 0.0
 	for _, e := range exps {
-		d := vs.PredictPlan(e.Query, e.Plan) - e.LogWork
+		vs.Env.Opt.Annotate(e.Query, e.Plan)
+		d := vs.Reg.Predict(vs.Enc.Encode(e.Plan)) - e.LogWork
 		s += d * d
 	}
 	return s / float64(len(exps))

@@ -168,9 +168,6 @@ func (t *RTree) Name() string { return "rtree" }
 // Len returns the number of indexed items.
 func (t *RTree) Len() int { return t.count }
 
-// NumNodes returns the node count.
-func (t *RTree) NumNodes() int { return t.nNodes }
-
 // Root exposes the root for packing algorithms and invariant checks.
 func (t *RTree) Root() *RNode { return t.root }
 

@@ -11,7 +11,6 @@ const (
 	AreaQueryOptimizer
 	AreaEstimation
 	AreaFoundation
-	AreaOther
 )
 
 // String implements fmt.Stringer.

@@ -64,12 +64,6 @@ type Encoder interface {
 	EncodeG(g *nn.Graph, t *EncTree) *nn.VNode
 }
 
-// Encode is the inference-only convenience: encode t and return the vector.
-func Encode(e Encoder, t *EncTree) []float64 {
-	g := nn.NewGraph()
-	return e.EncodeG(g, t).Val
-}
-
 // FlatEncoder is the parameter-free "Feature Vector" strategy: node features
 // are laid out into a fixed-size vector with zero padding. Nodes are
 // assigned slots breadth-first (level order), which keeps the root and top

@@ -60,7 +60,7 @@ func TestEncodersProduceCorrectDims(t *testing.T) {
 	rng := mlmath.NewRNG(2)
 	tr := randTree(rng, 3)
 	for _, e := range allEncoders(rng) {
-		rep := Encode(e, tr)
+		rep := e.EncodeG(nn.NewGraph(), tr).Val
 		if len(rep) != e.OutDim() {
 			t.Errorf("%s: rep dim %d, want %d", e.Name(), len(rep), e.OutDim())
 		}
@@ -81,8 +81,8 @@ func TestEncodersAreDeterministic(t *testing.T) {
 		func(r *mlmath.RNG) Encoder { return NewTreeCNNEncoder(featDim, 8, r) },
 		func(r *mlmath.RNG) Encoder { return NewTransformerEncoder(featDim, 8, r) },
 	} {
-		a := Encode(mk(mlmath.NewRNG(7)), tr)
-		b := Encode(mk(mlmath.NewRNG(7)), tr)
+		a := mk(mlmath.NewRNG(7)).EncodeG(nn.NewGraph(), tr).Val
+		b := mk(mlmath.NewRNG(7)).EncodeG(nn.NewGraph(), tr).Val
 		for i := range a {
 			if a[i] != b[i] {
 				t.Errorf("encoder not deterministic under fixed seed")
@@ -104,7 +104,7 @@ func TestEncodersDistinguishStructure(t *testing.T) {
 		NewTreeLSTMEncoder(featDim, 8, rng),
 		NewTreeCNNEncoder(featDim, 8, rng),
 	} {
-		a, b := Encode(e, leftDeep), Encode(e, rightDeep)
+		a, b := e.EncodeG(nn.NewGraph(), leftDeep).Val, e.EncodeG(nn.NewGraph(), rightDeep).Val
 		same := true
 		for i := range a {
 			if math.Abs(a[i]-b[i]) > 1e-9 {
@@ -222,12 +222,12 @@ func TestFlatEncoderTruncatesAndPads(t *testing.T) {
 	rng := mlmath.NewRNG(8)
 	e := NewFlatEncoder(featDim, 2) // room for 2 nodes only
 	tr := randTree(rng, 4)          // 7 nodes
-	rep := Encode(e, tr)
+	rep := e.EncodeG(nn.NewGraph(), tr).Val
 	if len(rep) != 2*featDim {
 		t.Fatalf("rep len = %d", len(rep))
 	}
 	small := &EncTree{Feat: []float64{1, 2, 3, 4}}
-	rep2 := Encode(e, small)
+	rep2 := e.EncodeG(nn.NewGraph(), small).Val
 	for i := featDim; i < 2*featDim; i++ {
 		if rep2[i] != 0 {
 			t.Error("padding not zero")
