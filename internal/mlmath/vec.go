@@ -53,19 +53,6 @@ func Clone(v []float64) []float64 {
 	return out
 }
 
-// Concat returns the concatenation of the given vectors.
-func Concat(vs ...[]float64) []float64 {
-	n := 0
-	for _, v := range vs {
-		n += len(v)
-	}
-	out := make([]float64, 0, n)
-	for _, v := range vs {
-		out = append(out, v...)
-	}
-	return out
-}
-
 // ArgMax returns the index of the largest element (first on ties).
 // It panics on an empty slice.
 func ArgMax(v []float64) int {
@@ -124,9 +111,6 @@ func Sigmoid(x float64) float64 {
 	z := math.Exp(x)
 	return z / (1 + z)
 }
-
-// Tanh is the hyperbolic tangent.
-func Tanh(x float64) float64 { return math.Tanh(x) }
 
 // Clamp limits x to [lo, hi].
 func Clamp(x, lo, hi float64) float64 {

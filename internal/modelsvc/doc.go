@@ -1,24 +1,17 @@
 // Package modelsvc is the model lifecycle subsystem: the SysML layer that
-// owns model versioning, serving, and deployment apart from the learned
-// components themselves (the separation Baihe argues ML4DB needs). A learned
-// component is only production-viable if it can be retrained, validated, and
-// swapped into the serving path without regressing the system it replaced;
-// this package provides the three pieces of that loop:
+// owns model versioning and deployment apart from the learned components
+// themselves (the separation Baihe argues ML4DB needs). A learned component
+// is only production-viable if it can be retrained, validated, and swapped
+// into the serving path without regressing the system it replaced; this
+// package provides the two pieces of that loop:
 //
 //   - Registry: a versioned on-disk model store. Every published checkpoint
 //     gets a manifest (version, architecture hash, payload checksum, byte
 //     count, training metadata, creation instant from an injected clock);
 //     loads verify the checksum and architecture hash, so a truncated,
 //     bit-flipped, or mismatched checkpoint is rejected before it can reach
-//     the serving path. List/Latest/Prune manage the version history.
-//
-//   - Server: a batched inference server. Single-prediction requests queue
-//     up (bounded depth — a full queue rejects with ErrQueueFull, the
-//     admission-control backpressure signal) and are coalesced into batches
-//     executed over an mlmath.Pool. The contract, property-tested across
-//     worker counts: batched results are bit-identical to serial
-//     per-request inference, because each request's output slot is computed
-//     independently by the same pure per-item function.
+//     the serving path. List returns the version history; Load with
+//     version 0 reads the newest.
 //
 //   - Rollout: guarded deployment. A candidate model shadows the incumbent
 //     on live observed requests; a canary gate compares windowed error and
@@ -32,22 +25,19 @@
 //   - Determinism. modelsvc is a core package under the determinism
 //     analyzer: no ambient clock reads (an injected mlmath.Clock times
 //     shadow predictions, so canary decisions replay exactly under
-//     ManualClock), no math/rand, and no goroutine launches — all
-//     parallelism routes through mlmath.Pool. The Server and Rollout use
-//     only mutexes and channels for coordination; batch execution order is
-//     submission order.
+//     ManualClock), no math/rand, and no goroutine launches. The Rollout
+//     coordinates its readers and observers with one RWMutex.
 //
 //   - Models are immutable once deployed. The rollout hands out the same
 //     Predictor to every reader; retraining must build a new model (clone,
 //     then train) and deploy it as a candidate, never mutate the incumbent
 //     in place. cardest.DriftAdapter follows this discipline.
 //
-//   - Everything is instrumented. Queue depth, batch sizes, served and
-//     rejected requests, shadow wins/losses, promotions, rejections, and
-//     demotions all land in an optional obs.Registry (nil is off, and
-//     free).
+//   - Everything is instrumented. Shadow errors and latencies, shadow
+//     wins/losses, promotions, rejections, and demotions all land in an
+//     optional obs.Registry (nil is off, and free).
 //
 // docs/SERVING.md documents the registry layout, the rollout state machine,
-// the determinism contract, and the micro benchmarks (BenchmarkServerFlush,
-// BenchmarkRolloutObserve) that measure serving speed.
+// the determinism contract, and the micro benchmark (BenchmarkRolloutObserve)
+// that measures shadow-mode overhead.
 package modelsvc

@@ -6,15 +6,12 @@ import (
 	"testing"
 )
 
-// The registry and serving error contracts: sentinels survive
+// The registry error contracts: sentinels survive
 // fmt.Errorf("%w") wrapping under errors.Is, and the typed rejections are
 // recoverable with errors.As so callers can branch on their fields.
 func TestRegistryErrorWrapping(t *testing.T) {
 	if !errors.Is(fmt.Errorf("load resnet v3: %w", ErrNotFound), ErrNotFound) {
 		t.Error("wrapped ErrNotFound does not match under errors.Is")
-	}
-	if !errors.Is(fmt.Errorf("enqueue: %w", ErrQueueFull), ErrQueueFull) {
-		t.Error("wrapped ErrQueueFull does not match under errors.Is")
 	}
 
 	ie := &IntegrityError{Path: "m/v000001.ckpt", Want: "aa", Got: "bb"}

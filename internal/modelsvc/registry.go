@@ -96,9 +96,6 @@ func OpenRegistry(dir string) (*Registry, error) {
 	return &Registry{dir: dir}, nil
 }
 
-// Dir returns the registry root.
-func (r *Registry) Dir() string { return r.dir }
-
 // validName rejects path metacharacters so a model name can never escape the
 // registry root.
 func validName(name string) error {
@@ -260,25 +257,6 @@ func (r *Registry) readManifestLocked(name string, version int) (Manifest, error
 	return man, nil
 }
 
-// Latest returns the manifest of the newest version of name; ok is false
-// when no version has been published.
-func (r *Registry) Latest(name string) (Manifest, bool, error) {
-	if err := validName(name); err != nil {
-		return Manifest{}, false, err
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	versions, err := r.versionsLocked(name)
-	if err != nil || len(versions) == 0 {
-		return Manifest{}, false, err
-	}
-	man, err := r.readManifestLocked(name, versions[len(versions)-1])
-	if err != nil {
-		return Manifest{}, false, err
-	}
-	return man, true, nil
-}
-
 // Load returns the verified payload and manifest of the given version
 // (version 0 means latest). The payload checksum is verified against the
 // manifest; a mismatch returns a *IntegrityError and no payload.
@@ -315,36 +293,6 @@ func (r *Registry) Load(name string, version int) ([]byte, Manifest, error) {
 		return nil, Manifest{}, &IntegrityError{Path: path, Want: man.Checksum, Got: got}
 	}
 	return payload, man, nil
-}
-
-// Prune removes the oldest versions of name so that at most keep remain,
-// returning how many were removed. keep < 1 is treated as 1: the newest
-// version is never pruned.
-func (r *Registry) Prune(name string, keep int) (int, error) {
-	if err := validName(name); err != nil {
-		return 0, err
-	}
-	if keep < 1 {
-		keep = 1
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	versions, err := r.versionsLocked(name)
-	if err != nil {
-		return 0, err
-	}
-	removed := 0
-	for len(versions)-removed > keep {
-		v := versions[removed]
-		if err := os.Remove(r.manifestPath(name, v)); err != nil {
-			return removed, fmt.Errorf("modelsvc: pruning %s v%d: %w", name, v, err)
-		}
-		if err := os.Remove(r.ckptPath(name, v)); err != nil && !errors.Is(err, os.ErrNotExist) {
-			return removed, fmt.Errorf("modelsvc: pruning %s v%d: %w", name, v, err)
-		}
-		removed++
-	}
-	return removed, nil
 }
 
 // PublishModule publishes an nn.Module checkpoint (nn.SaveCheckpoint

@@ -1,6 +1,8 @@
 package modelsvc
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"io"
 	"math"
@@ -52,7 +54,7 @@ func TestRegistryPublishLoadRoundTrip(t *testing.T) {
 	if got.Version != 1 {
 		t.Fatalf("latest version = %d, want 1", got.Version)
 	}
-	for i, probe := range serveInputs(3, 16, 3) {
+	for i, probe := range randInputs(3, 16, 3) {
 		a, b := src.Forward(probe)[0], dst.Forward(probe)[0]
 		if math.Float64bits(a) != math.Float64bits(b) {
 			t.Fatalf("probe %d: loaded model predicts %v, published %v", i, b, a)
@@ -84,9 +86,8 @@ func TestRegistryVersionsIncrease(t *testing.T) {
 			t.Fatalf("List order broken: %+v", list)
 		}
 	}
-	latest, ok, err := reg.Latest("line")
-	if err != nil || !ok || latest.Version != 3 {
-		t.Fatalf("Latest = %+v, %v, %v", latest, ok, err)
+	if _, latest, err := reg.Load("line", 0); err != nil || latest.Version != 3 {
+		t.Fatalf("Load(line, 0) = %+v, %v, want version 3", latest, err)
 	}
 }
 
@@ -101,14 +102,18 @@ func TestRegistryLoadMissing(t *testing.T) {
 }
 
 func TestRegistryRejectsCorruptPayload(t *testing.T) {
-	reg := testRegistry(t)
+	dir := t.TempDir()
+	reg, err := OpenRegistry(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
 	m := testMLP(3)
 	man, err := PublishModule(reg, "line", m, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Corrupt the stored checkpoint behind the registry's back.
-	path := filepath.Join(reg.Dir(), "line", "v000001.ckpt")
+	path := filepath.Join(dir, "line", "v000001.ckpt")
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -150,38 +155,6 @@ func TestRegistryRejectsArchMismatch(t *testing.T) {
 	}
 }
 
-func TestRegistryPrune(t *testing.T) {
-	reg := testRegistry(t)
-	m := testMLP(6)
-	for i := 0; i < 5; i++ {
-		if _, err := PublishModule(reg, "line", m, nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-	removed, err := reg.Prune("line", 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if removed != 3 {
-		t.Fatalf("Prune removed %d, want 3", removed)
-	}
-	list, err := reg.List("line")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(list) != 2 || list[0].Version != 4 || list[1].Version != 5 {
-		t.Fatalf("after prune: %+v", list)
-	}
-	// Publishing after a prune continues the version sequence.
-	man, err := PublishModule(reg, "line", m, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if man.Version != 6 {
-		t.Fatalf("post-prune version = %d, want 6", man.Version)
-	}
-}
-
 func TestRegistryRejectsBadNames(t *testing.T) {
 	reg := testRegistry(t)
 	for _, name := range []string{"", "..", "a/b", "a\\b", "a b", "../escape"} {
@@ -189,4 +162,39 @@ func TestRegistryRejectsBadNames(t *testing.T) {
 			t.Errorf("Publish accepted invalid name %q", name)
 		}
 	}
+}
+
+// FuzzRegistryLoad writes a fuzzed manifest and payload as version 1 of a
+// model line in a fresh registry. List, Load and LoadModule must not panic,
+// and every payload Load returns must hash to its manifest's checksum.
+// Seeds are in testdata/fuzz/FuzzRegistryLoad.
+func FuzzRegistryLoad(f *testing.F) {
+	f.Fuzz(func(t *testing.T, manifest, payload []byte) {
+		dir := t.TempDir()
+		line := filepath.Join(dir, "line")
+		if err := os.MkdirAll(line, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(line, "v000001.json"), manifest, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(line, "v000001.ckpt"), payload, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		reg, err := OpenRegistry(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, _ = reg.List("line")
+		for _, version := range []int{0, 1} {
+			got, man, err := reg.Load("line", version)
+			if err != nil {
+				continue
+			}
+			if sum := sha256.Sum256(got); hex.EncodeToString(sum[:]) != man.Checksum {
+				t.Fatalf("Load(line, %d) returned a payload with sha256 %x, manifest declares %s", version, sum, man.Checksum)
+			}
+		}
+		_, _ = LoadModule(reg, "line", 0, testMLP(1))
+	})
 }

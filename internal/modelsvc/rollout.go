@@ -7,6 +7,20 @@ import (
 	"ml4db/internal/obs"
 )
 
+// Predictor is the single-input inference interface served by this
+// subsystem: a pure function of its input and of the model's immutable
+// parameters.
+type Predictor interface {
+	Predict(x []float64) float64
+}
+
+// Deployment pairs a model with the registry version it was loaded from.
+// Version 0 denotes an unversioned (e.g. expert fallback) model.
+type Deployment struct {
+	Version int
+	Model   Predictor
+}
+
 // State is the rollout's deployment phase.
 type State int
 
@@ -107,7 +121,7 @@ var latBuckets = obs.ExpBuckets(1e-7, 4, 14)
 var errBuckets = obs.ExpBuckets(1, 2, 17)
 
 // Rollout guards the deployment of a candidate model against the incumbent.
-// Reads (Predict, PredictBatch, Current) snapshot the incumbent under a
+// Reads (Predict, Current) snapshot the incumbent under a
 // read-lock; Observe snapshots the deployment pair, runs the canary
 // comparison unlocked, then commits — and, when the window fills, promotes
 // or rejects the candidate — under the write-lock with an epoch guard. A
@@ -217,21 +231,6 @@ func (r *Rollout) resetWindowLocked() {
 func (r *Rollout) Predict(x []float64) (val float64, version int) {
 	dep := r.Current()
 	return dep.Model.Predict(x), dep.Version
-}
-
-// PredictBatch implements Backend: the deployment is snapshotted once, so
-// the whole batch — and therefore every ticket in a Server flush — is served
-// by one coherent version even if a promotion lands mid-batch. Each output
-// slot is computed independently; the result is bit-identical to the serial
-// per-request loop for every worker count.
-func (r *Rollout) PredictBatch(xs [][]float64, out []float64, pool *mlmath.Pool) int {
-	dep := r.Current()
-	pool.ParallelFor(len(xs), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			out[i] = dep.Model.Predict(xs[i])
-		}
-	})
-	return dep.Version
 }
 
 // Observe feeds back one request with known ground truth. In the Shadowing

@@ -1,7 +1,7 @@
 package modelsvc
 
 import (
-	"math"
+	"bytes"
 	"testing"
 	"time"
 
@@ -195,28 +195,34 @@ func TestRolloutDeterministicUnderManualClock(t *testing.T) {
 	}
 }
 
-// TestRolloutBatchCoherence: PredictBatch snapshots one deployment for the
-// whole batch and matches the serial loop bit-for-bit at every worker count.
-func TestRolloutBatchCoherence(t *testing.T) {
-	r, _ := manualRollout(3, 4, nil)
-	xs := serveInputs(33, 257, 4)
-	model := biasPredictor{factor: 2}
-	want := make([]float64, len(xs))
-	for i, x := range xs {
-		want[i] = model.Predict(x)
+// TestMetricsJSONLValidates fills one registry from a Rollout (a promotion,
+// a rejection and a demotion) and requires its JSONL export to pass the
+// metrics schema with one line for each of the 12 modelsvc.rollout
+// instruments.
+func TestMetricsJSONLValidates(t *testing.T) {
+	reg := obs.NewRegistry()
+	r, _ := manualRollout(1, 4, reg)
+	r.SetCandidate(Deployment{Version: 2, Model: biasPredictor{factor: 1.1}})
+	if out := driveWindow(r, 4); out != OutcomePromoted {
+		t.Fatalf("better candidate: outcome %v, want promotion", out)
 	}
-	for workers := 1; workers <= 6; workers++ {
-		pool := mlmath.NewPool(workers)
-		out := make([]float64, len(xs))
-		version := r.PredictBatch(xs, out, pool)
-		if version != 3 {
-			t.Fatalf("workers=%d: batch version = %d, want 3", workers, version)
-		}
-		for i := range out {
-			if math.Float64bits(out[i]) != math.Float64bits(want[i]) {
-				t.Fatalf("workers=%d: slot %d = %v, want %v", workers, i, out[i], want[i])
-			}
-		}
-		pool.Close()
+	r.SetCandidate(Deployment{Version: 3, Model: biasPredictor{factor: 5}})
+	if out := driveWindow(r, 4); out != OutcomeRejected {
+		t.Fatalf("worse candidate: outcome %v, want rejection", out)
+	}
+	if !r.Demote() {
+		t.Fatal("Demote found nothing to restore")
+	}
+
+	var buf bytes.Buffer
+	if err := reg.WriteJSONL(&buf); err != nil {
+		t.Fatal(err)
+	}
+	n, err := obs.ValidateMetricsJSONL(&buf)
+	if err != nil {
+		t.Fatalf("metrics JSONL fails its schema: %v", err)
+	}
+	if n != 12 {
+		t.Errorf("validated %d metric lines, want one per modelsvc.rollout instrument (12)", n)
 	}
 }

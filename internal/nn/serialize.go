@@ -75,12 +75,14 @@ const (
 	CorruptTruncated = "truncated" // stream ends (or breaks) before the declared payload
 	CorruptChecksum  = "checksum"  // payload bytes do not match the recorded checksum
 	CorruptArchHash  = "arch-hash" // checkpoint was written by a different architecture
+	CorruptPayload   = "payload"   // payload does not decode into the model's tensors
 )
 
 // CheckpointError is the typed rejection returned by LoadCheckpoint: the
-// Reason distinguishes corruption modes (magic, truncated, checksum) from an
-// architecture mismatch (arch-hash), and Detail carries the specifics. The
-// target model is never mutated when a CheckpointError is returned.
+// Reason distinguishes corruption modes (magic, truncated, checksum,
+// payload) from an architecture mismatch (arch-hash), and Detail carries the
+// specifics. The target model is never mutated when a CheckpointError is
+// returned.
 type CheckpointError struct {
 	Reason string
 	Detail string
@@ -132,8 +134,9 @@ func SaveCheckpoint(w io.Writer, m Module) error {
 }
 
 // LoadCheckpoint reads a checkpoint written by SaveCheckpoint into m,
-// rejecting truncated streams, checksum mismatches, and architecture
-// mismatches with a *CheckpointError before any parameter of m is mutated.
+// rejecting truncated streams, checksum mismatches, architecture mismatches
+// and payloads that do not decode into m's tensors with a *CheckpointError
+// before any parameter of m is mutated.
 func LoadCheckpoint(r io.Reader, m Module) error {
 	dec := gob.NewDecoder(r)
 	var hdr ckptHeader
@@ -160,5 +163,8 @@ func LoadCheckpoint(r io.Reader, m Module) error {
 		return &CheckpointError{Reason: CorruptArchHash,
 			Detail: fmt.Sprintf("model architecture %s, checkpoint written by %s", got, hdr.ArchHash)}
 	}
-	return LoadParams(bytes.NewReader(payload), m)
+	if err := LoadParams(bytes.NewReader(payload), m); err != nil {
+		return &CheckpointError{Reason: CorruptPayload, Detail: err.Error()}
+	}
+	return nil
 }

@@ -2,7 +2,12 @@ package nn
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/gob"
+	"encoding/hex"
 	"errors"
+	"math"
+	"slices"
 	"testing"
 
 	"ml4db/internal/mlmath"
@@ -167,6 +172,85 @@ func TestCheckpointRejectsForeignStream(t *testing.T) {
 	if !errors.As(err, &cerr) {
 		t.Fatalf("expected *CheckpointError, got %v", err)
 	}
+}
+
+// envelope wraps payload in a checkpoint header with the right magic,
+// checksum and length and the given arch hash, so only the payload can be
+// wrong.
+func envelope(t testing.TB, payload []byte, archHash string) []byte {
+	t.Helper()
+	sum := sha256.Sum256(payload)
+	var buf bytes.Buffer
+	enc := gob.NewEncoder(&buf)
+	hdr := ckptHeader{Magic: ckptMagic, ArchHash: archHash, Checksum: hex.EncodeToString(sum[:]), Length: int64(len(payload))}
+	if err := enc.Encode(hdr); err != nil {
+		t.Fatal(err)
+	}
+	if err := enc.Encode(payload); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestCheckpointRejectsUndecodablePayload: an intact envelope (right
+// checksum, the model's arch hash) around a payload that does not decode
+// into the model's tensors is a *CheckpointError too, and the model is
+// left alone.
+func TestCheckpointRejectsUndecodablePayload(t *testing.T) {
+	arch := ArchHash(NewMLP([]int{4, 8, 2}, Tanh{}, Identity{}, mlmath.NewRNG(7)))
+	var twoTensors, wrongWidths bytes.Buffer
+	if err := SaveParams(&twoTensors, NewDense(4, 8, Tanh{}, mlmath.NewRNG(8))); err != nil {
+		t.Fatal(err)
+	}
+	if err := SaveParams(&wrongWidths, NewMLP([]int{4, 9, 2}, Tanh{}, Identity{}, mlmath.NewRNG(9))); err != nil {
+		t.Fatal(err)
+	}
+	for name, payload := range map[string][]byte{
+		"two tensors":  twoTensors.Bytes(),
+		"wrong widths": wrongWidths.Bytes(),
+		"not gob":      []byte("not a gob stream"),
+		"empty":        nil,
+	} {
+		t.Run(name, func(t *testing.T) { loadRejects(t, envelope(t, payload, arch), CorruptPayload) })
+	}
+}
+
+// paramBits is every parameter value of m as raw bits, in Params order.
+func paramBits(m Module) []uint64 {
+	var bits []uint64
+	for _, p := range m.Params() {
+		for _, v := range p.Val {
+			bits = append(bits, math.Float64bits(v))
+		}
+	}
+	return bits
+}
+
+// FuzzLoadCheckpoint feeds LoadCheckpoint raw streams (wrap false) and
+// payloads that the harness wraps in an envelope with a correct checksum
+// and the model's arch hash (wrap true), so fuzzed bytes also reach the
+// payload decoder behind the checksum. Every input either loads or returns
+// a *CheckpointError with the model bit-unchanged, and none panics. Seeds
+// are in testdata/fuzz/FuzzLoadCheckpoint.
+func FuzzLoadCheckpoint(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte, wrap bool) {
+		dst := NewMLP([]int{2, 3, 1}, Tanh{}, Identity{}, mlmath.NewRNG(1))
+		if wrap {
+			data = envelope(t, data, ArchHash(dst))
+		}
+		before := paramBits(dst)
+		err := LoadCheckpoint(bytes.NewReader(data), dst)
+		if err == nil {
+			return
+		}
+		cerr, ok := err.(*CheckpointError)
+		if !ok {
+			t.Fatalf("rejection is %T, not *CheckpointError: %v", err, err)
+		}
+		if !slices.Equal(before, paramBits(dst)) {
+			t.Fatalf("rejected load (%s) mutated the model", cerr.Reason)
+		}
+	})
 }
 
 func TestArchHashDistinguishesArchitectures(t *testing.T) {

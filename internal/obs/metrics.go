@@ -206,19 +206,10 @@ func (h *Histogram) Sum() float64 {
 	return h.sum
 }
 
-// Quantile estimates the q-quantile (q in [0,1], clamped) by linear
+// quantileLocked estimates the q-quantile (q in [0,1], clamped) by linear
 // interpolation within the covering bucket, clamped to the observed
-// [min, max]. An empty histogram reports 0. Quantile is monotone
-// non-decreasing in q.
-func (h *Histogram) Quantile(q float64) float64 {
-	if h == nil {
-		return 0
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.quantileLocked(q)
-}
-
+// [min, max]. An empty histogram reports 0. It is monotone non-decreasing
+// in q.
 func (h *Histogram) quantileLocked(q float64) float64 {
 	if h.count == 0 {
 		return 0

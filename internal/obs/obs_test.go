@@ -10,13 +10,20 @@ import (
 	"ml4db/internal/mlmath"
 )
 
+// quantile reads h's q-quantile the way the JSONL export's p50/p90/p99 do.
+func quantile(h *Histogram, q float64) float64 {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.quantileLocked(q)
+}
+
 func TestHistogramEmpty(t *testing.T) {
 	h := newHistogram([]float64{1, 10, 100})
 	if h.Count() != 0 || h.Sum() != 0 {
 		t.Fatalf("empty histogram count=%d sum=%g", h.Count(), h.Sum())
 	}
 	for _, q := range []float64{0, 0.5, 1} {
-		if got := h.Quantile(q); got != 0 {
+		if got := quantile(h, q); got != 0 {
 			t.Fatalf("empty histogram Quantile(%g) = %g, want 0", q, got)
 		}
 	}
@@ -26,7 +33,7 @@ func TestHistogramSingleSample(t *testing.T) {
 	h := newHistogram(ExpBuckets(1, 10, 5))
 	h.Observe(37)
 	for _, q := range []float64{0, 0.25, 0.5, 1} {
-		if got := h.Quantile(q); got != 37 {
+		if got := quantile(h, q); got != 37 {
 			t.Fatalf("single-sample Quantile(%g) = %g, want 37", q, got)
 		}
 	}
@@ -89,7 +96,7 @@ func TestHistogramQuantileEdges(t *testing.T) {
 		for _, v := range c.samples {
 			h.Observe(v)
 		}
-		got := h.Quantile(c.q)
+		got := quantile(h, c.q)
 		if diff := got - c.want; diff > 1e-12 || diff < -1e-12 {
 			t.Errorf("%s: Quantile(%g) = %g, want %g", c.name, c.q, got, c.want)
 		}
@@ -112,7 +119,7 @@ func TestHistogramQuantileMonotoneAndClamped(t *testing.T) {
 	}
 	prev := -1e18
 	for q := 0.0; q <= 1.0001; q += 0.01 {
-		v := h.Quantile(q)
+		v := quantile(h, q)
 		if v < prev {
 			t.Fatalf("Quantile not monotone: Quantile(%g)=%g < previous %g", q, v, prev)
 		}
@@ -155,10 +162,6 @@ func TestSpanNestingAndOrderingUnderManualClock(t *testing.T) {
 	}
 	if len(spans[2].Attrs) != 1 || spans[2].Attrs[0].Key != "work" || spans[2].Attrs[0].Int != 42 {
 		t.Fatalf("execute attrs wrong: %+v", spans[2].Attrs)
-	}
-	sum := tr.Summary()
-	if !strings.Contains(sum, "query") || !strings.Contains(sum, "  optimize") {
-		t.Fatalf("summary does not render the nesting:\n%s", sum)
 	}
 }
 
@@ -266,7 +269,6 @@ func TestNilObservabilityAllocatesNothing(t *testing.T) {
 		reg.Counter("c").Add(5)
 		reg.Gauge("g").Set(1)
 		reg.Histogram("h", nil).Observe(3)
-		_ = reg.Histogram("h", nil).Quantile(0.5)
 	})
 	if allocs != 0 {
 		t.Fatalf("nil observability allocated %.1f times per op, want 0", allocs)

@@ -1,8 +1,6 @@
 package obs
 
 import (
-	"fmt"
-	"strings"
 	"sync"
 	"time"
 
@@ -165,48 +163,6 @@ func (t *Tracer) Spans() []SpanData {
 		}
 	}
 	return out
-}
-
-// Summary renders the span forest as an indented text tree, children under
-// parents in start order — the human-readable view of a trace.
-func (t *Tracer) Summary() string {
-	spans := t.Spans()
-	if len(spans) == 0 {
-		return ""
-	}
-	children := map[int][]SpanData{}
-	var roots []SpanData
-	for _, sp := range spans {
-		if sp.Parent == 0 {
-			roots = append(roots, sp)
-		} else {
-			children[sp.Parent] = append(children[sp.Parent], sp)
-		}
-	}
-	var b strings.Builder
-	var render func(sp SpanData, depth int)
-	render = func(sp SpanData, depth int) {
-		b.WriteString(strings.Repeat("  ", depth))
-		fmt.Fprintf(&b, "%s %dµs", sp.Name, sp.Duration.Microseconds())
-		for _, a := range sp.Attrs {
-			switch a.Kind {
-			case AttrFloat:
-				fmt.Fprintf(&b, " %s=%g", a.Key, a.Float)
-			case AttrStr:
-				fmt.Fprintf(&b, " %s=%s", a.Key, a.Str)
-			default:
-				fmt.Fprintf(&b, " %s=%d", a.Key, a.Int)
-			}
-		}
-		b.WriteByte('\n')
-		for _, c := range children[sp.ID] {
-			render(c, depth+1)
-		}
-	}
-	for _, r := range roots {
-		render(r, 0)
-	}
-	return b.String()
 }
 
 // attrMap returns the attribute list as a key→value map for JSON encoding

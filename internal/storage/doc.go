@@ -11,7 +11,7 @@
 // page) that is rebuilt from the page bitmaps on every open — and open
 // verifies every page checksum, so a torn or corrupted page is rejected at
 // reopen rather than silently scanned. A TableFile wraps a HeapFile with
-// row-level operations (append, read by row id, full scans) for the
+// row-level operations (append, delete by row id, full scans) for the
 // catalog's disk-backed tables.
 //
 // # Buffer pool and pin discipline
@@ -54,6 +54,7 @@
 // heuristic (predicted reuse = time since last access, which makes the
 // learned policy behave exactly like LRU) — so a trained model serves
 // evictions only after beating the LRU-equivalent incumbent over a shadow
-// window, and Guard demotes it back the moment its live hit rate regresses
-// against a shadowed LRU simulation. See docs/STORAGE.md.
+// window, and Gate.Demote falls back to the heuristic. The live hit-rate
+// signal is querystore's DriftHitRate monitor (sys_drift), which reads
+// Pool.Stats deltas per window. See docs/STORAGE.md.
 package storage

@@ -353,8 +353,8 @@ func TestFailedReadCostsNoResidentPage(t *testing.T) {
 // reopen cycle does not keep every closed HeapFile reachable from the pool;
 // ids keep growing, so keys never alias a released file's.
 func TestReleaseFileForgetsTheFile(t *testing.T) {
-	var seen PageKey
-	pool := NewPool(PoolOptions{Capacity: 4, Observer: func(k PageKey, _ bool) { seen = k }})
+	rec := &recordingPolicy{}
+	pool := NewPool(PoolOptions{Capacity: 4, Policy: rec})
 	for cycle := 0; cycle < 3; cycle++ {
 		hf := newPooledFile(t, fmt.Sprintf("c%d.heap", cycle), 2)
 		fetchAndRelease(t, pool, hf, 0)
@@ -367,7 +367,7 @@ func TestReleaseFileForgetsTheFile(t *testing.T) {
 	}
 	hf := newPooledFile(t, "last.heap", 1)
 	fetchAndRelease(t, pool, hf, 0)
-	if seen.File != 3 {
-		t.Fatalf("file id after three release cycles = %d, want 3", seen.File)
+	if last := rec.seen[len(rec.seen)-1]; last.File != 3 {
+		t.Fatalf("file id after three release cycles = %d, want 3", last.File)
 	}
 }

@@ -58,11 +58,17 @@ func Example() {
 		return
 	}
 	defer tbl.Close()
-	row, ok, _, err := tbl.ReadRow(42)
-	fmt.Printf("reopened rows=%d row42=%v ok=%v err=%v\n", tbl.NumRows(), row, ok, err)
+	var row42 []int64
+	err = tbl.Scan(func(id int64, row []int64) error {
+		if id == 42 {
+			row42 = append(row42, row...)
+		}
+		return nil
+	})
+	fmt.Printf("reopened rows=%d row42=%v err=%v\n", tbl.NumRows(), row42, err)
 	// Output:
 	// rows=1000 pages=4 sum=4995000
-	// reopened rows=1000 row42=[42 420] ok=true err=<nil>
+	// reopened rows=1000 row42=[42 420] err=<nil>
 }
 
 // countScorer predicts the count feature — exactly right for the example's
@@ -75,11 +81,12 @@ func (countScorer) Predict(x []float64) float64 { return x[1] }
 // LRU-equivalent Recency incumbent: a candidate only serves evictions after
 // winning a full canary window, and Demote always falls back safely.
 func ExampleGate() {
-	// Labeled eviction samples where the true forward reuse distance is the
-	// count feature — a signal the Recency heuristic cannot see.
+	// Labeled eviction samples (features: recency, access count, gap) where
+	// the true forward reuse distance is the count feature — a signal the
+	// Recency heuristic cannot see.
 	var samples []storage.Sample
 	for i := 0; i < 200; i++ {
-		x := storage.EvictionFeatures(uint64(i%13+1), uint64(i%7+1), uint64(i%3))
+		x := []float64{float64(i%13 + 1), float64(i%7 + 1), float64(i % 3)}
 		samples = append(samples, storage.Sample{X: x, Y: x[1]})
 	}
 

@@ -99,93 +99,3 @@ func (g *Gate) ObserveSamples(samples []Sample) (promotions, rejections int) {
 // dropping any shadowing candidate. It always succeeds (the fallback is
 // always configured).
 func (g *Gate) Demote() bool { return g.roll.Demote() }
-
-// shadowLRU simulates an LRU cache of fixed capacity over page keys only —
-// no I/O, no pages: key-only frames on the package's one recency list — to
-// score what LRU's hit rate would have been on the exact access sequence the
-// live pool served.
-type shadowLRU struct {
-	cap   int
-	nodes map[PageKey]*frame
-	lru   recency
-}
-
-func newShadowLRU(capacity int) *shadowLRU {
-	if capacity < 1 {
-		capacity = 1
-	}
-	s := &shadowLRU{cap: capacity, nodes: make(map[PageKey]*frame, capacity)}
-	s.lru.init()
-	return s
-}
-
-// access records one access, returning whether it would have hit. A miss
-// on a full cache re-keys the coldest node in place.
-func (s *shadowLRU) access(key PageKey) bool {
-	fr, hit := s.nodes[key]
-	if !hit {
-		if len(s.nodes) < s.cap {
-			fr = &frame{}
-		} else {
-			fr = s.lru.coldest()
-			delete(s.nodes, fr.key)
-		}
-		fr.key = key
-		s.nodes[key] = fr
-	}
-	s.lru.touch(fr)
-	return hit
-}
-
-// Guard watches the live pool's hit rate against a shadowed LRU simulation
-// of the same capacity over the same access sequence, and demotes the
-// gate's scorer the moment a full window regresses — the safety half of the
-// learned-eviction deployment: promotion needs a won canary window,
-// demotion needs one lost replay window. Wire it as the pool's Observer.
-type Guard struct {
-	gate   *Gate
-	shadow *shadowLRU
-	window int
-	margin float64
-
-	n, liveHits, shadowHits int
-	demotions               int
-}
-
-// NewGuard returns a guard demoting the gate when the live hit rate over a
-// window of accesses drops more than margin below the shadowed LRU's
-// (margin is an absolute rate difference; window < 1 defaults to 512).
-func NewGuard(gate *Gate, capacity, window int, margin float64) *Guard {
-	if window < 1 {
-		window = 512
-	}
-	return &Guard{gate: gate, shadow: newShadowLRU(capacity), window: window, margin: margin}
-}
-
-// Observe feeds one pool access (the Pool.Observer signature), returning
-// true when this access completed a window that regressed and triggered a
-// demotion.
-func (g *Guard) Observe(key PageKey, hit bool) bool {
-	if g.shadow.access(key) {
-		g.shadowHits++
-	}
-	if hit {
-		g.liveHits++
-	}
-	g.n++
-	if g.n < g.window {
-		return false
-	}
-	liveRate := float64(g.liveHits) / float64(g.n)
-	shadowRate := float64(g.shadowHits) / float64(g.n)
-	g.n, g.liveHits, g.shadowHits = 0, 0, 0
-	if liveRate < shadowRate-g.margin {
-		g.gate.Demote()
-		g.demotions++
-		return true
-	}
-	return false
-}
-
-// Demotions returns how many windows have regressed.
-func (g *Guard) Demotions() int { return g.demotions }

@@ -12,16 +12,10 @@ import (
 // FeatureDim is the width of the eviction feature vector.
 const FeatureDim = 3
 
-// EvictionFeatures encodes one page's access history at decision time:
-// log1p of (ticks since last access, lifetime access count, last
-// inter-access gap). The same encoding feeds training and serving, so a
-// scorer's inputs replay bit-identically.
-func EvictionFeatures(recency, count, gap uint64) []float64 {
-	return fillFeatures(make([]float64, FeatureDim), recency, count, gap)
-}
-
-// fillFeatures is EvictionFeatures into x (FeatureDim long), for the
-// eviction path, which scores every candidate through one scratch vector.
+// fillFeatures encodes one page's access history at decision time into x
+// (FeatureDim long): log1p of (ticks since last access, lifetime access
+// count, last inter-access gap). The same encoding feeds training and
+// serving, so a scorer's inputs replay bit-identically.
 func fillFeatures(x []float64, recency, count, gap uint64) []float64 {
 	x[0] = math.Log1p(float64(recency))
 	x[1] = math.Log1p(float64(count))
@@ -165,9 +159,10 @@ func TraceSamples(trace []PageKey, horizon int) []Sample {
 }
 
 // MLPScorer is a trained eviction scorer: an MLP regressing log1p forward
-// reuse distance from EvictionFeatures. It implements modelsvc.Predictor
-// for serving through a Gate and nn.Module, so modelsvc.PublishModule and
-// LoadModule version and checksum a candidate like any other model.
+// reuse distance from the fillFeatures encoding. It implements
+// modelsvc.Predictor for serving through a Gate and nn.Module, so
+// modelsvc.PublishModule and LoadModule version and checksum a candidate
+// like any other model.
 type MLPScorer struct {
 	M *nn.MLP
 }

@@ -49,6 +49,11 @@ type predictorFunc func(x []float64) float64
 
 func (f predictorFunc) Predict(x []float64) float64 { return f(x) }
 
+// evictionFeatures is fillFeatures into a fresh vector.
+func evictionFeatures(recency, count, gap uint64) []float64 {
+	return fillFeatures(make([]float64, FeatureDim), recency, count, gap)
+}
+
 func TestTraceSamplesLabels(t *testing.T) {
 	a, b := PageKey{0, 0}, PageKey{0, 1}
 	// Accesses: a b a b — the second a (index 2) has history (from index 0)
@@ -60,7 +65,7 @@ func TestTraceSamplesLabels(t *testing.T) {
 		t.Fatalf("got %d samples, want 2", len(samples))
 	}
 	// First sample: page a at tick 3, recency = 3-1 = 2, count 1, gap 0.
-	wantX := EvictionFeatures(2, 1, 0)
+	wantX := evictionFeatures(2, 1, 0)
 	if !reflect.DeepEqual(samples[0].X, wantX) {
 		t.Fatalf("sample 0 X = %v, want %v", samples[0].X, wantX)
 	}
@@ -99,9 +104,9 @@ func TestTrainScorerDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	probes := [][]float64{
-		EvictionFeatures(1, 3, 2),
-		EvictionFeatures(50, 1, 0),
-		EvictionFeatures(7, 20, 4),
+		evictionFeatures(1, 3, 2),
+		evictionFeatures(50, 1, 0),
+		evictionFeatures(7, 20, 4),
 	}
 	for _, x := range probes {
 		a, b := s1.Predict(x), s2.Predict(x)
@@ -123,7 +128,7 @@ func TestGatePromotesBetterScorerRejectsWorse(t *testing.T) {
 	// count feature has zero error and must be promoted.
 	var samples []Sample
 	for i := 0; i < 300; i++ {
-		x := EvictionFeatures(uint64(i%17+1), uint64(i%5+1), uint64(i%3))
+		x := evictionFeatures(uint64(i%17+1), uint64(i%5+1), uint64(i%3))
 		samples = append(samples, Sample{X: x, Y: x[1]})
 	}
 	gate := NewGate(GateOptions{Window: 100})
@@ -139,7 +144,7 @@ func TestGatePromotesBetterScorerRejectsWorse(t *testing.T) {
 		t.Fatalf("serving version = %d after promotion", gate.Version())
 	}
 	// The promoted scorer now serves predictions.
-	x := EvictionFeatures(9, 4, 1)
+	x := evictionFeatures(9, 4, 1)
 	if got := gate.Predict(x); got != x[1] {
 		t.Fatalf("Predict = %v, want the count feature %v", got, x[1])
 	}
@@ -196,45 +201,5 @@ func TestGateTrainedScorerBeatsRecencyOnBurstyWorkload(t *testing.T) {
 	}
 	if gate.Version() != 1 {
 		t.Fatalf("serving version = %d", gate.Version())
-	}
-}
-
-func TestGuardDemotesOnRegression(t *testing.T) {
-	gate := NewGate(GateOptions{})
-	guard := NewGuard(gate, 4, 10, 0.05)
-	key := PageKey{0, 1}
-	// The shadow LRU hits on every repeat access; report the live pool as
-	// always missing → a full window regresses → demotion.
-	demoted := false
-	for i := 0; i < 10; i++ {
-		if guard.Observe(key, false) {
-			demoted = true
-		}
-	}
-	if !demoted || guard.Demotions() != 1 {
-		t.Fatalf("demoted=%v demotions=%d", demoted, guard.Demotions())
-	}
-	_, _, demotions := gate.Stats()
-	if demotions != 1 {
-		t.Fatalf("gate demotions = %d", demotions)
-	}
-}
-
-func TestGuardStaysQuietWhenLiveMatchesShadow(t *testing.T) {
-	gate := NewGate(GateOptions{})
-	guard := NewGuard(gate, 4, 10, 0.05)
-	key := PageKey{0, 1}
-	first := true
-	for i := 0; i < 30; i++ {
-		// Report exactly what the shadow would see: first access misses,
-		// repeats hit.
-		hit := !first
-		first = false
-		if guard.Observe(key, hit) {
-			t.Fatalf("guard demoted on a matched window (i=%d)", i)
-		}
-	}
-	if guard.Demotions() != 0 {
-		t.Fatalf("demotions = %d", guard.Demotions())
 	}
 }

@@ -1,8 +1,7 @@
 package storage
 
 // frame is one resident page and, through its intrusive links, a node of the
-// package's one recency list. The Guard's shadow LRU threads frames that
-// carry only a key (no page, never pinned) on the same list code.
+// package's one recency list.
 type frame struct {
 	prev, next *frame
 	key        PageKey

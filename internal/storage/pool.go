@@ -69,9 +69,6 @@ type PoolOptions struct {
 	// RecordEvictions keeps the eviction sequence for replay-determinism
 	// checks (EvictionLog). Off by default: the log grows with evictions.
 	RecordEvictions bool
-	// Observer, when non-nil, sees every fetch (key, hit) in access order —
-	// the hook Guard uses to shadow-score the live hit rate against LRU.
-	Observer func(key PageKey, hit bool)
 }
 
 // Pool is the buffer pool: a fixed number of frames caching heap-file pages
@@ -243,18 +240,15 @@ func (p *Pool) fetch(hf *HeapFile, pageNo int) (PageHandle, error) {
 	}
 	fr.lastTick = p.tick
 	p.lru.touch(fr)
-	p.notifyLocked(key, hit)
+	p.notifyLocked(key)
 	return PageHandle{pool: p, fr: fr, missed: !hit}, nil
 }
 
-// notifyLocked drives the policy and observer for one access, in access
-// order under the pool lock.
-func (p *Pool) notifyLocked(key PageKey, hit bool) {
+// notifyLocked drives the policy for one access, in access order under the
+// pool lock.
+func (p *Pool) notifyLocked(key PageKey) {
 	if p.opts.Policy != nil {
 		p.opts.Policy.OnAccess(key, p.tick)
-	}
-	if p.opts.Observer != nil {
-		p.opts.Observer(key, hit)
 	}
 }
 
@@ -301,7 +295,7 @@ func (p *Pool) loadLocked(hf *HeapFile, key PageKey) (*frame, error) {
 // in any interleaving and leave the pool's future eviction decisions — and
 // therefore replay determinism — untouched. A resident page is pinned and
 // counted as a hit, but the logical tick, the eviction policy, the reuse
-// histogram, and the observer are all left alone; a non-resident page is read
+// histogram and the policy are all left alone; a non-resident page is read
 // from disk outside the lock into a private page that is never inserted (no
 // eviction, no registration of unknown files) and counted as a miss. The
 // private page comes from the pool's bypass free list, which the handle's
@@ -438,17 +432,6 @@ func (p *Pool) MissRate() float64 {
 		return 1
 	}
 	return float64(p.misses) / float64(total)
-}
-
-// HitRate returns hits/(hits+misses), or 0 before any access.
-func (p *Pool) HitRate() float64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	total := p.hits + p.misses
-	if total == 0 {
-		return 0
-	}
-	return float64(p.hits) / float64(total)
 }
 
 // EvictionLog returns a copy of the recorded eviction sequence (empty

@@ -70,9 +70,6 @@ func TestPoolHitsAndMisses(t *testing.T) {
 	if got := pool.MissRate(); got != 2.0/3.0 {
 		t.Fatalf("MissRate = %v", got)
 	}
-	if got := pool.HitRate(); got != 1.0/3.0 {
-		t.Fatalf("HitRate = %v", got)
-	}
 	if reg.Counter("storage.pool.hits").Value() != 1 || reg.Counter("storage.pool.misses").Value() != 2 {
 		t.Fatalf("metrics: hits=%d misses=%d",
 			reg.Counter("storage.pool.hits").Value(), reg.Counter("storage.pool.misses").Value())
@@ -285,25 +282,27 @@ func TestPoolReplayDeterminism(t *testing.T) {
 	}
 }
 
-func TestPoolObserverSeesAccessOrder(t *testing.T) {
+// recordingPolicy evicts the coldest candidate (LRU) and records every
+// access the pool reports, in order.
+type recordingPolicy struct{ seen []PageKey }
+
+func (*recordingPolicy) Name() string                         { return "recording" }
+func (r *recordingPolicy) OnAccess(k PageKey, _ uint64)       { r.seen = append(r.seen, k) }
+func (*recordingPolicy) OnRemove(PageKey)                     {}
+func (*recordingPolicy) Victim(c []PageKey, _ uint64) PageKey { return c[0] }
+
+func TestPoolPolicySeesAccessOrder(t *testing.T) {
 	hf := newPooledFile(t, "t.heap", 2)
-	type access struct {
-		key PageKey
-		hit bool
+	rec := &recordingPolicy{}
+	pool := NewPool(PoolOptions{Capacity: 4, Policy: rec})
+	var hits []bool
+	for _, pageNo := range []int{0, 1, 0} {
+		hits = append(hits, !fetchAndRelease(t, pool, hf, pageNo))
 	}
-	var seen []access
-	pool := NewPool(PoolOptions{Capacity: 4, Observer: func(k PageKey, hit bool) {
-		seen = append(seen, access{k, hit})
-	}})
-	fetchAndRelease(t, pool, hf, 0)
-	fetchAndRelease(t, pool, hf, 1)
-	fetchAndRelease(t, pool, hf, 0)
-	want := []access{
-		{PageKey{0, 0}, false},
-		{PageKey{0, 1}, false},
-		{PageKey{0, 0}, true},
+	if want := []bool{false, false, true}; !reflect.DeepEqual(hits, want) {
+		t.Fatalf("hits = %v, want %v", hits, want)
 	}
-	if !reflect.DeepEqual(seen, want) {
-		t.Fatalf("observer saw %v, want %v", seen, want)
+	if want := []PageKey{{0, 0}, {0, 1}, {0, 0}}; !reflect.DeepEqual(rec.seen, want) {
+		t.Fatalf("policy saw %v, want %v", rec.seen, want)
 	}
 }

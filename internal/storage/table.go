@@ -40,9 +40,6 @@ func (tf *TableFile) File() *HeapFile { return tf.hf }
 // Pool returns the buffer pool the table reads through.
 func (tf *TableFile) Pool() *Pool { return tf.pool }
 
-// NCols returns the row width.
-func (tf *TableFile) NCols() int { return tf.hf.NCols() }
-
 // NumPages returns the page count.
 func (tf *TableFile) NumPages() int { return tf.hf.NumPages() }
 
@@ -94,26 +91,6 @@ func (tf *TableFile) DeleteRow(rowID int64) (bool, error) {
 	h.SetDirty()
 	tf.hf.noteDelete(pageNo)
 	return true, nil
-}
-
-// ReadRow reads the row addressed by rowID through the pool, also
-// reporting whether the fetch missed (read a page from disk). ok is false
-// for an empty slot.
-func (tf *TableFile) ReadRow(rowID int64) (row []int64, ok, missed bool, err error) {
-	pageNo, slot, err := tf.split(rowID)
-	if err != nil {
-		return nil, false, false, err
-	}
-	h, err := tf.pool.Fetch(tf.hf, pageNo)
-	if err != nil {
-		return nil, false, false, err
-	}
-	defer h.Unpin()
-	row = make([]int64, tf.hf.NCols())
-	if !h.Page().ReadTuple(slot, row) {
-		return nil, false, h.Missed(), nil
-	}
-	return row, true, h.Missed(), nil
 }
 
 func (tf *TableFile) split(rowID int64) (pageNo, slot int, err error) {

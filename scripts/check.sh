@@ -68,6 +68,20 @@ go test -run '^$' -fuzz FuzzPageDecode -fuzztime 5s ./internal/storage/
 echo "==> fuzz (exec.FuzzHashJoin, 5s)"
 go test -run '^$' -fuzz FuzzHashJoin -fuzztime 5s ./internal/sqlkit/exec/
 
+# The same budget on checkpoint loading, over its corpus
+# (testdata/fuzz/FuzzLoadCheckpoint: valid, truncated and foreign streams,
+# and payloads wrapped in an envelope with a correct checksum and arch hash):
+# every stream loads or is a *CheckpointError with the model bit-unchanged.
+echo "==> fuzz (nn.FuzzLoadCheckpoint, 5s)"
+go test -run '^$' -fuzz FuzzLoadCheckpoint -fuzztime 5s ./internal/nn/
+
+# The same budget on the model registry, over its corpus
+# (testdata/fuzz/FuzzRegistryLoad): no manifest or payload on disk panics
+# List, Load or LoadModule, and every payload Load returns hashes to its
+# manifest's checksum.
+echo "==> fuzz (modelsvc.FuzzRegistryLoad, 5s)"
+go test -run '^$' -fuzz FuzzRegistryLoad -fuzztime 5s ./internal/modelsvc/
+
 # The same budget on the whole of Session.Query, seeded with the SQL corpus: no
 # panic, and a text sent again (a statement-memo hit) or to a fresh engine
 # returns the same error or the same columns and rows as its first call.
@@ -85,11 +99,11 @@ echo "==> bench module (go vet + go test)"
 # executor operator (the ExecOps pattern also matches scan/P=2, hashjoin/P=2
 # and hashagg/P=2, the partitioned forms), the warm Session.Query front end, a
 # plan-cache hit, a cold planning pass through the engine's estimator guard,
-# the cold front end's parse, shape and query-store record steps, a batched
-# Server flush and a stable vs shadow Rollout.Observe keep working.
+# the cold front end's parse, shape and query-store record steps and a
+# stable vs shadow Rollout.Observe keep working.
 # Full numbers: the same command without -benchtime=1x, with -cpu 1,2,4 for
 # the benchmarks whose pool is sized by GOMAXPROCS (docs/PERFORMANCE.md).
 echo "==> micro benchmarks (smoke, 1 iteration)"
-go test -run '^$' -bench 'MatMul|MLPFit|PoolFetch|PlanStar|ExecOps|QueryWarm|PlanCacheGet|PlanFallback|ColdFrontEnd|ServerFlush|RolloutObserve' -benchtime=1x ./internal/mlmath/ ./internal/nn/ ./internal/storage/ ./internal/sqlkit/optimizer/ ./internal/sqlkit/exec/ ./internal/engine/ ./internal/modelsvc/
+go test -run '^$' -bench 'MatMul|MLPFit|PoolFetch|PlanStar|ExecOps|QueryWarm|PlanCacheGet|PlanFallback|ColdFrontEnd|RolloutObserve' -benchtime=1x ./internal/mlmath/ ./internal/nn/ ./internal/storage/ ./internal/sqlkit/optimizer/ ./internal/sqlkit/exec/ ./internal/engine/ ./internal/modelsvc/
 
 echo "All checks passed."
