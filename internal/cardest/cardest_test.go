@@ -208,7 +208,7 @@ func TestDriftAdapterRecovers(t *testing.T) {
 		// The serving model only changes at promotion: before the first
 		// promotion (including while a candidate shadows) the stale incumbent
 		// is still answering, so that is the phase split.
-		if ad.Promotions == 0 {
+		if promotions, _, _ := ad.Rollout().Stats(); promotions == 0 {
 			preDrift = append(preDrift, qe)
 		} else {
 			postDrift = append(postDrift, qe)
@@ -218,7 +218,7 @@ func TestDriftAdapterRecovers(t *testing.T) {
 	if ad.Retrainings == 0 {
 		t.Fatal("drift adapter never retrained under drift")
 	}
-	if ad.Promotions == 0 {
+	if promotions, _, _ := ad.Rollout().Stats(); promotions == 0 {
 		t.Fatal("retrained candidate was never promoted through the shadow gate")
 	}
 	if len(postDrift) < 10 {

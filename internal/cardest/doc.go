@@ -9,7 +9,8 @@
 //     whose "training" is a single kernel linear solve — the model-efficiency
 //     story;
 //   - DriftAdapter: Warper-style monitoring and retraining under data and
-//     workload shift.
+//     workload shift; its candidates deploy through a modelsvc.Rollout,
+//     which owns promotion, rejection and their counts.
 //
 // All estimators answer single-table conjunctive range queries over the fact
 // table of the synthetic star schema and implement the same interface, so

@@ -19,76 +19,63 @@ func acos(x float64) float64 { return math.Acos(x) }
 func sin(x float64) float64  { return math.Sin(x) }
 
 // DriftAdapter implements Warper-style adaptation (Li et al., SIGMOD 2022):
-// it wraps a learned estimator, monitors the q-errors of recent predictions
-// against observed true cardinalities, and when the rolling error exceeds a
-// threshold it trains a replacement from a buffer of recent observations —
-// recovering from data and workload shift without manual intervention
-// (the §3.3 open problem).
+// it monitors the q-errors of the serving estimator's predictions against
+// observed true cardinalities, buffers recent observations, and when the
+// rolling error exceeds a threshold it trains a replacement from that
+// buffer — recovering from data and workload shift without manual
+// intervention (the §3.3 open problem).
 //
-// Retraining never mutates the serving model. The adapter trains a cloned
-// candidate off to the side, optionally publishes it to a model registry,
-// and deploys it through a modelsvc shadow gate: the candidate shadows the
-// incumbent on live observations and is promoted — an atomic hot-swap —
-// only if its windowed error beats the incumbent's. A worse candidate is
-// rejected without ever serving a request.
+// Deployment is the modelsvc.Rollout's, not the adapter's. Retraining never
+// mutates the serving model: the adapter trains a cloned candidate off to
+// the side, optionally publishes it to a model registry, and sets it as the
+// rollout's candidate, which shadows the incumbent on live observations and
+// is promoted — an atomic hot-swap — only if its windowed error beats the
+// incumbent's. A worse candidate is rejected without ever serving a
+// request. Promotion and rejection counts live in Rollout().Stats().
 type DriftAdapter struct {
 	// Model is the estimator currently serving reads. It is replaced (never
 	// trained in place) when a candidate wins its shadow window.
 	Model *MLPEstimator
 	// Window is the number of recent q-errors monitored, and the shadow
-	// window length used by the promotion gate.
+	// window length of the rollout.
 	Window int
 	// Threshold triggers candidate training when the rolling median q-error
 	// exceeds it.
 	Threshold float64
-	// BufferSize bounds the retraining buffer (most recent observations).
-	BufferSize int
-	// Epochs used for each candidate training run.
-	Epochs int
 	// Registry, when non-nil, receives every trained candidate (and the
-	// initial incumbent) as a versioned checkpoint before it shadows.
+	// initial incumbent) as a versioned checkpoint named modelName before it
+	// shadows.
 	Registry *modelsvc.Registry
-	// ModelName names the registry entry; empty defaults to "cardest-mlp".
-	ModelName string
 
 	recentQErr []float64
 	bufQ       [][]expr.Pred
 	bufY       []float64
 	rollout    *modelsvc.Rollout
 	nextVer    int
-	// Retrainings counts candidates trained (each enters the shadow gate;
+	// Retrainings counts candidates trained (each enters the shadow window;
 	// not all are promoted).
 	Retrainings int
-	// Promotions counts candidates that won their shadow window and were
-	// hot-swapped in as the serving model.
-	Promotions int
-	// Rejections counts candidates the gate refused to promote.
-	Rejections int
 	// PublishErr records the most recent registry-publish failure, if any
 	// (publishing is lineage, not a gate: the candidate still shadows).
 	PublishErr error
-	// Metrics, when non-nil, receives the cardest.qerror histogram and the
-	// cardest.{retrainings,promotions,rejections} counters.
+	// Metrics, when non-nil, receives the cardest.retrainings counter and,
+	// through the rollout, the modelsvc.rollout.* instruments (the
+	// incumbent's q-error on every observation among them).
 	Metrics *obs.Registry
-	// Events, when non-nil, receives the shadow gate's deployment-lifecycle
-	// events (see modelsvc.RolloutOptions.Events) — the hook a workload
-	// observatory uses to tag q-error trends with estimator versions. Set it
-	// before the first Observe/StartShadow; the gate captures it when built.
-	Events func(modelsvc.RolloutEvent)
 }
 
-// qerrBuckets cover q-errors from perfect (1) up to 5 orders of magnitude.
-var qerrBuckets = obs.ExpBuckets(1, 2, 17)
+const (
+	// bufferSize bounds the retraining buffer (most recent observations).
+	bufferSize = 400
+	// retrainEpochs is each candidate's training run.
+	retrainEpochs = 60
+	// modelName names the registry entry.
+	modelName = "cardest-mlp"
+)
 
 // NewDriftAdapter wraps the model with default monitoring parameters.
 func NewDriftAdapter(model *MLPEstimator) *DriftAdapter {
-	return &DriftAdapter{
-		Model:      model,
-		Window:     50,
-		Threshold:  3,
-		BufferSize: 400,
-		Epochs:     60,
-	}
+	return &DriftAdapter{Model: model, Window: 50, Threshold: 3}
 }
 
 // fracPredictor adapts an MLPEstimator to modelsvc.Predictor over featurized
@@ -98,54 +85,48 @@ type fracPredictor struct{ est *MLPEstimator }
 
 func (p fracPredictor) Predict(x []float64) float64 { return invLogit(p.est.Net.Predict1(x)) }
 
-// fracQError scores fraction predictions with the same pseudo-count q-error
-// the monitor uses, so the gate and the monitor agree on "better".
+// fracQError scores fraction predictions with a pseudo-count q-error; the
+// rollout uses it both to compare candidates and to report the incumbent's
+// error the monitor reads, so the two agree on "better".
 func fracQError(pred, truth float64) float64 {
 	const n = 1e6
 	return mlmath.QError(pred*n, truth*n)
 }
 
-// ensureRollout builds the shadow gate on first use, capturing the window,
-// clock, and metrics configured after construction. When a registry is
-// attached the incumbent is published as the baseline version so the
-// registry holds the full serving lineage.
-func (d *DriftAdapter) ensureRollout() {
-	if d.rollout != nil {
-		return
+// Rollout returns the canary rollout candidates deploy through, building it
+// on first use: the window, clock and metrics configured after construction
+// are captured then, and an attached registry receives the incumbent as the
+// baseline version, so it holds the full serving lineage.
+func (d *DriftAdapter) Rollout() *modelsvc.Rollout {
+	if d.rollout == nil {
+		d.nextVer = 1
+		version := d.publish(d.Model, map[string]string{"trigger": "baseline"})
+		d.rollout = modelsvc.NewRollout(
+			modelsvc.Deployment{Version: version, Model: fracPredictor{est: d.Model}},
+			modelsvc.RolloutOptions{Window: d.Window, ErrFn: fracQError, Clock: d.Model.Clock, Metrics: d.Metrics})
 	}
-	version := 1
-	d.nextVer = 2
+	return d.rollout
+}
+
+// publish checkpoints est to the registry, when one is attached, tagging a
+// copy of meta with component=cardest, and returns the version est deploys
+// under: the registry's, or the next local number when there is no registry
+// or the publish failed.
+func (d *DriftAdapter) publish(est *MLPEstimator, meta map[string]string) int {
+	version := d.nextVer
 	if d.Registry != nil {
-		man, err := modelsvc.PublishModule(d.Registry, d.registryName(), d.Model.Net,
-			map[string]string{"component": "cardest", "trigger": "baseline"})
-		if err != nil {
+		tagged := make(map[string]string, len(meta)+1)
+		maps.Copy(tagged, meta)
+		tagged["component"] = "cardest"
+		if man, err := modelsvc.PublishModule(d.Registry, modelName, est.Net, tagged); err != nil {
 			d.PublishErr = err
 		} else {
 			version = man.Version
-			d.nextVer = man.Version + 1
 		}
 	}
-	d.rollout = modelsvc.NewRollout(
-		modelsvc.Deployment{Version: version, Model: fracPredictor{est: d.Model}},
-		modelsvc.RolloutOptions{
-			Window:  d.Window,
-			ErrFn:   fracQError,
-			Clock:   d.Model.Clock,
-			Metrics: d.Metrics,
-			Events:  d.Events,
-		})
+	d.nextVer = version + 1
+	return version
 }
-
-func (d *DriftAdapter) registryName() string {
-	if d.ModelName != "" {
-		return d.ModelName
-	}
-	return "cardest-mlp"
-}
-
-// Rollout exposes the underlying shadow gate (built on first Observe or
-// StartShadow; nil before that).
-func (d *DriftAdapter) Rollout() *modelsvc.Rollout { return d.rollout }
 
 // EstimateFraction serves from the current incumbent.
 func (d *DriftAdapter) EstimateFraction(preds []expr.Pred) float64 {
@@ -160,41 +141,33 @@ func (d *DriftAdapter) SizeBytes() int {
 	return d.Model.SizeBytes() + len(d.bufQ)*d.Model.F.Dim()*8
 }
 
-// Observe feeds back the true selectivity of an executed query. The adapter
-// records the incumbent's q-error, buffers the observation, forwards it to
-// the shadow gate (where a candidate may be promoted or rejected), and —
-// when no candidate is in flight and the rolling median q-error crosses the
-// threshold — trains a new candidate and deploys it into the gate.
+// Observe feeds back the true selectivity of an executed query. The rollout
+// scores the incumbent (and any shadowing candidate, which it may promote
+// or reject); the adapter monitors the incumbent's q-error the rollout
+// reports, buffers the observation, and — when no candidate is in flight
+// and the rolling median q-error crosses the threshold — trains a new
+// candidate and deploys it into the rollout.
 func (d *DriftAdapter) Observe(preds []expr.Pred, trueFraction float64) {
-	d.ensureRollout()
-	x := d.Model.F.Features(preds)
-	est := invLogit(d.Model.Net.Predict1(x))
-	q := fracQError(est, trueFraction)
-	d.Metrics.Histogram("cardest.qerror", qerrBuckets).Observe(q)
+	out, q := d.Rollout().Observe(d.Model.F.Features(preds), trueFraction)
 	d.recentQErr = append(d.recentQErr, q)
 	if len(d.recentQErr) > d.Window {
 		d.recentQErr = d.recentQErr[len(d.recentQErr)-d.Window:]
 	}
 	d.bufQ = append(d.bufQ, preds)
 	d.bufY = append(d.bufY, trueFraction)
-	if len(d.bufQ) > d.BufferSize {
-		d.bufQ = d.bufQ[len(d.bufQ)-d.BufferSize:]
-		d.bufY = d.bufY[len(d.bufY)-d.BufferSize:]
+	if len(d.bufQ) > bufferSize {
+		d.bufQ = d.bufQ[len(d.bufQ)-bufferSize:]
+		d.bufY = d.bufY[len(d.bufY)-bufferSize:]
 	}
 
-	switch d.rollout.Observe(x, trueFraction) {
-	case modelsvc.OutcomePromoted:
-		d.Promotions++
+	if out == modelsvc.OutcomePromoted {
 		d.Model = d.rollout.Current().Model.(fracPredictor).est
-		d.Metrics.Counter("cardest.promotions").Inc()
-		d.recentQErr = d.recentQErr[:0]
-	case modelsvc.OutcomeRejected:
-		d.Rejections++
-		d.Metrics.Counter("cardest.rejections").Inc()
-		d.recentQErr = d.recentQErr[:0]
+	}
+	if out != modelsvc.OutcomeNone {
+		d.recentQErr = d.recentQErr[:0] // a decided window restarts the monitor
 	}
 	if d.rollout.State() == modelsvc.Shadowing {
-		// A candidate is already under evaluation; let the gate decide
+		// A candidate is already under evaluation; let the rollout decide
 		// before training another.
 		return
 	}
@@ -204,13 +177,13 @@ func (d *DriftAdapter) Observe(preds []expr.Pred, trueFraction float64) {
 }
 
 // retrainCandidate clones the incumbent, fits the clone on the buffered
-// observations, and hands it to the shadow gate. The incumbent is never
-// touched: if the candidate is worse, the gate rejects it and serving
+// observations, and hands it to the rollout. The incumbent is never
+// touched: if the candidate is worse, the rollout rejects it and serving
 // continues unchanged.
 func (d *DriftAdapter) retrainCandidate() {
 	trigger := d.MedianRecentQError()
 	cand := d.Model.Clone(nil)
-	cand.Train(d.bufQ, d.bufY, d.Epochs)
+	cand.Train(d.bufQ, d.bufY, retrainEpochs)
 	d.Retrainings++
 	d.Metrics.Counter("cardest.retrainings").Inc()
 	d.recentQErr = d.recentQErr[:0]
@@ -220,30 +193,18 @@ func (d *DriftAdapter) retrainCandidate() {
 	})
 }
 
-// StartShadow deploys cand into the canary gate as a shadow candidate,
+// StartShadow deploys cand into the rollout as a shadow candidate,
 // publishing it to the registry when one is attached (meta annotates the
-// manifest). The serving model is untouched until the candidate wins its
-// window; a worse candidate is rejected without serving a single request.
-// Returns the candidate's version. Exported so callers — and the
-// worse-candidate regression test — can push externally trained candidates
-// through the same gate drift retraining uses.
+// manifest; the caller's map is not modified). The serving model is
+// untouched until the candidate wins its window; a worse candidate is
+// rejected without serving a single request. Returns the candidate's
+// version. Exported so callers — and the worse-candidate regression test —
+// can push externally trained candidates through the same rollout drift
+// retraining uses.
 func (d *DriftAdapter) StartShadow(cand *MLPEstimator, meta map[string]string) int {
-	d.ensureRollout()
-	version := d.nextVer
-	d.nextVer++
-	if d.Registry != nil {
-		tagged := make(map[string]string, len(meta)+1)
-		maps.Copy(tagged, meta)
-		tagged["component"] = "cardest"
-		man, err := modelsvc.PublishModule(d.Registry, d.registryName(), cand.Net, tagged)
-		if err != nil {
-			d.PublishErr = err
-		} else {
-			version = man.Version
-			d.nextVer = man.Version + 1
-		}
-	}
-	d.rollout.SetCandidate(modelsvc.Deployment{Version: version, Model: fracPredictor{est: cand}})
+	roll := d.Rollout()
+	version := d.publish(cand, meta)
+	roll.SetCandidate(modelsvc.Deployment{Version: version, Model: fracPredictor{est: cand}})
 	return version
 }
 

@@ -45,11 +45,8 @@ func TestDriftWorseCandidateNeverPromoted(t *testing.T) {
 	for i := 0; i < ad.Window; i++ {
 		ad.Observe(tb.testQ[i], tb.testY[i])
 	}
-	if ad.Promotions != 0 {
-		t.Fatalf("worse candidate was promoted (%d promotions)", ad.Promotions)
-	}
-	if ad.Rejections != 1 {
-		t.Fatalf("rejections = %d, want 1", ad.Rejections)
+	if promotions, rejections, _ := ad.Rollout().Stats(); promotions != 0 || rejections != 1 {
+		t.Fatalf("worse candidate: %d promotions, %d rejections, want 0 and 1", promotions, rejections)
 	}
 	if ad.Model != incumbent {
 		t.Fatal("serving model changed despite rejection")
@@ -58,7 +55,7 @@ func TestDriftWorseCandidateNeverPromoted(t *testing.T) {
 		t.Fatalf("serving prediction drifted across a rejected rollout: %v vs %v", got, before)
 	}
 	if ad.Rollout().State() != modelsvc.Stable {
-		t.Fatal("gate did not return to Stable after rejection")
+		t.Fatal("rollout did not return to Stable after rejection")
 	}
 }
 
@@ -75,8 +72,8 @@ func TestDriftBetterCandidatePromoted(t *testing.T) {
 	for i := 0; i < ad.Window; i++ {
 		ad.Observe(tb.testQ[i], tb.testY[i])
 	}
-	if ad.Promotions != 1 {
-		t.Fatalf("promotions = %d, want 1 (rejections %d)", ad.Promotions, ad.Rejections)
+	if promotions, rejections, _ := ad.Rollout().Stats(); promotions != 1 {
+		t.Fatalf("promotions = %d, want 1 (rejections %d)", promotions, rejections)
 	}
 	if ad.Model != cand {
 		t.Fatal("promotion did not swap the serving model to the candidate")

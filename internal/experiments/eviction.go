@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"slices"
 
+	"ml4db/internal/modelsvc"
 	"ml4db/internal/storage"
 )
 
@@ -133,12 +134,17 @@ func E25(seed uint64) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	gate := storage.NewGate(storage.GateOptions{Window: 200})
-	gate.SetCandidate(scorer, 1)
-	promotions, _ := gate.ObserveSamples(samples)
-	promoted := gate.Version()
-	gate.SetCandidate(constScorer(1e6), 2)
-	_, rejections := gate.ObserveSamples(samples)
+	roll := storage.NewScorerRollout(200)
+	replay := func(version int, cand modelsvc.Predictor) {
+		roll.SetCandidate(modelsvc.Deployment{Version: version, Model: cand})
+		for _, s := range samples {
+			roll.Observe(s.X, s.Y)
+		}
+	}
+	replay(1, scorer)
+	promoted := roll.Current().Version
+	replay(2, constScorer(1e6))
+	promotions, rejections, _ := roll.Stats()
 
 	// Race the promoted policy against LRU on the same trace.
 	hf, err := storage.CreateHeapFile(filepath.Join(dir, "trace.heap"), 1)
@@ -153,7 +159,7 @@ func E25(seed uint64) (*Report, error) {
 	}
 	policies := []func() storage.Policy{
 		func() storage.Policy { return nil }, // the pool's default: LRU
-		func() storage.Policy { return storage.NewLearnedPolicy(gate) },
+		func() storage.Policy { return storage.NewLearnedPolicy(roll) },
 	}
 	var hit, hotHit [2]float64
 	replayIdentical, replayEvictions := true, 0
@@ -173,10 +179,10 @@ func E25(seed uint64) (*Report, error) {
 	r.rowf("%-24s %-11.3f %.3f", "LRU", hit[0], hotHit[0])
 	r.rowf("%-24s %-11.3f %.3f", "learned (gated, v1)", hit[1], hotHit[1])
 	r.rowf("gate: %d promotion(s) over %d trace samples (trained MLP vs Recency incumbent), %d rejection(s) (constant scorer), serving v%d",
-		promotions, len(samples), rejections, gate.Version())
+		promotions, len(samples), rejections, roll.Current().Version)
 	r.rowf("replay: %d evictions, logs bit-identical under both policies %v", replayEvictions, replayIdentical)
 
-	r.Holds = scanOK && promotions >= 1 && promoted == 1 && rejections >= 1 && gate.Version() == 1 &&
+	r.Holds = scanOK && promotions >= 1 && promoted == 1 && rejections >= 1 && roll.Current().Version == 1 &&
 		hit[1] > hit[0] && replayIdentical
 	r.Metrics["lru_hit_rate"] = hit[0]
 	r.Metrics["learned_hit_rate"] = hit[1]

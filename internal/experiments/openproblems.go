@@ -145,7 +145,7 @@ func E14(seed uint64) (*Report, error) {
 		// Retrained candidates shadow the incumbent before serving; the model
 		// answering queries only changes at promotion, so the adaptation
 		// phases split on the first promotion, not the first retraining.
-		if ad.Promotions == 0 {
+		if promotions, _, _ := ad.Rollout().Stats(); promotions == 0 {
 			preAdapt = append(preAdapt, qe)
 		} else {
 			postAdapt = append(postAdapt, qe)
@@ -156,12 +156,13 @@ func E14(seed uint64) (*Report, error) {
 	r.rowf("%-26s %-10.2f", "stationary", mlmath.Median(stationary))
 	r.rowf("%-26s %-10.2f", "under drift (pre-adapt)", mlmath.Median(preAdapt))
 	r.rowf("%-26s %-10.2f", "after adaptation", mlmath.Median(postAdapt))
+	promotions, rejections, _ := ad.Rollout().Stats()
 	r.rowf("retrainings: %d  promotions: %d  rejections: %d",
-		ad.Retrainings, ad.Promotions, ad.Rejections)
-	r.Holds = ad.Retrainings > 0 && ad.Promotions > 0 &&
+		ad.Retrainings, promotions, rejections)
+	r.Holds = ad.Retrainings > 0 && promotions > 0 &&
 		mlmath.Median(preAdapt) > mlmath.Median(stationary) &&
 		mlmath.Median(postAdapt) < mlmath.Median(preAdapt)
-	r.Metrics["promotions"] = float64(ad.Promotions)
+	r.Metrics["promotions"] = float64(promotions)
 	r.Metrics["pre_adapt_q50"] = mlmath.Median(preAdapt)
 	r.Metrics["post_adapt_q50"] = mlmath.Median(postAdapt)
 	return r, nil

@@ -18,7 +18,10 @@
 //     latency deltas; promotion is an atomic hot-swap under the rollout
 //     lock (readers always see exactly one coherent version), and demotion
 //     falls back to the previous incumbent or a configured expert fallback.
-//     A candidate with worse windowed error is provably never promoted.
+//     A candidate with worse windowed error is provably never promoted. A
+//     *Rollout is itself a Predictor serving its incumbent, and Observe
+//     reports the incumbent's error, so a learned slot is one Rollout with
+//     no wrapper around it (storage.NewScorerRollout, cardest.DriftAdapter).
 //
 // Contract:
 //

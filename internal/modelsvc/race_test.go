@@ -17,7 +17,7 @@ type versionPredictor struct{ version int }
 
 func (p versionPredictor) Predict(x []float64) float64 { return float64(p.version) }
 
-// TestRolloutHotSwapUnderRace hammers Rollout.Predict from reader
+// TestRolloutHotSwapUnderRace hammers Rollout.Current from reader
 // goroutines while the main goroutine drives promotions and demotions
 // through the canary gate. Run under -race this checks the subsystem's
 // concurrency contract: no data races, no torn reads, and every request is
@@ -53,8 +53,9 @@ func TestRolloutHotSwapUnderRace(t *testing.T) {
 					return
 				default:
 				}
-				if val, version := rollout.Predict(x); val != float64(version) {
-					errs <- "torn read: value " + strconv.Itoa(int(val)) + " served as version " + strconv.Itoa(version)
+				dep := rollout.Current()
+				if val := dep.Model.Predict(x); val != float64(dep.Version) {
+					errs <- "torn read: value " + strconv.Itoa(int(val)) + " served as version " + strconv.Itoa(dep.Version)
 					return
 				}
 			}
@@ -75,7 +76,7 @@ func TestRolloutHotSwapUnderRace(t *testing.T) {
 		}
 		var out Outcome
 		for i := 0; i < 4; i++ {
-			out = rollout.Observe([]float64{0}, truth)
+			out, _ = rollout.Observe([]float64{0}, truth)
 		}
 		if promote {
 			if out != OutcomePromoted {

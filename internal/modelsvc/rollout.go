@@ -60,10 +60,6 @@ type RolloutOptions struct {
 	// Window is the number of shadow observations compared before the gate
 	// decides. Values below one default to 32.
 	Window int
-	// MaxErrRatio scales the promotion bar: the candidate's windowed median
-	// error must be strictly below the incumbent's median times this ratio.
-	// Values <= 0 default to 1 (the candidate must be strictly better).
-	MaxErrRatio float64
 	// MaxLatencyRatio, when positive, additionally requires the candidate's
 	// median shadow-prediction latency to be at most the incumbent's median
 	// times this ratio. Zero disables the latency gate.
@@ -155,9 +151,6 @@ func NewRollout(incumbent Deployment, opts RolloutOptions) *Rollout {
 	if opts.Window < 1 {
 		opts.Window = 32
 	}
-	if opts.MaxErrRatio <= 0 {
-		opts.MaxErrRatio = 1
-	}
 	if opts.ErrFn == nil {
 		opts.ErrFn = mlmath.QError
 	}
@@ -225,12 +218,12 @@ func (r *Rollout) resetWindowLocked() {
 	r.candLat = r.candLat[:0]
 }
 
-// Predict serves one request from the incumbent, returning the value and
-// the coherent version that produced it. The candidate never serves reads
-// until promoted.
-func (r *Rollout) Predict(x []float64) (val float64, version int) {
-	dep := r.Current()
-	return dep.Model.Predict(x), dep.Version
+// Predict serves one request from the incumbent, so a *Rollout is itself a
+// Predictor whose model is hot-swapped by promotions and demotions. The
+// candidate never serves reads until promoted; Current names the version
+// serving.
+func (r *Rollout) Predict(x []float64) float64 {
+	return r.Current().Model.Predict(x)
 }
 
 // Observe feeds back one request with known ground truth. In the Shadowing
@@ -238,10 +231,11 @@ func (r *Rollout) Predict(x []float64) (val float64, version int) {
 // errors join the canary window, and once Window observations have
 // accumulated the gate decides: the candidate is promoted — an atomic
 // hot-swap, the previous incumbent retained for Demote — only if its
-// windowed median error beats the incumbent's (scaled by MaxErrRatio) and
-// it passes the latency gate; otherwise it is rejected and the incumbent
-// keeps serving. In the Stable state Observe records the incumbent's error
-// and returns OutcomeNone.
+// windowed median error is strictly below the incumbent's and it passes the
+// latency gate; otherwise it is rejected and the incumbent keeps serving. In
+// the Stable state Observe records the incumbent's error and returns
+// OutcomeNone. The second result is always the incumbent's error on x — the
+// serving model's, before any promotion this call decides.
 //
 // Model inference and ErrFn are caller-supplied code, so they run outside
 // r.mu (lockcheck enforces this): Observe snapshots the deployment pair and
@@ -250,7 +244,7 @@ func (r *Rollout) Predict(x []float64) (val float64, version int) {
 // errors describe a pair that no longer exists and the observation is
 // dropped (OutcomeNone) — under a single observer thread this path is
 // unreachable and behavior, clock-read sequence included, is unchanged.
-func (r *Rollout) Observe(x []float64, truth float64) Outcome {
+func (r *Rollout) Observe(x []float64, truth float64) (Outcome, float64) {
 	m := r.opts.Metrics
 	clock := mlmath.ClockOrSystem(r.opts.Clock)
 
@@ -267,7 +261,7 @@ func (r *Rollout) Observe(x []float64, truth float64) Outcome {
 	incErr := r.opts.ErrFn(incPred, truth)
 	m.Histogram("modelsvc.rollout.incumbent_err", errBuckets).Observe(incErr)
 	if !shadowing {
-		return OutcomeNone
+		return OutcomeNone, incErr
 	}
 
 	t2 := clock.Now()
@@ -283,7 +277,7 @@ func (r *Rollout) Observe(x []float64, truth float64) Outcome {
 	r.mu.Lock()
 	if r.epoch != epoch {
 		r.mu.Unlock()
-		return OutcomeNone
+		return OutcomeNone, incErr
 	}
 	r.incErr = append(r.incErr, incErr)
 	r.candErr = append(r.candErr, candErr)
@@ -298,12 +292,12 @@ func (r *Rollout) Observe(x []float64, truth float64) Outcome {
 
 	if len(r.candErr) < r.opts.Window {
 		r.mu.Unlock()
-		return OutcomeNone
+		return OutcomeNone, incErr
 	}
 	outcome, event := r.decideLocked()
 	r.mu.Unlock()
 	r.fire([]RolloutEvent{event})
-	return outcome
+	return outcome, incErr
 }
 
 // decideLocked applies the canary gate at the end of a full window,
@@ -314,7 +308,7 @@ func (r *Rollout) decideLocked() (Outcome, RolloutEvent) {
 	r.epoch++ // either branch retires the current deployment pair
 	incMed := mlmath.Median(r.incErr)
 	candMed := mlmath.Median(r.candErr)
-	promote := candMed < incMed*r.opts.MaxErrRatio
+	promote := candMed < incMed
 	if promote && r.opts.MaxLatencyRatio > 0 {
 		incLatMed := mlmath.Median(r.incLat)
 		candLatMed := mlmath.Median(r.candLat)

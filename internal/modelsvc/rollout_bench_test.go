@@ -63,7 +63,7 @@ func BenchmarkRolloutObserve(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if r.Observe(xs[i%window], truth[i%window]) != OutcomeNone {
+				if out, _ := r.Observe(xs[i%window], truth[i%window]); out != OutcomeNone {
 					r.SetCandidate(candidate)
 				}
 			}

@@ -16,12 +16,22 @@ type biasPredictor struct{ factor float64 }
 
 func (p biasPredictor) Predict(x []float64) float64 { return x[0] * p.factor }
 
-// driveWindow feeds n observations whose truth is x[0].
-func driveWindow(r *Rollout, n int) Outcome {
+// driveWindow feeds n observations whose truth is x[0], checking that each
+// Observe reports the error of the incumbent serving when it was called —
+// while shadowing, on the observation that decides the window, and in
+// Stable alike.
+func driveWindow(t *testing.T, r *Rollout, n int) Outcome {
+	t.Helper()
 	out := OutcomeNone
 	for i := 0; i < n; i++ {
 		truth := 10 + float64(i%7)
-		if o := r.Observe([]float64{truth}, truth); o != OutcomeNone {
+		x := []float64{truth}
+		want := mlmath.QError(r.Current().Model.Predict(x), truth)
+		o, incErr := r.Observe(x, truth)
+		if incErr != want {
+			t.Fatalf("observation %d: Observe's incumbent error = %v, want %v", i, incErr, want)
+		}
+		if o != OutcomeNone {
 			out = o
 		}
 	}
@@ -46,10 +56,10 @@ func TestRolloutPromotesBetterCandidate(t *testing.T) {
 		t.Fatal("SetCandidate did not enter Shadowing")
 	}
 	// Reads still come from the incumbent during shadowing.
-	if _, v := r.Predict([]float64{5}); v != 1 {
-		t.Fatalf("shadowing read served by version %d, want incumbent 1", v)
+	if got := r.Predict([]float64{5}); got != 10 || r.Current().Version != 1 {
+		t.Fatalf("shadowing read = %v from version %d, want incumbent 1's 10", got, r.Current().Version)
 	}
-	if out := driveWindow(r, 8); out != OutcomePromoted {
+	if out := driveWindow(t, r, 8); out != OutcomePromoted {
 		t.Fatalf("outcome = %v, want promotion", out)
 	}
 	if dep := r.Current(); dep.Version != 2 {
@@ -80,7 +90,7 @@ func TestRolloutRejectsWorseCandidate(t *testing.T) {
 	reg := obs.NewRegistry()
 	r, _ := manualRollout(1, 8, reg)
 	r.SetCandidate(Deployment{Version: 2, Model: biasPredictor{factor: 5}})
-	if out := driveWindow(r, 8); out != OutcomeRejected {
+	if out := driveWindow(t, r, 8); out != OutcomeRejected {
 		t.Fatalf("outcome = %v, want rejection", out)
 	}
 	if dep := r.Current(); dep.Version != 1 {
@@ -93,6 +103,10 @@ func TestRolloutRejectsWorseCandidate(t *testing.T) {
 	if got := reg.Counter("modelsvc.rollout.shadow_losses").Value(); got != 8 {
 		t.Fatalf("shadow_losses counter = %d, want 8", got)
 	}
+	// Back in Stable, Observe still reports the incumbent's error.
+	if out := driveWindow(t, r, 4); out != OutcomeNone {
+		t.Fatalf("stable outcome = %v, want none", out)
+	}
 }
 
 // TestRolloutTieKeepsIncumbent: an equal candidate does not clear the
@@ -100,7 +114,7 @@ func TestRolloutRejectsWorseCandidate(t *testing.T) {
 func TestRolloutTieKeepsIncumbent(t *testing.T) {
 	r, _ := manualRollout(1, 4, nil)
 	r.SetCandidate(Deployment{Version: 2, Model: biasPredictor{factor: 2}})
-	if out := driveWindow(r, 4); out != OutcomeRejected {
+	if out := driveWindow(t, r, 4); out != OutcomeRejected {
 		t.Fatalf("outcome = %v, want rejection on tie", out)
 	}
 	if dep := r.Current(); dep.Version != 1 {
@@ -117,7 +131,7 @@ func TestRolloutLatencyGate(t *testing.T) {
 	r := NewRollout(Deployment{Version: 1, Model: biasPredictor{factor: 2}},
 		RolloutOptions{Window: 4, Clock: clock, MaxLatencyRatio: 0.5})
 	r.SetCandidate(Deployment{Version: 2, Model: biasPredictor{factor: 1.1}})
-	if out := driveWindow(r, 4); out != OutcomeRejected {
+	if out := driveWindow(t, r, 4); out != OutcomeRejected {
 		t.Fatalf("outcome = %v, want latency-gate rejection", out)
 	}
 	if dep := r.Current(); dep.Version != 1 {
@@ -125,11 +139,44 @@ func TestRolloutLatencyGate(t *testing.T) {
 	}
 }
 
+// hookPredictor runs hook inside Predict — outside the rollout's lock, as
+// every model call is — then predicts like biasPredictor.
+type hookPredictor struct {
+	biasPredictor
+	hook func()
+}
+
+func (p hookPredictor) Predict(x []float64) float64 {
+	p.hook()
+	return p.biasPredictor.Predict(x)
+}
+
+// TestRolloutEpochGuardDropsStaleObservation: a candidate replaced while
+// Observe predicts unlocked leaves an observation measured against a pair
+// that no longer exists. Observe drops it from the window, still reporting
+// the incumbent's error, and the new candidate needs a full window of its
+// own.
+func TestRolloutEpochGuardDropsStaleObservation(t *testing.T) {
+	r, _ := manualRollout(1, 2, nil)
+	next := Deployment{Version: 3, Model: biasPredictor{factor: 1.1}}
+	r.SetCandidate(Deployment{Version: 2, Model: hookPredictor{biasPredictor{factor: 1.1}, func() { r.SetCandidate(next) }}})
+	out, incErr := r.Observe([]float64{10}, 10)
+	if out != OutcomeNone || incErr != mlmath.QError(20, 10) {
+		t.Fatalf("stale observation = (%v, %v), want (none, %v)", out, incErr, mlmath.QError(20, 10))
+	}
+	if out := driveWindow(t, r, 1); out != OutcomeNone {
+		t.Fatalf("the dropped observation counted toward v3's window (outcome %v)", out)
+	}
+	if out := driveWindow(t, r, 1); out != OutcomePromoted || r.Current().Version != 3 {
+		t.Fatalf("outcome = %v serving v%d, want v3 promoted after its own window", out, r.Current().Version)
+	}
+}
+
 func TestRolloutDemoteRestoresPrevious(t *testing.T) {
 	reg := obs.NewRegistry()
 	r, _ := manualRollout(1, 4, reg)
 	r.SetCandidate(Deployment{Version: 2, Model: biasPredictor{factor: 1.1}})
-	if out := driveWindow(r, 4); out != OutcomePromoted {
+	if out := driveWindow(t, r, 4); out != OutcomePromoted {
 		t.Fatalf("setup promotion failed: %v", out)
 	}
 	if !r.Demote() {
@@ -179,7 +226,7 @@ func TestRolloutDeterministicUnderManualClock(t *testing.T) {
 		for i := 0; i < 8; i++ {
 			clock.Advance(time.Millisecond)
 			truth := 10 + float64(i%7)
-			if o := r.Observe([]float64{truth}, truth); o != OutcomeNone {
+			if o, _ := r.Observe([]float64{truth}, truth); o != OutcomeNone {
 				last = o
 			}
 		}
@@ -203,11 +250,11 @@ func TestMetricsJSONLValidates(t *testing.T) {
 	reg := obs.NewRegistry()
 	r, _ := manualRollout(1, 4, reg)
 	r.SetCandidate(Deployment{Version: 2, Model: biasPredictor{factor: 1.1}})
-	if out := driveWindow(r, 4); out != OutcomePromoted {
+	if out := driveWindow(t, r, 4); out != OutcomePromoted {
 		t.Fatalf("better candidate: outcome %v, want promotion", out)
 	}
 	r.SetCandidate(Deployment{Version: 3, Model: biasPredictor{factor: 5}})
-	if out := driveWindow(r, 4); out != OutcomeRejected {
+	if out := driveWindow(t, r, 4); out != OutcomeRejected {
 		t.Fatalf("worse candidate: outcome %v, want rejection", out)
 	}
 	if !r.Demote() {

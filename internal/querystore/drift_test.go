@@ -113,12 +113,12 @@ func TestModelEventsFromRollout(t *testing.T) {
 
 	r := modelsvc.NewRollout(
 		modelsvc.Deployment{Version: 1, Model: constModel(10)},
-		modelsvc.RolloutOptions{Window: 2, Events: RolloutSink(s)},
+		modelsvc.RolloutOptions{Window: 2, Events: s.RecordRollout},
 	)
 	r.SetCandidate(modelsvc.Deployment{Version: 2, Model: constModel(5)})
 	// Candidate is closer to truth 6: promoted after the window fills.
 	r.Observe([]float64{0}, 6)
-	if out := r.Observe([]float64{0}, 6); out != modelsvc.OutcomePromoted {
+	if out, _ := r.Observe([]float64{0}, 6); out != modelsvc.OutcomePromoted {
 		t.Fatalf("outcome = %v, want promoted", out)
 	}
 	if !r.Demote() {

@@ -61,8 +61,9 @@ func (s *Store) RecordModelInstall(version int) {
 	s.recordModel(ModelInstall, version, version)
 }
 
-// RecordRollout folds a modelsvc rollout event into the model timeline; wire
-// it up with RolloutSink.
+// RecordRollout folds a modelsvc rollout event into the model timeline; its
+// method value is a modelsvc.RolloutOptions.Events sink (a nil store's
+// records nothing).
 func (s *Store) RecordRollout(ev modelsvc.RolloutEvent) {
 	if s == nil {
 		return
@@ -81,12 +82,6 @@ func (s *Store) RecordRollout(ev modelsvc.RolloutEvent) {
 		return
 	}
 	s.recordModel(action, ev.Version, ev.Incumbent)
-}
-
-// RolloutSink adapts the store to modelsvc.RolloutOptions.Events. A nil
-// store yields a sink that records nothing.
-func RolloutSink(s *Store) func(modelsvc.RolloutEvent) {
-	return s.RecordRollout
 }
 
 func (s *Store) recordModel(action ModelAction, version, incumbent int) {

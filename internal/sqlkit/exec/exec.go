@@ -428,14 +428,16 @@ func (s *execState) indexScan(n *plan.Node, ord int, need []bool) (batch, error)
 	// Room for every fetched row, filled as rows survive.
 	ids := ix.RangeRows(lo, hi)
 	out := reserve(len(ids), need)
-	for _, r := range ids {
+	for i, r := range ids {
 		if err := s.charge(&s.ctr.IndexFetch, 1); err != nil {
+			s.res.Actuals[ord].Fetched = int64(i) // an abort keeps the fetches made, as on disk
 			return batch{}, err
 		}
 		if !tablePasses(residual, t.Data, int(r)) {
 			continue
 		}
 		if err := s.chargeRows(1); err != nil {
+			s.res.Actuals[ord].Fetched = int64(i + 1)
 			return batch{}, err
 		}
 		for c, m := range need {

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"errors"
 	"math"
 	"testing"
 
@@ -79,6 +80,29 @@ func TestIndexScanMatchesSeqScan(t *testing.T) {
 		}
 		if want := (Counters{IndexProbe: ri.Counters.IndexProbe}); tc.want == 0 && ri.Counters != want {
 			t.Errorf("%s: empty interval charged more than its probe: %+v", tc.pred, ri.Counters)
+		}
+	}
+}
+
+// TestIndexScanBudgetAbortKeepsFetched: an in-memory index scan aborted by
+// either budget keeps the fetches it made on its record, as the disk path
+// does — every IndexFetch charged except one whose own charge aborted.
+func TestIndexScanBudgetAbortKeepsFetched(t *testing.T) {
+	sch, col := indexedSchema(t)
+	idx := plan.NewIndexScan(0, sch.FactID, col, []expr.Pred{{Col: col, Op: expr.BETWEEN, Lo: 0, Hi: 1000}})
+	for _, tc := range []struct {
+		budget  Budget
+		aborted int64 // fetch charges that aborted the scan
+	}{
+		{Budget{MaxWork: 100}, 1},
+		{Budget{MaxRows: 10}, 0},
+	} {
+		res, err := New(sch.Cat).Execute(idx, Options{Budget: &tc.budget})
+		if !errors.Is(err, ErrWorkBudgetExceeded) {
+			t.Fatalf("%+v: got %v, want a budget abort", tc.budget, err)
+		}
+		if got, want := res.Actuals[0].Fetched, res.Counters.IndexFetch-tc.aborted; got == 0 || got != want {
+			t.Errorf("%+v: aborted scan Fetched = %d, want %d (%d IndexFetch charges)", tc.budget, got, want, res.Counters.IndexFetch)
 		}
 	}
 }

@@ -9,10 +9,6 @@ import (
 	"ml4db/internal/storage"
 )
 
-type fixedMissRate float64
-
-func (f fixedMissRate) MissRate() float64 { return float64(f) }
-
 func diskCatalog(t *testing.T, nrows int) *catalog.Catalog {
 	t.Helper()
 	cat := catalog.NewCatalog()
@@ -41,7 +37,7 @@ func TestScanCostIncludesIOForDiskTables(t *testing.T) {
 	o.Cost = TrueCostParams()
 	q := plan.NewQuery(0)
 
-	// Without pool feedback the optimizer assumes a cold cache.
+	// The optimizer costs every plan for a cold pool: each page read misses.
 	p, err := o.Plan(q, HintSet{})
 	if err != nil {
 		t.Fatal(err)
@@ -51,21 +47,10 @@ func TestScanCostIncludesIOForDiskTables(t *testing.T) {
 		t.Fatalf("cold EstCost = %v, want %v", p.EstCost, wantCold)
 	}
 
-	// A warm pool shrinks the I/O term by the observed miss rate.
-	o.IO = fixedMissRate(0.25)
-	p, err = o.Plan(q, HintSet{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantWarm := o.Cost.ScanCost(2000) + 1*pages*0.25
-	if p.EstCost != wantWarm {
-		t.Fatalf("warm EstCost = %v, want %v", p.EstCost, wantWarm)
-	}
-
 	// Annotate applies the same term to externally built plans.
 	n := plan.NewScan(0, 0, nil)
-	if got := o.Annotate(q, n); got != wantWarm {
-		t.Fatalf("Annotate = %v, want %v", got, wantWarm)
+	if got := o.Annotate(q, n); got != wantCold {
+		t.Fatalf("Annotate = %v, want %v", got, wantCold)
 	}
 }
 
@@ -77,12 +62,5 @@ func TestPlanCostActualUsesRecordedMisses(t *testing.T) {
 	want := o.Cost.ScanCost(500) + 3
 	if got := o.PlanCostActual(n, []plan.Actual{{Rows: 500, PageMisses: 3}}); got != want {
 		t.Fatalf("PlanCostActual = %v, want %v", got, want)
-	}
-}
-
-func TestPoolSatisfiesIOStats(t *testing.T) {
-	var io IOStats = storage.NewPool(storage.PoolOptions{Capacity: 2})
-	if io.MissRate() != 1 {
-		t.Fatalf("cold pool miss rate = %v", io.MissRate())
 	}
 }

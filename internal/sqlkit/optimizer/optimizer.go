@@ -10,14 +10,6 @@ import (
 	"ml4db/internal/sqlkit/plan"
 )
 
-// IOStats exposes the buffer pool's observed miss rate to the cost model —
-// satisfied by *storage.Pool. A nil IOStats means no pool feedback: the
-// optimizer assumes every page read misses (the cold-cache worst case).
-type IOStats interface {
-	// MissRate returns misses/(hits+misses) observed so far, in [0, 1].
-	MissRate() float64
-}
-
 // Optimizer is the expert (System-R style) query optimizer: exhaustive
 // dynamic programming over connected join orders using a cardinality
 // estimator and a formula cost model.
@@ -25,9 +17,6 @@ type Optimizer struct {
 	Cat  *catalog.Catalog
 	Est  CardEstimator
 	Cost CostParams
-	// IO feeds the observed buffer-pool miss rate into the I/O cost term
-	// for disk-backed tables; nil assumes a cold cache (miss rate 1).
-	IO IOStats
 	// Parallelism is the maximum exchange degree the optimizer may assign to
 	// a node's Partitions knob — typically the executor pool's worker count.
 	// Values below two leave every plan serial (Partitions zero), which is
@@ -36,37 +25,26 @@ type Optimizer struct {
 	Parallelism int
 }
 
-// missRate returns the pool-observed miss rate, or 1 without pool feedback.
-func (o *Optimizer) missRate() float64 {
-	if o.IO == nil {
-		return 1
-	}
-	return o.IO.MissRate()
-}
-
 // scanIOCost estimates the I/O term of sequentially scanning t: every heap
-// page is read once, and a fraction missRate of those reads miss the pool.
+// page is read once, and the plan is costed for a cold pool — every read
+// misses.
 func (o *Optimizer) scanIOCost(t *catalog.Table) float64 {
 	pages := float64(t.NumDiskPages())
 	if pages == 0 {
 		return 0
 	}
-	return o.Cost.PageRead * pages * o.missRate()
+	return o.Cost.PageRead * pages
 }
 
 // indexIOCost estimates the I/O term of fetching estFetched rows through an
 // index on t: each fetch may touch a distinct page (random access), capped
-// at the table's page count.
+// at the table's page count, and misses a cold pool.
 func (o *Optimizer) indexIOCost(t *catalog.Table, estFetched float64) float64 {
 	pages := float64(t.NumDiskPages())
 	if pages == 0 {
 		return 0
 	}
-	touched := estFetched
-	if touched > pages {
-		touched = pages
-	}
-	return o.Cost.PageRead * touched * o.missRate()
+	return o.Cost.PageRead * min(estFetched, pages)
 }
 
 // New returns an optimizer with histogram estimation and default (untuned)

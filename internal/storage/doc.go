@@ -50,11 +50,12 @@
 // resident's predicted forward reuse distance with a modelsvc.Predictor —
 // O(capacity) per miss, the model's cost — and evicts the page predicted to
 // be needed furthest in the future (the Belady direction). The predictor is
-// deployed through Gate — a modelsvc.Rollout whose incumbent is the Recency
-// heuristic (predicted reuse = time since last access, which makes the
-// learned policy behave exactly like LRU) — so a trained model serves
-// evictions only after beating the LRU-equivalent incumbent over a shadow
-// window, and Gate.Demote falls back to the heuristic. The live hit-rate
+// deployed through the modelsvc.Rollout NewScorerRollout returns, whose
+// incumbent and fallback is the Recency heuristic (predicted reuse = time
+// since last access, which makes the learned policy behave exactly like
+// LRU) — so a trained model serves evictions only after beating the
+// LRU-equivalent incumbent over a shadow window, and Demote falls back to
+// the heuristic. The live hit-rate
 // signal is querystore's DriftHitRate monitor (sys_drift), which reads
 // Pool.Stats deltas per window. See docs/STORAGE.md.
 package storage

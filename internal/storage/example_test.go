@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 
+	"ml4db/internal/modelsvc"
 	"ml4db/internal/storage"
 )
 
@@ -77,10 +78,11 @@ type countScorer struct{}
 
 func (countScorer) Predict(x []float64) float64 { return x[1] }
 
-// ExampleGate shows shadow-gating a learned eviction scorer against the
-// LRU-equivalent Recency incumbent: a candidate only serves evictions after
-// winning a full canary window, and Demote always falls back safely.
-func ExampleGate() {
+// ExampleNewScorerRollout shows shadow-gating a learned eviction scorer
+// against the LRU-equivalent Recency incumbent: a candidate only serves
+// evictions after winning a full canary window, and Demote always falls back
+// safely.
+func ExampleNewScorerRollout() {
 	// Labeled eviction samples (features: recency, access count, gap) where
 	// the true forward reuse distance is the count feature — a signal the
 	// Recency heuristic cannot see.
@@ -90,20 +92,23 @@ func ExampleGate() {
 		samples = append(samples, storage.Sample{X: x, Y: x[1]})
 	}
 
-	gate := storage.NewGate(storage.GateOptions{Window: 100})
-	fmt.Printf("serving v%d (%v)\n", gate.Version(), gate.State())
+	roll := storage.NewScorerRollout(100)
+	fmt.Printf("serving v%d (%v)\n", roll.Current().Version, roll.State())
 
 	// The candidate shadow-scores on live traffic; it is promoted only
 	// after beating the incumbent over a full window.
-	gate.SetCandidate(countScorer{}, 1)
-	promos, rejects := gate.ObserveSamples(samples)
-	fmt.Printf("promotions=%d rejections=%d serving v%d\n", promos, rejects, gate.Version())
+	roll.SetCandidate(modelsvc.Deployment{Version: 1, Model: countScorer{}})
+	for _, s := range samples {
+		roll.Observe(s.X, s.Y)
+	}
+	promos, rejects, _ := roll.Stats()
+	fmt.Printf("promotions=%d rejections=%d serving v%d\n", promos, rejects, roll.Current().Version)
 
-	// A learned policy driven by the gate hot-swaps scorers on promotion;
+	// A learned policy driven by the rollout hot-swaps scorers on promotion;
 	// demotion reverts to the Recency fallback (LRU-equivalent).
-	_ = storage.NewLearnedPolicy(gate)
-	gate.Demote()
-	fmt.Printf("after demote: serving v%d\n", gate.Version())
+	_ = storage.NewLearnedPolicy(roll)
+	roll.Demote()
+	fmt.Printf("after demote: serving v%d\n", roll.Current().Version)
 	// Output:
 	// serving v0 (stable)
 	// promotions=1 rejections=0 serving v1

@@ -25,13 +25,29 @@ func fillFeatures(x []float64, recency, count, gap uint64) []float64 {
 
 // Recency is the LRU-equivalent heuristic scorer: the predicted forward
 // reuse distance is exactly the time since last access, so evicting the
-// maximum prediction evicts the least recently used page. It is the gate's
-// incumbent and demotion fallback — the learned policy can never do worse
-// than LRU for longer than one canary window.
+// maximum prediction evicts the least recently used page. It is the scorer
+// rollout's incumbent and demotion fallback — the learned policy can never
+// do worse than LRU for longer than one canary window.
 type Recency struct{}
 
 // Predict implements modelsvc.Predictor.
 func (Recency) Predict(x []float64) float64 { return x[0] }
+
+// NewScorerRollout returns the canary rollout eviction scorers deploy
+// through: Recency serves as version 0 and is also the fallback Demote
+// restores, so a candidate serves evictions only after beating the
+// LRU-equivalent baseline over window shadow observations. The rollout is
+// itself a modelsvc.Predictor — hand it to NewLearnedPolicy and promotions
+// reach the pool atomically. Predictions are log1p reuse distances (often
+// < 1), where QError's clamp-at-1 would flatten every comparison; absolute
+// error keeps the gate discriminating.
+func NewScorerRollout(window int) *modelsvc.Rollout {
+	return modelsvc.NewRollout(modelsvc.Deployment{Version: 0, Model: Recency{}}, modelsvc.RolloutOptions{
+		Window:   window,
+		ErrFn:    func(pred, truth float64) float64 { return math.Abs(pred - truth) },
+		Fallback: Recency{},
+	})
+}
 
 // pageStat is the per-resident-page access history a LearnedPolicy keeps.
 type pageStat struct {
@@ -57,11 +73,11 @@ func (s *pageStat) features(x []float64, tick uint64) []float64 {
 
 // LearnedPolicy evicts the candidate whose predicted forward reuse
 // distance is largest (the Belady direction), scoring each candidate's
-// access-history features with a modelsvc.Predictor — typically a *Gate, so
-// the model behind the score is hot-swapped by canary promotions and
-// demotions without touching the pool. Non-finite scores fall back to the
-// recency feature, so a broken model degrades toward LRU instead of
-// corrupting eviction.
+// access-history features with a modelsvc.Predictor — typically the rollout
+// from NewScorerRollout, so the model behind the score is hot-swapped by
+// canary promotions and demotions without touching the pool. Non-finite
+// scores fall back to the recency feature, so a broken model degrades
+// toward LRU instead of corrupting eviction.
 type LearnedPolicy struct {
 	scorer modelsvc.Predictor
 	st     map[PageKey]pageStat
@@ -127,7 +143,7 @@ type Sample struct {
 // whose page has prior history, labeling it with the distance to the
 // page's next access (capped at horizon; horizon <= 0 means the trace
 // length). This is the training set for a learned eviction scorer and the
-// replay window the Gate shadows candidates over.
+// replay window a scorer rollout shadows candidates over.
 func TraceSamples(trace []PageKey, horizon int) []Sample {
 	if horizon <= 0 {
 		horizon = len(trace)
@@ -160,7 +176,7 @@ func TraceSamples(trace []PageKey, horizon int) []Sample {
 
 // MLPScorer is a trained eviction scorer: an MLP regressing log1p forward
 // reuse distance from the fillFeatures encoding. It implements
-// modelsvc.Predictor for serving through a Gate and nn.Module, so
+// modelsvc.Predictor for serving through a scorer rollout and nn.Module, so
 // modelsvc.PublishModule and LoadModule version and checksum a candidate
 // like any other model.
 type MLPScorer struct {

@@ -4,6 +4,8 @@ import (
 	"math"
 	"reflect"
 	"testing"
+
+	"ml4db/internal/modelsvc"
 )
 
 func TestRecencyUnderLearnedPolicyIsLRU(t *testing.T) {
@@ -131,48 +133,63 @@ func TestGatePromotesBetterScorerRejectsWorse(t *testing.T) {
 		x := evictionFeatures(uint64(i%17+1), uint64(i%5+1), uint64(i%3))
 		samples = append(samples, Sample{X: x, Y: x[1]})
 	}
-	gate := NewGate(GateOptions{Window: 100})
-	if gate.Version() != 0 {
-		t.Fatalf("initial version = %d", gate.Version())
+	roll := NewScorerRollout(100)
+	if v := roll.Current().Version; v != 0 {
+		t.Fatalf("initial version = %d", v)
 	}
-	gate.SetCandidate(predictorFunc(func(x []float64) float64 { return x[1] }), 7)
-	promos, rejects := gate.ObserveSamples(samples)
+	roll.SetCandidate(modelsvc.Deployment{Version: 7, Model: predictorFunc(func(x []float64) float64 { return x[1] })})
+	promos, rejects := replaySamples(roll, samples)
 	if promos != 1 || rejects != 0 {
 		t.Fatalf("good candidate: promos=%d rejects=%d", promos, rejects)
 	}
-	if gate.Version() != 7 {
-		t.Fatalf("serving version = %d after promotion", gate.Version())
+	if v := roll.Current().Version; v != 7 {
+		t.Fatalf("serving version = %d after promotion", v)
 	}
 	// The promoted scorer now serves predictions.
 	x := evictionFeatures(9, 4, 1)
-	if got := gate.Predict(x); got != x[1] {
+	if got := roll.Predict(x); got != x[1] {
 		t.Fatalf("Predict = %v, want the count feature %v", got, x[1])
 	}
 
 	// A wildly-off candidate must be rejected and leave the incumbent.
-	gate.SetCandidate(predictorFunc(func([]float64) float64 { return 1e6 }), 8)
-	promos, rejects = gate.ObserveSamples(samples)
+	roll.SetCandidate(modelsvc.Deployment{Version: 8, Model: predictorFunc(func([]float64) float64 { return 1e6 })})
+	promos, rejects = replaySamples(roll, samples)
 	if promos != 0 || rejects == 0 {
 		t.Fatalf("bad candidate: promos=%d rejects=%d", promos, rejects)
 	}
-	if gate.Version() != 7 {
-		t.Fatalf("rejection changed serving version to %d", gate.Version())
+	if v := roll.Current().Version; v != 7 {
+		t.Fatalf("rejection changed serving version to %d", v)
 	}
 
 	// Demotion reverts to the previous incumbent (the Recency heuristic).
-	if !gate.Demote() {
+	if !roll.Demote() {
 		t.Fatal("demote failed")
 	}
-	if gate.Version() != 0 {
-		t.Fatalf("post-demotion version = %d, want 0", gate.Version())
+	if v := roll.Current().Version; v != 0 {
+		t.Fatalf("post-demotion version = %d, want 0", v)
 	}
-	if got := gate.Predict(x); got != x[0] {
+	if got := roll.Predict(x); got != x[0] {
 		t.Fatalf("post-demotion Predict = %v, want the recency feature %v", got, x[0])
 	}
-	_, _, demotions := gate.Stats()
+	_, _, demotions := roll.Stats()
 	if demotions != 1 {
 		t.Fatalf("demotions = %d", demotions)
 	}
+}
+
+// replaySamples shadow-scores the rollout's candidate over a replay of
+// labeled samples and counts the promotions and rejections it decides.
+func replaySamples(roll *modelsvc.Rollout, samples []Sample) (promotions, rejections int) {
+	for _, s := range samples {
+		switch out, _ := roll.Observe(s.X, s.Y); out {
+		case modelsvc.OutcomePromoted:
+			promotions++
+		case modelsvc.OutcomeRejected:
+			rejections++
+		case modelsvc.OutcomeNone:
+		}
+	}
+	return promotions, rejections
 }
 
 func TestGateTrainedScorerBeatsRecencyOnBurstyWorkload(t *testing.T) {
@@ -193,13 +210,13 @@ func TestGateTrainedScorerBeatsRecencyOnBurstyWorkload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gate := NewGate(GateOptions{Window: 200})
-	gate.SetCandidate(sc, 1)
-	promos, rejects := gate.ObserveSamples(samples)
+	roll := NewScorerRollout(200)
+	roll.SetCandidate(modelsvc.Deployment{Version: 1, Model: sc})
+	promos, rejects := replaySamples(roll, samples)
 	if promos == 0 {
 		t.Fatalf("trained scorer never promoted (rejects=%d)", rejects)
 	}
-	if gate.Version() != 1 {
-		t.Fatalf("serving version = %d", gate.Version())
+	if v := roll.Current().Version; v != 1 {
+		t.Fatalf("serving version = %d", v)
 	}
 }

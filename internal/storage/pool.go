@@ -422,18 +422,6 @@ func (p *Pool) Stats() PoolStats {
 // zero after any well-behaved scan, aborted or not.
 func (p *Pool) PinnedCount() int { return p.Stats().Pinned }
 
-// MissRate returns misses/(hits+misses), or 1 before any access — the cold
-// assumption the optimizer's I/O term starts from.
-func (p *Pool) MissRate() float64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	total := p.hits + p.misses
-	if total == 0 {
-		return 1
-	}
-	return float64(p.misses) / float64(total)
-}
-
 // EvictionLog returns a copy of the recorded eviction sequence (empty
 // unless RecordEvictions was set).
 func (p *Pool) EvictionLog() []PageKey {

@@ -67,22 +67,12 @@ func TestPoolHitsAndMisses(t *testing.T) {
 	if st.Hits != 1 || st.Misses != 2 || st.Resident != 2 || st.Pinned != 0 {
 		t.Fatalf("stats = %+v", st)
 	}
-	if got := pool.MissRate(); got != 2.0/3.0 {
-		t.Fatalf("MissRate = %v", got)
-	}
 	if reg.Counter("storage.pool.hits").Value() != 1 || reg.Counter("storage.pool.misses").Value() != 2 {
 		t.Fatalf("metrics: hits=%d misses=%d",
 			reg.Counter("storage.pool.hits").Value(), reg.Counter("storage.pool.misses").Value())
 	}
 	if reg.Histogram("storage.pool.reuse_dist", reuseBuckets).Count() != 1 {
 		t.Fatalf("reuse histogram count = %d", reg.Histogram("storage.pool.reuse_dist", reuseBuckets).Count())
-	}
-}
-
-func TestPoolMissRateColdIsOne(t *testing.T) {
-	pool := NewPool(PoolOptions{Capacity: 2})
-	if pool.MissRate() != 1 {
-		t.Fatalf("cold MissRate = %v, want 1", pool.MissRate())
 	}
 }
 

@@ -82,6 +82,14 @@ go test -run '^$' -fuzz FuzzLoadCheckpoint -fuzztime 5s ./internal/nn/
 echo "==> fuzz (modelsvc.FuzzRegistryLoad, 5s)"
 go test -run '^$' -fuzz FuzzRegistryLoad -fuzztime 5s ./internal/modelsvc/
 
+# The same budget on the telemetry validator, over its corpus
+# (testdata/fuzz/FuzzValidateJSONL: the span, metrics, querystore and tuning
+# writers' outputs and malformed files): no bytes panic obs.ValidateJSONL
+# over the four formats, and a file accepted as one format is accepted by
+# that format alone.
+echo "==> fuzz (ml4db-tracecheck.FuzzValidateJSONL, 5s)"
+go test -run '^$' -fuzz FuzzValidateJSONL -fuzztime 5s ./cmd/ml4db-tracecheck/
+
 # The same budget on the whole of Session.Query, seeded with the SQL corpus: no
 # panic, and a text sent again (a statement-memo hit) or to a fresh engine
 # returns the same error or the same columns and rows as its first call.
