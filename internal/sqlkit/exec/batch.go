@@ -10,9 +10,9 @@ type column []int64
 // width). An operator is handed a need mask over its offsets and fills only
 // the marked columns; the rest stay nil — that is all column pruning is — so
 // a consumer indexes only offsets it marked. Columns may be a table's own
-// storage (tableBatch), shared by shards and concurrent executions: they are
-// read-only everywhere in this package. Rows exist only in Result.Rows, built
-// by Execute's root transposition (output.go).
+// storage (an unfiltered in-memory scan's), shared by shards and concurrent
+// executions: they are read-only everywhere in this package. Rows exist only
+// in Result.Rows, built by Execute's root transposition (output.go).
 type batch struct {
 	n    int
 	cols []column
@@ -45,18 +45,6 @@ func reserve(n int, need []bool) batch {
 		b.cols[c] = b.cols[c][:0]
 	}
 	return batch{cols: b.cols}
-}
-
-// tableBatch is the zero-copy batch of a whole in-memory table's columns
-// (tableData): each marked column is the table's own slice.
-func tableBatch(data [][]int64, rows int, need []bool) batch {
-	b := batch{n: rows, cols: make([]column, len(need))}
-	for c, m := range need {
-		if m {
-			b.cols[c] = data[c]
-		}
-	}
-	return b
 }
 
 // gather returns the join rows (l row li[i], r row ri[i]) in the join layout
@@ -107,7 +95,7 @@ var ordinals = func() (o [chunkRows]uint16) {
 	return o
 }()
 
-// narrow is one filter's step of SeqScan's kernel: of the chunk's ordinals in
+// narrow is one filter's step of the scan kernel: of the chunk's ordinals in
 // kept (ordinals[:n] at first: all n live rows), it writes to sel, which may
 // be kept itself, those whose value in vals — f's column by ordinal — passes.
 func narrow(sel, kept []uint16, vals []int64, f expr.Pred) []uint16 {
@@ -119,16 +107,4 @@ func narrow(sel, kept []uint16, vals []int64, f expr.Pred) []uint16 {
 		}
 	}
 	return sel[:k]
-}
-
-// tablePasses reports whether row r of an in-memory table's columns satisfies
-// every filter (it takes them bare to stay within the inliner's budget: index
-// scans call it per fetched row).
-func tablePasses(filters []expr.Pred, data [][]int64, r int) bool {
-	for _, f := range filters {
-		if !f.Eval(data[f.Col][r]) {
-			return false
-		}
-	}
-	return true
 }

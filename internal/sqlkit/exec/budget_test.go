@@ -10,6 +10,7 @@ import (
 	"ml4db/internal/sqlkit/catalog"
 	"ml4db/internal/sqlkit/expr"
 	"ml4db/internal/sqlkit/plan"
+	"ml4db/internal/storage"
 )
 
 func TestBudgetRowLimitAborts(t *testing.T) {
@@ -100,18 +101,31 @@ func chunkBoundaries(rows int) []int {
 // chargeModel is the oracle for the chunked operators' charges: the
 // row-at-a-time order a scan or a hash join must charge in, one event per
 // unit — 'm' a page miss, 's' a tuple scanned, 'b' a tuple built, 'p' a tuple
-// probed, 'o' a join output, 'r' a row (kept or output). It is built from the
-// tables themselves (in-memory columns, or heap pages read through Used and
-// Value), not from the executor, so a mistake shared by the serial and the
-// partitioned operator shows here.
+// probed, 'o' a join output, 'i' an index probe step (a run of them is one
+// charge), 'f' a row fetched through an index, 'r' a row (kept or output).
+// It is built from the tables themselves (in-memory columns, or heap pages
+// read through Used and Value), not from the executor, so a mistake shared by
+// the serial and the partitioned operator, or by both storage modes, shows
+// here.
 type chargeModel []byte
+
+// passes is the model's own filter: whether the row whose column c value
+// returns satisfies every filter.
+func passes(filters []expr.Pred, value func(c int) int64) bool {
+	for _, f := range filters {
+		if !f.Eval(value(f.Col)) {
+			return false
+		}
+	}
+	return true
+}
 
 // memModel is the model of a scan of an in-memory table under filters.
 func memModel(tbl *catalog.Table, filters []expr.Pred) chargeModel {
 	var m chargeModel
 	for r := 0; r < tbl.NumRows(); r++ {
 		m = append(m, 's')
-		if tablePasses(filters, tbl.Data, r) {
+		if passes(filters, func(c int) int64 { return tbl.Data[c][r] }) {
 			m = append(m, 'r')
 		}
 	}
@@ -132,7 +146,7 @@ func diskModel(t *testing.T, tbl *catalog.Table, filters []expr.Pred) chargeMode
 		for slot := 0; slot < p.NumSlots(); slot++ {
 			if p.Used(slot) {
 				m = append(m, 's')
-				if pagePasses(filters, p, slot) {
+				if passes(filters, func(c int) int64 { return p.Value(slot, c) }) {
 					m = append(m, 'r')
 				}
 			}
@@ -141,13 +155,42 @@ func diskModel(t *testing.T, tbl *catalog.Table, filters []expr.Pred) chargeMode
 	return m
 }
 
-// run charges the events one unit at a time against b, as acct does, and
-// returns the abort (nil if none), the work and the counters an execution
-// under b must report.
+// indexModel is the model of an IndexScan whose index holds size entries and
+// matches ids, under a residual: the probe's ProbeSteps units as one charge,
+// then per row id a fetch unit, a miss if the row's page is cold, and a row if
+// the row is live and passes the residual. read says, for a row id, whether
+// its page is cold, whether the row is live, and its values.
+func indexModel(size int, ids []int32, residual []expr.Pred, read func(id int32) (cold, live bool, value func(c int) int64)) chargeModel {
+	m := bytes.Repeat([]byte{'i'}, int(plan.ProbeSteps(size)))
+	for _, id := range ids {
+		m = append(m, 'f')
+		cold, live, value := read(id)
+		if cold {
+			m = append(m, 'm')
+		}
+		if live && passes(residual, value) {
+			m = append(m, 'r')
+		}
+	}
+	return m
+}
+
+// run charges the events one unit at a time against b, as acct does — a run
+// of index probe steps at once — and returns the abort (nil if none), the
+// work and the counters an execution under b must report.
 func (m chargeModel) run(b Budget) (abort *BudgetExceededError, work int64, ctr Counters) {
 	var rows int64
-	for _, ev := range m {
+	for i, ev := range m {
 		switch ev {
+		case 'i':
+			ctr.IndexProbe++
+			work++
+			if i+1 < len(m) && m[i+1] == 'i' {
+				continue // not the probe's last step: no limit test yet
+			}
+		case 'f':
+			ctr.IndexFetch++
+			work++
 		case 'm':
 			ctr.PageMiss++
 			work++
@@ -174,6 +217,26 @@ func (m chargeModel) run(b Budget) (abort *BudgetExceededError, work int64, ctr 
 		}
 	}
 	return nil, work, ctr
+}
+
+// fetched is the Fetched an IndexScan under b records: every fetch the model
+// charges, less one whose own charge aborts the scan.
+func (m chargeModel) fetched(b Budget) int64 {
+	abort, work, ctr := m.run(b)
+	if abort != nil && abort.Kind == "work" {
+		for _, ev := range m {
+			if ev == 'r' {
+				continue
+			}
+			if work--; work == 0 {
+				if ev == 'f' {
+					return ctr.IndexFetch - 1
+				}
+				break
+			}
+		}
+	}
+	return ctr.IndexFetch
 }
 
 // after returns the work and rows charged before the model's (n+1)-th event
@@ -229,6 +292,13 @@ func checkModel(t *testing.T, label string, m chargeModel, b Budget, res *Result
 // filled, with deleted slots, and with a page the filters empty. In memory:
 // a 2 500-row table, filtered and unfiltered, at every chunk boundary ±1 —
 // 1 024-row chunks, from each shard's start — in work and in rows.
+//
+// IndexScan, at every work and every row limit: in memory over the 2 500-row
+// table's scattered c2, on disk over a copy of the spilled table indexed
+// before its deletes, behind a pool that holds every page and is released
+// before each run, so a page misses on its first fetch only. Both carry a
+// residual, and an aborted scan keeps the fetches and misses it charged on
+// its record.
 func TestScanChargesMatchRowAtATimeModel(t *testing.T) {
 	cat := catalog.NewCatalog()
 	wide := foldTable(t, "wide", 57, 50, 3) // c0 = row, c1 = row % 3
@@ -298,6 +368,81 @@ func TestScanChargesMatchRowAtATimeModel(t *testing.T) {
 				if rows+d > 0 {
 					run(label, plan.NewScan(0, mem, filters), m, Budget{MaxRows: rows + d})
 				}
+			}
+		}
+	}
+
+	memIx := catalog.BuildSecondaryIndex(big, 2)
+	big.AddIndex(memIx)
+	inMem := indexModel(memIx.Len(), memIx.RangeRows(200, 699), half[1:], func(id int32) (bool, bool, func(int) int64) {
+		return false, true, func(c int) int64 { return big.Data[c][id] }
+	})
+	// c1 in [0, 1] fetches the rows ≡ 0 (mod 3), then those ≡ 1: every page
+	// twice. Rows 3, 15, 16 and 55 are deleted after the index is built, and
+	// c2 = 0 rejects page 2.
+	cold := foldTable(t, "cold", 57, 50, 3)
+	for r := 20; r < 30; r++ {
+		cold.Data[2][r] = 1
+	}
+	coldPool := spill(t, cold, 8)
+	diskIx, err := catalog.BuildSecondaryIndexIO(cold, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cold.AddIndex(diskIx)
+	for _, r := range []int64{3, 15, 16, 41, 55} {
+		if ok, err := cold.Disk.DeleteRow(r); !ok || err != nil {
+			t.Fatalf("deleting row %d: %v, %v", r, ok, err)
+		}
+	}
+	hf := cold.Disk.File()
+	if err := coldPool.ReleaseFile(hf); err != nil { // flushes the deletes
+		t.Fatal(err)
+	}
+	spp, pages := hf.SlotsPerPage(), map[int]*storage.Page{}
+	residual := []expr.Pred{{Col: 2, Op: expr.EQ, Lo: 0}}
+	onDisk := indexModel(diskIx.Len(), diskIx.RangeRows(0, 1), residual, func(id int32) (bool, bool, func(int) int64) {
+		pno, slot := int(id)/spp, int(id)%spp
+		p, warm := pages[pno]
+		if !warm {
+			if p, err = hf.ReadPage(pno); err != nil {
+				t.Fatal(err)
+			}
+			pages[pno] = p
+		}
+		return !warm, p.Used(slot), func(c int) int64 { return p.Value(slot, c) }
+	})
+	if f, m := bytes.Count(onDisk, []byte{'f'}), bytes.Count(onDisk, []byte{'m'}); f != 38 || m != hf.NumPages() {
+		t.Fatalf("disk index model: %d fetches and %d misses, want 38 and %d", f, m, hf.NumPages())
+	}
+	coldID := cat.MustAdd(cold)
+	for _, tc := range []struct {
+		label string
+		scan  *plan.Node
+		m     chargeModel
+	}{
+		{"mem/index", plan.NewIndexScan(0, mem, 2, append([]expr.Pred{{Col: 2, Op: expr.BETWEEN, Lo: 200, Hi: 699}}, half[1:]...)), inMem},
+		{"disk/index", plan.NewIndexScan(0, coldID, 1, append([]expr.Pred{{Col: 1, Op: expr.BETWEEN, Lo: 0, Hi: 1}}, residual...)), onDisk},
+	} {
+		work, rows := tc.m.after('f', len(tc.m))
+		var budgets []Budget
+		for limit := int64(1); limit <= work+1; limit++ {
+			budgets = append(budgets, Budget{MaxWork: limit})
+		}
+		for limit := int64(1); limit <= rows+1; limit++ {
+			budgets = append(budgets, Budget{MaxRows: limit})
+		}
+		for _, b := range budgets {
+			if err := coldPool.ReleaseFile(hf); err != nil {
+				t.Fatal(err)
+			}
+			res, err := e.Execute(tc.scan, Options{Budget: &b, Output: CountOnly})
+			checkModel(t, tc.label, tc.m, b, res, err)
+			if a := res.Actuals[0]; a.Fetched != tc.m.fetched(b) || a.PageMisses != res.Counters.PageMiss {
+				t.Fatalf("%s under %+v: Actuals %+v with counters %+v; the model fetches %d", tc.label, b, a, res.Counters, tc.m.fetched(b))
+			}
+			if n := coldPool.PinnedCount(); n != 0 {
+				t.Fatalf("%s: %d pages still pinned", tc.label, n)
 			}
 		}
 	}

@@ -2,10 +2,12 @@ package exec
 
 import (
 	"errors"
+	"fmt"
 	"path/filepath"
 	"reflect"
 	"testing"
 
+	"ml4db/internal/mlmath"
 	"ml4db/internal/sqlkit/catalog"
 	"ml4db/internal/sqlkit/expr"
 	"ml4db/internal/sqlkit/plan"
@@ -248,4 +250,93 @@ func lessRow(a, b []int64) bool {
 		}
 	}
 	return false
+}
+
+// FuzzScanModes runs a table in memory and spilled behind a three-page pool:
+// SeqScan at P = 1 and P = 3, and IndexScan, must return the same rows in
+// both storage modes, the same Counters but for PageMiss (and Work by as
+// much), the same Actuals but for PageMisses, and leave no page pinned. shape
+// decodes a byte at a time (zero past its end): the column count (1–60), a
+// filter count (0–3) with per filter a column, an operator and a bound, then
+// the indexed column and its interval; values holds the rows, in fuzzKeys'
+// encoding, column by column within a row. The seed corpus is
+// testdata/fuzz/FuzzScanModes; fuzz with
+// go test -run '^$' -fuzz FuzzScanModes ./internal/sqlkit/exec/.
+func FuzzScanModes(f *testing.F) {
+	workers := mlmath.NewPool(2)
+	f.Cleanup(workers.Close)
+	f.Fuzz(func(t *testing.T, shape, values []byte) {
+		next := func() int64 {
+			if len(shape) == 0 {
+				return 0
+			}
+			b := shape[0]
+			shape = shape[1:]
+			return int64(b)
+		}
+		ncols := int(1 + next()%60)
+		var filters []expr.Pred
+		for k := next() % 4; k > 0; k-- {
+			col, op, lo := int(next())%ncols, expr.Op(next()%7), next()-64
+			filters = append(filters, expr.Pred{Col: col, Op: op, Lo: lo, Hi: lo + 16})
+		}
+		ixCol, lo := int(next())%ncols, next()-64
+		interval := expr.Pred{Col: ixCol, Op: expr.BETWEEN, Lo: lo, Hi: lo + next()}
+
+		names := make([]string, ncols)
+		for c := range names {
+			names[c] = fmt.Sprintf("c%d", c)
+		}
+		mt, dt := catalog.NewTable("t", names...), catalog.NewTable("t", names...)
+		vals := fuzzKeys(values)
+		for r := 0; r+ncols <= min(len(vals), 6000); r += ncols {
+			if err := mt.AppendRow(vals[r : r+ncols]); err != nil {
+				t.Fatal(err)
+			}
+			if err := dt.AppendRow(vals[r : r+ncols]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		mt.AddIndex(catalog.BuildSecondaryIndex(mt, ixCol))
+		pool := spill(t, dt, 3)
+		t.Cleanup(func() { dt.Disk.Close() })
+		ix, err := catalog.BuildSecondaryIndexIO(dt, ixCol)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dt.AddIndex(ix)
+		mem, disk := catalog.NewCatalog(), catalog.NewCatalog()
+		mem.MustAdd(mt)
+		disk.MustAdd(dt)
+
+		seq := plan.NewScan(0, 0, filters)
+		for _, p := range []*plan.Node{seq, forcePartitions(seq, 3), plan.NewIndexScan(0, 0, ixCol, append([]expr.Pred{interval}, filters...))} {
+			label := fmt.Sprintf("%v/P=%d", p.Op, p.Partitions)
+			rm, err := New(mem).Execute(p, Options{Pool: workers})
+			if err != nil {
+				t.Fatalf("%s in memory: %v", label, err)
+			}
+			rd, err := New(disk).Execute(p, Options{Pool: workers})
+			if err != nil {
+				t.Fatalf("%s on disk: %v", label, err)
+			}
+			if !reflect.DeepEqual(rm.Rows, rd.Rows) {
+				t.Fatalf("%s: %d rows in memory, %d on disk, or different ones", label, len(rm.Rows), len(rd.Rows))
+			}
+			misses := rd.Counters.PageMiss
+			ctr := rd.Counters
+			ctr.PageMiss = 0
+			if ctr != rm.Counters || rd.Work-misses != rm.Work {
+				t.Fatalf("%s: counters %+v (work %d) in memory, %+v (work %d) on disk", label, rm.Counters, rm.Work, rd.Counters, rd.Work)
+			}
+			am, ad := rm.Actuals[0], rd.Actuals[0]
+			ad.PageMisses = 0
+			if am != ad || len(rm.Actuals) != 1 || len(rd.Actuals) != 1 {
+				t.Fatalf("%s: actuals %+v in memory, %+v on disk", label, rm.Actuals, rd.Actuals)
+			}
+			if n := pool.PinnedCount(); n != 0 {
+				t.Fatalf("%s: %d pages still pinned", label, n)
+			}
+		}
+	})
 }

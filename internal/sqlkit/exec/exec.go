@@ -3,14 +3,12 @@ package exec
 import (
 	"errors"
 	"fmt"
-	"math"
 	"sort"
 	"sync"
 
 	"ml4db/internal/mlmath"
 	"ml4db/internal/obs"
 	"ml4db/internal/sqlkit/catalog"
-	"ml4db/internal/sqlkit/expr"
 	"ml4db/internal/sqlkit/plan"
 )
 
@@ -207,14 +205,6 @@ func (e *Executor) Execute(root *plan.Node, opts Options) (*Result, error) {
 	return res, err
 }
 
-// ExecuteCount is Execute with the CountOnly output, returning only
-// cardinality and work — the common case for training-signal collection.
-func (e *Executor) ExecuteCount(root *plan.Node, opts Options) (card int, work int64, err error) {
-	opts.Output = CountOnly
-	res, err := e.Execute(root, opts)
-	return len(res.Rows), res.Work, err
-}
-
 // acct is one budget account: the counters charged so far, their totals, and
 // the limits the totals are held to. The execution owns the live account;
 // each shard of a partitioned operator charges a private one that the
@@ -326,8 +316,9 @@ func (s *execState) dispatch(n *plan.Node, ord int, need []bool) (batch, error) 
 // row; at holds the output rows' input ordinals plus base, ascending. If both
 // limits hold the whole chunk that is one step; otherwise one trips inside it,
 // so the charges replay a unit at a time in row order — the input row, then
-// each of its outputs — and stop where a row-at-a-time loop stops.
-func chargeChunk[T uint16 | int64](a *acct, unit *int64, n int, out *int64, at []T, base T) error {
+// each of its outputs — and stop where a row-at-a-time loop stops. It returns
+// how many input rows it charged a unit for.
+func chargeChunk[T uint16 | int64](a *acct, unit *int64, n int, out *int64, at []T, base T) (int, error) {
 	k, work := int64(len(at)), int64(n)
 	if out != nil {
 		work += k
@@ -339,136 +330,24 @@ func chargeChunk[T uint16 | int64](a *acct, unit *int64, n int, out *int64, at [
 		}
 		a.work += work
 		a.rows += k
-		return nil
+		return n, nil
 	}
 	for i := range n {
 		if err := a.charge(unit, 1); err != nil {
-			return err
+			return i, err
 		}
 		for ; len(at) > 0 && int(at[0]-base) == i; at = at[1:] {
 			if out != nil {
 				if err := a.charge(out, 1); err != nil {
-					return err
+					return i + 1, err
 				}
 			}
 			if err := a.chargeRows(1); err != nil {
-				return err
+				return i + 1, err
 			}
 		}
 	}
-	return nil
-}
-
-// seqScan charges every table row and keeps those passing the filters, a
-// chunk of chunkRows rows at a time: each filter narrows the chunk's selection
-// vector over one column, then one call charges the chunk. An unfiltered scan
-// copies nothing: the output is the table's own columns (tableBatch). A
-// filtered one collects the kept row numbers and gathers the marked columns.
-func (s *execState) seqScan(n *plan.Node, ord int, need []bool) (batch, error) {
-	t := s.cat.Table(n.TableID)
-	if t.Disk != nil {
-		return s.seqScanDisk(n, ord, t, need)
-	}
-	data, rows := tableData(t)
-	filtered := len(n.Filters) > 0
-	kept, err := s.ranged(rows, n.Partitions, func(a *acct, _, lo, hi int) (batch, error) {
-		out := batch{cols: make([]column, 1)} // the kept row numbers, when filters select
-		var sel [chunkRows]uint16
-		for base := lo; base < hi; base += chunkRows {
-			end := min(base+chunkRows, hi)
-			kept := ordinals[:end-base]
-			for _, f := range n.Filters {
-				kept = narrow(sel[:0], kept, data[f.Col][base:end], f)
-			}
-			if err := chargeChunk(a, &a.ctr.ScanTuples, end-base, nil, kept, 0); err != nil {
-				return batch{}, err
-			}
-			out.n += len(kept)
-			if filtered {
-				for _, o := range kept {
-					out.cols[0] = append(out.cols[0], int64(base+int(o)))
-				}
-			}
-		}
-		return out, nil
-	})
-	if err != nil {
-		return batch{}, err
-	}
-	out := tableBatch(data, rows, need)
-	if filtered {
-		out = gather(need, out, kept.cols[0], batch{}, nil)
-	}
-	return out, nil
-}
-
-// indexScan reads the rows matching the node's interval predicate on
-// IndexCol through the secondary index, then applies the remaining filters.
-func (s *execState) indexScan(n *plan.Node, ord int, need []bool) (batch, error) {
-	t := s.cat.Table(n.TableID)
-	ix := t.Index(n.IndexCol)
-	if ix == nil {
-		return batch{}, fmt.Errorf("exec: no index on column %d of %s", n.IndexCol, t.Name)
-	}
-	if ix.Hypothetical {
-		return batch{}, fmt.Errorf("exec: index on column %d of %s is hypothetical (what-if only)", n.IndexCol, t.Name)
-	}
-	lo, hi, residual, ok := indexInterval(n)
-	if !ok {
-		return batch{}, fmt.Errorf("exec: IndexScan on %s has no interval predicate on c%d", t.Name, n.IndexCol)
-	}
-	// One probe costs a binary search over the index — all an empty
-	// interval costs: RangeRows finds no ids for lo > hi.
-	if err := s.charge(&s.ctr.IndexProbe, plan.ProbeSteps(ix.Len())); err != nil {
-		return batch{}, err
-	}
-	if t.Disk != nil {
-		return s.indexScanDisk(ord, t, ix, lo, hi, residual, need)
-	}
-	// Room for every fetched row, filled as rows survive.
-	ids := ix.RangeRows(lo, hi)
-	out := reserve(len(ids), need)
-	for i, r := range ids {
-		if err := s.charge(&s.ctr.IndexFetch, 1); err != nil {
-			s.res.Actuals[ord].Fetched = int64(i) // an abort keeps the fetches made, as on disk
-			return batch{}, err
-		}
-		if !tablePasses(residual, t.Data, int(r)) {
-			continue
-		}
-		if err := s.chargeRows(1); err != nil {
-			s.res.Actuals[ord].Fetched = int64(i + 1)
-			return batch{}, err
-		}
-		for c, m := range need {
-			if m {
-				out.cols[c] = append(out.cols[c], t.Data[c][r])
-			}
-		}
-		out.n++
-	}
-	s.res.Actuals[ord].Fetched = int64(len(ids))
-	return out, nil
-}
-
-// indexInterval extracts the interval on n.IndexCol from the node's filters
-// (intersecting multiple interval predicates on that column; lo > hi when
-// they select nothing) and returns the remaining predicates. Open sides span
-// the whole int64 domain: the index says which values exist, and statistics
-// may be older than the rows.
-func indexInterval(n *plan.Node) (lo, hi int64, residual []expr.Pred, ok bool) {
-	lo, hi = math.MinInt64, math.MaxInt64
-	for _, f := range n.Filters {
-		if f.Col == n.IndexCol {
-			if l, h, isInterval := f.Range(math.MinInt64, math.MaxInt64); isInterval {
-				lo, hi = max(lo, l), min(hi, h)
-				ok = true
-				continue
-			}
-		}
-		residual = append(residual, f)
-	}
-	return lo, hi, residual, ok
+	return n, nil
 }
 
 // children resolves a join's conditions to offsets into its inputs' layouts
@@ -510,7 +389,7 @@ func (s *execState) hashJoin(n *plan.Node, ord int, need []bool) (batch, error) 
 	for slots < left.n {
 		slots, shift = slots<<1, shift-1
 	}
-	if err := chargeChunk[uint16](&s.acct, &s.ctr.HashBuild, left.n, nil, nil, 0); err != nil {
+	if _, err := chargeChunk[uint16](&s.acct, &s.ctr.HashBuild, left.n, nil, nil, 0); err != nil {
 		return batch{}, err
 	}
 	mem := make([]int32, 2*slots+left.n)
@@ -543,7 +422,7 @@ func (s *execState) hashJoin(n *plan.Node, ord int, need []bool) (batch, error) 
 					}
 				}
 			}
-			if err := chargeChunk(a, &a.ctr.HashProbe, len(chunk), &a.ctr.OutputTuple, ri[from:], int64(base)); err != nil {
+			if _, err := chargeChunk(a, &a.ctr.HashProbe, len(chunk), &a.ctr.OutputTuple, ri[from:], int64(base)); err != nil {
 				return batch{}, err
 			}
 		}

@@ -362,18 +362,6 @@ func TestThreeWayJoinMatchesBruteForce(t *testing.T) {
 	}
 }
 
-func TestExecuteCount(t *testing.T) {
-	cat := tinyCatalog(t)
-	e := New(cat)
-	card, work, err := e.ExecuteCount(joinPlanOver(plan.OpHashJoin), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if card != expectedJoinRows || work <= 0 {
-		t.Errorf("ExecuteCount = (%d, %d)", card, work)
-	}
-}
-
 func TestDeterministicWork(t *testing.T) {
 	cat := tinyCatalog(t)
 	e := New(cat)

@@ -35,7 +35,8 @@ type opsCase struct {
 // and 6.4 % of big's rows match: a fact probing a filtered dimension). The
 // disk scan comes three ways: filtered (its columns grow), unfiltered (sized
 // from the free-space map) and partitioned (each shard grows its own columns,
-// through the bypass path).
+// through the bypass path). The index scan comes twice: over big, and over a
+// spilled copy of big indexed through its pool.
 func opsFixture(tb testing.TB, rows int) (*Executor, []opsCase) {
 	tb.Helper()
 	fill := func(name string) *catalog.Table {
@@ -47,9 +48,15 @@ func opsFixture(tb testing.TB, rows int) (*Executor, []opsCase) {
 		}
 		return t
 	}
-	bigT, diskT := fill("big"), fill("bigdisk")
+	bigT, diskT, diskIxT := fill("big"), fill("bigdisk"), fill("bigdiskix")
 	bigT.AddIndex(catalog.BuildSecondaryIndex(bigT, 0))
 	spill(tb, diskT, 16)
+	spill(tb, diskIxT, 16)
+	diskIx, err := catalog.BuildSecondaryIndexIO(diskIxT, 0)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	diskIxT.AddIndex(diskIx)
 	smallT := catalog.NewTable("small", "id", "w")
 	for r := 0; r < 64; r++ {
 		if err := smallT.AppendRow([]int64{int64(r), int64(r * r)}); err != nil {
@@ -57,13 +64,14 @@ func opsFixture(tb testing.TB, rows int) (*Executor, []opsCase) {
 		}
 	}
 	cat := catalog.NewCatalog()
-	big, disk, small := cat.MustAdd(bigT), cat.MustAdd(diskT), cat.MustAdd(smallT)
+	big, disk, small, diskIdx := cat.MustAdd(bigT), cat.MustAdd(diskT), cat.MustAdd(smallT), cat.MustAdd(diskIxT)
 
 	idV := &plan.Output{Cols: []plan.AggCol{{Table: 0, Col: 0}, {Table: 0, Col: 2}}, Limit: plan.NoLimit}
 	vW := &plan.Output{Cols: []plan.AggCol{{Table: 0, Col: 2}, {Table: 1, Col: 1}}, Limit: plan.NoLimit}
 	top := &plan.Output{Cols: idV.Cols, Limit: 10, OrderBy: []plan.OrderKey{
 		{Col: plan.AggCol{Table: 0, Col: 2}, Desc: true}, {Col: plan.AggCol{Table: 0, Col: 1}}}}
 	half := []expr.Pred{{Col: 2, Op: expr.LE, Lo: 499}}
+	quarter := []expr.Pred{{Col: 0, Op: expr.BETWEEN, Lo: 0, Hi: int64(rows / 4)}}
 	join := func(op plan.OpType) *plan.Node { // big.k = small.id: every big row matches once
 		return plan.NewJoin(op, plan.NewScan(0, big, nil), plan.NewScan(1, small, nil), on(0, 1, 1, 0))
 	}
@@ -73,7 +81,8 @@ func opsFixture(tb testing.TB, rows int) (*Executor, []opsCase) {
 	return New(cat), []opsCase{
 		{"scan", plan.NewScan(0, big, nil), idV, 0},
 		{"filter", plan.NewScan(0, big, half), idV, 1},
-		{"indexscan", plan.NewIndexScan(0, big, 0, []expr.Pred{{Col: 0, Op: expr.BETWEEN, Lo: 0, Hi: int64(rows / 4)}}), idV, 0},
+		{"indexscan", plan.NewIndexScan(0, big, 0, quarter), idV, 0},
+		{"indexscan/disk", plan.NewIndexScan(0, diskIdx, 0, quarter), idV, 0},
 		{"hashjoin", join(plan.OpHashJoin), vW, 2},
 		{"hashjoin/selective", selective, wID, 2},
 		{"nljoin", join(plan.OpNLJoin), vW, 2},

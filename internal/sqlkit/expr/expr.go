@@ -154,6 +154,3 @@ func (j JoinCond) AppendTo(b []byte) []byte {
 func (j JoinCond) Flip() JoinCond {
 	return JoinCond{LeftTable: j.RightTable, LeftCol: j.RightCol, RightTable: j.LeftTable, RightCol: j.LeftCol}
 }
-
-// Touches reports whether the condition references table position t.
-func (j JoinCond) Touches(t int) bool { return j.LeftTable == t || j.RightTable == t }

@@ -79,13 +79,6 @@ func TestRangeNEIsNotInterval(t *testing.T) {
 	}
 }
 
-func TestJoinCondTouches(t *testing.T) {
-	j := JoinCond{LeftTable: 0, LeftCol: 1, RightTable: 2, RightCol: 0}
-	if !j.Touches(0) || !j.Touches(2) || j.Touches(1) {
-		t.Error("Touches wrong")
-	}
-}
-
 // TestStringRendering pins the rendered forms, which are part of exported
 // identities (the engine's statement shape, plan display): String and
 // AppendTo, onto an empty and onto a non-empty buffer, give the same bytes.

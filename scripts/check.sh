@@ -68,6 +68,15 @@ go test -run '^$' -fuzz FuzzPageDecode -fuzztime 5s ./internal/storage/
 echo "==> fuzz (exec.FuzzHashJoin, 5s)"
 go test -run '^$' -fuzz FuzzHashJoin -fuzztime 5s ./internal/sqlkit/exec/
 
+# The same budget on the two storage modes, over its corpus
+# (testdata/fuzz/FuzzScanModes: 1 to 60 columns, empty and multi-page tables,
+# MinInt64/MaxInt64 values, every operator): a table and its spilled twin
+# give SeqScan at P = 1 and P = 3 and IndexScan the same rows, Counters but
+# PageMiss and Actuals but PageMisses, and leave no page pinned. Each input
+# spills a table, so a new one is minimised for at most a second.
+echo "==> fuzz (exec.FuzzScanModes, 5s)"
+go test -run '^$' -fuzz FuzzScanModes -fuzztime 5s -fuzzminimizetime 1s ./internal/sqlkit/exec/
+
 # The same budget on checkpoint loading, over its corpus
 # (testdata/fuzz/FuzzLoadCheckpoint: valid, truncated and foreign streams,
 # and payloads wrapped in an envelope with a correct checksum and arch hash):

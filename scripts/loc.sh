@@ -2,10 +2,12 @@
 # loc.sh — Go lines per package, non-test and test (plain `wc -l`, comments
 # and blanks included): the size numbers simplicity PRs quote in CHANGES.md.
 # Every .go file under a testdata/ directory (analyzer fixtures, fuzz helpers)
-# counts as a test line. The last two lines split the total into the engine
-# ring (the module packages `go list -deps ./internal/engine` names, which
-# Session.Query links) and everything else (the paper library, experiments,
-# commands and bench/).
+# counts as a test line. The last three lines split the total into the
+# engine ring (the module packages `go list -deps ./internal/engine` names,
+# which Session.Query links), the tooling ring (internal/analysis,
+# internal/docslint and cmd/*: the static analyzers and the commands) and the
+# paper library (everything else: the learned components, experiments and
+# bench/).
 #
 #   scripts/loc.sh                          every package of the module
 #   scripts/loc.sh internal/engine bench    only these directories
@@ -35,6 +37,8 @@ code_total=0
 test_total=0
 ring_code=0
 ring_test=0
+tool_code=0
+tool_test=0
 for d in "${dirs[@]}"; do
     d=${d%/}
     case "/$d/" in
@@ -54,7 +58,14 @@ for d in "${dirs[@]}"; do
         ring_code=$((ring_code + code))
         ring_test=$((ring_test + tests))
     fi
+    case "$d/" in
+    internal/analysis/* | internal/docslint/* | cmd/*)
+        tool_code=$((tool_code + code))
+        tool_test=$((tool_test + tests))
+        ;;
+    esac
 done
 printf '%-44s %9d %9d\n' total "$code_total" "$test_total"
 printf '%-44s %9d %9d\n' '  engine ring' "$ring_code" "$ring_test"
-printf '%-44s %9d %9d\n' '  everything else' "$((code_total - ring_code))" "$((test_total - ring_test))"
+printf '%-44s %9d %9d\n' '  tooling ring' "$tool_code" "$tool_test"
+printf '%-44s %9d %9d\n' '  paper library' "$((code_total - ring_code - tool_code))" "$((test_total - ring_test - tool_test))"
