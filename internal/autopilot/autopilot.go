@@ -45,26 +45,28 @@ type Options struct {
 	// Interval is the minimum gap between mining passes (default 10s).
 	// Ticks inside the gap only advance an open shadow trial.
 	Interval time.Duration
-	// TopStatements caps the mined workload per pass (default 16).
-	TopStatements int
-	// MaxViewCandidates caps the join pairs what-if probed per pass
-	// (default 4).
-	MaxViewCandidates int
 	// MinWinFrac is the minimum estimated win as a fraction of the baseline
 	// workload cost (default 0.05). BuildCostWeight scales the one-time
 	// build charge subtracted from the win (default 1; negative disables).
 	MinWinFrac      float64
 	BuildCostWeight float64
-	// MemoryBudgetBytes bounds the total adopted footprint (default 64 MiB).
-	MemoryBudgetBytes int64
 
 	// VerifyWindows is how many fresh sealed querystore windows a shadow
-	// trial must span before judging (default 2). RegressRatio drops the
-	// adoption when observed work per call exceeds baseline × ratio
-	// (default 1.25).
+	// trial must span before judging (default 2).
 	VerifyWindows int
-	RegressRatio  float64
 }
+
+const (
+	// topStatements caps the mined workload per pass.
+	topStatements = 16
+	// maxViewCandidates caps the join pairs what-if probed per pass.
+	maxViewCandidates = 4
+	// memoryBudgetBytes bounds the total adopted footprint.
+	memoryBudgetBytes = 64 << 20
+	// regressRatio drops an adoption when a shadow trial observes work per
+	// call above baseline × ratio.
+	regressRatio = 1.25
+)
 
 // adoption is one live adopted object and what reverting it takes.
 type adoption struct {
@@ -123,12 +125,6 @@ func New(opts Options) (*Autopilot, error) {
 	if opts.Interval <= 0 {
 		opts.Interval = 10 * time.Second
 	}
-	if opts.TopStatements < 1 {
-		opts.TopStatements = 16
-	}
-	if opts.MaxViewCandidates < 1 {
-		opts.MaxViewCandidates = 4
-	}
 	if opts.MinWinFrac <= 0 {
 		opts.MinWinFrac = 0.05
 	}
@@ -138,14 +134,8 @@ func New(opts Options) (*Autopilot, error) {
 	if opts.BuildCostWeight < 0 {
 		opts.BuildCostWeight = 0
 	}
-	if opts.MemoryBudgetBytes <= 0 {
-		opts.MemoryBudgetBytes = 64 << 20
-	}
 	if opts.VerifyWindows < 1 {
 		opts.VerifyWindows = 2
-	}
-	if opts.RegressRatio <= 0 {
-		opts.RegressRatio = 1.25
 	}
 	cat := opts.Host.Catalog()
 	env := qo.NewEnv(cat)
@@ -285,7 +275,7 @@ func (a *Autopilot) verifyLocked(now time.Time) {
 		SizeBytes: ad.sizeBytes, BaselineWPC: tr.baselineWPC,
 		ObservedWPC: obs, TrialCalls: dc,
 	}
-	if obs <= tr.baselineWPC*a.opts.RegressRatio {
+	if obs <= tr.baselineWPC*regressRatio {
 		ev.Stage = StageKept
 	} else {
 		ev.Stage = StageDropped

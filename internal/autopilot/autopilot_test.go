@@ -34,7 +34,7 @@ type rig struct {
 func newRig(t *testing.T, cat *catalog.Catalog, opts autopilot.Options) *rig {
 	t.Helper()
 	mc := &mlmath.ManualClock{T: time.Unix(0, 0)}
-	store := querystore.New(querystore.Options{Clock: mc, Catalog: cat, Window: time.Second})
+	store := querystore.New(querystore.Options{Clock: mc, Catalog: cat})
 	eng := engine.New(cat, engine.Options{Store: store})
 	opts.Clock = mc
 	opts.Store = store

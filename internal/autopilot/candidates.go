@@ -115,8 +115,8 @@ func (a *Autopilot) proposeViews(mined []MinedStatement, base float64, basePer [
 		queries[i] = m.Query
 	}
 	cands := views.EnumerateCandidates(queries)
-	if len(cands) > a.opts.MaxViewCandidates {
-		cands = cands[:a.opts.MaxViewCandidates]
+	if len(cands) > maxViewCandidates {
+		cands = cands[:maxViewCandidates]
 	}
 	var props []proposal
 	for _, c := range cands {
@@ -265,7 +265,7 @@ func (a *Autopilot) minePass(now time.Time) error {
 		p := &props[i]
 		pass := p.netWin > 0 &&
 			base-p.estWith >= a.opts.MinWinFrac*base &&
-			a.memUsed+p.sizeBytes <= a.opts.MemoryBudgetBytes &&
+			a.memUsed+p.sizeBytes <= memoryBudgetBytes &&
 			len(p.affected) > 0
 		ev := TuningEvent{
 			Kind: p.kind, Target: p.target, TableID: p.tableID, Col: p.col,

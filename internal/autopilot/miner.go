@@ -56,8 +56,8 @@ func (a *Autopilot) mineWorkload() []MinedStatement {
 		}
 		return mined[i].Shape < mined[j].Shape
 	})
-	if len(mined) > a.opts.TopStatements {
-		mined = mined[:a.opts.TopStatements]
+	if len(mined) > topStatements {
+		mined = mined[:topStatements]
 	}
 	return mined
 }

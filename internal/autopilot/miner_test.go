@@ -42,7 +42,7 @@ func minerFixture(t *testing.T) (*catalog.Catalog, *querystore.Store, *Autopilot
 	cat.MustAdd(tbl)
 	cat.AnalyzeAll(32, 512)
 	mc := &mlmath.ManualClock{T: time.Unix(0, 0)}
-	store := querystore.New(querystore.Options{Clock: mc, Catalog: cat, Window: time.Second})
+	store := querystore.New(querystore.Options{Clock: mc, Catalog: cat})
 	ap, err := New(Options{Clock: mc, Store: store, Host: &fakeHost{cat: cat}})
 	if err != nil {
 		t.Fatal(err)

@@ -2,7 +2,6 @@ package cardest
 
 import (
 	"maps"
-	"math"
 	"strconv"
 
 	"ml4db/internal/mlmath"
@@ -10,13 +9,6 @@ import (
 	"ml4db/internal/obs"
 	"ml4db/internal/sqlkit/expr"
 )
-
-// mathematical helpers shared by the kernel code.
-const pi = math.Pi
-
-func sqrt(x float64) float64 { return math.Sqrt(x) }
-func acos(x float64) float64 { return math.Acos(x) }
-func sin(x float64) float64  { return math.Sin(x) }
 
 // DriftAdapter implements Warper-style adaptation (Li et al., SIGMOD 2022):
 // it monitors the q-errors of the serving estimator's predictions against
@@ -39,9 +31,6 @@ type DriftAdapter struct {
 	// Window is the number of recent q-errors monitored, and the shadow
 	// window length of the rollout.
 	Window int
-	// Threshold triggers candidate training when the rolling median q-error
-	// exceeds it.
-	Threshold float64
 	// Registry, when non-nil, receives every trained candidate (and the
 	// initial incumbent) as a versioned checkpoint named modelName before it
 	// shadows.
@@ -65,6 +54,9 @@ type DriftAdapter struct {
 }
 
 const (
+	// retrainThreshold triggers candidate training when the rolling median
+	// q-error exceeds it.
+	retrainThreshold = 3
 	// bufferSize bounds the retraining buffer (most recent observations).
 	bufferSize = 400
 	// retrainEpochs is each candidate's training run.
@@ -75,7 +67,7 @@ const (
 
 // NewDriftAdapter wraps the model with default monitoring parameters.
 func NewDriftAdapter(model *MLPEstimator) *DriftAdapter {
-	return &DriftAdapter{Model: model, Window: 50, Threshold: 3}
+	return &DriftAdapter{Model: model, Window: 50}
 }
 
 // fracPredictor adapts an MLPEstimator to modelsvc.Predictor over featurized
@@ -171,7 +163,7 @@ func (d *DriftAdapter) Observe(preds []expr.Pred, trueFraction float64) {
 		// before training another.
 		return
 	}
-	if len(d.recentQErr) >= d.Window && mlmath.Median(d.recentQErr) > d.Threshold {
+	if len(d.recentQErr) >= d.Window && mlmath.Median(d.recentQErr) > retrainThreshold {
 		d.retrainCandidate()
 	}
 }

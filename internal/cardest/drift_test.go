@@ -8,9 +8,10 @@ import (
 	"ml4db/internal/nn"
 )
 
-// driftHarness builds an adapter whose auto-retraining is disabled
-// (Threshold sky-high), so tests drive the shadow gate explicitly through
-// StartShadow and Observe.
+// driftHarness builds an adapter with a 10-observation window. Tests drive
+// the shadow gate explicitly through StartShadow and Observe: a decided
+// window restarts the monitor, so at most Window observations past a shadow
+// never fill it and auto-retraining never steps in.
 func driftHarness(t *testing.T, trained bool) (*testbed, *DriftAdapter) {
 	t.Helper()
 	tb := newTestbed(t, 31, 400, 80)
@@ -20,7 +21,6 @@ func driftHarness(t *testing.T, trained bool) (*testbed, *DriftAdapter) {
 	}
 	ad := NewDriftAdapter(m)
 	ad.Window = 10
-	ad.Threshold = 1e9
 	return tb, ad
 }
 

@@ -2,6 +2,7 @@ package cardest
 
 import (
 	"fmt"
+	"math"
 
 	"ml4db/internal/mlmath"
 	"ml4db/internal/nn"
@@ -148,11 +149,11 @@ func arccosKernel(a, b []float64) float64 {
 	dot := mlmath.Dot(a, b) + 1
 	na := mlmath.Norm2(a)
 	nb := mlmath.Norm2(b)
-	na = sqrt(na*na + 1)
-	nb = sqrt(nb*nb + 1)
+	na = math.Sqrt(na*na + 1)
+	nb = math.Sqrt(nb*nb + 1)
 	cos := mlmath.Clamp(dot/(na*nb), -1, 1)
-	theta := acos(cos)
-	return na * nb * (sin(theta) + (pi-theta)*cos) / pi
+	theta := math.Acos(cos)
+	return na * nb * (math.Sin(theta) + (math.Pi-theta)*cos) / math.Pi
 }
 
 // Train solves (K + σ²I)·α = y over the labeled queries.

@@ -162,12 +162,9 @@ type lruEntry[K comparable, V any] struct {
 	val V
 }
 
-// newLRU returns an empty cache of capacity entries (256 below one) counting
-// into the metrics named prefix + ".hits" and so on.
+// newLRU returns an empty cache of capacity entries counting into the
+// metrics named prefix + ".hits" and so on.
 func newLRU[K comparable, V any](capacity int, metrics *obs.Registry, prefix string) *lru[K, V] {
-	if capacity < 1 {
-		capacity = 256
-	}
 	return &lru[K, V]{
 		capacity:      capacity,
 		hits:          metrics.Counter(prefix + ".hits"),

@@ -178,6 +178,54 @@ func TestCacheLRUEviction(t *testing.T) {
 	}
 }
 
+// TestPlanCacheCounterExport pins the exact counter values a capacity-2
+// plan cache exports through a registry for a scripted workload: hits,
+// misses, evictions, and invalidations must all match what the script
+// implies.
+func TestPlanCacheCounterExport(t *testing.T) {
+	reg := obs.NewRegistry()
+	c := newPlanCache(2, reg)
+	run := func(shape string) {
+		key := cacheKey{shape: shape}
+		if _, ok := c.Get(key); !ok {
+			c.Put(key, plan.NewScan(0, 0, nil))
+		}
+	}
+	counter := func(name string) int64 {
+		return reg.Counter("engine.plancache." + name).Value()
+	}
+
+	// a miss, a hit, b miss, a hit (a now MRU), c miss evicting b, b miss
+	// evicting a. Totals: 2 hits, 4 misses, 2 evictions.
+	for _, shape := range []string{"a", "a", "b", "a", "c", "b"} {
+		run(shape)
+	}
+	for name, want := range map[string]int64{"hits": 2, "misses": 4, "evictions": 2, "invalidations": 0} {
+		if got := counter(name); got != want {
+			t.Errorf("%s = %d, want %d", name, got, want)
+		}
+	}
+
+	// Invalidation counts every entry dropped (the cache holds 2).
+	if c.Len() != 2 {
+		t.Fatalf("cached plans = %d, want 2", c.Len())
+	}
+	c.Invalidate()
+	if got := counter("invalidations"); got != 2 {
+		t.Errorf("invalidations = %d after invalidate, want 2", got)
+	}
+
+	// The cache keeps counting after invalidation: one more miss, one hit.
+	run("a")
+	run("a")
+	if got := counter("misses"); got != 5 {
+		t.Errorf("misses = %d after invalidation round, want 5", got)
+	}
+	if got := counter("hits"); got != 3 {
+		t.Errorf("hits = %d after invalidation round, want 3", got)
+	}
+}
+
 // TestCacheServesTheStoredTree pins the sharing contract: the tree Put is
 // handed is the tree every later Get serves (plans are read-only once built,
 // so nothing is copied), and re-putting a key keeps the first tree.

@@ -278,7 +278,7 @@ func TestEveryMutatorMissesOnceThenHits(t *testing.T) {
 // the mutators stop, the engine settles: one miss, then hits.
 func TestSessionsRacingMutators(t *testing.T) {
 	sch := chainCatalog(t, 15)
-	eng := engine.New(sch.Cat, engine.Options{Metrics: obs.NewRegistry(), MaxConcurrent: 16})
+	eng := engine.New(sch.Cat, engine.Options{Metrics: obs.NewRegistry()})
 	q := chainQuery(sch)
 	base, err := eng.Run(q)
 	if err != nil {

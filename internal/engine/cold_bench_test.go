@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"strconv"
 	"testing"
 	"time"
 
@@ -53,9 +54,10 @@ func coldFrontEnd(tb testing.TB) []coldStep {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	store := querystore.New(querystore.Options{Catalog: sch.Cat, MaxStatements: 1,
-		Clock: &mlmath.ManualClock{T: time.Unix(0, 0)}})
-	store.Record(querystore.Observation{Shape: "another statement"})
+	store := querystore.New(querystore.Options{Catalog: sch.Cat, Clock: &mlmath.ManualClock{T: time.Unix(0, 0)}})
+	for i := range 512 { // the store's statement cap
+		store.Record(querystore.Observation{Shape: strconv.Itoa(i)})
+	}
 	obs := querystore.Observation{Shape: queryShape(q, "default"), Query: q, Plan: p,
 		Actuals: res.Actuals, Work: res.Work, Rows: res.Actuals[0].Rows}
 	return []coldStep{

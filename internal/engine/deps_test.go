@@ -3,9 +3,17 @@ package engine_test
 import (
 	"go/build"
 	"path/filepath"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
+
+	"ml4db/internal/engine"
+	"ml4db/internal/modelsvc"
+	"ml4db/internal/nn"
+	"ml4db/internal/querystore"
+	"ml4db/internal/sqlkit/exec"
+	"ml4db/internal/storage"
 )
 
 // engineDeps is every module package that internal/engine's non-test files
@@ -66,6 +74,35 @@ func TestEngineLinksOnlyTheEngineRing(t *testing.T) {
 	for _, p := range engineDeps {
 		if !seen[p] {
 			t.Errorf("internal/engine no longer links %s; drop it from engineDeps", p)
+		}
+	}
+}
+
+// TestEngineRingOptions pins the exported fields of the option structs on
+// the engine ring's query path. Every field is a knob that multiplies the
+// configurations the engine's tests must cover, so a new one is a
+// deliberate one-line edit here.
+func TestEngineRingOptions(t *testing.T) {
+	for _, c := range []struct {
+		opts any
+		want []string
+	}{
+		{engine.Options{}, []string{"Metrics", "Trace", "Store", "Pool"}},
+		{querystore.Options{}, []string{"Clock", "Catalog", "Pool"}},
+		{storage.PoolOptions{}, []string{"Capacity", "Policy", "Metrics", "RecordEvictions"}},
+		{exec.Options{}, []string{"Budget", "Analyze", "Span", "Pool", "Output"}},
+		{modelsvc.RolloutOptions{}, []string{"Window", "ErrFn", "Clock", "Fallback", "Metrics", "Events"}},
+		{nn.FitOptions{}, []string{"Epochs", "BatchSize", "Optimizer", "RNG", "Pool", "Metrics", "MetricName"}},
+	} {
+		typ := reflect.TypeOf(c.opts)
+		var got []string
+		for i := range typ.NumField() {
+			if f := typ.Field(i); f.IsExported() {
+				got = append(got, f.Name)
+			}
+		}
+		if !slices.Equal(got, c.want) {
+			t.Errorf("%s fields = %v, want %v", typ, got, c.want)
 		}
 	}
 }

@@ -5,9 +5,9 @@
 // It composes four mechanisms the ML4DB survey treats as prerequisites for
 // deploying learned components inside a database (§4):
 //
-//   - Bounded admission: at most MaxConcurrent sessions run at once; excess
-//     arrivals are rejected immediately with ErrOverloaded rather than queued
-//     without bound (load shedding, mirroring modelsvc's inference queue).
+//   - Bounded admission: at most 8 sessions run at once; excess arrivals are
+//     rejected immediately with ErrOverloaded rather than queued without
+//     bound (load shedding).
 //   - A shared plan cache keyed by the normalized query shape (hint set
 //     included), the planning epoch, and the parallelism degree. A hit
 //     replays the identical plan; a stats refresh, estimator install, or
@@ -22,9 +22,9 @@
 //     aborted query aborts at the same point on every replay.
 //   - Graceful degradation: a statement's estimates are gathered and checked
 //     before the join-order search; when the learned cardinality estimator
-//     misbehaves — a non-finite estimate, or a statement past the call budget
-//     — the search runs over the classical histogram estimates instead and
-//     the engine counts the fallback (Bao's safety contract: the learned
+//     misbehaves — a non-finite or negative estimate — the search runs over
+//     the classical histogram estimates instead and the engine counts the
+//     fallback (Bao's safety contract: the learned
 //     component may lose, but it must never take the system down with it).
 //
 // engine is a determinism-core package: it spawns no goroutines (concurrency

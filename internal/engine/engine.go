@@ -35,24 +35,17 @@ func (e *OverloadedError) Error() string {
 // Is reports admission rejections as ErrOverloaded for errors.Is callers.
 func (e *OverloadedError) Is(target error) bool { return target == ErrOverloaded }
 
+const (
+	// maxConcurrent bounds the number of sessions executing at once; further
+	// arrivals are rejected with ErrOverloaded.
+	maxConcurrent = 8
+	// cacheSize bounds the shared plan cache and the statement memo, each in
+	// entries.
+	cacheSize = 256
+)
+
 // Options configures an Engine.
 type Options struct {
-	// MaxConcurrent bounds the number of sessions executing at once; further
-	// arrivals are rejected with ErrOverloaded. Values below one default
-	// to 8.
-	MaxConcurrent int
-	// CacheSize bounds the shared plan cache and the statement memo, each in
-	// entries. Values below one default to 256.
-	CacheSize int
-	// DefaultBudget, when non-nil, applies to every query whose session does
-	// not set its own budget.
-	DefaultBudget *exec.Budget
-	// EstimatorCallBudget caps how many times one planning pass may invoke
-	// the learned estimator — the deterministic analogue of an inference
-	// timeout. A statement needs one call per table and one per join
-	// condition; one that needs more than the budget is planned classically
-	// without consulting the learned model. Zero means unlimited.
-	EstimatorCallBudget int64
 	// Metrics, when non-nil, receives the engine.* instruments.
 	Metrics *obs.Registry
 	// Trace, when non-nil, wraps each query in an engine.query span.
@@ -141,9 +134,6 @@ type planning struct {
 // catalog; a non-virtual table squatting on a sys_ name is a construction
 // bug and panics.
 func New(cat *catalog.Catalog, opts Options) *Engine {
-	if opts.MaxConcurrent < 1 {
-		opts.MaxConcurrent = 8
-	}
 	if opts.Store != nil {
 		if err := querystore.RegisterViews(cat, opts.Store); err != nil {
 			//ml4db:allow nakedpanic "construction-time misconfiguration, same contract as catalog.MustAdd"
@@ -155,9 +145,9 @@ func New(cat *catalog.Catalog, opts Options) *Engine {
 		cat:   cat,
 		exc:   exec.New(cat),
 		opts:  opts,
-		slots: make(chan struct{}, opts.MaxConcurrent),
-		cache: newLRU[cacheKey, *plan.Node](opts.CacheSize, m, "engine.plancache"),
-		stmts: newLRU[stmtKey, *stmt](opts.CacheSize, m, "engine.stmtcache"),
+		slots: make(chan struct{}, maxConcurrent),
+		cache: newLRU[cacheKey, *plan.Node](cacheSize, m, "engine.plancache"),
+		stmts: newLRU[stmtKey, *stmt](cacheSize, m, "engine.stmtcache"),
 
 		admitted:          m.Counter("engine.admitted"),
 		rejected:          m.Counter("engine.rejected"),
@@ -294,13 +284,13 @@ func (e *Engine) SetEstimator(est optimizer.CardEstimator, version int) error {
 	return nil
 }
 
-// Session returns a new session with the default hint set and the engine's
-// default budget. Sessions are lightweight; create one per logical client.
+// Session returns a new session with the default hint set and no budget.
+// Sessions are lightweight; create one per logical client.
 func (e *Engine) Session() *Session {
 	return &Session{eng: e, Hint: optimizer.NoHint()}
 }
 
-// Run executes q with the default hint set, budget, and no EXPLAIN — the
+// Run executes q with the default hint set, no budget, and no EXPLAIN — the
 // one-shot convenience over Session.
 func (e *Engine) Run(q *plan.Query) (*Result, error) { return e.Session().Run(q) }
 
@@ -417,7 +407,11 @@ func (e *Engine) plan(s *planning, q *plan.Query, hint optimizer.HintSet) (p *pl
 	}
 	est, ok := optimizer.Estimates{}, false
 	if s.learned != nil {
-		est, ok = e.learnedEstimates(s.learned, q)
+		// Asking stops at the first answer that is not a finite,
+		// non-negative number: the learned model cannot serve q.
+		est, ok = optimizer.Estimate(s.learned, q, func(v float64) bool {
+			return !math.IsNaN(v) && !math.IsInf(v, 0) && v >= 0
+		})
 		fallback = !ok
 	}
 	if !ok {
@@ -425,19 +419,6 @@ func (e *Engine) plan(s *planning, q *plan.Query, hint optimizer.HintSet) (p *pl
 	}
 	p, err = s.classical.PlanWith(q, hint, est)
 	return p, fallback, err
-}
-
-// learnedEstimates is the guard around the learned estimator: it asks for q's
-// table only if that fits Options.EstimatorCallBudget, and stops asking at the
-// first answer that is not a finite, non-negative number. ok false means the
-// learned model cannot serve this statement.
-func (e *Engine) learnedEstimates(learned optimizer.CardEstimator, q *plan.Query) (est optimizer.Estimates, ok bool) {
-	if limit := e.opts.EstimatorCallBudget; limit > 0 && int64(len(q.Tables)+len(q.Joins)) > limit {
-		return est, false
-	}
-	return optimizer.Estimate(learned, q, func(v float64) bool {
-		return !math.IsNaN(v) && !math.IsInf(v, 0) && v >= 0
-	})
 }
 
 func boolInt(b bool) int64 {

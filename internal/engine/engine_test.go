@@ -142,21 +142,6 @@ type nanEstimator struct{}
 func (nanEstimator) ScanRows(q *plan.Query, pos int) float64                { return math.NaN() }
 func (nanEstimator) JoinSelectivity(q *plan.Query, c expr.JoinCond) float64 { return math.NaN() }
 
-// countingEstimator delegates to a valid inner estimator, counting calls.
-type countingEstimator struct {
-	inner optimizer.CardEstimator
-	calls int
-}
-
-func (c *countingEstimator) ScanRows(q *plan.Query, pos int) float64 {
-	c.calls++
-	return c.inner.ScanRows(q, pos)
-}
-func (c *countingEstimator) JoinSelectivity(q *plan.Query, j expr.JoinCond) float64 {
-	c.calls++
-	return c.inner.JoinSelectivity(q, j)
-}
-
 func TestFallbackOnBrokenEstimator(t *testing.T) {
 	sch := chainCatalog(t, 4)
 	reg := obs.NewRegistry()
@@ -191,28 +176,6 @@ func TestFallbackOnBrokenEstimator(t *testing.T) {
 	}
 	if !res2.CacheHit {
 		t.Error("second run after fallback missed the cache")
-	}
-}
-
-func TestEstimatorCallBudgetTripsFallback(t *testing.T) {
-	sch := chainCatalog(t, 5)
-	reg := obs.NewRegistry()
-	eng := engine.New(sch.Cat, engine.Options{Metrics: reg, EstimatorCallBudget: 1})
-	est := &countingEstimator{inner: &optimizer.HistEstimator{Cat: sch.Cat}}
-	if err := eng.SetEstimator(est, 3); err != nil {
-		t.Fatal(err)
-	}
-	res, err := eng.Run(chainQuery(sch))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Fallback {
-		t.Error("Fallback = false, want true (call budget of 1 cannot plan a 3-way join)")
-	}
-	// The guard stops consulting the estimator once tripped: at most the
-	// budgeted call reached the learned model.
-	if est.calls > 1 {
-		t.Errorf("learned estimator consulted %d times past a budget of 1", est.calls)
 	}
 }
 

@@ -76,12 +76,16 @@ func FuzzSessionQuery(f *testing.F) {
 	for _, sql := range fuzzParseSeeds(f) {
 		f.Add(sql)
 	}
-	opts := engine.Options{DefaultBudget: &exec.Budget{MaxWork: 20_000, MaxRows: 5_000}}
-	shared := engine.New(cat, opts).Session()
+	session := func() *engine.Session {
+		s := engine.New(cat, engine.Options{}).Session()
+		s.Budget = &exec.Budget{MaxWork: 20_000, MaxRows: 5_000}
+		return s
+	}
+	shared := session()
 	f.Fuzz(func(t *testing.T, sql string) {
 		first, errFirst := shared.Query(sql)
 		again, errAgain := shared.Query(sql)
-		fresh, errFresh := engine.New(cat, opts).Session().Query(sql)
+		fresh, errFresh := session().Query(sql)
 		for what, c := range map[string]struct {
 			rr  *engine.RowsResult
 			err error

@@ -164,9 +164,7 @@ func TestQuerystoreReplayByteIdentical(t *testing.T) {
 	replay := func() []byte {
 		sch := chainCatalog(t, 9)
 		mc := &mlmath.ManualClock{T: time.Unix(100, 0)}
-		store := querystore.New(querystore.Options{
-			Clock: mc, Catalog: sch.Cat, Window: time.Second,
-		})
+		store := querystore.New(querystore.Options{Clock: mc, Catalog: sch.Cat})
 		eng := engine.New(sch.Cat, engine.Options{Store: store})
 		sess := eng.Session()
 		for i := 0; i < 6; i++ {
@@ -208,7 +206,7 @@ func TestQuerystoreExportGolden(t *testing.T) {
 		}
 	}
 	mc := &mlmath.ManualClock{T: time.Unix(0, 0)}
-	store := querystore.New(querystore.Options{Clock: mc, Catalog: sch.Cat, Window: time.Second})
+	store := querystore.New(querystore.Options{Clock: mc, Catalog: sch.Cat})
 	sess := engine.New(sch.Cat, engine.Options{Store: store}).Session()
 	for round := 0; round < 3; round++ {
 		for _, q := range qs {

@@ -52,76 +52,52 @@ func (g *gateEstimator) JoinSelectivity(q *plan.Query, c expr.JoinCond) float64 
 	return g.inner.JoinSelectivity(q, c)
 }
 
-// TestAdmissionRejectsAtCapacity deterministically saturates a one-slot
-// engine and checks that every arrival meanwhile gets the typed rejection —
-// N of N, and counted — then verifies the slot is reusable after the in-flight
-// query finishes.
+// TestAdmissionRejectsAtCapacity saturates the engine deterministically:
+// inside Quiesce every one of the 8 admission slots is held, so each arrival
+// gets the typed rejection naming that limit — N of N, and counted. Once
+// Quiesce returns, the same statement runs.
 func TestAdmissionRejectsAtCapacity(t *testing.T) {
 	sch := chainCatalog(t, 20)
 	reg := obs.NewRegistry()
-	eng := engine.New(sch.Cat, engine.Options{MaxConcurrent: 1, Metrics: reg})
-	gate := newGateEstimator(sch.Cat)
-	if err := eng.SetEstimator(gate, 1); err != nil {
-		t.Fatal(err)
-	}
+	eng := engine.New(sch.Cat, engine.Options{Metrics: reg})
 	q := chainQuery(sch)
 
-	type outcome struct {
-		res *engine.Result
-		err error
-	}
-	done := make(chan outcome, 1)
-	go func() {
-		res, err := eng.Run(q)
-		done <- outcome{res, err}
-	}()
-	<-gate.entered // the goroutine now holds the only slot, parked in planning
-
-	// Overflow is exact: every one of the arrivals is rejected, typed.
 	const offered = 32
-	for i := 0; i < offered; i++ {
-		_, err := eng.Run(q)
-		if !errors.Is(err, engine.ErrOverloaded) {
-			t.Fatalf("arrival %d: err = %v, want ErrOverloaded", i, err)
+	eng.Quiesce(func() {
+		for i := 0; i < offered; i++ {
+			_, err := eng.Run(q)
+			if !errors.Is(err, engine.ErrOverloaded) {
+				t.Fatalf("arrival %d: err = %v, want ErrOverloaded", i, err)
+			}
+			var oe *engine.OverloadedError
+			if !errors.As(err, &oe) {
+				t.Fatalf("arrival %d: err = %v, want *OverloadedError", i, err)
+			}
+			if oe.Limit != 8 {
+				t.Errorf("OverloadedError.Limit = %d, want 8", oe.Limit)
+			}
 		}
-		var oe *engine.OverloadedError
-		if !errors.As(err, &oe) {
-			t.Fatalf("arrival %d: err = %v, want *OverloadedError", i, err)
-		}
-		if oe.Limit != 1 {
-			t.Errorf("OverloadedError.Limit = %d, want 1", oe.Limit)
-		}
-	}
+	})
 
-	close(gate.release)
-	first := <-done
-	if first.err != nil {
-		t.Fatalf("in-flight query failed: %v", first.err)
-	}
-	// The slot is free again; the rejected query now runs (cache hit, even).
-	res, err := eng.Run(q)
-	if err != nil {
+	if _, err := eng.Run(q); err != nil {
 		t.Fatalf("run after drain: %v", err)
-	}
-	if !res.CacheHit {
-		t.Error("replay after drain missed the cache")
 	}
 	if got := reg.Counter("engine.rejected").Value(); got != offered {
 		t.Errorf("rejected = %d, want %d", got, offered)
 	}
-	if got := reg.Counter("engine.admitted").Value(); got != 2 {
-		t.Errorf("admitted = %d, want 2", got)
+	if got := reg.Counter("engine.admitted").Value(); got != 1 {
+		t.Errorf("admitted = %d, want 1", got)
 	}
 }
 
-// TestConcurrentSessionsUnderRace hammers a small engine from many
-// goroutines. Every call must end in exactly one of: a correct result or a
-// typed overload rejection; the admission counters account for every
-// attempt. Run under -race this also checks the cache/admission locking.
+// TestConcurrentSessionsUnderRace hammers the engine from twice as many
+// goroutines as it has admission slots. Every call must end in exactly one
+// of: a correct result or a typed overload rejection; the admission counters
+// account for every attempt. Run under -race this also checks the cache/admission locking.
 func TestConcurrentSessionsUnderRace(t *testing.T) {
 	sch := chainCatalog(t, 21)
 	reg := obs.NewRegistry()
-	eng := engine.New(sch.Cat, engine.Options{MaxConcurrent: 2, Metrics: reg})
+	eng := engine.New(sch.Cat, engine.Options{Metrics: reg})
 	q := chainQuery(sch)
 
 	// Establish the expected result once, uncontended.
@@ -131,8 +107,8 @@ func TestConcurrentSessionsUnderRace(t *testing.T) {
 	}
 	wantRows, wantWork := len(baseline.Rows), baseline.Work
 
-	const workers = 8
-	const perWorker = 200
+	const workers = 16
+	const perWorker = 100
 	var ok, overloaded atomic.Int64
 	fail := make(chan string, workers)
 	var wg sync.WaitGroup
@@ -193,7 +169,7 @@ func TestSessionsShareOneCachedTree(t *testing.T) {
 	defer pool.Close()
 	reg := obs.NewRegistry()
 	store := querystore.New(querystore.Options{Catalog: sch.Cat})
-	eng := engine.New(sch.Cat, engine.Options{MaxConcurrent: 8, Metrics: reg, Store: store, Pool: pool})
+	eng := engine.New(sch.Cat, engine.Options{Metrics: reg, Store: store, Pool: pool})
 	q := chainQuery(sch)
 
 	first := eng.Session()

@@ -16,8 +16,8 @@ type Session struct {
 	// Hint constrains the optimizer's search space for this session's
 	// queries (BAO-style steering). Defaults to the unconstrained hint set.
 	Hint optimizer.HintSet
-	// Budget overrides the engine's default per-query budget; nil inherits
-	// it.
+	// Budget bounds each query's work and materialized rows; nil is
+	// unbounded.
 	Budget *exec.Budget
 	// Analyze collects EXPLAIN ANALYZE stats into each Result.
 	Analyze bool
@@ -32,16 +32,5 @@ func (s *Session) Run(q *plan.Query) (*Result, error) {
 		return nil, err
 	}
 	defer s.eng.release()
-	return s.run(q, queryShape(q, s.Hint.Name), nil)
-}
-
-// run is the engine's query path under the session's settings, for an
-// admitted query whose shape the caller computed. out is the requested
-// output (nil: every column in leaf order).
-func (s *Session) run(q *plan.Query, shape string, out *plan.Output) (*Result, error) {
-	budget := s.Budget
-	if budget == nil {
-		budget = s.eng.opts.DefaultBudget
-	}
-	return s.eng.run(q, shape, out, s.Hint, budget, s.Analyze)
+	return s.eng.run(q, queryShape(q, s.Hint.Name), nil, s.Hint, s.Budget, s.Analyze)
 }

@@ -53,7 +53,7 @@ func (s *Session) Query(sql string) (*RowsResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	res, err := s.run(st.Query, st.shape, &st.Output)
+	res, err := e.run(st.Query, st.shape, &st.Output, s.Hint, s.Budget, s.Analyze)
 	if err != nil {
 		return nil, err
 	}

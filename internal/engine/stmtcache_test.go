@@ -191,7 +191,7 @@ func TestMemoSharedAcrossHintNamesUnderRace(t *testing.T) {
 
 	reg := obs.NewRegistry()
 	store := querystore.New(querystore.Options{Catalog: sch.Cat})
-	eng := engine.New(sch.Cat, engine.Options{Metrics: reg, Store: store, MaxConcurrent: 2 * len(hints)})
+	eng := engine.New(sch.Cat, engine.Options{Metrics: reg, Store: store})
 	const rounds = 40
 	var wg sync.WaitGroup
 	for h := range hints {

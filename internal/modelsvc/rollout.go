@@ -60,16 +60,13 @@ type RolloutOptions struct {
 	// Window is the number of shadow observations compared before the gate
 	// decides. Values below one default to 32.
 	Window int
-	// MaxLatencyRatio, when positive, additionally requires the candidate's
-	// median shadow-prediction latency to be at most the incumbent's median
-	// times this ratio. Zero disables the latency gate.
-	MaxLatencyRatio float64
 	// ErrFn scores one prediction against the observed truth (lower is
 	// better). Nil defaults to mlmath.QError.
 	ErrFn func(pred, truth float64) float64
-	// Clock times shadow predictions for the latency gate; nil means the
-	// system clock. Under a ManualClock the whole rollout — predictions,
-	// gate decisions, manifest-ready counters — replays deterministically.
+	// Clock times the candidate's shadow predictions for the
+	// modelsvc.rollout.shadow_latency histogram; nil means the system clock.
+	// Under a ManualClock the whole rollout — predictions, gate decisions,
+	// manifest-ready counters — replays deterministically.
 	Clock mlmath.Clock
 	// Fallback, when non-nil, is the expert model Demote falls back to when
 	// there is no previous incumbent to restore.
@@ -139,8 +136,6 @@ type Rollout struct {
 	epoch      uint64
 	incErr     []float64
 	candErr    []float64
-	incLat     []float64
-	candLat    []float64
 	promotions int
 	rejections int
 	demotions  int
@@ -214,8 +209,6 @@ func (r *Rollout) fire(events []RolloutEvent) {
 func (r *Rollout) resetWindowLocked() {
 	r.incErr = r.incErr[:0]
 	r.candErr = r.candErr[:0]
-	r.incLat = r.incLat[:0]
-	r.candLat = r.candLat[:0]
 }
 
 // Predict serves one request from the incumbent, so a *Rollout is itself a
@@ -227,12 +220,12 @@ func (r *Rollout) Predict(x []float64) float64 {
 }
 
 // Observe feeds back one request with known ground truth. In the Shadowing
-// state both models predict x (each timed via the injected clock), the
-// errors join the canary window, and once Window observations have
+// state both models predict x (the candidate timed via the injected clock),
+// the errors join the canary window, and once Window observations have
 // accumulated the gate decides: the candidate is promoted — an atomic
 // hot-swap, the previous incumbent retained for Demote — only if its
-// windowed median error is strictly below the incumbent's and it passes the
-// latency gate; otherwise it is rejected and the incumbent keeps serving. In
+// windowed median error is strictly below the incumbent's; otherwise it is
+// rejected and the incumbent keeps serving. In
 // the Stable state Observe records the incumbent's error and returns
 // OutcomeNone. The second result is always the incumbent's error on x — the
 // serving model's, before any promotion this call decides.
@@ -246,7 +239,6 @@ func (r *Rollout) Predict(x []float64) float64 {
 // unreachable and behavior, clock-read sequence included, is unchanged.
 func (r *Rollout) Observe(x []float64, truth float64) (Outcome, float64) {
 	m := r.opts.Metrics
-	clock := mlmath.ClockOrSystem(r.opts.Clock)
 
 	r.mu.RLock()
 	epoch := r.epoch
@@ -255,23 +247,18 @@ func (r *Rollout) Observe(x []float64, truth float64) (Outcome, float64) {
 	shadowing := r.state == Shadowing
 	r.mu.RUnlock()
 
-	t0 := clock.Now()
-	incPred := inc.Model.Predict(x)
-	t1 := clock.Now()
-	incErr := r.opts.ErrFn(incPred, truth)
+	incErr := r.opts.ErrFn(inc.Model.Predict(x), truth)
 	m.Histogram("modelsvc.rollout.incumbent_err", errBuckets).Observe(incErr)
 	if !shadowing {
 		return OutcomeNone, incErr
 	}
 
-	t2 := clock.Now()
+	clock := mlmath.ClockOrSystem(r.opts.Clock)
+	t0 := clock.Now()
 	candPred := cand.Model.Predict(x)
-	t3 := clock.Now()
+	candLat := clock.Now().Sub(t0).Seconds()
 	candErr := r.opts.ErrFn(candPred, truth)
 	m.Histogram("modelsvc.rollout.candidate_err", errBuckets).Observe(candErr)
-
-	incLat := t1.Sub(t0).Seconds()
-	candLat := t3.Sub(t2).Seconds()
 	m.Histogram("modelsvc.rollout.shadow_latency", latBuckets).Observe(candLat)
 
 	r.mu.Lock()
@@ -281,8 +268,6 @@ func (r *Rollout) Observe(x []float64, truth float64) (Outcome, float64) {
 	}
 	r.incErr = append(r.incErr, incErr)
 	r.candErr = append(r.candErr, candErr)
-	r.incLat = append(r.incLat, incLat)
-	r.candLat = append(r.candLat, candLat)
 	switch {
 	case candErr < incErr:
 		m.Counter("modelsvc.rollout.shadow_wins").Inc()
@@ -309,13 +294,6 @@ func (r *Rollout) decideLocked() (Outcome, RolloutEvent) {
 	incMed := mlmath.Median(r.incErr)
 	candMed := mlmath.Median(r.candErr)
 	promote := candMed < incMed
-	if promote && r.opts.MaxLatencyRatio > 0 {
-		incLatMed := mlmath.Median(r.incLat)
-		candLatMed := mlmath.Median(r.candLat)
-		if candLatMed > incLatMed*r.opts.MaxLatencyRatio {
-			promote = false
-		}
-	}
 	m.Gauge("modelsvc.rollout.last_window_incumbent_err").Set(incMed)
 	m.Gauge("modelsvc.rollout.last_window_candidate_err").Set(candMed)
 	if !promote {

@@ -137,8 +137,6 @@ type FitOptions struct {
 	// model; different worker counts reassociate the gradient sums. Nil
 	// keeps training strictly serial.
 	Pool *mlmath.Pool
-	// OnEpoch, if non-nil, receives the epoch index and mean training loss.
-	OnEpoch func(epoch int, loss float64)
 	// Metrics, if non-nil, receives the per-epoch loss as the histogram
 	// "<MetricName>.epoch_loss". Nil adds no work and no allocations.
 	Metrics *obs.Registry
@@ -199,9 +197,6 @@ func (m *MLP) Fit(xs, ys [][]float64, opt FitOptions) float64 {
 		}
 		if len(xs) > 0 {
 			last = total / float64(len(xs))
-		}
-		if opt.OnEpoch != nil {
-			opt.OnEpoch(e, last)
 		}
 		if opt.Metrics != nil {
 			name := opt.MetricName

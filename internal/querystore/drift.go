@@ -13,13 +13,13 @@ type DriftKind int
 // The monitored trends.
 const (
 	// DriftQError: an estimator version's windowed mean q-error rose above
-	// the trailing baseline by more than Drift.QErrRatio.
+	// the trailing baseline times driftQErrRatio.
 	DriftQError DriftKind = iota
 	// DriftHitRate: the buffer pool's windowed hit rate fell below the
-	// trailing baseline by more than Drift.HitRateDrop (absolute).
+	// trailing baseline by more than driftHitRateDrop (absolute).
 	DriftHitRate
 	// DriftFallback: the windowed estimator-fallback rate rose above the
-	// trailing baseline by more than Drift.FallbackJump (absolute).
+	// trailing baseline by more than driftFallbackJump (absolute).
 	DriftFallback
 )
 
@@ -37,44 +37,25 @@ func (k DriftKind) String() string {
 	}
 }
 
-// DriftOptions tunes the window-trend monitors. A monitor compares the mean
-// of the metric over the most recent Recent sealed windows against the mean
-// over the Baseline windows before them, and fires once per crossing (it
-// re-arms after Recent further seals).
-type DriftOptions struct {
-	// Recent is the evidence span. Values below one default to 3.
-	Recent int
-	// Baseline is the reference span. Values below one default to 6.
-	Baseline int
-	// QErrRatio fires DriftQError when recent mean q-error exceeds baseline
-	// mean times this ratio. Values <= 1 default to 2.
-	QErrRatio float64
-	// HitRateDrop fires DriftHitRate when the recent hit rate is below the
-	// baseline rate minus this absolute drop. Values <= 0 default to 0.2.
-	HitRateDrop float64
-	// FallbackJump fires DriftFallback when the recent fallback rate exceeds
-	// the baseline rate plus this absolute jump. Values <= 0 default to 0.2.
-	FallbackJump float64
-}
-
-func (d DriftOptions) withDefaults() DriftOptions {
-	if d.Recent < 1 {
-		d.Recent = 3
-	}
-	if d.Baseline < 1 {
-		d.Baseline = 6
-	}
-	if d.QErrRatio <= 1 {
-		d.QErrRatio = 2
-	}
-	if d.HitRateDrop <= 0 {
-		d.HitRateDrop = 0.2
-	}
-	if d.FallbackJump <= 0 {
-		d.FallbackJump = 0.2
-	}
-	return d
-}
+// The window-trend monitors. A monitor compares the mean of the metric over
+// the most recent driftRecent sealed windows against the mean over the
+// driftBaseline windows before them, and fires once per crossing (it re-arms
+// after driftRecent further seals).
+const (
+	// driftRecent is the evidence span.
+	driftRecent = 3
+	// driftBaseline is the reference span.
+	driftBaseline = 6
+	// driftQErrRatio fires DriftQError when recent mean q-error exceeds
+	// baseline mean times this ratio.
+	driftQErrRatio = 2
+	// driftHitRateDrop fires DriftHitRate when the recent hit rate is below
+	// the baseline rate minus this absolute drop.
+	driftHitRateDrop = 0.2
+	// driftFallbackJump fires DriftFallback when the recent fallback rate
+	// exceeds the baseline rate plus this absolute jump.
+	driftFallbackJump = 0.2
+)
 
 // WindowEvidence is one evidence window backing a drift event: the window's
 // index and the monitored metric's value in it.
@@ -111,35 +92,33 @@ type driftFireKey struct {
 	version int
 }
 
-// evaluateDriftLocked runs every monitor after sealed joined the ring and
-// returns the events to fire (the caller invokes OnDrift outside the lock).
-func (s *Store) evaluateDriftLocked(sealed WindowStats) []DriftEvent {
-	d := s.opts.Drift
+// evaluateDriftLocked runs every monitor after sealed joined the ring,
+// appending what fires to the drift-event ledger.
+func (s *Store) evaluateDriftLocked(sealed WindowStats) {
 	wins := s.windows.Snapshot()
-	if len(wins) < d.Recent+d.Baseline {
-		return nil
+	if len(wins) < driftRecent+driftBaseline {
+		return
 	}
-	recent := wins[len(wins)-d.Recent:]
-	base := wins[len(wins)-d.Recent-d.Baseline : len(wins)-d.Recent]
+	recent := wins[len(wins)-driftRecent:]
+	base := wins[len(wins)-driftRecent-driftBaseline : len(wins)-driftRecent]
 
-	var fired []DriftEvent
 	emit := func(kind DriftKind, version int, before, after float64, evidence []WindowEvidence) {
 		key := driftFireKey{kind, version}
 		if s.drift.lastFired == nil {
 			s.drift.lastFired = make(map[driftFireKey]int64)
 		}
-		if last, ok := s.drift.lastFired[key]; ok && sealed.Index < last+int64(d.Recent) {
+		if last, ok := s.drift.lastFired[key]; ok && sealed.Index < last+driftRecent {
 			return
 		}
 		s.drift.lastFired[key] = sealed.Index
-		fired = append(fired, s.drift.events.Append(DriftEvent{
+		s.drift.events.Append(DriftEvent{
 			Kind:             kind,
 			At:               sealed.End,
 			EstimatorVersion: version,
 			Before:           before,
 			After:            after,
 			Evidence:         evidence,
-		}))
+		})
 	}
 
 	// q-error trend, per estimator version present in both spans.
@@ -151,7 +130,7 @@ func (s *Store) evaluateDriftLocked(sealed WindowStats) []DriftEvent {
 		}
 		rMean := rSum / float64(rCnt)
 		bMean := bSum / float64(bCnt)
-		if rMean > bMean*d.QErrRatio {
+		if rMean > bMean*driftQErrRatio {
 			emit(DriftQError, v, bMean, rMean, evidenceOf(recent, func(w WindowStats) (float64, bool) {
 				for _, q := range w.QErr {
 					if q.Version == v && q.Count > 0 {
@@ -165,14 +144,14 @@ func (s *Store) evaluateDriftLocked(sealed WindowStats) []DriftEvent {
 
 	// Buffer-pool hit-rate trend.
 	if rRate, rOK := hitRateOver(recent); rOK {
-		if bRate, bOK := hitRateOver(base); bOK && rRate < bRate-d.HitRateDrop {
+		if bRate, bOK := hitRateOver(base); bOK && rRate < bRate-driftHitRateDrop {
 			emit(DriftHitRate, 0, bRate, rRate, evidenceOf(recent, WindowStats.hitRate))
 		}
 	}
 
 	// Estimator-fallback-rate trend.
 	if rRate, rOK := fallbackRateOver(recent); rOK {
-		if bRate, bOK := fallbackRateOver(base); bOK && rRate > bRate+d.FallbackJump {
+		if bRate, bOK := fallbackRateOver(base); bOK && rRate > bRate+driftFallbackJump {
 			emit(DriftFallback, 0, bRate, rRate, evidenceOf(recent, func(w WindowStats) (float64, bool) {
 				if w.Queries == 0 {
 					return 0, false
@@ -181,7 +160,6 @@ func (s *Store) evaluateDriftLocked(sealed WindowStats) []DriftEvent {
 			}))
 		}
 	}
-	return fired
 }
 
 func versionsIn(wins []WindowStats) []int {
@@ -245,17 +223,9 @@ func evidenceOf(wins []WindowStats, value func(WindowStats) (float64, bool)) []W
 	return out
 }
 
-// fireDrift invokes OnDrift for each event, outside the store lock.
-func (s *Store) fireDrift(events []DriftEvent) {
-	if s.opts.OnDrift == nil {
-		return
-	}
-	for _, ev := range events {
-		s.opts.OnDrift(ev)
-	}
-}
-
-// DriftEvents returns the retained drift events in emission order.
+// DriftEvents returns the retained drift events in emission order; Seq
+// numbers them from 1, so a reader polls for what is new since the last Seq
+// it saw.
 func (s *Store) DriftEvents() []DriftEvent {
 	if s == nil {
 		return nil

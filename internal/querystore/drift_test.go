@@ -1,9 +1,11 @@
 package querystore
 
 import (
+	"slices"
 	"testing"
 	"time"
 
+	"ml4db/internal/mlmath"
 	"ml4db/internal/modelsvc"
 	"ml4db/internal/sqlkit/plan"
 )
@@ -16,94 +18,127 @@ func obsWithQErr(version int, q float64) Observation {
 	return Observation{Shape: "q", Plan: n, Actuals: []plan.Actual{{Rows: 1e6 - 1}}, EstimatorVersion: version}
 }
 
+// feed drives the monitors one window at a time: fill(i) makes window i's
+// observations, and its first Record seals window i-1 (the monitors run at
+// each seal); a final Flush seals the last window. It returns how many drift
+// events existed after each window's seal.
+func feed(s *Store, mc *mlmath.ManualClock, windows int, fill func(i int)) []int {
+	counts := make([]int, windows)
+	for i := range windows {
+		fill(i)
+		if i > 0 {
+			counts[i-1] = len(s.DriftEvents())
+		}
+		mc.Advance(time.Second)
+	}
+	s.Flush()
+	counts[windows-1] = len(s.DriftEvents())
+	return counts
+}
+
+// baseline returns n windows' worth of the steady value v.
+func baseline[T any](n int, v T) []T {
+	out := make([]T, n)
+	for i := range out {
+		out[i] = v
+	}
+	return out
+}
+
+// wantFirings checks a monitor that first fires at the seal of window 8 —
+// the first with 3 recent windows and a baseline of 6 behind them — and,
+// the condition still holding, stays quiet for the 2 seals after it and
+// fires again at the 3rd.
+func wantFirings(t *testing.T, counts []int) {
+	t.Helper()
+	const first, holdFor = 8, 3
+	want := make([]int, len(counts))
+	for i := range want {
+		switch {
+		case i >= first+holdFor:
+			want[i] = 2
+		case i >= first:
+			want[i] = 1
+		}
+	}
+	if !slices.Equal(counts, want) {
+		t.Fatalf("drift events after each seal = %v, want %v", counts, want)
+	}
+}
+
+// TestQErrorDrift: a recent mean q-error at exactly driftQErrRatio times the
+// baseline does not fire; one just past it does, with the recent windows as
+// evidence, and the monitor then holds for driftRecent windows.
 func TestQErrorDrift(t *testing.T) {
-	var fired []DriftEvent
-	s, mc := manualStore(Options{
-		Drift:   DriftOptions{Recent: 2, Baseline: 3, QErrRatio: 2},
-		OnDrift: func(ev DriftEvent) { fired = append(fired, ev) },
-	})
-	// Three baseline windows at q-error ~1, then two recent at ~4.
-	for i := 0; i < 3; i++ {
-		s.Record(obsWithQErr(1, 1))
-		mc.Advance(time.Second)
+	run := func(recent ...float64) (*Store, []int) {
+		s, mc := manualStore(Options{})
+		qs := append(baseline(driftBaseline, 1.0), recent...)
+		return s, feed(s, mc, len(qs), func(i int) { s.Record(obsWithQErr(1, qs[i])) })
 	}
-	for i := 0; i < 2; i++ {
-		s.Record(obsWithQErr(1, 4))
-		mc.Advance(time.Second)
+	if s, _ := run(2, 2, 2); len(s.DriftEvents()) != 0 {
+		t.Fatalf("q-error at the ratio fired: %+v", s.DriftEvents())
 	}
-	s.Record(Observation{Shape: "pad"}) // seals the 5th window
-	s.Flush()
-
-	evs := s.DriftEvents()
-	if len(evs) != 1 {
-		t.Fatalf("drift events = %+v, want exactly 1", evs)
+	s, counts := run(2, 2, 2.01, 100, 100, 100)
+	wantFirings(t, counts)
+	ev := s.DriftEvents()[0]
+	if ev.Kind != DriftQError || ev.EstimatorVersion != 1 || ev.Seq != 1 {
+		t.Errorf("event = %+v, want the first qerror drift, for version 1", ev)
 	}
-	ev := evs[0]
-	if ev.Kind != DriftQError || ev.EstimatorVersion != 1 {
-		t.Errorf("event = %+v, want qerror drift for version 1", ev)
+	if ev.Before != 1 || ev.After <= 2 || ev.After > 2.01 {
+		t.Errorf("before/after = %v/%v, want 1 -> just over 2", ev.Before, ev.After)
 	}
-	if ev.After <= ev.Before*2 {
-		t.Errorf("after %v not above ratio threshold over before %v", ev.After, ev.Before)
-	}
-	if len(ev.Evidence) != 2 {
-		t.Errorf("evidence = %+v, want the 2 recent windows", ev.Evidence)
-	}
-	if len(fired) != 1 || fired[0].Seq != ev.Seq {
-		t.Errorf("OnDrift saw %+v, want the stored event", fired)
+	if len(ev.Evidence) != driftRecent || ev.Evidence[0].Window != driftBaseline {
+		t.Errorf("evidence = %+v, want the %d recent windows", ev.Evidence, driftRecent)
 	}
 }
 
+// TestFallbackDriftAndCooldown: a recent fallback rate driftFallbackJump
+// above the baseline does not fire; one just past it does, and the monitor
+// then holds for driftRecent windows.
 func TestFallbackDriftAndCooldown(t *testing.T) {
-	s, mc := manualStore(Options{
-		Drift: DriftOptions{Recent: 1, Baseline: 2, FallbackJump: 0.5},
-	})
-	// Two clean baseline windows, then fallback-heavy windows.
-	for i := 0; i < 2; i++ {
-		s.Record(Observation{Shape: "a"})
-		mc.Advance(time.Second)
+	run := func(recent ...int) (*Store, []int) {
+		s, mc := manualStore(Options{})
+		fbs := append(baseline(driftBaseline, 0), recent...)
+		return s, feed(s, mc, len(fbs), func(i int) {
+			for q := range 5 {
+				s.Record(Observation{Shape: "a", Fallback: q < fbs[i]})
+			}
+		})
 	}
-	for i := 0; i < 2; i++ {
-		s.Record(Observation{Shape: "a", Fallback: true})
-		mc.Advance(time.Second)
+	// Three fallbacks in fifteen queries: a rate of exactly 0.2.
+	if s, _ := run(1, 1, 1); len(s.DriftEvents()) != 0 {
+		t.Fatalf("fallback rate at the jump fired: %+v", s.DriftEvents())
 	}
-	s.Flush()
-	evs := s.DriftEvents()
-	if len(evs) != 1 {
-		t.Fatalf("drift events = %+v, want 1 (cooldown must suppress the repeat)", evs)
-	}
-	if evs[0].Kind != DriftFallback {
-		t.Errorf("kind = %v, want fallback", evs[0].Kind)
+	s, counts := run(1, 1, 2, 5, 5, 5)
+	wantFirings(t, counts)
+	if ev := s.DriftEvents()[0]; ev.Kind != DriftFallback || ev.Before != 0 || ev.After != 4.0/15 {
+		t.Errorf("event = %+v, want fallback drift 0 -> 4/15", ev)
 	}
 }
 
+// TestHitRateDrift: a recent pool hit rate driftHitRateDrop below the
+// baseline does not fire; one just past it does, and the monitor then holds
+// for driftRecent windows.
 func TestHitRateDrift(t *testing.T) {
-	var pool fakePool
-	s, mc := manualStore(Options{
-		Pool:  &pool,
-		Drift: DriftOptions{Recent: 1, Baseline: 2, HitRateDrop: 0.3},
-	})
-	hits, misses := int64(0), int64(0)
-	step := func(h, m int64) {
-		hits += h
-		misses += m
-		pool.stats.Hits, pool.stats.Misses = hits, misses
-		s.Record(Observation{Shape: "a"})
-		mc.Advance(time.Second)
+	run := func(recentHits ...int64) (*Store, []int) {
+		var pool fakePool
+		s, mc := manualStore(Options{Pool: &pool})
+		hits := append(baseline(driftBaseline, int64(100)), recentHits...)
+		return s, feed(s, mc, len(hits), func(i int) {
+			s.Record(Observation{Shape: "a"})
+			// Window i's pool traffic, sampled when it seals.
+			pool.stats.Hits += hits[i]
+			pool.stats.Misses += 100 - hits[i]
+		})
 	}
-	// A window's pool delta is sampled when it seals, i.e. when the NEXT
-	// step's Record advances past it — so each step's traffic lands in the
-	// previous window.
-	step(0, 0)   // opens window 0
-	step(90, 10) // seals window 0 at 0.9 (baseline)
-	step(90, 10) // seals window 1 at 0.9 (baseline)
-	step(10, 90) // seals window 2 at 0.1 (the collapse)
-	s.Flush()
-	evs := s.DriftEvents()
-	if len(evs) != 1 || evs[0].Kind != DriftHitRate {
-		t.Fatalf("drift events = %+v, want one hitrate event", evs)
+	// 240 hits in 300 accesses: a rate of exactly 1 - 0.2.
+	if s, _ := run(80, 80, 80); len(s.DriftEvents()) != 0 {
+		t.Fatalf("hit rate at the drop fired: %+v", s.DriftEvents())
 	}
-	if evs[0].Before < 0.8 || evs[0].After > 0.2 {
-		t.Errorf("before/after = %v/%v, want ~0.9 -> ~0.1", evs[0].Before, evs[0].After)
+	s, counts := run(80, 80, 79, 0, 0, 0)
+	wantFirings(t, counts)
+	if ev := s.DriftEvents()[0]; ev.Kind != DriftHitRate || ev.Before != 1 || ev.After != 239.0/300 {
+		t.Errorf("event = %+v, want hitrate drift 1 -> 239/300", ev)
 	}
 }
 

@@ -19,34 +19,31 @@ type PoolStatsSource interface {
 	Stats() storage.PoolStats
 }
 
+const (
+	// window is the aggregation window length.
+	window = time.Second
+	// maxWindows bounds the ring of sealed windows.
+	maxWindows = 64
+	// maxStatements bounds the number of distinct statement shapes tracked;
+	// observations for shapes beyond the cap update only window aggregates
+	// (DroppedStatements counts them).
+	maxStatements = 512
+)
+
 // Options configures a Store.
 type Options struct {
 	// Clock advances the window ring. Nil means the system clock; inject a
 	// mlmath.ManualClock for bit-identical replays.
 	Clock mlmath.Clock
-	// Window is the aggregation window length. Values <= 0 default to one
-	// second.
-	Window time.Duration
-	// MaxWindows bounds the ring of sealed windows. Values below one default
-	// to 64.
-	MaxWindows int
-	// MaxStatements bounds the number of distinct statement shapes tracked;
-	// observations for shapes beyond the cap update only window aggregates
-	// (DroppedStatements counts them). Values below one default to 512.
-	MaxStatements int
 	// Catalog, when non-nil, lets the store harvest observed scan
 	// selectivities for the column heat map (it needs table row counts).
 	// Without it the heat map still counts filter-column appearances but
 	// records selectivities for join columns only.
 	Catalog *catalog.Catalog
-	// Pool, when non-nil, is sampled at every window seal; the per-window
-	// hit/miss deltas feed the hit-rate drift monitor.
+	// Pool, when non-nil, is sampled when the store is built and at every
+	// window seal; the per-window hit/miss deltas feed the hit-rate drift
+	// monitor.
 	Pool PoolStatsSource
-	// Drift configures the window-trend monitors.
-	Drift DriftOptions
-	// OnDrift, when non-nil, receives every DriftEvent as it fires (outside
-	// the store's lock, in emission order).
-	OnDrift func(DriftEvent)
 }
 
 // Observation is one executed query as the engine saw it. Shape is the
@@ -159,27 +156,23 @@ type Store struct {
 
 type heatKey struct{ table, col int }
 
-// New builds a Store.
+// New builds a Store. A pool's traffic before New is no window's: the first
+// window's pool deltas start from the pool's statistics here.
 func New(opts Options) *Store {
-	if opts.Window <= 0 {
-		opts.Window = time.Second
-	}
-	if opts.MaxWindows < 1 {
-		opts.MaxWindows = 64
-	}
-	if opts.MaxStatements < 1 {
-		opts.MaxStatements = 512
-	}
-	opts.Drift = opts.Drift.withDefaults()
-	return &Store{
+	s := &Store{
 		opts:    opts,
 		clock:   mlmath.ClockOrSystem(opts.Clock),
 		stmts:   make(map[string]*StatementStats),
 		heat:    make(map[heatKey]*ColumnHeat),
-		windows: obs.NewLedger[WindowStats](opts.MaxWindows, nil),
+		windows: obs.NewLedger[WindowStats](maxWindows, nil),
 		drift:   driftState{events: obs.NewLedger(obs.MaxEvents, func(e *DriftEvent, n int64) { e.Seq = n + 1 })},
 		models:  obs.NewLedger(obs.MaxEvents, func(e *ModelEvent, n int64) { e.Seq = n + 1 }),
 	}
+	if opts.Pool != nil {
+		ps := opts.Pool.Stats()
+		s.drift.lastPoolHits, s.drift.lastPoolMisses = ps.Hits, ps.Misses
+	}
+	return s
 }
 
 // Record folds one executed query into the store. It advances the window
@@ -194,13 +187,11 @@ func (s *Store) Record(o Observation) {
 	now := s.clock.Now()
 
 	s.mu.Lock()
-	fired := s.advanceLocked(now)
+	s.advanceLocked(now)
 	s.recordStatementLocked(o, h)
 	s.recordHeatLocked(h)
 	s.cur.add(o, h)
 	s.mu.Unlock()
-
-	s.fireDrift(fired)
 }
 
 // Flush seals the current window (if it has observations) so snapshots and
@@ -210,15 +201,14 @@ func (s *Store) Flush() {
 		return
 	}
 	s.mu.Lock()
-	fired := s.sealLocked()
-	s.mu.Unlock()
-	s.fireDrift(fired)
+	defer s.mu.Unlock()
+	s.sealLocked()
 }
 
 func (s *Store) recordStatementLocked(o Observation, h harvestResult) {
 	e, ok := s.stmts[o.Shape]
 	if !ok {
-		if len(s.stmtOrder) >= s.opts.MaxStatements {
+		if len(s.stmtOrder) >= maxStatements {
 			s.dropped++
 			return
 		}

@@ -1,6 +1,7 @@
 package querystore
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 	"time"
@@ -46,9 +47,6 @@ func TestNilStoreIsFree(t *testing.T) {
 func manualStore(opts Options) (*Store, *mlmath.ManualClock) {
 	mc := &mlmath.ManualClock{T: time.Unix(1000, 0)}
 	opts.Clock = mc
-	if opts.Window == 0 {
-		opts.Window = time.Second
-	}
 	return New(opts), mc
 }
 
@@ -79,20 +77,25 @@ func TestStatementAccounting(t *testing.T) {
 }
 
 func TestStatementCap(t *testing.T) {
-	s, _ := manualStore(Options{MaxStatements: 2})
-	for _, shape := range []string{"a", "b", "c", "b"} {
-		s.Record(Observation{Shape: shape})
+	s, _ := manualStore(Options{})
+	// One shape past the cap of 512, then a repeat of a tracked one.
+	for i := range 513 {
+		s.Record(Observation{Shape: fmt.Sprint("s", i)})
 	}
-	if got := len(s.Statements()); got != 2 {
-		t.Errorf("statements = %d, want 2 (capped)", got)
+	s.Record(Observation{Shape: "s1"})
+	if got := len(s.Statements()); got != 512 {
+		t.Errorf("statements = %d, want 512 (capped)", got)
 	}
 	if got := s.DroppedStatements(); got != 1 {
 		t.Errorf("dropped = %d, want 1", got)
 	}
+	if st := s.Statements()[1]; st.Shape != "s1" || st.Calls != 2 {
+		t.Errorf("tracked statement = %+v, want s1 with 2 calls", st)
+	}
 	// The capped shape still counted in the window aggregates.
 	s.Flush()
-	if w := s.Windows(); len(w) != 1 || w[0].Queries != 4 {
-		t.Errorf("window queries = %+v, want 4", w)
+	if w := s.Windows(); len(w) != 1 || w[0].Queries != 514 {
+		t.Errorf("window queries = %+v, want 514", w)
 	}
 }
 
@@ -226,18 +229,33 @@ type fakePool struct{ stats storage.PoolStats }
 func (p *fakePool) Stats() storage.PoolStats { return p.stats }
 
 func TestWindowRingCap(t *testing.T) {
-	s, mc := manualStore(Options{MaxWindows: 3})
-	for i := 0; i < 5; i++ {
+	s, mc := manualStore(Options{})
+	for range 66 {
 		s.Record(Observation{Shape: "a"})
 		mc.Advance(time.Second)
 	}
 	s.Flush()
 	wins := s.Windows()
-	if len(wins) != 3 {
-		t.Fatalf("ring holds %d, want 3", len(wins))
+	if len(wins) != 64 {
+		t.Fatalf("ring holds %d, want 64", len(wins))
 	}
-	if wins[0].Index != 2 || wins[2].Index != 4 {
-		t.Errorf("ring kept wrong windows: %+v", wins)
+	if wins[0].Index != 2 || wins[63].Index != 65 {
+		t.Errorf("ring kept windows %d..%d, want 2..65", wins[0].Index, wins[63].Index)
+	}
+}
+
+// TestFirstWindowExcludesPoolHistory: a store attached to a pool that has
+// already served traffic counts only the traffic after New in its first
+// window, so the pool's history never enters the hit-rate baseline.
+func TestFirstWindowExcludesPoolHistory(t *testing.T) {
+	pool := fakePool{stats: storage.PoolStats{Hits: 1000, Misses: 40}}
+	s, _ := manualStore(Options{Pool: &pool})
+	s.Record(Observation{Shape: "a"})
+	pool.stats.Hits += 10
+	pool.stats.Misses += 5
+	s.Flush()
+	if w := s.Windows(); len(w) != 1 || w[0].PoolHits != 10 || w[0].PoolMisses != 5 {
+		t.Errorf("window 0 = %+v, want pool delta 10/5", w)
 	}
 }
 

@@ -89,11 +89,11 @@ func (w *winAgg) add(o Observation, h harvestResult) {
 }
 
 // seal converts the open window into its exported form.
-func (w *winAgg) seal(dur time.Duration) WindowStats {
+func (w *winAgg) seal() WindowStats {
 	ws := WindowStats{
 		Index:        w.index,
 		Start:        w.start,
-		End:          w.start.Add(dur),
+		End:          w.start.Add(window),
 		Queries:      w.queries,
 		CacheHits:    w.cacheHits,
 		Fallbacks:    w.fallbacks,
@@ -123,35 +123,33 @@ func (w WindowStats) hitRate() (rate float64, ok bool) {
 }
 
 // advanceLocked moves the window frontier to cover now, sealing the current
-// window if the clock has left it. Returns any drift events the seal fired.
-func (s *Store) advanceLocked(now time.Time) []DriftEvent {
+// window if the clock has left it.
+func (s *Store) advanceLocked(now time.Time) {
 	if !s.curStarted {
 		s.curStarted = true
 		s.cur = winAgg{index: 0, start: now}
-		return nil
+		return
 	}
-	dur := s.opts.Window
-	if now.Before(s.cur.start.Add(dur)) {
-		return nil
+	if now.Before(s.cur.start.Add(window)) {
+		return
 	}
 	// Whole windows elapsed since the current one opened; skip the empty
 	// ones so an idle store does not flood the ring.
-	k := now.Sub(s.cur.start) / dur
-	fired := s.sealLocked()
-	s.cur = winAgg{index: s.cur.index + int64(k), start: s.cur.start.Add(time.Duration(k) * dur)}
+	k := now.Sub(s.cur.start) / window
+	s.sealLocked()
+	s.cur = winAgg{index: s.cur.index + int64(k), start: s.cur.start.Add(k * window)}
 	s.curStarted = true
-	return fired
 }
 
 // sealLocked pushes the current (non-empty) window into the ring, samples
 // the pool delta, and runs the drift monitors. The current window resets to
 // unstarted; the next observation opens a fresh one.
-func (s *Store) sealLocked() []DriftEvent {
+func (s *Store) sealLocked() {
 	if !s.curStarted || s.cur.queries == 0 {
 		s.curStarted = false
-		return nil
+		return
 	}
-	ws := s.cur.seal(s.opts.Window)
+	ws := s.cur.seal()
 	if s.opts.Pool != nil {
 		ps := s.opts.Pool.Stats()
 		ws.PoolHits = ps.Hits - s.drift.lastPoolHits
@@ -161,7 +159,7 @@ func (s *Store) sealLocked() []DriftEvent {
 	}
 	s.windows.Append(ws)
 	s.curStarted = false
-	return s.evaluateDriftLocked(ws)
+	s.evaluateDriftLocked(ws)
 }
 
 // LastWindowIndex returns the index of the current open window, or of the
