@@ -150,6 +150,7 @@ type Store struct {
 	windows    *obs.Ledger[WindowStats]
 	cur        winAgg
 	curStarted bool
+	nextIndex  int64 // the index a window opened after a seal takes
 	drift      driftState
 	models     *obs.Ledger[ModelEvent]
 }

@@ -224,6 +224,35 @@ func TestWindowAdvance(t *testing.T) {
 	}
 }
 
+// TestWindowIndexKeptAcrossFlush: a window opened after Flush sealed the one
+// before it takes the next index, inside the same second or after an idle
+// gap, so sys_windows.window_id and the drift cooldown see windows in order.
+func TestWindowIndexKeptAcrossFlush(t *testing.T) {
+	s, mc := manualStore(Options{})
+	s.Record(Observation{Shape: "a"})
+	s.Flush()
+	s.Record(Observation{Shape: "a"})
+	s.Flush()
+	s.Flush() // sealing nothing changes nothing
+	mc.Advance(3 * time.Second)
+	s.Record(Observation{Shape: "a"})
+	mc.Advance(time.Second)
+	s.Record(Observation{Shape: "a"})
+	s.Flush()
+	wins := s.Windows()
+	if len(wins) != 4 {
+		t.Fatalf("windows = %d, want 4: %+v", len(wins), wins)
+	}
+	for i := 1; i < len(wins); i++ {
+		if wins[i].Index <= wins[i-1].Index {
+			t.Fatalf("window %d has index %d after %d: indices must increase", i, wins[i].Index, wins[i-1].Index)
+		}
+	}
+	if got := s.LastWindowIndex(); got != wins[3].Index {
+		t.Errorf("LastWindowIndex = %d, want %d", got, wins[3].Index)
+	}
+}
+
 type fakePool struct{ stats storage.PoolStats }
 
 func (p *fakePool) Stats() storage.PoolStats { return p.stats }

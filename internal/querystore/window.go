@@ -127,7 +127,7 @@ func (w WindowStats) hitRate() (rate float64, ok bool) {
 func (s *Store) advanceLocked(now time.Time) {
 	if !s.curStarted {
 		s.curStarted = true
-		s.cur = winAgg{index: 0, start: now}
+		s.cur = winAgg{index: s.nextIndex, start: now}
 		return
 	}
 	if now.Before(s.cur.start.Add(window)) {
@@ -143,8 +143,11 @@ func (s *Store) advanceLocked(now time.Time) {
 
 // sealLocked pushes the current (non-empty) window into the ring, samples
 // the pool delta, and runs the drift monitors. The current window resets to
-// unstarted; the next observation opens a fresh one.
+// unstarted; the next observation opens a fresh one, with the next index.
 func (s *Store) sealLocked() {
+	if s.curStarted {
+		s.nextIndex = s.cur.index + 1
+	}
 	if !s.curStarted || s.cur.queries == 0 {
 		s.curStarted = false
 		return

@@ -79,7 +79,7 @@ func (s *execState) hashAgg(n *plan.Node, ord int, need []bool) (batch, error) {
 		keys = append(keys, k)
 	}
 	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	out := newBatch(len(keys), need)
+	out := s.newBatch(len(keys), len(keys), need)
 	for i, k := range keys {
 		if err := s.charge(&s.ctr.OutputTuple, 1); err != nil {
 			return batch{}, err

@@ -1,6 +1,11 @@
 package exec
 
-import "ml4db/internal/sqlkit/expr"
+import (
+	"math/bits"
+	"sync"
+
+	"ml4db/internal/sqlkit/expr"
+)
 
 // column holds one layout offset's value for every row of a batch.
 type column []int64
@@ -9,49 +14,88 @@ type column []int64
 // layout offset of the operator's output (ColOffset; len(cols) is the row
 // width). An operator is handed a need mask over its offsets and fills only
 // the marked columns; the rest stay nil — that is all column pruning is — so
-// a consumer indexes only offsets it marked. Columns may be a table's own
-// storage (an unfiltered in-memory scan's), shared by shards and concurrent
-// executions: they are read-only everywhere in this package. Rows exist only
-// in Result.Rows, built by Execute's root transposition (output.go).
+// a consumer indexes only offsets it marked. A column is a slab the execution
+// took (see slabs), written only by the operator that took it, or a table's
+// own storage (an unfiltered in-memory scan's), shared by shards and
+// concurrent executions and read-only everywhere in this package. Rows exist
+// only in Result.Rows, built by Execute's root transposition (output.go).
 type batch struct {
 	n    int
 	cols []column
 }
 
-// newBatch returns an n-row batch whose marked columns are allocated, zeroed
-// and backed by one arena.
-func newBatch(n int, need []bool) batch {
+// slabs is an Executor's free list of intermediate columns, a stack per
+// power-of-two length behind one mutex its executions share. An execution
+// takes every column it builds here and gives them all back when Execute
+// returns. Unlike a sync.Pool, which the GC empties, it is deterministic, so
+// allocation counts repeat. It keeps at most maxSlabBytes; the rest go to the GC.
+type slabs struct {
+	mu    sync.Mutex
+	free  [48][]column
+	bytes int
+}
+
+const maxSlabBytes = 16 << 20
+
+// take returns n values of a slab from the free list, or of a new one when the
+// list has none of n's size class. A reused slab is not zeroed: every taker
+// writes a position before reading it.
+func (s *execState) take(n int) column {
+	if n == 0 {
+		return nil
+	}
+	k, l := bits.Len(uint(n-1)), s.slabs
+	l.mu.Lock()
+	var c column
+	if f := l.free[k]; len(f) > 0 {
+		c, f[len(f)-1], l.free[k] = f[len(f)-1], nil, f[:len(f)-1]
+		l.bytes -= 8 * cap(c)
+	} else {
+		c = make(column, 1<<k)
+	}
+	s.taken = append(s.taken, c)
+	l.mu.Unlock()
+	return c[:n]
+}
+
+// release gives back every slab the execution took, once present has copied
+// the surviving rows out of them.
+func (s *execState) release() {
+	l := s.slabs
+	l.mu.Lock()
+	for _, c := range s.taken {
+		if k := bits.Len(uint(cap(c) - 1)); l.bytes+8*cap(c) <= maxSlabBytes {
+			l.free[k], l.bytes = append(l.free[k], c), l.bytes+8*cap(c)
+		}
+	}
+	l.mu.Unlock()
+	clear(s.taken) // the Result keeps this state alive: it must hold no slab
+}
+
+// newBatch returns an n-row batch whose marked columns have room for room ≥ n
+// rows, cut from one slab: appending up to room rows allocates nothing.
+func (s *execState) newBatch(n, room int, need []bool) batch {
 	marked := 0
 	for _, m := range need {
 		if m {
 			marked++
 		}
 	}
-	arena := make(column, n*marked)
+	arena := s.take(room * marked)
 	b := batch{n: n, cols: make([]column, len(need))}
 	for o, m := range need {
 		if m {
-			b.cols[o], arena = arena[:n:n], arena[n:]
+			b.cols[o], arena = arena[:n:room], arena[room:]
 		}
 	}
 	return b
 }
 
-// reserve is newBatch(n, need) emptied: its marked columns have room for n
-// rows in one arena, so appending up to n rows allocates nothing.
-func reserve(n int, need []bool) batch {
-	b := newBatch(n, need)
-	for c := range b.cols {
-		b.cols[c] = b.cols[c][:0]
-	}
-	return batch{cols: b.cols}
-}
-
 // gather returns the join rows (l row li[i], r row ri[i]) in the join layout
 // — l's offsets, then r's — copying the marked columns once. With an empty r
 // it is a selection: l's rows at positions li.
-func gather(need []bool, l batch, li column, r batch, ri column) batch {
-	out, lw := newBatch(len(li), need), len(l.cols)
+func (s *execState) gather(need []bool, l batch, li column, r batch, ri column) batch {
+	out, lw := s.newBatch(len(li), len(li), need), len(l.cols)
 	for o, dst := range out.cols {
 		if !need[o] {
 			continue
@@ -68,15 +112,16 @@ func gather(need []bool, l batch, li column, r batch, ri column) batch {
 	return out
 }
 
-// extend appends src's rows to b column by column, sizing each column for
-// total rows on first use. The exchange concatenates shard outputs with it.
-func (b *batch) extend(src batch, total int) {
+// extend appends src's rows to b column by column, taking a slab for total
+// rows on a column's first use. The exchange concatenates shard outputs with
+// it.
+func (s *execState) extend(b *batch, src batch, total int) {
 	if b.cols == nil {
 		b.cols = make([]column, len(src.cols))
 	}
 	for c, col := range src.cols {
 		if b.cols[c] == nil && len(col) > 0 {
-			b.cols[c] = make(column, 0, total)
+			b.cols[c] = s.take(total)[:0]
 		}
 		b.cols[c] = append(b.cols[c], col...)
 	}

@@ -82,7 +82,7 @@ func (s *execState) ranged(n, parts int, body rangeBody) (batch, error) {
 		if err != nil {
 			return batch{}, err
 		}
-		out.extend(r.out, total)
+		s.extend(&out, r.out, total)
 	}
 	return out, nil
 }

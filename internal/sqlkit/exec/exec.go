@@ -154,6 +154,7 @@ type Executor struct {
 	resolve sync.Once
 	queries *obs.Counter
 	work    *obs.Histogram
+	slabs   slabs
 }
 
 // New returns an executor over the catalog.
@@ -162,7 +163,8 @@ func New(cat *catalog.Catalog) *Executor { return &Executor{Cat: cat} }
 // Execute runs the plan and returns the result. The plan is only read: what
 // its operators measured comes back in Result.Actuals.
 func (e *Executor) Execute(root *plan.Node, opts Options) (*Result, error) {
-	st := &execState{cat: e.Cat, pool: opts.Pool}
+	st := &execState{cat: e.Cat, pool: opts.Pool, slabs: &e.slabs}
+	st.taken = st.slab[:0]
 	res := &st.res
 	if k := root.NumNodes(); k <= len(st.few) {
 		res.Actuals = st.few[:k]
@@ -188,6 +190,7 @@ func (e *Executor) Execute(root *plan.Node, opts Options) (*Result, error) {
 			res.Rows = present(b, opts.Output, offs)
 		}
 	}
+	st.release()
 	if st.ex != nil {
 		st.ex.finish(root, 0)
 	}
@@ -225,8 +228,13 @@ type execState struct {
 	few [5]plan.Actual
 	cat *catalog.Catalog
 	// pool runs partitioned operators' shards; nil means inline. Shards
-	// never touch this struct — each charges a private acct.
+	// never touch this struct but to take slabs — each charges a private acct.
 	pool *mlmath.Pool
+	// slabs is the executor's free list; taken, backed by slab at first,
+	// holds what this execution took from it (guarded by slabs.mu).
+	slabs *slabs
+	taken []column
+	slab  [16]column
 
 	// Observability state, all nil/unused on the fast path.
 	ex    *Explain
@@ -431,7 +439,7 @@ func (s *execState) hashJoin(n *plan.Node, ord int, need []bool) (batch, error) 
 	if err != nil {
 		return batch{}, err
 	}
-	return gather(need, left, pairs.cols[0], right, pairs.cols[1]), nil
+	return s.gather(need, left, pairs.cols[0], right, pairs.cols[1]), nil
 }
 
 func (s *execState) nlJoin(n *plan.Node, ord int, need []bool) (batch, error) {
@@ -463,7 +471,7 @@ func (s *execState) nlJoin(n *plan.Node, ord int, need []bool) (batch, error) {
 	if err != nil {
 		return batch{}, err
 	}
-	return gather(need, left, pairs.cols[0], right, pairs.cols[1]), nil
+	return s.gather(need, left, pairs.cols[0], right, pairs.cols[1]), nil
 }
 
 // sortedBy returns key's row positions in the order sort.Slice would put the
@@ -530,5 +538,5 @@ func (s *execState) mergeJoin(n *plan.Node, ord int, need []bool) (batch, error)
 			j = jEnd
 		}
 	}
-	return gather(need, left, li, right, ri), nil
+	return s.gather(need, left, li, right, ri), nil
 }

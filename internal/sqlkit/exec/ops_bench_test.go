@@ -21,9 +21,8 @@ type opsCase struct {
 	name string
 	plan *plan.Node
 	out  *plan.Output
-	// grows counts the vectors the plan extends by append as its input grows
-	// — a filtered scan's selection vector, a join's two position vectors, a
-	// disk scan's decoded columns. Everything else is sized up front.
+	// grows counts the vectors the plan extends by append as its input grows:
+	// a join's two position vectors. Everything else is a slab sized up front.
 	grows int
 }
 
@@ -33,8 +32,8 @@ type opsCase struct {
 // per operator. The hash join comes two ways: dense (big builds, and every
 // small row probes a chain of rows/64 matches) and selective (small builds,
 // and 6.4 % of big's rows match: a fact probing a filtered dimension). The
-// disk scan comes three ways: filtered (its columns grow), unfiltered (sized
-// from the free-space map) and partitioned (each shard grows its own columns,
+// disk scan comes three ways: filtered, unfiltered (both sized from the
+// free-space map) and partitioned (each shard sized for its own pages,
 // through the bypass path). The index scan comes twice: over big, and over a
 // spilled copy of big indexed through its pool.
 func opsFixture(tb testing.TB, rows int) (*Executor, []opsCase) {
@@ -80,7 +79,7 @@ func opsFixture(tb testing.TB, rows int) (*Executor, []opsCase) {
 	wID := &plan.Output{Cols: []plan.AggCol{{Table: 0, Col: 1}, {Table: 1, Col: 0}}, Limit: plan.NoLimit}
 	return New(cat), []opsCase{
 		{"scan", plan.NewScan(0, big, nil), idV, 0},
-		{"filter", plan.NewScan(0, big, half), idV, 1},
+		{"filter", plan.NewScan(0, big, half), idV, 0},
 		{"indexscan", plan.NewIndexScan(0, big, 0, quarter), idV, 0},
 		{"indexscan/disk", plan.NewIndexScan(0, diskIdx, 0, quarter), idV, 0},
 		{"hashjoin", join(plan.OpHashJoin), vW, 2},
@@ -89,9 +88,9 @@ func opsFixture(tb testing.TB, rows int) (*Executor, []opsCase) {
 		{"mergejoin", join(plan.OpMergeJoin), vW, 2},
 		{"hashagg", plan.NewAgg(plan.NewScan(0, big, nil), &plan.AggSpec{GroupCol: 1, Sums: []plan.AggCol{{Col: 2}}}), nil, 0},
 		{"topn", plan.NewScan(0, big, nil), top, 0},
-		{"diskscan", plan.NewScan(0, disk, half), idV, 2},
+		{"diskscan", plan.NewScan(0, disk, half), idV, 0},
 		{"diskscan/all", plan.NewScan(0, disk, nil), idV, 0},
-		{"diskscan/P=2", forcePartitions(plan.NewScan(0, disk, half), 2), idV, 4},
+		{"diskscan/P=2", forcePartitions(plan.NewScan(0, disk, half), 2), idV, 0},
 	}
 }
 
@@ -138,9 +137,12 @@ func appendSteps(from, to int) int {
 // executor. (1) No operator allocates per row: between 1 k and 32 k input
 // rows an execution's allocations may differ only by the extra append steps
 // of the vectors it grows — a disk scan's page fetches included, which
-// allocate nothing. (2) The smallest query — a single-leaf IndexScan
-// returning one row through the full output path — allocates no more than it
-// did when operators exchanged rows.
+// allocate nothing. (2) At steady state an execution takes every intermediate
+// column from the executor's slab list: a case's second run leaves the list
+// as long as its first did, and the counts are pinned (HashAgg's but for its
+// map, whose allocations differ under -race). (3) The smallest query — a
+// single-leaf IndexScan returning one row through the full output path —
+// allocates no more than it did when operators exchanged rows.
 func TestExecAllocContract(t *testing.T) {
 	const smallRows, bigRows = 1 << 10, 32 << 10
 	measure := func(rows int) (map[string]float64, []opsCase) {
@@ -165,11 +167,30 @@ func TestExecAllocContract(t *testing.T) {
 		}
 	}
 
+	steady := map[string]float64{"scan": 7, "filter": 9, "indexscan": 6, "indexscan/disk": 6,
+		"hashjoin": 39, "hashjoin/selective": 31, "nljoin": 38, "mergejoin": 42, "topn": 10,
+		"diskscan": 7, "diskscan/all": 7, "diskscan/P=2": 12}
+	e, _ := opsFixture(t, smallRows)
+	for _, c := range cases {
+		run := func() {
+			if _, err := e.Execute(c.plan, Options{Output: c.out}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		run()
+		before := freeSlabs(e)
+		if run(); freeSlabs(e) != before {
+			t.Errorf("%s: %d slabs free after the first run, %d after the second: the second allocated a column", c.name, before, freeSlabs(e))
+		}
+		if want, ok := steady[c.name]; ok && atSmall[c.name] != want {
+			t.Errorf("%s: %.0f allocations at %d rows, pinned at %.0f", c.name, atSmall[c.name], smallRows, want)
+		}
+	}
+
 	// At the parent of the column-at-a-time executor this query cost 7:
 	// Execute's state, result, row slice and row, then the SQL front end's
 	// offsets, row slice and projected row.
 	const rowPathAllocs = 7
-	e, _ := opsFixture(t, smallRows)
 	one := plan.NewIndexScan(0, 0, 0, []expr.Pred{{Col: 0, Op: expr.EQ, Lo: 5}})
 	all := &plan.Output{Limit: plan.NoLimit}
 	for c := 0; c < 6; c++ {

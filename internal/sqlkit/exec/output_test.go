@@ -8,6 +8,7 @@ import (
 	"ml4db/internal/mlmath"
 	"ml4db/internal/sqlkit/catalog"
 	"ml4db/internal/sqlkit/datagen"
+	"ml4db/internal/sqlkit/expr"
 	"ml4db/internal/sqlkit/optimizer"
 	"ml4db/internal/sqlkit/plan"
 	"ml4db/internal/workload"
@@ -185,12 +186,14 @@ func TestOutputMatchesSortLimitProject(t *testing.T) {
 }
 
 // TestResultRowsNeverAliasTableData: an unfiltered in-memory scan hands its
-// parent the table's own columns, so the root transposition is all that
-// stands between a caller scribbling on Result.Rows and the catalog. Every
-// returned row must be a full-capacity slice (an append reallocates instead
-// of running into the next row); after overwriting and appending to every
-// row, the tables are untouched and a re-execution still equals refEval —
-// zero-copy scan at the root and under a join, serial and partitioned.
+// parent the table's own columns, and every other column is a slab the
+// executor reuses, so the root transposition is all that stands between a
+// caller scribbling on Result.Rows and the catalog or the next execution.
+// Every returned row must be a full-capacity slice (an append reallocates
+// instead of running into the next row); after overwriting and appending to
+// every row, the tables are untouched, a re-execution still equals refEval,
+// and the first result still holds what was written to it — zero-copy scan at
+// the root and under a join, and a filtered scan, serial and partitioned.
 func TestResultRowsNeverAliasTableData(t *testing.T) {
 	cat := pairCatalog(t)
 	snapshot := func() [][][]int64 {
@@ -210,7 +213,8 @@ func TestResultRowsNeverAliasTableData(t *testing.T) {
 	e := New(cat)
 	scan := plan.NewScan(0, 0, nil)
 	join := plan.NewJoin(plan.OpHashJoin, plan.NewScan(0, 0, nil), plan.NewScan(1, 1, nil), on(0, 0, 1, 0))
-	for _, base := range []*plan.Node{scan, join} {
+	filtered := plan.NewScan(0, 0, []expr.Pred{{Col: 1, Op: expr.GE, Lo: 1}})
+	for _, base := range []*plan.Node{scan, join, filtered} {
 		for _, parts := range []int{1, 4} {
 			p := forcePartitions(base, parts)
 			res, err := e.Execute(p, Options{Pool: pool})
@@ -241,6 +245,11 @@ func TestResultRowsNeverAliasTableData(t *testing.T) {
 			}
 			if !sameRows(canonical(again.Rows), canonical(refEval(cat, p, &want))) {
 				t.Fatalf("%s P=%d: re-execution after scribbling on the first result differs from the reference", p.Head(), parts)
+			}
+			for i, row := range res.Rows {
+				if row[0] != -1-int64(i) || row[len(row)-1] != -7 {
+					t.Fatalf("%s P=%d: the re-execution wrote into row %d of the first result", p.Head(), parts, i)
+				}
 			}
 		}
 	}

@@ -204,23 +204,23 @@ func (k *kernel) column(dst []int64, ch chunk, c int, rows []uint16) []int64 {
 	return k.src.cols[c][ch.at : ch.at+ch.n]
 }
 
-// shard is a SeqScan shard's empty output over units [lo, hi): in memory the
-// kept row numbers, on disk the marked columns, sized when no filter drops a
-// live tuple (a filtered shard grows by append: no estimate sizes memory).
-func (src source) shard(lo, hi int, filtered bool, need []bool) batch {
+// shard is a SeqScan shard's empty output over units [lo, hi): in memory room
+// for a filtered scan's kept row numbers, on disk for the marked columns of
+// the range's live tuples, the free-space map's exact count.
+func (s *execState) shard(src source, lo, hi int, filtered bool, need []bool) batch {
 	switch {
-	case src.tf == nil:
-		return batch{cols: make([]column, 1)}
+	case src.tf != nil:
+		return s.newBatch(0, src.tf.File().LiveTuplesIn(lo, hi), need)
 	case filtered:
-		return reserve(0, need)
+		return batch{cols: []column{s.take(hi - lo)[:0]}}
 	}
-	return reserve(src.tf.File().LiveTuplesIn(lo, hi), need)
+	return batch{}
 }
 
 // result turns a SeqScan's concatenated shard outputs into its batch. In
 // memory an unfiltered scan copies nothing — each marked column is the
 // table's own — and a filtered one gathers its kept rows once.
-func (src source) result(out batch, filtered bool, need []bool) batch {
+func (s *execState) result(src source, out batch, filtered bool, need []bool) batch {
 	if src.tf != nil {
 		return out
 	}
@@ -231,7 +231,7 @@ func (src source) result(out batch, filtered bool, need []bool) batch {
 		}
 	}
 	if filtered {
-		return gather(need, all, out.cols[0], batch{}, nil)
+		return s.gather(need, all, out.cols[0], batch{}, nil)
 	}
 	return all
 }
@@ -244,7 +244,7 @@ func (s *execState) seqScan(n *plan.Node, ord int, need []bool) (batch, error) {
 	src := newSource(s.cat.Table(n.TableID))
 	filtered, missBefore := len(n.Filters) > 0, s.ctr.PageMiss
 	out, err := s.ranged(src.units, n.Partitions, func(a *acct, _, lo, hi int) (batch, error) {
-		out := src.shard(lo, hi, len(n.Filters) > 0, need)
+		out := s.shard(src, lo, hi, filtered, need)
 		var sel [chunkRows]uint16
 		k := &kernel{src: src, a: a, unit: &a.ctr.ScanTuples, filters: n.Filters, need: need, out: &out, sel: sel[:]}
 		err := k.scan(lo, hi, n.Partitions > 1)
@@ -254,7 +254,7 @@ func (s *execState) seqScan(n *plan.Node, ord int, need []bool) (batch, error) {
 	if err != nil {
 		return batch{}, err
 	}
-	return src.result(out, filtered, need), nil
+	return s.result(src, out, filtered, need), nil
 }
 
 // fetchRows caps an IndexScan's chunk in memory (a point lookup clears small
@@ -283,7 +283,7 @@ func (s *execState) indexScan(n *plan.Node, ord int, need []bool) (batch, error)
 		return batch{}, err
 	}
 	ids, missBefore := ix.RangeRows(lo, hi), s.ctr.PageMiss
-	out := reserve(len(ids), need)
+	out := s.newBatch(0, len(ids), need)
 	var sel [fetchRows]uint16
 	var vals [fetchRows]int64
 	k := &kernel{src: newSource(t), a: &s.acct, unit: &s.ctr.IndexFetch, filters: residual, need: need, out: &out, ids: ids, sel: sel[:], vals: vals[:]}

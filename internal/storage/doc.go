@@ -30,8 +30,12 @@
 // O(1) and allocates nothing: the incoming page is read and verified into
 // the pool's one spare buffer, and only then is the first unpinned frame
 // from the cold end written back and re-keyed in place — so a failed read
-// costs no resident page. Fetch and FetchScan inline into their callers,
-// so the handle itself lives on the caller's stack.
+// costs no resident page. A miss that continues the previous miss on the
+// same file reads the run of non-resident pages after it, up to 32, with one
+// pread into a pool-owned run buffer; the misses inside the run copy their
+// page out of it, each still verified, counted and installed on its own, and
+// a write-back of a page the run holds drops it. Fetch and FetchScan inline
+// into their callers, so the handle itself lives on the caller's stack.
 //
 // # Determinism
 //

@@ -217,11 +217,24 @@ func (hf *HeapFile) readPageInto(buf []byte, pageNo int) (Page, error) {
 		return Page{}, fmt.Errorf("storage: reading page %d of %s: %w", pageNo, hf.path, err)
 	}
 	clear(buf[n:]) // a short read must not verify against a recycled buffer's stale tail
+	return hf.verify(buf, pageNo)
+}
+
+// verify parses buf, which it retains, as pageNo of hf: its checksum, then
+// its width.
+func (hf *HeapFile) verify(buf []byte, pageNo int) (Page, error) {
 	p, err := parsePage(buf, hf.path, pageNo)
 	if err == nil && p.ncols != hf.ncols {
 		return Page{}, &PageWidthError{Path: hf.path, PageNo: pageNo, NCols: p.ncols, Want: hf.ncols}
 	}
 	return p, err
+}
+
+// readRun reads len(buf)/PageSize pages from page lo on into buf with one
+// pread, unverified, and reports whether all of them came back.
+func (hf *HeapFile) readRun(buf []byte, lo int) bool {
+	n, err := hf.f.ReadAt(buf, int64(lo)*PageSize)
+	return err == nil && n == len(buf)
 }
 
 // WritePage checksums and writes p back to its slot in the file.

@@ -3,6 +3,7 @@ package storage
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 
 	"ml4db/internal/obs"
@@ -89,12 +90,19 @@ type Pool struct {
 	files    map[*HeapFile]uint32
 	nextID   uint32
 	tick     uint64
+	// run holds pages [runLo, runHi) of file runFile, staged by one pread
+	// when a miss continued the miss before it (last); the misses that
+	// follow inside the run copy their page out instead of reading it.
+	run          []byte
+	runFile      uint32
+	runLo, runHi int
+	last         PageKey
 
-	hits, misses, evictions, writebacks int64
-	evictLog                            []PageKey
+	hits, misses, evictions, writebacks, reads int64
+	evictLog                                   []PageKey
 
-	cHits, cMisses, cEvictions, cWritebacks *obs.Counter
-	hReuse                                  *obs.Histogram
+	cHits, cMisses, cEvictions, cWritebacks, cReads *obs.Counter
+	hReuse                                          *obs.Histogram
 }
 
 // reuseBuckets cover on-hit reuse distances (ticks) from 1 to ~16M.
@@ -103,6 +111,9 @@ var reuseBuckets = obs.ExpBuckets(1, 4, 13)
 // maxScanFree bounds the bypass-page free list: one page per scan shard in
 // flight is all a steady state needs; pages released beyond it go to the GC.
 const maxScanFree = 16
+
+// runPages is the longest run one pread stages: 32 pages, 128 KiB.
+const runPages = 32
 
 // NewPool returns a buffer pool with the given options.
 func NewPool(opts PoolOptions) *Pool {
@@ -113,6 +124,7 @@ func NewPool(opts PoolOptions) *Pool {
 		opts:   opts,
 		frames: make(map[PageKey]*frame, opts.Capacity),
 		files:  make(map[*HeapFile]uint32),
+		last:   PageKey{File: math.MaxUint32}, // no file has this id: nothing continues it
 	}
 	p.lru.init()
 	if m := opts.Metrics; m != nil {
@@ -120,6 +132,7 @@ func NewPool(opts PoolOptions) *Pool {
 		p.cMisses = m.Counter("storage.pool.misses")
 		p.cEvictions = m.Counter("storage.pool.evictions")
 		p.cWritebacks = m.Counter("storage.pool.writebacks")
+		p.cReads = m.Counter("storage.pool.reads")
 		p.hReuse = m.Histogram("storage.pool.reuse_dist", reuseBuckets)
 	}
 	return p
@@ -256,7 +269,8 @@ func (p *Pool) notifyLocked(key PageKey) {
 // the pool is filling, afterwards the victim's, re-keyed in place. The page
 // is read and verified into the spare buffer before the victim is touched —
 // a failed read must not cost a resident page — and the victim's buffer is
-// the next spare, so a steady-state miss allocates nothing here.
+// the next spare, so a steady-state miss allocates nothing here (the run
+// buffer, like the spare, is allocated once).
 func (p *Pool) loadLocked(hf *HeapFile, key PageKey) (*frame, error) {
 	var fr *frame
 	if len(p.frames) >= p.opts.Capacity {
@@ -267,7 +281,7 @@ func (p *Pool) loadLocked(hf *HeapFile, key PageKey) (*frame, error) {
 	if p.spare == nil {
 		p.spare = make([]byte, PageSize)
 	}
-	page, err := hf.readPageInto(p.spare, int(key.Page))
+	page, err := p.readLocked(hf, key)
 	if err != nil {
 		return nil, err
 	}
@@ -288,6 +302,54 @@ func (p *Pool) loadLocked(hf *HeapFile, key PageKey) (*frame, error) {
 	fr.key, fr.hf, fr.pins = key, hf, 1
 	p.frames[key] = fr
 	return fr, nil
+}
+
+// readLocked reads and verifies key's page into the spare buffer. A page of
+// the staged run is copied out of it; a miss that continues the last one on
+// the same file first stages the run from it to the first resident page, at
+// most runPages long and within the file, with one pread; any other miss, or
+// a run read that fails or comes back short, reads its page alone. Each page
+// is verified on its own, so a corrupt page in a run fails only its fetch.
+func (p *Pool) readLocked(hf *HeapFile, key PageKey) (Page, error) {
+	pageNo := int(key.Page)
+	seq := key.File == p.last.File && key.Page == p.last.Page+1
+	p.last = key
+	if !p.stagedLocked(key) && seq {
+		hi := min(pageNo+runPages, hf.NumPages())
+		for q := pageNo + 1; q < hi; q++ {
+			if _, ok := p.frames[PageKey{File: key.File, Page: uint32(q)}]; ok {
+				hi = q
+			}
+		}
+		if hi-pageNo > 1 {
+			if p.run == nil {
+				p.run = make([]byte, runPages*PageSize)
+			}
+			p.countRead()
+			p.runFile, p.runLo, p.runHi = key.File, pageNo, pageNo
+			if hf.readRun(p.run[:(hi-pageNo)*PageSize], pageNo) {
+				p.runHi = hi
+			}
+		}
+	}
+	if p.stagedLocked(key) {
+		at := (pageNo - p.runLo) * PageSize
+		copy(p.spare, p.run[at:at+PageSize])
+		return hf.verify(p.spare, pageNo)
+	}
+	p.countRead()
+	return hf.readPageInto(p.spare, pageNo)
+}
+
+// stagedLocked reports whether the run buffer holds key's page.
+func (p *Pool) stagedLocked(key PageKey) bool {
+	return key.File == p.runFile && int(key.Page) >= p.runLo && int(key.Page) < p.runHi
+}
+
+// countRead counts one pread the pool issues.
+func (p *Pool) countRead() {
+	p.reads++
+	p.cReads.Inc()
 }
 
 // FetchScan is the read-only bulk-scan path: it returns pageNo of hf without
@@ -325,6 +387,7 @@ func (p *Pool) fetchScan(hf *HeapFile, pageNo int) (PageHandle, error) {
 	if k := len(p.scanFree); k > 0 {
 		pg, p.scanFree = p.scanFree[k-1], p.scanFree[:k-1]
 	}
+	p.countRead()
 	p.mu.Unlock()
 	if pg == nil {
 		pg = &Page{buf: make([]byte, PageSize)}
@@ -381,10 +444,15 @@ func (p *Pool) unmapLocked(fr *frame) error {
 	return nil
 }
 
-// writeBackLocked writes fr's page to its file if it is dirty.
+// writeBackLocked writes fr's page to its file if it is dirty, dropping the
+// staged run if it holds the page: a staged copy is never served after a
+// write.
 func (p *Pool) writeBackLocked(fr *frame) error {
 	if !fr.dirty {
 		return nil
+	}
+	if p.stagedLocked(fr.key) {
+		p.runHi = p.runLo
 	}
 	if err := fr.hf.WritePage(fr.page); err != nil {
 		return err
@@ -395,10 +463,11 @@ func (p *Pool) writeBackLocked(fr *frame) error {
 	return nil
 }
 
-// PoolStats is a snapshot of the pool's counters and occupancy.
+// PoolStats is a snapshot of the pool's counters and occupancy. Reads counts
+// the preads the pool issued: one per miss, or one per staged run of them.
 type PoolStats struct {
-	Hits, Misses, Evictions, Writebacks int64
-	Resident, Pinned                    int
+	Hits, Misses, Evictions, Writebacks, Reads int64
+	Resident, Pinned                           int
 }
 
 // Stats returns a snapshot of the pool counters.
@@ -407,7 +476,7 @@ func (p *Pool) Stats() PoolStats {
 	defer p.mu.Unlock()
 	st := PoolStats{
 		Hits: p.hits, Misses: p.misses,
-		Evictions: p.evictions, Writebacks: p.writebacks,
+		Evictions: p.evictions, Writebacks: p.writebacks, Reads: p.reads,
 		Resident: len(p.frames),
 	}
 	for fr := p.lru.coldest(); fr != nil; fr = p.lru.next(fr) {
@@ -472,6 +541,7 @@ func (p *Pool) ReleaseFile(hf *HeapFile) error {
 			return fmt.Errorf("storage: releasing %s with page %d still pinned: %w", hf.Path(), fr.key.Page, ErrAllPinned)
 		}
 	}
+	p.runHi = p.runLo
 	for fr := p.lru.coldest(); fr != nil; {
 		next := p.lru.next(fr)
 		if fr.hf == hf {

@@ -10,7 +10,8 @@ import (
 // LRU miss and on a learned-policy miss, and one Pool.FetchScan on a bypass
 // miss, in ns and allocations, with the pool full (steady state). The miss
 // benchmarks cycle over more pages than the pool holds, so under either
-// policy every fetch misses and evicts.
+// policy every fetch misses and evicts; Fetch's misses are sequential, so
+// they read by the run (BenchmarkPoolFetchSeqMiss reports preads per page).
 
 const benchMissPages = 8192
 
@@ -81,6 +82,26 @@ func BenchmarkPoolFetchMissLRU(b *testing.B) {
 
 func BenchmarkPoolFetchMissLearned(b *testing.B) {
 	benchFetch(b, PoolOptions{Capacity: 128, Policy: NewLearnedPolicy(Recency{})}, benchMissPages, false)
+}
+
+// A sequential cold scan through Fetch: each page misses, and the misses after
+// the first of a run copy their page out of the run one pread staged. Reports
+// the preads per page beside ns/op.
+func BenchmarkPoolFetchSeqMiss(b *testing.B) {
+	pool := NewPool(PoolOptions{Capacity: 128})
+	fetch := cyclicFetcher(b, pool, benchFile(b, benchMissPages), false)
+	before := pool.Stats()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		fetch()
+	}
+	b.StopTimer()
+	st := pool.Stats()
+	if st.Hits != before.Hits {
+		b.Fatalf("a cold scan hit: %+v", st)
+	}
+	b.ReportMetric(float64(st.Reads-before.Reads)/float64(b.N), "reads/page")
 }
 
 // A partitioned scan's fetch of a page the pool does not hold: a private read

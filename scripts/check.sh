@@ -61,6 +61,15 @@ go test -run '^$' -fuzz FuzzParse -fuzztime 5s ./internal/sqlkit/sqlparse/
 echo "==> fuzz (storage.FuzzPageDecode, 5s)"
 go test -run '^$' -fuzz FuzzPageDecode -fuzztime 5s ./internal/storage/
 
+# The same budget on the pool's read path, over its corpus
+# (testdata/fuzz/FuzzPoolReads: sequential runs over a corrupted page, a write
+# back inside a staged run, one frame over two files): every page a fetch
+# returns holds what was last written to it, Stats but Reads and the eviction
+# log equal the reference pool's, and only the corrupted page fails, with
+# *ChecksumError.
+echo "==> fuzz (storage.FuzzPoolReads, 5s)"
+go test -run '^$' -fuzz FuzzPoolReads -fuzztime 5s ./internal/storage/
+
 # The same budget on the hash join, over its corpus
 # (testdata/fuzz/FuzzHashJoin: build sides of 0, 1 and 2 rows, duplicates,
 # MinInt64/MaxInt64): on any build and probe keys it returns the nested-loop
