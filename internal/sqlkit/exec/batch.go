@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"math"
 	"math/bits"
 	"sync"
 
@@ -70,6 +71,42 @@ func (s *execState) release() {
 	}
 	l.mu.Unlock()
 	clear(s.taken) // the Result keeps this state alive: it must hold no slab
+}
+
+// positions returns a join shard's empty (left, right) position vectors with
+// room for its share of est, the node's EstRows, over in of the operator's n
+// input rows, capped at in; a NaN, infinite or negative estimate is room for
+// none. Past the room, push grows them.
+func (s *execState) positions(est float64, in, n int) (li, ri column) {
+	room := 0
+	if est > 0 && !math.IsInf(est, 1) {
+		room = int(min(est*float64(in)/float64(max(n, 1)), float64(in)))
+	}
+	return s.pair(room)
+}
+
+// pair cuts two empty position vectors of equal capacity, k or more, from one
+// slab.
+func (s *execState) pair(k int) (li, ri column) {
+	c := s.take(2 * k)
+	h := cap(c) / 2
+	return c[:0:h], c[h : h : 2*h]
+}
+
+// push appends the pair (l, r) to a join's position vectors. Full, they first
+// move to a slab twice as large (64 positions each at least): a position
+// vector never grows by append, and the outgrown slab stays taken until
+// release.
+func (s *execState) push(li, ri column, l, r int64) (column, column) {
+	if len(li) == cap(li) {
+		li, ri = s.grow(li, ri)
+	}
+	return append(li, l), append(ri, r)
+}
+
+func (s *execState) grow(li, ri column) (column, column) {
+	nl, nr := s.pair(max(2*cap(li), 64))
+	return append(nl, li...), append(nr, ri...)
 }
 
 // newBatch returns an n-row batch whose marked columns have room for room ≥ n

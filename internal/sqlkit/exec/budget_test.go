@@ -101,8 +101,9 @@ func chunkBoundaries(rows int) []int {
 // chargeModel is the oracle for the chunked operators' charges: the
 // row-at-a-time order a scan or a hash join must charge in, one event per
 // unit — 'm' a page miss, 's' a tuple scanned, 'b' a tuple built, 'p' a tuple
-// probed, 'o' a join output, 'i' an index probe step (a run of them is one
-// charge), 'f' a row fetched through an index, 'r' a row (kept or output).
+// probed, 'o' a join output, 'n' an (outer, inner) pair of a nested-loop join,
+// 'i' an index probe step (a run of them is one charge), 'f' a row fetched
+// through an index, 'r' a row (kept or output).
 // It is built from the tables themselves (in-memory columns, or heap pages
 // read through Used and Value), not from the executor, so a mistake shared by
 // the serial and the partitioned operator, or by both storage modes, shows
@@ -206,6 +207,9 @@ func (m chargeModel) run(b Budget) (abort *BudgetExceededError, work int64, ctr 
 		case 'o':
 			ctr.OutputTuple++
 			work++
+		case 'n':
+			ctr.NLPairs++
+			work++
 		case 'r':
 			rows++
 		}
@@ -261,13 +265,16 @@ func (m chargeModel) after(ev byte, n int) (work, rows int64) {
 
 // checkModel fails unless an execution under b reported what the model says:
 // the same abort (Kind, Limit, Used) or none, and the same Work and Counters;
-// a completed one returns one row per 'r' of a scan, per 'o' of a join.
+// a completed one returns one row per 'r' of a scan, per 'o' of a hash join,
+// per 'r' after the first 'n' of a nested-loop join.
 func checkModel(t *testing.T, label string, m chargeModel, b Budget, res *Result, err error) {
 	t.Helper()
 	abort, work, ctr := m.run(b)
 	out := bytes.Count(m, []byte{'r'})
 	if bytes.IndexByte(m, 'p') >= 0 {
 		out = bytes.Count(m, []byte{'o'})
+	} else if n := bytes.IndexByte(m, 'n'); n >= 0 {
+		out = bytes.Count(m[n:], []byte{'r'})
 	}
 	var be *BudgetExceededError
 	switch {
@@ -517,6 +524,64 @@ func TestHashJoinChargesMatchRowAtATimeModel(t *testing.T) {
 		for d := int64(-1); d <= 1; d++ {
 			run(Budget{MaxWork: work + d})
 			run(Budget{MaxRows: rows + d})
+		}
+	}
+}
+
+// nlModel is the model of an NLJoin of two unfiltered in-memory scans on
+// c1 = c1 and c2 = c2: both scans, then per outer (left) row, per inner row in
+// order, a pair unit and, if the two rows match, a row.
+func nlModel(outer, inner *catalog.Table) chargeModel {
+	m := append(memModel(outer, nil), memModel(inner, nil)...)
+	for l := range outer.NumRows() {
+		for r := range inner.NumRows() {
+			m = append(m, 'n')
+			if outer.Data[1][l] == inner.Data[1][r] && outer.Data[2][l] == inner.Data[2][r] {
+				m = append(m, 'r')
+			}
+		}
+	}
+	return m
+}
+
+// TestNLJoinChargesMatchRowAtATimeModel holds NLJoin's one charge per outer
+// row — its inner matches found first — to the row-at-a-time model, serial
+// and at Partitions = 3 (three outer rows a shard): every work limit and every
+// row limit from the first to one past the last charge. The outer side has
+// duplicate keys, and a second condition rejects every key match of the outer
+// rows whose key is 2 or 3.
+func TestNLJoinChargesMatchRowAtATimeModel(t *testing.T) {
+	cat := catalog.NewCatalog()
+	outer := foldTable(t, "outer", 9, 3, 4) // c1 = r % 4
+	for r := range outer.NumRows() {
+		outer.Data[2][r] = int64(r % 2)
+	}
+	inner := foldTable(t, "inner", 50, 3, 6) // c1 = r % 6
+	for r := range inner.NumRows() {
+		inner.Data[2][r] = int64(r % 3)
+	}
+	oid, iid := cat.MustAdd(outer), cat.MustAdd(inner)
+
+	workers := mlmath.NewPool(2)
+	defer workers.Close()
+	e := New(cat)
+	join := plan.NewJoin(plan.OpNLJoin, plan.NewScan(0, oid, nil), plan.NewScan(1, iid, nil), on(0, 1, 1, 1), on(0, 2, 1, 2))
+	m := nlModel(outer, inner)
+	if bytes.Count(m[bytes.IndexByte(m, 'n'):], []byte{'r'}) == 0 {
+		t.Fatal("the join returns no row")
+	}
+	work, rows := m.after('n', len(m))
+	var budgets []Budget
+	for limit := int64(1); limit <= work+1; limit++ {
+		budgets = append(budgets, Budget{MaxWork: limit})
+	}
+	for limit := int64(1); limit <= rows+1; limit++ {
+		budgets = append(budgets, Budget{MaxRows: limit})
+	}
+	for _, b := range budgets {
+		for _, p := range []*plan.Node{join, forcePartitions(join, 3)} {
+			res, err := e.Execute(p, Options{Budget: &b, Pool: workers, Output: CountOnly})
+			checkModel(t, fmt.Sprintf("nljoin/P=%d", p.Partitions), m, b, res, err)
 		}
 	}
 }

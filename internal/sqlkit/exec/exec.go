@@ -3,6 +3,8 @@ package exec
 import (
 	"errors"
 	"fmt"
+	"math"
+	"math/bits"
 	"sort"
 	"sync"
 
@@ -391,42 +393,53 @@ func (s *execState) hashJoin(n *plan.Node, ord int, need []bool) (batch, error) 
 	// one cache line (heads[2*slot], heads[2*slot+1]), then next[pos]; links
 	// are build positions plus one, zero ending a chain. Inserting in
 	// descending position makes chains ascend: matches come in build order.
-	// Two slots or more keep shift < 64, so & 63 elides its range check.
+	// Two slots or more keep shift < 64, so & 63 elides its range check. The
+	// same loop finds the build keys' range [kmin, kmax].
 	lk, rk, rest := left.cols[keys[0].l], right.cols[keys[0].r], keys[1:]
-	slots, shift := 2, uint(63)
-	for slots < left.n {
-		slots, shift = slots<<1, shift-1
-	}
+	shift := uint(64 - bits.Len(uint(max(left.n, 2)-1)))
 	if _, err := chargeChunk[uint16](&s.acct, &s.ctr.HashBuild, left.n, nil, nil, 0); err != nil {
 		return batch{}, err
 	}
+	slots := 1 << (64 - shift)
 	mem := make([]int32, 2*slots+left.n)
 	heads, next := mem[:2*slots], mem[2*slots:]
+	kmin, kmax := int64(math.MaxInt64), int64(math.MinInt64)
 	for i := left.n - 1; i >= 0; i-- {
-		h := hashOf(lk[i])
+		key := lk[i]
+		kmin, kmax = min(kmin, key), max(kmax, key)
+		h := hashOf(key)
 		j := 2 * (h >> (shift & 63))
 		next[i], heads[j] = heads[j], int32(i+1)
 		heads[j+1] |= 1 << (h >> ((shift - 5) & 63) & 31)
 	}
-	// The probe shards by probe-side ranges, a chunk at a time: pass 1 keeps,
-	// without a branch, the ordinals whose tag bit is set; pass 2 walks only
-	// their chains; one call charges the chunk.
+	// The probe shards by probe-side ranges, a chunk at a time. Pass 1 keeps
+	// the ordinals whose key lies in [kmin, kmax] (an empty build keeps none)
+	// and pass 2 narrows them by tag bit and walks only the survivors' chains:
+	// membership is decided there, so the range is only a pre-filter. Once
+	// pass 1 keeps more than half a chunk, the shard's later chunks skip it:
+	// there it costs more than the tag tests it saves. One call charges the
+	// chunk.
+	klo, kspan := uint64(kmin), uint64(kmax)-uint64(kmin)
 	pairs, err := s.ranged(right.n, n.Partitions, func(a *acct, _, lo, hi int) (batch, error) {
-		var li, ri column
+		li, ri := s.positions(n.EstRows, hi-lo, right.n)
 		var sel [chunkRows]uint16
+		useRange := true
 		for base := lo; base < hi; base += chunkRows {
-			chunk, k := rk[base:min(base+chunkRows, hi)], 0
-			for o, key := range chunk {
-				h := hashOf(key)
-				sel[k] = uint16(o)
-				k += int(uint32(heads[2*(h>>(shift&63))+1]) >> (h >> ((shift - 5) & 63) & 31) & 1)
+			chunk := rk[base:min(base+chunkRows, hi)]
+			kept := ordinals[:len(chunk)]
+			if left.n == 0 {
+				kept = nil
+			} else if useRange {
+				kept = sel[:inRange(&sel, chunk, klo, kspan)]
+				useRange = 2*len(kept) <= len(chunk)
 			}
+			k := tagged(&sel, kept, chunk, heads, shift)
 			from := len(ri)
 			for _, o := range sel[:k] {
 				r, key := base+int(o), chunk[o]
 				for p := heads[2*(hashOf(key)>>(shift&63))]; p != 0; p = next[p-1] {
 					if l := int(p - 1); lk[l] == key && matches(rest, left, l, right, r) {
-						li, ri = append(li, int64(l)), append(ri, int64(r))
+						li, ri = s.push(li, ri, int64(l), int64(r))
 					}
 				}
 			}
@@ -442,6 +455,37 @@ func (s *execState) hashJoin(n *plan.Node, ord int, need []bool) (batch, error) 
 	return s.gather(need, left, pairs.cols[0], right, pairs.cols[1]), nil
 }
 
+// inRange is the probe's pass 1: it writes to sel, without a branch, the
+// ordinals of the chunk's keys in [lo, lo+span] — key - lo ≤ span unsigned,
+// exact over all of int64 — and returns how many (k ≤ o: % elides the bounds
+// check). Out of line, its loop keeps its state in registers; inlined into the
+// probe closure it spilled them, a store and a load per row.
+//
+//go:noinline
+func inRange(sel *[chunkRows]uint16, chunk []int64, lo, span uint64) (k int) {
+	for o, key := range chunk {
+		sel[uint(k)%chunkRows] = uint16(o)
+		_, borrow := bits.Sub64(span, uint64(key)-lo, 0)
+		k += int(borrow ^ 1)
+	}
+	return k
+}
+
+// tagged opens pass 2: it writes to sel, without a branch, those of the kept
+// ordinals (sel's own, or ordinals) whose key's tag bit is set in its slot (a
+// Bloom tag has no false negatives), and returns how many. Out of line for
+// inRange's reason.
+//
+//go:noinline
+func tagged(sel *[chunkRows]uint16, kept []uint16, chunk []int64, heads []int32, shift uint) (k int) {
+	for _, o := range kept {
+		h := hashOf(chunk[o])
+		sel[uint(k)%chunkRows] = o
+		k += int(uint32(heads[2*(h>>(shift&63))+1]) >> (h >> ((shift - 5) & 63) & 31) & 1)
+	}
+	return k
+}
+
 func (s *execState) nlJoin(n *plan.Node, ord int, need []bool) (batch, error) {
 	left, right, keys, err := s.children(n, ord, need)
 	if err != nil {
@@ -450,20 +494,19 @@ func (s *execState) nlJoin(n *plan.Node, ord int, need []bool) (batch, error) {
 	lk, rk, rest := left.cols[keys[0].l], right.cols[keys[0].r], keys[1:]
 	// Shards are contiguous outer (left) ranges, each scanning the full inner
 	// side, which preserves the left-major pair order within and across shards.
+	// An outer row's inner matches are found first, then charged in one call:
+	// a pair unit per inner row and a row per match, in inner order.
 	pairs, err := s.ranged(left.n, n.Partitions, func(a *acct, _, lo, hi int) (batch, error) {
-		var li, ri column
+		li, ri := s.positions(n.EstRows, hi-lo, left.n)
 		for l := lo; l < hi; l++ {
-			k := lk[l]
+			k, first := lk[l], len(ri)
 			for r := 0; r < right.n; r++ {
-				if err := a.charge(&a.ctr.NLPairs, 1); err != nil {
-					return batch{}, err
-				}
 				if k == rk[r] && matches(rest, left, l, right, r) {
-					if err := a.chargeRows(1); err != nil {
-						return batch{}, err
-					}
-					li, ri = append(li, int64(l)), append(ri, int64(r))
+					li, ri = s.push(li, ri, int64(l), int64(r))
 				}
+			}
+			if _, err := chargeChunk(a, &a.ctr.NLPairs, right.n, nil, ri[first:], 0); err != nil {
+				return batch{}, err
 			}
 		}
 		return batch{n: len(li), cols: []column{li, ri}}, nil
@@ -474,11 +517,12 @@ func (s *execState) nlJoin(n *plan.Node, ord int, need []bool) (batch, error) {
 	return s.gather(need, left, pairs.cols[0], right, pairs.cols[1]), nil
 }
 
-// sortedBy returns key's row positions in the order sort.Slice would put the
-// rows themselves in: the permutation is sorted through the same comparison
-// sequence, so equal keys land where they always have (plans.golden pins it).
-func sortedBy(key column) column {
-	perm := make(column, len(key))
+// sortedBy returns key's row positions, in a slab, in the order sort.Slice
+// would put the rows themselves in: the permutation is sorted through the same
+// comparison sequence, so equal keys land where they always have
+// (plans.golden pins it).
+func (s *execState) sortedBy(key column) column {
+	perm := s.take(len(key))
 	for i := range perm {
 		perm[i] = int64(i)
 	}
@@ -502,8 +546,8 @@ func (s *execState) mergeJoin(n *plan.Node, ord int, need []bool) (batch, error)
 	// Sort and merge on the first condition; pairs of equal runs that fail a
 	// later condition emit nothing.
 	lk, rk, rest := left.cols[keys[0].l], right.cols[keys[0].r], keys[1:]
-	lp, rp := sortedBy(lk), sortedBy(rk)
-	var li, ri column
+	lp, rp := s.sortedBy(lk), s.sortedBy(rk)
+	li, ri := s.positions(n.EstRows, left.n, left.n)
 	i, j := 0, 0
 	for i < len(lp) && j < len(rp) {
 		if err := s.charge(&s.ctr.MergeScan, 1); err != nil {
@@ -532,7 +576,7 @@ func (s *execState) mergeJoin(n *plan.Node, ord int, need []bool) (batch, error)
 					if err := s.chargeRows(1); err != nil {
 						return batch{}, err
 					}
-					li, ri = append(li, lp[i]), append(ri, r)
+					li, ri = s.push(li, ri, lp[i], r)
 				}
 			}
 			j = jEnd

@@ -3,6 +3,8 @@ package exec
 import (
 	"encoding/binary"
 	"errors"
+	"fmt"
+	"math"
 	"sort"
 	"testing"
 
@@ -223,17 +225,23 @@ func fuzzKeys(data []byte) []int64 {
 	return keys
 }
 
-// FuzzHashJoin is the hash join against the nested-loop join on arbitrary
-// build (left) and probe key vectors: the same rows as a multiset, a build
-// and a probe unit per input row and an output unit per row, and the 3-way
-// partitioned hash join identical to the serial one. The seed corpus
-// (testdata/fuzz/FuzzHashJoin: build sides of 0, 1 and 2 rows, duplicates,
-// MinInt64 and MaxInt64) runs with the ordinary tests; fuzz with
+// FuzzHashJoin is the hash join on arbitrary build (left) and probe key
+// vectors: exactly the rows, in the order, of a probe-major reference loop
+// (probe rows ascending, then their matching build rows ascending), the same
+// rows as the nested-loop join, a build and a probe unit per input row and an
+// output unit per row, and the 3-way partitioned hash join identical to the
+// serial one — also under a fuzzed work or row limit, where both must abort
+// alike. The join's EstRows, which only sizes the position vectors, is picked
+// from 0, 1, the exact row count, ten times it, -1, NaN, +Inf and 1e300. The
+// seed corpus (testdata/fuzz/FuzzHashJoin: build sides of 0, 1 and 2 rows,
+// duplicates, MinInt64 and MaxInt64 — with 0 in one build in span_extremes —
+// and sparse_wide, build keys 1 000 apart whose range admits every probe key
+// and whose tags reject most) runs with the ordinary tests; fuzz with
 // go test -run '^$' -fuzz FuzzHashJoin ./internal/sqlkit/exec/.
 func FuzzHashJoin(f *testing.F) {
 	pool := mlmath.NewPool(2)
 	f.Cleanup(pool.Close)
-	f.Fuzz(func(t *testing.T, build, probe []byte) {
+	f.Fuzz(func(t *testing.T, build, probe []byte, est uint8, maxWork, maxRows uint16) {
 		cat := catalog.NewCatalog()
 		for i, keys := range [][]int64{fuzzKeys(build), fuzzKeys(probe)} {
 			tbl := catalog.NewTable([]string{"build", "probe"}[i], "k", "id")
@@ -244,13 +252,27 @@ func FuzzHashJoin(f *testing.F) {
 			}
 			cat.MustAdd(tbl)
 		}
+		var want [][]int64
+		for r, k := range cat.Table(1).Data[0] {
+			for l, b := range cat.Table(0).Data[0] {
+				if b == k {
+					want = append(want, []int64{b, int64(l), k, int64(r)})
+				}
+			}
+		}
+		exact := float64(len(want))
 		e := New(cat)
 		join := func(op plan.OpType) *plan.Node {
-			return plan.NewJoin(op, plan.NewScan(0, 0, nil), plan.NewScan(1, 1, nil), on(0, 0, 1, 0))
+			j := plan.NewJoin(op, plan.NewScan(0, 0, nil), plan.NewScan(1, 1, nil), on(0, 0, 1, 0))
+			j.EstRows = []float64{0, 1, exact, 10 * exact, -1, math.NaN(), math.Inf(1), 1e300}[est%8]
+			return j
 		}
 		hash, err := runOnce(t, e, join(plan.OpHashJoin), nil, nil)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if !sameRows(hash.Rows, want) {
+			t.Fatalf("hash join returned %d rows, the probe-major loop %d, or others, or in another order", len(hash.Rows), len(want))
 		}
 		nl, err := runOnce(t, e, join(plan.OpNLJoin), nil, nil)
 		if err != nil {
@@ -265,6 +287,10 @@ func FuzzHashJoin(f *testing.F) {
 		}
 		par, err := runOnce(t, e, forcePartitions(join(plan.OpHashJoin), 3), pool, nil)
 		assertIdentical(t, "P=3", hash, nil, par, err)
+		b := &Budget{MaxWork: int64(maxWork), MaxRows: int64(maxRows)}
+		serial, serr := runOnce(t, e, join(plan.OpHashJoin), nil, b)
+		par, perr := runOnce(t, e, forcePartitions(join(plan.OpHashJoin), 3), pool, b)
+		assertIdentical(t, fmt.Sprintf("P=3 under %+v", *b), serial, serr, par, perr)
 	})
 }
 

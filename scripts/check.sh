@@ -72,8 +72,11 @@ go test -run '^$' -fuzz FuzzPoolReads -fuzztime 5s ./internal/storage/
 
 # The same budget on the hash join, over its corpus
 # (testdata/fuzz/FuzzHashJoin: build sides of 0, 1 and 2 rows, duplicates,
-# MinInt64/MaxInt64): on any build and probe keys it returns the nested-loop
-# join's rows as a multiset, and partitioned three ways it equals the serial run.
+# MinInt64/MaxInt64, span_extremes with MinInt64, MaxInt64 and 0 in one build,
+# sparse_wide with build keys 1 000 apart): on any build and probe keys, and
+# any EstRows, it returns the probe-major reference loop's rows in its order
+# and the nested-loop join's as a multiset, and partitioned three ways it
+# equals the serial run, under a fuzzed work or row limit too.
 echo "==> fuzz (exec.FuzzHashJoin, 5s)"
 go test -run '^$' -fuzz FuzzHashJoin -fuzztime 5s ./internal/sqlkit/exec/
 
