@@ -18,7 +18,8 @@ type aggPartial struct {
 // hashAgg groups the single child's rows by n.Agg's grouping column and emits
 // one row per group — [group, COUNT(*), SUM(col)...] — in ascending group
 // order. The spec's column references resolve to offsets once, up front, and
-// are all the child is asked for. Each input row charges AggInput; each
+// are all the child is asked for, and the columns it reads are taken dense.
+// Each input row charges AggInput; each
 // emitted group charges OutputTuple and one materialized row. The
 // accumulation phase runs over contiguous input shards into one partial per
 // shard; partials merge order-insensitively (counts and sums are
@@ -36,7 +37,13 @@ func (s *execState) hashAgg(n *plan.Node, ord int, need []bool) (batch, error) {
 	if err != nil {
 		return batch{}, err
 	}
-	group, sums, stride := in.cols[cols[0]], cols[1:], 1+len(cols)
+	for c, m := range reads {
+		if m {
+			in.cols[c] = s.dense(in, c)
+		}
+	}
+	vals, sums, stride := in.cols, cols[1:], 1+len(cols)
+	group := vals[cols[0]]
 	partials := make([]aggPartial, max(n.Partitions, 1))
 	if _, err := s.ranged(in.n, n.Partitions, func(a *acct, shard, lo, hi int) (batch, error) {
 		p := aggPartial{slot: make(map[int64]int)}
@@ -52,7 +59,7 @@ func (s *execState) hashAgg(n *plan.Node, ord int, need []bool) (batch, error) {
 			}
 			p.acc[at+1]++
 			for i, c := range sums {
-				p.acc[at+2+i] += in.cols[c][r]
+				p.acc[at+2+i] += vals[c][r]
 			}
 		}
 		partials[shard] = p

@@ -17,12 +17,34 @@ type column []int64
 // the marked columns; the rest stay nil — that is all column pruning is — so
 // a consumer indexes only offsets it marked. A column is a slab the execution
 // took (see slabs), written only by the operator that took it, or a table's
-// own storage (an unfiltered in-memory scan's), shared by shards and
-// concurrent executions and read-only everywhere in this package. Rows exist
-// only in Result.Rows, built by Execute's root transposition (output.go).
+// own storage (an in-memory SeqScan's), shared by shards and concurrent
+// executions and read-only everywhere in this package. Row i is row i of
+// every column, or row at[i] if the selection vector at is set: a filtered
+// in-memory SeqScan's kept row numbers, ascending. Consumers resolve it
+// through dense or gather, or in present. Rows exist only in Result.Rows,
+// built by Execute's root transposition (output.go).
 type batch struct {
 	n    int
 	cols []column
+	at   column
+}
+
+// dense returns b's column c with row i at position i: the column itself, or
+// its rows picked through at into a slab.
+func (s *execState) dense(b batch, c int) column {
+	if b.at == nil {
+		return b.cols[c][:b.n]
+	}
+	return pick(s.take(b.n), b.cols[c], b.at)
+}
+
+// pick writes src[idx[i]] to dst[i] for every i and returns dst, which may be
+// idx itself.
+func pick(dst, src, idx column) column {
+	for i, p := range idx {
+		dst[i] = src[p]
+	}
+	return dst
 }
 
 // slabs is an Executor's free list of intermediate columns, a stack per
@@ -129,40 +151,46 @@ func (s *execState) newBatch(n, room int, need []bool) batch {
 }
 
 // gather returns the join rows (l row li[i], r row ri[i]) in the join layout
-// — l's offsets, then r's — copying the marked columns once. With an empty r
-// it is a selection: l's rows at positions li.
+// — l's offsets, then r's — copying the marked columns once. It first maps the
+// positions through each side's selection vector, in place: li and ri are the
+// join's own.
 func (s *execState) gather(need []bool, l batch, li column, r batch, ri column) batch {
+	if l.at != nil {
+		pick(li, l.at, li)
+	}
+	if r.at != nil {
+		pick(ri, r.at, ri)
+	}
 	out, lw := s.newBatch(len(li), len(li), need), len(l.cols)
 	for o, dst := range out.cols {
-		if !need[o] {
-			continue
-		}
-		from, idx, at := l, li, o
-		if o >= lw {
-			from, idx, at = r, ri, o-lw
-		}
-		src := from.cols[at]
-		for i, p := range idx {
-			dst[i] = src[p]
+		switch {
+		case !need[o]:
+		case o < lw:
+			pick(dst, l.cols[o], li)
+		default:
+			pick(dst, r.cols[o-lw], ri)
 		}
 	}
 	return out
 }
 
-// extend appends src's rows to b column by column, taking a slab for total
-// rows on a column's first use. The exchange concatenates shard outputs with
-// it.
+// extend appends src's rows to b column by column, selection vector
+// included, taking a slab for total rows on a column's first use. The
+// exchange concatenates shard outputs with it.
 func (s *execState) extend(b *batch, src batch, total int) {
-	if b.cols == nil {
+	concat := func(dst, src column) column {
+		if dst == nil && len(src) > 0 {
+			dst = s.take(total)[:0]
+		}
+		return append(dst, src...)
+	}
+	if b.cols == nil && src.cols != nil {
 		b.cols = make([]column, len(src.cols))
 	}
 	for c, col := range src.cols {
-		if b.cols[c] == nil && len(col) > 0 {
-			b.cols[c] = s.take(total)[:0]
-		}
-		b.cols[c] = append(b.cols[c], col...)
+		b.cols[c] = concat(b.cols[c], col)
 	}
-	b.n += src.n
+	b.at, b.n = concat(b.at, src.at), b.n+src.n
 }
 
 // chunkRows is the most rows a kernel takes at once: an in-memory scan's or a
@@ -180,13 +208,36 @@ var ordinals = func() (o [chunkRows]uint16) {
 // narrow is one filter's step of the scan kernel: of the chunk's ordinals in
 // kept (ordinals[:n] at first: all n live rows), it writes to sel, which may
 // be kept itself, those whose value in vals — f's column by ordinal — passes.
+// An interval predicate is inRange's unsigned test, over the whole chunk's
+// column contiguously while kept is all of it (and sel holds a whole chunk);
+// NE is Eval's.
 func narrow(sel, kept []uint16, vals []int64, f expr.Pred) []uint16 {
+	lo, hi, interval := f.Range(math.MinInt64, math.MaxInt64)
+	ulo, span := uint64(lo), uint64(hi)-uint64(lo)
 	sel, k := sel[:len(kept)], 0
-	for _, o := range kept {
-		if f.Eval(vals[o]) {
+	switch {
+	case !interval:
+		for _, o := range kept {
+			if f.Eval(vals[o]) {
+				sel[k] = o
+				k++
+			}
+		}
+	case lo > hi: // empty: its span would wrap and keep every row
+	case len(kept) == len(vals) && cap(sel) >= chunkRows:
+		k = inRange((*[chunkRows]uint16)(sel[:chunkRows]), vals, ulo, span)
+	default:
+		for _, o := range kept {
 			sel[k] = o
-			k++
+			k += within(vals[o], ulo, span)
 		}
 	}
 	return sel[:k]
+}
+
+// within is 1 if key lies in [lo, lo+span] and 0 if not, without a branch:
+// key - lo ≤ span unsigned, exact over all of int64.
+func within(key int64, lo, span uint64) int {
+	_, borrow := bits.Sub64(span, uint64(key)-lo, 0)
+	return int(borrow ^ 1)
 }

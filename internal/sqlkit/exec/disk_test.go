@@ -3,6 +3,7 @@ package exec
 import (
 	"errors"
 	"fmt"
+	"math"
 	"path/filepath"
 	"reflect"
 	"testing"
@@ -255,12 +256,16 @@ func lessRow(a, b []int64) bool {
 // FuzzScanModes runs a table in memory and spilled behind a three-page pool:
 // SeqScan at P = 1 and P = 3, and IndexScan, must return the same rows in
 // both storage modes, the same Counters but for PageMiss (and Work by as
-// much), the same Actuals but for PageMisses, and leave no page pinned. shape
-// decodes a byte at a time (zero past its end): the column count (1–60), a
-// filter count (0–3) with per filter a column, an operator and a bound, then
-// the indexed column and its interval; values holds the rows, in fuzzKeys'
-// encoding, column by column within a row. The seed corpus is
-// testdata/fuzz/FuzzScanModes; fuzz with
+// much), the same Actuals but for PageMisses, and leave no page pinned; and
+// the rows must be those a plain row loop over Pred.Eval keeps (in table
+// order for SeqScan, as a multiset for IndexScan), a loop that never runs the
+// scan kernel's filters. shape decodes a byte at a time (zero past its end):
+// the column count (1–60), a filter count (0–4) with per filter a column, an
+// operator and a literal, then the indexed column, its interval's literal and
+// width. A literal byte b is b − 64, or from 0xF0 up an int64 extreme:
+// MinInt64, MinInt64+1, MaxInt64−1 or MaxInt64 (a BETWEEN's Hi is Lo + 16,
+// and wraps). values holds the rows, in fuzzKeys' encoding, column by column
+// within a row. The seed corpus is testdata/fuzz/FuzzScanModes; fuzz with
 // go test -run '^$' -fuzz FuzzScanModes ./internal/sqlkit/exec/.
 func FuzzScanModes(f *testing.F) {
 	workers := mlmath.NewPool(2)
@@ -274,13 +279,20 @@ func FuzzScanModes(f *testing.F) {
 			shape = shape[1:]
 			return int64(b)
 		}
+		literal := func() int64 {
+			b := next()
+			if b >= 0xF0 {
+				return [...]int64{math.MinInt64, math.MinInt64 + 1, math.MaxInt64 - 1, math.MaxInt64}[b%4]
+			}
+			return b - 64
+		}
 		ncols := int(1 + next()%60)
 		var filters []expr.Pred
-		for k := next() % 4; k > 0; k-- {
-			col, op, lo := int(next())%ncols, expr.Op(next()%7), next()-64
+		for k := next() % 5; k > 0; k-- {
+			col, op, lo := int(next())%ncols, expr.Op(next()%7), literal()
 			filters = append(filters, expr.Pred{Col: col, Op: op, Lo: lo, Hi: lo + 16})
 		}
-		ixCol, lo := int(next())%ncols, next()-64
+		ixCol, lo := int(next())%ncols, literal()
 		interval := expr.Pred{Col: ixCol, Op: expr.BETWEEN, Lo: lo, Hi: lo + next()}
 
 		names := make([]string, ncols)
@@ -289,7 +301,9 @@ func FuzzScanModes(f *testing.F) {
 		}
 		mt, dt := catalog.NewTable("t", names...), catalog.NewTable("t", names...)
 		vals := fuzzKeys(values)
+		var rows [][]int64
 		for r := 0; r+ncols <= min(len(vals), 6000); r += ncols {
+			rows = append(rows, vals[r:r+ncols])
 			if err := mt.AppendRow(vals[r : r+ncols]); err != nil {
 				t.Fatal(err)
 			}
@@ -309,12 +323,31 @@ func FuzzScanModes(f *testing.F) {
 		mem.MustAdd(mt)
 		disk.MustAdd(dt)
 
+		kept := func(preds []expr.Pred) (out [][]int64) {
+		row:
+			for _, row := range rows {
+				for _, f := range preds {
+					if !f.Eval(row[f.Col]) {
+						continue row
+					}
+				}
+				out = append(out, row)
+			}
+			return out
+		}
 		seq := plan.NewScan(0, 0, filters)
 		for _, p := range []*plan.Node{seq, forcePartitions(seq, 3), plan.NewIndexScan(0, 0, ixCol, append([]expr.Pred{interval}, filters...))} {
 			label := fmt.Sprintf("%v/P=%d", p.Op, p.Partitions)
 			rm, err := New(mem).Execute(p, Options{Pool: workers})
 			if err != nil {
 				t.Fatalf("%s in memory: %v", label, err)
+			}
+			want, got := kept(p.Filters), rm.Rows
+			if p.Op == plan.OpIndexScan {
+				want, got = canonical(want), canonical(got)
+			}
+			if !sameRows(want, got) {
+				t.Fatalf("%s: %d rows in memory, the row loop over %v keeps %d, or different ones", label, len(got), p.Filters, len(want))
 			}
 			rd, err := New(disk).Execute(p, Options{Pool: workers})
 			if err != nil {

@@ -8,9 +8,10 @@
 // that Balsa (§3.3) relies on to avoid unpredictable stalls.
 //
 // Operators exchange column batches, not rows: an operator is told which of
-// its output columns anything above it reads, an unfiltered in-memory scan
-// hands out the table's own columns without copying, joins pass position
-// vectors and gather the wanted columns once, and rows are built in exactly
+// its output columns anything above it reads, an in-memory scan hands out
+// the table's own columns without copying (a filtered one with its kept row
+// numbers as a selection vector), joins pass position vectors and gather the
+// wanted columns once, and rows are built in exactly
 // one place — after the requested ORDER BY and LIMIT (Options.Output) have
 // picked the survivors (batch.go, output.go).
 //

@@ -362,7 +362,8 @@ func chargeChunk[T uint16 | int64](a *acct, unit *int64, n int, out *int64, at [
 
 // children resolves a join's conditions to offsets into its inputs' layouts
 // (keys[0] is the hash or merge key; see ColOffset), then runs both inputs,
-// asking each for its share of need plus the columns the conditions read.
+// asking each for its share of need plus the columns the conditions read, and
+// takes those columns dense.
 func (s *execState) children(n *plan.Node, ord int, need []bool) (left, right batch, keys []keyPair, err error) {
 	if keys, err = s.joinKeys(n); err != nil {
 		return batch{}, batch{}, nil, err
@@ -372,10 +373,16 @@ func (s *execState) children(n *plan.Node, ord int, need []bool) (left, right ba
 	for _, k := range keys {
 		need[k.l], need[lw+k.r] = true, true
 	}
-	if left, err = s.run(n.Children[0], ord+n.ChildAt(0), need[:lw]); err == nil {
-		right, err = s.run(n.Children[1], ord+n.ChildAt(1), need[lw:])
+	if left, err = s.run(n.Children[0], ord+n.ChildAt(0), need[:lw]); err != nil {
+		return
 	}
-	return left, right, keys, err
+	if right, err = s.run(n.Children[1], ord+n.ChildAt(1), need[lw:]); err != nil {
+		return
+	}
+	for i, k := range keys {
+		keys[i].lc, keys[i].rc = s.dense(left, k.l), s.dense(right, k.r)
+	}
+	return left, right, keys, nil
 }
 
 // hashOf spreads a join key over 64 bits (Fibonacci hashing): the top bits
@@ -395,7 +402,7 @@ func (s *execState) hashJoin(n *plan.Node, ord int, need []bool) (batch, error) 
 	// descending position makes chains ascend: matches come in build order.
 	// Two slots or more keep shift < 64, so & 63 elides its range check. The
 	// same loop finds the build keys' range [kmin, kmax].
-	lk, rk, rest := left.cols[keys[0].l], right.cols[keys[0].r], keys[1:]
+	lk, rk, rest := keys[0].lc, keys[0].rc, keys[1:]
 	shift := uint(64 - bits.Len(uint(max(left.n, 2)-1)))
 	if _, err := chargeChunk[uint16](&s.acct, &s.ctr.HashBuild, left.n, nil, nil, 0); err != nil {
 		return batch{}, err
@@ -421,13 +428,13 @@ func (s *execState) hashJoin(n *plan.Node, ord int, need []bool) (batch, error) 
 	// chunk.
 	klo, kspan := uint64(kmin), uint64(kmax)-uint64(kmin)
 	pairs, err := s.ranged(right.n, n.Partitions, func(a *acct, _, lo, hi int) (batch, error) {
-		li, ri := s.positions(n.EstRows, hi-lo, right.n)
+		li, ri := s.positions(n.EstRows, hi-lo, len(rk))
 		var sel [chunkRows]uint16
 		useRange := true
 		for base := lo; base < hi; base += chunkRows {
 			chunk := rk[base:min(base+chunkRows, hi)]
 			kept := ordinals[:len(chunk)]
-			if left.n == 0 {
+			if len(lk) == 0 {
 				kept = nil
 			} else if useRange {
 				kept = sel[:inRange(&sel, chunk, klo, kspan)]
@@ -438,7 +445,7 @@ func (s *execState) hashJoin(n *plan.Node, ord int, need []bool) (batch, error) 
 			for _, o := range sel[:k] {
 				r, key := base+int(o), chunk[o]
 				for p := heads[2*(hashOf(key)>>(shift&63))]; p != 0; p = next[p-1] {
-					if l := int(p - 1); lk[l] == key && matches(rest, left, l, right, r) {
+					if l := int(p - 1); lk[l] == key && matches(rest, l, r) {
 						li, ri = s.push(li, ri, int64(l), int64(r))
 					}
 				}
@@ -455,18 +462,17 @@ func (s *execState) hashJoin(n *plan.Node, ord int, need []bool) (batch, error) 
 	return s.gather(need, left, pairs.cols[0], right, pairs.cols[1]), nil
 }
 
-// inRange is the probe's pass 1: it writes to sel, without a branch, the
-// ordinals of the chunk's keys in [lo, lo+span] — key - lo ≤ span unsigned,
-// exact over all of int64 — and returns how many (k ≤ o: % elides the bounds
-// check). Out of line, its loop keeps its state in registers; inlined into the
-// probe closure it spilled them, a store and a load per row.
+// inRange is the probe's pass 1 and a scan filter's interval test: it writes
+// to sel, without a branch, the ordinals of the chunk's keys in [lo, lo+span]
+// (see within) and returns how many (k ≤ o: % elides the bounds check). Out of
+// line, its loop keeps its state in registers; inlined into the probe closure
+// it spilled them, a store and a load per row.
 //
 //go:noinline
 func inRange(sel *[chunkRows]uint16, chunk []int64, lo, span uint64) (k int) {
 	for o, key := range chunk {
 		sel[uint(k)%chunkRows] = uint16(o)
-		_, borrow := bits.Sub64(span, uint64(key)-lo, 0)
-		k += int(borrow ^ 1)
+		k += within(key, lo, span)
 	}
 	return k
 }
@@ -491,21 +497,21 @@ func (s *execState) nlJoin(n *plan.Node, ord int, need []bool) (batch, error) {
 	if err != nil {
 		return batch{}, err
 	}
-	lk, rk, rest := left.cols[keys[0].l], right.cols[keys[0].r], keys[1:]
+	lk, rk, rest := keys[0].lc, keys[0].rc, keys[1:]
 	// Shards are contiguous outer (left) ranges, each scanning the full inner
 	// side, which preserves the left-major pair order within and across shards.
 	// An outer row's inner matches are found first, then charged in one call:
 	// a pair unit per inner row and a row per match, in inner order.
 	pairs, err := s.ranged(left.n, n.Partitions, func(a *acct, _, lo, hi int) (batch, error) {
-		li, ri := s.positions(n.EstRows, hi-lo, left.n)
+		li, ri := s.positions(n.EstRows, hi-lo, len(lk))
 		for l := lo; l < hi; l++ {
 			k, first := lk[l], len(ri)
-			for r := 0; r < right.n; r++ {
-				if k == rk[r] && matches(rest, left, l, right, r) {
+			for r, v := range rk {
+				if k == v && matches(rest, l, r) {
 					li, ri = s.push(li, ri, int64(l), int64(r))
 				}
 			}
-			if _, err := chargeChunk(a, &a.ctr.NLPairs, right.n, nil, ri[first:], 0); err != nil {
+			if _, err := chargeChunk(a, &a.ctr.NLPairs, len(rk), nil, ri[first:], 0); err != nil {
 				return batch{}, err
 			}
 		}
@@ -545,7 +551,7 @@ func (s *execState) mergeJoin(n *plan.Node, ord int, need []bool) (batch, error)
 	}
 	// Sort and merge on the first condition; pairs of equal runs that fail a
 	// later condition emit nothing.
-	lk, rk, rest := left.cols[keys[0].l], right.cols[keys[0].r], keys[1:]
+	lk, rk, rest := keys[0].lc, keys[0].rc, keys[1:]
 	lp, rp := s.sortedBy(lk), s.sortedBy(rk)
 	li, ri := s.positions(n.EstRows, left.n, left.n)
 	i, j := 0, 0
@@ -567,7 +573,7 @@ func (s *execState) mergeJoin(n *plan.Node, ord int, need []bool) (batch, error)
 			}
 			for ; i < len(lp) && lk[lp[i]] == lv; i++ {
 				for _, r := range rp[j:jEnd] {
-					if !matches(rest, left, int(lp[i]), right, int(r)) {
+					if !matches(rest, int(lp[i]), int(r)) {
 						continue
 					}
 					if err := s.charge(&s.ctr.OutputTuple, 1); err != nil {

@@ -60,8 +60,12 @@ func width(cat *catalog.Catalog, n *plan.Node) int {
 
 // keyPair is one join condition resolved to offsets: row l of the left input
 // and row r of the right satisfy it when their columns keyPair.l and
-// keyPair.r hold equal values.
-type keyPair struct{ l, r int }
+// keyPair.r hold equal values — lc[l] == rc[r], once the inputs ran and those
+// columns were taken dense.
+type keyPair struct {
+	l, r   int
+	lc, rc column
+}
 
 // joinKeys resolves a join node's conditions against its children's layouts.
 func (s *execState) joinKeys(n *plan.Node) ([]keyPair, error) {
@@ -75,16 +79,16 @@ func (s *execState) joinKeys(n *plan.Node) ([]keyPair, error) {
 		if !lok || !rok {
 			return nil, fmt.Errorf("exec: %v condition %v names a table its inputs do not scan", n.Op, c)
 		}
-		keys[i] = keyPair{l, r}
+		keys[i] = keyPair{l: l, r: r}
 	}
 	return keys, nil
 }
 
-// matches reports whether row l of left and row r of right satisfy every
-// condition in keys.
-func matches(keys []keyPair, left batch, l int, right batch, r int) bool {
+// matches reports whether row l of the left input and row r of the right
+// satisfy every condition in keys.
+func matches(keys []keyPair, l, r int) bool {
 	for _, k := range keys {
-		if left.cols[k.l][l] != right.cols[k.r][r] {
+		if k.lc[l] != k.rc[r] {
 			return false
 		}
 	}

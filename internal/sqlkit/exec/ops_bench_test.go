@@ -26,11 +26,13 @@ type opsCase struct {
 // opsFixture builds big(id, k, v, p0, p1, p2) with the given row count
 // (id = row number and indexed, k = id mod 64, v scattered over [0, 1000)),
 // a spilled copy of it, and small(id, w) with 64 rows, and returns one case
-// per operator. The hash join comes three ways: dense (big builds, and every
-// small row probes a chain of rows/64 matches), selective (small builds, and
-// 6.4 % of big's rows match: a fact probing a filtered dimension) and sparse
-// (small builds on w = id², spread over [0, 3 969], so every big row's v lies
-// in the build keys' range, the tag bits reject most and 3.2 % match). The
+// per operator. The filter comes twice: half of big's rows with two columns
+// out, and wide, 8 % of them with every column out (SELECT *). The hash join
+// comes three ways: dense (big builds, and every small row probes a chain of
+// rows/64 matches), selective (small builds, and 6.4 % of big's rows match: a
+// fact probing a filtered dimension) and sparse (small builds on w = id²,
+// spread over [0, 3 969], so every big row's v lies in the build keys' range,
+// the tag bits reject most and 3.2 % match). The
 // disk scan comes three ways: filtered, unfiltered (both sized from the
 // free-space map) and partitioned (each shard sized for its own pages,
 // through the bypass path). The index scan comes twice: over big, and over a
@@ -68,7 +70,12 @@ func opsFixture(tb testing.TB, rows int) (*Executor, []opsCase) {
 	vW := &plan.Output{Cols: []plan.AggCol{{Table: 0, Col: 2}, {Table: 1, Col: 1}}, Limit: plan.NoLimit}
 	top := &plan.Output{Cols: idV.Cols, Limit: 10, OrderBy: []plan.OrderKey{
 		{Col: plan.AggCol{Table: 0, Col: 2}, Desc: true}, {Col: plan.AggCol{Table: 0, Col: 1}}}}
+	all := &plan.Output{Limit: plan.NoLimit}
+	for c := 0; c < 6; c++ {
+		all.Cols = append(all.Cols, plan.AggCol{Table: 0, Col: c})
+	}
 	half := []expr.Pred{{Col: 2, Op: expr.LE, Lo: 499}}
+	tail := []expr.Pred{{Col: 2, Op: expr.GE, Lo: 920}} // 8 %
 	quarter := []expr.Pred{{Col: 0, Op: expr.BETWEEN, Lo: 0, Hi: int64(rows / 4)}}
 	join := func(op plan.OpType) *plan.Node { // big.k = small.id: every big row matches once
 		return plan.NewJoin(op, plan.NewScan(0, big, nil), plan.NewScan(1, small, nil), on(0, 1, 1, 0))
@@ -81,6 +88,7 @@ func opsFixture(tb testing.TB, rows int) (*Executor, []opsCase) {
 	return New(cat), []opsCase{
 		{"scan", plan.NewScan(0, big, nil), idV},
 		{"filter", plan.NewScan(0, big, half), idV},
+		{"filter/wide", plan.NewScan(0, big, tail), all},
 		{"indexscan", plan.NewIndexScan(0, big, 0, quarter), idV},
 		{"indexscan/disk", plan.NewIndexScan(0, diskIdx, 0, quarter), idV},
 		{"hashjoin", join(plan.OpHashJoin), vW},
@@ -105,7 +113,7 @@ func BenchmarkExecOps(b *testing.B) {
 	pool := mlmath.NewPool(runtime.GOMAXPROCS(0))
 	defer pool.Close()
 	for _, c := range cases {
-		if c.name == "scan" || c.name == "hashjoin" || c.name == "hashagg" {
+		if c.name == "scan" || c.name == "filter" || c.name == "hashjoin" || c.name == "hashagg" {
 			cases = append(cases, opsCase{name: c.name + "/P=2", plan: forcePartitions(c.plan, 2), out: c.out})
 		}
 	}
@@ -153,7 +161,7 @@ func TestExecAllocContract(t *testing.T) {
 		}
 	}
 
-	steady := map[string]float64{"scan": 7, "filter": 9, "indexscan": 6, "indexscan/disk": 6,
+	steady := map[string]float64{"scan": 7, "filter": 7, "filter/wide": 7, "indexscan": 6, "indexscan/disk": 6,
 		"hashjoin": 15, "hashjoin/selective": 15, "hashjoin/sparse": 15, "nljoin": 14, "mergejoin": 16, "topn": 10,
 		"diskscan": 7, "diskscan/all": 7, "diskscan/P=2": 12}
 	e, _ := opsFixture(t, smallRows)

@@ -42,9 +42,10 @@ func resolveOutput(cat *catalog.Catalog, root *plan.Node, out *plan.Output) (nee
 // positions, keeps the first Limit, and only then transposes the surviving
 // rows × selected columns into one flat arena cut into full-capacity rows —
 // the only place the executor builds a row; none aliases another or a table.
+// Rows are read through the batch's selection vector, if it has one.
 func present(b batch, out *plan.Output, offs []int) [][]int64 {
 	w, keep := len(offs), b.n
-	var order column // nil: executor order
+	order := b.at // nil: executor order, dense
 	if out != nil {
 		w = len(out.Cols)
 		if out.Limit >= 0 && out.Limit < keep {
@@ -70,10 +71,11 @@ func present(b batch, out *plan.Output, offs []int) [][]int64 {
 	return rows
 }
 
-// firstRows returns, in order, the positions of the first keep rows of b under
-// the ORDER BY keys (whose columns sit at offs). Ties on every key break
-// toward the lower position, so the answer is exactly a stable sort followed
-// by truncation. With keep < b.n only a heap of keep positions is held, worst
+// firstRows returns, in order, the positions in b's columns of the first keep
+// rows of b under the ORDER BY keys (whose columns sit at offs). Ties on every
+// key break toward the lower position — the lower row, as the selection
+// vector ascends — so the answer is exactly a stable sort followed by
+// truncation. With keep < b.n only a heap of keep positions is held, worst
 // row on top, and the final sort touches only those.
 func firstRows(b batch, keys []plan.OrderKey, offs []int, keep int) column {
 	before := func(p, q int64) bool {
@@ -84,9 +86,15 @@ func firstRows(b batch, keys []plan.OrderKey, offs []int, keep int) column {
 		}
 		return p < q
 	}
+	row := func(i int) int64 {
+		if b.at != nil {
+			return b.at[i]
+		}
+		return int64(i)
+	}
 	h := make(column, keep)
 	for i := range h {
-		h[i] = int64(i)
+		h[i] = row(i)
 	}
 	if keep < b.n {
 		sift := func(i int) {
@@ -108,8 +116,8 @@ func firstRows(b batch, keys []plan.OrderKey, offs []int, keep int) column {
 		for i := keep/2 - 1; i >= 0; i-- {
 			sift(i)
 		}
-		for p := int64(keep); p < int64(b.n); p++ {
-			if before(p, h[0]) {
+		for i := keep; i < b.n; i++ {
+			if p := row(i); before(p, h[0]) {
 				h[0] = p
 				sift(0)
 			}

@@ -113,7 +113,9 @@ func TestOutputMatchesSortLimitProject(t *testing.T) {
 	for dims := 1; dims <= 4; dims++ {
 		corpora[0].queries = append(corpora[0].queries, sg.QueryWithDims(dims), sg.CorrelatedJoinQuery(dims))
 	}
-	corpora[0].queries = append(corpora[0].queries, sg.SelectionQuery(2, false))
+	// attr1 has no index: a SeqScan whose filter hands up a selection vector.
+	wide := plan.NewQuery(starMem.FactID).AddFilter(0, expr.Pred{Col: starMem.AttrCols[1], Op: expr.GE, Lo: 550})
+	corpora[0].queries = append(corpora[0].queries, sg.SelectionQuery(2, false), wide)
 	for n := 2; n <= 4; n++ {
 		corpora[1].queries = append(corpora[1].queries, cg.Query(n), cg.Query(n))
 	}

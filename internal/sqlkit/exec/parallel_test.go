@@ -138,7 +138,11 @@ func TestParallelMatchesSerialAcrossHints(t *testing.T) {
 
 // TestForcedPartitionsMatchSerial sweeps explicit partition counts (including
 // counts far above the worker count and above the row count) over each join
-// operator and the aggregation.
+// operator and the aggregation: optimizer plans, and hand-built plans that
+// put a filtered in-memory scan — a batch with a selection vector — under
+// every operator that reads through one (hash build and probe, a second join
+// condition, nested-loop outer and inner, both merge inputs, HashAgg). Every
+// plan also returns refEval's rows.
 func TestForcedPartitionsMatchSerial(t *testing.T) {
 	rng := mlmath.NewRNG(11)
 	sch, err := datagen.NewStarSchema(rng, 300, 40, 2)
@@ -151,7 +155,11 @@ func TestForcedPartitionsMatchSerial(t *testing.T) {
 	aggQ := starQuery(sch)
 	aggQ.SetAgg(1, 1, plan.AggCol{Table: 0, Col: sch.AttrCols[1]})
 	plainQ := starQuery(sch)
-
+	type planCase struct {
+		name string
+		p    *plan.Node
+	}
+	var cases []planCase
 	for _, tc := range []struct {
 		name string
 		q    *plan.Query
@@ -164,15 +172,32 @@ func TestForcedPartitionsMatchSerial(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
-		serial := stripPartitions(p)
+		cases = append(cases, planCase{tc.name, p})
+	}
+	fact := plan.NewScan(0, sch.FactID, []expr.Pred{{Col: sch.AttrCols[0], Op: expr.BETWEEN, Lo: 400, Hi: 600}})
+	dim := plan.NewScan(1, sch.DimIDs[0], []expr.Pred{{Col: 0, Op: expr.BETWEEN, Lo: 5, Hi: 30}})
+	key := on(0, sch.FKCol[0], 1, 0)
+	cases = append(cases,
+		planCase{"at/hash", plan.NewJoin(plan.OpHashJoin, fact, dim, key, on(0, sch.FKCol[1], 1, 0))},
+		planCase{"at/hash-probe", plan.NewJoin(plan.OpHashJoin, dim, fact, on(1, 0, 0, sch.FKCol[0]))},
+		planCase{"at/nl", plan.NewJoin(plan.OpNLJoin, fact, dim, key)},
+		planCase{"at/merge", plan.NewJoin(plan.OpMergeJoin, fact, dim, key)},
+		planCase{"at/agg", plan.NewAgg(fact, &plan.AggSpec{GroupCol: sch.FKCol[0], Sums: []plan.AggCol{{Col: sch.AttrCols[1]}, {Col: sch.FKCol[0]}}})},
+	)
+	pool := mlmath.NewPool(4)
+	defer pool.Close()
+	for _, tc := range cases {
+		serial := stripPartitions(tc.p)
 		want, wantErr := runOnce(t, e, serial, nil, nil)
 		if wantErr != nil {
 			t.Fatalf("%s: %v", tc.name, wantErr)
 		}
-		pool := mlmath.NewPool(4)
-		defer pool.Close()
-		for _, parts := range []int{2, 3, 5, 8, 1000} {
-			forced := forcePartitions(p, parts)
+		var ctr Counters
+		if ref := refEval(sch.Cat, tc.p, &ctr); len(ref) == 0 || !sameRows(canonical(want.Rows), canonical(ref)) {
+			t.Fatalf("%s: %d rows, refEval %d", tc.name, len(want.Rows), len(ref))
+		}
+		for _, parts := range []int{1, 2, 3, 5, 8, 1000} {
+			forced := forcePartitions(tc.p, parts)
 			got, gotErr := runOnce(t, e, forced, pool, nil)
 			assertIdentical(t, tc.name, want, wantErr, got, gotErr)
 		}

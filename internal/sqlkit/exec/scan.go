@@ -122,7 +122,7 @@ func (k *kernel) pin(pageNo int, bypass bool, ch chunk, slots []uint16, vals []i
 // column): filters narrow its rows' ordinals, a column each; it is charged —
 // the page's miss, a unit per row and a row per kept one, or a fetched row's
 // row only; kept rows' marked columns, or a SeqScan's row numbers in memory
-// (filtered only, see result), are appended to out.
+// (filtered only: out.at), are appended to out.
 func (k *kernel) run(ch chunk, slots []uint16, vals []int64) error {
 	var rows []uint16 // ordinals in memory, slots on disk
 	switch {
@@ -157,11 +157,11 @@ func (k *kernel) run(ch chunk, slots []uint16, vals []int64) error {
 	switch {
 	case ch.page == nil && k.ids == nil:
 		if filtered {
-			pos := out.cols[0]
+			at := out.at
 			for _, o := range kept {
-				pos = append(pos, int64(ch.at+int(o)))
+				at = append(at, int64(ch.at+int(o)))
 			}
-			out.cols[0] = pos
+			out.at = at
 		}
 		return nil
 	case filtered:
@@ -173,16 +173,10 @@ func (k *kernel) run(ch chunk, slots []uint16, vals []int64) error {
 	for c, m := range k.need {
 		switch {
 		case !m:
-		case ch.page == nil: // gathered through the row ids
-			col, ids, dst := k.src.cols[c], k.ids[ch.at:], out.cols[c]
-			for _, o := range rows {
-				dst = append(dst, col[ids[o]])
-			}
-			out.cols[c] = dst
-		case len(rows) == 1: // one slot: read in place
+		case ch.page != nil && len(rows) == 1: // one slot: read in place
 			out.cols[c] = append(out.cols[c], ch.page.Value(int(rows[0]), c))
 		default:
-			out.cols[c] = ch.page.AppendColumn(out.cols[c], c, rows)
+			out.cols[c] = k.column(out.cols[c], ch, c, rows)
 		}
 	}
 	return nil
@@ -212,28 +206,9 @@ func (s *execState) shard(src source, lo, hi int, filtered bool, need []bool) ba
 	case src.tf != nil:
 		return s.newBatch(0, src.tf.File().LiveTuplesIn(lo, hi), need)
 	case filtered:
-		return batch{cols: []column{s.take(hi - lo)[:0]}}
+		return batch{at: s.take(hi - lo)[:0]}
 	}
 	return batch{}
-}
-
-// result turns a SeqScan's concatenated shard outputs into its batch. In
-// memory an unfiltered scan copies nothing — each marked column is the
-// table's own — and a filtered one gathers its kept rows once.
-func (s *execState) result(src source, out batch, filtered bool, need []bool) batch {
-	if src.tf != nil {
-		return out
-	}
-	all := batch{n: src.units, cols: make([]column, len(need))}
-	for c, m := range need {
-		if m {
-			all.cols[c] = src.cols[c]
-		}
-	}
-	if filtered {
-		return s.gather(need, all, out.cols[0], batch{}, nil)
-	}
-	return all
 }
 
 // seqScan charges every table row and keeps those passing the filters, a
@@ -254,7 +229,15 @@ func (s *execState) seqScan(n *plan.Node, ord int, need []bool) (batch, error) {
 	if err != nil {
 		return batch{}, err
 	}
-	return s.result(src, out, filtered, need), nil
+	if src.tf == nil { // each marked column is the table's own: nothing is copied
+		out.cols = make([]column, len(need))
+		for c, m := range need {
+			if m {
+				out.cols[c] = src.cols[c]
+			}
+		}
+	}
+	return out, nil
 }
 
 // fetchRows caps an IndexScan's chunk in memory (a point lookup clears small

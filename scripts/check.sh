@@ -82,10 +82,12 @@ go test -run '^$' -fuzz FuzzHashJoin -fuzztime 5s ./internal/sqlkit/exec/
 
 # The same budget on the two storage modes, over its corpus
 # (testdata/fuzz/FuzzScanModes: 1 to 60 columns, empty and multi-page tables,
-# MinInt64/MaxInt64 values, every operator): a table and its spilled twin
+# MinInt64/MaxInt64 values, every operator, extreme_literals with LT MinInt64,
+# GT MaxInt64, a BETWEEN whose Hi wrapped and NE): a table and its spilled twin
 # give SeqScan at P = 1 and P = 3 and IndexScan the same rows, Counters but
-# PageMiss and Actuals but PageMisses, and leave no page pinned. Each input
-# spills a table, so a new one is minimised for at most a second.
+# PageMiss and Actuals but PageMisses, and leave no page pinned, and the rows
+# are those a plain Pred.Eval row loop keeps. Each input spills a table, so a
+# new one is minimised for at most a second.
 echo "==> fuzz (exec.FuzzScanModes, 5s)"
 go test -run '^$' -fuzz FuzzScanModes -fuzztime 5s -fuzzminimizetime 1s ./internal/sqlkit/exec/
 
