@@ -34,8 +34,10 @@ func (a *OptimizerAdapter) ScanRows(q *plan.Query, pos int) float64 {
 		return a.Fallback.ScanRows(q, pos)
 	}
 	frac := a.Learned.EstimateFraction(preds)
-	// Recover the row count through the fallback's unfiltered estimate.
-	unfiltered := a.Fallback.ScanRows(plan.NewQuery(q.Tables...), pos)
+	// Recover the row count through the fallback's estimate of the table
+	// alone, unfiltered.
+	alone := plan.Query{Tables: q.Tables[pos : pos+1 : pos+1], Filters: noFilters[:]}
+	unfiltered := a.Fallback.ScanRows(&alone, 0)
 	est := frac * unfiltered
 	if est < 1 {
 		est = 1
@@ -47,3 +49,7 @@ func (a *OptimizerAdapter) ScanRows(q *plan.Query, pos int) float64 {
 func (a *OptimizerAdapter) JoinSelectivity(q *plan.Query, cond expr.JoinCond) float64 {
 	return a.Fallback.JoinSelectivity(q, cond)
 }
+
+// noFilters is the filter list of a one-table query without filters. It is
+// shared by every ScanRows call and never written.
+var noFilters [1][]expr.Pred

@@ -1,6 +1,7 @@
 package cardest
 
 import (
+	"math"
 	"testing"
 
 	"ml4db/internal/mlmath"
@@ -128,5 +129,102 @@ func TestAdapterFallbackPaths(t *testing.T) {
 	q2 := plan.NewQuery(sch.FactID)
 	if enhanced.Est.ScanRows(q2, 0) != hist.ScanRows(q2, 0) {
 		t.Error("unfiltered scan does not use fallback")
+	}
+}
+
+// star7Adapter returns a learned adapter over a six-dimension star schema
+// with adhoc_plan's 3 000-row fact table, and the 7-table star join the
+// engine's cold-path benchmarks plan (engine.star7SQL): the fact table and
+// six dimensions, two fact filters and one on each of two dimensions. The
+// model trains briefly: these tests read its arithmetic, not its accuracy.
+func star7Adapter(t *testing.T) (*OptimizerAdapter, *MLPEstimator, *plan.Query, *datagen.StarSchema) {
+	t.Helper()
+	rng := mlmath.NewRNG(7)
+	sch, err := datagen.NewStarSchema(rng, 3000, 200, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fact := sch.Cat.Table(sch.FactID)
+	f, err := NewFeaturizer(fact, sch.AttrCols)
+	if err != nil {
+		t.Fatal(err)
+	}
+	preds := make([][]expr.Pred, 100)
+	fracs := make([]float64, len(preds))
+	for i := range preds {
+		preds[i] = adhocPreds(sch, rng)
+		fracs[i] = TrueFraction(fact, preds[i])
+	}
+	mlp := NewMLPEstimator(f, []int{32, 16}, rng)
+	mlp.Train(preds, fracs, 5)
+	dims := []int{3, 0, 5, 1, 2, 4}
+	tables := []int{sch.FactID}
+	for _, d := range dims {
+		tables = append(tables, sch.DimIDs[d])
+	}
+	q := plan.NewQuery(tables...)
+	for pos, d := range dims {
+		q.AddJoin(expr.JoinCond{LeftTable: 0, LeftCol: sch.FKCol[d], RightTable: pos + 1, RightCol: 0})
+	}
+	q.AddFilter(0, expr.Pred{Col: sch.AttrCols[0], Op: expr.BETWEEN, Lo: 412, Hi: 432})
+	q.AddFilter(0, expr.Pred{Col: sch.AttrCols[1], Op: expr.GE, Lo: 17})
+	q.AddFilter(1, expr.Pred{Col: 0, Op: expr.GE, Lo: 41})
+	q.AddFilter(2, expr.Pred{Col: 0, Op: expr.BETWEEN, Lo: 23, Hi: 72})
+	return &OptimizerAdapter{Learned: mlp, LearnedTable: sch.FactID, Fallback: &optimizer.HistEstimator{Cat: sch.Cat}}, mlp, q, sch
+}
+
+// adhocPreds draws fact filters of the shape adhoc_plan issues: attr0 in a
+// 21-wide range and attr1 above a bound.
+func adhocPreds(sch *datagen.StarSchema, rng *mlmath.RNG) []expr.Pred {
+	x := int64(300 + rng.Intn(360))
+	return []expr.Pred{
+		{Col: sch.AttrCols[0], Op: expr.BETWEEN, Lo: x, Hi: x + 20},
+		{Col: sch.AttrCols[1], Op: expr.GE, Lo: int64(rng.Intn(275))},
+	}
+}
+
+// TestLearnedInferenceAllocContract pins what one learned estimate of the
+// 7-table star's fact scan allocates: EstimateFraction 1 (one buffer for the
+// features and every layer's output of the 4-32-16-1 network) and the
+// adapter's ScanRows 2 (that buffer, and the one-table query it asks the
+// fallback for the unfiltered row count), in a plain build and under -race.
+// They were 10 and 12 while each layer allocated its backward cache and its
+// two output vectors and ScanRows built a whole query of q's tables.
+func TestLearnedInferenceAllocContract(t *testing.T) {
+	adapter, mlp, q, _ := star7Adapter(t)
+	preds := q.Filters[0]
+	if got := testing.AllocsPerRun(100, func() { mlp.EstimateFraction(preds) }); got > 1 {
+		t.Errorf("EstimateFraction: %.0f allocs, ceiling 1", got)
+	}
+	if got := testing.AllocsPerRun(100, func() { adapter.ScanRows(q, 0) }); got > 2 {
+		t.Errorf("learned ScanRows: %.0f allocs, ceiling 2", got)
+	}
+}
+
+// TestLearnedEstimateBitIdentical: on adhoc_plan-style predicates the learned
+// estimate is, bit for bit, what the training pass's forward computes
+// (MLP.ForwardTape, whose per-layer cache inference no longer builds), and
+// the adapter's scan estimate is that fraction times the fallback's row count
+// of the whole unfiltered query — the formula ScanRows had before it asked
+// about the table alone.
+func TestLearnedEstimateBitIdentical(t *testing.T) {
+	adapter, mlp, q, sch := star7Adapter(t)
+	rng := mlmath.NewRNG(11)
+	for i := 0; i < 200; i++ {
+		preds := adhocPreds(sch, rng)
+		_, out := mlp.Net.ForwardTape(mlp.F.Features(preds))
+		want := invLogit(out[0])
+		got := mlp.EstimateFraction(preds)
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("%v: EstimateFraction %x, training forward %x", preds, got, want)
+		}
+		q.Filters[0] = preds
+		wantRows := want * adapter.Fallback.ScanRows(plan.NewQuery(q.Tables...), 0)
+		if wantRows < 1 {
+			wantRows = 1
+		}
+		if gotRows := adapter.ScanRows(q, 0); math.Float64bits(gotRows) != math.Float64bits(wantRows) {
+			t.Fatalf("%v: ScanRows %x, fraction × unfiltered rows %x", preds, gotRows, wantRows)
+		}
 	}
 }

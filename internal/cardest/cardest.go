@@ -40,7 +40,11 @@ func (f *Featurizer) Dim() int { return 2 * len(f.Cols) }
 // Features encodes the predicates (conjunctive, on f's columns) into the
 // normalized range vector.
 func (f *Featurizer) Features(preds []expr.Pred) []float64 {
-	out := make([]float64, f.Dim())
+	return f.encode(make([]float64, f.Dim()), preds)
+}
+
+// encode is Features writing into out, which is Dim long, and returning it.
+func (f *Featurizer) encode(out []float64, preds []expr.Pred) []float64 {
 	for i := range f.Cols {
 		out[2*i] = 0
 		out[2*i+1] = 1

@@ -109,9 +109,12 @@ func (m *MLPEstimator) Name() string { return "mlp" }
 // SizeBytes implements Estimator.
 func (m *MLPEstimator) SizeBytes() int { return nn.ParamCount(m.Net) * 8 }
 
-// EstimateFraction implements Estimator.
+// EstimateFraction implements Estimator. It allocates one buffer, holding
+// the features and every layer's output.
 func (m *MLPEstimator) EstimateFraction(preds []expr.Pred) float64 {
-	return invLogit(m.Net.Predict1(m.F.Features(preds)))
+	dim := m.F.Dim()
+	buf := make([]float64, dim+m.Net.BufferLen())
+	return invLogit(m.Net.ForwardInto(buf[dim:], m.F.encode(buf[:dim], preds))[0])
 }
 
 // NNGP is a lightweight Bayesian estimator after Zhao et al.: Gaussian

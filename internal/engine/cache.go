@@ -87,12 +87,14 @@ func applyRewriters(q *plan.Query, rs []plan.QueryRewriter) (*plan.Query, []plan
 // filters and joins were added — two spellings of the same query share one
 // shape, one plan-cache entry, and one querystore statement record.
 func queryShape(q *plan.Query, hintName string) string {
-	// Sorting happens in stack arrays: a table's filters and the join list
-	// only reach the heap past 16 entries.
+	// Sorting and rendering happen in stack arrays: a table's filters and
+	// the join list only reach the heap past 16 entries, the text past 512
+	// bytes (a 7-table star's is under 200), so the string is the one
+	// allocation.
 	var predBuf [16]expr.Pred
 	var joinBuf [16]expr.JoinCond
-	b := make([]byte, 0, 64)
-	b = append(b, 'h')
+	var textBuf [512]byte
+	b := append(textBuf[:0], 'h')
 	b = append(b, hintName...)
 	for pos, tid := range q.Tables {
 		b = append(b, "|T"...)

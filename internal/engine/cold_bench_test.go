@@ -89,15 +89,20 @@ func BenchmarkColdFrontEnd(b *testing.B) {
 }
 
 // TestColdFrontEndAllocContract pins the allocations of each cold front-end
-// step on the 7-table star: parse 68 (the token slice, the statement and the
-// growth of its filter, join and column lists), shape 3 (the byte buffer, one
-// growth of it, the string), record 4 (the heat-sample slice growing to the
-// plan's 16 filter and join columns) — the same in a plain build and under
-// -race, which is how scripts/check.sh runs it. History: shape was 33 while
-// it boxed each filter and join for fmt (55–57 under -race, where sync.Pool
-// drops fmt's printers at random, so a ceiling could only be a guess).
+// step on the 7-table star: parse 8 (the token slice; the statement, its
+// query and the query's table, filter-list, filter and join arrays; the
+// select list — each allocated once, at its final length), shape 1 (the
+// string: the text is rendered in a stack buffer) and record 1 (the heat
+// samples, sized from the plan) — the same in a plain build and under -race,
+// which is how scripts/check.sh runs it. History: parse was 68 while the
+// lexer grew its token slice from empty and made a string per one-byte
+// symbol and the parser grew each list by appending; shape 3 with a 64-byte
+// heap buffer that grew once; record 4 while the heat-sample slice grew to
+// the plan's 16 filter and join columns. Shape was 33 while it boxed each
+// filter and join for fmt (55–57 under -race, where sync.Pool drops fmt's
+// printers at random, so a ceiling could only be a guess).
 func TestColdFrontEndAllocContract(t *testing.T) {
-	ceilings := map[string]float64{"parse": 68, "shape": 3, "record": 4}
+	ceilings := map[string]float64{"parse": 8, "shape": 1, "record": 1}
 	for _, step := range coldFrontEnd(t) {
 		var err error
 		got := testing.AllocsPerRun(100, func() { err = step.run() })

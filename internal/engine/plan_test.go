@@ -90,11 +90,12 @@ func BenchmarkPlanFallback(b *testing.B) {
 
 // TestFallbackSearchesOnce: a learned estimator that fails costs a planning
 // pass the calls it got to answer and one table of classical estimates, not a
-// second join-order search: the broken pass allocates within 10 % of the
-// classical one, and the learned model is not consulted past its first bad
-// answer. The margin still separates one search from two: a classical pass
-// allocates 28 times, the extra table of estimates adds 1, and a second
-// search would add about 27 more.
+// second join-order search: the broken pass allocates at most one more time
+// than the classical one (the extra table of estimates), and the learned
+// model is not consulted past its first bad answer. A classical pass
+// allocates 22 times; a second search would add about 21 more. The margin
+// was 10 % of the classical count while that was 28, when 10 % still stood
+// for more than the one allocation a fallback adds.
 func TestFallbackSearchesOnce(t *testing.T) {
 	var broken *nanAfter
 	passes := coldPlanning(t, nil, healthy, func(cat *catalog.Catalog) optimizer.CardEstimator {
@@ -118,7 +119,7 @@ func TestFallbackSearchesOnce(t *testing.T) {
 		if broken.calls != good+1 {
 			t.Errorf("NaN after %d good answers: learned model consulted %d times, want %d", good, broken.calls, good+1)
 		}
-		if allocs > classical*1.1 {
+		if allocs > classical+1 {
 			t.Errorf("NaN after %d good answers: %.0f allocs per planning pass, classical %.0f: a fallback must not search twice", good, allocs, classical)
 		}
 	}

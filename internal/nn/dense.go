@@ -34,17 +34,26 @@ type denseCache struct {
 
 // forward computes the layer output and returns the cache for backward.
 func (d *Dense) forward(x []float64) *denseCache {
+	c := &denseCache{x: x, pre: make([]float64, d.Out), out: make([]float64, d.Out)}
+	d.apply(c.out, c.pre, x)
+	return c
+}
+
+// apply writes act(W·x + b) into out and, when pre is non-nil, W·x + b into
+// pre. It is the layer's one copy of its arithmetic, so inference and the
+// training pass compute the same floats, bit for bit.
+func (d *Dense) apply(out, pre, x []float64) {
 	if len(x) != d.In {
 		//ml4db:allow nakedpanic "caller bug: input width fixed by layer construction"
 		panic("nn: Dense forward input size mismatch")
 	}
-	c := &denseCache{x: x, pre: make([]float64, d.Out), out: make([]float64, d.Out)}
-	for o := 0; o < d.Out; o++ {
-		row := d.W.Val[o*d.In : (o+1)*d.In]
-		c.pre[o] = mlmath.Dot(row, x) + d.B.Val[o]
-		c.out[o] = d.Act.Apply(c.pre[o])
+	for o := range out[:d.Out] {
+		v := mlmath.Dot(d.W.Val[o*d.In:(o+1)*d.In], x) + d.B.Val[o]
+		if pre != nil {
+			pre[o] = v
+		}
+		out[o] = d.Act.Apply(v)
 	}
-	return c
 }
 
 // backward accumulates parameter gradients from dOut (gradient of the loss
@@ -72,5 +81,9 @@ func (d *Dense) backward(c *denseCache, dOut []float64) []float64 {
 	return dIn
 }
 
-// Forward computes the layer output without retaining backward state.
-func (d *Dense) Forward(x []float64) []float64 { return d.forward(x).out }
+// Forward computes the layer output into out (at least Out long) without
+// retaining backward state, and returns out[:Out].
+func (d *Dense) Forward(out, x []float64) []float64 {
+	d.apply(out, nil, x)
+	return out[:d.Out]
+}

@@ -36,5 +36,10 @@
 // A nil Pool (the default) keeps training strictly serial and therefore
 // identical to the pre-parallelism behavior of this package. Inference
 // (Forward, Predict1) involves no reduction and is safe to fan out through
-// any pool with bit-identical results per input.
+// any pool with bit-identical results per input; ForwardInto is too, given
+// one buffer per goroutine.
+//
+// Inference keeps no backward state: Forward allocates one buffer for every
+// layer's output and ForwardInto none, and both compute ForwardTape's output
+// bit for bit (Dense.apply is the layers' one copy of the arithmetic).
 package nn

@@ -45,10 +45,29 @@ func (m *MLP) Params() []*Param {
 // OutDim returns the output width.
 func (m *MLP) OutDim() int { return m.Layers[len(m.Layers)-1].Out }
 
-// Forward computes the network output for a single input.
+// Forward computes the network output for a single input without retaining
+// backward state. It allocates one buffer, for every layer's output; see
+// ForwardInto to supply it.
 func (m *MLP) Forward(x []float64) []float64 {
+	return m.ForwardInto(make([]float64, m.BufferLen()), x)
+}
+
+// BufferLen returns the buffer length ForwardInto needs: the sum of the
+// layers' output widths.
+func (m *MLP) BufferLen() int {
+	n := 0
 	for _, l := range m.Layers {
-		x = l.Forward(x)
+		n += l.Out
+	}
+	return n
+}
+
+// ForwardInto is Forward over a caller's buffer of at least BufferLen
+// floats: each layer writes its output into the next stretch of buf, so
+// inference allocates nothing. The result is the last layer's stretch.
+func (m *MLP) ForwardInto(buf, x []float64) []float64 {
+	for _, l := range m.Layers {
+		x, buf = l.Forward(buf, x), buf[l.Out:]
 	}
 	return x
 }

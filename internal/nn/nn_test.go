@@ -11,7 +11,7 @@ import (
 func TestDenseForwardShape(t *testing.T) {
 	rng := mlmath.NewRNG(1)
 	d := NewDense(3, 5, ReLU{}, rng)
-	out := d.Forward([]float64{1, 2, 3})
+	out := d.Forward(make([]float64, d.Out), []float64{1, 2, 3})
 	if len(out) != 5 {
 		t.Fatalf("output size = %d, want 5", len(out))
 	}
@@ -31,7 +31,7 @@ func TestDenseGradientCheck(t *testing.T) {
 	target := []float64{0.2, -0.4, 0.6}
 
 	loss := func() float64 {
-		out := d.Forward(x)
+		out := d.Forward(make([]float64, d.Out), x)
 		l := 0.0
 		for i := range out {
 			diff := out[i] - target[i]
@@ -71,6 +71,48 @@ func TestDenseGradientCheck(t *testing.T) {
 		numeric := (lp - lm) / (2 * eps)
 		if math.Abs(numeric-dIn[i]) > 1e-5 {
 			t.Errorf("input[%d]: analytic %v vs numeric %v", i, dIn[i], numeric)
+		}
+	}
+}
+
+// TestForwardMatchesTapeBits: inference computes the training pass's floats
+// bit for bit. On random inputs, MLP.Forward and ForwardInto equal
+// ForwardTape's output under math.Float64bits, for networks of LeakyReLU
+// layers (the learned estimators' hidden activation) and of Identity layers
+// (their output activation), one output wide and several; and ForwardInto
+// over a buffer it is given allocates nothing.
+func TestForwardMatchesTapeBits(t *testing.T) {
+	rng := mlmath.NewRNG(17)
+	for _, tc := range []struct {
+		sizes  []int
+		hidden Activation
+	}{
+		{[]int{4, 32, 16, 1}, LeakyReLU{}},
+		{[]int{4, 32, 16, 1}, Identity{}},
+		{[]int{6, 9, 3}, LeakyReLU{}},
+		{[]int{6, 9, 3}, Identity{}},
+	} {
+		m := NewMLP(tc.sizes, tc.hidden, Identity{}, rng)
+		buf := make([]float64, m.BufferLen())
+		x := make([]float64, tc.sizes[0])
+		for range 500 {
+			for i := range x {
+				x[i] = 4 * rng.NormFloat64()
+			}
+			_, want := m.ForwardTape(x)
+			for name, got := range map[string][]float64{"Forward": m.Forward(x), "ForwardInto": m.ForwardInto(buf, x)} {
+				if len(got) != len(want) {
+					t.Fatalf("%v %s: %s gave %d outputs, want %d", tc.sizes, tc.hidden.Name(), name, len(got), len(want))
+				}
+				for i := range want {
+					if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+						t.Fatalf("%v %s: %s output %d = %x, ForwardTape %x", tc.sizes, tc.hidden.Name(), name, i, got[i], want[i])
+					}
+				}
+			}
+		}
+		if a := testing.AllocsPerRun(100, func() { m.ForwardInto(buf, x) }); a != 0 {
+			t.Errorf("%v %s: ForwardInto allocates %.0f times, want 0", tc.sizes, tc.hidden.Name(), a)
 		}
 	}
 }

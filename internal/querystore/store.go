@@ -351,6 +351,7 @@ func (s *Store) harvest(o Observation) harvestResult {
 	}
 	var sum float64
 	ord := 0
+	h.heat = make([]heatSample, 0, heatSamples(o.Plan))
 	o.Plan.Walk(func(n *plan.Node) {
 		q := pseudoQErr(n.EstRows, float64(o.Actuals[ord].Rows))
 		sum += q
@@ -376,6 +377,20 @@ func template(q *plan.Query) *plan.Query {
 		t.Filters[pos] = append([]expr.Pred(nil), fs...)
 	}
 	return t
+}
+
+// heatSamples bounds the heat samples harvestHeat appends for the tree under
+// root — a leaf's filters, two per join — so the slice is sized once.
+func heatSamples(root *plan.Node) int {
+	k := 0
+	root.Walk(func(n *plan.Node) {
+		if n.IsLeaf() {
+			k += len(n.Filters)
+		} else if len(n.Conds) > 0 && len(n.Children) == 2 {
+			k += 2
+		}
+	})
+	return k
 }
 
 // harvestHeat appends the node's heat samples. Scan leaves attribute the

@@ -73,8 +73,10 @@ func ParamsFromVec(v []float64) CostParams {
 }
 
 // JoinCost returns the formula cost of joining inputs of the given estimated
-// sizes with operator op, excluding child costs.
-func (p CostParams) JoinCost(op plan.OpType, leftRows, rightRows, outRows float64) float64 {
+// sizes with operator op, excluding child costs. It takes a pointer: the
+// search calls it per candidate, and a value receiver would copy all 96
+// bytes of the parameters each time.
+func (p *CostParams) JoinCost(op plan.OpType, leftRows, rightRows, outRows float64) float64 {
 	switch op {
 	case plan.OpHashJoin:
 		return p.HashBuild*leftRows + p.HashProbe*rightRows + p.OutputTuple*outRows

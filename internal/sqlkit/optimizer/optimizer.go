@@ -86,7 +86,8 @@ func (o *Optimizer) PlanWith(q *plan.Query, hint HintSet, est Estimates) (*plan.
 	if !connected(q, n) {
 		return nil, fmt.Errorf("optimizer: join graph is disconnected")
 	}
-	leaves := make([]*plan.Node, n)
+	var leafBuf [20]*plan.Node // n ≤ 20: the leaves stay off the heap
+	leaves := leafBuf[:n]
 	memo := make([]dpEntry, 1<<uint(n))
 	for pos := range leaves {
 		leaves[pos] = o.scanPlan(q, pos, hint, est.Rows[pos])
@@ -122,7 +123,9 @@ func (o *Optimizer) PlanWith(q *plan.Query, hint HintSet, est Estimates) (*plan.
 			o.costJoins(memo, other, sub, sel, allowed, hint.LeftDeepOnly)
 		}
 	}
-	root := buildPlan(q, memo, leaves, full)
+	// A condition crosses one join node at most, so the nodes' condition
+	// lists are cut from one array.
+	root, _ := buildPlan(q, memo, leaves, full, make([]expr.JoinCond, 0, len(q.Joins)))
 	if err := CheckConds(q, root); err != nil {
 		return nil, err
 	}
@@ -212,16 +215,20 @@ func (o *Optimizer) costJoins(memo []dpEntry, l, r uint32, sel float64, allowed 
 // buildPlan builds the plan the search table memo records for the position
 // set mask: leaves[pos] for a single position, else a join node over the
 // built plans of its two sides, carrying the conditions that cross them.
-func buildPlan(q *plan.Query, memo []dpEntry, leaves []*plan.Node, mask uint32) *plan.Node {
+// Each join node's conditions are appended to conds, and the node keeps its
+// stretch of it; buildPlan returns conds as it grew.
+func buildPlan(q *plan.Query, memo []dpEntry, leaves []*plan.Node, mask uint32, conds []expr.JoinCond) (*plan.Node, []expr.JoinCond) {
 	e := &memo[mask]
 	if e.right == 0 {
-		return leaves[bits.TrailingZeros32(mask)]
+		return leaves[bits.TrailingZeros32(mask)], conds
 	}
-	left := buildPlan(q, memo, leaves, e.left)
-	right := buildPlan(q, memo, leaves, e.right)
-	node := plan.NewJoin(e.op, left, right, crossing(q, e.left, e.right)...)
+	left, conds := buildPlan(q, memo, leaves, e.left, conds)
+	right, conds := buildPlan(q, memo, leaves, e.right, conds)
+	start := len(conds)
+	conds = appendCrossing(conds, q, e.left, e.right)
+	node := plan.NewJoin(e.op, left, right, conds[start:len(conds):len(conds)]...)
 	node.EstRows, node.EstCost = e.rows, e.cost
-	return node
+	return node, conds
 }
 
 // crosses reports whether join condition c has one side in the position set
@@ -239,24 +246,23 @@ func crosses(c expr.JoinCond, left, right uint32) (ok, flipped bool) {
 	return false, false
 }
 
-// crossing returns every join condition of q that crosses the position sets
-// left and right, in declaration order, each oriented left→right — the
-// conditions a join of the two sides must carry.
-func crossing(q *plan.Query, left, right uint32) []expr.JoinCond {
-	var conds []expr.JoinCond
+// appendCrossing appends to dst every join condition of q that crosses the
+// position sets left and right, in declaration order, each oriented
+// left→right — the conditions a join of the two sides must carry.
+func appendCrossing(dst []expr.JoinCond, q *plan.Query, left, right uint32) []expr.JoinCond {
 	for _, c := range q.Joins {
 		if ok, flipped := crosses(c, left, right); ok {
 			if flipped {
 				c = c.Flip()
 			}
-			conds = append(conds, c)
+			dst = append(dst, c)
 		}
 	}
-	return conds
+	return dst
 }
 
 // crossingSel counts the join conditions of q that cross the position sets
-// left and right, without building them (see crossing), and returns the
+// left and right, without building them (see appendCrossing), and returns the
 // product of their selectivities sels[i], multiplied in declaration order.
 func crossingSel(q *plan.Query, sels []float64, left, right uint32) (n int, sel float64) {
 	sel = 1
@@ -273,7 +279,7 @@ func crossingSel(q *plan.Query, sels []float64, left, right uint32) (n int, sel 
 // right must carry (see plan.Node.Conds); none means joining them would be a
 // cross product. Plan builders outside the DP construct joins through it.
 func CrossingConds(q *plan.Query, left, right *plan.Node) []expr.JoinCond {
-	return crossing(q, tableMask(left), tableMask(right))
+	return appendCrossing(nil, q, tableMask(left), tableMask(right))
 }
 
 // tableMask returns the table positions under n as a bitmask.

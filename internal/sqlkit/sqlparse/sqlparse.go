@@ -2,6 +2,7 @@ package sqlparse
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -61,8 +62,11 @@ type token struct {
 	text string // keywords and idents kept verbatim; upper() for matching
 }
 
+// lex cuts sql into tokens. Every token's text is a substring of sql, so a
+// token costs no allocation of its own; the slice starts at one token per two
+// bytes, which typical statements (about three bytes a token) stay under.
 func lex(sql string) ([]token, error) {
-	var toks []token
+	toks := make([]token, 0, len(sql)/2+2)
 	i := 0
 	for i < len(sql) {
 		c := sql[i]
@@ -88,26 +92,26 @@ func lex(sql string) ([]token, error) {
 				toks = append(toks, token{tokSymbol, sql[i : i+2]})
 				i += 2
 			} else {
-				toks = append(toks, token{tokSymbol, "<"})
+				toks = append(toks, token{tokSymbol, sql[i : i+1]})
 				i++
 			}
 		case c == '>':
 			if i+1 < len(sql) && sql[i+1] == '=' {
-				toks = append(toks, token{tokSymbol, ">="})
+				toks = append(toks, token{tokSymbol, sql[i : i+2]})
 				i += 2
 			} else {
-				toks = append(toks, token{tokSymbol, ">"})
+				toks = append(toks, token{tokSymbol, sql[i : i+1]})
 				i++
 			}
 		case c == '!':
 			if i+1 < len(sql) && sql[i+1] == '=' {
-				toks = append(toks, token{tokSymbol, "!="})
+				toks = append(toks, token{tokSymbol, sql[i : i+2]})
 				i += 2
 			} else {
 				return nil, fmt.Errorf("sqlparse: stray '!' at offset %d", i)
 			}
 		case c == '=' || c == ',' || c == '.' || c == '*' || c == '-' || c == ';' || c == '(' || c == ')':
-			toks = append(toks, token{tokSymbol, string(c)})
+			toks = append(toks, token{tokSymbol, sql[i : i+1]})
 			i++
 		default:
 			return nil, fmt.Errorf("sqlparse: unexpected character %q at offset %d", c, i)
@@ -134,10 +138,16 @@ type parser struct {
 	toks []token
 	pos  int
 
-	// FROM list, filled before references resolve.
-	tableNames []string
-	tableIDs   []int
+	// The FROM list, read before references resolve: the table at position
+	// pos is named by token from+2*pos (the list is `table [, table]...`)
+	// and has catalog ID tableIDs[pos].
+	from     int
+	tableIDs []int
 }
+
+// tableName returns the FROM list's name for the table at position pos, as
+// the statement spelled it.
+func (p *parser) tableName(pos int) string { return p.toks[p.from+2*pos].text }
 
 func (p *parser) peek() token { return p.toks[p.pos] }
 
@@ -184,12 +194,17 @@ func (p *parser) symbol(s string) bool {
 	return false
 }
 
+// parseSelect parses the statement into lists each allocated once, at its
+// final length: the select list, FROM list, WHERE conjuncts and ORDER BY
+// keys are read into stack buffers first (they reach the heap only past the
+// buffers' sizes) and copied out when their counts are known.
 func (p *parser) parseSelect() (*Stmt, error) {
 	if err := p.expectKeyword("select"); err != nil {
 		return nil, err
 	}
 	star := p.symbol("*")
-	var rawCols []rawRef
+	var rawBuf [16]rawRef
+	rawCols := rawBuf[:0]
 	if !star {
 		for {
 			r, err := p.parseRawRef()
@@ -205,6 +220,9 @@ func (p *parser) parseSelect() (*Stmt, error) {
 	if err := p.expectKeyword("from"); err != nil {
 		return nil, err
 	}
+	p.from = p.pos
+	var idBuf [16]int
+	ids := idBuf[:0]
 	for {
 		t := p.next()
 		if t.kind != tokIdent {
@@ -214,34 +232,44 @@ func (p *parser) parseSelect() (*Stmt, error) {
 		if !ok {
 			return nil, fmt.Errorf("sqlparse: unknown table %q", t.text)
 		}
-		p.tableNames = append(p.tableNames, t.text)
-		p.tableIDs = append(p.tableIDs, id)
+		ids = append(ids, id)
 		if !p.symbol(",") {
 			break
 		}
 	}
+	p.tableIDs = slices.Clone(ids)
 	st := &Stmt{Query: plan.NewQuery(p.tableIDs...), Output: plan.Output{Limit: plan.NoLimit}}
-	for _, r := range rawCols {
-		ref, err := p.resolve(r)
-		if err != nil {
-			return nil, err
-		}
-		st.Cols = append(st.Cols, ref)
-	}
-	if p.keyword("where") {
-		for {
-			if err := p.parseCond(st.Query); err != nil {
+	if len(rawCols) > 0 {
+		st.Cols = make([]plan.AggCol, len(rawCols))
+		for i, r := range rawCols {
+			ref, err := p.resolve(r)
+			if err != nil {
 				return nil, err
 			}
+			st.Cols[i] = ref
+		}
+	}
+	if p.keyword("where") {
+		var condBuf [32]cond
+		conds := condBuf[:0]
+		for {
+			c, err := p.parseCond()
+			if err != nil {
+				return nil, err
+			}
+			conds = append(conds, c)
 			if !p.keyword("and") {
 				break
 			}
 		}
+		setConds(st.Query, conds)
 	}
 	if p.keyword("order") {
 		if err := p.expectKeyword("by"); err != nil {
 			return nil, err
 		}
+		var keyBuf [8]plan.OrderKey
+		keys := keyBuf[:0]
 		for {
 			r, err := p.parseRawRef()
 			if err != nil {
@@ -257,11 +285,12 @@ func (p *parser) parseSelect() (*Stmt, error) {
 			} else {
 				p.keyword("asc")
 			}
-			st.OrderBy = append(st.OrderBy, key)
+			keys = append(keys, key)
 			if !p.symbol(",") {
 				break
 			}
 		}
+		st.OrderBy = slices.Clone(keys)
 	}
 	if p.keyword("limit") {
 		n, err := p.parseInt()
@@ -274,6 +303,51 @@ func (p *parser) parseSelect() (*Stmt, error) {
 		st.Limit = int(n)
 	}
 	return st, nil
+}
+
+// cond is one WHERE conjunct: a filter on the table at position pos, or,
+// when pos is negative, the equi-join join.
+type cond struct {
+	pos  int
+	pred expr.Pred
+	join expr.JoinCond
+}
+
+// setConds stores the conjuncts in q: each table's filters in one subslice
+// of a single array, in statement order, and the joins in one slice of their
+// own. A table without filters keeps a nil list, as AddFilter would leave it.
+func setConds(q *plan.Query, conds []cond) {
+	joins := 0
+	for _, c := range conds {
+		if c.pos < 0 {
+			joins++
+		}
+	}
+	if joins > 0 {
+		q.Joins = make([]expr.JoinCond, 0, joins)
+		for _, c := range conds {
+			if c.pos < 0 {
+				q.Joins = append(q.Joins, c.join)
+			}
+		}
+	}
+	if joins == len(conds) {
+		return
+	}
+	preds := make([]expr.Pred, 0, len(conds)-joins)
+	for pos := range q.Filters {
+		start := len(preds)
+		for _, c := range conds {
+			if c.pos == pos {
+				preds = append(preds, c.pred)
+			}
+		}
+		if len(preds) > start {
+			// The full slice expression caps each list, so a later AddFilter
+			// copies it rather than writing over the next table's.
+			q.Filters[pos] = preds[start:len(preds):len(preds)]
+		}
+	}
 }
 
 // parseRawRef reads `ident` or `ident.ident`.
@@ -295,8 +369,8 @@ func (p *parser) parseRawRef() (rawRef, error) {
 // resolve binds a raw reference against the FROM list.
 func (p *parser) resolve(r rawRef) (plan.AggCol, error) {
 	if r.table != "" {
-		for pos, name := range p.tableNames {
-			if strings.EqualFold(name, r.table) {
+		for pos := range p.tableIDs {
+			if name := p.tableName(pos); strings.EqualFold(name, r.table) {
 				col := p.cat.Table(p.tableIDs[pos]).ColIndex(r.col)
 				if col < 0 {
 					return plan.AggCol{}, fmt.Errorf("sqlparse: table %q has no column %q", name, r.col)
@@ -311,7 +385,7 @@ func (p *parser) resolve(r rawRef) (plan.AggCol, error) {
 		if col := p.cat.Table(id).ColIndex(r.col); col >= 0 {
 			if found.Table >= 0 {
 				return plan.AggCol{}, fmt.Errorf("sqlparse: column %q is ambiguous (in %q and %q)",
-					r.col, p.tableNames[found.Table], p.tableNames[pos])
+					r.col, p.tableName(found.Table), p.tableName(pos))
 			}
 			found = plan.AggCol{Table: pos, Col: col}
 		}
@@ -342,33 +416,32 @@ func (p *parser) parseInt() (int64, error) {
 }
 
 // parseCond parses one WHERE conjunct into a filter or a join condition.
-func (p *parser) parseCond(q *plan.Query) error {
+func (p *parser) parseCond() (cond, error) {
 	left, err := p.parseRawRef()
 	if err != nil {
-		return err
+		return cond{}, err
 	}
 	lref, err := p.resolve(left)
 	if err != nil {
-		return err
+		return cond{}, err
 	}
 	if p.keyword("between") {
 		lo, err := p.parseInt()
 		if err != nil {
-			return err
+			return cond{}, err
 		}
 		if err := p.expectKeyword("and"); err != nil {
-			return err
+			return cond{}, err
 		}
 		hi, err := p.parseInt()
 		if err != nil {
-			return err
+			return cond{}, err
 		}
-		q.AddFilter(lref.Table, expr.Pred{Col: lref.Col, Op: expr.BETWEEN, Lo: lo, Hi: hi})
-		return nil
+		return cond{pos: lref.Table, pred: expr.Pred{Col: lref.Col, Op: expr.BETWEEN, Lo: lo, Hi: hi}}, nil
 	}
 	t := p.next()
 	if t.kind != tokSymbol {
-		return fmt.Errorf("sqlparse: expected comparison operator, got %q", t.text)
+		return cond{}, fmt.Errorf("sqlparse: expected comparison operator, got %q", t.text)
 	}
 	var op expr.Op
 	switch t.text {
@@ -385,32 +458,30 @@ func (p *parser) parseCond(q *plan.Query) error {
 	case ">=":
 		op = expr.GE
 	default:
-		return fmt.Errorf("sqlparse: unknown operator %q", t.text)
+		return cond{}, fmt.Errorf("sqlparse: unknown operator %q", t.text)
 	}
 	// An equality whose right side is a column reference is an equi-join.
 	if op == expr.EQ && p.peek().kind == tokIdent {
 		right, err := p.parseRawRef()
 		if err != nil {
-			return err
+			return cond{}, err
 		}
 		rref, err := p.resolve(right)
 		if err != nil {
-			return err
+			return cond{}, err
 		}
 		if rref.Table == lref.Table {
-			return fmt.Errorf("sqlparse: join condition references table %q on both sides",
-				p.tableNames[lref.Table])
+			return cond{}, fmt.Errorf("sqlparse: join condition references table %q on both sides",
+				p.tableName(lref.Table))
 		}
-		q.AddJoin(expr.JoinCond{
+		return cond{pos: -1, join: expr.JoinCond{
 			LeftTable: lref.Table, LeftCol: lref.Col,
 			RightTable: rref.Table, RightCol: rref.Col,
-		})
-		return nil
+		}}, nil
 	}
 	v, err := p.parseInt()
 	if err != nil {
-		return err
+		return cond{}, err
 	}
-	q.AddFilter(lref.Table, expr.Pred{Col: lref.Col, Op: op, Lo: v})
-	return nil
+	return cond{pos: lref.Table, pred: expr.Pred{Col: lref.Col, Op: op, Lo: v}}, nil
 }

@@ -48,9 +48,13 @@ echo "==> go test -race ./..."
 go test -race ./...
 
 # A short fuzz budget on the SQL parser, on top of the committed seed corpus
-# (testdata/fuzz/FuzzParse) the race sweep above already ran: no panic, the
-# same parse twice, every accepted statement inside its tables' columns. A
-# finding is written to that corpus directory and fails the gate.
+# (testdata/fuzz/FuzzParse, which holds a 7-table star join and a statement
+# with ORDER BY ... DESC, LIMIT, <>, !=, a negative literal and a trailing
+# semicolon) the race sweep above already ran: no panic, the same parse
+# twice, every accepted statement inside its tables' columns, and the round
+# trip — an accepted statement rendered back as SQL re-parses to an equal
+# Stmt, which holds the lexer's substring tokens and the parser's once-sized
+# lists. A finding is written to that corpus directory and fails the gate.
 echo "==> fuzz (sqlparse.FuzzParse, 5s)"
 go test -run '^$' -fuzz FuzzParse -fuzztime 5s ./internal/sqlkit/sqlparse/
 
