@@ -196,7 +196,8 @@ func (c *lru[K, V]) Get(key K) (V, bool) {
 
 // Put stores v under key, evicting the least recently used entry past
 // capacity. Re-putting an existing key refreshes its recency but keeps the
-// first value (both were built from identical inputs).
+// first value (both were built from identical inputs). A full cache's Put
+// allocates nothing: the evicted entry's element and record take the new pair.
 func (c *lru[K, V]) Put(key K, v V) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -204,13 +205,16 @@ func (c *lru[K, V]) Put(key K, v V) {
 		c.ll.MoveToFront(el)
 		return
 	}
-	c.byKey[key] = c.ll.PushFront(&lruEntry[K, V]{key: key, val: v})
-	for c.ll.Len() > c.capacity {
-		oldest := c.ll.Back()
-		c.ll.Remove(oldest)
-		delete(c.byKey, oldest.Value.(*lruEntry[K, V]).key)
+	if el := c.ll.Back(); el != nil && c.ll.Len() >= c.capacity {
+		e := el.Value.(*lruEntry[K, V])
+		delete(c.byKey, e.key)
+		e.key, e.val = key, v
+		c.ll.MoveToFront(el)
+		c.byKey[key] = el
 		c.evictions.Inc()
+		return
 	}
+	c.byKey[key] = c.ll.PushFront(&lruEntry[K, V]{key: key, val: v})
 }
 
 // Invalidate drops every entry, returning how many were dropped.

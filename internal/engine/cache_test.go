@@ -287,6 +287,33 @@ func TestPlanCacheGetAllocContract(t *testing.T) {
 	}
 }
 
+// TestPlanCachePutAtCapacityAllocContract: a Put into a full cache allocates
+// nothing — it reuses the entry it evicts — and evicts exactly one.
+func TestPlanCachePutAtCapacityAllocContract(t *testing.T) {
+	reg := obs.NewRegistry()
+	c := newPlanCache(4, reg)
+	keys := make([]cacheKey, 200)
+	for i := range keys {
+		keys[i] = cacheKey{epoch: 1, parallelism: 1, shape: fmt.Sprintf("k%d", i)}
+	}
+	p := cachedJoin(7)
+	for _, k := range keys[:4] {
+		c.Put(k, p)
+	}
+	next := 4
+	if got := testing.AllocsPerRun(100, func() { c.Put(keys[next], p); next++ }); got != 0 {
+		t.Errorf("a Put into a full plan cache allocates %.0f times, want 0", got)
+	}
+	if ev := reg.Counter("engine.plancache.evictions").Value(); c.Len() != 4 || ev != int64(next-4) {
+		t.Errorf("Len %d, %d evictions after %d Puts past capacity 4", c.Len(), ev, next-4)
+	}
+	for _, k := range keys[next-4 : next] {
+		if got, ok := c.Get(k); !ok || got != p {
+			t.Errorf("%s: the last four Puts are not all cached", k.shape)
+		}
+	}
+}
+
 func TestCacheInvalidate(t *testing.T) {
 	reg := obs.NewRegistry()
 	c := newPlanCache(8, reg)

@@ -29,7 +29,7 @@ func (s *execState) hashAgg(n *plan.Node, ord int, need []bool) (batch, error) {
 	if err != nil {
 		return batch{}, err
 	}
-	reads := make([]bool, width(s.cat, n.Children[0]))
+	reads := make([]bool, width(s.e.Cat, n.Children[0]))
 	for _, c := range cols {
 		reads[c] = true
 	}
@@ -113,7 +113,7 @@ func (s *execState) aggCols(n *plan.Node) ([]int, error) {
 	cols := make([]int, len(refs))
 	for i, c := range refs {
 		var ok bool
-		if cols[i], ok = ColOffset(s.cat, n.Children[0], c.Table, c.Col); !ok {
+		if cols[i], ok = ColOffset(s.e.Cat, n.Children[0], c.Table, c.Col); !ok {
 			return nil, fmt.Errorf("exec: %s names t%d, which its input does not scan", n.Head(), c.Table)
 		}
 	}

@@ -67,7 +67,7 @@ func (s *execState) take(n int) column {
 	if n == 0 {
 		return nil
 	}
-	k, l := bits.Len(uint(n-1)), s.slabs
+	k, l := bits.Len(uint(n-1)), &s.e.slabs
 	l.mu.Lock()
 	var c column
 	if f := l.free[k]; len(f) > 0 {
@@ -84,7 +84,7 @@ func (s *execState) take(n int) column {
 // release gives back every slab the execution took, once present has copied
 // the surviving rows out of them.
 func (s *execState) release() {
-	l := s.slabs
+	l := &s.e.slabs
 	l.mu.Lock()
 	for _, c := range s.taken {
 		if k := bits.Len(uint(cap(c) - 1)); l.bytes+8*cap(c) <= maxSlabBytes {

@@ -42,7 +42,7 @@ func (s *execState) ranged(n, parts int, body rangeBody) (batch, error) {
 		out batch
 		err error
 	}
-	seed := acct{work: s.work, rows: s.rows, maxWork: s.maxWork, maxRows: s.maxRows}
+	seed := acct{work: s.work, rows: s.rows, lim: s.lim}
 	runs := make([]shardRun, parts)
 	s.pool.ForEachShard(parts, func(_, first, end int) {
 		for k := first; k < end; k++ {
@@ -60,13 +60,13 @@ func (s *execState) ranged(n, parts int, body rangeBody) (batch, error) {
 	for k := range runs {
 		r := &runs[k]
 		workBefore := s.work
-		sp := s.tr.StartSpan("exec.exchange.shard", s.cur)
+		sp := s.e.Trace.StartSpan("exec.exchange.shard", s.cur)
 		// Fold by charging the shard's totals to a copy of the live account,
 		// so charge and chargeRows stay the only code that tests a limit.
 		var sink int64
 		var err error
 		next := s.acct
-		next.ctr = addCounters(next.ctr, r.ctr, 1)
+		next.ctr, next.skipped = addCounters(next.ctr, r.ctr, 1), next.skipped+r.skipped
 		if r.err == nil && next.charge(&sink, r.work-seed.work) == nil && next.chargeRows(r.rows-seed.rows) == nil {
 			s.acct = next
 		} else {

@@ -51,8 +51,8 @@ func TestSeqScanWithFilters(t *testing.T) {
 	if res.Work != 4 {
 		t.Errorf("scan work = %d, want 4 (one per input row)", res.Work)
 	}
-	if len(res.Actuals) != 1 || res.Actuals[0] != (plan.Actual{Rows: 3}) {
-		t.Errorf("Actuals = %+v, want one record with Rows 3", res.Actuals)
+	if len(res.Actuals) != 1 || res.Actuals[0] != (plan.Actual{Rows: 3, Fetched: 4}) {
+		t.Errorf("Actuals = %+v, want one record with Rows 3 of 4 read", res.Actuals)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"time"
 
+	"ml4db/internal/sqlkit/catalog"
 	"ml4db/internal/sqlkit/plan"
 )
 
@@ -40,7 +41,8 @@ type OpStats struct {
 // entry is one visit: a node reachable twice has two.
 type Explain struct {
 	Root    *plan.Node
-	actuals []plan.Actual // the execution's Result.Actuals
+	cat     *catalog.Catalog // says which scans read a disk table
+	actuals []plan.Actual    // the execution's Result.Actuals
 	stats   []OpStats
 }
 
@@ -83,7 +85,8 @@ func (x *Explain) finish(n *plan.Node, ord int) {
 
 // String renders the EXPLAIN ANALYZE tree: one line per operator with
 // estimated vs actual rows, loops, exclusive work units and their category
-// breakdown, and exclusive operator time. Under a ManualClock the rendering
+// breakdown, and exclusive operator time; a SeqScan of a disk table also
+// prints the pages its zone maps skipped. Under a ManualClock the rendering
 // is fully deterministic (golden-tested).
 func (x *Explain) String() string {
 	var b strings.Builder
@@ -97,6 +100,9 @@ func (x *Explain) render(b *strings.Builder, n *plan.Node, ord, depth int) {
 	if st := x.Stats(ord); st != nil {
 		fmt.Fprintf(b, " est_rows=%.0f rows=%d loops=%d work=%d time=%dµs%s",
 			n.EstRows, x.actuals[ord].Rows, st.Loops, st.Work, st.Dur.Microseconds(), counterBreakdown(st.Counters))
+		if n.Op == plan.OpSeqScan && x.cat.Table(n.TableID).Disk != nil {
+			fmt.Fprintf(b, " skipped=%d", x.actuals[ord].PagesSkipped)
+		}
 	} else {
 		fmt.Fprintf(b, " est_rows=%.0f (never executed)", n.EstRows)
 	}

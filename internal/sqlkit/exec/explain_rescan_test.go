@@ -25,7 +25,7 @@ func TestExplainRescanTelescoping(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := []plan.Actual{{Rows: 6}, {Rows: 4}, {Rows: 4}}; !reflect.DeepEqual(res.Actuals, want) {
+	if want := []plan.Actual{{Rows: 6}, {Rows: 4, Fetched: 4}, {Rows: 4, Fetched: 4}}; !reflect.DeepEqual(res.Actuals, want) {
 		t.Fatalf("Actuals = %+v, want %+v (join, then one record per visit of the scan)", res.Actuals, want)
 	}
 	for _, ord := range []int{1, 2} {

@@ -74,8 +74,8 @@ func (s *execState) joinKeys(n *plan.Node) ([]keyPair, error) {
 	}
 	keys := make([]keyPair, len(n.Conds))
 	for i, c := range n.Conds {
-		l, lok := ColOffset(s.cat, n.Children[0], c.LeftTable, c.LeftCol)
-		r, rok := ColOffset(s.cat, n.Children[1], c.RightTable, c.RightCol)
+		l, lok := ColOffset(s.e.Cat, n.Children[0], c.LeftTable, c.LeftCol)
+		r, rok := ColOffset(s.e.Cat, n.Children[1], c.RightTable, c.RightCol)
 		if !lok || !rok {
 			return nil, fmt.Errorf("exec: %v condition %v names a table its inputs do not scan", n.Op, c)
 		}

@@ -52,12 +52,15 @@ type chunk struct {
 
 // kernel is SeqScan's and IndexScan's loop over a source's chunks: what to
 // charge, filter and keep, an IndexScan's row ids, and buffers as long as a
-// chunk in memory. done counts the rows it charged a unit for.
+// chunk in memory. bound, if set, is one more filter, the build keys' range
+// a hash join hands its probe scan (execState.probe). done counts the rows it
+// charged a unit for.
 type kernel struct {
 	src     source
 	a       *acct
 	unit    *int64
 	filters []expr.Pred
+	bound   *keyRange
 	need    []bool
 	out     *batch
 	ids     []int32
@@ -68,7 +71,9 @@ type kernel struct {
 
 // scan runs the kernel over units [lo, hi) of its source: rows or pages of
 // the table, or row ids. On disk a row id's fetch unit is charged before its
-// page is pinned, so a budget abort there touches no page.
+// page is pinned, so a budget abort there touches no page, and a SeqScan
+// skips, unpinned and uncharged, each page whose zone maps say no row of it
+// passes the filters (mayPass).
 func (k *kernel) scan(lo, hi int, bypass bool) error {
 	if k.src.tf == nil {
 		for at := lo; at < hi; at += len(k.sel) {
@@ -80,9 +85,18 @@ func (k *kernel) scan(lo, hi int, bypass bool) error {
 	}
 	var slots [maxPageSlots]uint16 // a page's live slots
 	var vals [maxPageSlots]int64   // one filter's column over them
+	var may uint64                 // which of a SeqScan's next 64 pages may pass, a bit each
 	for u := lo; u < hi; u++ {
 		ch, pageNo := chunk{}, u
-		if k.ids != nil {
+		if k.ids == nil {
+			if (u-lo)%64 == 0 {
+				may = k.mayPass(u)
+			}
+			if may&(1<<((u-lo)%64)) == 0 {
+				k.a.skipped++
+				continue
+			}
+		} else {
 			if err := k.a.charge(&k.a.ctr.IndexFetch, 1); err != nil {
 				return err
 			}
@@ -94,6 +108,22 @@ func (k *kernel) scan(lo, hi int, bypass bool) error {
 		}
 	}
 	return nil
+}
+
+// mayPass returns which of the up to 64 pages from first on may hold a row
+// that passes every interval filter, a bit per page (see
+// storage.HeapFile.MayHold). NE filters skip no page.
+func (k *kernel) mayPass(first int) uint64 {
+	may, hf := ^uint64(0), k.src.tf.File()
+	if b := k.bound; b != nil {
+		may &= hf.MayHold(first, int(b.col), b.lo, b.hi)
+	}
+	for _, f := range k.filters {
+		if lo, hi, ok := f.Range(math.MinInt64, math.MaxInt64); ok {
+			may &= hf.MayHold(first, f.Col, lo, hi)
+		}
+	}
+	return may
 }
 
 // pin runs the kernel on ch over page pageNo, pinned (by FetchScan if bypass)
@@ -133,7 +163,10 @@ func (k *kernel) run(ch chunk, slots []uint16, vals []int64) error {
 	case ch.page.Used(ch.at): // else the index predates a delete
 		rows = append(slots[:0], uint16(ch.at))
 	}
-	kept, filtered := ordinals[:len(rows)], len(k.filters) > 0
+	kept, filtered := ordinals[:len(rows)], len(k.filters) > 0 || k.bound != nil
+	if b := k.bound; b != nil {
+		kept = narrow(k.sel[:0], kept, k.column(vals[:0], ch, int(b.col), rows), b.pred())
+	}
 	for _, f := range k.filters {
 		kept = narrow(k.sel[:0], kept, k.column(vals[:0], ch, f.Col, rows), f)
 	}
@@ -212,20 +245,28 @@ func (s *execState) shard(src source, lo, hi int, filtered bool, need []bool) ba
 }
 
 // seqScan charges every table row and keeps those passing the filters, a
-// chunk at a time. Partitioned on disk it pins through storage.Pool.FetchScan,
-// which leaves replacement state alone, so shards and re-runs see the misses a
-// serial scan sees from the same resident set (docs/EXECUTOR.md: warm pools).
+// chunk at a time — on disk those of the pages the zone maps do not skip,
+// under one more filter if it is a hash join's probe side (execState.probe).
+// Partitioned on disk it pins through storage.Pool.FetchScan, which leaves
+// replacement state alone, so shards and re-runs see the misses a serial scan
+// sees from the same resident set (docs/EXECUTOR.md: warm pools).
 func (s *execState) seqScan(n *plan.Node, ord int, need []bool) (batch, error) {
-	src := newSource(s.cat.Table(n.TableID))
-	filtered, missBefore := len(n.Filters) > 0, s.ctr.PageMiss
+	src := newSource(s.e.Cat.Table(n.TableID))
+	var bound *keyRange
+	if ord != 0 && int32(ord) == s.probe.at {
+		bound = &s.probe
+	}
+	before := s.acct
 	out, err := s.ranged(src.units, n.Partitions, func(a *acct, _, lo, hi int) (batch, error) {
-		out := s.shard(src, lo, hi, filtered, need)
+		out := s.shard(src, lo, hi, len(n.Filters) > 0 || bound != nil, need)
 		var sel [chunkRows]uint16
-		k := &kernel{src: src, a: a, unit: &a.ctr.ScanTuples, filters: n.Filters, need: need, out: &out, sel: sel[:]}
+		k := &kernel{src: src, a: a, unit: &a.ctr.ScanTuples, filters: n.Filters, bound: bound, need: need, out: &out, sel: sel[:]}
 		err := k.scan(lo, hi, n.Partitions > 1)
 		return out, err
 	})
-	s.res.Actuals[ord].PageMisses = s.ctr.PageMiss - missBefore // on aborts too
+	act := &s.res.Actuals[ord] // on aborts too: the rows read, the misses charged, the pages skipped
+	act.Fetched, act.PageMisses = s.ctr.ScanTuples-before.ctr.ScanTuples, s.ctr.PageMiss-before.ctr.PageMiss
+	act.PagesSkipped = s.skipped - before.skipped
 	if err != nil {
 		return batch{}, err
 	}
@@ -248,7 +289,7 @@ const fetchRows, maxPageSlots = 16, storage.PageSize / 8
 // IndexCol through the secondary index — on disk a random page access per
 // fetch — and keeps those passing the other filters, with room for all.
 func (s *execState) indexScan(n *plan.Node, ord int, need []bool) (batch, error) {
-	t := s.cat.Table(n.TableID)
+	t := s.e.Cat.Table(n.TableID)
 	ix := t.Index(n.IndexCol)
 	if ix == nil {
 		return batch{}, fmt.Errorf("exec: no index on column %d of %s", n.IndexCol, t.Name)

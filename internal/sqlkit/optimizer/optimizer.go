@@ -538,13 +538,14 @@ func (o *Optimizer) PlanCostActual(n *plan.Node, actuals []plan.Actual) float64 
 	p, self := o.Cost, actuals[0]
 	if n.IsLeaf() {
 		t := o.Cat.Table(n.TableID)
-		// The I/O term uses the misses the execution actually charged, so
-		// true params reproduce actual work exactly on disk tables too.
+		// The terms use the rows read and the misses the execution actually
+		// charged, so true params reproduce actual work exactly on disk
+		// tables too, where a SeqScan reads no row of a page it skips.
 		io := p.PageRead * float64(self.PageMisses)
 		if n.Op == plan.OpIndexScan {
 			return p.IndexScanCost(float64(t.NumRows()), float64(self.Fetched)) + io
 		}
-		return p.ScanCost(float64(t.NumRows())) + io
+		return p.ScanCost(float64(self.Fetched)) + io
 	}
 	left := actuals[n.ChildAt(0):]
 	c := o.PlanCostActual(n.Children[0], left)

@@ -191,9 +191,12 @@ type Node struct {
 // one per visit of a node (a node reachable twice has two), at the node's Walk
 // (pre-order) position: the root at 0, each child ChildAt past its parent.
 type Actual struct {
-	Rows       int64 // tuples the operator produced
-	Fetched    int64 // rows fetched through the index (IndexScan only)
-	PageMisses int64 // buffer-pool misses the scan charged (disk tables only)
+	Rows int64 // tuples the operator produced
+	// Fetched is the rows a scan read, a work unit each: a SeqScan's from its
+	// table (none of a skipped page's), an IndexScan's through the index.
+	Fetched      int64
+	PageMisses   int64 // buffer-pool misses the scan charged (disk tables only)
+	PagesSkipped int64 // pages a SeqScan of a disk table skipped through its zone maps
 }
 
 // ChildAt returns how far past n's own pre-order position its i-th child

@@ -2,6 +2,7 @@ package sqlparse
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"strconv"
 	"strings"
@@ -396,23 +397,31 @@ func (p *parser) resolve(r rawRef) (plan.AggCol, error) {
 	return found, nil
 }
 
-// parseInt reads an optionally negated integer literal. The sign is parsed
-// with the digits: the smallest int64 has no positive counterpart to negate.
+// parseInt reads an optionally negated integer literal. The digits are
+// parsed unsigned, so the smallest int64, which has no positive counterpart,
+// negates exactly and no signed text is built; only an error spells it out.
 func (p *parser) parseInt() (int64, error) {
-	text := ""
-	if p.symbol("-") {
-		text = "-"
-	}
+	neg := p.symbol("-")
 	t := p.next()
 	if t.kind != tokNumber {
 		return 0, fmt.Errorf("sqlparse: expected integer, got %q", t.text)
 	}
-	text += t.text
-	v, err := strconv.ParseInt(text, 10, 64)
-	if err != nil {
-		return 0, fmt.Errorf("sqlparse: bad integer %q: %v", text, err)
+	u, err := strconv.ParseUint(t.text, 10, 64)
+	switch {
+	case err == nil && u <= math.MaxInt64:
+		if neg {
+			return -int64(u), nil
+		}
+		return int64(u), nil
+	case err == nil && neg && u == 1<<63:
+		return math.MinInt64, nil
 	}
-	return v, nil
+	text := t.text
+	if neg {
+		text = "-" + text
+	}
+	_, err = strconv.ParseInt(text, 10, 64)
+	return 0, fmt.Errorf("sqlparse: bad integer %q: %v", text, err)
 }
 
 // parseCond parses one WHERE conjunct into a filter or a join condition.

@@ -143,6 +143,23 @@ func TestParseInt64Extremes(t *testing.T) {
 	}
 }
 
+// TestParseNegativeLiteralAllocContract: a negative literal costs no
+// allocation a positive one does not; its digits are parsed where they lie.
+func TestParseNegativeLiteralAllocContract(t *testing.T) {
+	cat := testCatalog(t)
+	allocs := func(sql string) float64 {
+		return testing.AllocsPerRun(100, func() {
+			if _, err := Parse(cat, sql); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	pos, neg := allocs("SELECT * FROM users WHERE age > 5"), allocs("SELECT * FROM users WHERE age > -5")
+	if neg != pos {
+		t.Errorf("age > -5 allocates %.0f times, age > 5 %.0f", neg, pos)
+	}
+}
+
 func TestParseErrors(t *testing.T) {
 	cat := testCatalog(t)
 	cases := []struct {

@@ -1,6 +1,6 @@
 // Package storage is the disk layer of the relational engine: slotted heap
-// pages, heap files with a free-space map, and a paged buffer pool with a
-// pluggable — and learnable — eviction policy.
+// pages, heap files with a free-space map and zone maps, and a paged buffer
+// pool with a pluggable — and learnable — eviction policy.
 //
 // # Layout
 //
@@ -8,9 +8,11 @@
 // tuples behind a checksummed header and a slot-occupancy bitmap (see
 // page.go for the exact byte layout). A HeapFile is a sequence of pages in
 // one OS file; it maintains an in-memory free-space map (free slots per
-// page) that is rebuilt from the page bitmaps on every open — and open
-// verifies every page checksum, so a torn or corrupted page is rejected at
-// reopen rather than silently scanned. A TableFile wraps a HeapFile with
+// page) and zone map (per page and column, the [min, max] of the values
+// inserted; HeapFile.MayHold says which pages may hold a value in a range),
+// both rebuilt from the pages on every open — and open verifies every page
+// checksum, so a torn or corrupted page is rejected at reopen rather than
+// silently scanned. A TableFile wraps a HeapFile with
 // row-level operations (append, delete by row id, full scans) for the
 // catalog's disk-backed tables.
 //

@@ -10,10 +10,11 @@ import (
 )
 
 // HeapFile is a sequence of slotted pages in one OS file, plus an in-memory
-// free-space map (free slot count per page). The map is maintained
-// incrementally by TableFile mutations and rebuilt from the page bitmaps on
-// Open — which also verifies every page checksum, so corruption surfaces at
-// reopen, not mid-scan.
+// free-space map (free slot count per page) and zone map (per page and
+// column, the [min, max] of the values inserted). Both are maintained
+// incrementally by TableFile mutations and rebuilt from the pages on Open —
+// which also verifies every page checksum, so corruption surfaces at reopen,
+// not mid-scan. Neither is written to disk.
 //
 // HeapFile does not cache pages; all cached access goes through a Pool.
 // Methods are safe for concurrent use (the free-space map is mutex-guarded
@@ -27,6 +28,12 @@ type HeapFile struct {
 	slotsPerPage int
 	npages       int
 	free         []int // free slots per page
+	// zones holds, for page p and column c, at 2*(p*ncols+c) the least and
+	// after it the greatest value inserted into the page since it was
+	// allocated or the file opened (its live values at open). A delete leaves
+	// a zone as wide as it was. An empty page's zones are [MaxInt64,
+	// MinInt64], which no interval meets.
+	zones []int64
 	// low is the first-fit hint: every page below it is full, and it is the
 	// lowest page with a free slot or len(free). Inserts advance it past full
 	// pages, deletes lower it, so FirstFree never rescans the full prefix.
@@ -74,7 +81,9 @@ func (hf *HeapFile) rebuildFreeMap() error {
 	}
 	npages := int(st.Size() / PageSize)
 	free, low := make([]int, npages), 0
+	zones := make([]int64, 0, 2*npages*hf.ncols)
 	buf := make([]byte, PageSize)
+	var slots [PageSize / 8]uint16
 	for pno := 0; pno < npages; pno++ {
 		if _, err := hf.f.ReadAt(buf, int64(pno)*PageSize); err != nil {
 			return fmt.Errorf("storage: reading page %d of %s: %w", pno, hf.path, err)
@@ -90,13 +99,54 @@ func (hf *HeapFile) rebuildFreeMap() error {
 		if free[pno] == 0 && low == pno {
 			low++
 		}
+		zones = appendEmptyZones(zones, hf.ncols)
+		zone := zones[2*pno*hf.ncols:]
+		for _, slot := range p.LiveSlots(slots[:0]) {
+			for c := range hf.ncols {
+				widen(zone[2*c:], p.Value(int(slot), c))
+			}
+		}
 		buf = make([]byte, PageSize) // PageFromBytes retains buf
 	}
 	hf.mu.Lock()
 	hf.npages = npages
-	hf.free, hf.low = free, low
+	hf.free, hf.low, hf.zones = free, low, zones
 	hf.mu.Unlock()
 	return nil
+}
+
+// appendEmptyZones appends one page's ncols empty zones to zones.
+func appendEmptyZones(zones []int64, ncols int) []int64 {
+	for range ncols {
+		zones = append(zones, math.MaxInt64, math.MinInt64)
+	}
+	return zones
+}
+
+// widen stretches the zone at zone[0:2] to hold v.
+func widen(zone []int64, v int64) {
+	zone[0], zone[1] = min(zone[0], v), max(zone[1], v)
+}
+
+// MayHold returns which of the up to 64 pages from first on may hold a value
+// of col in [lo, hi], a bit per page (bit i for page first+i): those whose
+// zone meets the interval. A page it leaves out holds no such value, and
+// none holds one if lo > hi. It takes the map's lock once, so a scan asks
+// it once per filter per 64 pages.
+func (hf *HeapFile) MayHold(first, col int, lo, hi int64) uint64 {
+	if lo > hi {
+		return 0
+	}
+	hf.mu.Lock()
+	defer hf.mu.Unlock()
+	var may uint64
+	for i := range min(64, hf.npages-first) {
+		zone := hf.zones[2*((first+i)*hf.ncols+col):]
+		if zone[0] <= zone[1] && zone[0] <= hi && lo <= zone[1] {
+			may |= 1 << i
+		}
+	}
+	return may
 }
 
 // Path returns the file path.
@@ -151,13 +201,18 @@ func (hf *HeapFile) FirstFree() (pageNo int, ok bool) {
 	return hf.low, hf.low < len(hf.free)
 }
 
-// noteInsert decrements pageNo's free count after a successful insert and
-// moves the first-fit hint past the pages that are now full.
-func (hf *HeapFile) noteInsert(pageNo int) {
+// noteInsert decrements pageNo's free count after a successful insert of
+// row, widens the page's zones to hold it and moves the first-fit hint past
+// the pages that are now full.
+func (hf *HeapFile) noteInsert(pageNo int, row []int64) {
 	hf.mu.Lock()
 	defer hf.mu.Unlock()
 	if pageNo >= 0 && pageNo < len(hf.free) && hf.free[pageNo] > 0 {
 		hf.free[pageNo]--
+		zone := hf.zones[2*pageNo*hf.ncols:]
+		for c, v := range row {
+			widen(zone[2*c:], v)
+		}
 	}
 	for hf.low < len(hf.free) && hf.free[hf.low] == 0 {
 		hf.low++
@@ -190,6 +245,7 @@ func (hf *HeapFile) AllocPage() (int, error) {
 	hf.mu.Lock()
 	hf.npages = pageNo + 1
 	hf.free = append(hf.free, hf.slotsPerPage)
+	hf.zones = appendEmptyZones(hf.zones, hf.ncols)
 	hf.mu.Unlock()
 	return pageNo, nil
 }

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"math"
 	"path/filepath"
 	"slices"
 	"testing"
@@ -32,7 +33,7 @@ func TestHeapFileAllocWriteRead(t *testing.T) {
 	if err := hf.WritePage(p); err != nil {
 		t.Fatal(err)
 	}
-	hf.noteInsert(0)
+	hf.noteInsert(0, []int64{1, 2})
 	if hf.LiveTuples() != 1 || hf.FreeSlots(0) != hf.SlotsPerPage()-1 {
 		t.Fatalf("free map: live=%d free=%d", hf.LiveTuples(), hf.FreeSlots(0))
 	}
@@ -67,7 +68,7 @@ func TestHeapFileFirstFreeIsFirstFit(t *testing.T) {
 	// Fill page 0 and page 1; page 2 keeps one hole.
 	for pno := 0; pno < 2; pno++ {
 		for s := 0; s < hf.SlotsPerPage(); s++ {
-			hf.noteInsert(pno)
+			hf.noteInsert(pno, make([]int64, hf.NCols()))
 		}
 	}
 	if pno, ok := hf.FirstFree(); !ok || pno != 2 {
@@ -129,5 +130,103 @@ func TestAppendRowMatchesFirstFitModel(t *testing.T) {
 	defer func() { _ = tf.Close() }()
 	for step := 3000; step < 3000+2*spp; step++ {
 		appendRow(step)
+	}
+}
+
+// zone returns page pno's zone on col as the heap file keeps it.
+func zone(hf *HeapFile, pno, col int) (lo, hi int64) {
+	hf.mu.Lock()
+	defer hf.mu.Unlock()
+	z := hf.zones[2*(pno*hf.ncols+col):]
+	return z[0], z[1]
+}
+
+// TestZoneMapsHoldEveryLiveValue drives seeded appends and deletes through a
+// table file and checks its zone maps against the live rows: every live value
+// lies in its page's zone and MayHold lets its page through for it; a delete
+// narrows no zone; an allocated page with no row yet matches no interval, not
+// even all of int64. After a reopen the rebuilt zones still hold every live
+// value, each inside the zone the inserts had widened.
+func TestZoneMapsHoldEveryLiveValue(t *testing.T) {
+	const ncols = 3
+	path := filepath.Join(t.TempDir(), "t.tbl")
+	tf, err := CreateTableFile(path, ncols, NewPool(PoolOptions{Capacity: 4}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	hf := tf.File()
+	live := map[int64][]int64{}
+	rng := mlmath.NewRNG(11)
+	for step := 0; step < 2000; step++ {
+		if len(live) == 0 || rng.Intn(4) != 0 {
+			row := []int64{int64(step), int64(rng.Intn(1000)) - 500, int64(rng.Intn(3)) << 62}
+			id, err := tf.AppendRow(row)
+			if err != nil {
+				t.Fatal(err)
+			}
+			live[id] = row
+			continue
+		}
+		id := int64(rng.Intn(tf.NumPages() * hf.SlotsPerPage()))
+		pno := int(id) / hf.SlotsPerPage()
+		var before [ncols][2]int64
+		for c := range before {
+			before[c][0], before[c][1] = zone(hf, pno, c)
+		}
+		if _, err := tf.DeleteRow(id); err != nil {
+			t.Fatal(err)
+		}
+		delete(live, id)
+		for c := range before {
+			if lo, hi := zone(hf, pno, c); lo != before[c][0] || hi != before[c][1] {
+				t.Fatalf("deleting row %d moved page %d's zone on c%d from %v to [%d, %d]", id, pno, c, before[c], lo, hi)
+			}
+		}
+	}
+	check := func(when string) {
+		t.Helper()
+		for id, row := range live {
+			pno := int(id) / hf.SlotsPerPage()
+			for c, v := range row {
+				if lo, hi := zone(hf, pno, c); v < lo || v > hi {
+					t.Fatalf("%s: row %d's c%d = %d lies outside page %d's zone [%d, %d]", when, id, c, v, pno, lo, hi)
+				}
+				if hf.MayHold(pno, c, v, v)&1 == 0 {
+					t.Fatalf("%s: MayHold skips page %d for row %d's c%d = %d", when, pno, id, c, v)
+				}
+			}
+		}
+	}
+	check("after inserts")
+	wide := slices.Clone(hf.zones)
+
+	empty, err := hf.AllocPage()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for c := range ncols {
+		if may := hf.MayHold(empty, c, math.MinInt64, math.MaxInt64); may != 0 {
+			t.Fatalf("an empty page may hold a value of c%d: %b", c, may)
+		}
+	}
+	if err := tf.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if tf, err = OpenTableFile(path, ncols, NewPool(PoolOptions{Capacity: 4})); err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = tf.Close() }()
+	hf = tf.File()
+	check("after reopen")
+	for pno := range len(wide) / (2 * ncols) {
+		for c := range ncols {
+			lo, hi := zone(hf, pno, c)
+			if wlo, whi := wide[2*(pno*ncols+c)], wide[2*(pno*ncols+c)+1]; lo <= hi && (lo < wlo || hi > whi) {
+				t.Fatalf("page %d's rebuilt zone on c%d [%d, %d] is not inside [%d, %d]", pno, c, lo, hi, wlo, whi)
+			}
+		}
+	}
+	if may := hf.MayHold(empty, 0, math.MinInt64, math.MaxInt64); may != 0 {
+		t.Fatalf("the empty page may hold a value after reopen: %b", may)
 	}
 }

@@ -33,7 +33,7 @@ func newPooledFile(t *testing.T, name string, npages int) *HeapFile {
 		if err := hf.WritePage(p); err != nil {
 			t.Fatal(err)
 		}
-		hf.noteInsert(i)
+		hf.noteInsert(i, []int64{int64(i)})
 	}
 	return hf
 }

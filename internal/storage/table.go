@@ -69,7 +69,7 @@ func (tf *TableFile) AppendRow(row []int64) (rowID int64, err error) {
 		return 0, fmt.Errorf("storage: free-space map said page %d of %s had space but insert failed", pageNo, tf.hf.Path())
 	}
 	h.SetDirty()
-	tf.hf.noteInsert(pageNo)
+	tf.hf.noteInsert(pageNo, row)
 	return int64(pageNo)*int64(tf.hf.SlotsPerPage()) + int64(slot), nil
 }
 
