@@ -17,7 +17,7 @@ import (
 //   - an *os.File from os.Open/Create/CreateTemp/OpenFile must reach
 //     .Close();
 //   - a *storage.PageHandle obtained from any non-PageHandle-receiver call
-//     (Pool.Fetch, Pool.FetchScan and helpers) must reach .Unpin(), or
+//     (Pool.Fetch, ScanRun.Read and helpers) must reach .Unpin(), or
 //     the frame stays pinned and the pool eventually refuses to evict.
 //
 // Chained setters (sp.SetInt(...).End()) resolve through the method chain to

@@ -134,6 +134,32 @@ func pinLeakOnError(p *storage.Pool, fail bool) error {
 	return nil
 }
 
+// A scan read's handle is tracked like a fetched one: the read is a
+// ScanRun method, not a PageHandle one.
+func scanReadLeakOnError(run *storage.ScanRun, fail bool) error {
+	h, err := run.Read(0, 1) // want "may not reach Unpin"
+	if err != nil {
+		return err
+	}
+	if fail {
+		return errOops
+	}
+	h.Unpin()
+	return nil
+}
+
+func scanReadDeferred(run *storage.ScanRun, fail bool) error {
+	h, err := run.Read(0, 1)
+	if err != nil {
+		return err
+	}
+	defer h.Unpin()
+	if fail {
+		return errOops
+	}
+	return nil
+}
+
 func pinDeferred(p *storage.Pool, fail bool) error {
 	h, err := p.Fetch(0)
 	if err != nil {

@@ -17,6 +17,16 @@ func (p *Pool) Fetch(pageNo int) (*PageHandle, error) {
 	return &PageHandle{}, nil
 }
 
+// ScanRun is one scan's read path: it hands out handles like Fetch.
+type ScanRun struct{}
+
+// Read returns pageNo, read for a scan whose next pages are may; the caller
+// must Unpin the handle.
+func (r *ScanRun) Read(pageNo int, may uint64) (*PageHandle, error) {
+	_, _ = pageNo, may
+	return &PageHandle{}, nil
+}
+
 // Missed reports whether the fetch was a pool miss.
 func (h *PageHandle) Missed() bool { return h.missed }
 

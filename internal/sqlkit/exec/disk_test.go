@@ -255,12 +255,15 @@ func lessRow(a, b []int64) bool {
 	return false
 }
 
-// FuzzScanModes runs a table in memory and spilled behind a three-page pool:
-// SeqScan at P = 1 and P = 3, and IndexScan, must return the same rows in
-// both storage modes, the same Counters but for PageMiss (and Work by as
-// much) and the ScanTuples of the pages a disk SeqScan's zone maps skip
-// (skips: pages and rows both modelled from the rows inserted), the same
-// Actuals but for PageMisses and those, and leave no page pinned; and the
+// FuzzScanModes runs a table in memory and spilled behind a three-page pool
+// that random Fetches, picked by a hash of the input, warm first: SeqScan at
+// P = 1 and P = 3, and IndexScan, must return the same rows in both storage
+// modes, the same Counters but for PageMiss (and Work by as much) and the
+// ScanTuples of the pages a disk SeqScan's zone maps skip (skips: pages and
+// rows both modelled from the rows inserted), the same Actuals but for
+// PageMisses and those, and leave no page pinned; the disk SeqScan at P = 3
+// must charge exactly what it charges serially, PageMiss included, read no
+// page it does not serve and touch each page it does not skip once; and the
 // rows must be those a plain row loop over Pred.Eval keeps (in table order
 // for SeqScan, as a multiset for IndexScan), a loop that never runs the scan
 // kernel's filters. A HashJoin whose build side is a small in-memory table of
@@ -335,6 +338,21 @@ func FuzzScanModes(f *testing.F) {
 		mt.AddIndex(catalog.BuildSecondaryIndex(mt, ixCol))
 		pool := spill(t, dt, 3)
 		t.Cleanup(func() { dt.Disk.Close() })
+		seed := uint64(len(values))
+		for _, b := range values {
+			seed = seed*131 + uint64(b)
+		}
+		rng, npages := mlmath.NewRNG(seed), dt.Disk.NumPages()
+		if err := pool.ReleaseFile(dt.Disk.File()); err != nil {
+			t.Fatal(err)
+		}
+		for k := rng.Intn(5); k > 0 && npages > 0; k-- {
+			h, err := pool.Fetch(dt.Disk.File(), rng.Intn(npages))
+			if err != nil {
+				t.Fatal(err)
+			}
+			h.Unpin()
+		}
 		ix, err := catalog.BuildSecondaryIndexIO(dt, ixCol)
 		if err != nil {
 			t.Fatal(err)
@@ -369,6 +387,7 @@ func FuzzScanModes(f *testing.F) {
 			return out
 		}
 		seq := plan.NewScan(0, 0, filters)
+		var serial *Result // the disk SeqScan at P = 1
 		for _, p := range []*plan.Node{seq, forcePartitions(seq, 3), plan.NewIndexScan(0, 0, ixCol, append([]expr.Pred{interval}, filters...))} {
 			label := fmt.Sprintf("%v/P=%d", p.Op, p.Partitions)
 			rm, err := New(mem).Execute(p, Options{Pool: workers})
@@ -382,12 +401,24 @@ func FuzzScanModes(f *testing.F) {
 			if !sameRows(want, got) {
 				t.Fatalf("%s: %d rows in memory, the row loop over %v keeps %d, or different ones", label, len(got), p.Filters, len(want))
 			}
+			before := pool.Stats()
 			rd, err := New(disk).Execute(p, Options{Pool: workers})
 			if err != nil {
 				t.Fatalf("%s on disk: %v", label, err)
 			}
 			if !reflect.DeepEqual(rm.Rows, rd.Rows) {
 				t.Fatalf("%s: %d rows in memory, %d on disk, or different ones", label, len(rm.Rows), len(rd.Rows))
+			}
+			if st, a := pool.Stats(), rd.Actuals[0]; p.Op == plan.OpSeqScan && (st.Hits+st.Misses-before.Hits-before.Misses != int64(npages)-a.PagesSkipped ||
+				st.PagesRead-before.PagesRead != st.Misses-before.Misses || st.Resident != before.Resident) {
+				t.Fatalf("%s: pool %+v -> %+v for %d pages, %d skipped", label, before, st, npages, a.PagesSkipped)
+			}
+			switch {
+			case p.Op != plan.OpSeqScan:
+			case serial == nil:
+				serial = rd
+			case rd.Counters != serial.Counters || rd.Work != serial.Work || !reflect.DeepEqual(rd.Actuals, serial.Actuals):
+				t.Fatalf("%s: counters %+v (work %d), actuals %+v; serially %+v (work %d), %+v", label, rd.Counters, rd.Work, rd.Actuals, serial.Counters, serial.Work, serial.Actuals)
 			}
 			var pages, tuples int64
 			if p.Op == plan.OpSeqScan {
@@ -467,6 +498,54 @@ func FuzzScanModes(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestDiskScanReadsOnlyPagesItServes: a disk SeqScan whose zone maps pass
+// pages 5 to 11 of a table of 30 reads those pages alone, one run from a cold
+// pool; with pages 8 and 9 resident they are hits, and two runs read the
+// rest. Pages read equal misses, serially and partitioned alike, and the pool
+// holds what it held before.
+func TestDiskScanReadsOnlyPagesItServes(t *testing.T) {
+	fact := foldTable(t, "fact", 30*storage.SlotsPerPage(3), 3, 7)
+	pool, hf := spill(t, fact, 2), fact.Disk.File()
+	spp := int64(hf.SlotsPerPage())
+	cat := catalog.NewCatalog()
+	scan := scanNode(cat.MustAdd(fact), expr.Pred{Col: 0, Op: expr.BETWEEN, Lo: 5 * spp, Hi: 12*spp - 1})
+	workers := mlmath.NewPool(3)
+	defer workers.Close()
+	for _, tc := range []struct {
+		resident                   []int
+		hits, misses, reads, pages int64
+	}{
+		{nil, 0, 7, 1, 7},
+		{[]int{8, 9}, 2, 5, 2, 5},
+	} {
+		if err := pool.ReleaseFile(hf); err != nil {
+			t.Fatal(err)
+		}
+		for _, pno := range tc.resident {
+			h, err := pool.Fetch(hf, pno)
+			if err != nil {
+				t.Fatal(err)
+			}
+			h.Unpin()
+		}
+		for _, p := range []*plan.Node{scan, forcePartitions(scan, 3)} {
+			before := pool.Stats()
+			res, err := New(cat).Execute(p, Options{Pool: workers})
+			if err != nil {
+				t.Fatal(err)
+			}
+			st, a := pool.Stats(), res.Actuals[0]
+			hits, misses, reads, pages := st.Hits-before.Hits, st.Misses-before.Misses, st.Reads-before.Reads, st.PagesRead-before.PagesRead
+			if len(res.Rows) != int(7*spp) || a.PagesSkipped != 23 || a.PageMisses != tc.misses || hits != tc.hits || misses != tc.misses || pages != tc.pages || st.Resident != before.Resident {
+				t.Fatalf("P=%d, resident %v: %d rows, %+v; pool %d hits, %d misses, %d pages read, %d resident of %d", p.Partitions, tc.resident, len(res.Rows), a, hits, misses, pages, st.Resident, before.Resident)
+			}
+			if p.Partitions <= 1 && reads != tc.reads {
+				t.Fatalf("resident %v: %d reads, want %d", tc.resident, reads, tc.reads)
+			}
+		}
+	}
 }
 
 // TestExplainPrintsPagesSkippedOnDiskScans: a hash join hands its build keys'

@@ -83,8 +83,8 @@ func TestBudgetAbortIdenticalAtEveryCharge(t *testing.T) {
 
 	e := New(cat)
 	run := func(p *plan.Node, pool *mlmath.Pool, b *Budget) (*Result, error) {
-		// Every run starts from a cold pool: a serial scan inserts pages, a
-		// partitioned one bypasses the pool, and miss charges depend on it.
+		// Every run starts from a cold pool: an index scan inserts pages, and
+		// miss charges depend on what is resident.
 		if err := diskPool.ReleaseFile(wide.Disk.File()); err != nil {
 			t.Fatal(err)
 		}

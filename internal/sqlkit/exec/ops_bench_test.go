@@ -35,8 +35,8 @@ type opsCase struct {
 // the tag bits reject most and 3.2 % match). The
 // disk scan comes three ways: filtered, unfiltered (both sized from the
 // free-space map) and partitioned (each shard sized for its own pages,
-// through the bypass path). The index scan comes twice: over big, and over a
-// spilled copy of big indexed through its pool.
+// reading through its own scan run). The index scan comes twice: over big,
+// and over a spilled copy of big indexed through its pool.
 func opsFixture(tb testing.TB, rows int) (*Executor, []opsCase) {
 	tb.Helper()
 	fill := func(name string) *catalog.Table {

@@ -73,8 +73,8 @@ type kernel struct {
 // the table, or row ids. On disk a row id's fetch unit is charged before its
 // page is pinned, so a budget abort there touches no page, and a SeqScan
 // skips, unpinned and uncharged, each page whose zone maps say no row of it
-// passes the filters (mayPass).
-func (k *kernel) scan(lo, hi int, bypass bool) error {
+// passes the filters (mayPass), and reads the others through one run.
+func (k *kernel) scan(lo, hi int) error {
 	if k.src.tf == nil {
 		for at := lo; at < hi; at += len(k.sel) {
 			if err := k.run(chunk{at: at, n: min(len(k.sel), hi-at)}, nil, k.vals); err != nil {
@@ -86,13 +86,15 @@ func (k *kernel) scan(lo, hi int, bypass bool) error {
 	var slots [maxPageSlots]uint16 // a page's live slots
 	var vals [maxPageSlots]int64   // one filter's column over them
 	var may uint64                 // which of a SeqScan's next 64 pages may pass, a bit each
+	run := k.src.tf.Pool().NewScanRun(k.src.tf.File())
+	defer run.Release()
 	for u := lo; u < hi; u++ {
-		ch, pageNo := chunk{}, u
+		ch, pageNo, will := chunk{}, u, uint64(0) // will: the pages a SeqScan reads from u on
 		if k.ids == nil {
 			if (u-lo)%64 == 0 {
-				may = k.mayPass(u)
+				may = k.mayPass(u) & (1<<min(hi-u, 64) - 1)
 			}
-			if may&(1<<((u-lo)%64)) == 0 {
+			if will = may >> ((u - lo) % 64); will&1 == 0 {
 				k.a.skipped++
 				continue
 			}
@@ -103,7 +105,7 @@ func (k *kernel) scan(lo, hi int, bypass bool) error {
 			spp := k.src.tf.File().SlotsPerPage()
 			ch, pageNo = chunk{at: int(k.ids[u]) % spp, n: 1, fetched: true}, int(k.ids[u])/spp
 		}
-		if err := k.pin(pageNo, bypass, ch, slots[:], vals[:]); err != nil {
+		if err := k.pin(pageNo, will, &run, ch, slots[:], vals[:]); err != nil {
 			return err
 		}
 	}
@@ -126,12 +128,11 @@ func (k *kernel) mayPass(first int) uint64 {
 	return may
 }
 
-// pin runs the kernel on ch over page pageNo, pinned (by FetchScan if bypass)
-// and unpinned here: called directly, the pool keeps the handle on this frame.
-func (k *kernel) pin(pageNo int, bypass bool, ch chunk, slots []uint16, vals []int64) error {
-	pool, hf := k.src.tf.Pool(), k.src.tf.File()
-	if bypass {
-		h, err := pool.FetchScan(hf, pageNo)
+// pin runs the kernel on ch over page pageNo — a SeqScan reads it through run,
+// an IndexScan fetches it — and unpins it: the handle stays on this frame.
+func (k *kernel) pin(pageNo int, will uint64, run *storage.ScanRun, ch chunk, slots []uint16, vals []int64) error {
+	if k.ids == nil {
+		h, err := run.Read(pageNo, will)
 		if err != nil {
 			return err
 		}
@@ -139,7 +140,7 @@ func (k *kernel) pin(pageNo int, bypass bool, ch chunk, slots []uint16, vals []i
 		ch.page, ch.missed = h.Page(), h.Missed()
 		return k.run(ch, slots, vals)
 	}
-	h, err := pool.Fetch(hf, pageNo)
+	h, err := k.src.tf.Pool().Fetch(k.src.tf.File(), pageNo)
 	if err != nil {
 		return err
 	}
@@ -247,9 +248,8 @@ func (s *execState) shard(src source, lo, hi int, filtered bool, need []bool) ba
 // seqScan charges every table row and keeps those passing the filters, a
 // chunk at a time — on disk those of the pages the zone maps do not skip,
 // under one more filter if it is a hash join's probe side (execState.probe).
-// Partitioned on disk it pins through storage.Pool.FetchScan, which leaves
-// replacement state alone, so shards and re-runs see the misses a serial scan
-// sees from the same resident set (docs/EXECUTOR.md: warm pools).
+// On disk it reads around the pool (storage.ScanRun), so serial and
+// partitioned scans see the same misses (docs/EXECUTOR.md).
 func (s *execState) seqScan(n *plan.Node, ord int, need []bool) (batch, error) {
 	src := newSource(s.e.Cat.Table(n.TableID))
 	var bound *keyRange
@@ -261,7 +261,7 @@ func (s *execState) seqScan(n *plan.Node, ord int, need []bool) (batch, error) {
 		out := s.shard(src, lo, hi, len(n.Filters) > 0 || bound != nil, need)
 		var sel [chunkRows]uint16
 		k := &kernel{src: src, a: a, unit: &a.ctr.ScanTuples, filters: n.Filters, bound: bound, need: need, out: &out, sel: sel[:]}
-		err := k.scan(lo, hi, n.Partitions > 1)
+		err := k.scan(lo, hi)
 		return out, err
 	})
 	act := &s.res.Actuals[ord] // on aborts too: the rows read, the misses charged, the pages skipped
@@ -311,7 +311,7 @@ func (s *execState) indexScan(n *plan.Node, ord int, need []bool) (batch, error)
 	var sel [fetchRows]uint16
 	var vals [fetchRows]int64
 	k := &kernel{src: newSource(t), a: &s.acct, unit: &s.ctr.IndexFetch, filters: residual, need: need, out: &out, ids: ids, sel: sel[:], vals: vals[:]}
-	err := k.scan(0, len(ids), false)
+	err := k.scan(0, len(ids))
 	act := &s.res.Actuals[ord] // on aborts too: the fetches made, the misses charged
 	act.Fetched, act.PageMisses = int64(k.done), s.ctr.PageMiss-missBefore
 	if err != nil {

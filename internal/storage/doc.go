@@ -36,8 +36,17 @@
 // same file reads the run of non-resident pages after it, up to 32, with one
 // pread into a pool-owned run buffer; the misses inside the run copy their
 // page out of it, each still verified, counted and installed on its own, and
-// a write-back of a page the run holds drops it. Fetch and FetchScan inline
-// into their callers, so the handle itself lives on the caller's stack.
+// a write-back of a page the run holds drops it.
+//
+// Scans read around the pool: a ScanRun (Pool.NewScanRun) is one scan's
+// private run buffer, from a pool free list. Its Read pins a resident page as
+// a hit; any other page it serves from the buffer, which one pread outside
+// the lock fills with the consecutive non-resident pages the scan will read
+// (its mask), up to 32. A scan inserts, evicts, ticks and tells the policy
+// nothing, so it leaves replacement state as it found it, and a write-back
+// advances a write epoch that makes every run staged before it stale.
+// Fetch and ScanRun.Read inline into their callers, so the handle itself
+// lives on the caller's stack.
 //
 // # Determinism
 //

@@ -83,7 +83,7 @@ func (r *refPool) fetch(hf *HeapFile, pageNo int) (key PageKey, missed, ok bool)
 	return key, true, true
 }
 
-// fetchScan mirrors Pool.FetchScan: a resident page is pinned and counted,
+// fetchScan mirrors ScanRun.Read: a resident page is pinned and counted,
 // nothing else moves. pinned reports whether the handle holds a frame.
 func (r *refPool) fetchScan(hf *HeapFile, pageNo int) (key PageKey, pinned bool) {
 	if id, known := r.files[hf]; known {
@@ -129,7 +129,7 @@ func (r *refPool) stats() PoolStats {
 }
 
 // heldPin is a pin both sides still hold; key is zero-valued and pinned
-// false for a FetchScan bypass handle.
+// false for a handle a scan run serves.
 type heldPin struct {
 	h      *PageHandle
 	key    PageKey
@@ -143,6 +143,12 @@ func diffTrace(t *testing.T, name string, capacity int, policy Policy, score fun
 	pool := NewPool(PoolOptions{Capacity: capacity, Policy: policy, RecordEvictions: true})
 	ref := &refPool{cap: capacity, score: score, pages: map[PageKey]*refPage{}, files: map[*HeapFile]uint32{}}
 	rng := mlmath.NewRNG(seed)
+	runs := map[*HeapFile]*ScanRun{}
+	for _, hf := range files {
+		run := pool.NewScanRun(hf)
+		runs[hf] = &run
+		defer run.Release()
+	}
 	var held []heldPin
 	allPinned := 0
 	unpin := func(i int) {
@@ -185,14 +191,14 @@ func diffTrace(t *testing.T, name string, capacity int, policy Policy, score fun
 			if rng.Intn(5) != 0 {
 				unpin(len(held) - 1)
 			}
-		case op < 80: // FetchScan in between: must not move the recency order
-			h, err := pool.FetchScan(hf, pageNo)
+		case op < 80: // a scan read in between, any pages after it in its mask: must not move the recency order
+			h, err := runs[hf].Read(pageNo, uint64(step)*0x9E3779B97F4A7C15|1)
 			if err != nil {
-				t.Fatalf("%s: FetchScan: %v", at, err)
+				t.Fatalf("%s: scan read: %v", at, err)
 			}
 			key, pinned := ref.fetchScan(hf, pageNo)
 			if h.Missed() == pinned || h.Page().PageNo() != pageNo {
-				t.Fatalf("%s: FetchScan missed=%v page=%d, want missed=%v page=%d", at, h.Missed(), h.Page().PageNo(), !pinned, pageNo)
+				t.Fatalf("%s: scan read missed=%v page=%d, want missed=%v page=%d", at, h.Missed(), h.Page().PageNo(), !pinned, pageNo)
 			}
 			held = append(held, heldPin{h, key, pinned})
 			if rng.Intn(3) != 0 {
@@ -209,7 +215,7 @@ func diffTrace(t *testing.T, name string, capacity int, policy Policy, score fun
 			}
 		}
 		got, want := pool.Stats(), ref.stats()
-		got.Reads = 0 // run reads change how many preads a miss costs, nothing the reference models
+		got.Reads, got.PagesRead = 0, 0 // run reads change how many preads a miss costs, nothing the reference models
 		if got != want {
 			t.Fatalf("%s: stats = %+v, want %+v", at, got, want)
 		}

@@ -54,8 +54,10 @@ func CreateHeapFile(path string, ncols int) (*HeapFile, error) {
 }
 
 // OpenHeapFile opens an existing heap file, verifying that every page
-// checksums correctly and carries ncols-wide tuples, and rebuilds the
-// free-space map from the slot bitmaps.
+// checksums correctly and carries its own number and ncols-wide tuples, and
+// rebuilds the free-space and zone maps from the pages. A bad page fails it
+// with *ChecksumError, *PageNumberError or *PageWidthError; a file that ends
+// mid-page ends in a torn page, a *ChecksumError on that page.
 func OpenHeapFile(path string, ncols int) (*HeapFile, error) {
 	f, err := os.OpenFile(path, os.O_RDWR, 0o644)
 	if err != nil {
@@ -77,7 +79,7 @@ func (hf *HeapFile) rebuildFreeMap() error {
 		return err
 	}
 	if st.Size()%PageSize != 0 {
-		return fmt.Errorf("storage: %s is %d bytes, not a whole number of %d-byte pages", hf.path, st.Size(), PageSize)
+		return &ChecksumError{Path: hf.path, PageNo: int(st.Size() / PageSize)}
 	}
 	npages := int(st.Size() / PageSize)
 	free, low := make([]int, npages), 0

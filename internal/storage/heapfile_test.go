@@ -1,8 +1,11 @@
 package storage
 
 import (
+	"errors"
 	"math"
+	"os"
 	"path/filepath"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -229,4 +232,135 @@ func TestZoneMapsHoldEveryLiveValue(t *testing.T) {
 	if may := hf.MayHold(empty, 0, math.MinInt64, math.MaxInt64); may != 0 {
 		t.Fatalf("the empty page may hold a value after reopen: %b", may)
 	}
+}
+
+// FuzzHeapFileOpen writes a fuzzed sequence of pages, some of them bad, and
+// opens it: the file must open exactly when every page is good, or else fail
+// with the typed error of its first bad page — a file that ends mid-page with
+// *ChecksumError on that torn page before any other — and an opened file's
+// free-space map must count each page's live rows and its zones hold every
+// live value, since scans skip, and do not read, the pages a zone rules out.
+//
+// Input: byte 0 picks the file's width (1 to 4 columns); then each page is a
+// flag byte, a row count and ncols bytes per row, a value each (b − 128, or
+// from 0xFC up MinInt64, MinInt64+1, MaxInt64−1 or MaxInt64). Flag bit 0
+// flips a byte after the checksum, bit 1 stamps the next page's number, bit
+// 2 writes one column more than the file's, bit 3 deletes every third row
+// and bit 4 ends the file half way into the page.
+func FuzzHeapFileOpen(f *testing.F) {
+	f.Add([]byte{1, 0, 3, 1, 2, 3, 4, 5, 6, 8, 4, 0xFC, 0xFF, 0, 1, 2, 3, 4, 5})
+	f.Add([]byte{0, 0, 2, 7, 9, 1, 1, 5, 0, 0, 1})
+	f.Add([]byte{2, 0, 1, 0xFD, 0xFE, 0xFF, 2, 1, 1, 2, 3})
+	f.Add([]byte{3, 0, 0, 4, 1, 9, 9, 9, 9, 16, 1, 1, 1, 1, 1})
+	f.Fuzz(func(t *testing.T, in []byte) {
+		if len(in) == 0 || len(in) > 4096 {
+			return
+		}
+		next := func() byte {
+			if len(in) == 0 {
+				return 0
+			}
+			b := in[0]
+			in = in[1:]
+			return b
+		}
+		ncols := 1 + int(next())%4
+		var file []byte
+		var live [][][]int64 // per good page, its live rows
+		var want error       // the first bad page's error, nil if none
+		for pno := 0; len(in) > 0 && pno < 64; pno++ {
+			flag, n := next(), int(next())
+			width, number := ncols, pno
+			if flag&4 != 0 {
+				width++
+			}
+			if flag&2 != 0 {
+				number++
+			}
+			p := NewPage(number, width)
+			var rows [][]int64
+			for r := 0; r < n && r < p.NumSlots(); r++ {
+				row := make([]int64, width)
+				for c := range row {
+					b := next()
+					row[c] = int64(b) - 128
+					if b >= 0xFC {
+						row[c] = [...]int64{math.MinInt64, math.MinInt64 + 1, math.MaxInt64 - 1, math.MaxInt64}[b%4]
+					}
+				}
+				slot, _ := p.Insert(row)
+				if flag&8 != 0 && r%3 == 0 {
+					p.Delete(slot)
+					continue
+				}
+				rows = append(rows, row)
+			}
+			p.UpdateChecksum()
+			buf := p.Bytes()
+			if flag&1 != 0 {
+				buf[PageSize-1] ^= 0xFF
+			}
+			switch {
+			case flag&16 != 0:
+				file = append(file, buf[:PageSize/2]...)
+				want = &ChecksumError{PageNo: pno}
+			case want != nil:
+			case flag&1 != 0:
+				want = &ChecksumError{PageNo: pno}
+			case flag&2 != 0:
+				want = &PageNumberError{PageNo: pno, Got: number}
+			case flag&4 != 0:
+				want = &PageWidthError{PageNo: pno, NCols: width, Want: ncols}
+			}
+			if flag&16 != 0 {
+				break
+			}
+			file = append(file, buf...)
+			live = append(live, rows)
+		}
+		path := filepath.Join(t.TempDir(), "f.heap")
+		if err := os.WriteFile(path, file, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		hf, err := OpenHeapFile(path, ncols)
+		if want != nil {
+			var ce *ChecksumError
+			var ne *PageNumberError
+			var we *PageWidthError
+			switch {
+			case errors.As(err, &ce):
+				ce.Path = ""
+				err = ce
+			case errors.As(err, &ne):
+				ne.Path = ""
+				err = ne
+			case errors.As(err, &we):
+				we.Path = ""
+				err = we
+			}
+			if !reflect.DeepEqual(err, want) {
+				t.Fatalf("open: %v, want %v", err, want)
+			}
+			return
+		}
+		if err != nil {
+			t.Fatalf("open of %d good pages: %v", len(live), err)
+		}
+		defer hf.Close()
+		if hf.NumPages() != len(live) {
+			t.Fatalf("%d pages, want %d", hf.NumPages(), len(live))
+		}
+		for pno, rows := range live {
+			if got := hf.SlotsPerPage() - hf.FreeSlots(pno); got != len(rows) {
+				t.Fatalf("page %d: %d live rows, want %d", pno, got, len(rows))
+			}
+			for _, row := range rows {
+				for c, v := range row {
+					if hf.MayHold(pno, c, v, v)&1 == 0 {
+						t.Fatalf("page %d's zone on c%d rules out its live value %d", pno, c, v)
+					}
+				}
+			}
+		}
+	})
 }

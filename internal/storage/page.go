@@ -54,6 +54,24 @@ func (e *PageWidthError) Error() string {
 // Is reports width mismatches as ErrPageWidth so errors.Is matches.
 func (e *PageWidthError) Is(target error) bool { return target == ErrPageWidth }
 
+// ErrPageNumber matches any page-number mismatch under errors.Is.
+var ErrPageNumber = errors.New("storage: page carries another page's number")
+
+// PageNumberError reports a page that verifies but carries another page's
+// number in its header: a write that landed at the wrong offset.
+type PageNumberError struct {
+	Path        string
+	PageNo, Got int
+}
+
+// Error implements error.
+func (e *PageNumberError) Error() string {
+	return fmt.Sprintf("storage: page %d of %s carries page number %d", e.PageNo, e.Path, e.Got)
+}
+
+// Is reports page-number mismatches as ErrPageNumber so errors.Is matches.
+func (e *PageNumberError) Is(target error) bool { return target == ErrPageNumber }
+
 // SlotsPerPage returns how many ncols-wide tuples fit in one page after the
 // header and the slot-occupancy bitmap (one bit per slot).
 func SlotsPerPage(ncols int) int {
@@ -112,7 +130,7 @@ func parsePage(buf []byte, path string, pageNo int) (Page, error) {
 		return Page{}, &ChecksumError{Path: path, PageNo: pageNo}
 	}
 	if got := int(binary.LittleEndian.Uint32(buf[4:8])); got != pageNo {
-		return Page{}, fmt.Errorf("storage: page %d of %s carries page number %d", pageNo, path, got)
+		return Page{}, &PageNumberError{Path: path, PageNo: pageNo, Got: got}
 	}
 	return Page{buf: buf, ncols: ncols, nslots: nslots}, nil
 }

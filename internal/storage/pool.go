@@ -84,12 +84,15 @@ type Pool struct {
 	lru    recency   // every resident frame, cold to hot
 	spare  []byte    // the last victim's page buffer, refilled by the next miss
 	cands  []PageKey // scratch for Policy.Victim
-	// scanFree holds the private pages of released FetchScan bypass handles,
-	// refilled by later bypass reads (at most maxScanFree of them).
-	scanFree []*Page
-	files    map[*HeapFile]uint32
-	nextID   uint32
-	tick     uint64
+	// runFree holds the buffers of released scan runs, taken by the next
+	// scans' first reads (at most maxRunFree of them).
+	runFree [][]byte
+	files   map[*HeapFile]uint32
+	nextID  uint32
+	tick    uint64
+	// epoch counts write-backs (and file releases): a scan run staged under
+	// an older epoch may hold bytes a write replaced, so it is read again.
+	epoch uint64
 	// run holds pages [runLo, runHi) of file runFile, staged by one pread
 	// when a miss continued the miss before it (last); the misses that
 	// follow inside the run copy their page out instead of reading it.
@@ -98,8 +101,8 @@ type Pool struct {
 	runLo, runHi int
 	last         PageKey
 
-	hits, misses, evictions, writebacks, reads int64
-	evictLog                                   []PageKey
+	hits, misses, evictions, writebacks, reads, pagesRead int64
+	evictLog                                              []PageKey
 
 	cHits, cMisses, cEvictions, cWritebacks, cReads *obs.Counter
 	hReuse                                          *obs.Histogram
@@ -108,9 +111,9 @@ type Pool struct {
 // reuseBuckets cover on-hit reuse distances (ticks) from 1 to ~16M.
 var reuseBuckets = obs.ExpBuckets(1, 4, 13)
 
-// maxScanFree bounds the bypass-page free list: one page per scan shard in
-// flight is all a steady state needs; pages released beyond it go to the GC.
-const maxScanFree = 16
+// maxRunFree bounds the scan-run free list: one buffer per scan shard in
+// flight is all a steady state needs; buffers released beyond it go to the GC.
+const maxRunFree = 8
 
 // runPages is the longest run one pread stages: 32 pages, 128 KiB.
 const runPages = 32
@@ -157,22 +160,23 @@ func (p *Pool) fileID(hf *HeapFile) uint32 {
 // mark it dirty; it must call Unpin on every non-error path when done (the
 // spanend analyzer checks this). Unpin is idempotent per handle.
 //
-// Handles from FetchScan may instead wrap a private page read around the
-// pool (fr nil, page set); such handles are read-only, and Unpin returns the
-// page to the pool's bypass free list.
+// A ScanRun.Read handle may instead serve a page from the scan's run, read
+// around the pool (fr nil, page set); such handles are read-only and pin
+// nothing.
 type PageHandle struct {
 	pool     *Pool
 	fr       *frame
-	page     *Page // bypass handles only: private copy, not resident
+	page     Page // scan-run handles only: the page, in the run's buffer
 	missed   bool
 	released bool
 }
 
 // Page returns the pinned page. Valid until Unpin: after that the frame may
-// be evicted and the same Page refilled with another page's bytes.
+// be evicted and the same Page refilled with another page's bytes (a scan
+// run's page, until the run's next Read or Release).
 func (h *PageHandle) Page() *Page {
 	if h.fr == nil {
-		return h.page
+		return &h.page
 	}
 	return h.fr.page
 }
@@ -182,11 +186,11 @@ func (h *PageHandle) Page() *Page {
 func (h *PageHandle) Missed() bool { return h.missed }
 
 // SetDirty marks the page as modified so eviction and Flush write it back.
-// FetchScan bypass handles are read-only: dirtying a private copy would
-// silently lose the write, so that is a programming error.
+// Scan-run handles are read-only: dirtying the run's copy would silently
+// lose the write, so that is a programming error.
 func (h *PageHandle) SetDirty() {
 	if h.fr == nil {
-		//ml4db:allow nakedpanic "read-only bypass handles have no frame to dirty; losing the write silently would corrupt the table"
+		//ml4db:allow nakedpanic "read-only scan-run handles have no frame to dirty; losing the write silently would corrupt the table"
 		panic("storage: SetDirty on a read-only scan handle")
 	}
 	h.pool.mu.Lock()
@@ -194,23 +198,18 @@ func (h *PageHandle) SetDirty() {
 	h.pool.mu.Unlock()
 }
 
-// Unpin releases the pin. Calling it more than once is a no-op. A bypass
-// handle holds no frame; its Unpin hands the private page back for the next
-// bypass read.
+// Unpin releases the pin. Calling it more than once is a no-op. A scan-run
+// handle holds no frame: its page stays the run's.
 func (h *PageHandle) Unpin() {
+	if h.fr == nil {
+		return
+	}
 	p := h.pool
 	p.mu.Lock()
-	if !h.released {
-		h.released = true
-		switch {
-		case h.fr == nil:
-			if len(p.scanFree) < maxScanFree {
-				p.scanFree = append(p.scanFree, h.page)
-			}
-		case h.fr.pins > 0:
-			h.fr.pins--
-		}
+	if !h.released && h.fr.pins > 0 {
+		h.fr.pins--
 	}
+	h.released = true
 	p.mu.Unlock()
 }
 
@@ -325,7 +324,7 @@ func (p *Pool) readLocked(hf *HeapFile, key PageKey) (Page, error) {
 			if p.run == nil {
 				p.run = make([]byte, runPages*PageSize)
 			}
-			p.countRead()
+			p.countRead(hi - pageNo)
 			p.runFile, p.runLo, p.runHi = key.File, pageNo, pageNo
 			if hf.readRun(p.run[:(hi-pageNo)*PageSize], pageNo) {
 				p.runHi = hi
@@ -337,7 +336,7 @@ func (p *Pool) readLocked(hf *HeapFile, key PageKey) (Page, error) {
 		copy(p.spare, p.run[at:at+PageSize])
 		return hf.verify(p.spare, pageNo)
 	}
-	p.countRead()
+	p.countRead(1)
 	return hf.readPageInto(p.spare, pageNo)
 }
 
@@ -346,62 +345,137 @@ func (p *Pool) stagedLocked(key PageKey) bool {
 	return key.File == p.runFile && int(key.Page) >= p.runLo && int(key.Page) < p.runHi
 }
 
-// countRead counts one pread the pool issues.
-func (p *Pool) countRead() {
+// countRead counts one pread the pool issues, of n pages.
+func (p *Pool) countRead(n int) {
 	p.reads++
+	p.pagesRead += int64(n)
 	p.cReads.Inc()
 }
 
-// FetchScan is the read-only bulk-scan path: it returns pageNo of hf without
-// perturbing any replacement state, so concurrent scan shards can fetch pages
-// in any interleaving and leave the pool's future eviction decisions — and
-// therefore replay determinism — untouched. A resident page is pinned and
-// counted as a hit, but the logical tick, the eviction policy, the reuse
-// histogram and the policy are all left alone; a non-resident page is read
-// from disk outside the lock into a private page that is never inserted (no
-// eviction, no registration of unknown files) and counted as a miss. The
-// private page comes from the pool's bypass free list, which the handle's
-// Unpin refills, so like Fetch a steady-state FetchScan allocates nothing.
-// Safe for concurrent use with Fetch and with other FetchScan calls.
-func (p *Pool) FetchScan(hf *HeapFile, pageNo int) (*PageHandle, error) {
-	h, err := p.fetchScan(hf, pageNo)
+// ScanRun is one scan's read path into a pool: the run buffer holding pages
+// [lo, hi) of hf, staged by one pread at the pool's write epoch epoch. The
+// scan owns it, one goroutine at a time.
+type ScanRun struct {
+	pool   *Pool
+	hf     *HeapFile
+	buf    []byte
+	lo, hi int
+	epoch  uint64
+}
+
+// NewScanRun returns an empty run for one scan of hf through p. Its buffer
+// is taken from the pool's free list at the first read and handed back by
+// Release, so a steady-state scan allocates nothing.
+func (p *Pool) NewScanRun(hf *HeapFile) ScanRun { return ScanRun{pool: p, hf: hf} }
+
+// Release hands the run's buffer to the pool's free list for the next scan
+// and empties the run. Every handle it served must be unpinned first.
+func (r *ScanRun) Release() {
+	if p := r.pool; r.buf != nil {
+		p.mu.Lock()
+		if len(p.runFree) < maxRunFree {
+			p.runFree = append(p.runFree, r.buf)
+		}
+		p.mu.Unlock()
+	}
+	r.buf, r.lo, r.hi = nil, 0, 0
+}
+
+// Read is the scan read path: it returns page pageNo and leaves the pool's
+// replacement state as it found it, so scans, serial or sharded in any
+// interleaving, change no later eviction and keep replay deterministic. may
+// holds the pages the scan will read from pageNo on, bit i for page
+// pageNo+i. A resident page is pinned and counted as a hit, with no tick,
+// policy call or reuse sample. Any other page is counted as a miss and served
+// read-only from the run: when the run does not hold it, one pread outside
+// the pool lock stages the pages from it on that are in may, not resident
+// and in the file, at most runPages of them; a run that comes back short
+// falls back to a single-page read. Nothing is inserted or evicted, and an
+// unknown file is not registered. Each page is verified on its own, so a
+// corrupt page fails only its own read, with the typed error Fetch returns,
+// and a page staged before a write-back is read again. A served page is
+// valid until the next Read or Release. Read inlines like Fetch, so the
+// handle lives in the caller's frame. Safe for concurrent use with Fetch and
+// with other runs.
+func (r *ScanRun) Read(pageNo int, may uint64) (*PageHandle, error) {
+	h, err := r.read(pageNo, may)
 	if err != nil {
 		return nil, err
 	}
 	return &h, nil
 }
 
-// fetchScan is FetchScan returning the handle by value.
-func (p *Pool) fetchScan(hf *HeapFile, pageNo int) (PageHandle, error) {
-	p.mu.Lock()
-	if id, ok := p.files[hf]; ok {
-		if fr, ok := p.frames[PageKey{File: id, Page: uint32(pageNo)}]; ok {
+// read is Read returning the handle by value. When a write-back ran since
+// the run was staged — before or during this read — the page may hold bytes
+// the write replaced, so it drops the run and reads again.
+func (r *ScanRun) read(pageNo int, may uint64) (PageHandle, error) {
+	p, hf := r.pool, r.hf
+	for {
+		p.mu.Lock()
+		id, known := p.files[hf]
+		if fr, ok := p.frames[PageKey{File: id, Page: uint32(pageNo)}]; known && ok {
 			p.hits++
 			p.cHits.Inc()
 			fr.pins++
 			p.mu.Unlock()
 			return PageHandle{pool: p, fr: fr}, nil
 		}
+		staged := pageNo >= r.lo && pageNo < r.hi
+		hi := pageNo + 1
+		if !staged {
+			hi = r.stageLocked(pageNo, may)
+		}
+		p.mu.Unlock()
+		var page Page
+		var err error
+		fromRun := staged || hi-pageNo > 1 && hf.readRun(r.buf[:(hi-pageNo)*PageSize], pageNo)
+		if fromRun {
+			r.hi = max(r.hi, hi) // a fresh run's end; a staged page's hi is inside the run
+			at := (pageNo - r.lo) * PageSize
+			page, err = hf.verify(r.buf[at:at+PageSize], pageNo)
+		} else {
+			page, err = hf.readPageInto(r.buf[:PageSize], pageNo)
+		}
+		p.mu.Lock()
+		if !fromRun && hi-pageNo > 1 { // a short run's single-page read
+			p.countRead(1)
+		}
+		if p.epoch != r.epoch {
+			r.hi = r.lo
+			p.mu.Unlock()
+			continue
+		}
+		if err == nil {
+			p.misses++
+			p.cMisses.Inc()
+		}
+		p.mu.Unlock()
+		return PageHandle{pool: p, page: page, missed: true}, err
 	}
-	var pg *Page
-	if k := len(p.scanFree); k > 0 {
-		pg, p.scanFree = p.scanFree[k-1], p.scanFree[:k-1]
+}
+
+// stageLocked points the run, empty, at pageNo and returns the end of the
+// pages one pread stages from it: in may, not resident, in the file, at most
+// runPages. The buffer comes from the pool's free list, or is allocated.
+func (r *ScanRun) stageLocked(pageNo int, may uint64) int {
+	p := r.pool
+	id, known := p.files[r.hf]
+	hi := pageNo + 1
+	for end := min(pageNo+runPages, r.hf.NumPages()); hi < end && may>>(hi-pageNo)&1 != 0; hi++ {
+		if _, ok := p.frames[PageKey{File: id, Page: uint32(hi)}]; known && ok {
+			break
+		}
 	}
-	p.countRead()
-	p.mu.Unlock()
-	if pg == nil {
-		pg = &Page{buf: make([]byte, PageSize)}
+	if r.buf == nil {
+		if k := len(p.runFree); k > 0 {
+			r.buf, p.runFree = p.runFree[k-1], p.runFree[:k-1]
+		} else {
+			r.buf = make([]byte, runPages*PageSize)
+		}
 	}
-	page, err := hf.readPageInto(pg.buf, pageNo)
-	if err != nil {
-		return PageHandle{}, err // pg goes to the GC: errors are not the steady state
-	}
-	*pg = page
-	p.mu.Lock()
-	p.misses++
-	p.cMisses.Inc()
-	p.mu.Unlock()
-	return PageHandle{pool: p, page: pg, missed: true}, nil
+	r.lo, r.hi, r.epoch = pageNo, pageNo, p.epoch
+	p.countRead(hi - pageNo)
+	return hi
 }
 
 // victimLocked picks the frame to evict, or nil when every frame is pinned.
@@ -454,6 +528,7 @@ func (p *Pool) writeBackLocked(fr *frame) error {
 	if p.stagedLocked(fr.key) {
 		p.runHi = p.runLo
 	}
+	p.epoch++
 	if err := fr.hf.WritePage(fr.page); err != nil {
 		return err
 	}
@@ -464,10 +539,12 @@ func (p *Pool) writeBackLocked(fr *frame) error {
 }
 
 // PoolStats is a snapshot of the pool's counters and occupancy. Reads counts
-// the preads the pool issued: one per miss, or one per staged run of them.
+// the preads the pool issued: one per miss, or one per staged run of them;
+// PagesRead the pages they transferred, so PagesRead - Misses counts pages
+// staged but never served (and failed reads).
 type PoolStats struct {
-	Hits, Misses, Evictions, Writebacks, Reads int64
-	Resident, Pinned                           int
+	Hits, Misses, Evictions, Writebacks, Reads, PagesRead int64
+	Resident, Pinned                                      int
 }
 
 // Stats returns a snapshot of the pool counters.
@@ -477,7 +554,7 @@ func (p *Pool) Stats() PoolStats {
 	st := PoolStats{
 		Hits: p.hits, Misses: p.misses,
 		Evictions: p.evictions, Writebacks: p.writebacks, Reads: p.reads,
-		Resident: len(p.frames),
+		PagesRead: p.pagesRead, Resident: len(p.frames),
 	}
 	for fr := p.lru.coldest(); fr != nil; fr = p.lru.next(fr) {
 		if fr.pins > 0 {
@@ -541,7 +618,7 @@ func (p *Pool) ReleaseFile(hf *HeapFile) error {
 			return fmt.Errorf("storage: releasing %s with page %d still pinned: %w", hf.Path(), fr.key.Page, ErrAllPinned)
 		}
 	}
-	p.runHi = p.runLo
+	p.runHi, p.epoch = p.runLo, p.epoch+1
 	for fr := p.lru.coldest(); fr != nil; {
 		next := p.lru.next(fr)
 		if fr.hf == hf {

@@ -7,11 +7,12 @@ import (
 )
 
 // The micro tier for this layer: what one Pool.Fetch costs on a hit, on an
-// LRU miss and on a learned-policy miss, and one Pool.FetchScan on a bypass
-// miss, in ns and allocations, with the pool full (steady state). The miss
-// benchmarks cycle over more pages than the pool holds, so under either
-// policy every fetch misses and evicts; Fetch's misses are sequential, so
-// they read by the run (BenchmarkPoolFetchSeqMiss reports preads per page).
+// LRU miss and on a learned-policy miss, and one ScanRun.Read of a page the
+// pool does not hold, in ns and allocations, with the pool full (steady
+// state). The miss benchmarks cycle over more pages than the pool holds, so
+// under either policy every fetch misses and evicts; the misses are
+// sequential, so they read by the run (BenchmarkPoolFetchSeqMiss and
+// BenchmarkPoolFetchScanMiss report preads per page).
 
 const benchMissPages = 8192
 
@@ -32,17 +33,19 @@ func benchFile(tb testing.TB, npages int) *HeapFile {
 }
 
 // cyclicFetcher returns a func fetching hf's pages round-robin through pool —
-// by Fetch, or by FetchScan when scan is set — after filling the pool so the
-// first call already runs at steady state. Both calls are direct, as in the
-// executor, so the handle can stay on the stack.
+// by Fetch, or by one scan run reading every page when scan is set — after
+// filling the pool so the first call already runs at steady state. Both
+// calls are direct, as in the executor, so the handle can stay on the stack.
 func cyclicFetcher(tb testing.TB, pool *Pool, hf *HeapFile, scan bool) func() {
 	tb.Helper()
 	next, npages := 0, hf.NumPages()
+	run := pool.NewScanRun(hf)
+	tb.Cleanup(run.Release)
 	fetch := func() {
 		var h *PageHandle
 		var err error
 		if scan {
-			h, err = pool.FetchScan(hf, next%npages)
+			h, err = run.Read(next%npages, ^uint64(0))
 		} else {
 			h, err = pool.Fetch(hf, next%npages)
 		}
@@ -104,17 +107,31 @@ func BenchmarkPoolFetchSeqMiss(b *testing.B) {
 	b.ReportMetric(float64(st.Reads-before.Reads)/float64(b.N), "reads/page")
 }
 
-// A partitioned scan's fetch of a page the pool does not hold: a private read
-// into a page from the bypass free list.
+// A scan's read of a page the pool does not hold: served from the scan's run,
+// which one pread stages per runPages pages. Reports the preads per page
+// beside ns/op.
 func BenchmarkPoolFetchScanMiss(b *testing.B) {
-	benchFetch(b, PoolOptions{Capacity: 128}, benchMissPages, true)
+	pool := NewPool(PoolOptions{Capacity: 128})
+	fetch := cyclicFetcher(b, pool, benchFile(b, benchMissPages), true)
+	before := pool.Stats()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		fetch()
+	}
+	b.StopTimer()
+	st := pool.Stats()
+	if st.Hits != before.Hits || st.Resident != before.Resident {
+		b.Fatalf("a scan read hit or inserted: %+v", st)
+	}
+	b.ReportMetric(float64(st.Reads-before.Reads)/float64(b.N), "reads/page")
 }
 
 // TestPoolFetchAllocContract pins the allocation contract: at steady state a
 // fetch allocates nothing — no handle (it stays on the caller's stack), no
 // page buffer, no candidate slice — on a hit, on an LRU miss, on a learned
-// miss whose scorer does not allocate and on a FetchScan bypass miss, and
-// that does not change with Capacity.
+// miss whose scorer does not allocate and on a scan read of a page the pool
+// does not hold, and that does not change with Capacity.
 func TestPoolFetchAllocContract(t *testing.T) {
 	hf := benchFile(t, 1100)
 	hot := benchFile(t, 128)

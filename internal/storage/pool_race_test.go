@@ -32,16 +32,17 @@ func raceFile(t *testing.T, pages int) *HeapFile {
 	return hf
 }
 
-// TestPoolConcurrentFetchScan is the satellite race audit: concurrent
-// Fetch, FetchScan, Unpin, Stats and PinnedCount must be free of
-// data races (run under -race) and must never tear the stats — hits+misses
-// equals the number of successful fetches, and no pins leak.
+// TestPoolConcurrentFetchScan is the race audit of the two read paths:
+// concurrent Fetch (some dirtying, with flushes), ScanRun.Read over runs of
+// several pages, Unpin, Stats and PinnedCount must be free of data races (run
+// under -race), serve every page its own bytes and never tear the stats — no
+// pins leak.
 func TestPoolConcurrentFetchScan(t *testing.T) {
 	const pages, goroutines, iters = 12, 8, 200
 	hf := raceFile(t, pages)
 	pool := NewPool(PoolOptions{Capacity: 6})
 	// Register the file deterministically before the concurrent phase so
-	// FetchScan's registered-file path is exercised.
+	// the scan read's registered-file path is exercised.
 	h, err := pool.Fetch(hf, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -53,12 +54,15 @@ func TestPoolConcurrentFetchScan(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
+			run := pool.NewScanRun(hf)
+			defer run.Release()
+			row := make([]int64, 2)
 			for i := 0; i < iters; i++ {
 				pageNo := (g*31 + i) % pages
 				var h *PageHandle
 				var err error
 				if g%2 == 0 {
-					h, err = pool.FetchScan(hf, pageNo)
+					h, err = run.Read(pageNo, ^uint64(0))
 				} else {
 					h, err = pool.Fetch(hf, pageNo)
 				}
@@ -67,14 +71,22 @@ func TestPoolConcurrentFetchScan(t *testing.T) {
 					// that is a clean error, not a race.
 					continue
 				}
-				if p := h.Page(); p.NumSlots() == 0 {
-					t.Errorf("page %d has no slots", pageNo)
+				if !h.Page().ReadTuple(0, row) || row[0] != int64(pageNo) {
+					t.Errorf("page %d: slot 0 holds %v", pageNo, row)
 				}
 				if i%7 == 0 {
 					_ = pool.Stats()
 				}
+				if g%4 == 1 && i%5 == 0 {
+					h.SetDirty()
+				}
 				h.Unpin()
-				h.Unpin() // idempotent, including on bypass handles
+				h.Unpin() // idempotent, including on scan-run handles
+				if g%4 == 3 && i%11 == 0 {
+					if err := pool.FlushAll(); err != nil {
+						t.Error(err)
+					}
+				}
 			}
 		}(g)
 	}
@@ -95,23 +107,25 @@ func TestPoolConcurrentFetchScan(t *testing.T) {
 	}
 }
 
-// TestFetchScanLeavesReplacementStateAlone pins the bypass contract: a burst
-// of FetchScan traffic must not change the pool's resident set, tick-driven
-// policy state, or eviction order — the property that keeps concurrent scans
-// replay-deterministic.
+// TestFetchScanLeavesReplacementStateAlone pins the scan read's contract: a
+// burst of ScanRun.Read traffic must not change the pool's resident set,
+// tick-driven policy state, or eviction order — the property that keeps
+// concurrent scans replay-deterministic.
 func TestFetchScanLeavesReplacementStateAlone(t *testing.T) {
 	const pages = 10
 	hf := raceFile(t, pages)
 
 	// Drive two pools through the same Fetch workload; interleave heavy
-	// FetchScan traffic into one of them. Their eviction logs must match.
+	// scan-read traffic into one of them. Their eviction logs must match.
 	workload := []int{0, 1, 2, 3, 0, 1, 4, 5, 2, 6, 0, 7, 8, 1, 9, 3}
 	run := func(scanNoise bool) []PageKey {
 		pool := NewPool(PoolOptions{Capacity: 4, RecordEvictions: true})
+		scan := pool.NewScanRun(hf)
+		defer scan.Release()
 		for i, pageNo := range workload {
 			if scanNoise {
 				for s := 0; s < 3; s++ {
-					h, err := pool.FetchScan(hf, (i*5+s)%pages)
+					h, err := scan.Read((i*5+s)%pages, ^uint64(0))
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -141,13 +155,15 @@ func TestFetchScanLeavesReplacementStateAlone(t *testing.T) {
 }
 
 // TestFetchScanUnregisteredFile pins the no-registration contract: scanning a
-// file the pool has never seen counts misses without registering it or
-// inserting pages.
+// file the pool has never seen counts misses, with one read for the run,
+// without registering it or inserting pages.
 func TestFetchScanUnregisteredFile(t *testing.T) {
 	hf := raceFile(t, 3)
 	pool := NewPool(PoolOptions{Capacity: 4})
+	run := pool.NewScanRun(hf)
+	defer run.Release()
 	for pageNo := 0; pageNo < 3; pageNo++ {
-		h, err := pool.FetchScan(hf, pageNo)
+		h, err := run.Read(pageNo, 0b111>>pageNo)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -158,25 +174,31 @@ func TestFetchScanUnregisteredFile(t *testing.T) {
 	}
 	st := pool.Stats()
 	if st.Resident != 0 {
-		t.Errorf("resident = %d, want 0 (bypass pages are never inserted)", st.Resident)
+		t.Errorf("resident = %d, want 0 (scan reads insert no page)", st.Resident)
 	}
-	if st.Misses != 3 {
-		t.Errorf("misses = %d, want 3", st.Misses)
+	if st.Misses != 3 || st.Reads != 1 || st.PagesRead != 3 {
+		t.Errorf("stats %+v, want 3 misses from one read of 3 pages", st)
+	}
+	if len(pool.files) != 0 {
+		t.Errorf("the scanned file was registered")
 	}
 }
 
-// TestBypassHandleSetDirtyPanics pins the read-only contract of scan handles.
+// TestBypassHandleSetDirtyPanics pins the read-only contract of handles a
+// scan run serves.
 func TestBypassHandleSetDirtyPanics(t *testing.T) {
 	hf := raceFile(t, 1)
 	pool := NewPool(PoolOptions{Capacity: 2})
-	h, err := pool.FetchScan(hf, 0)
+	run := pool.NewScanRun(hf)
+	defer run.Release()
+	h, err := run.Read(0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer h.Unpin()
 	defer func() {
 		if recover() == nil {
-			t.Error("SetDirty on a bypass handle did not panic")
+			t.Error("SetDirty on a scan-run handle did not panic")
 		}
 	}()
 	h.SetDirty()

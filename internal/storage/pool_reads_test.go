@@ -2,8 +2,10 @@ package storage
 
 import (
 	"errors"
+	"fmt"
 	"os"
 	"reflect"
+	"strings"
 	"testing"
 
 	"ml4db/internal/mlmath"
@@ -85,6 +87,81 @@ func TestWriteBackDropsTheStagedRun(t *testing.T) {
 	}
 }
 
+// TestWriteBackDropsTheStagedScanRun: a page dirtied, written back and
+// evicted while a scan's run holds its old bytes is read from disk again,
+// with the new bytes — the pool's write epoch outdates the run.
+func TestWriteBackDropsTheStagedScanRun(t *testing.T) {
+	hf := newPooledFile(t, "wbscan.heap", 10)
+	pool := NewPool(PoolOptions{Capacity: 1})
+	run := pool.NewScanRun(hf)
+	defer run.Release()
+	read := func(pno int) (missed bool, slot1 int64) {
+		h, err := run.Read(pno, ^uint64(0)>>(54+pno))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer h.Unpin()
+		row := make([]int64, 1)
+		if !h.Page().ReadTuple(1, row) {
+			row[0] = -1
+		}
+		return h.Missed(), row[0]
+	}
+	read(0) // stages pages 0 to 9
+	h, err := pool.Fetch(hf, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := h.Page().Insert([]int64{77}); !ok {
+		t.Fatal("insert failed")
+	}
+	h.SetDirty()
+	h.Unpin()
+	fetchAndRelease(t, pool, hf, 9) // evicts page 2: written back
+	readsBefore := pool.Stats().Reads
+	if missed, v := read(2); !missed || v != 77 {
+		t.Fatalf("page 2 after its write-back: missed %v, slot 1 = %d, want the written 77", missed, v)
+	}
+	if pool.Stats().Reads != readsBefore+1 {
+		t.Fatal("page 2 was not read from disk again")
+	}
+}
+
+// TestScanReadsOnlyItsPages: a scan run stages, with one pread, the pages
+// from the one asked for on that its mask holds and the pool does not, up to
+// the first other page; resident pages are hits and the mask's gaps are
+// never read, so pages read equal misses.
+func TestScanReadsOnlyItsPages(t *testing.T) {
+	hf := newPooledFile(t, "mask.heap", 40)
+	pool := NewPool(PoolOptions{Capacity: 4})
+	fetchAndRelease(t, pool, hf, 5)
+	before := pool.Stats()
+	run := pool.NewScanRun(hf)
+	defer run.Release()
+	const mask = uint64(0b1111_1011_1111_1111) // pages 0-15 but 10; 5 is resident
+	var hits int
+	for pno := 0; pno < 16; pno++ {
+		if mask>>pno&1 == 0 {
+			continue
+		}
+		h, err := run.Read(pno, mask>>pno)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !h.Missed() {
+			hits++
+		}
+		h.Unpin()
+	}
+	st := pool.Stats()
+	if hits != 1 || st.Misses-before.Misses != 14 || st.Reads-before.Reads != 3 || st.PagesRead-before.PagesRead != 14 {
+		t.Fatalf("%d hits, stats %+v -> %+v: want page 5 a hit, and 14 misses from 3 reads of 14 pages: 0-4, 6-9, 11-15", hits, before, st)
+	}
+	if st.Resident != before.Resident || st.Evictions != before.Evictions {
+		t.Fatalf("a scan changed the resident set: %+v -> %+v", before, st)
+	}
+}
+
 // shadowOf is a page's logical content: each slot's value, or a marker for a
 // free slot.
 func shadowOf(p *Page) []int64 {
@@ -108,16 +185,45 @@ func (r *refPool) flush() {
 	}
 }
 
+// countingPolicy counts the calls the pool makes into the policy it wraps.
+type countingPolicy struct {
+	Policy
+	calls int
+}
+
+func (c *countingPolicy) OnAccess(k PageKey, tick uint64) { c.calls++; c.Policy.OnAccess(k, tick) }
+func (c *countingPolicy) OnRemove(k PageKey)              { c.calls++; c.Policy.OnRemove(k) }
+func (c *countingPolicy) Victim(k []PageKey, tick uint64) PageKey {
+	c.calls++
+	return c.Policy.Victim(k, tick)
+}
+
+// replacementState renders what a scan read must leave as it was: the tick,
+// the eviction log's length and the recency order with each frame's last
+// access and pins.
+func replacementState(p *Pool) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "tick %d, %d evictions:", p.tick, len(p.evictLog))
+	for fr := p.lru.coldest(); fr != nil; fr = p.lru.next(fr) {
+		fmt.Fprintf(&b, " %v@%d/%d", fr.key, fr.lastTick, fr.pins)
+	}
+	return b.String()
+}
+
 // FuzzPoolReads drives the pool over a fuzzed capacity and trace — sequential
-// runs, random pages, dirty writes with flushes and one corrupted page — next
-// to a shadow copy of every page and the reference pool of evict_diff_test.go.
-// Every fetched page holds the shadow's bytes; Stats but Reads and the
-// eviction log equal the reference's; only the corrupted page's fetch fails,
-// with *ChecksumError; and no miss costs more than one pread.
+// runs, random pages, dirty writes with flushes, scans through one ScanRun
+// per file over fuzzed masks, and one corrupted page — next to a shadow copy
+// of every page and the reference pool of evict_diff_test.go. Every page a
+// fetch or a scan read returns holds the shadow's bytes; Stats but Reads and
+// PagesRead and the eviction log equal the reference's; only the corrupted
+// page's reads fail, with *ChecksumError; no miss costs more than one pread;
+// and a scan reads no page it does not serve and leaves the tick, the
+// recency order, the eviction log and the policy untouched.
 //
 // Input: byte 0 picks the capacity (1 to 12) and the policy (LRU or the
 // learned policy under Recency), byte 1 the corrupted page of file a; then
-// each op is three bytes: kind, page, and a length or value.
+// each op is three bytes: kind, page, and a length or value. A scan (kind 8
+// or 12, mod 16) takes three bytes more: a mask of 24 pages, repeated.
 func FuzzPoolReads(f *testing.F) {
 	f.Add([]byte{3, 20, 0, 0, 40, 1, 5, 0, 0, 10, 20})
 	f.Add([]byte{2, 39, 2, 3, 9, 0, 1, 12, 3, 0, 0, 0, 0, 30})
@@ -129,8 +235,10 @@ func FuzzPoolReads(f *testing.F) {
 		const npages = 40
 		capacity, bad := 1+int(in[0]&0x7f)%12, int(in[1])%npages
 		var policy Policy
+		counting := &countingPolicy{}
 		if in[0]&0x80 != 0 {
-			policy = NewLearnedPolicy(Recency{})
+			counting.Policy = NewLearnedPolicy(Recency{})
+			policy = counting
 		}
 		files := []*HeapFile{newPooledFile(t, "a.heap", npages), newPooledFile(t, "b.heap", npages)}
 		shadow := [2][][]int64{}
@@ -155,6 +263,9 @@ func FuzzPoolReads(f *testing.F) {
 		}
 		pool := NewPool(PoolOptions{Capacity: capacity, Policy: policy, RecordEvictions: true})
 		ref := &refPool{cap: capacity, pages: map[PageKey]*refPage{}, files: map[*HeapFile]uint32{}}
+		runs := [2]ScanRun{pool.NewScanRun(files[0]), pool.NewScanRun(files[1])}
+		defer runs[0].Release()
+		defer runs[1].Release()
 		failed := int64(0)
 		// fetch pins page pno of file i in both pools, checks it and, when
 		// write is set, inserts v or deletes slot v, writing the shadow.
@@ -191,17 +302,70 @@ func FuzzPoolReads(f *testing.F) {
 			ref.pages[key].dirty = true
 			shadow[i][pno] = shadowOf(h.Page())
 		}
-		for ops := in[2:]; len(ops) >= 3; ops = ops[3:] {
+		// scan reads pages [pno, end) of file i that mask (bit k for page
+		// pno+k%24) picks through the file's run, telling each read the picked
+		// pages from its own on.
+		scan := func(i, pno, end int, mask uint32) {
+			before, state, calls, failedBefore := pool.Stats(), replacementState(pool), counting.calls, failed
+			picked := func(q int) bool { return mask>>((q-pno)%24)&1 != 0 }
+			for q := pno; q < end; q++ {
+				if !picked(q) {
+					continue
+				}
+				var will uint64
+				for k := 0; k < 64 && q+k < end; k++ {
+					if picked(q + k) {
+						will |= 1 << k
+					}
+				}
+				h, err := runs[i].Read(q, will)
+				if i == 0 && q == bad {
+					var ce *ChecksumError
+					if !errors.As(err, &ce) || ce.PageNo != bad {
+						t.Fatalf("scan read of corrupted page %d: %v, want *ChecksumError", q, err)
+					}
+					failed++
+					continue
+				}
+				if err != nil {
+					t.Fatalf("scan read %d/%d: %v", i, q, err)
+				}
+				key, pinned := ref.fetchScan(files[i], q)
+				if got := shadowOf(h.Page()); h.Missed() == pinned || !reflect.DeepEqual(got, shadow[i][q]) {
+					t.Fatalf("scan read of page %d/%d (missed %v, resident %v) differs from what was last written", i, q, h.Missed(), pinned)
+				}
+				h.Unpin()
+				if pinned {
+					ref.pages[key].pins--
+				}
+			}
+			after := pool.Stats()
+			if served := after.Misses - before.Misses + failed - failedBefore; after.PagesRead-before.PagesRead > served {
+				t.Fatalf("a scan read %d pages and served %d of them", after.PagesRead-before.PagesRead, served)
+			}
+			if got := replacementState(pool); got != state || counting.calls != calls {
+				t.Fatalf("a scan changed the replacement state: %s (%d policy calls) -> %s (%d)", state, calls, got, counting.calls)
+			}
+		}
+		for ops := in[2:]; len(ops) >= 3; {
 			kind, pno, arg := ops[0], int(ops[1])%npages, ops[2]
 			i := int(kind>>2) % 2
-			switch kind % 4 {
-			case 0: // a sequential run from pno
+			ops = ops[3:]
+			switch {
+			case kind%4 == 0 && kind&8 != 0:
+				var mask uint32
+				for k, b := range ops[:min(3, len(ops))] {
+					mask |= uint32(b) << (8 * k)
+				}
+				ops = ops[min(3, len(ops)):]
+				scan(i, pno, min(pno+int(arg)%(npages+1), npages), mask)
+			case kind%4 == 0: // a sequential run from pno
 				for q := pno; q < min(pno+int(arg)%(npages+1), npages); q++ {
 					fetch(i, q, false, 0)
 				}
-			case 1:
+			case kind%4 == 1:
 				fetch(i, pno, false, 0)
-			case 2:
+			case kind%4 == 2:
 				fetch(i, pno, true, arg)
 			default:
 				if err := pool.FlushAll(); err != nil {
@@ -213,7 +377,7 @@ func FuzzPoolReads(f *testing.F) {
 			if got.Reads > got.Misses+failed {
 				t.Fatalf("%d reads for %d misses and %d failed fetches", got.Reads, got.Misses, failed)
 			}
-			if got.Reads = 0; got != want {
+			if got.Reads, got.PagesRead = 0, 0; got != want {
 				t.Fatalf("stats = %+v, want %+v", got, want)
 			}
 		}

@@ -65,14 +65,24 @@ go test -run '^$' -fuzz FuzzParse -fuzztime 5s ./internal/sqlkit/sqlparse/
 echo "==> fuzz (storage.FuzzPageDecode, 5s)"
 go test -run '^$' -fuzz FuzzPageDecode -fuzztime 5s ./internal/storage/
 
-# The same budget on the pool's read path, over its corpus
+# The same budget on the pool's read paths, over its corpus
 # (testdata/fuzz/FuzzPoolReads: sequential runs over a corrupted page, a write
-# back inside a staged run, one frame over two files): every page a fetch
-# returns holds what was last written to it, Stats but Reads and the eviction
-# log equal the reference pool's, and only the corrupted page fails, with
-# *ChecksumError.
+# back inside a staged run, one frame over two files, scan reads over masks
+# and resident pages, a scan run outdated by a write-back): every page a fetch
+# or a scan read returns holds what was last written to it, Stats but Reads
+# and PagesRead and the eviction log equal the reference pool's, only the
+# corrupted page fails, with *ChecksumError, and a scan reads no page it does
+# not serve and leaves the replacement state as it found it.
 echo "==> fuzz (storage.FuzzPoolReads, 5s)"
 go test -run '^$' -fuzz FuzzPoolReads -fuzztime 5s ./internal/storage/
+
+# The same budget on reopening a heap file, over its seeds: a fuzzed sequence
+# of good, corrupted, misnumbered, too-wide and torn pages opens exactly when
+# every page is good, or fails with its first bad page's typed error; an
+# opened file's free-space map and zones hold every live row and value, since
+# the zones decide which pages a scan reads from disk.
+echo "==> fuzz (storage.FuzzHeapFileOpen, 5s)"
+go test -run '^$' -fuzz FuzzHeapFileOpen -fuzztime 5s ./internal/storage/
 
 # The same budget on the hash join, over its corpus
 # (testdata/fuzz/FuzzHashJoin: build sides of 0, 1 and 2 rows, duplicates,
@@ -89,9 +99,12 @@ go test -run '^$' -fuzz FuzzHashJoin -fuzztime 5s ./internal/sqlkit/exec/
 # MinInt64/MaxInt64 values, every operator, extreme_literals with LT MinInt64,
 # GT MaxInt64, a BETWEEN whose Hi wrapped and NE, hash_probe_skips and
 # hash_probe_skips_first): a table
-# and its spilled twin give SeqScan at P = 1 and P = 3 and IndexScan the same
-# rows, Counters but PageMiss and Actuals but PageMisses (and the rows of the
-# pages the modelled zone maps skip), and leave no page pinned, and the rows
+# and its spilled twin, behind a pool random fetches warm, give SeqScan at
+# P = 1 and P = 3 and IndexScan the same rows, Counters but PageMiss and
+# Actuals but PageMisses (and the rows of the pages the modelled zone maps
+# skip), and leave no page pinned; the P = 3 disk scan charges exactly what
+# the serial one does, PageMiss included, and no scan reads a page it does
+# not serve; and the rows
 # are those a plain Pred.Eval row loop keeps; a hash join of fuzzed in-memory
 # build keys probing the spilled table returns a probe-major loop's rows and
 # skips the modelled pages, and under every work limit its serial and
