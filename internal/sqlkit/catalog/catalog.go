@@ -184,9 +184,8 @@ func (c *Catalog) AnalyzeAll(buckets, sampleSize int) {
 }
 
 // AnalyzeTable computes per-column statistics for one table. Disk-backed
-// tables are skipped (their stats were computed before the spill); use
-// AnalyzeTableIO to re-analyze one through its buffer pool. Virtual tables
-// are skipped too: their rows change under the provider, so the planner
+// tables are skipped: their stats were computed before the spill. Virtual
+// tables are skipped too: their rows change under the provider, so the planner
 // estimates them from row counts and default selectivities.
 func AnalyzeTable(t *Table, buckets, sampleSize int) {
 	if t.Disk != nil || t.Virtual != nil {

@@ -56,34 +56,6 @@ func (t *Table) SpillToDisk(path string, pool *storage.Pool) error {
 	return nil
 }
 
-// ColumnValues reads one full column, from memory or through the disk
-// table's buffer pool — the accessor ANALYZE and index builds use so they
-// work on either backing.
-func (t *Table) ColumnValues(col int) ([]int64, error) {
-	if col < 0 || col >= len(t.Columns) {
-		return nil, fmt.Errorf("catalog: column %d out of range of %s", col, t.Name)
-	}
-	if t.Disk != nil {
-		return t.Disk.ColumnValues(col)
-	}
-	return t.Data[col], nil
-}
-
-// AnalyzeTableIO computes per-column statistics for a table of either
-// backing, reading disk tables through their buffer pool. It is the
-// error-returning counterpart of AnalyzeTable (which skips disk tables
-// because reading them can fail).
-func AnalyzeTableIO(t *Table, buckets, sampleSize int) error {
-	for i := range t.Columns {
-		vals, err := t.ColumnValues(i)
-		if err != nil {
-			return fmt.Errorf("catalog: analyzing %s.%s: %w", t.Name, t.Columns[i].Name, err)
-		}
-		t.Columns[i].Stats = BuildStats(vals, buckets, sampleSize)
-	}
-	return nil
-}
-
 // BuildSecondaryIndexIO constructs the index over t's column col for a
 // table of either backing; disk tables are scanned through their buffer
 // pool, indexing heap row ids.

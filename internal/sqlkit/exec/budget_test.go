@@ -510,17 +510,17 @@ func TestScanChargesMatchRowAtATimeModel(t *testing.T) {
 	}
 }
 
-// joinModel is the model of a HashJoin of two unfiltered in-memory scans on
-// c1 = c1 and c2 = c2, the build side on the left: both scans, a build unit
-// per build tuple, then per probe tuple a probe unit and, for each build tuple
-// it matches, in build order, an output unit and its row.
-func joinModel(build, probe *catalog.Table) chargeModel {
-	m := append(memModel(build, nil), memModel(probe, nil)...)
-	m = append(m, bytes.Repeat([]byte{'b'}, build.NumRows())...)
-	for r := range probe.NumRows() {
+// joinModel is the model of a HashJoin on c1 = c1 and c2 = c2, the build
+// side on the left: the two scans' model, a build unit per build row, then
+// per probe row a probe unit and, for each build row it matches, in build
+// order, an output unit and its row. build and probe are the (c1, c2) of the
+// rows the scans return (keyRows).
+func joinModel(scans chargeModel, build, probe [][2]int64) chargeModel {
+	m := append(scans, bytes.Repeat([]byte{'b'}, len(build))...)
+	for _, p := range probe {
 		m = append(m, 'p')
-		for l := range build.NumRows() {
-			if build.Data[1][l] == probe.Data[1][r] && build.Data[2][l] == probe.Data[2][r] {
+		for _, b := range build {
+			if b == p {
 				m = append(m, 'o', 'r')
 			}
 		}
@@ -528,13 +528,50 @@ func joinModel(build, probe *catalog.Table) chargeModel {
 	return m
 }
 
+// keyRows returns the (c1, c2) of tbl's rows that pass filters, in scan
+// order: row order in memory, page and slot order on disk.
+func keyRows(t *testing.T, tbl *catalog.Table, filters []expr.Pred) [][2]int64 {
+	var out [][2]int64
+	add := func(value func(c int) int64) {
+		if passes(filters, value) {
+			out = append(out, [2]int64{value(1), value(2)})
+		}
+	}
+	if tbl.Disk == nil {
+		for r := range tbl.NumRows() {
+			add(func(c int) int64 { return tbl.Data[c][r] })
+		}
+		return out
+	}
+	hf := tbl.Disk.File()
+	for pno := range hf.NumPages() {
+		p, err := hf.ReadPage(pno)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for slot := range p.NumSlots() {
+			if p.Used(slot) {
+				add(func(c int) int64 { return p.Value(slot, c) })
+			}
+		}
+	}
+	return out
+}
+
 // TestHashJoinChargesMatchRowAtATimeModel holds HashJoin's one-step build
 // charge and chunked probe — bulk charges, replayed a unit at a time only in
 // the chunk where a limit trips — to the row-at-a-time model, serial and
-// partitioned: every work limit inside the build, and a 2 500-row probe side
-// at every chunk boundary ±1 (1 024-row chunks from each shard's start), in
-// work and in rows. The build side has duplicate keys, distinct keys that
-// share a slot, and a second condition that rejects some key matches.
+// partitioned. The build side has duplicate keys, distinct keys that share a
+// slot, and a second condition that rejects some key matches.
+//
+// In memory, with the build side unfiltered and filtered (its scan returns a
+// selection vector): every work limit up to the probe, inside both scans and
+// the build, and a 2 500-row probe side at every chunk boundary ±1 (1 024-row
+// chunks from each shard's start), in work and in rows. On disk: the probe
+// side spilled behind a two-frame pool, released before each run so every
+// page it reads misses, at every work and every row limit; the probe scan
+// gets the build keys' range as a filter, so the model skips the pages whose
+// rows all fall outside it, as diskModel does.
 func TestHashJoinChargesMatchRowAtATimeModel(t *testing.T) {
 	cat := catalog.NewCatalog()
 	build := foldTable(t, "build", 40, 3, 25)
@@ -547,7 +584,12 @@ func TestHashJoinChargesMatchRowAtATimeModel(t *testing.T) {
 	for r := range probe.NumRows() {
 		probe.Data[2][r] = int64(r % 3)
 	}
-	bid, pid := cat.MustAdd(build), cat.MustAdd(probe)
+	far := foldTable(t, "far", 200, 50, 1) // ten rows a page on disk
+	for r := range far.NumRows() {
+		far.Data[1][r], far.Data[2][r] = int64(r-50), int64(r%3) // keys -50…149: pages 0-4 and 15-19 miss [0, 96]
+	}
+	farPool := spill(t, far, 2)
+	bid, pid, fid := cat.MustAdd(build), cat.MustAdd(probe), cat.MustAdd(far)
 	const shift = 64 - 6 // 40 build rows take 64 slots
 	keys, slots := map[int64]bool{}, map[uint64]bool{}
 	for _, k := range build.Data[1] {
@@ -560,26 +602,54 @@ func TestHashJoinChargesMatchRowAtATimeModel(t *testing.T) {
 	workers := mlmath.NewPool(2)
 	defer workers.Close()
 	e := New(cat)
-	join := plan.NewJoin(plan.OpHashJoin, plan.NewScan(0, bid, nil), plan.NewScan(1, pid, nil), on(0, 1, 1, 1), on(0, 2, 1, 2))
-	m := joinModel(build, probe)
-	run := func(b Budget) {
+	run := func(label string, join *plan.Node, m chargeModel, b Budget) {
 		for _, p := range []*plan.Node{join, forcePartitions(join, 3)} {
+			if err := farPool.ReleaseFile(far.Disk.File()); err != nil { // cold: every page read misses
+				t.Fatal(err)
+			}
 			res, err := e.Execute(p, Options{Budget: &b, Pool: workers, Output: CountOnly})
-			checkModel(t, fmt.Sprintf("hashjoin/P=%d", p.Partitions), m, b, res, err)
+			checkModel(t, fmt.Sprintf("%s/P=%d", label, p.Partitions), m, b, res, err)
+			if n := farPool.PinnedCount(); n != 0 {
+				t.Fatalf("%s: %d pages still pinned", label, n)
+			}
 		}
 	}
 
-	built, _ := m.after('b', 0)
-	probed, _ := m.after('p', 0)
-	for limit := built; limit <= probed+1; limit++ {
-		run(Budget{MaxWork: limit})
-	}
-	for _, b := range chunkBoundaries(probe.NumRows()) {
-		work, rows := m.after('p', b)
-		for d := int64(-1); d <= 1; d++ {
-			run(Budget{MaxWork: work + d})
-			run(Budget{MaxRows: rows + d})
+	evens := []expr.Pred{{Col: 2, Op: expr.EQ, Lo: 0}}
+	for _, filters := range [][]expr.Pred{nil, evens} {
+		label := fmt.Sprintf("hashjoin/%d filters", len(filters))
+		join := plan.NewJoin(plan.OpHashJoin, plan.NewScan(0, bid, filters), plan.NewScan(1, pid, nil), on(0, 1, 1, 1), on(0, 2, 1, 2))
+		m := joinModel(append(memModel(build, filters), memModel(probe, nil)...), keyRows(t, build, filters), keyRows(t, probe, nil))
+		probed, _ := m.after('p', 0)
+		for limit := int64(1); limit <= probed+1; limit++ {
+			run(label, join, m, Budget{MaxWork: limit})
 		}
+		for _, b := range chunkBoundaries(probe.NumRows()) {
+			work, rows := m.after('p', b)
+			for d := int64(-1); d <= 1; d++ {
+				run(label, join, m, Budget{MaxWork: work + d})
+				run(label, join, m, Budget{MaxRows: rows + d})
+			}
+		}
+	}
+
+	kmin, kmax := int64(math.MaxInt64), int64(math.MinInt64)
+	for _, k := range build.Data[1] {
+		kmin, kmax = min(kmin, k), max(kmax, k)
+	}
+	between := []expr.Pred{{Col: 1, Op: expr.BETWEEN, Lo: kmin, Hi: kmax}}
+	probeScan := diskModel(t, far, far.Disk.NumRows(), between)
+	if x := bytes.Count(probeScan, []byte{'x'}); x != 10 {
+		t.Fatalf("the model skips %d probe pages, want 10: %q", x, probeScan)
+	}
+	join := plan.NewJoin(plan.OpHashJoin, plan.NewScan(0, bid, nil), plan.NewScan(1, fid, nil), on(0, 1, 1, 1), on(0, 2, 1, 2))
+	m := joinModel(append(memModel(build, nil), probeScan...), keyRows(t, build, nil), keyRows(t, far, between))
+	work, rows := m.after('p', len(m))
+	for limit := int64(1); limit <= work+1; limit++ {
+		run("hashjoin/disk probe", join, m, Budget{MaxWork: limit})
+	}
+	for limit := int64(1); limit <= rows+1; limit++ {
+		run("hashjoin/disk probe", join, m, Budget{MaxRows: limit})
 	}
 }
 

@@ -240,7 +240,7 @@ type execState struct {
 	taken []column
 	slab  [16]column
 	// probe is what a hash join hands its probe side when that is a SeqScan
-	// of a disk table (see children).
+	// of a disk table (see hashJoin).
 	probe keyRange
 	cur   *obs.Span // innermost open span, nil on the fast path: parent for the next operator
 }
@@ -375,27 +375,18 @@ func chargeChunk[T uint16 | int64](a *acct, unit *int64, n int, out *int64, at [
 	return n, nil
 }
 
-// children resolves a join's conditions to offsets into its inputs' layouts
-// (keys[0] is the hash or merge key; see ColOffset), then runs both inputs,
-// asking each for its share of need plus the columns the conditions read, and
-// takes those columns dense. Between the two, a hash join, passing sip,
-// hands its build keys' range to a disk probe scan (buildRange).
-func (s *execState) children(n *plan.Node, ord int, need []bool, sip bool) (left, right batch, keys []keyPair, err error) {
-	if keys, err = s.joinKeys(n); err != nil {
+// children runs a join's two inputs, asking each for its share of need plus
+// the columns the conditions read, and takes the conditions' columns dense
+// (keys[0] is the hash or merge key; see joinKeys).
+func (s *execState) children(n *plan.Node, ord int, need []bool) (left, right batch, keys []keyPair, err error) {
+	keys, needL, needR, err := s.joinKeys(n, need)
+	if err != nil {
 		return batch{}, batch{}, nil, err
 	}
-	lw := width(s.e.Cat, n.Children[0])
-	need = append([]bool(nil), need...)
-	for _, k := range keys {
-		need[k.l], need[lw+k.r] = true, true
-	}
-	if left, err = s.run(n.Children[0], ord+n.ChildAt(0), need[:lw]); err != nil {
+	if left, err = s.run(n.Children[0], ord+n.ChildAt(0), needL); err != nil {
 		return
 	}
-	if sip {
-		s.buildRange(n, ord, left, keys[0])
-	}
-	if right, err = s.run(n.Children[1], ord+n.ChildAt(1), need[lw:]); err != nil {
+	if right, err = s.run(n.Children[1], ord+n.ChildAt(1), needR); err != nil {
 		return
 	}
 	for i, k := range keys {
@@ -404,34 +395,21 @@ func (s *execState) children(n *plan.Node, ord int, need []bool, sip bool) (left
 	return left, right, keys, nil
 }
 
-// buildRange hands a hash join's probe side, if it is a SeqScan of a disk
-// table, the range of the build keys (k's column of left) as one more
-// filter, k.r BETWEEN lo AND hi: sideways information passing. The scan then
-// skips the pages whose zone maps miss the range and drops the rows outside
-// it before it decodes their other columns; none of them could match. The
-// keys are read twice, here and in the build loop; the pages this saves
-// dwarf that. In memory every probe row is read anyway, the probe's own range
-// pass does the filter's work, and the build loop alone finds the range.
-func (s *execState) buildRange(n *plan.Node, ord int, left batch, k keyPair) {
-	p := n.Children[1]
-	if p.Op != plan.OpSeqScan || s.e.Cat.Table(p.TableID).Disk == nil {
-		return
-	}
-	r := keyRange{lo: math.MaxInt64, hi: math.MinInt64, col: int32(k.r), at: int32(ord + n.ChildAt(1))}
-	for _, key := range s.dense(left, k.l) {
-		r.lo, r.hi = min(r.lo, key), max(r.hi, key)
-	}
-	s.probe = r
-}
-
 // hashOf spreads a join key over 64 bits (Fibonacci hashing): the top bits
 // pick its slot, the five below them the slot's tag bit.
 func hashOf(key int64) uint64 { return uint64(key) * 0x9E3779B97F4A7C15 }
 
 func (s *execState) hashJoin(n *plan.Node, ord int, need []bool) (batch, error) {
-	left, right, keys, err := s.children(n, ord, need, true)
+	keys, needL, needR, err := s.joinKeys(n, need)
 	if err != nil {
 		return batch{}, err
+	}
+	left, err := s.run(n.Children[0], ord+n.ChildAt(0), needL)
+	if err != nil {
+		return batch{}, err
+	}
+	for i, k := range keys {
+		keys[i].lc = s.dense(left, k.l)
 	}
 	// Build on the left child, probe with the right, keyed on the first
 	// condition; key matches that fail a later condition emit nothing. The
@@ -440,12 +418,10 @@ func (s *execState) hashJoin(n *plan.Node, ord int, need []bool) (batch, error) 
 	// are build positions plus one, zero ending a chain. Inserting in
 	// descending position makes chains ascend: matches come in build order.
 	// Two slots or more keep shift < 64, so & 63 elides its range check. The
-	// same loop finds the build keys' range [kmin, kmax].
-	lk, rk, rest := keys[0].lc, keys[0].rc, keys[1:]
+	// same loop finds the build keys' range [kmin, kmax]. The build runs before
+	// the probe side, which may take the range, and is charged after it.
+	lk, rest := keys[0].lc, keys[1:]
 	shift := uint(64 - bits.Len(uint(max(left.n, 2)-1)))
-	if _, err := chargeChunk[uint16](&s.acct, &s.ctr.HashBuild, left.n, nil, nil, 0); err != nil {
-		return batch{}, err
-	}
 	slots := 1 << (64 - shift)
 	mem := make([]int32, 2*slots+left.n)
 	heads, next := mem[:2*slots], mem[2*slots:]
@@ -457,6 +433,23 @@ func (s *execState) hashJoin(n *plan.Node, ord int, need []bool) (batch, error) 
 		j := 2 * (h >> (shift & 63))
 		next[i], heads[j] = heads[j], int32(i+1)
 		heads[j+1] |= 1 << (h >> ((shift - 5) & 63) & 31)
+	}
+	// A disk SeqScan probe side gets the range as one more filter (sideways
+	// information passing): it skips the pages whose zones miss it and drops
+	// the rows outside it, none of which could match.
+	if p := n.Children[1]; p.Op == plan.OpSeqScan && s.e.Cat.Table(p.TableID).Disk != nil {
+		s.probe = keyRange{lo: kmin, hi: kmax, col: int32(keys[0].r), at: int32(ord + n.ChildAt(1))}
+	}
+	right, err := s.run(n.Children[1], ord+n.ChildAt(1), needR)
+	if err != nil {
+		return batch{}, err
+	}
+	for i, k := range keys {
+		keys[i].rc = s.dense(right, k.r)
+	}
+	rk := keys[0].rc
+	if _, err := chargeChunk[uint16](&s.acct, &s.ctr.HashBuild, left.n, nil, nil, 0); err != nil {
+		return batch{}, err
 	}
 	// The probe shards by probe-side ranges, a chunk at a time. Pass 1 keeps
 	// the ordinals whose key lies in [kmin, kmax] (an empty build keeps none)
@@ -532,7 +525,7 @@ func tagged(sel *[chunkRows]uint16, kept []uint16, chunk []int64, heads []int32,
 }
 
 func (s *execState) nlJoin(n *plan.Node, ord int, need []bool) (batch, error) {
-	left, right, keys, err := s.children(n, ord, need, false)
+	left, right, keys, err := s.children(n, ord, need)
 	if err != nil {
 		return batch{}, err
 	}
@@ -580,7 +573,7 @@ func (s *execState) sortedBy(key column) column {
 // charges 3 scan steps, any 2-way partition of it charges 2), so Partitions
 // is ignored here to preserve serial≡parallel counter identity.
 func (s *execState) mergeJoin(n *plan.Node, ord int, need []bool) (batch, error) {
-	left, right, keys, err := s.children(n, ord, need, false)
+	left, right, keys, err := s.children(n, ord, need)
 	if err != nil {
 		return batch{}, err
 	}

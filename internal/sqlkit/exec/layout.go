@@ -67,21 +67,26 @@ type keyPair struct {
 	lc, rc column
 }
 
-// joinKeys resolves a join node's conditions against its children's layouts.
-func (s *execState) joinKeys(n *plan.Node) ([]keyPair, error) {
+// joinKeys resolves a join node's conditions to offsets into its children's
+// layouts (see ColOffset) and splits need between the children, each share
+// marking the columns the conditions read.
+func (s *execState) joinKeys(n *plan.Node, need []bool) (keys []keyPair, needL, needR []bool, err error) {
 	if len(n.Conds) == 0 {
-		return nil, fmt.Errorf("exec: %v carries no join condition", n.Op)
+		return nil, nil, nil, fmt.Errorf("exec: %v carries no join condition", n.Op)
 	}
-	keys := make([]keyPair, len(n.Conds))
+	lw := width(s.e.Cat, n.Children[0])
+	need = append([]bool(nil), need...)
+	keys = make([]keyPair, len(n.Conds))
 	for i, c := range n.Conds {
 		l, lok := ColOffset(s.e.Cat, n.Children[0], c.LeftTable, c.LeftCol)
 		r, rok := ColOffset(s.e.Cat, n.Children[1], c.RightTable, c.RightCol)
 		if !lok || !rok {
-			return nil, fmt.Errorf("exec: %v condition %v names a table its inputs do not scan", n.Op, c)
+			return nil, nil, nil, fmt.Errorf("exec: %v condition %v names a table its inputs do not scan", n.Op, c)
 		}
 		keys[i] = keyPair{l: l, r: r}
+		need[l], need[lw+r] = true, true
 	}
-	return keys, nil
+	return keys, need[:lw], need[lw:], nil
 }
 
 // matches reports whether row l of the left input and row r of the right

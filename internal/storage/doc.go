@@ -32,11 +32,8 @@
 // O(1) and allocates nothing: the incoming page is read and verified into
 // the pool's one spare buffer, and only then is the first unpinned frame
 // from the cold end written back and re-keyed in place — so a failed read
-// costs no resident page. A miss that continues the previous miss on the
-// same file reads the run of non-resident pages after it, up to 32, with one
-// pread into a pool-owned run buffer; the misses inside the run copy their
-// page out of it, each still verified, counted and installed on its own, and
-// a write-back of a page the run holds drops it.
+// costs no resident page. A miss is one pread of its own page: Fetch does not
+// read ahead.
 //
 // Scans read around the pool: a ScanRun (Pool.NewScanRun) is one scan's
 // private run buffer, from a pool free list. Its Read pins a resident page as

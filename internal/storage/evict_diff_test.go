@@ -336,6 +336,7 @@ func TestFailedReadCostsNoResidentPage(t *testing.T) {
 		if _, err := pool.Fetch(hf, 3); !errors.Is(err, ErrChecksum) {
 			t.Fatalf("%s: fetch of torn page: got %v, want ErrChecksum", tc.name, err)
 		}
+		before.Reads, before.PagesRead = before.Reads+1, before.PagesRead+1 // the failed pread of page 3
 		if after := pool.Stats(); after != before {
 			t.Fatalf("%s: failed fetch changed the pool: %+v -> %+v", tc.name, before, after)
 		}

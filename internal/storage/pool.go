@@ -3,7 +3,6 @@ package storage
 import (
 	"errors"
 	"fmt"
-	"math"
 	"sync"
 
 	"ml4db/internal/obs"
@@ -93,13 +92,6 @@ type Pool struct {
 	// epoch counts write-backs (and file releases): a scan run staged under
 	// an older epoch may hold bytes a write replaced, so it is read again.
 	epoch uint64
-	// run holds pages [runLo, runHi) of file runFile, staged by one pread
-	// when a miss continued the miss before it (last); the misses that
-	// follow inside the run copy their page out instead of reading it.
-	run          []byte
-	runFile      uint32
-	runLo, runHi int
-	last         PageKey
 
 	hits, misses, evictions, writebacks, reads, pagesRead int64
 	evictLog                                              []PageKey
@@ -127,7 +119,6 @@ func NewPool(opts PoolOptions) *Pool {
 		opts:   opts,
 		frames: make(map[PageKey]*frame, opts.Capacity),
 		files:  make(map[*HeapFile]uint32),
-		last:   PageKey{File: math.MaxUint32}, // no file has this id: nothing continues it
 	}
 	p.lru.init()
 	if m := opts.Metrics; m != nil {
@@ -268,8 +259,7 @@ func (p *Pool) notifyLocked(key PageKey) {
 // the pool is filling, afterwards the victim's, re-keyed in place. The page
 // is read and verified into the spare buffer before the victim is touched —
 // a failed read must not cost a resident page — and the victim's buffer is
-// the next spare, so a steady-state miss allocates nothing here (the run
-// buffer, like the spare, is allocated once).
+// the next spare, so a steady-state miss allocates nothing here.
 func (p *Pool) loadLocked(hf *HeapFile, key PageKey) (*frame, error) {
 	var fr *frame
 	if len(p.frames) >= p.opts.Capacity {
@@ -280,7 +270,8 @@ func (p *Pool) loadLocked(hf *HeapFile, key PageKey) (*frame, error) {
 	if p.spare == nil {
 		p.spare = make([]byte, PageSize)
 	}
-	page, err := p.readLocked(hf, key)
+	p.countRead(1)
+	page, err := hf.readPageInto(p.spare, int(key.Page))
 	if err != nil {
 		return nil, err
 	}
@@ -301,48 +292,6 @@ func (p *Pool) loadLocked(hf *HeapFile, key PageKey) (*frame, error) {
 	fr.key, fr.hf, fr.pins = key, hf, 1
 	p.frames[key] = fr
 	return fr, nil
-}
-
-// readLocked reads and verifies key's page into the spare buffer. A page of
-// the staged run is copied out of it; a miss that continues the last one on
-// the same file first stages the run from it to the first resident page, at
-// most runPages long and within the file, with one pread; any other miss, or
-// a run read that fails or comes back short, reads its page alone. Each page
-// is verified on its own, so a corrupt page in a run fails only its fetch.
-func (p *Pool) readLocked(hf *HeapFile, key PageKey) (Page, error) {
-	pageNo := int(key.Page)
-	seq := key.File == p.last.File && key.Page == p.last.Page+1
-	p.last = key
-	if !p.stagedLocked(key) && seq {
-		hi := min(pageNo+runPages, hf.NumPages())
-		for q := pageNo + 1; q < hi; q++ {
-			if _, ok := p.frames[PageKey{File: key.File, Page: uint32(q)}]; ok {
-				hi = q
-			}
-		}
-		if hi-pageNo > 1 {
-			if p.run == nil {
-				p.run = make([]byte, runPages*PageSize)
-			}
-			p.countRead(hi - pageNo)
-			p.runFile, p.runLo, p.runHi = key.File, pageNo, pageNo
-			if hf.readRun(p.run[:(hi-pageNo)*PageSize], pageNo) {
-				p.runHi = hi
-			}
-		}
-	}
-	if p.stagedLocked(key) {
-		at := (pageNo - p.runLo) * PageSize
-		copy(p.spare, p.run[at:at+PageSize])
-		return hf.verify(p.spare, pageNo)
-	}
-	p.countRead(1)
-	return hf.readPageInto(p.spare, pageNo)
-}
-
-// stagedLocked reports whether the run buffer holds key's page.
-func (p *Pool) stagedLocked(key PageKey) bool {
-	return key.File == p.runFile && int(key.Page) >= p.runLo && int(key.Page) < p.runHi
 }
 
 // countRead counts one pread the pool issues, of n pages.
@@ -518,15 +467,11 @@ func (p *Pool) unmapLocked(fr *frame) error {
 	return nil
 }
 
-// writeBackLocked writes fr's page to its file if it is dirty, dropping the
-// staged run if it holds the page: a staged copy is never served after a
-// write.
+// writeBackLocked writes fr's page to its file if it is dirty, advancing the
+// write epoch: a scan run staged before it is never served after the write.
 func (p *Pool) writeBackLocked(fr *frame) error {
 	if !fr.dirty {
 		return nil
-	}
-	if p.stagedLocked(fr.key) {
-		p.runHi = p.runLo
 	}
 	p.epoch++
 	if err := fr.hf.WritePage(fr.page); err != nil {
@@ -539,9 +484,10 @@ func (p *Pool) writeBackLocked(fr *frame) error {
 }
 
 // PoolStats is a snapshot of the pool's counters and occupancy. Reads counts
-// the preads the pool issued: one per miss, or one per staged run of them;
-// PagesRead the pages they transferred, so PagesRead - Misses counts pages
-// staged but never served (and failed reads).
+// the preads the pool issued: one per Fetch miss, one per scan run (plus the
+// single-page read after a short one); PagesRead the pages they transferred,
+// so PagesRead - Misses counts pages a scan staged but did not serve (it
+// stopped first, or a write-back outdated the run) and failed reads.
 type PoolStats struct {
 	Hits, Misses, Evictions, Writebacks, Reads, PagesRead int64
 	Resident, Pinned                                      int
@@ -618,7 +564,7 @@ func (p *Pool) ReleaseFile(hf *HeapFile) error {
 			return fmt.Errorf("storage: releasing %s with page %d still pinned: %w", hf.Path(), fr.key.Page, ErrAllPinned)
 		}
 	}
-	p.runHi, p.epoch = p.runLo, p.epoch+1
+	p.epoch++
 	for fr := p.lru.coldest(); fr != nil; {
 		next := p.lru.next(fr)
 		if fr.hf == hf {

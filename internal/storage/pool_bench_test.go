@@ -10,9 +10,8 @@ import (
 // LRU miss and on a learned-policy miss, and one ScanRun.Read of a page the
 // pool does not hold, in ns and allocations, with the pool full (steady
 // state). The miss benchmarks cycle over more pages than the pool holds, so
-// under either policy every fetch misses and evicts; the misses are
-// sequential, so they read by the run (BenchmarkPoolFetchSeqMiss and
-// BenchmarkPoolFetchScanMiss report preads per page).
+// under either policy every fetch misses and evicts, one pread each; a scan
+// reads by the run (BenchmarkPoolFetchScanMiss reports preads per page).
 
 const benchMissPages = 8192
 
@@ -85,26 +84,6 @@ func BenchmarkPoolFetchMissLRU(b *testing.B) {
 
 func BenchmarkPoolFetchMissLearned(b *testing.B) {
 	benchFetch(b, PoolOptions{Capacity: 128, Policy: NewLearnedPolicy(Recency{})}, benchMissPages, false)
-}
-
-// A sequential cold scan through Fetch: each page misses, and the misses after
-// the first of a run copy their page out of the run one pread staged. Reports
-// the preads per page beside ns/op.
-func BenchmarkPoolFetchSeqMiss(b *testing.B) {
-	pool := NewPool(PoolOptions{Capacity: 128})
-	fetch := cyclicFetcher(b, pool, benchFile(b, benchMissPages), false)
-	before := pool.Stats()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		fetch()
-	}
-	b.StopTimer()
-	st := pool.Stats()
-	if st.Hits != before.Hits {
-		b.Fatalf("a cold scan hit: %+v", st)
-	}
-	b.ReportMetric(float64(st.Reads-before.Reads)/float64(b.N), "reads/page")
 }
 
 // A scan's read of a page the pool does not hold: served from the scan's run,

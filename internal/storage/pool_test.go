@@ -179,6 +179,19 @@ func TestPoolWritebackOnEviction(t *testing.T) {
 	if !p.ReadTuple(1, row) || row[0] != 77 {
 		t.Fatalf("written-back tuple = %v", row)
 	}
+	// Fetched again through the pool, page 0 is read from disk once, with
+	// the written bytes.
+	h, err = pool.Fetch(hf, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h.Unpin()
+	if !h.Missed() || !h.Page().ReadTuple(1, row) || row[0] != 77 {
+		t.Fatalf("page 0 after its write-back: missed %v, slot 1 = %v, want the written 77", h.Missed(), row)
+	}
+	if got := pool.Stats().Reads - st.Reads; got != 1 {
+		t.Fatalf("page 0 fetched again with %d reads, want 1", got)
+	}
 }
 
 func TestPoolFlushFileWritesDirtyPages(t *testing.T) {

@@ -135,23 +135,6 @@ func (tf *TableFile) scanPage(pageNo int, spp int64, row []int64, fn func(rowID 
 	return nil
 }
 
-// ColumnValues reads one column of every live row, in rowid order — the
-// accessor ANALYZE and index builds use for disk tables.
-func (tf *TableFile) ColumnValues(col int) ([]int64, error) {
-	if col < 0 || col >= tf.hf.NCols() {
-		return nil, fmt.Errorf("storage: column %d out of range of %s", col, tf.hf.Path())
-	}
-	out := make([]int64, 0, tf.NumRows())
-	err := tf.Scan(func(_ int64, row []int64) error {
-		out = append(out, row[col])
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 // Flush writes back this table's dirty pooled pages.
 func (tf *TableFile) Flush() error { return tf.pool.FlushFile(tf.hf) }
 

@@ -66,13 +66,14 @@ echo "==> fuzz (storage.FuzzPageDecode, 5s)"
 go test -run '^$' -fuzz FuzzPageDecode -fuzztime 5s ./internal/storage/
 
 # The same budget on the pool's read paths, over its corpus
-# (testdata/fuzz/FuzzPoolReads: sequential runs over a corrupted page, a write
-# back inside a staged run, one frame over two files, scan reads over masks
-# and resident pages, a scan run outdated by a write-back): every page a fetch
-# or a scan read returns holds what was last written to it, Stats but Reads
-# and PagesRead and the eviction log equal the reference pool's, only the
-# corrupted page fails, with *ChecksumError, and a scan reads no page it does
-# not serve and leaves the replacement state as it found it.
+# (testdata/fuzz/FuzzPoolReads: sequential fetches over a corrupted page,
+# dirty pages written back between fetches, one frame over two files, scan
+# reads over masks and resident pages, a scan run outdated by a write-back):
+# every page a fetch or a scan read returns holds what was last written to it,
+# Stats but Reads and PagesRead and the eviction log equal the reference
+# pool's, only the corrupted page fails, with *ChecksumError, a fetch reads one
+# page on a miss or a failed read and none on a hit, and a scan reads no page
+# it does not serve and leaves the replacement state as it found it.
 echo "==> fuzz (storage.FuzzPoolReads, 5s)"
 go test -run '^$' -fuzz FuzzPoolReads -fuzztime 5s ./internal/storage/
 
