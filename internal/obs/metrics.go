@@ -5,6 +5,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 )
 
 // Registry holds named, label-free metrics. All methods are safe for
@@ -77,20 +78,17 @@ func (r *Registry) Histogram(name string, bounds []float64) *Histogram {
 	return h
 }
 
-// Counter is a monotonically increasing integer metric.
+// Counter is a monotonically increasing integer metric: one atomic word, so
+// counting costs no lock on the hot paths that count (a pool hit, a miss).
 type Counter struct {
-	mu sync.Mutex
-	v  int64
+	v atomic.Int64
 }
 
 // Add increments the counter by n. No-op on a nil receiver.
 func (c *Counter) Add(n int64) {
-	if c == nil {
-		return
+	if c != nil {
+		c.v.Add(n)
 	}
-	c.mu.Lock()
-	c.v += n
-	c.mu.Unlock()
 }
 
 // Inc increments the counter by one. No-op on a nil receiver.
@@ -101,9 +99,7 @@ func (c *Counter) Value() int64 {
 	if c == nil {
 		return 0
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.v
+	return c.v.Load()
 }
 
 // Gauge is a last-value float metric.

@@ -253,6 +253,36 @@ func TestRegistryConcurrentAccess(t *testing.T) {
 	}
 }
 
+// TestCounterConcurrentAddsSumExactly has goroutines add different amounts to
+// one counter at once, Inc and Add alike; the total must be exact (under
+// -race in scripts/check.sh this is also the counter's data-race check).
+func TestCounterConcurrentAddsSumExactly(t *testing.T) {
+	const goroutines, adds = 8, 2000
+	c := NewRegistry().Counter("c")
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < adds; i++ {
+				if i%2 == 0 {
+					c.Inc()
+				} else {
+					c.Add(int64(g))
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	want := int64(goroutines * adds / 2) // the Incs
+	for g := 0; g < goroutines; g++ {
+		want += int64(g * adds / 2)
+	}
+	if got := c.Value(); got != want {
+		t.Fatalf("counter = %d, want %d", got, want)
+	}
+}
+
 // TestNilObservabilityAllocatesNothing pins the "nil is off, and free"
 // contract: the full instrumentation call surface on nil receivers performs
 // zero allocations.

@@ -11,9 +11,8 @@
 // its output columns anything above it reads, an in-memory scan hands out
 // the table's own columns without copying (a filtered one with its kept row
 // numbers as a selection vector), joins pass position vectors and gather the
-// wanted columns once, and rows are built in exactly
-// one place — after the requested ORDER BY and LIMIT (Options.Output) have
-// picked the survivors (batch.go, output.go).
+// wanted columns once, and rows are built in exactly one place — after the
+// requested ORDER BY and LIMIT (Options.Output) have picked the survivors.
 //
 // Every partitionable operator has one loop body, written over a contiguous
 // range of its input. A plan node with Partitions ≤ 1 runs the body once

@@ -11,7 +11,6 @@ import (
 	"ml4db/internal/mlmath"
 	"ml4db/internal/obs"
 	"ml4db/internal/sqlkit/catalog"
-	"ml4db/internal/sqlkit/expr"
 	"ml4db/internal/sqlkit/plan"
 )
 
@@ -252,11 +251,6 @@ type execState struct {
 type keyRange struct {
 	lo, hi  int64
 	col, at int32
-}
-
-// pred is the range as the probe scan's filter, col BETWEEN lo AND hi.
-func (r *keyRange) pred() expr.Pred {
-	return expr.Pred{Col: int(r.col), Op: expr.BETWEEN, Lo: r.lo, Hi: r.hi}
 }
 
 // charge adds units to the given category counter and the total, enforcing

@@ -52,15 +52,16 @@ type chunk struct {
 
 // kernel is SeqScan's and IndexScan's loop over a source's chunks: what to
 // charge, filter and keep, an IndexScan's row ids, and buffers as long as a
-// chunk in memory. bound, if set, is one more filter, the build keys' range
-// a hash join hands its probe scan (execState.probe). done counts the rows it
-// charged a unit for.
+// chunk in memory. A disk SeqScan tests first on each page in place, before
+// the other filters: filters[skip]'s range, or if skip is -1 the build keys'
+// range its hash join hands it (-2: none). done counts the rows it charged.
 type kernel struct {
 	src     source
 	a       *acct
 	unit    *int64
 	filters []expr.Pred
-	bound   *keyRange
+	first   keyRange
+	skip    int
 	need    []bool
 	out     *batch
 	ids     []int32
@@ -116,12 +117,12 @@ func (k *kernel) scan(lo, hi int) error {
 // that passes every interval filter, a bit per page (see
 // storage.HeapFile.MayHold). NE filters skip no page.
 func (k *kernel) mayPass(first int) uint64 {
-	may, hf := ^uint64(0), k.src.tf.File()
-	if b := k.bound; b != nil {
+	may, hf, b := ^uint64(0), k.src.tf.File(), k.first
+	if k.skip > -2 {
 		may &= hf.MayHold(first, int(b.col), b.lo, b.hi)
 	}
-	for _, f := range k.filters {
-		if lo, hi, ok := f.Range(math.MinInt64, math.MaxInt64); ok {
+	for i, f := range k.filters {
+		if lo, hi, ok := f.Range(math.MinInt64, math.MaxInt64); ok && i != k.skip {
 			may &= hf.MayHold(first, f.Col, lo, hi)
 		}
 	}
@@ -150,26 +151,27 @@ func (k *kernel) pin(pageNo int, will uint64, run *storage.ScanRun, ch chunk, sl
 }
 
 // run is the kernel on one chunk (slots and vals buffer a page's slots and a
-// column): filters narrow its rows' ordinals, a column each; it is charged —
-// the page's miss, a unit per row and a row per kept one, or a fetched row's
-// row only; kept rows' marked columns, or a SeqScan's row numbers in memory
-// (filtered only: out.at), are appended to out.
+// column): filters narrow its rows' ordinals, a column each (a disk SeqScan's
+// first in place); it is charged — the page's miss, a unit per row and a row
+// per kept one, or a fetched row's row only; kept rows' marked columns, or a
+// SeqScan's row numbers in memory (filtered only: out.at), are appended to out.
 func (k *kernel) run(ch chunk, slots []uint16, vals []int64) error {
-	var rows []uint16 // ordinals in memory, slots on disk
+	var rows, kept []uint16 // ordinals in memory, slots on disk; the ordinals kept
 	switch {
 	case ch.page == nil:
-		rows = ordinals[:ch.n]
+		rows, kept = ordinals[:ch.n], ordinals[:ch.n]
+	case k.skip > -2: // a SeqScan's page
+		rows, kept = ch.page.Filter(slots, k.sel, int(k.first.col), k.first.lo, k.first.hi)
 	case !ch.fetched:
 		rows = ch.page.LiveSlots(slots[:0])
+		kept = ordinals[:len(rows)]
 	case ch.page.Used(ch.at): // else the index predates a delete
-		rows = append(slots[:0], uint16(ch.at))
+		rows, kept = append(slots[:0], uint16(ch.at)), ordinals[:1]
 	}
-	kept, filtered := ordinals[:len(rows)], len(k.filters) > 0 || k.bound != nil
-	if b := k.bound; b != nil {
-		kept = narrow(k.sel[:0], kept, k.column(vals[:0], ch, int(b.col), rows), b.pred())
-	}
-	for _, f := range k.filters {
-		kept = narrow(k.sel[:0], kept, k.column(vals[:0], ch, f.Col, rows), f)
+	for i, f := range k.filters {
+		if i != k.skip {
+			kept = narrow(k.sel[:0], kept, k.column(vals[:0], ch, f.Col, rows), f)
+		}
 	}
 	var err error
 	done := ch.n // a fetched row's one unit, charged before its page was pinned
@@ -190,7 +192,7 @@ func (k *kernel) run(ch chunk, slots []uint16, vals []int64) error {
 	out.n += len(kept)
 	switch {
 	case ch.page == nil && k.ids == nil:
-		if filtered {
+		if len(k.filters) > 0 {
 			at := out.at
 			for _, o := range kept {
 				at = append(at, int64(ch.at+int(o)))
@@ -198,7 +200,7 @@ func (k *kernel) run(ch chunk, slots []uint16, vals []int64) error {
 			out.at = at
 		}
 		return nil
-	case filtered:
+	case len(kept) < len(rows):
 		for j, o := range kept { // ordinals to rows, in place
 			kept[j] = rows[o]
 		}
@@ -252,15 +254,19 @@ func (s *execState) shard(src source, lo, hi int, filtered bool, need []bool) ba
 // partitioned scans see the same misses (docs/EXECUTOR.md).
 func (s *execState) seqScan(n *plan.Node, ord int, need []bool) (batch, error) {
 	src := newSource(s.e.Cat.Table(n.TableID))
-	var bound *keyRange
-	if ord != 0 && int32(ord) == s.probe.at {
-		bound = &s.probe
-	}
 	before := s.acct
 	out, err := s.ranged(src.units, n.Partitions, func(a *acct, _, lo, hi int) (batch, error) {
-		out := s.shard(src, lo, hi, len(n.Filters) > 0 || bound != nil, need)
+		out := s.shard(src, lo, hi, len(n.Filters) > 0, need)
 		var sel [chunkRows]uint16
-		k := &kernel{src: src, a: a, unit: &a.ctr.ScanTuples, filters: n.Filters, bound: bound, need: need, out: &out, sel: sel[:]}
+		k := &kernel{src: src, a: a, unit: &a.ctr.ScanTuples, filters: n.Filters, skip: -2, need: need, out: &out, sel: sel[:]}
+		if ord != 0 && int32(ord) == s.probe.at { // what each page tests in place (see kernel)
+			k.first, k.skip = s.probe, -1
+		}
+		for i, f := range n.Filters {
+			if l, h, ok := f.Range(math.MinInt64, math.MaxInt64); ok && src.tf != nil && k.skip == -2 {
+				k.first, k.skip = keyRange{lo: l, hi: h, col: int32(f.Col)}, i
+			}
+		}
 		err := k.scan(lo, hi)
 		return out, err
 	})
@@ -310,7 +316,7 @@ func (s *execState) indexScan(n *plan.Node, ord int, need []bool) (batch, error)
 	out := s.newBatch(0, len(ids), need)
 	var sel [fetchRows]uint16
 	var vals [fetchRows]int64
-	k := &kernel{src: newSource(t), a: &s.acct, unit: &s.ctr.IndexFetch, filters: residual, need: need, out: &out, ids: ids, sel: sel[:], vals: vals[:]}
+	k := &kernel{src: newSource(t), a: &s.acct, unit: &s.ctr.IndexFetch, filters: residual, skip: -2, need: need, out: &out, ids: ids, sel: sel[:], vals: vals[:]}
 	err := k.scan(0, len(ids))
 	act := &s.res.Actuals[ord] // on aborts too: the fetches made, the misses charged
 	act.Fetched, act.PageMisses = int64(k.done), s.ctr.PageMiss-missBefore

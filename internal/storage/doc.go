@@ -6,7 +6,9 @@
 //
 // A Page is a fixed PageSize (4 KiB) byte array holding fixed-width int64
 // tuples behind a checksummed header and a slot-occupancy bitmap (see
-// page.go for the exact byte layout). A HeapFile is a sequence of pages in
+// page.go for the exact byte layout). Scans read it in place a column at a
+// time (LiveSlots, AppendColumn), a first interval filter in one pass
+// (Filter); a full page's live slots are a shared identity slice. A HeapFile is a sequence of pages in
 // one OS file; it maintains an in-memory free-space map (free slots per
 // page) and zone map (per page and column, the [min, max] of the values
 // inserted; HeapFile.MayHold says which pages may hold a value in a range),
@@ -41,7 +43,9 @@
 // the lock fills with the consecutive non-resident pages the scan will read
 // (its mask), up to 32. A scan inserts, evicts, ticks and tells the policy
 // nothing, so it leaves replacement state as it found it, and a write-back
-// advances a write epoch that makes every run staged before it stale.
+// advances a write epoch that makes every run staged before it stale. A read
+// takes the pool lock once per page: the epoch and the miss count are atomic,
+// checked and counted after the read without it.
 // Fetch and ScanRun.Read inline into their callers, so the handle itself
 // lives on the caller's stack.
 //

@@ -230,8 +230,13 @@ func (p *Page) Value(slot, col int) int64 {
 
 // LiveSlots appends the page's live slots to dst in ascending order — the
 // slots Used reports, so bitmap bits at or beyond NumSlots are not slots —
-// and returns the extended slice.
+// and returns the extended slice. A full page asked into an empty dst does
+// not walk its bitmap: it returns a shared read-only identity slice instead,
+// which the caller must not write to.
 func (p *Page) LiveSlots(dst []uint16) []uint16 {
+	if len(dst) == 0 && p.full() {
+		return identity[:p.nslots]
+	}
 	for i, b := range p.buf[pageHeaderSize : pageHeaderSize+(p.nslots+7)/8] {
 		for ; b != 0; b &= b - 1 {
 			slot := i*8 + bits.TrailingZeros8(b)
@@ -242,6 +247,51 @@ func (p *Page) LiveSlots(dst []uint16) []uint16 {
 		}
 	}
 	return dst
+}
+
+// identity[i] == i: a full page's live slots, read-only. No page has more
+// slots than a one-column page's.
+var identity = func() (o [PageSize / 8]uint16) {
+	for i := range o {
+		o[i] = uint16(i)
+	}
+	return o
+}()
+
+// full reports whether every slot is live: every bitmap bit below NumSlots is
+// set (those at or past it are no slots and are masked off).
+func (p *Page) full() bool {
+	n := p.nslots / 8
+	bm := p.buf[pageHeaderSize : pageHeaderSize+n+1]
+	for _, b := range bm[:n] {
+		if b != 0xFF {
+			return false
+		}
+	}
+	mask := byte(1)<<(p.nslots%8) - 1
+	return bm[n]&mask == mask
+}
+
+// Filter is a scan's first filter over the page, in place and in one pass: it
+// returns the page's live slots, as LiveSlots(slots[:0]) returns them, and the
+// ordinals of those — positions in live, ascending — whose column col lies in
+// [lo, hi], written to sel, which must hold NumSlots. lo > hi keeps none. The
+// test is key − lo ≤ hi − lo unsigned, without a branch, so it is exact over
+// all of int64. Like AppendColumn it trusts col to be below NCols.
+func (p *Page) Filter(slots, sel []uint16, col int, lo, hi int64) (live, kept []uint16) {
+	live = p.LiveSlots(slots[:0])
+	if lo > hi {
+		return live, sel[:0]
+	}
+	base, stride := p.tupleOff(0)+8*col, 8*p.ncols
+	ulo, span := uint64(lo), uint64(hi)-uint64(lo)
+	sel, k := sel[:len(live)], 0
+	for o, s := range live {
+		sel[k] = uint16(o)
+		_, borrow := bits.Sub64(span, binary.LittleEndian.Uint64(p.buf[base+int(s)*stride:])-ulo, 0)
+		k += int(borrow ^ 1)
+	}
+	return live, sel[:k]
 }
 
 // AppendColumn appends column col of the tuple in each of slots to dst and

@@ -111,9 +111,13 @@ func TestPageFromBytesRejectsCorruption(t *testing.T) {
 }
 
 // checkDecode fails unless LiveSlots lists, in order and appended to what dst
-// held, exactly the slots Used reports — Used is asked past NumSlots too, where
-// set bitmap bits are no slots — and AppendColumn over them reads, column by
-// column, what Value reads, into a slice grown as appending each value grows it.
+// held (or into an empty dst), exactly the slots Used reports — Used is asked
+// past NumSlots too, where set bitmap bits are no slots — and AppendColumn over
+// them reads, column by column, what Value reads, into a slice grown as
+// appending each value grows it; and unless Filter agrees with them
+// (checkFilter) on each column over ranges taken from the page's own bytes —
+// [a, b] for the column's values in the first and the last slot, live or not,
+// [b, a], [a, a] — and over the whole int64 range.
 func checkDecode(t *testing.T, p *Page) {
 	t.Helper()
 	var want []uint16
@@ -126,6 +130,9 @@ func checkDecode(t *testing.T, p *Page) {
 	if got[0] != 9999 || !slices.Equal(got[1:], want) {
 		t.Fatalf("LiveSlots after [9999] = %v, want [9999] then the Used slots %v", got, want)
 	}
+	if got := p.LiveSlots(nil); !slices.Equal(got, want) {
+		t.Fatalf("LiveSlots(nil) = %v, want the Used slots %v", got, want)
+	}
 	for c := 0; c < p.NCols(); c++ {
 		vals := []int64{-1}
 		for _, s := range want {
@@ -134,6 +141,31 @@ func checkDecode(t *testing.T, p *Page) {
 		if col := p.AppendColumn([]int64{-1}, c, want); !slices.Equal(col, vals) || cap(col) != cap(vals) {
 			t.Fatalf("AppendColumn(col %d) = %v (cap %d), Value reads %v (appended to cap %d)", c, col, cap(col), vals, cap(vals))
 		}
+		var a, b int64
+		if n := p.NumSlots(); n > 0 {
+			a, b = p.Value(0, c), p.Value(n-1, c)
+		}
+		for _, r := range [][2]int64{{a, b}, {b, a}, {a, a}, {math.MinInt64, math.MaxInt64}} {
+			checkFilter(t, p, c, r[0], r[1], want)
+		}
+	}
+}
+
+// checkFilter fails unless Filter over column col and [lo, hi] returns the
+// live slots and, as ordinals into them, exactly those whose value v —
+// AppendColumn's — passes (v−lo) ≤ (hi−lo) unsigned, which is lo ≤ v ≤ hi;
+// none if lo > hi.
+func checkFilter(t *testing.T, p *Page, col int, lo, hi int64, live []uint16) {
+	t.Helper()
+	var want []uint16
+	for o, v := range p.AppendColumn(nil, col, live) {
+		if lo <= hi && uint64(v)-uint64(lo) <= uint64(hi)-uint64(lo) {
+			want = append(want, uint16(o))
+		}
+	}
+	gotLive, kept := p.Filter(make([]uint16, p.NumSlots()), make([]uint16, p.NumSlots()), col, lo, hi)
+	if !slices.Equal(gotLive, live) || !slices.Equal(kept, want) {
+		t.Fatalf("Filter(col %d, [%d, %d]) = live %v, kept %v; want live %v, kept %v", col, lo, hi, gotLive, kept, live, want)
 	}
 }
 
@@ -181,14 +213,43 @@ func TestPageLiveSlotsAndColumns(t *testing.T) {
 	checkDecode(t, p)
 }
 
+// A full page's live slots are the shared identity, the bitmap unread; with
+// one slot deleted — the first, a middle or the last — they are the bitmap
+// walk's answer again: every slot but that one.
+func TestPageLiveSlotsFullIsIdentity(t *testing.T) {
+	full := NewPage(0, 3) // 169 slots: the bitmap's last byte holds one
+	for i := 0; i < full.NumSlots(); i++ {
+		full.Insert([]int64{int64(i), int64(-i), 7})
+	}
+	got := full.LiveSlots(nil)
+	if len(got) != full.NumSlots() || &got[0] != &identity[0] {
+		t.Fatalf("full page: %d live slots, want the shared identity's first %d", len(got), full.NumSlots())
+	}
+	live, kept := full.Filter(nil, make([]uint16, full.NumSlots()), 0, 10, 20)
+	if &live[0] != &identity[0] || !slices.Equal(kept, identity[10:21]) {
+		t.Fatalf("full page Filter: live not the identity, or kept %v, want 10..20", kept)
+	}
+	for _, del := range []int{0, full.NumSlots() / 2, full.NumSlots() - 1} {
+		p := &Page{buf: slices.Clone(full.Bytes()), ncols: full.NCols(), nslots: full.NumSlots()}
+		p.Delete(del)
+		want := slices.Delete(slices.Clone(identity[:p.NumSlots()]), del, del+1)
+		if got := p.LiveSlots(nil); !slices.Equal(got, want) || &got[0] == &identity[0] {
+			t.Fatalf("slot %d deleted: LiveSlots = %v, want %v from the bitmap", del, got, want)
+		}
+		checkDecode(t, p)
+	}
+}
+
 // FuzzPageDecode holds the page decoder to what scans assume of it. For any
 // bytes PageFromBytes returns a page or an error, never a panic. The same
 // bytes are then padded or cut to a page, checksummed and parsed at the page
 // number they carry, so the fuzzer reaches pages that verify: on those,
-// LiveSlots and AppendColumn must agree with the Used/Value loop (checkDecode).
+// LiveSlots and AppendColumn must agree with the Used/Value loop, and Filter
+// with them (checkDecode).
 // The seed corpus (testdata/fuzz/FuzzPageDecode: empty, full, one-slot and
-// deleted-slot pages, stray bitmap bits, headers that do not verify) runs with
-// the ordinary tests; fuzz with
+// deleted-slot pages, stray bitmap bits, headers that do not verify, and full
+// pages whose filter keeps every slot, none, or some with stray bits set, and
+// a page full but for its last slot) runs with the ordinary tests; fuzz with
 // go test -run '^$' -fuzz FuzzPageDecode ./internal/storage/.
 func FuzzPageDecode(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"ml4db/internal/obs"
 )
@@ -90,11 +91,14 @@ type Pool struct {
 	nextID  uint32
 	tick    uint64
 	// epoch counts write-backs (and file releases): a scan run staged under
-	// an older epoch may hold bytes a write replaced, so it is read again.
-	epoch uint64
+	// an older epoch may hold bytes a write replaced, so it is read again. It
+	// advances under mu; a scan reads it after its read, outside mu.
+	epoch atomic.Uint64
+	// misses is counted outside mu by scan reads, under it by Fetch.
+	misses atomic.Int64
 
-	hits, misses, evictions, writebacks, reads, pagesRead int64
-	evictLog                                              []PageKey
+	hits, evictions, writebacks, reads, pagesRead int64
+	evictLog                                      []PageKey
 
 	cHits, cMisses, cEvictions, cWritebacks, cReads *obs.Counter
 	hReuse                                          *obs.Histogram
@@ -238,7 +242,7 @@ func (p *Pool) fetch(hf *HeapFile, pageNo int) (PageHandle, error) {
 		if fr, err = p.loadLocked(hf, key); err != nil {
 			return PageHandle{}, err
 		}
-		p.misses++
+		p.misses.Add(1)
 		p.cMisses.Inc()
 	}
 	fr.lastTick = p.tick
@@ -354,9 +358,11 @@ func (r *ScanRun) Read(pageNo int, may uint64) (*PageHandle, error) {
 	return &h, nil
 }
 
-// read is Read returning the handle by value. When a write-back ran since
-// the run was staged — before or during this read — the page may hold bytes
-// the write replaced, so it drops the run and reads again.
+// read is Read returning the handle by value. It takes the pool lock once per
+// page: to find a resident page, or to stage a run and find the page not
+// resident. The pread, the verify and the epoch check run outside it: when a
+// write-back ran since the run was staged — before or during this read — the
+// page may hold bytes the write replaced, so it drops the run and reads again.
 func (r *ScanRun) read(pageNo int, may uint64) (PageHandle, error) {
 	p, hf := r.pool, r.hf
 	for {
@@ -384,21 +390,20 @@ func (r *ScanRun) read(pageNo int, may uint64) (PageHandle, error) {
 			page, err = hf.verify(r.buf[at:at+PageSize], pageNo)
 		} else {
 			page, err = hf.readPageInto(r.buf[:PageSize], pageNo)
+			if hi-pageNo > 1 { // a short run's single-page read: rare, so locked
+				p.mu.Lock()
+				p.countRead(1)
+				p.mu.Unlock()
+			}
 		}
-		p.mu.Lock()
-		if !fromRun && hi-pageNo > 1 { // a short run's single-page read
-			p.countRead(1)
-		}
-		if p.epoch != r.epoch {
+		if p.epoch.Load() != r.epoch {
 			r.hi = r.lo
-			p.mu.Unlock()
 			continue
 		}
 		if err == nil {
-			p.misses++
+			p.misses.Add(1)
 			p.cMisses.Inc()
 		}
-		p.mu.Unlock()
 		return PageHandle{pool: p, page: page, missed: true}, err
 	}
 }
@@ -422,7 +427,7 @@ func (r *ScanRun) stageLocked(pageNo int, may uint64) int {
 			r.buf = make([]byte, runPages*PageSize)
 		}
 	}
-	r.lo, r.hi, r.epoch = pageNo, pageNo, p.epoch
+	r.lo, r.hi, r.epoch = pageNo, pageNo, p.epoch.Load()
 	p.countRead(hi - pageNo)
 	return hi
 }
@@ -473,7 +478,7 @@ func (p *Pool) writeBackLocked(fr *frame) error {
 	if !fr.dirty {
 		return nil
 	}
-	p.epoch++
+	p.epoch.Add(1)
 	if err := fr.hf.WritePage(fr.page); err != nil {
 		return err
 	}
@@ -498,7 +503,7 @@ func (p *Pool) Stats() PoolStats {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	st := PoolStats{
-		Hits: p.hits, Misses: p.misses,
+		Hits: p.hits, Misses: p.misses.Load(),
 		Evictions: p.evictions, Writebacks: p.writebacks, Reads: p.reads,
 		PagesRead: p.pagesRead, Resident: len(p.frames),
 	}
@@ -564,7 +569,7 @@ func (p *Pool) ReleaseFile(hf *HeapFile) error {
 			return fmt.Errorf("storage: releasing %s with page %d still pinned: %w", hf.Path(), fr.key.Page, ErrAllPinned)
 		}
 	}
-	p.epoch++
+	p.epoch.Add(1)
 	for fr := p.lru.coldest(); fr != nil; {
 		next := p.lru.next(fr)
 		if fr.hf == hf {

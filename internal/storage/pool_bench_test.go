@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"path/filepath"
 	"testing"
+
+	"ml4db/internal/obs"
 )
 
 // The micro tier for this layer: what one Pool.Fetch costs on a hit, on an
@@ -88,29 +90,42 @@ func BenchmarkPoolFetchMissLearned(b *testing.B) {
 
 // A scan's read of a page the pool does not hold: served from the scan's run,
 // which one pread stages per runPages pages. Reports the preads per page
-// beside ns/op.
+// beside ns/op. metrics=true attaches a registry, as every engine pool has one:
+// each read then also counts its miss, and each run its pread.
 func BenchmarkPoolFetchScanMiss(b *testing.B) {
-	pool := NewPool(PoolOptions{Capacity: 128})
-	fetch := cyclicFetcher(b, pool, benchFile(b, benchMissPages), true)
-	before := pool.Stats()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		fetch()
+	for _, metrics := range []bool{false, true} {
+		b.Run(fmt.Sprintf("metrics=%v", metrics), func(b *testing.B) {
+			var reg *obs.Registry
+			if metrics {
+				reg = obs.NewRegistry()
+			}
+			pool := NewPool(PoolOptions{Capacity: 128, Metrics: reg})
+			fetch := cyclicFetcher(b, pool, benchFile(b, benchMissPages), true)
+			before := pool.Stats()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				fetch()
+			}
+			b.StopTimer()
+			st := pool.Stats()
+			if st.Hits != before.Hits || st.Resident != before.Resident {
+				b.Fatalf("a scan read hit or inserted: %+v", st)
+			}
+			if got := reg.Counter("storage.pool.misses").Value(); metrics && got != st.Misses {
+				b.Fatalf("storage.pool.misses reads %d, Stats.Misses %d", got, st.Misses)
+			}
+			b.ReportMetric(float64(st.Reads-before.Reads)/float64(b.N), "reads/page")
+		})
 	}
-	b.StopTimer()
-	st := pool.Stats()
-	if st.Hits != before.Hits || st.Resident != before.Resident {
-		b.Fatalf("a scan read hit or inserted: %+v", st)
-	}
-	b.ReportMetric(float64(st.Reads-before.Reads)/float64(b.N), "reads/page")
 }
 
 // TestPoolFetchAllocContract pins the allocation contract: at steady state a
 // fetch allocates nothing — no handle (it stays on the caller's stack), no
 // page buffer, no candidate slice — on a hit, on an LRU miss, on a learned
 // miss whose scorer does not allocate and on a scan read of a page the pool
-// does not hold, and that does not change with Capacity.
+// does not hold, with or without a metrics registry, and that does not change
+// with Capacity.
 func TestPoolFetchAllocContract(t *testing.T) {
 	hf := benchFile(t, 1100)
 	hot := benchFile(t, 128)
@@ -126,6 +141,7 @@ func TestPoolFetchAllocContract(t *testing.T) {
 		{"learned-miss/128", PoolOptions{Capacity: 128, Policy: NewLearnedPolicy(Recency{})}, hf, false},
 		{"learned-miss/1024", PoolOptions{Capacity: 1024, Policy: NewLearnedPolicy(Recency{})}, hf, false},
 		{"scan-miss/128", PoolOptions{Capacity: 128}, hf, true},
+		{"scan-miss/128+metrics", PoolOptions{Capacity: 128, Metrics: obs.NewRegistry()}, hf, true},
 	} {
 		pool := NewPool(tc.opts)
 		fetch := cyclicFetcher(t, pool, tc.hf, tc.scan)

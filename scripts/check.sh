@@ -61,7 +61,8 @@ go test -run '^$' -fuzz FuzzParse -fuzztime 5s ./internal/sqlkit/sqlparse/
 # The same budget on the heap-page decoder, over its corpus
 # (testdata/fuzz/FuzzPageDecode): no panic on any bytes, and on every page
 # that verifies, the scan's live-slot and column decoders read what the
-# slot-at-a-time Used/Value loop reads.
+# slot-at-a-time Used/Value loop reads, and the in-place filter keeps what
+# an unsigned-range loop over them keeps (lo > hi, one value, all of int64).
 echo "==> fuzz (storage.FuzzPageDecode, 5s)"
 go test -run '^$' -fuzz FuzzPageDecode -fuzztime 5s ./internal/storage/
 
