@@ -114,6 +114,7 @@ var corePkgSegments = map[string]bool{
 	"catalog":      true,
 	"views":        true,
 	"advisor":      true,
+	"qo":           true,
 }
 
 // IsCorePackage reports whether pkgPath denotes one of the core model

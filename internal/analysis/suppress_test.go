@@ -77,7 +77,8 @@ func TestIsCorePackageScoping(t *testing.T) {
 		{"ml4db/internal/querystore", true},
 		{"ml4db/internal/autopilot", true},
 		{"ml4db/internal/sqlkit/exec", true},
-		{"ml4db/internal/qo/bao", false},
+		{"ml4db/internal/qo", true},
+		{"ml4db/internal/qo/bao", true},
 		{"ml4db/learnedindex", false}, // core name outside internal/
 		{"ml4db/cmd/ml4db-vet", false},
 	}

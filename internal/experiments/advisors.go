@@ -105,18 +105,11 @@ func E22(seed uint64) (*Report, error) {
 		}
 		lemoCost += c
 	}
-	var reoptCost float64
-	for _, q := range queries {
-		p, err := env.Opt.Plan(q, optimizer.NoHint())
-		if err != nil {
-			return nil, err
-		}
-		w, _, err := env.Run(p, 0)
-		if err != nil {
-			return nil, err
-		}
-		reoptCost += float64(w) + penalty
+	reoptWork, err := totalWork(env, queries, hinted(env, optimizer.NoHint()))
+	if err != nil {
+		return nil, err
 	}
+	reoptCost := float64(reoptWork + penalty*int64(len(queries)))
 	r.rowf("%-22s %-14s", "policy", "total cost")
 	r.rowf("%-22s %-14.0f", "always re-optimize", reoptCost)
 	r.rowf("%-22s %-14.0f", "lemo", lemoCost)

@@ -4,12 +4,9 @@ import (
 	"ml4db/internal/mlmath"
 	"ml4db/internal/qo"
 	"ml4db/internal/qo/autosteer"
-	"ml4db/internal/qo/balsa"
 	"ml4db/internal/qo/bao"
 	"ml4db/internal/qo/leon"
-	"ml4db/internal/qo/neo"
 	"ml4db/internal/qo/paramtree"
-	"ml4db/internal/qo/rtos"
 	"ml4db/internal/sqlkit/datagen"
 	"ml4db/internal/sqlkit/exec"
 	"ml4db/internal/sqlkit/optimizer"
@@ -27,13 +24,30 @@ func qoTestbed(seed uint64, factRows int) (*qo.Env, *workload.StarGen, error) {
 	return qo.NewEnv(sch.Cat), workload.NewStarGen(sch, rng), nil
 }
 
-func mustWork(env *qo.Env, p *plan.Node) int64 {
-	w, _, err := env.Run(p, 0)
-	if err != nil {
-		//ml4db:allow nakedpanic "experiment harness: testbed execution failure is a harness bug, not a runtime condition"
-		panic(err)
+// planner is a plan function: a learned optimizer's Plan, or the expert's.
+type planner = func(*plan.Query) (*plan.Node, error)
+
+// hinted is the expert optimizer planning under hint set h.
+func hinted(env *qo.Env, h optimizer.HintSet) planner {
+	return func(q *plan.Query) (*plan.Node, error) { return env.Opt.Plan(q, h) }
+}
+
+// totalWork plans every query with p and returns the summed work of
+// executing the plans: how the experiments score every planner.
+func totalWork(env *qo.Env, queries []*plan.Query, p planner) (int64, error) {
+	var total int64
+	for _, q := range queries {
+		pl, err := p(q)
+		if err != nil {
+			return 0, err
+		}
+		w, _, err := env.Run(pl, 0)
+		if err != nil {
+			return 0, err
+		}
+		total += w
 	}
-	return w
+	return total, nil
 }
 
 // E8 measures NEO's robustness: performance on trained templates vs unseen
@@ -54,44 +68,37 @@ func E8(seed uint64) (*Report, error) {
 	for i := 0; i < 10; i++ {
 		unseen = append(unseen, gen.QueryWithDims(3))
 	}
+	expert := hinted(env, optimizer.NoHint())
+	wTrainExpert, err := totalWork(env, train, expert)
+	if err != nil {
+		return nil, err
+	}
+	wTestExpert, err := totalWork(env, unseen, expert)
+	if err != nil {
+		return nil, err
+	}
 	var trainRatio, testRatio float64
 	const reps = 3
 	for rep := uint64(0); rep < reps; rep++ {
-		n := neo.New(env, neo.Config{Hidden: 12}, mlmath.NewRNG(seed+1+rep))
-		if err := n.Bootstrap(train, 30); err != nil {
+		n := qo.NewNEO(env, mlmath.NewRNG(seed+1+rep))
+		if err := n.TrainOnExpert(train, qo.Work, 30); err != nil {
 			return nil, err
 		}
 		for e := 0; e < 3; e++ {
-			if err := n.Episode(train, 15); err != nil {
+			if err := n.TrainOnSearch(train, 1, qo.Work, 15); err != nil {
 				return nil, err
 			}
 		}
-		ratioOn := func(queries []*plan.Query) (float64, error) {
-			var wN, wE int64
-			for _, q := range queries {
-				p, err := n.Plan(q)
-				if err != nil {
-					return 0, err
-				}
-				wN += mustWork(env, p)
-				pe, err := env.Opt.Plan(q, optimizer.NoHint())
-				if err != nil {
-					return 0, err
-				}
-				wE += mustWork(env, pe)
-			}
-			return float64(wN) / float64(wE), nil
-		}
-		tr, err := ratioOn(train)
+		wTrain, err := totalWork(env, train, n.Plan)
 		if err != nil {
 			return nil, err
 		}
-		te, err := ratioOn(unseen)
+		wTest, err := totalWork(env, unseen, n.Plan)
 		if err != nil {
 			return nil, err
 		}
-		trainRatio += tr / reps
-		testRatio += te / reps
+		trainRatio += float64(wTrain) / float64(wTrainExpert) / reps
+		testRatio += float64(wTest) / float64(wTestExpert) / reps
 	}
 	r.rowf("%-22s %-18s", "query set", "NEO/expert work (mean of 3 seeds)")
 	r.rowf("%-22s %-18.2f", "trained templates", trainRatio)
@@ -301,42 +308,32 @@ func E17(seed uint64) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	b := balsa.New(env, 12, mlmath.NewRNG(seed+6))
+	b := qo.NewBalsa(env, mlmath.NewRNG(seed+6))
 	var train []*plan.Query
 	for i := 0; i < 10; i++ {
 		train = append(train, gen.QueryWithDims(2))
 	}
-	if err := b.Simulate(train, 8, 30); err != nil {
+	if err := b.TrainOnSearch(train, 8, qo.EstCost, 30); err != nil {
 		return nil, err
 	}
-	var wSim, wExpert, wWorst int64
-	for _, q := range train {
-		p, err := b.Plan(q)
-		if err != nil {
-			return nil, err
-		}
-		wSim += mustWork(env, p)
-		pe, err := env.Opt.Plan(q, optimizer.NoHint())
-		if err != nil {
-			return nil, err
-		}
-		wExpert += mustWork(env, pe)
-		pw, err := env.Opt.Plan(q, optimizer.HintSet{Name: "nl", JoinOps: []plan.OpType{plan.OpNLJoin}})
-		if err != nil {
-			return nil, err
-		}
-		wWorst += mustWork(env, pw)
-	}
-	if err := b.FineTune(train, 3, 10); err != nil {
+	wSim, err := totalWork(env, train, b.Plan)
+	if err != nil {
 		return nil, err
 	}
-	var wTuned int64
-	for _, q := range train {
-		p, err := b.Plan(q)
-		if err != nil {
-			return nil, err
-		}
-		wTuned += mustWork(env, p)
+	wExpert, err := totalWork(env, train, hinted(env, optimizer.NoHint()))
+	if err != nil {
+		return nil, err
+	}
+	wWorst, err := totalWork(env, train, hinted(env, optimizer.HintSet{Name: "nl", JoinOps: []plan.OpType{plan.OpNLJoin}}))
+	if err != nil {
+		return nil, err
+	}
+	if err := b.TrainOnSearch(train, 3, qo.Work, 10); err != nil {
+		return nil, err
+	}
+	wTuned, err := totalWork(env, train, b.Plan)
+	if err != nil {
+		return nil, err
 	}
 	r.rowf("%-22s %-12s", "policy", "total work")
 	r.rowf("%-22s %-12d", "worst (all-NL)", wWorst)
@@ -368,23 +365,20 @@ func E18(seed uint64) (*Report, error) {
 	var wBoot, wCold int64
 	const reps = 3
 	for rep := uint64(0); rep < reps; rep++ {
-		boot := neo.New(env, neo.Config{Hidden: 12}, mlmath.NewRNG(seed+7+rep))
-		if err := boot.Bootstrap(train, 25); err != nil {
+		boot := qo.NewNEO(env, mlmath.NewRNG(seed+7+rep))
+		if err := boot.TrainOnExpert(train, qo.Work, 25); err != nil {
 			return nil, err
 		}
-		cold := neo.New(env, neo.Config{Hidden: 12}, mlmath.NewRNG(seed+7+rep))
-		for _, q := range train {
-			pb, err := boot.Plan(q)
-			if err != nil {
-				return nil, err
-			}
-			wBoot += mustWork(env, pb)
-			pc, err := cold.Plan(q)
-			if err != nil {
-				return nil, err
-			}
-			wCold += mustWork(env, pc)
+		cold := qo.NewNEO(env, mlmath.NewRNG(seed+7+rep))
+		wb, err := totalWork(env, train, boot.Plan)
+		if err != nil {
+			return nil, err
 		}
+		wc, err := totalWork(env, train, cold.Plan)
+		if err != nil {
+			return nil, err
+		}
+		wBoot, wCold = wBoot+wb, wCold+wc
 	}
 	r.rowf("%-16s %-12s", "policy", "total work (3 seeds)")
 	r.rowf("%-16s %-12d", "cold start", wCold)
@@ -409,35 +403,28 @@ func E19(seed uint64) (*Report, error) {
 	for i := 0; i < 8; i++ {
 		train = append(train, gen.Query(4))
 	}
-	rt := rtos.New(env, 12, mlmath.NewRNG(seed+9))
-	eval := func() int64 {
-		var w int64
-		for _, q := range train {
-			p, err := rt.Plan(q)
-			if err != nil {
-				//ml4db:allow nakedpanic "experiment harness: planning a training query fails only on a testbed bug"
-				panic(err)
-			}
-			w += mustWork(env, p)
-		}
-		return w
-	}
-	wCold := eval()
-	if err := rt.TrainCostPhase(train, 35); err != nil {
+	rt := qo.NewRTOS(env, mlmath.NewRNG(seed+9))
+	wCold, err := totalWork(env, train, rt.Plan)
+	if err != nil {
 		return nil, err
 	}
-	wCost := eval()
-	if err := rt.TrainLatencyPhase(train, 3, 20); err != nil {
+	if err := rt.TrainOnExpert(train, qo.EstCost, 35); err != nil {
 		return nil, err
 	}
-	wLat := eval()
-	var wExpert int64
-	for _, q := range train {
-		pe, err := env.Opt.Plan(q, optimizer.NoHint())
-		if err != nil {
-			return nil, err
-		}
-		wExpert += mustWork(env, pe)
+	wCost, err := totalWork(env, train, rt.Plan)
+	if err != nil {
+		return nil, err
+	}
+	if err := rt.TrainOnSearch(train, 3, qo.Work, 20); err != nil {
+		return nil, err
+	}
+	wLat, err := totalWork(env, train, rt.Plan)
+	if err != nil {
+		return nil, err
+	}
+	wExpert, err := totalWork(env, train, hinted(env, optimizer.NoHint()))
+	if err != nil {
+		return nil, err
 	}
 	r.rowf("%-22s %-12s", "phase", "total work")
 	r.rowf("%-22s %-12d", "cold", wCold)

@@ -11,7 +11,7 @@
 //
 // Mat stores elements in row-major order in a single contiguous slice:
 // element (i, j) lives at Data[i*Cols+j], and Row(i) returns a zero-copy
-// view of row i. All kernels in this package (MatMul, MatMulT, MulVec, the
+// view of row i. All kernels in this package (MatMul, MulVec, the
 // blocked loops) iterate in ways that respect this layout — unit-stride
 // inner loops over a row — which is where most of their speed comes from.
 //
@@ -36,7 +36,7 @@
 // Work is split by ShardRange, a pure function of (items, workers, shard),
 // into contiguous blocks. Two levels of guarantee follow:
 //
-//   - Output-partitioned kernels (MatMul, MatMulT, batched inference) compute
+//   - Output-partitioned kernels (MatMul, batched inference) compute
 //     each output element exactly as the serial kernel does, so their results
 //     are bit-identical to serial for every worker count. These may freely
 //     use the process-wide Shared() pool.

@@ -157,33 +157,3 @@ func RidgeRegression(x *Mat, y []float64, lambda float64) ([]float64, error) {
 	xty := x.MulVecT(y)
 	return SolveLinear(xtx, xty)
 }
-
-// LinearFit fits y ≈ slope*x + intercept by ordinary least squares on the
-// paired samples. It returns (0, mean(y)) when x has no variance.
-func LinearFit(xs, ys []float64) (slope, intercept float64) {
-	if len(xs) != len(ys) {
-		//ml4db:allow nakedpanic "caller bug: x and y must be the same length"
-		panic("mlmath: LinearFit length mismatch")
-	}
-	n := float64(len(xs))
-	if n == 0 {
-		return 0, 0
-	}
-	var sx, sy float64
-	for i := range xs {
-		sx += xs[i]
-		sy += ys[i]
-	}
-	mx, my := sx/n, sy/n
-	var sxx, sxy float64
-	for i := range xs {
-		dx := xs[i] - mx
-		sxx += dx * dx
-		sxy += dx * (ys[i] - my)
-	}
-	if sxx < 1e-18 {
-		return 0, my
-	}
-	slope = sxy / sxx
-	return slope, my - slope*mx
-}

@@ -50,27 +50,3 @@ func matMulRows(out, a, b *Mat, lo, hi int) {
 		}
 	}
 }
-
-// MatMulT computes a·bᵀ (a is m×k, b is n×k, the result m×n) with row
-// blocks of the output split across pool p. Both operands are walked along
-// their rows, so the kernel is cache-friendly without transposing b first —
-// this is the shape of a dense backward pass, where the gradient meets a
-// weight matrix stored row-major. The result is bit-identical for any
-// worker count. It panics on shape mismatch.
-func MatMulT(a, b *Mat, p *Pool) *Mat {
-	if a.Cols != b.Cols {
-		//ml4db:allow nakedpanic "caller bug: shape mismatch, same contract as gonum/BLAS"
-		panic(fmt.Sprintf("mlmath: MatMulT shape mismatch %dx%d · (%dx%d)ᵀ", a.Rows, a.Cols, b.Rows, b.Cols))
-	}
-	out := NewMat(a.Rows, b.Rows)
-	p.ParallelFor(a.Rows, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			ai := a.Row(i)
-			oi := out.Row(i)
-			for j := 0; j < b.Rows; j++ {
-				oi[j] = Dot(ai, b.Row(j))
-			}
-		}
-	})
-	return out
-}

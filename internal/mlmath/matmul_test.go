@@ -70,24 +70,6 @@ func TestMatMulBitIdenticalAcrossWorkers(t *testing.T) {
 	}
 }
 
-func TestMatMulTBitIdenticalAcrossWorkers(t *testing.T) {
-	rng := NewRNG(11)
-	shapes := [][3]int{{3, 5, 2}, {17, 13, 29}, {65, 64, 63}, {130, 70, 90}}
-	for _, sh := range shapes {
-		a := randomMat(rng, sh[0], sh[1])
-		b := randomMat(rng, sh[2], sh[1]) // b is n×k for a·bᵀ
-		serial := MatMulT(a, b, nil)
-		for workers := 1; workers <= 8; workers++ {
-			p := NewPool(workers)
-			got := MatMulT(a, b, p)
-			p.Close()
-			if !matsBitIdentical(serial, got) {
-				t.Fatalf("%dx%d·(%dx%d)ᵀ: parallel MatMulT with %d workers differs from serial", sh[0], sh[1], sh[2], sh[1], workers)
-			}
-		}
-	}
-}
-
 // TestMatMulMatchesNaive checks numerical agreement (and, because the
 // blocked kernel preserves ascending-k accumulation, bit agreement) with
 // the textbook triple loop.
@@ -102,27 +84,10 @@ func TestMatMulMatchesNaive(t *testing.T) {
 	}
 }
 
-func TestMatMulTMatchesTranspose(t *testing.T) {
-	rng := NewRNG(5)
-	a := randomMat(rng, 13, 17)
-	b := randomMat(rng, 9, 17)
-	got := MatMulT(a, b, nil)
-	want := naiveMatMul(a, b.T())
-	if got.Rows != want.Rows || got.Cols != want.Cols {
-		t.Fatalf("MatMulT shape %dx%d, want %dx%d", got.Rows, got.Cols, want.Rows, want.Cols)
-	}
-	for i := range got.Data {
-		if math.Abs(got.Data[i]-want.Data[i]) > 1e-12*(1+math.Abs(want.Data[i])) {
-			t.Fatalf("MatMulT element %d = %g, want %g", i, got.Data[i], want.Data[i])
-		}
-	}
-}
-
 func TestMatMulShapePanics(t *testing.T) {
 	a, b := NewMat(2, 3), NewMat(4, 2)
 	for name, fn := range map[string]func(){
-		"MatMul":  func() { MatMul(a, b, nil) },
-		"MatMulT": func() { MatMulT(a, b, nil) },
+		"MatMul": func() { MatMul(a, b, nil) },
 	} {
 		func() {
 			defer func() {

@@ -221,20 +221,6 @@ func TestRidgeRegressionRecoversWeights(t *testing.T) {
 	}
 }
 
-func TestLinearFit(t *testing.T) {
-	xs := []float64{0, 1, 2, 3, 4}
-	ys := []float64{1, 3, 5, 7, 9}
-	slope, intercept := LinearFit(xs, ys)
-	if math.Abs(slope-2) > 1e-12 || math.Abs(intercept-1) > 1e-12 {
-		t.Errorf("LinearFit = (%v, %v), want (2, 1)", slope, intercept)
-	}
-	// Degenerate x: all the same value.
-	s2, i2 := LinearFit([]float64{5, 5, 5}, []float64{1, 2, 3})
-	if s2 != 0 || math.Abs(i2-2) > 1e-12 {
-		t.Errorf("degenerate LinearFit = (%v, %v), want (0, 2)", s2, i2)
-	}
-}
-
 func TestMatMulAgainstManual(t *testing.T) {
 	a := NewMat(2, 3)
 	copy(a.Data, []float64{1, 2, 3, 4, 5, 6})
@@ -345,19 +331,10 @@ func TestSummarize(t *testing.T) {
 	}
 }
 
-func TestGeoMean(t *testing.T) {
-	if got := GeoMean([]float64{1, 100}); math.Abs(got-10) > 1e-9 {
-		t.Errorf("GeoMean = %v, want 10", got)
-	}
-}
-
-func TestArgMaxArgMin(t *testing.T) {
-	v := []float64{3, 1, 4, 1, 5, 9, 2, 6}
+func TestArgMax(t *testing.T) {
+	v := []float64{3, 1, 4, 1, 5, 9, 2, 9}
 	if ArgMax(v) != 5 {
-		t.Errorf("ArgMax = %d, want 5", ArgMax(v))
-	}
-	if ArgMin(v) != 1 {
-		t.Errorf("ArgMin = %d, want 1", ArgMin(v))
+		t.Errorf("ArgMax = %d, want 5 (first on ties)", ArgMax(v))
 	}
 }
 

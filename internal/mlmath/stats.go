@@ -76,22 +76,6 @@ func QError(est, truth float64) float64 {
 	return truth / est
 }
 
-// GeoMean returns the geometric mean of strictly positive values.
-// Non-positive entries are clamped to 1e-12.
-func GeoMean(v []float64) float64 {
-	if len(v) == 0 {
-		return 0
-	}
-	s := 0.0
-	for _, x := range v {
-		if x < 1e-12 {
-			x = 1e-12
-		}
-		s += math.Log(x)
-	}
-	return math.Exp(s / float64(len(v)))
-}
-
 // Summary describes a sample distribution for experiment reports.
 type Summary struct {
 	N                int

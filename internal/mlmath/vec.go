@@ -69,21 +69,6 @@ func ArgMax(v []float64) int {
 	return best
 }
 
-// ArgMin returns the index of the smallest element (first on ties).
-func ArgMin(v []float64) int {
-	if len(v) == 0 {
-		//ml4db:allow nakedpanic "caller bug: ArgMin of an empty slice has no answer"
-		panic("mlmath: ArgMin of empty slice")
-	}
-	best := 0
-	for i := 1; i < len(v); i++ {
-		if v[i] < v[best] {
-			best = i
-		}
-	}
-	return best
-}
-
 // Softmax writes the softmax of v into a new slice.
 func Softmax(v []float64) []float64 {
 	out := make([]float64, len(v))

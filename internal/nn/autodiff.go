@@ -140,29 +140,6 @@ func (g *Graph) Mul(a, b *VNode) *VNode {
 	return n
 }
 
-// Concat concatenates nodes.
-func (g *Graph) Concat(xs ...*VNode) *VNode {
-	total := 0
-	for _, x := range xs {
-		total += len(x.Val)
-	}
-	val := make([]float64, 0, total)
-	for _, x := range xs {
-		val = append(val, x.Val...)
-	}
-	n := g.newNode(val, nil)
-	n.back = func() {
-		off := 0
-		for _, x := range xs {
-			for i := range x.Grad {
-				x.Grad[i] += n.Grad[off+i]
-			}
-			off += len(x.Val)
-		}
-	}
-	return n
-}
-
 func (g *Graph) unary(x *VNode, f func(float64) float64, df func(x, y float64) float64) *VNode {
 	val := make([]float64, len(x.Val))
 	for i, v := range x.Val {

@@ -13,7 +13,6 @@ import (
 func TestLossEdgeCases(t *testing.T) {
 	losses := map[string]func(pred, target, grad []float64) float64{
 		"mse": MSELoss,
-		"bce": BCELoss,
 	}
 	cases := []struct {
 		name         string
@@ -57,41 +56,6 @@ func TestMSELossKnownValues(t *testing.T) {
 	// d/dpred_i of mean squared error is 2(pred_i - target_i)/n.
 	if math.Abs(grad[0]-1) > 1e-15 || math.Abs(grad[1]-2) > 1e-15 {
 		t.Fatalf("MSELoss grad = %v, want [1 2]", grad)
-	}
-}
-
-func TestBCELossKnownValues(t *testing.T) {
-	pred := []float64{0.5}
-	target := []float64{1}
-	grad := make([]float64, 1)
-	got := BCELoss(pred, target, grad)
-	if want := -math.Log(0.5); math.Abs(got-want) > 1e-12 {
-		t.Fatalf("BCELoss = %v, want %v", got, want)
-	}
-	// d/dp of -log(p) at p=0.5 is -1/p = -2, scaled by 1/n = 1.
-	if math.Abs(grad[0]-(-2)) > 1e-9 {
-		t.Fatalf("BCELoss grad = %v, want -2", grad[0])
-	}
-}
-
-// TestBCELossGradientNumeric checks the analytic gradient against a central
-// finite difference inside the clamp region.
-func TestBCELossGradientNumeric(t *testing.T) {
-	pred := []float64{0.3, 0.7, 0.9}
-	target := []float64{1, 0, 1}
-	grad := make([]float64, 3)
-	BCELoss(pred, target, grad)
-	const h = 1e-6
-	for i := range pred {
-		up := append([]float64{}, pred...)
-		dn := append([]float64{}, pred...)
-		up[i] += h
-		dn[i] -= h
-		tmp := make([]float64, 3)
-		num := (BCELoss(up, target, tmp) - BCELoss(dn, target, tmp)) / (2 * h)
-		if math.Abs(num-grad[i]) > 1e-5 {
-			t.Fatalf("BCELoss grad[%d] = %v, finite difference %v", i, grad[i], num)
-		}
 	}
 }
 

@@ -1,8 +1,6 @@
 package nn
 
 import (
-	"math"
-
 	"ml4db/internal/mlmath"
 	"ml4db/internal/obs"
 )
@@ -112,23 +110,6 @@ func MSELoss(pred, target, grad []float64) float64 {
 		d := pred[i] - target[i]
 		loss += d * d
 		grad[i] = 2 * d / n
-	}
-	return loss / n
-}
-
-// BCELoss returns binary cross-entropy over sigmoid outputs in (0,1) and
-// writes the gradient with respect to pred into grad.
-func BCELoss(pred, target, grad []float64) float64 {
-	if len(pred) == 0 {
-		return 0 // empty batch: no loss, and n would mint a NaN below
-	}
-	loss := 0.0
-	n := float64(len(pred))
-	for i := range pred {
-		p := mlmath.Clamp(pred[i], 1e-7, 1-1e-7)
-		y := target[i]
-		loss += -(y*math.Log(p) + (1-y)*math.Log(1-p))
-		grad[i] = (p - y) / (p * (1 - p)) / n
 	}
 	return loss / n
 }

@@ -266,21 +266,6 @@ func TestActivationDerivatives(t *testing.T) {
 	}
 }
 
-func TestBCELossGradient(t *testing.T) {
-	pred := []float64{0.7}
-	target := []float64{1.0}
-	grad := make([]float64, 1)
-	BCELoss(pred, target, grad)
-	const eps = 1e-6
-	g2 := make([]float64, 1)
-	lp := BCELoss([]float64{0.7 + eps}, target, g2)
-	lm := BCELoss([]float64{0.7 - eps}, target, g2)
-	numeric := (lp - lm) / (2 * eps)
-	if math.Abs(grad[0]-numeric) > 1e-4 {
-		t.Errorf("BCE grad: analytic %v vs numeric %v", grad[0], numeric)
-	}
-}
-
 func TestFitDeterminism(t *testing.T) {
 	build := func() float64 {
 		rng := mlmath.NewRNG(77)

@@ -25,7 +25,6 @@ type Leon struct {
 	// planner ignores the model (expert fallback).
 	Calibrated  float64
 	FallbackAcc float64
-	rng         *mlmath.RNG
 }
 
 // New constructs LEON over the environment.
@@ -41,26 +40,7 @@ func New(env *qo.Env, hidden int, rng *mlmath.RNG) *Leon {
 		Ranker:      tree.NewRegressor(enc, []int{32}, rng),
 		Alpha:       0.5,
 		FallbackAcc: 0.55,
-		rng:         rng,
 	}
-}
-
-// candidates returns the deduplicated hint-set plans for q with measured
-// work (optionally) — LEON's exploration set.
-func (l *Leon) candidates(q *plan.Query) ([]*plan.Node, error) {
-	var out []*plan.Node
-	seen := map[string]bool{}
-	for _, h := range optimizer.StandardHintSets() {
-		p, err := l.Env.Opt.Plan(q, h)
-		if err != nil {
-			return nil, err
-		}
-		if key := p.String(); !seen[key] {
-			seen[key] = true
-			out = append(out, p)
-		}
-	}
-	return out, nil
 }
 
 // Train executes the candidate plans of each training query and fits the
@@ -73,7 +53,7 @@ func (l *Leon) Train(queries []*plan.Query, pairEpochs int) error {
 	}
 	var groups [][]labeled
 	for _, q := range queries {
-		cands, err := l.candidates(q)
+		cands, err := l.Env.HintPlans(q, true)
 		if err != nil {
 			return err
 		}
@@ -146,7 +126,7 @@ func (l *Leon) Plan(q *plan.Query) (*plan.Node, error) {
 		return l.Env.Opt.Plan(q, optimizer.NoHint())
 	}
 	l.Env.Metrics.Counter("qo.leon.model_plans").Inc()
-	cands, err := l.candidates(q)
+	cands, err := l.Env.HintPlans(q, true)
 	if err != nil {
 		return nil, err
 	}
@@ -203,7 +183,7 @@ func (l *Leon) scoreCandidates(cands []*plan.Node, mode ScoreMode) []float64 {
 func (l *Leon) RankAccuracy(queries []*plan.Query, mode ScoreMode) (float64, error) {
 	correct, total := 0, 0
 	for _, q := range queries {
-		cands, err := l.candidates(q)
+		cands, err := l.Env.HintPlans(q, true)
 		if err != nil {
 			return 0, err
 		}

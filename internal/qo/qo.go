@@ -35,8 +35,8 @@ func NewEnv(cat *catalog.Catalog) *Env {
 }
 
 // Instrument attaches a tracer, metrics registry, and clock to the env and
-// its executor; the agents (bao, balsa, leon, neo) pick their counters and
-// histograms up from here. Any argument may be nil.
+// its executor; the learned optimizers (ValueSearch, bao, leon) pick their
+// counters and histograms up from here. Any argument may be nil.
 func (e *Env) Instrument(tr *obs.Tracer, reg *obs.Registry, clock mlmath.Clock) {
 	e.Trace, e.Metrics = tr, reg
 	e.Exec.Trace, e.Exec.Metrics, e.Exec.Clock = tr, reg, clock
@@ -47,7 +47,8 @@ var WorkBuckets = obs.ExpBuckets(16, 4, 12)
 
 // Run executes a plan and returns its work (latency signal). maxWork > 0
 // aborts over-budget plans (Balsa's timeout); the returned work is then the
-// budget and timedOut is true.
+// work done when the executor stopped, just past the budget, and timedOut is
+// true.
 func (e *Env) Run(p *plan.Node, maxWork int64) (work int64, timedOut bool, err error) {
 	res, err := e.Exec.Execute(p, exec.Options{Budget: &exec.Budget{MaxWork: maxWork}, Output: exec.CountOnly})
 	if errors.Is(err, exec.ErrWorkBudgetExceeded) {
@@ -67,6 +68,12 @@ func LogWork(work int64) float64 { return math.Log(float64(work) + 1) }
 // starting from scans, it repeatedly applies the valid (subtree, subtree,
 // operator) join whose resulting partial plan the value network scores
 // cheapest — NEO's plan search with a greedy frontier.
+//
+// It is also the replacement-paradigm agent that trains that network in
+// phases on plans it gathers itself (TrainOnExpert, TrainOnSearch). NEO,
+// Balsa and RTOS are three configurations of it — NewNEO, NewBalsa and
+// NewRTOS — that differ in the tree encoder, the exploration rate, and the
+// phases each paper runs.
 type ValueSearch struct {
 	Env *Env
 	Enc *planrep.PlanEncoder
@@ -74,10 +81,74 @@ type ValueSearch struct {
 	// Eps is the exploration rate during RL data collection.
 	Eps float64
 	RNG *mlmath.RNG
-	// Pool parallelizes candidate scoring during plan search and training.
-	// Scoring is read-only per candidate, so search decisions are
-	// bit-identical for any worker count; nil scores serially.
-	Pool *mlmath.Pool
+	// Experience is NEO's replay buffer: with replay set, every phase adds
+	// its experiences here and trains on all of them; otherwise each phase
+	// trains on its own experiences only.
+	Experience []Experience
+	replay     bool
+	// bestWork is Balsa's safety budget: the best completed work per query
+	// signature, which caps each later execution of the query at
+	// safetyBudget times it. Nil runs every plan to completion.
+	bestWork map[string]int64
+	// TimedOut counts executions the safety budget stopped.
+	TimedOut int
+	// trained is set by the first phase: it fits the fresh network at 3e-3,
+	// every later phase fine-tunes at 1e-3.
+	trained bool
+}
+
+// agentHidden is the tree encoder's hidden width of NEO, Balsa and RTOS.
+const agentHidden = 12
+
+// safetyBudget is Balsa's timeout: an execution stops at this many times
+// the best work seen so far for its query.
+const safetyBudget = 4
+
+// newAgent builds a value search over env whose value network is a
+// TreeLSTM (lstm) or TreeCNN encoder under a 32-unit regression head.
+func newAgent(env *Env, lstm bool, eps float64, rng *mlmath.RNG) *ValueSearch {
+	pe := planrep.NewPlanEncoder(env.Cat, planrep.FullFeatures())
+	var enc tree.Encoder
+	if lstm {
+		enc = tree.NewTreeLSTMEncoder(pe.FeatDim(), agentHidden, rng)
+	} else {
+		enc = tree.NewTreeCNNEncoder(pe.FeatDim(), agentHidden, rng)
+	}
+	reg := tree.NewRegressor(enc, []int{32}, rng)
+	return &ValueSearch{Env: env, Enc: pe, Reg: reg, Eps: eps, RNG: rng}
+}
+
+// NewNEO is NEO (Marcus et al., VLDB 2019): a tree-convolution value network
+// bootstrapped from the expert's executed plans (TrainOnExpert with Work),
+// then refined by RL episodes (TrainOnSearch with Work, one round each), every
+// phase retraining on the whole replay buffer.
+func NewNEO(env *Env, rng *mlmath.RNG) *ValueSearch {
+	v := newAgent(env, false, 0.2, rng)
+	v.replay = true
+	return v
+}
+
+// NewBalsa is Balsa (Yang et al., SIGMOD 2022), which learns without expert
+// demonstrations: a simulation phase trains on the cost model's estimates of
+// its own explored plans (TrainOnSearch with EstCost), and a fine-tuning
+// phase executes them under the safety budget (TrainOnSearch with Work).
+func NewBalsa(env *Env, rng *mlmath.RNG) *ValueSearch {
+	v := newAgent(env, false, 0.3, rng)
+	v.bestWork = map[string]int64{}
+	return v
+}
+
+// NewRTOS is RTOS (Yu et al., ICDE 2020): a Tree-LSTM value network trained
+// first on the estimated cost of the expert's plans under every hint set
+// (TrainOnExpert with EstCost), then on the executed work of its own explored
+// plans (TrainOnSearch with Work).
+func NewRTOS(env *Env, rng *mlmath.RNG) *ValueSearch {
+	return newAgent(env, true, 0.2, rng)
+}
+
+// Plan produces the learned plan for q (no exploration).
+func (v *ValueSearch) Plan(q *plan.Query) (*plan.Node, error) {
+	return v.BuildPlan(q, false)
 }
 
 // candidate is a possible join step.
@@ -132,10 +203,8 @@ func (v *ValueSearch) BuildPlan(q *plan.Query, explore bool) (*plan.Node, error)
 	return root, nil
 }
 
-// candidates enumerates valid join steps and scores them with the value
-// network in one batched inference pass: enumeration and annotation stay
-// serial (Annotate mutates plan nodes), then every candidate subtree is
-// encoded and scored in parallel on v.Pool.
+// candidates enumerates valid join steps and scores each candidate subtree
+// with the value network.
 func (v *ValueSearch) candidates(q *plan.Query, forest []*plan.Node) []candidate {
 	var out []candidate
 	for i := range forest {
@@ -150,18 +219,10 @@ func (v *ValueSearch) candidates(q *plan.Query, forest []*plan.Node) []candidate
 			for _, op := range plan.AllJoinOps {
 				node := plan.NewJoin(op, forest[i], forest[j], conds...)
 				v.Env.Opt.Annotate(q, node)
-				out = append(out, candidate{left: i, right: j, op: op, node: node})
+				score := v.Reg.Predict(v.Enc.Encode(node))
+				out = append(out, candidate{left: i, right: j, op: op, node: node, score: score})
 			}
 		}
-	}
-	trees := make([]*tree.EncTree, len(out))
-	v.Pool.ParallelFor(len(out), func(lo, hi int) {
-		for c := lo; c < hi; c++ {
-			trees[c] = v.Enc.Encode(out[c].node)
-		}
-	})
-	for c, score := range v.Reg.PredictBatch(trees, v.Pool) {
-		out[c].score = score
 	}
 	return out
 }
@@ -196,4 +257,119 @@ func (v *ValueSearch) TrainValue(exps []Experience, epochs int, lr float64) {
 		Epochs: epochs, BatchSize: 16,
 		Optimizer: nn.NewAdam(lr), RNG: v.RNG,
 	})
+}
+
+// Label says what a training phase labels its plans with.
+type Label int
+
+const (
+	// EstCost labels a plan with the expert cost model's estimate, executing
+	// nothing: RTOS's cost phase and Balsa's simulation.
+	EstCost Label = iota
+	// Work executes the plan — under the safety budget, for Balsa — and
+	// labels it with the work done.
+	Work
+)
+
+// HintPlans returns the expert's plans for q under the standard hint sets,
+// in hint-set order; with distinct set, each structurally distinct plan once
+// (LEON's candidate set and NEO's bootstrap).
+func (e *Env) HintPlans(q *plan.Query, distinct bool) ([]*plan.Node, error) {
+	var out []*plan.Node
+	seen := map[string]bool{}
+	for _, h := range optimizer.StandardHintSets() {
+		p, err := e.Opt.Plan(q, h)
+		if err != nil {
+			return nil, err
+		}
+		if key := p.String(); !distinct || !seen[key] {
+			seen[key] = true
+			out = append(out, p)
+		}
+	}
+	return out, nil
+}
+
+// TrainOnExpert is a phase that trains on the expert's plans for the queries
+// under the standard hint sets: all eight when labeled by EstCost (RTOS's
+// cost phase), each distinct one once when executed (NEO's bootstrap).
+func (v *ValueSearch) TrainOnExpert(queries []*plan.Query, label Label, epochs int) error {
+	var exps []Experience
+	for _, q := range queries {
+		plans, err := v.Env.HintPlans(q, label == Work)
+		if err != nil {
+			return err
+		}
+		for _, p := range plans {
+			e, err := v.label(q, p, label)
+			if err != nil {
+				return err
+			}
+			exps = append(exps, e)
+		}
+	}
+	v.train(exps, epochs)
+	return nil
+}
+
+// TrainOnSearch is a phase of rounds over the queries, each planning every
+// query with ε-greedy exploration: Balsa's simulation (EstCost) and
+// fine-tuning (Work), NEO's episodes and RTOS's latency phase (Work).
+func (v *ValueSearch) TrainOnSearch(queries []*plan.Query, rounds int, label Label, epochs int) error {
+	var exps []Experience
+	for r := 0; r < rounds; r++ {
+		for _, q := range queries {
+			p, err := v.BuildPlan(q, true)
+			if err != nil {
+				return err
+			}
+			e, err := v.label(q, p, label)
+			if err != nil {
+				return err
+			}
+			exps = append(exps, e)
+		}
+		v.Env.Metrics.Counter("qo.agent.rounds").Inc()
+	}
+	v.train(exps, epochs)
+	return nil
+}
+
+// label returns p's experience under the label.
+func (v *ValueSearch) label(q *plan.Query, p *plan.Node, label Label) (Experience, error) {
+	if label == EstCost {
+		return Experience{Query: q, Plan: p, LogWork: LogWork(int64(p.EstCost))}, nil
+	}
+	var sig string
+	var budget int64
+	if v.bestWork != nil {
+		sig = q.Signature()
+		budget = safetyBudget * v.bestWork[sig] // 0, unlimited, on first sight
+	}
+	work, timedOut, err := v.Env.Run(p, budget)
+	if err != nil {
+		return Experience{}, err
+	}
+	if timedOut {
+		v.TimedOut++ // labeled with the budget: pessimistic but bounded
+	} else if best, ok := v.bestWork[sig]; v.bestWork != nil && (!ok || work < best) {
+		v.bestWork[sig] = work
+	}
+	v.Env.Metrics.Histogram("qo.agent.work", WorkBuckets).Observe(float64(work))
+	return Experience{Query: q, Plan: p, LogWork: LogWork(work)}, nil
+}
+
+// train ends a phase: it fits the value network on the phase's experiences,
+// or on the whole replay buffer.
+func (v *ValueSearch) train(exps []Experience, epochs int) {
+	if v.replay {
+		v.Experience = append(v.Experience, exps...)
+		exps = v.Experience
+	}
+	lr := 1e-3
+	if !v.trained {
+		lr = 3e-3
+	}
+	v.trained = true
+	v.TrainValue(exps, epochs, lr)
 }

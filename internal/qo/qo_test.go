@@ -58,34 +58,6 @@ func TestEnvRunAndTimeout(t *testing.T) {
 	}
 }
 
-func TestBuildPlanProducesValidExecutablePlans(t *testing.T) {
-	env, gen := testEnv(t)
-	vs := newSearch(env, 2)
-	for i := 0; i < 10; i++ {
-		q := gen.Query()
-		p, err := vs.BuildPlan(q, i%2 == 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Same cardinality as the expert plan: correctness of the join tree.
-		pe, err := env.Opt.Plan(q, optimizer.NoHint())
-		if err != nil {
-			t.Fatal(err)
-		}
-		re, err := env.Exec.Execute(pe, exec.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		rl, err := env.Exec.Execute(p, exec.Options{})
-		if err != nil {
-			t.Fatalf("learned plan failed: %v\n%s", err, p)
-		}
-		if len(re.Rows) != len(rl.Rows) {
-			t.Fatalf("query %d: learned plan returns %d rows, expert %d", i, len(rl.Rows), len(re.Rows))
-		}
-	}
-}
-
 func TestValueSearchLearnsToAvoidNLJoins(t *testing.T) {
 	env, gen := testEnv(t)
 	vs := newSearch(env, 3)

@@ -163,7 +163,8 @@ type Table1Row struct {
 	Application string
 	TreeModel   string
 	// Implementation is the package/type in this repo realizing the method's
-	// representation strategy.
+	// representation strategy; for BAO, the linear reward model over plan
+	// summary features that qo/bao uses in place of a tree convolution.
 	Implementation string
 }
 
@@ -173,11 +174,11 @@ func Table1() []Table1Row {
 		{"AVGDL", "View Selection", "LSTM", "tree.LSTMEncoder"},
 		{"AIMeetsAI", "Index Selection", "Feature Vector", "tree.FlatEncoder"},
 		{"ReJOIN", "Join Order Selection", "Feature Vector", "tree.FlatEncoder"},
-		{"BAO", "Optimizer", "TreeCNN", "tree.TreeCNNEncoder (qo/bao)"},
-		{"NEO", "Optimizer", "TreeCNN", "tree.TreeCNNEncoder (qo/neo)"},
+		{"BAO", "Optimizer", "TreeCNN", "bandit.ThompsonLinear, 9 plan features (qo/bao)"},
+		{"NEO", "Optimizer", "TreeCNN", "tree.TreeCNNEncoder (qo.NewNEO)"},
 		{"Prestroid", "Cost Estimation", "TreeCNN", "tree.TreeCNNEncoder"},
 		{"E2E-Cost", "Cost/Card Estimation", "TreeLSTM", "tree.TreeLSTMEncoder"},
-		{"RTOS", "Join Order Selection", "TreeLSTM", "tree.TreeLSTMEncoder (qo/rtos)"},
+		{"RTOS", "Join Order Selection", "TreeLSTM", "tree.TreeLSTMEncoder (qo.NewRTOS)"},
 		{"Plan-Cost", "Cost Estimation", "TreeRNN", "tree.TreeRNNEncoder"},
 		{"QueryFormer", "General Purpose", "Transformer", "tree.TransformerEncoder"},
 	}
