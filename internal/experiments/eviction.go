@@ -146,7 +146,7 @@ func E25(seed uint64) (*Report, error) {
 	replay(2, constScorer(1e6))
 	promotions, rejections, _ := roll.Stats()
 
-	// Race the promoted policy against LRU on the same trace.
+	// Race the promoted scorer against LRU on the same trace.
 	hf, err := storage.CreateHeapFile(filepath.Join(dir, "trace.heap"), 1)
 	if err != nil {
 		return nil, err
@@ -157,16 +157,16 @@ func E25(seed uint64) (*Report, error) {
 			return nil, err
 		}
 	}
-	policies := []func() storage.Policy{
-		func() storage.Policy { return nil }, // the pool's default: LRU
-		func() storage.Policy { return storage.NewLearnedPolicy(roll) },
+	scorers := []modelsvc.Predictor{
+		nil,  // the pool's default: LRU
+		roll, // the rollout itself is the learned slot
 	}
 	var hit, hotHit [2]float64
 	replayIdentical, replayEvictions := true, 0
-	for i, policy := range policies {
+	for i, sc := range scorers {
 		var logs [2][]storage.PageKey
 		for rep := range logs {
-			pool := storage.NewPool(storage.PoolOptions{Capacity: evictFrames, Policy: policy(), RecordEvictions: true})
+			pool := storage.NewPool(storage.PoolOptions{Capacity: evictFrames, Scorer: sc, RecordEvictions: true})
 			if hit[i], hotHit[i], err = driveTrace(pool, hf, trace, hotN); err != nil {
 				return nil, err
 			}

@@ -310,10 +310,3 @@ func E7(seed uint64) (*Report, error) {
 	r.Metrics["high_ai_over_r"] = float64(hAI) / float64(hR)
 	return r, nil
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -1,6 +1,6 @@
 // Package storage is the disk layer of the relational engine: slotted heap
 // pages, heap files with a free-space map and zone maps, and a paged buffer
-// pool with a pluggable — and learnable — eviction policy.
+// pool whose eviction is LRU or a learned scorer.
 //
 // # Layout
 //
@@ -41,11 +41,11 @@
 // private run buffer, from a pool free list. Its Read pins a resident page as
 // a hit; any other page it serves from the buffer, which one pread outside
 // the lock fills with the consecutive non-resident pages the scan will read
-// (its mask), up to 32. A scan inserts, evicts, ticks and tells the policy
-// nothing, so it leaves replacement state as it found it, and a write-back
-// advances a write epoch that makes every run staged before it stale. A read
-// takes the pool lock once per page: the epoch and the miss count are atomic,
-// checked and counted after the read without it.
+// (its mask), up to 32. A scan inserts, evicts, ticks and records no access
+// in any frame's history, so it leaves replacement state as it found it, and
+// a write-back advances a write epoch that makes every run staged before it
+// stale. A read takes the pool lock once per page: the epoch and the miss
+// count are atomic, checked and counted after the read without it.
 // Fetch and ScanRun.Read inline into their callers, so the handle itself
 // lives on the caller's stack.
 //
@@ -53,25 +53,27 @@
 //
 // The pool is a determinism-core package: it keeps a logical access tick
 // instead of wall-clock time, the tick is unique per access so the recency
-// order has no ties, and a policy that scores candidates breaks score ties
-// toward the lowest key. Same trace + same policy (and, for the learned
-// policy, same training seed) therefore reproduce a bit-identical eviction
-// sequence — the replay contract experiment E25 verifies,
-// mirroring the mlmath.Clock/Pool contracts.
+// order has no ties, and a scorer's ties are broken toward the lowest key.
+// Same trace + same scorer (and, for a trained one, same training seed)
+// therefore reproduce a bit-identical eviction sequence — the replay
+// contract experiment E25 verifies, mirroring the mlmath.Clock/Pool
+// contracts.
 //
 // # Learned eviction
 //
-// A nil PoolOptions.Policy is LRU, served from the pool's own list. Policy
-// is the interface for anything else: a LearnedPolicy scores each unpinned
-// resident's predicted forward reuse distance with a modelsvc.Predictor —
-// O(capacity) per miss, the model's cost — and evicts the page predicted to
-// be needed furthest in the future (the Belady direction). The predictor is
-// deployed through the modelsvc.Rollout NewScorerRollout returns, whose
-// incumbent and fallback is the Recency heuristic (predicted reuse = time
-// since last access, which makes the learned policy behave exactly like
-// LRU) — so a trained model serves evictions only after beating the
-// LRU-equivalent incumbent over a shadow window, and Demote falls back to
-// the heuristic. The live hit-rate
-// signal is querystore's DriftHitRate monitor (sys_drift), which reads
-// Pool.Stats deltas per window. See docs/STORAGE.md.
+// A nil PoolOptions.Scorer is LRU, served from the pool's own list. A
+// non-nil one is a modelsvc.Predictor: each frame keeps its page's access
+// history (last and previous access tick, accesses since the page came in),
+// and a miss scores every unpinned frame's history, encoded as TraceSamples
+// encodes it for training — O(capacity) per miss, the model's cost — and
+// evicts the page predicted to be needed furthest in the future (the Belady
+// direction). A NaN or infinite score is the recency feature instead, so a
+// broken model degrades to LRU. The scorer is the modelsvc.Rollout
+// NewScorerRollout returns, with no wrapper: its incumbent and fallback is
+// the Recency heuristic (predicted reuse = time since last access, which
+// evicts exactly like LRU) — so a trained model serves evictions only after
+// beating the LRU-equivalent incumbent over a shadow window, and Demote
+// falls back to the heuristic. The live hit-rate signal is querystore's
+// DriftHitRate monitor (sys_drift), which reads Pool.Stats deltas per
+// window. See docs/STORAGE.md.
 package storage

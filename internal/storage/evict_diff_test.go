@@ -3,20 +3,24 @@ package storage
 import (
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"reflect"
 	"testing"
 
 	"ml4db/internal/mlmath"
+	"ml4db/internal/modelsvc"
 )
 
-// refPool is the eviction rule the pool had before it kept a recency list,
-// written the slow obvious way as the oracle: among unpinned residents evict
-// the minimum last-access tick, or — given a scorer — the maximum score with
-// ties to the lowest PageKey. It scans a map, so it cannot lean on any order.
+// refPool is the eviction rule written the slow obvious way as the oracle:
+// among unpinned residents evict the minimum last-access tick, or — given a
+// scorer — the maximum score of the page's fillFeatures encoding, with ties
+// to the lowest PageKey. Each page keeps its own last and previous access
+// tick and access count, from when it came in; scan reads do not count. It
+// scans a map, so it cannot lean on any order.
 type refPool struct {
 	cap    int
-	score  func(age uint64) float64 // nil: LRU
+	score  modelsvc.Predictor // nil: LRU
 	tick   uint64
 	pages  map[PageKey]*refPage
 	files  map[*HeapFile]uint32
@@ -26,10 +30,10 @@ type refPool struct {
 }
 
 type refPage struct {
-	hf    *HeapFile
-	last  uint64
-	pins  int
-	dirty bool
+	hf                *HeapFile
+	last, prev, count uint64 // count: accesses since the page came in
+	pins              int
+	dirty             bool
 }
 
 func (r *refPool) victim() (best PageKey, found bool) {
@@ -40,7 +44,11 @@ func (r *refPool) victim() (best PageKey, found bool) {
 		}
 		s := -float64(pg.last)
 		if r.score != nil {
-			s = r.score(r.tick - pg.last)
+			gap := uint64(0)
+			if pg.prev > 0 {
+				gap = pg.last - pg.prev
+			}
+			s = r.score.Predict(fillFeatures(make([]float64, FeatureDim), r.tick-pg.last, pg.count, gap))
 		}
 		if !found || s > bestScore || (s == bestScore && k.Less(best)) {
 			best, bestScore, found = k, s, true
@@ -62,7 +70,8 @@ func (r *refPool) fetch(hf *HeapFile, pageNo int) (key PageKey, missed, ok bool)
 	key = PageKey{File: id, Page: uint32(pageNo)}
 	if pg := r.pages[key]; pg != nil {
 		r.st.Hits++
-		pg.last = r.tick
+		pg.prev, pg.last = pg.last, r.tick
+		pg.count++
 		pg.pins++
 		return key, false, true
 	}
@@ -79,7 +88,7 @@ func (r *refPool) fetch(hf *HeapFile, pageNo int) (key PageKey, missed, ok bool)
 		r.log = append(r.log, v)
 	}
 	r.st.Misses++
-	r.pages[key] = &refPage{hf: hf, last: r.tick, pins: 1}
+	r.pages[key] = &refPage{hf: hf, last: r.tick, count: 1, pins: 1}
 	return key, true, true
 }
 
@@ -137,11 +146,12 @@ type heldPin struct {
 }
 
 // diffTrace drives the real pool and the reference side by side over one
-// seeded random trace and fails at the first step they disagree on.
-func diffTrace(t *testing.T, name string, capacity int, policy Policy, score func(uint64) float64, seed uint64, files []*HeapFile) {
+// seeded random trace and fails at the first step they disagree on: the pool
+// under scorer, the reference under refScorer.
+func diffTrace(t *testing.T, name string, capacity int, scorer, refScorer modelsvc.Predictor, seed uint64, files []*HeapFile) {
 	t.Helper()
-	pool := NewPool(PoolOptions{Capacity: capacity, Policy: policy, RecordEvictions: true})
-	ref := &refPool{cap: capacity, score: score, pages: map[PageKey]*refPage{}, files: map[*HeapFile]uint32{}}
+	pool := NewPool(PoolOptions{Capacity: capacity, Scorer: scorer, RecordEvictions: true})
+	ref := &refPool{cap: capacity, score: refScorer, pages: map[PageKey]*refPage{}, files: map[*HeapFile]uint32{}}
 	rng := mlmath.NewRNG(seed)
 	runs := map[*HeapFile]*ScanRun{}
 	for _, hf := range files {
@@ -235,67 +245,26 @@ func diffTrace(t *testing.T, name string, capacity int, policy Policy, score fun
 }
 
 // TestEvictionMatchesReference is the differential test behind "the recency
-// list changed the cost of eviction and nothing else": LRU from the list,
-// the learned policy under the Recency scorer (which must equal LRU) and a
-// constant scorer (every score ties, so the lowest key goes) each evict the
-// reference's exact sequence, with the same counters and the same
-// all-pinned points.
+// list and the frames' access histories changed the cost of eviction and
+// nothing else". LRU from the list and the Recency scorer (which must equal
+// LRU), a constant scorer (every score ties, so the lowest key goes) and a
+// scorer reading all three features each evict the reference's exact
+// sequence, with the same counters and the same all-pinned points. A scorer
+// answering NaN, +Inf or -Inf falls back to the recency feature: it must
+// evict exactly LRU's sequence.
 func TestEvictionMatchesReference(t *testing.T) {
 	files := []*HeapFile{newPooledFile(t, "a.heap", 90), newPooledFile(t, "b.heap", 70)}
-	constant := func(uint64) float64 { return 1 }
+	constant := predictorFunc(func([]float64) float64 { return 1 })
+	mixed := predictorFunc(func(x []float64) float64 { return x[0] - x[1] + 0.5*x[2] })
 	for _, capacity := range []int{1, 2, 3, 4, 5, 6, 7, 8, 128} {
 		for seed := uint64(1); seed <= 3; seed++ {
 			diffTrace(t, "lru", capacity, nil, nil, seed, files)
-			diffTrace(t, "learned-recency", capacity, NewLearnedPolicy(Recency{}), nil, seed, files)
-			diffTrace(t, "constant", capacity, NewLearnedPolicy(predictorFunc(func([]float64) float64 { return 1 })), constant, seed, files)
-		}
-	}
-}
-
-// roguePolicy answers Victim with whatever the test tells it to.
-type roguePolicy struct{ answer func(cands []PageKey) PageKey }
-
-func (roguePolicy) Name() string                           { return "rogue" }
-func (roguePolicy) OnAccess(PageKey, uint64)               {}
-func (roguePolicy) OnRemove(PageKey)                       {}
-func (r roguePolicy) Victim(c []PageKey, _ uint64) PageKey { return r.answer(c) }
-
-// TestPoolSurvivesRoguePolicy: a Policy naming a page that is not resident,
-// or one that is pinned, is overridden to the coldest unpinned frame — it
-// can make eviction worse, never corrupt the pool or evict under a reader.
-func TestPoolSurvivesRoguePolicy(t *testing.T) {
-	hf := newPooledFile(t, "t.heap", 6)
-	var pinnedKey PageKey
-	for name, answer := range map[string]func([]PageKey) PageKey{
-		"non-resident": func([]PageKey) PageKey { return PageKey{File: 9, Page: 9} },
-		"pinned":       func([]PageKey) PageKey { return pinnedKey },
-	} {
-		pool := NewPool(PoolOptions{Capacity: 3, Policy: roguePolicy{answer}, RecordEvictions: true})
-		fetchAndRelease(t, pool, hf, 0)
-		held, err := pool.Fetch(hf, 1) // pinned throughout
-		if err != nil {
-			t.Fatal(err)
-		}
-		pinnedKey = PageKey{File: 0, Page: 1}
-		fetchAndRelease(t, pool, hf, 2)
-		fetchAndRelease(t, pool, hf, 0) // order cold → hot: 1 (pinned), 2, 0
-		fetchAndRelease(t, pool, hf, 3) // coldest unpinned is 2
-		fetchAndRelease(t, pool, hf, 4) // then 0
-		want := []PageKey{{File: 0, Page: 2}, {File: 0, Page: 0}}
-		if got := pool.EvictionLog(); !reflect.DeepEqual(got, want) {
-			t.Fatalf("%s: eviction log = %v, want %v", name, got, want)
-		}
-		row := make([]int64, 1)
-		if !held.Page().ReadTuple(0, row) || row[0] != 1 {
-			t.Fatalf("%s: pinned page was overwritten: %v", name, row)
-		}
-		held.Unpin()
-		if st := pool.Stats(); st.Resident != 3 || st.Pinned != 0 || st.Evictions != 2 {
-			t.Fatalf("%s: stats = %+v", name, st)
-		}
-		for _, pageNo := range []int{1, 3, 4} {
-			if fetchAndRelease(t, pool, hf, pageNo) {
-				t.Fatalf("%s: page %d should still be resident", name, pageNo)
+			diffTrace(t, "recency", capacity, Recency{}, nil, seed, files)
+			diffTrace(t, "constant", capacity, constant, constant, seed, files)
+			diffTrace(t, "count-and-gap", capacity, mixed, mixed, seed, files)
+			for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+				broken := predictorFunc(func([]float64) float64 { return bad })
+				diffTrace(t, fmt.Sprintf("broken(%v)", bad), capacity, broken, nil, seed, files)
 			}
 		}
 	}
@@ -303,15 +272,15 @@ func TestPoolSurvivesRoguePolicy(t *testing.T) {
 
 // TestFailedReadCostsNoResidentPage: with the pool full, a fetch whose page
 // fails its checksum must leave the resident set, the recency order, the
-// policy and the eviction log exactly as they were — the victim is only
-// evicted once the incoming page has been read and verified.
+// frames' access histories and the eviction log exactly as they were — the
+// victim is only evicted once the incoming page has been read and verified.
 func TestFailedReadCostsNoResidentPage(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
-		policy func() Policy
+		scorer modelsvc.Predictor
 	}{
-		{"lru", func() Policy { return nil }},
-		{"learned", func() Policy { return NewLearnedPolicy(Recency{}) }},
+		{"lru", nil},
+		{"learned", Recency{}},
 	} {
 		hf := newPooledFile(t, tc.name+".heap", 4)
 		f, err := os.OpenFile(hf.Path(), os.O_RDWR, 0o644)
@@ -324,7 +293,7 @@ func TestFailedReadCostsNoResidentPage(t *testing.T) {
 		if err := f.Close(); err != nil {
 			t.Fatal(err)
 		}
-		pool := NewPool(PoolOptions{Capacity: 2, Policy: tc.policy(), RecordEvictions: true})
+		pool := NewPool(PoolOptions{Capacity: 2, Scorer: tc.scorer, RecordEvictions: true})
 		h, err := pool.Fetch(hf, 0)
 		if err != nil {
 			t.Fatal(err)
@@ -332,13 +301,16 @@ func TestFailedReadCostsNoResidentPage(t *testing.T) {
 		h.SetDirty() // the would-be victim is dirty: it must not be written back either
 		h.Unpin()
 		fetchAndRelease(t, pool, hf, 1)
-		before := pool.Stats()
+		before, frames := pool.Stats(), frameState(pool)
 		if _, err := pool.Fetch(hf, 3); !errors.Is(err, ErrChecksum) {
 			t.Fatalf("%s: fetch of torn page: got %v, want ErrChecksum", tc.name, err)
 		}
 		before.Reads, before.PagesRead = before.Reads+1, before.PagesRead+1 // the failed pread of page 3
 		if after := pool.Stats(); after != before {
 			t.Fatalf("%s: failed fetch changed the pool: %+v -> %+v", tc.name, before, after)
+		}
+		if got := frameState(pool); got != frames {
+			t.Fatalf("%s: failed fetch changed the frames: %s -> %s", tc.name, frames, got)
 		}
 		if log := pool.EvictionLog(); len(log) != 0 {
 			t.Fatalf("%s: failed fetch evicted %v", tc.name, log)
@@ -362,8 +334,7 @@ func TestFailedReadCostsNoResidentPage(t *testing.T) {
 // reopen cycle does not keep every closed HeapFile reachable from the pool;
 // ids keep growing, so keys never alias a released file's.
 func TestReleaseFileForgetsTheFile(t *testing.T) {
-	rec := &recordingPolicy{}
-	pool := NewPool(PoolOptions{Capacity: 4, Policy: rec})
+	pool := NewPool(PoolOptions{Capacity: 4})
 	for cycle := 0; cycle < 3; cycle++ {
 		hf := newPooledFile(t, fmt.Sprintf("c%d.heap", cycle), 2)
 		fetchAndRelease(t, pool, hf, 0)
@@ -376,7 +347,7 @@ func TestReleaseFileForgetsTheFile(t *testing.T) {
 	}
 	hf := newPooledFile(t, "last.heap", 1)
 	fetchAndRelease(t, pool, hf, 0)
-	if last := rec.seen[len(rec.seen)-1]; last.File != 3 {
-		t.Fatalf("file id after three release cycles = %d, want 3", last.File)
+	if got, want := frameState(pool), " {3 0}@4/0/1x/0"; got != want {
+		t.Fatalf("frames after three release cycles = %q, want %q: file id 3, fetched once at tick 4", got, want)
 	}
 }

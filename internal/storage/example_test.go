@@ -104,9 +104,9 @@ func ExampleNewScorerRollout() {
 	promos, rejects, _ := roll.Stats()
 	fmt.Printf("promotions=%d rejections=%d serving v%d\n", promos, rejects, roll.Current().Version)
 
-	// A learned policy driven by the rollout hot-swaps scorers on promotion;
+	// A pool scoring through the rollout hot-swaps scorers on promotion;
 	// demotion reverts to the Recency fallback (LRU-equivalent).
-	_ = storage.NewLearnedPolicy(roll)
+	_ = storage.NewPool(storage.PoolOptions{Capacity: 16, Scorer: roll})
 	roll.Demote()
 	fmt.Printf("after demote: serving v%d\n", roll.Current().Version)
 	// Output:

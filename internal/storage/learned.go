@@ -26,7 +26,7 @@ func fillFeatures(x []float64, recency, count, gap uint64) []float64 {
 // Recency is the LRU-equivalent heuristic scorer: the predicted forward
 // reuse distance is exactly the time since last access, so evicting the
 // maximum prediction evicts the least recently used page. It is the scorer
-// rollout's incumbent and demotion fallback — the learned policy can never
+// rollout's incumbent and demotion fallback — a learned scorer can never
 // do worse than LRU for longer than one canary window.
 type Recency struct{}
 
@@ -37,7 +37,7 @@ func (Recency) Predict(x []float64) float64 { return x[0] }
 // through: Recency serves as version 0 and is also the fallback Demote
 // restores, so a candidate serves evictions only after beating the
 // LRU-equivalent baseline over window shadow observations. The rollout is
-// itself a modelsvc.Predictor — hand it to NewLearnedPolicy and promotions
+// itself a modelsvc.Predictor — set it as PoolOptions.Scorer and promotions
 // reach the pool atomically. Predictions are log1p reuse distances (often
 // < 1), where QError's clamp-at-1 would flatten every comparison; absolute
 // error keeps the gate discriminating.
@@ -49,86 +49,27 @@ func NewScorerRollout(window int) *modelsvc.Rollout {
 	})
 }
 
-// pageStat is the per-resident-page access history a LearnedPolicy keeps.
-type pageStat struct {
+// history is one page's accesses while resident, in pool ticks: what a
+// frame keeps for its scorer and TraceSamples keeps per page of a trace.
+type history struct {
 	last  uint64 // tick of the most recent access
 	prev  uint64 // tick of the access before that (0 if none)
-	count uint64 // lifetime accesses while resident
+	count uint64 // accesses while resident
 }
 
 // access records one access at tick.
-func (s *pageStat) access(tick uint64) {
-	s.prev, s.last = s.last, tick
-	s.count++
+func (h *history) access(tick uint64) {
+	h.prev, h.last = h.last, tick
+	h.count++
 }
 
 // features encodes the history as of tick into x.
-func (s *pageStat) features(x []float64, tick uint64) []float64 {
+func (h *history) features(x []float64, tick uint64) []float64 {
 	gap := uint64(0)
-	if s.prev > 0 {
-		gap = s.last - s.prev
+	if h.prev > 0 {
+		gap = h.last - h.prev
 	}
-	return fillFeatures(x, tick-s.last, s.count, gap)
-}
-
-// LearnedPolicy evicts the candidate whose predicted forward reuse
-// distance is largest (the Belady direction), scoring each candidate's
-// access-history features with a modelsvc.Predictor — typically the rollout
-// from NewScorerRollout, so the model behind the score is hot-swapped by
-// canary promotions and demotions without touching the pool. Non-finite
-// scores fall back to the recency feature, so a broken model degrades
-// toward LRU instead of corrupting eviction.
-type LearnedPolicy struct {
-	scorer modelsvc.Predictor
-	st     map[PageKey]pageStat
-	x      [FeatureDim]float64 // scratch: the scorer must not retain its input
-}
-
-// NewLearnedPolicy returns a learned eviction policy over scorer.
-func NewLearnedPolicy(scorer modelsvc.Predictor) *LearnedPolicy {
-	return &LearnedPolicy{scorer: scorer, st: make(map[PageKey]pageStat)}
-}
-
-// Name implements Policy.
-func (l *LearnedPolicy) Name() string { return "learned" }
-
-// OnAccess implements Policy.
-func (l *LearnedPolicy) OnAccess(key PageKey, tick uint64) {
-	s := l.st[key]
-	s.access(tick)
-	l.st[key] = s
-}
-
-// OnRemove implements Policy.
-func (l *LearnedPolicy) OnRemove(key PageKey) { delete(l.st, key) }
-
-// Victim implements Policy: the maximum predicted reuse distance, ties
-// broken toward the lowest key whatever order the candidates arrive in.
-func (l *LearnedPolicy) Victim(cands []PageKey, tick uint64) PageKey {
-	best := cands[0]
-	bestScore := l.score(best, tick)
-	for _, k := range cands[1:] {
-		//ml4db:allow floateq "a tie is two equal scores, not two close ones: only exact equality falls through to the key order"
-		if s := l.score(k, tick); s > bestScore || (s == bestScore && k.Less(best)) {
-			best, bestScore = k, s
-		}
-	}
-	return best
-}
-
-func (l *LearnedPolicy) score(key PageKey, tick uint64) float64 {
-	s, ok := l.st[key]
-	if !ok {
-		// Never accessed while resident — should not happen, but an unknown
-		// page is the safest eviction.
-		return math.MaxFloat64
-	}
-	x := s.features(l.x[:], tick)
-	v := l.scorer.Predict(x)
-	if math.IsNaN(v) || math.IsInf(v, 0) {
-		return x[0] // recency fallback: degrade toward LRU, never corrupt
-	}
-	return v
+	return fillFeatures(x, tick-h.last, h.count, gap)
 }
 
 // Sample is one supervised eviction-training example: the page's feature
@@ -160,7 +101,7 @@ func TraceSamples(trace []PageKey, horizon int) []Sample {
 		}
 		lastSeen[trace[i]] = i
 	}
-	st := make(map[PageKey]pageStat, 64)
+	st := make(map[PageKey]history, 64)
 	var out []Sample
 	for i, key := range trace {
 		tick := uint64(i + 1)

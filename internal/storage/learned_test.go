@@ -13,36 +13,10 @@ func TestRecencyUnderLearnedPolicyIsLRU(t *testing.T) {
 	// feature, so argmax-prediction eviction must reproduce LRU's choices on
 	// any trace.
 	pattern := accessPattern(12, 300)
-	lru := runTrace(t, func() Policy { return nil }, "lru.heap", pattern, 12)
-	rec := runTrace(t, func() Policy { return NewLearnedPolicy(Recency{}) }, "rec.heap", pattern, 12)
+	lru := runTrace(t, nil, "lru.heap", pattern, 12)
+	rec := runTrace(t, Recency{}, "rec.heap", pattern, 12)
 	if len(lru) == 0 || !reflect.DeepEqual(lru, rec) {
-		t.Fatalf("learned(Recency) diverges from LRU:\n%v\n%v", lru, rec)
-	}
-}
-
-func TestLearnedPolicyNaNFallsBackToRecency(t *testing.T) {
-	nan := predictorFunc(func([]float64) float64 { return math.NaN() })
-	lp := NewLearnedPolicy(nan)
-	keys := []PageKey{{0, 0}, {0, 1}, {0, 2}}
-	lp.OnAccess(keys[0], 1)
-	lp.OnAccess(keys[1], 2)
-	lp.OnAccess(keys[2], 3)
-	// NaN scores degrade to the recency feature → LRU victim (page 0).
-	if v := lp.Victim(keys, 4); v != keys[0] {
-		t.Fatalf("victim = %v, want %v", v, keys[0])
-	}
-}
-
-func TestLearnedPolicyEvictsMaxPredictedDistance(t *testing.T) {
-	// Score = the count feature: the most-touched page is "furthest" away.
-	byCount := predictorFunc(func(x []float64) float64 { return x[1] })
-	lp := NewLearnedPolicy(byCount)
-	keys := []PageKey{{0, 0}, {0, 1}}
-	lp.OnAccess(keys[0], 1)
-	lp.OnAccess(keys[1], 2)
-	lp.OnAccess(keys[1], 3)
-	if v := lp.Victim(keys, 4); v != keys[1] {
-		t.Fatalf("victim = %v, want the high-count page", v)
+		t.Fatalf("Recency scorer diverges from LRU:\n%v\n%v", lru, rec)
 	}
 }
 

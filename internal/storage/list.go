@@ -1,7 +1,7 @@
 package storage
 
-// frame is one resident page and, through its intrusive links, a node of the
-// package's one recency list.
+// frame is one resident page with its access history and, through its
+// intrusive links, a node of the package's one recency list.
 type frame struct {
 	prev, next *frame
 	key        PageKey
@@ -9,13 +9,13 @@ type frame struct {
 	page       *Page
 	pins       int
 	dirty      bool
-	lastTick   uint64
+	hist       history // since the page came in: reset when the frame is re-keyed
 }
 
 // recency orders frames from least to most recently used, as a ring through
 // a sentinel: root.next is the coldest frame, root.prev the hottest. Every
 // access moves its frame to the hot end, so the order is exactly ascending
-// lastTick, and ticks are unique, so "coldest" never has a tie.
+// hist.last, and ticks are unique, so "coldest" never has a tie.
 type recency struct{ root frame }
 
 func (l *recency) init() { l.root.prev, l.root.next = &l.root, &l.root }

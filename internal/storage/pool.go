@@ -3,9 +3,11 @@ package storage
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 
+	"ml4db/internal/modelsvc"
 	"ml4db/internal/obs"
 )
 
@@ -33,8 +35,8 @@ type PageKey struct {
 	Page uint32
 }
 
-// Less orders keys (file, then page) — the deterministic order policies
-// break score ties in.
+// Less orders keys (file, then page) — the deterministic order a scorer's
+// ties are broken in.
 func (k PageKey) Less(o PageKey) bool {
 	if k.File != o.File {
 		return k.File < o.File
@@ -42,29 +44,16 @@ func (k PageKey) Less(o PageKey) bool {
 	return k.Page < o.Page
 }
 
-// Policy decides which unpinned resident page to evict when something other
-// than the pool's own LRU order is wanted. The pool owns the policy and
-// drives it single-threaded under its lock: OnAccess on every fetch (hit or
-// load), OnRemove when a page leaves the pool, Victim when a frame must be
-// freed. Candidates arrive coldest (least recently used) first, in a slice
-// the pool reuses and the policy must not retain; implementations must
-// return one of them and must break score ties toward the lower PageKey
-// explicitly, so eviction sequences replay bit-identically. Anything else
-// returned is overridden to the coldest candidate.
-type Policy interface {
-	Name() string
-	OnAccess(key PageKey, tick uint64)
-	OnRemove(key PageKey)
-	Victim(cands []PageKey, tick uint64) PageKey
-}
-
 // PoolOptions configures a Pool.
 type PoolOptions struct {
 	// Capacity is the frame count; values below one default to 64.
 	Capacity int
-	// Policy selects eviction victims; nil is LRU, served in O(1) from the
-	// pool's own recency list.
-	Policy Policy
+	// Scorer, when non-nil, predicts each unpinned frame's forward reuse
+	// distance from its access history, and the largest prediction is
+	// evicted; nil is LRU, served in O(1) from the pool's own recency list.
+	// It is called under the pool lock: typically the modelsvc.Rollout from
+	// NewScorerRollout, so promotions reach the pool with no wrapper.
+	Scorer modelsvc.Predictor
 	// Metrics, when non-nil, receives storage.pool.* instruments.
 	Metrics *obs.Registry
 	// RecordEvictions keeps the eviction sequence for replay-determinism
@@ -73,17 +62,17 @@ type PoolOptions struct {
 }
 
 // Pool is the buffer pool: a fixed number of frames caching heap-file pages
-// with pin/unpin discipline, dirty tracking and write-back, and pluggable
-// eviction. All state transitions happen under one mutex, in caller order,
-// with a logical tick as the only clock — which is what makes eviction
-// sequences replayable.
+// with pin/unpin discipline, dirty tracking and write-back, and LRU or
+// learned eviction. All state transitions happen under one mutex, in caller
+// order, with a logical tick as the only clock — which is what makes
+// eviction sequences replayable.
 type Pool struct {
 	mu     sync.Mutex
 	opts   PoolOptions
 	frames map[PageKey]*frame
-	lru    recency   // every resident frame, cold to hot
-	spare  []byte    // the last victim's page buffer, refilled by the next miss
-	cands  []PageKey // scratch for Policy.Victim
+	lru    recency             // every resident frame, cold to hot
+	spare  []byte              // the last victim's page buffer, refilled by the next miss
+	x      [FeatureDim]float64 // the scorer's input: it must not retain it
 	// runFree holds the buffers of released scan runs, taken by the next
 	// scans' first reads (at most maxRunFree of them).
 	runFree [][]byte
@@ -213,7 +202,8 @@ func (h *PageHandle) Unpin() {
 // the handle. With every frame pinned it fails with *AllPinnedError; a page
 // that fails its checksum on load surfaces as *ChecksumError, one holding
 // tuples of another width than hf's as *PageWidthError. A failed Fetch
-// leaves the resident set, the recency order and the policy as they were.
+// leaves the resident set, the recency order and every frame's access
+// history as they were.
 //
 // Fetch allocates nothing: it is small enough to inline, so the handle lives
 // in the caller's frame unless the caller lets it escape.
@@ -235,7 +225,7 @@ func (p *Pool) fetch(hf *HeapFile, pageNo int) (PageHandle, error) {
 	if hit {
 		p.hits++
 		p.cHits.Inc()
-		p.hReuse.Observe(float64(p.tick - fr.lastTick))
+		p.hReuse.Observe(float64(p.tick - fr.hist.last))
 		fr.pins++
 	} else {
 		var err error
@@ -245,18 +235,9 @@ func (p *Pool) fetch(hf *HeapFile, pageNo int) (PageHandle, error) {
 		p.misses.Add(1)
 		p.cMisses.Inc()
 	}
-	fr.lastTick = p.tick
+	fr.hist.access(p.tick)
 	p.lru.touch(fr)
-	p.notifyLocked(key)
 	return PageHandle{pool: p, fr: fr, missed: !hit}, nil
-}
-
-// notifyLocked drives the policy for one access, in access order under the
-// pool lock.
-func (p *Pool) notifyLocked(key PageKey) {
-	if p.opts.Policy != nil {
-		p.opts.Policy.OnAccess(key, p.tick)
-	}
 }
 
 // loadLocked reads key's page into a frame pinned once: a fresh frame while
@@ -293,7 +274,7 @@ func (p *Pool) loadLocked(hf *HeapFile, key PageKey) (*frame, error) {
 		p.spare = fr.page.buf
 	}
 	*fr.page = page
-	fr.key, fr.hf, fr.pins = key, hf, 1
+	fr.key, fr.hf, fr.pins, fr.hist = key, hf, 1, history{}
 	p.frames[key] = fr
 	return fr, nil
 }
@@ -339,11 +320,11 @@ func (r *ScanRun) Release() {
 // interleaving, change no later eviction and keep replay deterministic. may
 // holds the pages the scan will read from pageNo on, bit i for page
 // pageNo+i. A resident page is pinned and counted as a hit, with no tick,
-// policy call or reuse sample. Any other page is counted as a miss and served
-// read-only from the run: when the run does not hold it, one pread outside
-// the pool lock stages the pages from it on that are in may, not resident
-// and in the file, at most runPages of them; a run that comes back short
-// falls back to a single-page read. Nothing is inserted or evicted, and an
+// access-history update or reuse sample. Any other page is counted as a miss
+// and served read-only from the run: when the run does not hold it, one
+// pread outside the pool lock stages the pages from it on that are in may,
+// not resident and in the file, at most runPages of them; a run that comes
+// back short falls back to a single-page read. Nothing is inserted or evicted, and an
 // unknown file is not registered. Each page is verified on its own, so a
 // corrupt page fails only its own read, with the typed error Fetch returns,
 // and a page staged before a write-back is read again. A served page is
@@ -434,41 +415,40 @@ func (r *ScanRun) stageLocked(pageNo int, may uint64) int {
 
 // victimLocked picks the frame to evict, or nil when every frame is pinned.
 // LRU takes the first unpinned frame from the cold end: O(1) plus the pinned
-// frames it steps over. A Policy scores every unpinned resident — that O(n)
-// is the model's — and gets them coldest first in the pool's scratch slice;
-// an answer that is not one of them degrades to the coldest, i.e. to LRU.
+// frames it steps over. A Scorer scores every unpinned frame — that O(n) is
+// the model's — and the largest predicted reuse distance goes, ties to the
+// lower PageKey. A NaN or infinite score is the recency feature instead, so
+// a broken model degrades to LRU.
 func (p *Pool) victimLocked() *frame {
-	p.cands = p.cands[:0]
+	var victim *frame
+	var best float64
 	for fr := p.lru.coldest(); fr != nil; fr = p.lru.next(fr) {
 		if fr.pins != 0 {
 			continue
 		}
-		if p.opts.Policy == nil {
+		if p.opts.Scorer == nil {
 			return fr
 		}
-		p.cands = append(p.cands, fr.key)
+		x := fr.hist.features(p.x[:], p.tick)
+		s := p.opts.Scorer.Predict(x)
+		if math.IsNaN(s) || math.IsInf(s, 0) {
+			s = x[0]
+		}
+		//ml4db:allow floateq "a tie is two equal scores, not two close ones: only exact equality falls through to the key order"
+		if victim == nil || s > best || (s == best && fr.key.Less(victim.key)) {
+			victim, best = fr, s
+		}
 	}
-	if len(p.cands) == 0 {
-		return nil
-	}
-	fr, ok := p.frames[p.opts.Policy.Victim(p.cands, p.tick)]
-	if !ok || fr.pins != 0 {
-		fr = p.frames[p.cands[0]]
-	}
-	return fr
+	return victim
 }
 
-// unmapLocked writes fr back if dirty and takes its key out of the index and
-// the policy; the frame itself, still on the list, is the caller's to re-key
-// or unlink.
+// unmapLocked writes fr back if dirty and takes its key out of the index;
+// the frame itself, still on the list, is the caller's to re-key or unlink.
 func (p *Pool) unmapLocked(fr *frame) error {
 	if err := p.writeBackLocked(fr); err != nil {
 		return err
 	}
 	delete(p.frames, fr.key)
-	if p.opts.Policy != nil {
-		p.opts.Policy.OnRemove(fr.key)
-	}
 	return nil
 }
 

@@ -9,10 +9,10 @@ import (
 )
 
 // The micro tier for this layer: what one Pool.Fetch costs on a hit, on an
-// LRU miss and on a learned-policy miss, and one ScanRun.Read of a page the
+// LRU miss and on a learned (scored) miss, and one ScanRun.Read of a page the
 // pool does not hold, in ns and allocations, with the pool full (steady
 // state). The miss benchmarks cycle over more pages than the pool holds, so
-// under either policy every fetch misses and evicts, one pread each; a scan
+// with or without a scorer every fetch misses and evicts, one pread each; a scan
 // reads by the run (BenchmarkPoolFetchScanMiss reports preads per page).
 
 const benchMissPages = 8192
@@ -85,7 +85,7 @@ func BenchmarkPoolFetchMissLRU(b *testing.B) {
 }
 
 func BenchmarkPoolFetchMissLearned(b *testing.B) {
-	benchFetch(b, PoolOptions{Capacity: 128, Policy: NewLearnedPolicy(Recency{})}, benchMissPages, false)
+	benchFetch(b, PoolOptions{Capacity: 128, Scorer: Recency{}}, benchMissPages, false)
 }
 
 // A scan's read of a page the pool does not hold: served from the scan's run,
@@ -138,8 +138,8 @@ func TestPoolFetchAllocContract(t *testing.T) {
 		{"hit/128", PoolOptions{Capacity: 128}, hot, false},
 		{"lru-miss/128", PoolOptions{Capacity: 128}, hf, false},
 		{"lru-miss/1024", PoolOptions{Capacity: 1024}, hf, false},
-		{"learned-miss/128", PoolOptions{Capacity: 128, Policy: NewLearnedPolicy(Recency{})}, hf, false},
-		{"learned-miss/1024", PoolOptions{Capacity: 1024, Policy: NewLearnedPolicy(Recency{})}, hf, false},
+		{"learned-miss/128", PoolOptions{Capacity: 128, Scorer: Recency{}}, hf, false},
+		{"learned-miss/1024", PoolOptions{Capacity: 1024, Scorer: Recency{}}, hf, false},
 		{"scan-miss/128", PoolOptions{Capacity: 128}, hf, true},
 		{"scan-miss/128+metrics", PoolOptions{Capacity: 128, Metrics: obs.NewRegistry()}, hf, true},
 	} {

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"ml4db/internal/mlmath"
+	"ml4db/internal/modelsvc"
 	"ml4db/internal/obs"
 )
 
@@ -204,27 +205,18 @@ func (r *refPool) flush() {
 	}
 }
 
-// countingPolicy counts the calls the pool makes into the policy it wraps.
-type countingPolicy struct {
-	Policy
-	calls int
-}
-
-func (c *countingPolicy) OnAccess(k PageKey, tick uint64) { c.calls++; c.Policy.OnAccess(k, tick) }
-func (c *countingPolicy) OnRemove(k PageKey)              { c.calls++; c.Policy.OnRemove(k) }
-func (c *countingPolicy) Victim(k []PageKey, tick uint64) PageKey {
-	c.calls++
-	return c.Policy.Victim(k, tick)
-}
-
 // replacementState renders what a scan read must leave as it was: the tick,
-// the eviction log's length and the recency order with each frame's last
-// access and pins.
+// the eviction log's length and the frames.
 func replacementState(p *Pool) string {
+	return fmt.Sprintf("tick %d, %d evictions:%s", p.tick, len(p.evictLog), frameState(p))
+}
+
+// frameState renders the recency order, cold to hot, with each frame's
+// access history (last and previous access tick, access count) and pins.
+func frameState(p *Pool) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "tick %d, %d evictions:", p.tick, len(p.evictLog))
 	for fr := p.lru.coldest(); fr != nil; fr = p.lru.next(fr) {
-		fmt.Fprintf(&b, " %v@%d/%d", fr.key, fr.lastTick, fr.pins)
+		fmt.Fprintf(&b, " %v@%d/%d/%dx/%d", fr.key, fr.hist.last, fr.hist.prev, fr.hist.count, fr.pins)
 	}
 	return b.String()
 }
@@ -237,11 +229,11 @@ func replacementState(p *Pool) string {
 // PagesRead and the eviction log equal the reference's; only the corrupted
 // page's reads fail, with *ChecksumError; a fetch reads one page with one
 // pread on a miss or a failed read and nothing on a hit; and a scan reads no
-// page it does not serve and leaves the tick, the recency order, the
-// eviction log and the policy untouched.
+// page it does not serve and leaves the tick, the recency order, every
+// frame's access history and the eviction log untouched.
 //
-// Input: byte 0 picks the capacity (1 to 12) and the policy (LRU or the
-// learned policy under Recency), byte 1 the corrupted page of file a; then
+// Input: byte 0 picks the capacity (1 to 12) and the scorer (none, for LRU,
+// or Recency), byte 1 the corrupted page of file a; then
 // each op is three bytes: kind, page, and a length or value. A scan (kind 8
 // or 12, mod 16) takes three bytes more: a mask of 24 pages, repeated.
 func FuzzPoolReads(f *testing.F) {
@@ -254,11 +246,9 @@ func FuzzPoolReads(f *testing.F) {
 		}
 		const npages = 40
 		capacity, bad := 1+int(in[0]&0x7f)%12, int(in[1])%npages
-		var policy Policy
-		counting := &countingPolicy{}
+		var scorer modelsvc.Predictor
 		if in[0]&0x80 != 0 {
-			counting.Policy = NewLearnedPolicy(Recency{})
-			policy = counting
+			scorer = Recency{}
 		}
 		files := []*HeapFile{newPooledFile(t, "a.heap", npages), newPooledFile(t, "b.heap", npages)}
 		shadow := [2][][]int64{}
@@ -281,7 +271,7 @@ func FuzzPoolReads(f *testing.F) {
 		if err := fd.Close(); err != nil {
 			t.Fatal(err)
 		}
-		pool := NewPool(PoolOptions{Capacity: capacity, Policy: policy, RecordEvictions: true})
+		pool := NewPool(PoolOptions{Capacity: capacity, Scorer: scorer, RecordEvictions: true})
 		ref := &refPool{cap: capacity, pages: map[PageKey]*refPage{}, files: map[*HeapFile]uint32{}}
 		runs := [2]ScanRun{pool.NewScanRun(files[0]), pool.NewScanRun(files[1])}
 		defer runs[0].Release()
@@ -335,7 +325,7 @@ func FuzzPoolReads(f *testing.F) {
 		// pno+k%24) picks through the file's run, telling each read the picked
 		// pages from its own on.
 		scan := func(i, pno, end int, mask uint32) {
-			before, state, calls, failedBefore := pool.Stats(), replacementState(pool), counting.calls, failed
+			before, state, failedBefore := pool.Stats(), replacementState(pool), failed
 			picked := func(q int) bool { return mask>>((q-pno)%24)&1 != 0 }
 			for q := pno; q < end; q++ {
 				if !picked(q) {
@@ -372,8 +362,8 @@ func FuzzPoolReads(f *testing.F) {
 			if served := after.Misses - before.Misses + failed - failedBefore; after.PagesRead-before.PagesRead > served {
 				t.Fatalf("a scan read %d pages and served %d of them", after.PagesRead-before.PagesRead, served)
 			}
-			if got := replacementState(pool); got != state || counting.calls != calls {
-				t.Fatalf("a scan changed the replacement state: %s (%d policy calls) -> %s (%d)", state, calls, got, counting.calls)
+			if got := replacementState(pool); got != state {
+				t.Fatalf("a scan changed the replacement state: %s -> %s", state, got)
 			}
 		}
 		for ops := in[2:]; len(ops) >= 3; {

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 
+	"ml4db/internal/modelsvc"
 	"ml4db/internal/obs"
 )
 
@@ -255,10 +256,10 @@ func accessPattern(npages, n int) []int {
 	return out
 }
 
-func runTrace(t *testing.T, policy func() Policy, name string, pattern []int, npages int) []PageKey {
+func runTrace(t *testing.T, scorer modelsvc.Predictor, name string, pattern []int, npages int) []PageKey {
 	t.Helper()
 	hf := newPooledFile(t, name, npages)
-	pool := NewPool(PoolOptions{Capacity: 4, Policy: policy(), RecordEvictions: true})
+	pool := NewPool(PoolOptions{Capacity: 4, Scorer: scorer, RecordEvictions: true})
 	for _, pno := range pattern {
 		fetchAndRelease(t, pool, hf, pno)
 	}
@@ -269,13 +270,13 @@ func TestPoolReplayDeterminism(t *testing.T) {
 	pattern := accessPattern(12, 400)
 	for _, tc := range []struct {
 		name   string
-		policy func() Policy
+		scorer modelsvc.Predictor
 	}{
-		{"lru", func() Policy { return nil }},
-		{"learned-recency", func() Policy { return NewLearnedPolicy(Recency{}) }},
+		{"lru", nil},
+		{"learned-recency", Recency{}},
 	} {
-		a := runTrace(t, tc.policy, tc.name+"-a.heap", pattern, 12)
-		b := runTrace(t, tc.policy, tc.name+"-b.heap", pattern, 12)
+		a := runTrace(t, tc.scorer, tc.name+"-a.heap", pattern, 12)
+		b := runTrace(t, tc.scorer, tc.name+"-b.heap", pattern, 12)
 		if len(a) == 0 {
 			t.Fatalf("%s: workload produced no evictions", tc.name)
 		}
@@ -285,19 +286,12 @@ func TestPoolReplayDeterminism(t *testing.T) {
 	}
 }
 
-// recordingPolicy evicts the coldest candidate (LRU) and records every
-// access the pool reports, in order.
-type recordingPolicy struct{ seen []PageKey }
-
-func (*recordingPolicy) Name() string                         { return "recording" }
-func (r *recordingPolicy) OnAccess(k PageKey, _ uint64)       { r.seen = append(r.seen, k) }
-func (*recordingPolicy) OnRemove(PageKey)                     {}
-func (*recordingPolicy) Victim(c []PageKey, _ uint64) PageKey { return c[0] }
-
+// TestPoolPolicySeesAccessOrder: every Fetch, hit or miss, is one access
+// in the frame's history, in access order — the last and previous tick and
+// the count a scorer reads.
 func TestPoolPolicySeesAccessOrder(t *testing.T) {
 	hf := newPooledFile(t, "t.heap", 2)
-	rec := &recordingPolicy{}
-	pool := NewPool(PoolOptions{Capacity: 4, Policy: rec})
+	pool := NewPool(PoolOptions{Capacity: 4})
 	var hits []bool
 	for _, pageNo := range []int{0, 1, 0} {
 		hits = append(hits, !fetchAndRelease(t, pool, hf, pageNo))
@@ -305,7 +299,7 @@ func TestPoolPolicySeesAccessOrder(t *testing.T) {
 	if want := []bool{false, false, true}; !reflect.DeepEqual(hits, want) {
 		t.Fatalf("hits = %v, want %v", hits, want)
 	}
-	if want := []PageKey{{0, 0}, {0, 1}, {0, 0}}; !reflect.DeepEqual(rec.seen, want) {
-		t.Fatalf("policy saw %v, want %v", rec.seen, want)
+	if got, want := frameState(pool), " {0 1}@2/0/1x/0 {0 0}@3/1/2x/0"; got != want {
+		t.Fatalf("frames = %q, want %q", got, want)
 	}
 }

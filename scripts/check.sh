@@ -74,7 +74,8 @@ go test -run '^$' -fuzz FuzzPageDecode -fuzztime 5s ./internal/storage/
 # Stats but Reads and PagesRead and the eviction log equal the reference
 # pool's, only the corrupted page fails, with *ChecksumError, a fetch reads one
 # page on a miss or a failed read and none on a hit, and a scan reads no page
-# it does not serve and leaves the replacement state as it found it.
+# it does not serve and leaves the replacement state (the tick, the recency
+# order, every frame's access history, the eviction log) as it found it.
 echo "==> fuzz (storage.FuzzPoolReads, 5s)"
 go test -run '^$' -fuzz FuzzPoolReads -fuzztime 5s ./internal/storage/
 
