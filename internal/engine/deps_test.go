@@ -90,7 +90,7 @@ func TestEngineRingOptions(t *testing.T) {
 		{engine.Options{}, []string{"Metrics", "Trace", "Store", "Pool"}},
 		{querystore.Options{}, []string{"Clock", "Catalog", "Pool"}},
 		{storage.PoolOptions{}, []string{"Capacity", "Scorer", "Metrics", "RecordEvictions"}},
-		{exec.Options{}, []string{"Budget", "Analyze", "Span", "Pool", "Output"}},
+		{exec.Options{}, []string{"Budget", "Analyze", "Span", "Pool", "Output", "Arena"}},
 		{modelsvc.RolloutOptions{}, []string{"Window", "ErrFn", "Clock", "Fallback", "Metrics", "Events"}},
 		{nn.FitOptions{}, []string{"Epochs", "BatchSize", "Optimizer", "RNG", "Pool", "Metrics", "MetricName"}},
 	} {

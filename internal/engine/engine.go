@@ -321,8 +321,10 @@ func (e *Engine) release() {
 // change together with an epoch bump, so a cached plan under this key always
 // matches this rewrite. out, when non-nil, is the statement's requested
 // output over q's table positions; it rides along to the executor and is no
-// part of the plan's or the statement's identity.
-func (e *Engine) run(q *plan.Query, shape string, out *plan.Output, hint optimizer.HintSet, budget *exec.Budget, analyze bool) (*Result, error) {
+// part of the plan's or the statement's identity. rows, when non-nil, is the
+// arena the result's rows are written into (Session.Query's); nil gives the
+// result rows of its own.
+func (e *Engine) run(q *plan.Query, shape string, out *plan.Output, rows *exec.Arena, hint optimizer.HintSet, budget *exec.Budget, analyze bool) (*Result, error) {
 	sp := e.opts.Trace.StartSpan("engine.query", nil)
 	defer sp.End()
 
@@ -345,7 +347,7 @@ func (e *Engine) run(q *plan.Query, shape string, out *plan.Output, hint optimiz
 	}
 	sp.SetStr("hint", hint.Name).SetInt("cache_hit", boolInt(hit))
 
-	res, err := e.exc.Execute(p, exec.Options{Budget: budget, Analyze: analyze, Span: sp, Pool: e.opts.Pool, Output: mapOutput(out, posMap)})
+	res, err := e.exc.Execute(p, exec.Options{Budget: budget, Analyze: analyze, Span: sp, Pool: e.opts.Pool, Output: mapOutput(out, posMap), Arena: rows})
 	result := &Result{Result: res, Plan: p, CacheHit: hit, Fallback: fallback, EstimatorVersion: s.estVersion, Query: exq, PosMap: posMap}
 	budgetAbort := err != nil && errors.Is(err, exec.ErrWorkBudgetExceeded)
 	if budgetAbort {

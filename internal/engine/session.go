@@ -21,6 +21,10 @@ type Session struct {
 	Budget *exec.Budget
 	// Analyze collects EXPLAIN ANALYZE stats into each Result.
 	Analyze bool
+
+	// rows and out are what Query returns, overwritten by the next Query.
+	rows exec.Arena
+	out  RowsResult
 }
 
 // Run plans (through the shared cache) and executes q under the session's
@@ -32,5 +36,5 @@ func (s *Session) Run(q *plan.Query) (*Result, error) {
 		return nil, err
 	}
 	defer s.eng.release()
-	return s.eng.run(q, queryShape(q, s.Hint.Name), nil, s.Hint, s.Budget, s.Analyze)
+	return s.eng.run(q, queryShape(q, s.Hint.Name), nil, nil, s.Hint, s.Budget, s.Analyze)
 }

@@ -7,7 +7,11 @@ import (
 
 // RowsResult is the outcome of a SQL query: the projected, ordered, limited
 // output rows with their column names, plus the underlying engine result
-// (plan, counters, cache/fallback flags) for callers that want it.
+// (plan, counters, cache/fallback flags) for callers that want it. It and its
+// Rows belong to the session that ran the query and are valid until that
+// session's next Query, which overwrites them, like database/sql's Rows: copy
+// what must outlive it. Appending to Rows or to a row reallocates, so it
+// never writes into another row or a later result.
 type RowsResult struct {
 	// Columns names the output columns. The slice is the statement memo's,
 	// shared by every call that sends the same text: read-only.
@@ -42,7 +46,8 @@ type stmt struct {
 //
 // A text sent again under the same hint-set name is neither lexed nor parsed
 // nor re-shaped: the engine's statement memo returns what the first call
-// derived (see Engine.statement).
+// derived (see Engine.statement). The result is the session's own, valid
+// until its next Query (see RowsResult).
 func (s *Session) Query(sql string) (*RowsResult, error) {
 	e := s.eng
 	if err := e.admit(); err != nil {
@@ -53,11 +58,12 @@ func (s *Session) Query(sql string) (*RowsResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	res, err := e.run(st.Query, st.shape, &st.Output, s.Hint, s.Budget, s.Analyze)
+	res, err := e.run(st.Query, st.shape, &st.Output, &s.rows, s.Hint, s.Budget, s.Analyze)
 	if err != nil {
 		return nil, err
 	}
-	return &RowsResult{Columns: st.names, Rows: res.Rows, Exec: res}, nil
+	s.out = RowsResult{Columns: st.names, Rows: res.Rows, Exec: res}
+	return &s.out, nil
 }
 
 // statement returns the memoised statement for sql under the hint name,

@@ -2,6 +2,7 @@ package engine_test
 
 import (
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -12,6 +13,107 @@ import (
 	"ml4db/internal/sqlkit/plan"
 	"ml4db/internal/views"
 )
+
+// kept copies rr and its rows, so that they outlive the session's next Query.
+func kept(rr *engine.RowsResult) *engine.RowsResult {
+	c := *rr
+	c.Rows = slices.Clone(rr.Rows)
+	for i := range c.Rows {
+		c.Rows[i] = slices.Clone(c.Rows[i])
+	}
+	return &c
+}
+
+// TestQueryRowsLiveUntilTheSessionsNextQuery: a Session.Query's result is
+// written into the session's own arena and is valid until its next Query.
+// Scribbling on it and appending to a row and to Rows write into nothing
+// else: not the tables, not another row, not the next query's rows (which
+// equal a fresh session's), not another session's result. Session.Run's
+// results stay private, and an empty result is a non-nil slice, before and
+// after the arena holds rows.
+func TestQueryRowsLiveUntilTheSessionsNextQuery(t *testing.T) {
+	sch := chainCatalog(t, 8)
+	snapshot := func() (s [][]int64) {
+		for _, id := range sch.TableIDs {
+			for _, c := range sch.Cat.Table(id).Data {
+				s = append(s, slices.Clone(c))
+			}
+		}
+		return s
+	}
+	tables := snapshot()
+	eng := engine.New(sch.Cat, engine.Options{})
+	const (
+		join  = "SELECT t0.id, t1.attr, t0.attr FROM t0, t1 WHERE t0.next = t1.id AND t0.attr >= 300 ORDER BY t0.id"
+		scan  = "SELECT attr, id FROM t0 WHERE attr >= 450"
+		empty = "SELECT id FROM t0 WHERE id < -9223372036854775808"
+	)
+	query := func(s *engine.Session, sql string) *engine.RowsResult {
+		t.Helper()
+		rr, err := s.Query(sql)
+		if err != nil {
+			t.Fatalf("%s: %v", sql, err)
+		}
+		return rr
+	}
+	if rr := query(eng.Session(), empty); rr.Rows == nil || len(rr.Rows) != 0 {
+		t.Fatalf("a fresh session's empty result is %#v, want a non-nil empty slice", rr.Rows)
+	}
+	other := eng.Session()
+	theirs := query(other, join)
+	want := kept(theirs)
+	sess := eng.Session()
+	all := len(query(sess, "SELECT * FROM t0").Rows) // the arena holds more rows than join returns
+	run, err := sess.Run(chainQuery(sch))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ran := slices.Clone(run.Rows)
+	for i := range ran {
+		ran[i] = slices.Clone(ran[i])
+	}
+	rr := query(sess, join)
+	n := len(rr.Rows)
+	if n < 10 || n >= all || !reflect.DeepEqual(rr.Rows, want.Rows) {
+		t.Fatalf("%d rows, another session's %d: the check would be vacuous or the sessions disagree", n, len(want.Rows))
+	}
+	for i, row := range rr.Rows {
+		if cap(row) != len(row) {
+			t.Fatalf("row %d has len %d, cap %d: an append would overwrite its neighbour", i, len(row), cap(row))
+		}
+		for j := range row {
+			row[j] = -1 - int64(i)
+		}
+		rr.Rows[i] = append(row, -7)
+	}
+	if cap(rr.Rows) != n {
+		t.Fatalf("Rows has len %d, cap %d: an append would write into the arena", n, cap(rr.Rows))
+	}
+	rr.Rows = append(rr.Rows, []int64{-9})
+	for i, row := range rr.Rows[:n] {
+		if row[0] != -1-int64(i) || row[len(row)-1] != -7 {
+			t.Fatalf("scribbling on another row changed row %d to %v", i, row)
+		}
+	}
+	for _, sql := range []string{scan, empty, join} {
+		got, fresh := query(sess, sql), query(eng.Session(), sql)
+		if !reflect.DeepEqual(got.Columns, fresh.Columns) || !reflect.DeepEqual(got.Rows, fresh.Rows) {
+			t.Fatalf("%s after scribbling on the session's last result: %d rows, a fresh session's %d", sql, len(got.Rows), len(fresh.Rows))
+		}
+		if sql == empty && got.Rows == nil {
+			t.Fatalf("an empty result after the arena held rows is nil, want a non-nil empty slice")
+		}
+	}
+	if !reflect.DeepEqual(theirs.Rows, want.Rows) {
+		t.Error("another session's queries changed this session's result")
+	}
+	if !reflect.DeepEqual(run.Rows, ran) {
+		t.Error("the session's queries changed its Session.Run result")
+	}
+	if !reflect.DeepEqual(snapshot(), tables) {
+		t.Error("scribbling on a result changed the tables")
+	}
+}
 
 // TestQueryThroughViewRewriteMatchesBase: the executor applies a statement's
 // select list, ORDER BY and LIMIT to the plan's columns, and a view rewrite
@@ -41,7 +143,7 @@ func TestQueryThroughViewRewriteMatchesBase(t *testing.T) {
 			if (rr.Exec.PosMap != nil) != wantRewritten {
 				t.Fatalf("%s: rewritten = %v, want %v", sql, rr.Exec.PosMap != nil, wantRewritten)
 			}
-			out = append(out, rr)
+			out = append(out, kept(rr))
 		}
 		return out
 	}

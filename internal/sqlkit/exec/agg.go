@@ -19,11 +19,10 @@ type aggPartial struct {
 // one row per group — [group, COUNT(*), SUM(col)...] — in ascending group
 // order. The spec's column references resolve to offsets once, up front, and
 // are all the child is asked for, and the columns it reads are taken dense.
-// Each input row charges AggInput; each
-// emitted group charges OutputTuple and one materialized row. The
-// accumulation phase runs over contiguous input shards into one partial per
-// shard; partials merge order-insensitively (counts and sums are
-// commutative), so the sorted emission is the same for every Partitions.
+// Each input row charges AggInput; each emitted group charges OutputTuple and
+// one materialized row. Accumulation runs over contiguous input shards, a
+// partial per shard; partials merge order-insensitively (counts and sums
+// commute), so the sorted emission is the same for every Partitions.
 func (s *execState) hashAgg(n *plan.Node, ord int, need []bool) (batch, error) {
 	cols, err := s.aggCols(n)
 	if err != nil {
@@ -88,10 +87,7 @@ func (s *execState) hashAgg(n *plan.Node, ord int, need []bool) (batch, error) {
 	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
 	out := s.newBatch(len(keys), len(keys), need)
 	for i, k := range keys {
-		if err := s.charge(&s.ctr.OutputTuple, 1); err != nil {
-			return batch{}, err
-		}
-		if err := s.chargeRows(1); err != nil {
+		if _, err := chargeChunk(&s.acct, &s.ctr.OutputTuple, 1, nil, ordinals[:1], 0); err != nil {
 			return batch{}, err
 		}
 		for c, v := range groups.acc[groups.slot[k]:][:stride] {

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
@@ -76,6 +77,9 @@ type Options struct {
 	// operator's columns before any row is built (output.go). Nil means every
 	// column in leaf order, executor order, no limit. It is only read.
 	Output *plan.Output
+	// Arena, when non-nil, holds Result.Rows (see Arena); nil means a fresh
+	// arena private to the result.
+	Arena *Arena
 }
 
 // CountOnly is the Output of callers that read Work, Counters and the
@@ -123,7 +127,7 @@ func (c Counters) Vec() []float64 {
 // Result is the outcome of executing a plan.
 type Result struct {
 	// Rows holds the output tuples Options.Output asked for: full-capacity
-	// slices of one arena private to this result, aliasing no table data.
+	// rows, aliasing no table data, in Options.Arena or a private arena.
 	Rows [][]int64
 	// Work is the total deterministic work units consumed.
 	Work int64
@@ -166,7 +170,7 @@ func New(cat *catalog.Catalog) *Executor { return &Executor{Cat: cat} }
 // Execute runs the plan and returns the result. The plan is only read: what
 // its operators measured comes back in Result.Actuals.
 func (e *Executor) Execute(root *plan.Node, opts Options) (*Result, error) {
-	st := &execState{e: e, pool: opts.Pool}
+	st := &execState{acct: acct{lim: opts.Budget}, e: e, pool: opts.Pool}
 	st.taken = st.slab[:0]
 	res := &st.res
 	if k := root.NumNodes(); k <= len(st.few) {
@@ -174,7 +178,6 @@ func (e *Executor) Execute(root *plan.Node, opts Options) (*Result, error) {
 	} else {
 		res.Actuals = make([]plan.Actual, k)
 	}
-	st.lim = opts.Budget
 	observed := opts.Analyze || e.Trace != nil
 	if observed {
 		if opts.Analyze {
@@ -186,7 +189,7 @@ func (e *Executor) Execute(root *plan.Node, opts Options) (*Result, error) {
 	if err == nil {
 		var b batch
 		if b, err = st.run(root, 0, need); err == nil {
-			res.Rows = present(b, opts.Output, offs)
+			res.Rows = present(b, opts.Output, offs, cmp.Or(opts.Arena, new(Arena)))
 		}
 	}
 	st.release()
@@ -239,7 +242,7 @@ type execState struct {
 	taken []column
 	slab  [16]column
 	// probe is what a hash join hands its probe side when that is a SeqScan
-	// of a disk table (see hashJoin).
+	// of a disk table (see children).
 	probe keyRange
 	cur   *obs.Span // innermost open span, nil on the fast path: parent for the next operator
 }
@@ -371,7 +374,10 @@ func chargeChunk[T uint16 | int64](a *acct, unit *int64, n int, out *int64, at [
 
 // children runs a join's two inputs, asking each for its share of need plus
 // the columns the conditions read, and takes the conditions' columns dense
-// (keys[0] is the hash or merge key; see joinKeys).
+// (keys[0] is the hash or merge key; see joinKeys). A hash join whose probe
+// side is a SeqScan of a disk table hands it the range of the build keys as
+// one more filter (sideways information passing): it skips the pages whose
+// zones miss it and drops the rows outside it, none of which could match.
 func (s *execState) children(n *plan.Node, ord int, need []bool) (left, right batch, keys []keyPair, err error) {
 	keys, needL, needR, err := s.joinKeys(n, need)
 	if err != nil {
@@ -380,11 +386,20 @@ func (s *execState) children(n *plan.Node, ord int, need []bool) (left, right ba
 	if left, err = s.run(n.Children[0], ord+n.ChildAt(0), needL); err != nil {
 		return
 	}
+	for i, k := range keys {
+		keys[i].lc = s.dense(left, k.l)
+	}
+	if p := n.Children[1]; n.Op == plan.OpHashJoin && p.Op == plan.OpSeqScan && s.e.Cat.Table(p.TableID).Disk != nil {
+		s.probe = keyRange{lo: math.MaxInt64, hi: math.MinInt64, col: int32(keys[0].r), at: int32(ord + n.ChildAt(1))}
+		for _, key := range keys[0].lc {
+			s.probe.lo, s.probe.hi = min(s.probe.lo, key), max(s.probe.hi, key)
+		}
+	}
 	if right, err = s.run(n.Children[1], ord+n.ChildAt(1), needR); err != nil {
 		return
 	}
 	for i, k := range keys {
-		keys[i].lc, keys[i].rc = s.dense(left, k.l), s.dense(right, k.r)
+		keys[i].rc = s.dense(right, k.r)
 	}
 	return left, right, keys, nil
 }
@@ -394,16 +409,9 @@ func (s *execState) children(n *plan.Node, ord int, need []bool) (left, right ba
 func hashOf(key int64) uint64 { return uint64(key) * 0x9E3779B97F4A7C15 }
 
 func (s *execState) hashJoin(n *plan.Node, ord int, need []bool) (batch, error) {
-	keys, needL, needR, err := s.joinKeys(n, need)
+	left, right, keys, err := s.children(n, ord, need)
 	if err != nil {
 		return batch{}, err
-	}
-	left, err := s.run(n.Children[0], ord+n.ChildAt(0), needL)
-	if err != nil {
-		return batch{}, err
-	}
-	for i, k := range keys {
-		keys[i].lc = s.dense(left, k.l)
 	}
 	// Build on the left child, probe with the right, keyed on the first
 	// condition; key matches that fail a later condition emit nothing. The
@@ -412,9 +420,8 @@ func (s *execState) hashJoin(n *plan.Node, ord int, need []bool) (batch, error) 
 	// are build positions plus one, zero ending a chain. Inserting in
 	// descending position makes chains ascend: matches come in build order.
 	// Two slots or more keep shift < 64, so & 63 elides its range check. The
-	// same loop finds the build keys' range [kmin, kmax]. The build runs before
-	// the probe side, which may take the range, and is charged after it.
-	lk, rest := keys[0].lc, keys[1:]
+	// same loop finds the build keys' range [kmin, kmax].
+	lk, rk, rest := keys[0].lc, keys[0].rc, keys[1:]
 	shift := uint(64 - bits.Len(uint(max(left.n, 2)-1)))
 	slots := 1 << (64 - shift)
 	mem := make([]int32, 2*slots+left.n)
@@ -428,20 +435,6 @@ func (s *execState) hashJoin(n *plan.Node, ord int, need []bool) (batch, error) 
 		next[i], heads[j] = heads[j], int32(i+1)
 		heads[j+1] |= 1 << (h >> ((shift - 5) & 63) & 31)
 	}
-	// A disk SeqScan probe side gets the range as one more filter (sideways
-	// information passing): it skips the pages whose zones miss it and drops
-	// the rows outside it, none of which could match.
-	if p := n.Children[1]; p.Op == plan.OpSeqScan && s.e.Cat.Table(p.TableID).Disk != nil {
-		s.probe = keyRange{lo: kmin, hi: kmax, col: int32(keys[0].r), at: int32(ord + n.ChildAt(1))}
-	}
-	right, err := s.run(n.Children[1], ord+n.ChildAt(1), needR)
-	if err != nil {
-		return batch{}, err
-	}
-	for i, k := range keys {
-		keys[i].rc = s.dense(right, k.r)
-	}
-	rk := keys[0].rc
 	if _, err := chargeChunk[uint16](&s.acct, &s.ctr.HashBuild, left.n, nil, nil, 0); err != nil {
 		return batch{}, err
 	}
@@ -571,7 +564,6 @@ func (s *execState) mergeJoin(n *plan.Node, ord int, need []bool) (batch, error)
 	if err != nil {
 		return batch{}, err
 	}
-	// Charge an n·log n sort cost approximation plus the merge.
 	if err := s.charge(&s.ctr.MergeSort, int64(plan.SortUnits(left.n)+plan.SortUnits(right.n))); err != nil {
 		return batch{}, err
 	}
@@ -602,10 +594,7 @@ func (s *execState) mergeJoin(n *plan.Node, ord int, need []bool) (batch, error)
 					if !matches(rest, int(lp[i]), int(r)) {
 						continue
 					}
-					if err := s.charge(&s.ctr.OutputTuple, 1); err != nil {
-						return batch{}, err
-					}
-					if err := s.chargeRows(1); err != nil {
+					if _, err := chargeChunk(&s.acct, &s.ctr.OutputTuple, 1, nil, ordinals[:1], 0); err != nil {
 						return batch{}, err
 					}
 					li, ri = s.push(li, ri, lp[i], r)

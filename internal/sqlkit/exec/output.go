@@ -40,10 +40,11 @@ func resolveOutput(cat *catalog.Catalog, root *plan.Node, out *plan.Output) (nee
 
 // present applies the output to the root operator's batch: it orders the row
 // positions, keeps the first Limit, and only then transposes the surviving
-// rows × selected columns into one flat arena cut into full-capacity rows —
-// the only place the executor builds a row; none aliases another or a table.
-// Rows are read through the batch's selection vector, if it has one.
-func present(b batch, out *plan.Output, offs []int) [][]int64 {
+// rows × selected columns into the arena a, cut into full-capacity rows under
+// a header capped at keep — the only place the executor builds a row; none
+// aliases another or a table, and an append reallocates. Rows are read
+// through the batch's selection vector, if it has one.
+func present(b batch, out *plan.Output, offs []int, a *Arena) [][]int64 {
 	w, keep := len(offs), b.n
 	order := b.at // nil: executor order, dense
 	if out != nil {
@@ -55,9 +56,14 @@ func present(b batch, out *plan.Output, offs []int) [][]int64 {
 			order = firstRows(b, out.OrderBy, offs[w:], keep)
 		}
 	}
-	flat := make([]int64, keep*w)
-	rows := make([][]int64, keep)
-	for i := range rows {
+	flat, rows := a.flat, a.rows
+	if rows == nil || cap(flat) < keep*w || cap(rows) < keep {
+		flat, rows = make([]int64, max(keep*w, cap(flat))), make([][]int64, max(keep, cap(rows)))
+		if 8*len(flat)+24*len(rows) <= maxSlabBytes {
+			a.flat, a.rows = flat, rows
+		}
+	}
+	for i := range keep {
 		p := i
 		if order != nil {
 			p = int(order[i])
@@ -68,7 +74,16 @@ func present(b batch, out *plan.Output, offs []int) [][]int64 {
 		}
 		rows[i] = row
 	}
-	return rows
+	return rows[:keep:keep]
+}
+
+// Arena is row storage a caller keeps across executions (Options.Arena). An
+// execution's rows are valid until the next overwrites them, without zeroing;
+// it grows only for a result that does not fit, to at most maxSlabBytes, and
+// a larger result gets a one-off arena.
+type Arena struct {
+	flat []int64
+	rows [][]int64
 }
 
 // firstRows returns, in order, the positions in b's columns of the first keep

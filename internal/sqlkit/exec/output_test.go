@@ -195,7 +195,9 @@ func TestOutputMatchesSortLimitProject(t *testing.T) {
 // instead of running into the next row); after overwriting and appending to
 // every row, the tables are untouched, a re-execution still equals refEval,
 // and the first result still holds what was written to it — zero-copy scan at
-// the root and under a join, and a filtered scan, serial and partitioned.
+// the root and under a join, and a filtered scan, serial and partitioned. With
+// an Options.Arena, as a session passes, the re-execution overwrites the first
+// result instead, and the appends must not have written into the arena.
 func TestResultRowsNeverAliasTableData(t *testing.T) {
 	cat := pairCatalog(t)
 	snapshot := func() [][][]int64 {
@@ -216,41 +218,50 @@ func TestResultRowsNeverAliasTableData(t *testing.T) {
 	scan := plan.NewScan(0, 0, nil)
 	join := plan.NewJoin(plan.OpHashJoin, plan.NewScan(0, 0, nil), plan.NewScan(1, 1, nil), on(0, 0, 1, 0))
 	filtered := plan.NewScan(0, 0, []expr.Pred{{Col: 1, Op: expr.GE, Lo: 1}})
-	for _, base := range []*plan.Node{scan, join, filtered} {
-		for _, parts := range []int{1, 4} {
-			p := forcePartitions(base, parts)
-			res, err := e.Execute(p, Options{Pool: pool})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(res.Rows) == 0 {
-				t.Fatalf("%s returned no rows", p.Head())
-			}
-			for i, row := range res.Rows {
-				if cap(row) != len(row) {
-					t.Fatalf("%s: row %d has len %d, cap %d: an append would overwrite its neighbour", p.Head(), i, len(row), cap(row))
+	for _, arena := range []*Arena{nil, new(Arena)} {
+		for _, base := range []*plan.Node{scan, join, filtered} {
+			for _, parts := range []int{1, 4} {
+				p := forcePartitions(base, parts)
+				res, err := e.Execute(p, Options{Pool: pool, Arena: arena})
+				if err != nil {
+					t.Fatal(err)
 				}
-				for j := range row {
-					row[j] = -1 - int64(i)
+				if len(res.Rows) == 0 {
+					t.Fatalf("%s returned no rows", p.Head())
 				}
-				res.Rows[i] = append(row, -7)
-			}
-			for i, row := range res.Rows {
-				if row[0] != -1-int64(i) {
-					t.Fatalf("%s: scribbling on another row changed row %d", p.Head(), i)
+				for i, row := range res.Rows {
+					if cap(row) != len(row) {
+						t.Fatalf("%s: row %d has len %d, cap %d: an append would overwrite its neighbour", p.Head(), i, len(row), cap(row))
+					}
+					for j := range row {
+						row[j] = -1 - int64(i)
+					}
+					res.Rows[i] = append(row, -7)
 				}
-			}
-			var want Counters
-			again, err := e.Execute(p, Options{Pool: pool})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !sameRows(canonical(again.Rows), canonical(refEval(cat, p, &want))) {
-				t.Fatalf("%s P=%d: re-execution after scribbling on the first result differs from the reference", p.Head(), parts)
-			}
-			for i, row := range res.Rows {
-				if row[0] != -1-int64(i) || row[len(row)-1] != -7 {
-					t.Fatalf("%s P=%d: the re-execution wrote into row %d of the first result", p.Head(), parts, i)
+				for i, row := range res.Rows {
+					if row[0] != -1-int64(i) {
+						t.Fatalf("%s: scribbling on another row changed row %d", p.Head(), i)
+					}
+				}
+				if cap(res.Rows) != len(res.Rows) {
+					t.Fatalf("%s: Rows has len %d, cap %d: an append would write into the arena", p.Head(), len(res.Rows), cap(res.Rows))
+				}
+				res.Rows = append(res.Rows, []int64{-9})
+				var want Counters
+				again, err := e.Execute(p, Options{Pool: pool, Arena: arena})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !sameRows(canonical(again.Rows), canonical(refEval(cat, p, &want))) {
+					t.Fatalf("%s P=%d arena=%v: re-execution after scribbling on the first result differs from the reference", p.Head(), parts, arena != nil)
+				}
+				if arena != nil {
+					continue
+				}
+				for i, row := range res.Rows[:len(res.Rows)-1] {
+					if row[0] != -1-int64(i) || row[len(row)-1] != -7 {
+						t.Fatalf("%s P=%d: the re-execution wrote into row %d of the first result", p.Head(), parts, i)
+					}
 				}
 			}
 		}
@@ -264,5 +275,40 @@ func TestResultRowsNeverAliasTableData(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestArenaKeepsAtMostMaxSlabBytes: an arena grows only for a result that does
+// not fit, keeps what it grew only up to maxSlabBytes — a larger result gets a
+// one-off arena and the kept one is left as it was — and an empty result is a
+// non-nil slice whether the arena is new or holds rows.
+func TestArenaKeepsAtMostMaxSlabBytes(t *testing.T) {
+	big := maxSlabBytes / 32 // a one-column row costs 8 value bytes and a 24-byte header
+	col := make(column, big+1)
+	for i := range col {
+		col[i] = int64(i)
+	}
+	present1 := func(a *Arena, n int) [][]int64 {
+		return present(batch{n: n, cols: []column{col}}, nil, []int{0}, a)
+	}
+	a := new(Arena)
+	if rows := present1(a, 0); rows == nil || len(rows) != 0 {
+		t.Fatalf("an empty result in a new arena is %#v, want a non-nil empty slice", rows)
+	}
+	small := present1(a, 1000)
+	if cap(a.flat) != 1000 || cap(a.rows) != 1000 || &small[0][0] != &a.flat[0] {
+		t.Fatalf("a 1000-row result left an arena of %d values and %d rows", cap(a.flat), cap(a.rows))
+	}
+	for _, n := range []int{big, big + 1} {
+		rows := present1(a, n)
+		if kept := 8*n+24*n <= maxSlabBytes; kept != (cap(a.rows) == n) || len(rows) != n || rows[n-1][0] != int64(n-1) {
+			t.Fatalf("%d rows (%d bytes): arena of %d rows kept, want it kept: %v", n, 32*n, cap(a.rows), kept)
+		}
+	}
+	if cap(a.rows) != big || &present1(a, 10)[0][0] != &a.flat[0] {
+		t.Fatalf("after a result above maxSlabBytes the arena holds %d rows, want the %d it kept", cap(a.rows), big)
+	}
+	if rows := present1(a, 0); rows == nil || len(rows) != 0 {
+		t.Fatalf("an empty result in a used arena is %#v, want a non-nil empty slice", rows)
 	}
 }

@@ -219,7 +219,7 @@ func TestHintViability(t *testing.T) {
 // bridge. The search used to walk every split of its 2^20-entry table before
 // failing (about 2.5 s and 32 MiB on 2 vCPU); a union-find pass must reject
 // the graph before the table exists, in well under a millisecond and with
-// the error's allocations only.
+// the error's allocations only (counted in builds without the race detector).
 func TestDisconnectedQueryRejected(t *testing.T) {
 	rng := mlmath.NewRNG(8)
 	sch, err := datagen.NewChainSchema(rng, []int{10, 10})
@@ -250,6 +250,9 @@ func TestDisconnectedQueryRejected(t *testing.T) {
 	}
 	if fastest > time.Millisecond {
 		t.Errorf("rejecting a disconnected 20-table graph took %v, want < 1ms", fastest)
+	}
+	if raceEnabled {
+		return // the race runtime's own allocations land in the count now and then
 	}
 	if allocs := testing.AllocsPerRun(10, func() { o.PlanWith(q, NoHint(), est) }); allocs > 2 {
 		t.Errorf("rejecting a disconnected 20-table graph allocates %.0f times, want the error's 2 at most", allocs)
