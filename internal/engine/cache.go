@@ -30,6 +30,15 @@ type cacheKey struct {
 	shape       string
 }
 
+// cached is a plan-cache entry: the plan, and the rewritten query it was
+// built from with the rewrite's position map — both nil when no rewriter
+// applied and the plan was built from the caller's query. All read-only.
+type cached struct {
+	plan      *plan.Node
+	rewritten *plan.Query
+	posMap    []plan.PosMap
+}
+
 // hintBits is everything of a HintSet the optimizer reads: one bit per entry
 // of plan.AllJoinOps it allows, then LeftDeepOnly and NoIndexScan. Two hint
 // sets with equal bits define the same search space whatever they are called.
@@ -143,7 +152,7 @@ func joinCmp(a, b expr.JoinCond) int {
 
 // lru is a mutex-guarded least-recently-used map of at most capacity entries,
 // shared by all sessions of an engine. The engine keeps two: the plan cache
-// (cacheKey → plan) and the statement memo (stmtKey → *stmt). Values are
+// (cacheKey → cached plan) and the statement memo (stmtKey → *stmt). Values are
 // stored and served as they are, not copied: both kinds are read-only once
 // built (the executor returns what it measured instead of writing it into
 // the plan's nodes), so any number of sessions use one value at once.

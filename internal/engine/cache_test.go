@@ -75,8 +75,8 @@ func TestCacheKeyNormalization(t *testing.T) {
 }
 
 // newPlanCache is the engine's plan cache on its own.
-func newPlanCache(capacity int, reg *obs.Registry) *lru[cacheKey, *plan.Node] {
-	return newLRU[cacheKey, *plan.Node](capacity, reg, "engine.plancache")
+func newPlanCache(capacity int, reg *obs.Registry) *lru[cacheKey, cached] {
+	return newLRU[cacheKey, cached](capacity, reg, "engine.plancache")
 }
 
 // refShape renders a shape through fmt and the String methods of expr.Pred
@@ -153,7 +153,7 @@ func TestQueryShapeMatchesReference(t *testing.T) {
 func TestCacheLRUEviction(t *testing.T) {
 	reg := obs.NewRegistry()
 	c := newPlanCache(2, reg)
-	mk := func(i int) *plan.Node { return plan.NewScan(i, i, nil) }
+	mk := func(i int) cached { return cached{plan: plan.NewScan(i, i, nil)} }
 	c.Put(cacheKey{shape: "a"}, mk(1))
 	c.Put(cacheKey{shape: "b"}, mk(2))
 	// Touch "a" so "b" is the LRU victim.
@@ -188,7 +188,7 @@ func TestPlanCacheCounterExport(t *testing.T) {
 	run := func(shape string) {
 		key := cacheKey{shape: shape}
 		if _, ok := c.Get(key); !ok {
-			c.Put(key, plan.NewScan(0, 0, nil))
+			c.Put(key, cached{plan: plan.NewScan(0, 0, nil)})
 		}
 	}
 	counter := func(name string) int64 {
@@ -232,11 +232,11 @@ func TestPlanCacheCounterExport(t *testing.T) {
 func TestCacheServesTheStoredTree(t *testing.T) {
 	c := newPlanCache(4, nil)
 	orig := plan.NewJoin(plan.OpHashJoin, plan.NewScan(0, 0, nil), plan.NewScan(1, 1, nil), expr.JoinCond{RightTable: 1})
-	c.Put(cacheKey{shape: "k"}, orig)
-	c.Put(cacheKey{shape: "k"}, orig.Clone())
+	c.Put(cacheKey{shape: "k"}, cached{plan: orig})
+	c.Put(cacheKey{shape: "k"}, cached{plan: orig.Clone()})
 	for i := 0; i < 2; i++ {
-		if got, ok := c.Get(cacheKey{shape: "k"}); !ok || got != orig {
-			t.Fatalf("Get %d served %p (hit=%v), want the tree Put stored, %p", i, got, ok, orig)
+		if got, ok := c.Get(cacheKey{shape: "k"}); !ok || got.plan != orig {
+			t.Fatalf("Get %d served %p (hit=%v), want the tree Put stored, %p", i, got.plan, ok, orig)
 		}
 	}
 	if c.Len() != 1 {
@@ -244,14 +244,14 @@ func TestCacheServesTheStoredTree(t *testing.T) {
 	}
 }
 
-// cachedJoin returns a left-deep hash join over the given number of tables,
-// the shape of tree the cache holds.
-func cachedJoin(tables int) *plan.Node {
+// cachedJoin returns an entry holding a left-deep hash join over the given
+// number of tables, the shape of tree the cache holds.
+func cachedJoin(tables int) cached {
 	p := plan.NewScan(0, 0, nil)
 	for i := 1; i < tables; i++ {
 		p = plan.NewJoin(plan.OpHashJoin, p, plan.NewScan(i, i, nil), expr.JoinCond{RightTable: i})
 	}
-	return p
+	return cached{plan: p}
 }
 
 // BenchmarkPlanCacheGet is the micro tier of a plan-cache hit: one Get per
@@ -308,7 +308,7 @@ func TestPlanCachePutAtCapacityAllocContract(t *testing.T) {
 		t.Errorf("Len %d, %d evictions after %d Puts past capacity 4", c.Len(), ev, next-4)
 	}
 	for _, k := range keys[next-4 : next] {
-		if got, ok := c.Get(k); !ok || got != p {
+		if got, ok := c.Get(k); !ok || got.plan != p.plan {
 			t.Errorf("%s: the last four Puts are not all cached", k.shape)
 		}
 	}
@@ -318,7 +318,7 @@ func TestCacheInvalidate(t *testing.T) {
 	reg := obs.NewRegistry()
 	c := newPlanCache(8, reg)
 	for i := 0; i < 5; i++ {
-		c.Put(cacheKey{shape: fmt.Sprintf("k%d", i)}, plan.NewScan(i, i, nil))
+		c.Put(cacheKey{shape: fmt.Sprintf("k%d", i)}, cached{plan: plan.NewScan(i, i, nil)})
 	}
 	if n := c.Invalidate(); n != 5 {
 		t.Errorf("Invalidate dropped %d, want 5", n)
@@ -333,7 +333,7 @@ func TestCacheInvalidate(t *testing.T) {
 		t.Errorf("invalidations = %d, want 5", got)
 	}
 	// Cache keeps working after invalidation.
-	c.Put(cacheKey{shape: "fresh"}, plan.NewScan(0, 0, nil))
+	c.Put(cacheKey{shape: "fresh"}, cached{plan: plan.NewScan(0, 0, nil)})
 	if _, ok := c.Get(cacheKey{shape: "fresh"}); !ok {
 		t.Error("cache unusable after invalidation")
 	}

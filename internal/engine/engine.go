@@ -62,7 +62,9 @@ type Options struct {
 	Pool *mlmath.Pool
 }
 
-// Result is the outcome of one engine query.
+// Result is the outcome of one engine query. Session.Run's and Engine.Run's
+// belong to the caller; a Session.Query's belongs to the session and is
+// overwritten by its next Query (see RowsResult).
 type Result struct {
 	*exec.Result
 	// Plan is the executed physical plan. It is the plan cache's own tree,
@@ -78,12 +80,14 @@ type Result struct {
 	// under (0 when planning was classical).
 	EstimatorVersion int
 	// Query is the query the plan was actually built from — the input after
-	// view rewriting, or the input itself when no rewriter applied. For
-	// Session.Query it is the statement memo's, shared by every call that
-	// sends the same text: read-only, like Plan.
+	// view rewriting, or the input itself when no rewriter applied. A
+	// rewritten query is the plan cache's, shared like Plan; for
+	// Session.Query the input is the statement memo's, shared by every call
+	// that sends the same text. Either way it is read-only.
 	Query *plan.Query
 	// PosMap maps each input table position to its (position, column offset)
-	// in Query. Nil means identity: no rewriter applied.
+	// in Query. Nil means identity: no rewriter applied. Read-only: it is the
+	// plan cache's.
 	PosMap []plan.PosMap
 }
 
@@ -99,7 +103,7 @@ type Engine struct {
 
 	// slots is the admission semaphore: one token per running session.
 	slots chan struct{}
-	cache *lru[cacheKey, *plan.Node]
+	cache *lru[cacheKey, cached]
 	// stmts is the statement memo Session.Query consults before parsing.
 	stmts *lru[stmtKey, *stmt]
 
@@ -146,7 +150,7 @@ func New(cat *catalog.Catalog, opts Options) *Engine {
 		exc:   exec.New(cat),
 		opts:  opts,
 		slots: make(chan struct{}, maxConcurrent),
-		cache: newLRU[cacheKey, *plan.Node](cacheSize, m, "engine.plancache"),
+		cache: newLRU[cacheKey, cached](cacheSize, m, "engine.plancache"),
 		stmts: newLRU[stmtKey, *stmt](cacheSize, m, "engine.stmtcache"),
 
 		admitted:          m.Counter("engine.admitted"),
@@ -317,38 +321,54 @@ func (e *Engine) release() {
 // execute, record. shape is queryShape(q, hint.Name), computed by the caller
 // (or remembered: see Session.Query). It is computed from the caller's query,
 // so one statement keeps one identity (and one querystore record) across
-// design changes; the plan is built from the rewritten query. Rewriters only
-// change together with an epoch bump, so a cached plan under this key always
-// matches this rewrite. out, when non-nil, is the statement's requested
-// output over q's table positions; it rides along to the executor and is no
-// part of the plan's or the statement's identity. rows, when non-nil, is the
-// arena the result's rows are written into (Session.Query's); nil gives the
-// result rows of its own.
-func (e *Engine) run(q *plan.Query, shape string, out *plan.Output, rows *exec.Arena, hint optimizer.HintSet, budget *exec.Budget, analyze bool) (*Result, error) {
+// design changes; the plan is built from the rewritten query, which the cache
+// keeps with it. Rewriters only change together with an epoch bump, so a
+// cached rewrite under this key is always this query's. out, when non-nil, is
+// the statement's requested output over q's table positions; it rides along
+// to the executor and is no part of the plan's or the statement's identity.
+// mem, when non-nil, is the memory the query runs in and its Result is
+// returned in (Session.Query's); nil gives the result memory of its own.
+func (e *Engine) run(q *plan.Query, shape string, out *plan.Output, mem *queryMem, hint optimizer.HintSet, budget *exec.Budget, analyze bool) (*Result, error) {
 	sp := e.opts.Trace.StartSpan("engine.query", nil)
 	defer sp.End()
 
 	s := e.cur.Load() // the one read of mutable planning state in this query
-	exq, posMap := applyRewriters(q, s.rewriters)
 	key := cacheKey{epoch: s.epoch, parallelism: s.classical.Parallelism, hint: hintBitsOf(hint), shape: shape}
-	p, hit := e.cache.Get(key)
+	c, hit := e.cache.Get(key)
 	fallback := false
 	if !hit {
-		var err error
-		p, fallback, err = e.plan(s, exq, hint)
+		exq, posMap := applyRewriters(q, s.rewriters)
+		p, fb, err := e.plan(s, exq, hint)
 		if err != nil {
 			e.planErrors.Inc()
 			return nil, err
 		}
-		if fallback {
+		if fallback = fb; fallback {
 			e.fallbacks.Inc()
 		}
-		e.cache.Put(key, p)
+		c = cached{plan: p, posMap: posMap}
+		if posMap != nil {
+			c.rewritten = exq
+		}
+		e.cache.Put(key, c)
+	}
+	p, exq, posMap := c.plan, q, c.posMap
+	if posMap != nil {
+		exq = c.rewritten
 	}
 	sp.SetStr("hint", hint.Name).SetInt("cache_hit", boolInt(hit))
 
-	res, err := e.exc.Execute(p, exec.Options{Budget: budget, Analyze: analyze, Span: sp, Pool: e.opts.Pool, Output: mapOutput(out, posMap), Arena: rows})
-	result := &Result{Result: res, Plan: p, CacheHit: hit, Fallback: fallback, EstimatorVersion: s.estVersion, Query: exq, PosMap: posMap}
+	opts := exec.Options{Budget: budget, Analyze: analyze, Span: sp, Pool: e.opts.Pool}
+	var result *Result
+	var mapped *plan.Output
+	if mem == nil {
+		result = new(Result)
+	} else {
+		result, opts.Arena, mapped = &mem.res, &mem.arena, &mem.mapped
+	}
+	opts.Output = mapOutput(mapped, out, posMap)
+	res, err := e.exc.Execute(p, opts)
+	*result = Result{Result: res, Plan: p, CacheHit: hit, Fallback: fallback, EstimatorVersion: s.estVersion, Query: exq, PosMap: posMap}
 	budgetAbort := err != nil && errors.Is(err, exec.ErrWorkBudgetExceeded)
 	if budgetAbort {
 		e.budgetAborts.Inc()
@@ -376,25 +396,29 @@ func (e *Engine) run(q *plan.Query, shape string, out *plan.Output, rows *exec.A
 	return result, err
 }
 
-// mapOutput routes a requested output through a view rewrite's position map:
-// a rewrite may have folded several FROM tables into one wider view table,
-// and the plan names columns by the rewritten query's positions.
-func mapOutput(out *plan.Output, posMap []plan.PosMap) *plan.Output {
+// mapOutput routes a requested output through a view rewrite's position map
+// into dst, reusing its slices (nil: a new output): a rewrite may have folded
+// several FROM tables into one wider view table, and the plan names columns by
+// the rewritten query's positions. Without a rewrite it returns out itself.
+func mapOutput(dst, out *plan.Output, posMap []plan.PosMap) *plan.Output {
 	if out == nil || posMap == nil {
 		return out
+	}
+	if dst == nil {
+		dst = new(plan.Output)
 	}
 	via := func(c plan.AggCol) plan.AggCol {
 		pm := posMap[c.Table]
 		return plan.AggCol{Table: pm.Pos, Col: pm.ColShift + c.Col}
 	}
-	mapped := &plan.Output{Cols: make([]plan.AggCol, len(out.Cols)), OrderBy: make([]plan.OrderKey, len(out.OrderBy)), Limit: out.Limit}
-	for i, c := range out.Cols {
-		mapped.Cols[i] = via(c)
+	dst.Cols, dst.OrderBy, dst.Limit = dst.Cols[:0], dst.OrderBy[:0], out.Limit
+	for _, c := range out.Cols {
+		dst.Cols = append(dst.Cols, via(c))
 	}
-	for i, k := range out.OrderBy {
-		mapped.OrderBy[i] = plan.OrderKey{Col: via(k.Col), Desc: k.Desc}
+	for _, k := range out.OrderBy {
+		dst.OrderBy = append(dst.OrderBy, plan.OrderKey{Col: via(k.Col), Desc: k.Desc})
 	}
-	return mapped
+	return dst
 }
 
 // plan builds a plan for q under hint and the snapshot s: one join-order

@@ -63,14 +63,17 @@ func fuzzParseSeeds(tb testing.TB) []string {
 	return seeds
 }
 
-// FuzzSessionQuery is the differential check of the statement memo: for any
-// text, Session.Query never panics, and the same text sent again on the same
-// engine (a memo hit once it parsed) returns what the first call returned —
-// the same error, or the same column names and rows — and what an engine
-// that never saw a text before returns. The work budget keeps cross products
-// of arbitrary FROM lists cheap; an abort is an error like any other and
-// must repeat exactly. The seeds are sqlparse's FuzzParse corpus; fuzz with
-// go test -run '^$' -fuzz FuzzSessionQuery ./internal/engine/.
+// FuzzSessionQuery is the differential check of the statement memo and the
+// session's arena: for any text, Session.Query never panics, and the same text
+// sent again on the same session (a memo hit once it parsed), after a
+// statement of another width and plan size has run in between, returns what
+// the first call returned — the same error, or the same column names, rows,
+// work, counters and per-operator actuals — and so does an engine that never
+// saw a text before. A stale column header, need mask or actual left in the
+// arena by the statement in between shows as a difference. The work budget
+// keeps cross products of arbitrary FROM lists cheap; an abort is an error
+// like any other and must repeat exactly. The seeds are sqlparse's FuzzParse
+// corpus; fuzz with go test -run '^$' -fuzz FuzzSessionQuery ./internal/engine/.
 func FuzzSessionQuery(f *testing.F) {
 	cat := fuzzCatalog(f)
 	for _, sql := range fuzzParseSeeds(f) {
@@ -82,10 +85,25 @@ func FuzzSessionQuery(f *testing.F) {
 		return s
 	}
 	shared := session()
+	// Run between the two calls: a 6-column, 3-operator top-N after a
+	// statement of more than one column or operator, else a 1-column IndexScan.
+	const (
+		wide   = "SELECT * FROM users, orders WHERE users.id = orders.user_id AND orders.amount >= 100 ORDER BY orders.amount DESC, orders.id LIMIT 9"
+		narrow = "SELECT age FROM users WHERE age = 20"
+	)
 	f.Fuzz(func(t *testing.T, sql string) {
 		first, errFirst := shared.Query(sql)
+		between := wide
+		var ran measured
 		if errFirst == nil {
+			if len(first.Columns) > 1 || first.Exec.Plan.NumNodes() > 1 {
+				between = narrow
+			}
+			ran = measuredOf(first.Exec.Result)
 			first = kept(first) // the next Query on shared overwrites it
+		}
+		if _, err := shared.Query(between); err != nil {
+			t.Fatalf("%s: %v", between, err)
 		}
 		again, errAgain := shared.Query(sql)
 		fresh, errFresh := session().Query(sql)
@@ -99,9 +117,9 @@ func FuzzSessionQuery(f *testing.F) {
 			if errFirst != nil {
 				continue
 			}
-			if !reflect.DeepEqual(c.rr.Columns, first.Columns) || !reflect.DeepEqual(c.rr.Rows, first.Rows) {
-				t.Fatalf("%q: %s columns %v and %d rows, first %v and %d rows",
-					sql, what, c.rr.Columns, len(c.rr.Rows), first.Columns, len(first.Rows))
+			if got := measuredOf(c.rr.Exec.Result); !reflect.DeepEqual(c.rr.Columns, first.Columns) || !reflect.DeepEqual(got, ran) {
+				t.Fatalf("%q: %s columns %v, %d rows, work %d, actuals %v; first %v, %d rows, work %d, actuals %v",
+					sql, what, c.rr.Columns, len(got.rows), got.work, got.actuals, first.Columns, len(ran.rows), ran.work, ran.actuals)
 			}
 		}
 	})

@@ -1,13 +1,17 @@
 package engine_test
 
 import (
+	"fmt"
+	"path/filepath"
 	"reflect"
+	"sync"
 	"testing"
 
 	"ml4db/internal/engine"
 	"ml4db/internal/mlmath"
 	"ml4db/internal/obs"
 	"ml4db/internal/sqlkit/plan"
+	"ml4db/internal/storage"
 )
 
 // TestCacheCoherenceAcrossParallelism is the plan-cache coherence property
@@ -104,4 +108,82 @@ func TestEngineWithoutPoolPlansSerially(t *testing.T) {
 			t.Errorf("pool-less engine produced Partitions=%d on %v", n.Partitions, n.Op)
 		}
 	})
+}
+
+// TestSessionsShareShardScratch: the shards of a partitioned operator run on
+// the engine's pool and cut batch headers from their session's arena and take
+// slabs from the executor's shared list while they run. Two sessions sharing
+// one engine and a 2-worker pool run partitioned disk and in-memory scans,
+// hash joins and a top-N concurrently, each in its own order so that widths
+// and plan sizes interleave, and every result — rows, work, counters and
+// actuals — equals the one a fresh session measured before, alone. Under
+// -race (scripts/check.sh) a shard cutting the arena unguarded fails it.
+func TestSessionsShareShardScratch(t *testing.T) {
+	sch := chainCatalog(t, 21)
+	t0 := sch.Cat.Table(sch.TableIDs[0])
+	if err := t0.SpillToDisk(filepath.Join(t.TempDir(), "t0.tbl"), storage.NewPool(storage.PoolOptions{Capacity: 4})); err != nil {
+		t.Fatal(err)
+	}
+	pool := mlmath.NewPool(2)
+	defer pool.Close()
+	eng := engine.New(sch.Cat, engine.Options{Pool: pool})
+	stmts := []string{
+		"SELECT id, attr FROM t0 WHERE attr >= 300",
+		"SELECT id, next FROM t1 WHERE attr >= 200",
+		"SELECT t0.id, t1.attr FROM t0, t1 WHERE t0.next = t1.id AND t1.attr >= 300",
+		"SELECT t1.id, t2.attr FROM t1, t2 WHERE t1.next = t2.id",
+		"SELECT t0.id, t1.attr FROM t0, t1 WHERE t0.next = t1.id ORDER BY t1.attr DESC, t0.id LIMIT 7",
+		"SELECT * FROM t0, t1, t2 WHERE t0.next = t1.id AND t1.next = t2.id ORDER BY t2.attr, t0.id LIMIT 25",
+	}
+	want := make([]measured, len(stmts))
+	ops := map[string]bool{}
+	for i, sql := range stmts {
+		rr, err := eng.Session().Query(sql)
+		if err != nil {
+			t.Fatalf("%s: %v", sql, err)
+		}
+		want[i] = measuredOf(rr.Exec.Result)
+		rr.Exec.Plan.Walk(func(n *plan.Node) {
+			if n.Partitions > 1 {
+				ops[fmt.Sprint(n.Op, sch.Cat.Table(n.TableID).IsDisk() && n.IsLeaf())] = true
+			}
+		})
+	}
+	for _, op := range []string{"SeqScan true", "SeqScan false", "HashJoin false"} {
+		if !ops[op] {
+			t.Fatalf("no partitioned %s (disk, if true) among the plans: the test is vacuous", op)
+		}
+	}
+	var wg sync.WaitGroup
+	errs := make(chan error, 2)
+	for w := range 2 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			sess := eng.Session()
+			for round := range 20 {
+				for k := range stmts {
+					i := (k + round) % len(stmts)
+					if w == 1 {
+						i = len(stmts) - 1 - i
+					}
+					rr, err := sess.Query(stmts[i])
+					if err != nil {
+						errs <- fmt.Errorf("%s: %v", stmts[i], err)
+						return
+					}
+					if got := measuredOf(rr.Exec.Result); !reflect.DeepEqual(got, want[i]) {
+						errs <- fmt.Errorf("session %d, round %d: %s: %d rows and work %d, alone %d and %d",
+							w, round, stmts[i], len(got.rows), got.work, len(want[i].rows), want[i].work)
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
 }

@@ -3,6 +3,7 @@ package engine_test
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -133,6 +134,48 @@ func TestQuerystoreEndToEnd(t *testing.T) {
 	}
 	if !filterSeen || !joinSeen {
 		t.Errorf("heat missing filter or join columns: %+v", heat)
+	}
+}
+
+// TestFilteredSystemViewsRecordHeat: the query store folds a statement's
+// heat samples into its heat map under its own lock, and a filtered scan's
+// sample reads its table's row count — for sys_statements and sys_windows,
+// a count the store itself serves. Querying them with a filter must record
+// like any other statement, not wait on the lock the recording holds.
+func TestFilteredSystemViewsRecordHeat(t *testing.T) {
+	sch := chainCatalog(t, 7)
+	store := querystore.New(querystore.Options{Clock: &mlmath.ManualClock{T: time.Unix(0, 0)}, Catalog: sch.Cat})
+	sess := engine.New(sch.Cat, engine.Options{Store: store}).Session()
+	done := make(chan error, 1)
+	go func() {
+		for _, sql := range []string{"SELECT id FROM t0 WHERE attr >= 450", "SELECT calls FROM sys_statements WHERE calls >= 1",
+			"SELECT calls FROM sys_statements WHERE calls >= 1", "SELECT queries FROM sys_windows WHERE queries >= 0"} {
+			if _, err := sess.Query(sql); err != nil {
+				done <- fmt.Errorf("%s: %v", sql, err)
+				return
+			}
+		}
+		done <- nil
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(20 * time.Second):
+		t.Fatal("a filtered query over a system view did not finish: recording it waits on the store's own lock")
+	}
+	// sys_statements holds rows, so each sample has a selectivity; no window
+	// was sealed, so sys_windows holds none and its sample has none.
+	got := map[string]querystore.ColumnHeat{}
+	for _, h := range store.Heat() {
+		got[sch.Cat.Table(h.TableID).Name] = h
+	}
+	if h := got[querystore.ViewStatements]; h.FilterCount != 2 || h.SelCount != 2 {
+		t.Errorf("sys_statements heat %+v, want 2 filter samples with a selectivity each", h)
+	}
+	if h := got[querystore.ViewWindows]; h.FilterCount != 1 || h.SelCount != 0 {
+		t.Errorf("sys_windows heat %+v, want 1 filter sample without a selectivity", h)
 	}
 }
 

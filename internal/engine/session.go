@@ -22,9 +22,18 @@ type Session struct {
 	// Analyze collects EXPLAIN ANALYZE stats into each Result.
 	Analyze bool
 
-	// rows and out are what Query returns, overwritten by the next Query.
-	rows exec.Arena
-	out  RowsResult
+	// last is what Query returns, overwritten by the next Query.
+	last queryMem
+}
+
+// queryMem is the memory a session's Query runs in and returns: the
+// execution's arena (its state, Result and rows), the engine's Result, the
+// statement's output mapped through a view rewrite, and the RowsResult.
+type queryMem struct {
+	arena  exec.Arena
+	res    Result
+	mapped plan.Output
+	out    RowsResult
 }
 
 // Run plans (through the shared cache) and executes q under the session's

@@ -7,11 +7,12 @@ import (
 
 // RowsResult is the outcome of a SQL query: the projected, ordered, limited
 // output rows with their column names, plus the underlying engine result
-// (plan, counters, cache/fallback flags) for callers that want it. It and its
-// Rows belong to the session that ran the query and are valid until that
-// session's next Query, which overwrites them, like database/sql's Rows: copy
-// what must outlive it. Appending to Rows or to a row reallocates, so it
-// never writes into another row or a later result.
+// (plan, counters, cache/fallback flags) for callers that want it. It, its
+// Rows and its Exec — Work, Counters, Actuals and Explain included — belong
+// to the session that ran the query and are valid until that session's next
+// Query, which overwrites them in place, like database/sql's Rows: copy what
+// must outlive it. Appending to Rows or to a row reallocates, so it never
+// writes into another row or a later result.
 type RowsResult struct {
 	// Columns names the output columns. The slice is the statement memo's,
 	// shared by every call that sends the same text: read-only.
@@ -58,12 +59,12 @@ func (s *Session) Query(sql string) (*RowsResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	res, err := e.run(st.Query, st.shape, &st.Output, &s.rows, s.Hint, s.Budget, s.Analyze)
+	res, err := e.run(st.Query, st.shape, &st.Output, &s.last, s.Hint, s.Budget, s.Analyze)
 	if err != nil {
 		return nil, err
 	}
-	s.out = RowsResult{Columns: st.names, Rows: res.Rows, Exec: res}
-	return &s.out, nil
+	s.last.out = RowsResult{Columns: st.names, Rows: res.Rows, Exec: res}
+	return &s.last.out, nil
 }
 
 // statement returns the memoised statement for sql under the hint name,

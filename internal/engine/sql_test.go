@@ -1,6 +1,7 @@
 package engine_test
 
 import (
+	"errors"
 	"reflect"
 	"slices"
 	"sort"
@@ -10,6 +11,7 @@ import (
 	"ml4db/internal/qo"
 	"ml4db/internal/querystore"
 	"ml4db/internal/sqlkit/catalog"
+	"ml4db/internal/sqlkit/exec"
 	"ml4db/internal/sqlkit/plan"
 	"ml4db/internal/views"
 )
@@ -24,13 +26,33 @@ func kept(rr *engine.RowsResult) *engine.RowsResult {
 	return &c
 }
 
+// measured is a copy of what an execution reported: its rows, work, counters
+// and per-operator actuals.
+type measured struct {
+	rows     [][]int64
+	work     int64
+	counters exec.Counters
+	actuals  []plan.Actual
+}
+
+func measuredOf(r *exec.Result) measured {
+	rows := slices.Clone(r.Rows)
+	for i := range rows {
+		rows[i] = slices.Clone(rows[i])
+	}
+	return measured{rows: rows, work: r.Work, counters: r.Counters, actuals: slices.Clone(r.Actuals)}
+}
+
 // TestQueryRowsLiveUntilTheSessionsNextQuery: a Session.Query's result is
 // written into the session's own arena and is valid until its next Query.
 // Scribbling on it and appending to a row and to Rows write into nothing
 // else: not the tables, not another row, not the next query's rows (which
-// equal a fresh session's), not another session's result. Session.Run's
-// results stay private, and an empty result is a non-nil slice, before and
-// after the arena holds rows.
+// equal a fresh session's), not another session's result. The same holds
+// for the whole of Exec: the next Query overwrites its Work, Counters,
+// Actuals and, with Analyze, Explain in place with what a fresh session
+// measures, a budget abort included, and touches no other session's result
+// and none of Session.Run's or Engine.Run's. An empty result is a non-nil
+// slice, before and after the arena holds rows.
 func TestQueryRowsLiveUntilTheSessionsNextQuery(t *testing.T) {
 	sch := chainCatalog(t, 8)
 	snapshot := func() (s [][]int64) {
@@ -68,10 +90,11 @@ func TestQueryRowsLiveUntilTheSessionsNextQuery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ran := slices.Clone(run.Rows)
-	for i := range ran {
-		ran[i] = slices.Clone(ran[i])
+	engRun, err := eng.Run(chainQuery(sch))
+	if err != nil {
+		t.Fatal(err)
 	}
+	ran, engRan, theirsRan := measuredOf(run.Result), measuredOf(engRun.Result), measuredOf(theirs.Exec.Result)
 	rr := query(sess, join)
 	n := len(rr.Rows)
 	if n < 10 || n >= all || !reflect.DeepEqual(rr.Rows, want.Rows) {
@@ -104,11 +127,39 @@ func TestQueryRowsLiveUntilTheSessionsNextQuery(t *testing.T) {
 			t.Fatalf("an empty result after the arena held rows is nil, want a non-nil empty slice")
 		}
 	}
-	if !reflect.DeepEqual(theirs.Rows, want.Rows) {
+
+	// The next Query overwrites Exec in place, Explain included.
+	sess.Analyze = true
+	last := query(sess, join)
+	was, explain := measuredOf(last.Exec.Result), last.Exec.Explain
+	next := query(sess, scan)
+	fresh := eng.Session()
+	fresh.Analyze = true
+	wantScan := query(fresh, scan)
+	if now := measuredOf(last.Exec.Result); next.Exec != last.Exec || !reflect.DeepEqual(now, measuredOf(wantScan.Exec.Result)) || reflect.DeepEqual(now, was) {
+		t.Errorf("after the next Query the last result's Exec reports work %d, %d actuals; a fresh session's %d, %d",
+			now.work, len(now.actuals), wantScan.Exec.Work, len(wantScan.Exec.Actuals))
+	}
+	if explain == nil || explain != next.Exec.Explain || explain.Root != wantScan.Exec.Plan || explain.TotalWork() != wantScan.Exec.Explain.TotalWork() {
+		t.Error("the next Query did not overwrite the last result's Explain with its own")
+	}
+	sess.Analyze = false
+
+	// A budget abort leaves nothing behind for the next Query.
+	sess.Budget = &exec.Budget{MaxWork: 50}
+	if _, err := sess.Query(join); !errors.Is(err, exec.ErrWorkBudgetExceeded) {
+		t.Fatalf("%s under a 50-unit budget: %v, want a budget abort", join, err)
+	}
+	sess.Budget = nil
+	if got, fresh := query(sess, join), query(eng.Session(), join); !reflect.DeepEqual(measuredOf(got.Exec.Result), measuredOf(fresh.Exec.Result)) {
+		t.Error("after a budget abort the session's next Query differs from a fresh session's")
+	}
+
+	if !reflect.DeepEqual(theirs.Rows, want.Rows) || !reflect.DeepEqual(measuredOf(theirs.Exec.Result), theirsRan) {
 		t.Error("another session's queries changed this session's result")
 	}
-	if !reflect.DeepEqual(run.Rows, ran) {
-		t.Error("the session's queries changed its Session.Run result")
+	if !reflect.DeepEqual(measuredOf(run.Result), ran) || !reflect.DeepEqual(measuredOf(engRun.Result), engRan) {
+		t.Error("the session's queries changed its Session.Run or the engine's Run result")
 	}
 	if !reflect.DeepEqual(snapshot(), tables) {
 		t.Error("scribbling on a result changed the tables")
@@ -122,6 +173,9 @@ func TestQueryRowsLiveUntilTheSessionsNextQuery(t *testing.T) {
 // rewriter installed as without. Every ORDER BY here ends on t0.id, unique
 // per joined row, so the answer does not depend on which plan's executor
 // order breaks ties; the statement without ORDER BY compares as a multiset.
+// The output mapped through the rewrite is the session's own, reused: a warm
+// rewritten statement allocates no more than the same statement without the
+// view (whose plan has one join more).
 func TestQueryThroughViewRewriteMatchesBase(t *testing.T) {
 	sch := chainCatalog(t, 21)
 	eng := engine.New(sch.Cat, engine.Options{})
@@ -133,8 +187,7 @@ func TestQueryThroughViewRewriteMatchesBase(t *testing.T) {
 		"SELECT *" + from + " ORDER BY t0.id LIMIT 7",
 		"SELECT t0.id, t1.id, t2.id" + from,
 	}
-	run := func(wantRewritten bool) []*engine.RowsResult {
-		var out []*engine.RowsResult
+	run := func(wantRewritten bool) (out []*engine.RowsResult, allocs []float64) {
 		for _, sql := range stmts {
 			rr, err := sess.Query(sql)
 			if err != nil {
@@ -144,17 +197,18 @@ func TestQueryThroughViewRewriteMatchesBase(t *testing.T) {
 				t.Fatalf("%s: rewritten = %v, want %v", sql, rr.Exec.PosMap != nil, wantRewritten)
 			}
 			out = append(out, kept(rr))
+			allocs = append(allocs, testing.AllocsPerRun(20, func() { sess.Query(sql) }))
 		}
-		return out
+		return out, allocs
 	}
-	base := run(false)
+	base, baseAllocs := run(false)
 	v, err := views.Materialize(qo.NewEnv(sch.Cat),
 		views.Candidate{LeftID: sch.TableIDs[0], RightID: sch.TableIDs[1], LeftCol: 1, RightCol: 0}, "v01")
 	if err != nil {
 		t.Fatal(err)
 	}
 	eng.SetRewriters([]plan.QueryRewriter{v})
-	through := run(true)
+	through, throughAllocs := run(true)
 
 	byValue := func(rows [][]int64) [][]int64 {
 		rows = append([][]int64(nil), rows...)
@@ -182,6 +236,9 @@ func TestQueryThroughViewRewriteMatchesBase(t *testing.T) {
 		}
 		if !reflect.DeepEqual(bRows, thRows) {
 			t.Errorf("%s: %d rows through the view differ from the %d over base tables", sql, len(thRows), len(bRows))
+		}
+		if throughAllocs[i] > baseAllocs[i] {
+			t.Errorf("%s: %.0f allocations per warm query through the view, %.0f over base tables", sql, throughAllocs[i], baseAllocs[i])
 		}
 	}
 }

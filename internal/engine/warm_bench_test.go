@@ -10,17 +10,24 @@ import (
 	"ml4db/internal/querystore"
 	"ml4db/internal/sqlkit/catalog"
 	"ml4db/internal/sqlkit/datagen"
+	"ml4db/internal/sqlkit/plan"
 )
 
 // warmStatements are the three cheap shapes of the end-to-end benchmark's
-// point_warm workload (bench/stmts.go): an indexed point lookup, a narrow
-// indexed range, and a dimension row by id. The executor's share of each is
-// small, so what is measured is the front end: statement-memo and plan-cache
-// hits, instruments, workload record, projection.
+// point_warm workload (bench/stmts.go) — an indexed point lookup, a narrow
+// indexed range, and a dimension row by id — then a hash join and a top-N.
+// The executor's share of the first three is small, so what they measure is
+// the front end: statement-memo and plan-cache hits, instruments, workload
+// record, projection. The last two run the operators' scratch through the
+// session's arena: a hash join of an IndexScan build and a SeqScan probe
+// (plan pinned by TestQueryWarmAllocContract), and a filtered SeqScan's
+// top 5 by two keys.
 var warmStatements = []struct{ name, sql string }{
 	{"point", "SELECT * FROM fact WHERE attr2 = 600 LIMIT 10"},
 	{"range", "SELECT * FROM fact WHERE attr0 BETWEEN 100 AND 101 LIMIT 20"},
 	{"dim", "SELECT * FROM dim1 WHERE id = 77"},
+	{"hashjoin", "SELECT fact.attr0, dim0.a FROM fact, dim0 WHERE fact.fk0 = dim0.id AND dim0.id >= 195"},
+	{"topn", "SELECT attr0, attr1 FROM fact WHERE attr1 >= 900 ORDER BY attr0 DESC, attr1 LIMIT 5"},
 }
 
 // warmSession returns a session over an indexed star schema with Metrics and
@@ -76,20 +83,26 @@ func BenchmarkQueryWarm(b *testing.B) {
 }
 
 // TestQueryWarmAllocContract pins the allocations of a warm Session.Query per
-// statement, 6 / 6 / 6 in a plain build and under -race (which is how
-// scripts/check.sh runs it), and checks that each of those calls was served
-// by the statement memo. History, plain build: 40 / 38 / 39 with a formatted
-// plan-cache key string and a reflection-based sort of the shape's
-// predicates, 36 / 34 / 35 while every hit deep-cloned the cached plan and
-// the executor looked its two instruments up by name, 34 / 32 / 33 while
-// every call parsed its text and rendered its shape (36 / 35–36 / 34–35
-// under -race), 9 / 9 / 9 (ceiling 10) while every call built a fresh
-// RowsResult and wrote its rows into a fresh arena.
+// statement, 0 / 0 / 0 for the point_warm shapes in a plain build and under
+// -race (which is how scripts/check.sh runs it): the session's arena holds the
+// execution's state, scratch, Result and rows, and the query store folds its
+// samples in place. The hash join and the top-N allocate only what reaches
+// the executor's shard runner as a func value: the range body of each SeqScan
+// and of the probe (2 and 1). Each of those calls was served by the statement
+// memo. History, plain build: 40 / 38 / 39 with a formatted plan-cache key
+// string and a reflection-based sort of the shape's predicates, 36 / 34 / 35
+// while every hit deep-cloned the cached plan and the executor looked its two
+// instruments up by name, 34 / 32 / 33 while every call parsed its text and
+// rendered its shape (36 / 35–36 / 34–35 under -race), 9 / 9 / 9 (ceiling 10)
+// while every call built a fresh RowsResult and wrote its rows into a fresh
+// arena, 6 / 6 / 6 while each execution allocated its state, need mask,
+// offsets and batch header, the engine its Result and the query store a slice
+// of heat samples.
 func TestQueryWarmAllocContract(t *testing.T) {
 	sess, reg := warmSession(t)
 	hits := reg.Counter("engine.stmtcache.hits")
 	const runs = 200
-	ceilings := map[string]float64{"point": 6, "range": 6, "dim": 6}
+	pins := map[string]float64{"point": 0, "range": 0, "dim": 0, "hashjoin": 2, "topn": 1}
 	for _, st := range warmStatements {
 		before := hits.Value()
 		got := testing.AllocsPerRun(runs, func() {
@@ -97,12 +110,19 @@ func TestQueryWarmAllocContract(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
-		if got > ceilings[st.name] {
-			t.Errorf("%s: %.0f allocs per warm query, ceiling %.0f", st.name, got, ceilings[st.name])
+		if got != pins[st.name] {
+			t.Errorf("%s: %.0f allocs per warm query, pinned at %.0f", st.name, got, pins[st.name])
 		}
 		// AllocsPerRun makes one warm-up call before the runs it measures.
 		if n := hits.Value() - before; n != runs+1 {
 			t.Errorf("%s: %d statement-memo hits in %d warm calls", st.name, n, runs+1)
 		}
+	}
+	rr, err := sess.Query(warmStatements[3].sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p := rr.Exec.Plan; p.Op != plan.OpHashJoin || p.Children[0].Op != plan.OpIndexScan || p.Children[1].Op != plan.OpSeqScan {
+		t.Errorf("the hash join statement runs\n%s, want a HashJoin of an IndexScan and a SeqScan", p)
 	}
 }

@@ -3,6 +3,7 @@ package querystore
 import (
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"ml4db/internal/mlmath"
@@ -142,9 +143,12 @@ type Store struct {
 	opts  Options
 	clock mlmath.Clock
 
-	mu         sync.Mutex
-	stmts      map[string]*StatementStats
-	stmtOrder  []string // shapes in first-seen order (snapshot order)
+	mu        sync.Mutex
+	stmts     map[string]*StatementStats
+	stmtOrder []string // shapes in first-seen order (snapshot order)
+	// numStmts is len(stmtOrder), which sys_statements reads as its row
+	// count without the lock: Record reads row counts while it holds it.
+	numStmts   atomic.Int64
 	dropped    int64
 	heat       map[heatKey]*ColumnHeat
 	windows    *obs.Ledger[WindowStats]
@@ -184,13 +188,12 @@ func (s *Store) Record(o Observation) {
 	if s == nil {
 		return
 	}
-	h := s.harvest(o)
 	now := s.clock.Now()
 
 	s.mu.Lock()
 	s.advanceLocked(now)
+	h := s.harvestLocked(o)
 	s.recordStatementLocked(o, h)
-	s.recordHeatLocked(h)
 	s.cur.add(o, h)
 	s.mu.Unlock()
 }
@@ -216,6 +219,7 @@ func (s *Store) recordStatementLocked(o Observation, h harvestResult) {
 		e = &StatementStats{ID: int64(len(s.stmtOrder)), Shape: o.Shape}
 		s.stmts[o.Shape] = e
 		s.stmtOrder = append(s.stmtOrder, o.Shape)
+		s.numStmts.Store(int64(len(s.stmtOrder)))
 	}
 	e.Calls++
 	if o.CacheHit {
@@ -246,26 +250,6 @@ func (s *Store) recordStatementLocked(o Observation, h harvestResult) {
 	}
 }
 
-func (s *Store) recordHeatLocked(h harvestResult) {
-	for _, sample := range h.heat {
-		k := heatKey{sample.table, sample.col}
-		e, ok := s.heat[k]
-		if !ok {
-			e = &ColumnHeat{TableID: sample.table, Col: sample.col}
-			s.heat[k] = e
-		}
-		if sample.join {
-			e.JoinCount++
-		} else {
-			e.FilterCount++
-		}
-		if sample.hasSel {
-			e.SelCount++
-			e.SelSum += sample.sel
-		}
-	}
-}
-
 // DroppedStatements returns how many observations were not attributed to a
 // statement because the shape cap was reached.
 func (s *Store) DroppedStatements() int64 {
@@ -279,11 +263,7 @@ func (s *Store) DroppedStatements() int64 {
 
 // numStatements returns how many statements are tracked, without copying
 // them (the optimizer asks for a view's row count more than once per plan).
-func (s *Store) numStatements() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.stmtOrder)
-}
+func (s *Store) numStatements() int { return int(s.numStmts.Load()) }
 
 // Statements returns the statement records in first-seen (ID) order.
 func (s *Store) Statements() []StatementStats {
@@ -323,42 +303,32 @@ func (s *Store) Heat() []ColumnHeat {
 	return out
 }
 
-// harvestResult is what one observation's plan tree contributed: a per-call
-// q-error sample and the column heat samples. It is computed outside the
-// store lock (it may read the catalog, whose virtual tables read stores).
+// harvestResult is what one observation's plan tree contributed to its
+// statement and window: a per-call q-error sample.
 type harvestResult struct {
 	ok       bool // a q-error sample was produced
 	qerrMean float64
 	qerrMax  float64
-	heat     []heatSample
 }
 
-type heatSample struct {
-	table  int // catalog table ID
-	col    int
-	join   bool
-	hasSel bool
-	sel    float64
-}
-
-// harvest walks the executed plan tree beside what its operators measured.
+// harvestLocked walks the executed plan tree beside what its operators
+// measured, folding each column heat sample into the heat map as it goes.
 // Budget-aborted executions are skipped entirely (their actuals describe a
 // partial run), as are observations whose actuals do not cover the tree.
-func (s *Store) harvest(o Observation) harvestResult {
+func (s *Store) harvestLocked(o Observation) harvestResult {
 	var h harvestResult
 	if o.Plan == nil || o.BudgetAbort || len(o.Actuals) != o.Plan.NumNodes() {
 		return h
 	}
 	var sum float64
 	ord := 0
-	h.heat = make([]heatSample, 0, heatSamples(o.Plan))
 	o.Plan.Walk(func(n *plan.Node) {
 		q := pseudoQErr(n.EstRows, float64(o.Actuals[ord].Rows))
 		sum += q
 		if q > h.qerrMax {
 			h.qerrMax = q
 		}
-		s.harvestHeat(&h, n, o.Actuals[ord:])
+		s.heatLocked(n, o.Actuals[ord:])
 		ord++
 	})
 	h.ok = true
@@ -379,39 +349,25 @@ func template(q *plan.Query) *plan.Query {
 	return t
 }
 
-// heatSamples bounds the heat samples harvestHeat appends for the tree under
-// root — a leaf's filters, two per join — so the slice is sized once.
-func heatSamples(root *plan.Node) int {
-	k := 0
-	root.Walk(func(n *plan.Node) {
-		if n.IsLeaf() {
-			k += len(n.Filters)
-		} else if len(n.Conds) > 0 && len(n.Children) == 2 {
-			k += 2
-		}
-	})
-	return k
-}
-
-// harvestHeat appends the node's heat samples. Scan leaves attribute the
-// leaf's observed selectivity (output rows over table rows) to each filter
-// column — an approximation when a leaf carries several conjuncts, but the
-// right signal for "how selective are predicates touching this column".
-// Join nodes attribute the observed join selectivity (output over the
-// cross-product of the inputs) to both columns of the key condition,
-// Conds[0]. actuals holds the subtree's records, n's own first.
-func (s *Store) harvestHeat(h *harvestResult, n *plan.Node, actuals []plan.Actual) {
-	cat := s.opts.Catalog
+// heatLocked folds the node's heat samples into the heat map. Scan leaves
+// attribute the leaf's observed selectivity (output rows over table rows) to
+// each filter column — an approximation when a leaf carries several
+// conjuncts, but the right signal for "how selective are predicates touching
+// this column". Join nodes attribute the observed join selectivity (output
+// over the cross-product of the inputs) to both columns of the key
+// condition, Conds[0]. actuals holds the subtree's records, n's own first. A
+// virtual table's row count may read this store: sys_statements' reads an
+// atomic, the other views' their ledgers' own locks.
+func (s *Store) heatLocked(n *plan.Node, actuals []plan.Actual) {
 	if n.IsLeaf() {
-		for _, f := range n.Filters {
-			sample := heatSample{table: n.TableID, col: f.Col}
-			if cat != nil {
-				if rows := cat.Table(n.TableID).NumRows(); rows > 0 {
-					sample.hasSel = true
-					sample.sel = float64(actuals[0].Rows) / float64(rows)
-				}
+		hasSel, sel := false, 0.0
+		if cat := s.opts.Catalog; cat != nil && len(n.Filters) > 0 {
+			if rows := cat.Table(n.TableID).NumRows(); rows > 0 {
+				hasSel, sel = true, float64(actuals[0].Rows)/float64(rows)
 			}
-			h.heat = append(h.heat, sample)
+		}
+		for _, f := range n.Filters {
+			s.foldHeatLocked(n.TableID, f.Col, false, hasSel, sel)
 		}
 		return
 	}
@@ -429,9 +385,28 @@ func (s *Store) harvestHeat(h *harvestResult, n *plan.Node, actuals []plan.Actua
 	if hasSel {
 		sel = float64(actuals[0].Rows) / cross
 	}
-	h.heat = append(h.heat,
-		heatSample{table: lt.TableID, col: key.LeftCol, join: true, hasSel: hasSel, sel: sel},
-		heatSample{table: rt.TableID, col: key.RightCol, join: true, hasSel: hasSel, sel: sel})
+	s.foldHeatLocked(lt.TableID, key.LeftCol, true, hasSel, sel)
+	s.foldHeatLocked(rt.TableID, key.RightCol, true, hasSel, sel)
+}
+
+// foldHeatLocked counts one heat sample of column col of a table: a filter's
+// or a join key's, with its observed selectivity if it has one.
+func (s *Store) foldHeatLocked(table, col int, join, hasSel bool, sel float64) {
+	k := heatKey{table, col}
+	e, ok := s.heat[k]
+	if !ok {
+		e = &ColumnHeat{TableID: table, Col: col}
+		s.heat[k] = e
+	}
+	if join {
+		e.JoinCount++
+	} else {
+		e.FilterCount++
+	}
+	if hasSel {
+		e.SelCount++
+		e.SelSum += sel
+	}
 }
 
 // pseudoQErr is the q-error of an (estimate, actual) row-count pair with a

@@ -28,7 +28,7 @@ func (s *execState) hashAgg(n *plan.Node, ord int, need []bool) (batch, error) {
 	if err != nil {
 		return batch{}, err
 	}
-	reads := make([]bool, width(s.e.Cat, n.Children[0]))
+	reads := s.a.bools.cut(width(s.e.Cat, n.Children[0]))
 	for _, c := range cols {
 		reads[c] = true
 	}

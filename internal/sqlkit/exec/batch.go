@@ -76,23 +76,35 @@ func (s *execState) take(n int) column {
 	} else {
 		c = make(column, 1<<k)
 	}
-	s.taken = append(s.taken, c)
+	s.a.taken = append(s.a.taken, c)
 	l.mu.Unlock()
 	return c[:n]
 }
 
+// header cuts k column headers under the slab list's lock: shards cut theirs.
+func (s *execState) header(k int) []column {
+	s.e.slabs.mu.Lock()
+	defer s.e.slabs.mu.Unlock()
+	return s.a.cols.cut(k)
+}
+
 // release gives back every slab the execution took, once present has copied
-// the surviving rows out of them.
+// the surviving rows out, and drops its cuts: the arena must hold no slab.
 func (s *execState) release() {
-	l := &s.e.slabs
+	l, a := &s.e.slabs, s.a
 	l.mu.Lock()
-	for _, c := range s.taken {
+	for _, c := range a.taken {
 		if k := bits.Len(uint(cap(c) - 1)); l.bytes+8*cap(c) <= maxSlabBytes {
 			l.free[k], l.bytes = append(l.free[k], c), l.bytes+8*cap(c)
 		}
 	}
 	l.mu.Unlock()
-	clear(s.taken) // the Result keeps this state alive: it must hold no slab
+	clear(a.taken)
+	a.taken = a.taken[:0]
+	a.cols.reset()
+	a.bools.reset()
+	a.keys.reset()
+	a.ints.reset()
 }
 
 // positions returns a join shard's empty (left, right) position vectors with
@@ -141,7 +153,7 @@ func (s *execState) newBatch(n, room int, need []bool) batch {
 		}
 	}
 	arena := s.take(room * marked)
-	b := batch{n: n, cols: make([]column, len(need))}
+	b := batch{n: n, cols: s.header(len(need))}
 	for o, m := range need {
 		if m {
 			b.cols[o], arena = arena[:n:room], arena[room:]
@@ -185,7 +197,7 @@ func (s *execState) extend(b *batch, src batch, total int) {
 		return append(dst, src...)
 	}
 	if b.cols == nil && src.cols != nil {
-		b.cols = make([]column, len(src.cols))
+		b.cols = s.header(len(src.cols))
 	}
 	for c, col := range src.cols {
 		b.cols[c] = concat(b.cols[c], col)

@@ -1,7 +1,6 @@
 package exec
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
 	"math"
@@ -77,8 +76,8 @@ type Options struct {
 	// operator's columns before any row is built (output.go). Nil means every
 	// column in leaf order, executor order, no limit. It is only read.
 	Output *plan.Output
-	// Arena, when non-nil, holds Result.Rows (see Arena); nil means a fresh
-	// arena private to the result.
+	// Arena, when non-nil, holds the execution and its Result (see Arena);
+	// nil means a fresh arena private to the result.
 	Arena *Arena
 }
 
@@ -124,7 +123,8 @@ func (c Counters) Vec() []float64 {
 	}
 }
 
-// Result is the outcome of executing a plan.
+// Result is the outcome of executing a plan. With Options.Arena it is the
+// arena's, Rows, Actuals and Explain included, until the next execution in it.
 type Result struct {
 	// Rows holds the output tuples Options.Output asked for: full-capacity
 	// rows, aliasing no table data, in Options.Arena or a private arena.
@@ -170,29 +170,33 @@ func New(cat *catalog.Catalog) *Executor { return &Executor{Cat: cat} }
 // Execute runs the plan and returns the result. The plan is only read: what
 // its operators measured comes back in Result.Actuals.
 func (e *Executor) Execute(root *plan.Node, opts Options) (*Result, error) {
-	st := &execState{acct: acct{lim: opts.Budget}, e: e, pool: opts.Pool}
-	st.taken = st.slab[:0]
-	res := &st.res
-	if k := root.NumNodes(); k <= len(st.few) {
-		res.Actuals = st.few[:k]
-	} else {
-		res.Actuals = make([]plan.Actual, k)
+	a := opts.Arena
+	if a == nil {
+		a = new(Arena)
+		a.taken, a.st.res.Actuals = a.slab[:0], a.few[:]
 	}
+	st, k := &a.st, root.NumNodes()
+	*st = execState{acct: acct{lim: opts.Budget}, e: e, pool: opts.Pool, a: a, res: Result{Actuals: fit(st.res.Actuals, k)}}
+	res := &st.res
 	observed := opts.Analyze || e.Trace != nil
 	if observed {
 		if opts.Analyze {
-			res.Explain = &Explain{Root: root, cat: e.Cat, actuals: res.Actuals, stats: make([]OpStats, len(res.Actuals))}
+			a.explain = Explain{Root: root, cat: e.Cat, actuals: res.Actuals, stats: fit(a.explain.stats, k)}
+			res.Explain = &a.explain
 		}
 		st.cur = e.Trace.StartSpan("exec.execute", opts.Span)
 	}
-	need, offs, err := resolveOutput(e.Cat, root, opts.Output)
+	need, offs, err := st.resolveOutput(root, opts.Output)
 	if err == nil {
 		var b batch
 		if b, err = st.run(root, 0, need); err == nil {
-			res.Rows = present(b, opts.Output, offs, cmp.Or(opts.Arena, new(Arena)))
+			res.Rows = st.present(b, opts.Output, offs)
 		}
 	}
 	st.release()
+	if opts.Arena == nil { // the result keeps its private arena: drop the hash table
+		a.mem = nil
+	}
 	if res.Explain != nil {
 		res.Explain.finish(root, 0)
 	}
@@ -210,6 +214,15 @@ func (e *Executor) Execute(root *plan.Node, opts Options) (*Result, error) {
 	return res, err
 }
 
+// fit returns buf's first k values zeroed, or k new ones if it holds fewer.
+func fit[T any](buf []T, k int) []T {
+	if cap(buf) < k {
+		return make([]T, k)
+	}
+	clear(buf[:k])
+	return buf[:k]
+}
+
 // acct is one budget account: the counters charged so far, their totals, and
 // the limits the totals are held to. The execution owns the live account;
 // each shard of a partitioned operator charges a private one that the
@@ -222,25 +235,55 @@ type acct struct {
 	lim     *Budget // nil: no limit
 }
 
-// execState is one execution's state, one allocation. It reads the catalog,
-// the slab free list, the tracer and the clock through e, the budget through
-// acct.lim, and res.Explain is its EXPLAIN ANALYZE record: nothing is stored
-// twice, which keeps the state, with its allocation header, in the 896-byte
-// size class.
+// Arena is the memory of one execution at a time: its state, Result, scratch
+// and rows. Reused (Options.Arena), it lets executions allocate nothing once
+// grown to their plans; rows grow to at most maxSlabBytes, larger get their own.
+type Arena struct {
+	st      execState
+	flat    []int64
+	rows    [][]int64
+	few     [5]plan.Actual // a private arena's Actuals for up to five operators
+	explain Explain
+	taken   []column // what the execution took from e.slabs; a private arena's is slab
+	slab    [16]column
+	cols    cuts[column] // batch headers, cut under e.slabs.mu: shards cut theirs
+	bools   cuts[bool]
+	keys    cuts[keyPair]
+	ints    cuts[int]
+	mem     []int32 // the hash join table: one is live at a time (see hashJoin)
+}
+
+// cuts is a region an execution cuts zeroed pieces from; release drops them.
+type cuts[T any] struct {
+	buf []T
+	n   int
+}
+
+// cut returns k zero values, from a larger region if they do not fit.
+func (c *cuts[T]) cut(k int) []T {
+	if c.n+k > len(c.buf) {
+		c.buf, c.n = make([]T, max(2*(len(c.buf)+k), 16)), 0
+	}
+	c.n += k
+	return c.buf[c.n-k : c.n : c.n]
+}
+
+func (c *cuts[T]) reset() {
+	clear(c.buf[:c.n])
+	c.n = 0
+}
+
+// execState is one execution's state, kept in its Arena. It reads the
+// catalog, the slab free list, the tracer and the clock through e, the budget
+// through acct.lim, and res.Explain is its EXPLAIN ANALYZE record.
 type execState struct {
 	acct        // the live account
-	res  Result // what Execute returns, allocated with the state that fills it
-	// few backs res.Actuals for plans of up to five operators (a three-table
-	// join), so small plans allocate no record slice.
-	few [5]plan.Actual
-	e   *Executor
-	// pool runs partitioned operators' shards; nil means inline. Shards
-	// never touch this struct but to take slabs — each charges a private acct.
+	res  Result // what Execute returns
+	e    *Executor
+	a    *Arena
+	// pool runs partitioned operators' shards; nil means inline. Shards take
+	// slabs and headers, charge a private acct and touch nothing else here.
 	pool *mlmath.Pool
-	// taken, backed by slab at first, holds what this execution took from
-	// the executor's slab list (guarded by e.slabs.mu).
-	taken []column
-	slab  [16]column
 	// probe is what a hash join hands its probe side when that is a SeqScan
 	// of a disk table (see children).
 	probe keyRange
@@ -424,8 +467,8 @@ func (s *execState) hashJoin(n *plan.Node, ord int, need []bool) (batch, error) 
 	lk, rk, rest := keys[0].lc, keys[0].rc, keys[1:]
 	shift := uint(64 - bits.Len(uint(max(left.n, 2)-1)))
 	slots := 1 << (64 - shift)
-	mem := make([]int32, 2*slots+left.n)
-	heads, next := mem[:2*slots], mem[2*slots:]
+	s.a.mem = fit(s.a.mem, 2*slots+left.n)
+	heads, next := s.a.mem[:2*slots], s.a.mem[2*slots:]
 	kmin, kmax := int64(math.MaxInt64), int64(math.MinInt64)
 	for i := left.n - 1; i >= 0; i-- {
 		key := lk[i]
@@ -473,7 +516,7 @@ func (s *execState) hashJoin(n *plan.Node, ord int, need []bool) (batch, error) 
 				return batch{}, err
 			}
 		}
-		return batch{n: len(li), cols: []column{li, ri}}, nil
+		return batch{n: len(li), cols: append(s.header(2)[:0], li, ri)}, nil
 	})
 	if err != nil {
 		return batch{}, err
@@ -534,7 +577,7 @@ func (s *execState) nlJoin(n *plan.Node, ord int, need []bool) (batch, error) {
 				return batch{}, err
 			}
 		}
-		return batch{n: len(li), cols: []column{li, ri}}, nil
+		return batch{n: len(li), cols: append(s.header(2)[:0], li, ri)}, nil
 	})
 	if err != nil {
 		return batch{}, err

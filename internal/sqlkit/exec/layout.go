@@ -75,8 +75,8 @@ func (s *execState) joinKeys(n *plan.Node, need []bool) (keys []keyPair, needL, 
 		return nil, nil, nil, fmt.Errorf("exec: %v carries no join condition", n.Op)
 	}
 	lw := width(s.e.Cat, n.Children[0])
-	need = append([]bool(nil), need...)
-	keys = make([]keyPair, len(n.Conds))
+	need = append(s.a.bools.cut(len(need))[:0], need...)
+	keys = s.a.keys.cut(len(n.Conds))
 	for i, c := range n.Conds {
 		l, lok := ColOffset(s.e.Cat, n.Children[0], c.LeftTable, c.LeftCol)
 		r, rok := ColOffset(s.e.Cat, n.Children[1], c.RightTable, c.RightCol)

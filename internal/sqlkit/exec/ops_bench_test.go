@@ -136,9 +136,18 @@ func BenchmarkExecOps(b *testing.B) {
 // intermediate column, a join's position vectors and a merge's permutations
 // included, from the executor's slab list: a case's second run leaves the
 // list as long as its first did, and the counts are pinned (HashAgg's but for
-// its map, whose allocations differ under -race). (3) The smallest query — a
-// single-leaf IndexScan returning one row through the full output path —
-// allocates no more than it did when operators exchanged rows.
+// its map, whose allocations differ under -race). (3) With one Arena reused,
+// as a session passes, an execution allocates only the range body of each
+// SeqScan and join probe (ranged's callers), a partitioned run's shard
+// records and the closure it hands the pool, and MergeJoin's two sort.Slice
+// calls (a closure and a swapper each). (4) The smallest query — a single-leaf
+// IndexScan returning one row through the full output path — allocates no
+// more than it did when operators exchanged rows.
+//
+// Pin history, no arena: hashjoin (all three) 15 → 12, nljoin 14 → 11,
+// mergejoin 16 → 13, topn 10 → 7 and diskscan/P=2 12 → 11 when the hash
+// table, the join keys, their need masks and the batch headers moved into the
+// arena and firstRows' heap into a slab with a typed sort.
 func TestExecAllocContract(t *testing.T) {
 	const smallRows, bigRows = 1 << 10, 32 << 10
 	measure := func(rows int) (map[string]float64, []opsCase) {
@@ -162,8 +171,8 @@ func TestExecAllocContract(t *testing.T) {
 	}
 
 	steady := map[string]float64{"scan": 7, "filter": 7, "filter/wide": 7, "indexscan": 6, "indexscan/disk": 6,
-		"hashjoin": 15, "hashjoin/selective": 15, "hashjoin/sparse": 15, "nljoin": 14, "mergejoin": 16, "topn": 10,
-		"diskscan": 7, "diskscan/all": 7, "diskscan/P=2": 12}
+		"hashjoin": 12, "hashjoin/selective": 12, "hashjoin/sparse": 12, "nljoin": 11, "mergejoin": 13, "topn": 7,
+		"diskscan": 7, "diskscan/all": 7, "diskscan/P=2": 11}
 	e, _ := opsFixture(t, smallRows)
 	for _, c := range cases {
 		run := func() {
@@ -178,6 +187,26 @@ func TestExecAllocContract(t *testing.T) {
 		}
 		if want, ok := steady[c.name]; ok && atSmall[c.name] != want {
 			t.Errorf("%s: %.0f allocations at %d rows, pinned at %.0f", c.name, atSmall[c.name], smallRows, want)
+		}
+	}
+
+	arenaSteady := map[string]float64{"scan": 1, "filter": 1, "filter/wide": 1, "indexscan": 0, "indexscan/disk": 0,
+		"hashjoin": 3, "hashjoin/selective": 3, "hashjoin/sparse": 3, "nljoin": 3, "mergejoin": 6, "topn": 1,
+		"diskscan": 1, "diskscan/all": 1, "diskscan/P=2": 4}
+	for _, c := range cases {
+		arena := new(Arena)
+		run := func() {
+			if _, err := e.Execute(c.plan, Options{Output: c.out, Arena: arena}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for range 4 { // the arena's regions grow to the plan's needs
+			run()
+		}
+		if want, ok := arenaSteady[c.name]; ok {
+			if got := testing.AllocsPerRun(10, run); got != want {
+				t.Errorf("%s: %.0f allocations with a reused arena, pinned at %.0f", c.name, got, want)
+			}
 		}
 	}
 

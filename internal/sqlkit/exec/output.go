@@ -1,10 +1,10 @@
 package exec
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
-	"ml4db/internal/sqlkit/catalog"
 	"ml4db/internal/sqlkit/plan"
 )
 
@@ -12,16 +12,16 @@ import (
 // offsets the select list and the ORDER BY keys read — the marks run pushes
 // down the plan — and offs lists the select list's offsets followed by the
 // keys'. A nil output selects every offset in order.
-func resolveOutput(cat *catalog.Catalog, root *plan.Node, out *plan.Output) (need []bool, offs []int, err error) {
-	need = make([]bool, width(cat, root))
+func (s *execState) resolveOutput(root *plan.Node, out *plan.Output) (need []bool, offs []int, err error) {
+	need = s.a.bools.cut(width(s.e.Cat, root))
 	if out == nil {
-		offs = make([]int, len(need))
+		offs = s.a.ints.cut(len(need))
 		for o := range offs {
 			need[o], offs[o] = true, o
 		}
 		return need, offs, nil
 	}
-	offs = make([]int, len(out.Cols)+len(out.OrderBy))
+	offs = s.a.ints.cut(len(out.Cols) + len(out.OrderBy))
 	for i := range offs {
 		var c plan.AggCol
 		if i < len(out.Cols) {
@@ -29,7 +29,7 @@ func resolveOutput(cat *catalog.Catalog, root *plan.Node, out *plan.Output) (nee
 		} else {
 			c = out.OrderBy[i-len(out.Cols)].Col
 		}
-		off, ok := ColOffset(cat, root, c.Table, c.Col)
+		off, ok := ColOffset(s.e.Cat, root, c.Table, c.Col)
 		if !ok {
 			return nil, nil, fmt.Errorf("exec: output names t%d, which %s does not scan", c.Table, root.Head())
 		}
@@ -40,11 +40,11 @@ func resolveOutput(cat *catalog.Catalog, root *plan.Node, out *plan.Output) (nee
 
 // present applies the output to the root operator's batch: it orders the row
 // positions, keeps the first Limit, and only then transposes the surviving
-// rows × selected columns into the arena a, cut into full-capacity rows under
-// a header capped at keep — the only place the executor builds a row; none
-// aliases another or a table, and an append reallocates. Rows are read
+// rows × selected columns into the arena's rows, cut into full-capacity rows
+// under a header capped at keep — the only place the executor builds a row;
+// none aliases another or a table, and an append reallocates. Rows are read
 // through the batch's selection vector, if it has one.
-func present(b batch, out *plan.Output, offs []int, a *Arena) [][]int64 {
+func (s *execState) present(b batch, out *plan.Output, offs []int) [][]int64 {
 	w, keep := len(offs), b.n
 	order := b.at // nil: executor order, dense
 	if out != nil {
@@ -53,14 +53,14 @@ func present(b batch, out *plan.Output, offs []int, a *Arena) [][]int64 {
 			keep = out.Limit
 		}
 		if len(out.OrderBy) > 0 && keep > 0 {
-			order = firstRows(b, out.OrderBy, offs[w:], keep)
+			order = s.firstRows(b, out.OrderBy, offs[w:], keep)
 		}
 	}
-	flat, rows := a.flat, a.rows
+	flat, rows := s.a.flat, s.a.rows
 	if rows == nil || cap(flat) < keep*w || cap(rows) < keep {
 		flat, rows = make([]int64, max(keep*w, cap(flat))), make([][]int64, max(keep, cap(rows)))
 		if 8*len(flat)+24*len(rows) <= maxSlabBytes {
-			a.flat, a.rows = flat, rows
+			s.a.flat, s.a.rows = flat, rows
 		}
 	}
 	for i := range keep {
@@ -77,29 +77,24 @@ func present(b batch, out *plan.Output, offs []int, a *Arena) [][]int64 {
 	return rows[:keep:keep]
 }
 
-// Arena is row storage a caller keeps across executions (Options.Arena). An
-// execution's rows are valid until the next overwrites them, without zeroing;
-// it grows only for a result that does not fit, to at most maxSlabBytes, and
-// a larger result gets a one-off arena.
-type Arena struct {
-	flat []int64
-	rows [][]int64
-}
-
 // firstRows returns, in order, the positions in b's columns of the first keep
 // rows of b under the ORDER BY keys (whose columns sit at offs). Ties on every
 // key break toward the lower position — the lower row, as the selection
 // vector ascends — so the answer is exactly a stable sort followed by
-// truncation. With keep < b.n only a heap of keep positions is held, worst
-// row on top, and the final sort touches only those.
-func firstRows(b batch, keys []plan.OrderKey, offs []int, keep int) column {
-	before := func(p, q int64) bool {
+// truncation. With keep < b.n only a heap of keep positions is held, in a
+// slab, worst row on top, and the final sort touches only those: order is a
+// strict total order, so any sort returns the same positions.
+func (s *execState) firstRows(b batch, keys []plan.OrderKey, offs []int, keep int) column {
+	order := func(p, q int64) int { // < 0: row p comes before row q
 		for i, o := range offs {
 			if x, y := b.cols[o][p], b.cols[o][q]; x != y {
-				return (x < y) != keys[i].Desc
+				if (x < y) != keys[i].Desc {
+					return -1
+				}
+				return 1
 			}
 		}
-		return p < q
+		return cmp.Compare(p, q)
 	}
 	row := func(i int) int64 {
 		if b.at != nil {
@@ -107,7 +102,7 @@ func firstRows(b batch, keys []plan.OrderKey, offs []int, keep int) column {
 		}
 		return int64(i)
 	}
-	h := make(column, keep)
+	h := s.take(keep)
 	for i := range h {
 		h[i] = row(i)
 	}
@@ -118,10 +113,10 @@ func firstRows(b batch, keys []plan.OrderKey, offs []int, keep int) column {
 				if c >= keep {
 					return
 				}
-				if c+1 < keep && before(h[c], h[c+1]) {
+				if c+1 < keep && order(h[c], h[c+1]) < 0 {
 					c++
 				}
-				if !before(h[i], h[c]) {
+				if order(h[i], h[c]) >= 0 {
 					return
 				}
 				h[i], h[c] = h[c], h[i]
@@ -132,12 +127,12 @@ func firstRows(b batch, keys []plan.OrderKey, offs []int, keep int) column {
 			sift(i)
 		}
 		for i := keep; i < b.n; i++ {
-			if p := row(i); before(p, h[0]) {
+			if p := row(i); order(p, h[0]) < 0 {
 				h[0] = p
 				sift(0)
 			}
 		}
 	}
-	sort.Slice(h, func(i, j int) bool { return before(h[i], h[j]) })
+	slices.SortFunc(h, order)
 	return h
 }

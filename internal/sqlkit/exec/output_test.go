@@ -289,7 +289,7 @@ func TestArenaKeepsAtMostMaxSlabBytes(t *testing.T) {
 		col[i] = int64(i)
 	}
 	present1 := func(a *Arena, n int) [][]int64 {
-		return present(batch{n: n, cols: []column{col}}, nil, []int{0}, a)
+		return (&execState{a: a}).present(batch{n: n, cols: []column{col}}, nil, []int{0})
 	}
 	a := new(Arena)
 	if rows := present1(a, 0); rows == nil || len(rows) != 0 {

@@ -277,7 +277,7 @@ func (s *execState) seqScan(n *plan.Node, ord int, need []bool) (batch, error) {
 		return batch{}, err
 	}
 	if src.tf == nil { // each marked column is the table's own: nothing is copied
-		out.cols = make([]column, len(need))
+		out.cols = s.header(len(need))
 		for c, m := range need {
 			if m {
 				out.cols[c] = src.cols[c]

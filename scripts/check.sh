@@ -139,8 +139,10 @@ echo "==> fuzz (ml4db-tracecheck.FuzzValidateJSONL, 5s)"
 go test -run '^$' -fuzz FuzzValidateJSONL -fuzztime 5s ./cmd/ml4db-tracecheck/
 
 # The same budget on the whole of Session.Query, seeded with the SQL corpus: no
-# panic, and a text sent again (a statement-memo hit) or to a fresh engine
-# returns the same error or the same columns and rows as its first call.
+# panic, and a text sent again on the same session (a statement-memo hit, after
+# a statement of another width and plan size reused the session's arena) or to
+# a fresh engine returns the same error, or the same columns, rows, work,
+# counters and per-operator actuals, as its first call.
 echo "==> fuzz (engine.FuzzSessionQuery, 5s)"
 go test -run '^$' -fuzz FuzzSessionQuery -fuzztime 5s ./internal/engine/
 
@@ -153,7 +155,8 @@ echo "==> bench module (go vet + go test)"
 # measurement, just a guard that the kernel worker sweeps (MatMul, MLPFit),
 # the buffer-pool fetch paths, the optimizer's join-order DP, one plan per
 # executor operator (the ExecOps pattern also matches scan/P=2, hashjoin/P=2
-# and hashagg/P=2, the partitioned forms), the warm Session.Query front end, a
+# and hashagg/P=2, the partitioned forms), the warm Session.Query front end and
+# a hash join and a top-N through the session's arena, a
 # plan-cache hit, a cold planning pass through the engine's estimator guard,
 # the cold front end's parse, shape and query-store record steps and a
 # stable vs shadow Rollout.Observe keep working.
